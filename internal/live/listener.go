@@ -139,7 +139,9 @@ func (l *Listener) serve(conn *srvConn) {
 	defer l.forget(conn)
 	defer conn.Close()
 
-	peer, r, err := l.handshake(conn)
+	conn.SetDeadline(time.Now().Add(l.cfg.HoldTime))
+	r := &msgReader{c: conn}
+	peer, err := l.readOpen(r)
 	if err != nil {
 		return // handshake failures are not peer-downs: no session existed
 	}
@@ -148,17 +150,30 @@ func (l *Listener) serve(conn *srvConn) {
 	// injected kill, say) must not surface its first update while the
 	// dead session's kernel-buffered backlog is still being drained, or
 	// arrivals would interleave across connections and break the
-	// sequencer's per-peer FIFO matching. The predecessor's slot closes
-	// only after its OnPeerDown has returned, which also gives the
-	// restart guard a deterministic down-before-up ordering. The wait is
-	// bounded by the hold time: a truly wedged predecessor expires then.
+	// sequencer's per-peer FIFO matching. The slot is claimed before our
+	// OPEN goes out: the speaker cannot establish this session, let alone
+	// lose it and dial the next, until it has read that OPEN, so claims
+	// are taken in the order the speaker's sessions existed — claiming
+	// after the handshake let a starved goroutine be overtaken by its
+	// successor, which then ran first and stranded it. The predecessor's
+	// slot closes only after its OnPeerDown has returned, which also
+	// gives the restart guard a deterministic down-before-up ordering.
+	// The wait is bounded by the hold time: a truly wedged predecessor
+	// expires then. A session whose handshake fails waits too, so that
+	// it hands its successor a slot that means "everything before you
+	// is done".
 	prev, done := l.claimPeer(peer)
 	defer close(done)
+	err = l.replyOpen(conn, r)
+	conn.SetDeadline(time.Time{})
 	if prev != nil {
 		select {
 		case <-prev:
 		case <-time.After(l.cfg.HoldTime):
 		}
+	}
+	if err != nil {
+		return
 	}
 
 	l.m.SessionsEstablished.Inc()
@@ -178,41 +193,41 @@ func (l *Listener) serve(conn *srvConn) {
 	}
 }
 
-// handshake runs the passive-side open exchange and returns the peer's
-// 32-bit ASN (carried in the OPEN RouterID; see encodeOpen).
-func (l *Listener) handshake(conn *srvConn) (uint32, *msgReader, error) {
-	conn.SetDeadline(time.Now().Add(l.cfg.HoldTime))
-	defer conn.SetDeadline(time.Time{})
-
-	r := &msgReader{c: conn}
+// readOpen is the first half of the passive-side open exchange: it reads
+// the peer's OPEN and returns its 32-bit ASN (carried in the OPEN
+// RouterID; see encodeOpen).
+func (l *Listener) readOpen(r *msgReader) (uint32, error) {
 	typ, msg, err := r.read()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if typ != bgp.MsgOpen {
-		return 0, nil, fmt.Errorf("live: expected OPEN, got message type %d", typ)
+		return 0, fmt.Errorf("live: expected OPEN, got message type %d", typ)
 	}
-	open := msg.(*bgp.Open)
-	peer := open.RouterID
+	return msg.(*bgp.Open).RouterID, nil
+}
 
+// replyOpen is the second half: our OPEN and KEEPALIVE out, the peer's
+// KEEPALIVE in.
+func (l *Listener) replyOpen(conn *srvConn, r *msgReader) error {
 	ours, err := encodeOpen(l.asn, l.cfg.holdTimeSecs())
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if err := conn.writeMsg(ours, l.cfg.HoldTime); err != nil {
-		return 0, nil, err
+		return err
 	}
 	if err := conn.writeMsg(bgp.EncodeKeepalive(), l.cfg.HoldTime); err != nil {
-		return 0, nil, err
+		return err
 	}
-	typ, _, err = r.read()
+	typ, _, err := r.read()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if typ != bgp.MsgKeepalive {
-		return 0, nil, fmt.Errorf("live: expected KEEPALIVE, got message type %d", typ)
+		return fmt.Errorf("live: expected KEEPALIVE, got message type %d", typ)
 	}
-	return peer, r, nil
+	return nil
 }
 
 func (l *Listener) keepalives(conn *srvConn, stop chan struct{}) {

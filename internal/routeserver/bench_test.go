@@ -1,17 +1,19 @@
 package routeserver
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 )
 
-// BenchmarkProcessAnnounceWithdraw measures one RTBH on-off cycle at the
-// route server with 200 peers.
-func BenchmarkProcessAnnounceWithdraw(b *testing.B) {
+// benchServer registers n peers, every third of which accepts /32
+// blackholes (ASNs 1000.., so AS1000 accepts and AS1001 rejects).
+func benchServer(b *testing.B, n int) *Server {
+	b.Helper()
 	s := New(64500, 1)
-	for i := uint32(0); i < 200; i++ {
+	for i := uint32(0); i < uint32(n); i++ {
 		pol := DefaultPolicy()
 		if i%3 == 0 {
 			pol = BlackholeReadyPolicy()
@@ -20,48 +22,86 @@ func BenchmarkProcessAnnounceWithdraw(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ann := &bgp.Update{
+	return s
+}
+
+func benchAnnounce(origin uint32, prefix bgp.Prefix, extra ...bgp.Community) *bgp.Update {
+	return &bgp.Update{
 		Attrs: bgp.PathAttrs{
-			ASPath: []uint32{1000}, NextHop: 1,
-			Communities: bgp.Communities{bgp.Blackhole},
+			ASPath: []uint32{origin}, NextHop: 1,
+			Communities: append(bgp.Communities{bgp.Blackhole}, extra...),
 		},
-		NLRI: []bgp.Prefix{bgp.MustParsePrefix("203.0.113.5/32")},
+		NLRI: []bgp.Prefix{prefix},
 	}
-	wd := &bgp.Update{Withdrawn: ann.NLRI}
-	ts := time.Unix(0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Process(ts, 1000, ann); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Process(ts, 1000, wd); err != nil {
-			b.Fatal(err)
+}
+
+// BenchmarkProcessAnnounceWithdraw measures one RTBH on-off cycle at the
+// route server, at the test worlds' and the paper's session counts, for an
+// announcement to everybody and for one steered to a four-peer allow list.
+func BenchmarkProcessAnnounceWithdraw(b *testing.B) {
+	for _, peers := range []int{120, 830} {
+		for _, steering := range []string{"untargeted", "allow-listed"} {
+			b.Run(fmt.Sprintf("peers=%d/%s", peers, steering), func(b *testing.B) {
+				s := benchServer(b, peers)
+				var cs []bgp.Community
+				if steering == "allow-listed" {
+					for _, asn := range []uint16{1003, 1010, 1050, 1100} {
+						cs = append(cs, bgp.MakeCommunity(64500, asn))
+					}
+				}
+				ann := benchAnnounce(1000, bgp.MustParsePrefix("203.0.113.5/32"), cs...)
+				wd := &bgp.Update{Withdrawn: ann.NLRI}
+				ts := time.Unix(0, 0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Process(ts, 1000, ann); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := s.Process(ts, 1000, wd); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
 
-// BenchmarkDropFraction measures the fabric's forwarding-decision lookup.
+// BenchmarkDropFraction measures the fabric's forwarding-decision lookup at
+// the paper's 830 sessions with 300 active /32 routes and a covering /24,
+// from a member that accepts /32 (prefix-index lookups at both lengths)
+// and from one that rejects it (the /32 length is skipped outright), for a
+// blackholed and an unaffected destination.
 func BenchmarkDropFraction(b *testing.B) {
-	s := New(64500, 1)
-	s.AddPeer(Peer{ASN: 1000, Policy: BlackholeReadyPolicy()})
-	s.AddPeer(Peer{ASN: 1001, Policy: BlackholeReadyPolicy()})
-	ann := &bgp.Update{
-		Attrs: bgp.PathAttrs{
-			ASPath: []uint32{1000}, NextHop: 1,
-			Communities: bgp.Communities{bgp.Blackhole},
-		},
-		NLRI: []bgp.Prefix{bgp.MustParsePrefix("203.0.113.5/32")},
+	s := benchServer(b, 830)
+	ts := time.Unix(0, 0)
+	for i := uint32(0); i < 300; i++ {
+		ann := benchAnnounce(1002+i, bgp.HostPrefix(0xcb007100+i))
+		if _, err := s.Process(ts, 1002+i, ann); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if _, err := s.Process(time.Unix(0, 0), 1000, ann); err != nil {
+	if _, err := s.Process(ts, 1002, benchAnnounce(1002, bgp.MustParsePrefix("198.51.100.0/24"))); err != nil {
 		b.Fatal(err)
 	}
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += s.DropFraction(1001, 0xcb007105)
+	for _, peer := range []struct {
+		name string
+		asn  uint32
+	}{{"accepts-host", 1000}, {"rejects-host", 1001}} {
+		for _, dst := range []struct {
+			name string
+			ip   uint32
+		}{{"blackholed", 0xcb007105}, {"unaffected", 0x08080808}} {
+			b.Run(peer.name+"/"+dst.name, func(b *testing.B) {
+				var sink float64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink += s.DropFraction(peer.asn, dst.ip)
+				}
+				_ = sink
+			})
+		}
 	}
-	_ = sink
 }
 
 // BenchmarkMatchFlowSpec measures the per-packet fine-grained matching

@@ -37,7 +37,7 @@ type fsRoute struct {
 	origin   uint32
 	rule     *bgp.FlowRule
 	wire     string
-	accepted map[uint32]bool
+	accepted peerSet
 }
 
 // fsEntry is one rule in a peer's installed list, ordered by precedence.
@@ -137,15 +137,15 @@ func (s *Server) processFlowSpec(peerAS uint32, upd *bgp.FlowSpecUpdate) error {
 			s.metrics.FlowSpecReannouncements.Inc()
 			s.releaseFlowSpec(old)
 		}
-		rt := &fsRoute{origin: peerAS, rule: r, wire: key.wire, accepted: make(map[uint32]bool)}
+		rt := &fsRoute{origin: peerAS, rule: r, wire: key.wire, accepted: make(peerSet, len(s.all))}
 		for _, target := range s.peerOrder {
-			if target == peerAS {
+			if target.peer.ASN == peerAS {
 				continue
 			}
-			if s.peers[target].peer.Policy.FlowSpec == AcceptFull {
+			if target.peer.Policy.FlowSpec == AcceptFull {
 				s.metrics.FlowSpecImportAccepted.Inc()
-				rt.accepted[target] = true
-				fs.installEntry(fs.perPeer, target, fsEntry{rule: r, wire: key.wire})
+				rt.accepted.set(target.idx)
+				fs.installEntry(fs.perPeer, target.peer.ASN, fsEntry{rule: r, wire: key.wire})
 			} else {
 				s.metrics.FlowSpecImportRejected.Inc()
 			}
@@ -206,7 +206,7 @@ func (s *Server) withdrawFlowSpec(origin uint32, r *bgp.FlowRule) {
 
 func (s *Server) releaseFlowSpec(rt *fsRoute) {
 	fs := s.fs()
-	for target := range rt.accepted {
+	for _, target := range s.members(rt.accepted) {
 		removeEntry(fs.perPeer, target, rt.rule)
 	}
 	removeEntry(fs.perOrigin, rt.origin, rt.rule)
@@ -228,19 +228,16 @@ func (s *Server) flushFlowSpec(peerAS uint32) int {
 	if s.flowspec == nil {
 		return 0
 	}
-	var keys []fsKey
-	for key := range s.flowspec.rules {
+	flushed := 0
+	for key, rt := range s.flowspec.rules {
 		if key.origin == peerAS {
-			keys = append(keys, key)
+			s.metrics.FlowSpecWithdrawn.Inc()
+			s.releaseFlowSpec(rt)
+			delete(s.flowspec.rules, key)
+			flushed++
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].wire < keys[j].wire })
-	for _, key := range keys {
-		s.metrics.FlowSpecWithdrawn.Inc()
-		s.releaseFlowSpec(s.flowspec.rules[key])
-		delete(s.flowspec.rules, key)
-	}
-	return len(keys)
+	return flushed
 }
 
 // MatchFlowSpec reports whether one of peerAS's installed discard rules
@@ -315,13 +312,7 @@ func (s *Server) ActiveFlowRules() []FlowAnnouncement {
 	})
 	for _, key := range keys {
 		rt := s.flowspec.rules[key]
-		ann := FlowAnnouncement{Origin: key.origin, Rule: rt.rule}
-		for _, p := range s.peerOrder {
-			if rt.accepted[p] {
-				ann.Accepted = append(ann.Accepted, p)
-			}
-		}
-		out = append(out, ann)
+		out = append(out, FlowAnnouncement{Origin: key.origin, Rule: rt.rule, Accepted: s.members(rt.accepted)})
 	}
 	return out
 }

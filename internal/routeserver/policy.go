@@ -85,30 +85,44 @@ func BlackholeReadyPolicy() Policy {
 	return Policy{Standard: AcceptFull, Mid: AcceptNone, Host: AcceptFull}
 }
 
+// Prefix-length classes: the granularity at which import policies decide
+// and at which the route server precomputes its accepting-peer sets.
+const (
+	classStandard = iota // up to /24
+	classMid             // /25../31
+	classHost            // /32
+	numClasses
+)
+
+// classLens[c] has bit l set for every prefix length l of class c.
+var classLens = [numClasses]uint64{1<<25 - 1, 1<<32 - 1<<25, 1 << 32}
+
+func lengthClass(prefixLen uint8) int {
+	switch {
+	case prefixLen <= 24:
+		return classStandard
+	case prefixLen < 32:
+		return classMid
+	default:
+		return classHost
+	}
+}
+
 // fraction returns the fraction of the peer's ingress traffic that honours
 // an installed route with the given prefix length (0 = rejected entirely).
 func (p Policy) fraction(prefixLen uint8) float64 {
-	var class AcceptClass
-	var frac float64
-	switch {
-	case prefixLen <= 24:
-		class, frac = p.Standard, p.StandardFraction
-	case prefixLen < 32:
-		class, frac = p.Mid, p.MidFraction
-	default:
-		class, frac = p.Host, p.HostFraction
+	accept, frac := p.Standard, p.StandardFraction
+	switch lengthClass(prefixLen) {
+	case classMid:
+		accept, frac = p.Mid, p.MidFraction
+	case classHost:
+		accept, frac = p.Host, p.HostFraction
 	}
-	switch class {
+	switch accept {
 	case AcceptFull:
 		return 1
 	case AcceptPartial:
-		if frac < 0 {
-			return 0
-		}
-		if frac > 1 {
-			return 1
-		}
-		return frac
+		return max(0, min(1, frac))
 	default:
 		return 0
 	}
@@ -126,34 +140,27 @@ func (p Policy) Accepts(prefixLen uint8) bool { return p.fraction(prefixLen) > 0
 //	0:rsASN        announce to nobody except explicit allows
 //
 // This is the scheme large European IXPs document for their route servers.
-func targetPeers(rsASN uint16, cs bgp.Communities, peers []uint32, origin uint32) map[uint32]bool {
-	blockAll := cs.Contains(bgp.MakeCommunity(0, rsASN))
-	allowList := map[uint32]bool{}
-	haveAllows := false
+func (s *Server) targetPeers(cs bgp.Communities, origin *peerState) peerSet {
+	targets := make(peerSet, len(s.all))
+	allowMode := cs.Contains(bgp.MakeCommunity(0, s.ASN))
 	for _, c := range cs {
-		if c.ASN() == rsASN && c.Value() != rsASN {
-			allowList[uint32(c.Value())] = true
-			haveAllows = true
-		}
-	}
-	targets := make(map[uint32]bool, len(peers))
-	for _, p := range peers {
-		if p == origin {
-			continue
-		}
-		switch {
-		case blockAll || haveAllows:
-			if allowList[p] {
-				targets[p] = true
+		if c.ASN() == s.ASN && c.Value() != s.ASN {
+			allowMode = true
+			if ps, ok := s.peers[uint32(c.Value())]; ok {
+				targets.set(ps.idx)
 			}
-		default:
-			targets[p] = true
 		}
 	}
+	if !allowMode {
+		copy(targets, s.all)
+	}
+	targets.clear(origin.idx)
 	// Explicit blocks override everything.
 	for _, c := range cs {
-		if c.ASN() == 0 && c.Value() != rsASN {
-			delete(targets, uint32(c.Value()))
+		if c.ASN() == 0 && c.Value() != s.ASN {
+			if ps, ok := s.peers[uint32(c.Value())]; ok {
+				targets.clear(ps.idx)
+			}
 		}
 	}
 	return targets

@@ -47,12 +47,11 @@ func TestPolicyPropagationMatrix(t *testing.T) {
 				100: BlackholeReadyPolicy(), // origin, never a target
 				200: tc.policy,
 			})
-			anns, err := s.Process(time.Unix(0, 0), 100, blackholeUpdate(tc.prefix))
-			if err != nil {
+			if _, err := s.Process(time.Unix(0, 0), 100, blackholeUpdate(tc.prefix)); err != nil {
 				t.Fatal(err)
 			}
-			if len(anns) != 1 || len(anns[0].Targets) != 1 || anns[0].Targets[0] != 200 {
-				t.Fatalf("announcement = %+v, want single target 200", anns)
+			if a := activeRoute(t, s, tc.prefix); len(a.Targets) != 1 || a.Targets[0] != 200 {
+				t.Fatalf("route = %+v, want single target 200", a)
 			}
 			if f := s.DropFraction(200, mustAddr(t, tc.victim)); f != tc.wantFrac {
 				t.Errorf("drop fraction = %v, want %v", f, tc.wantFrac)

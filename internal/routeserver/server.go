@@ -1,8 +1,10 @@
 package routeserver
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/bgp"
@@ -35,34 +37,24 @@ type Peer struct {
 	Space []bgp.Prefix
 }
 
-// routeKey identifies a route in the server's RIB: the same prefix may be
-// blackholed by several members simultaneously.
-type routeKey struct {
-	origin uint32
-	prefix bgp.Prefix
-}
-
-// route is an installed blackhole route.
+// route is an installed blackhole route; the prefix index keys it by
+// prefix, so several members blackholing the same prefix share one entry.
 type route struct {
-	key      routeKey
-	attrs    bgp.PathAttrs
-	targets  map[uint32]bool // peers the route was announced to
-	accepted map[uint32]bool // targets whose policy installed it
-	since    time.Time
+	origin   uint32
+	targets  peerSet // peers the route was announced to
+	accepted peerSet // targets whose policy installed it
 }
 
-// peerState tracks one member's view: which blackhole prefixes its routers
-// have installed, with reference counts (several origins may blackhole the
-// same prefix) and per-length counters for longest-prefix matching.
+// peerState is one registered member and its position in every peerSet.
 type peerState struct {
-	peer     Peer
-	rib      map[bgp.Prefix]int // accepted blackhole prefixes -> refcount
-	lenCount [33]int            // how many entries exist per prefix length
+	peer Peer
+	idx  int
+	lens uint64 // bit l set: the policy accepts routes of prefix length l
 }
 
-// Announcement summarizes the outcome of processing one NLRI: to whom the
-// route was distributed and who accepted it. The simulator uses it for
-// ground truth; the fabric queries live state instead.
+// Announcement names one blackhole route. Process reports only Prefix and
+// Origin; ActiveRoutes adds who the route was distributed to and who
+// accepted it, read from live state.
 type Announcement struct {
 	Prefix   bgp.Prefix
 	Origin   uint32
@@ -128,6 +120,11 @@ type Metrics struct {
 // Server is the route server. It is not safe for concurrent use; the
 // simulator drives it from a single event loop, as a production route
 // server's BGP best-path process is also single-threaded per table.
+//
+// RTBH state is route-centric: each route owns the sets of peers it was
+// announced to and installed at, and a member's view (DropFraction,
+// VisibleTo, its rib_size gauge) is a query testing the member's bit, so
+// an update costs a few words of set arithmetic whatever its fan-out.
 type Server struct {
 	// ASN is the route server's AS number (16-bit for community targeting).
 	ASN uint16
@@ -135,8 +132,16 @@ type Server struct {
 	IP uint32
 
 	peers     map[uint32]*peerState
-	peerOrder []uint32 // sorted, for deterministic iteration
-	rib       map[routeKey]*route
+	peerOrder []*peerState // ascending ASN, for deterministic iteration
+	all       peerSet      // every registered peer
+	// accepts[c]: the peers whose policy installs routes of length class c.
+	accepts [numClasses]peerSet
+
+	routes    map[bgp.Prefix][]route // prefix index
+	numRoutes int
+	lenCount  [33]int // installed routes per prefix length
+	lens      uint64  // bit l set: lenCount[l] > 0
+
 	flowspec  *fsState
 	collector Collector
 	metrics   Metrics
@@ -148,10 +153,10 @@ type Server struct {
 // New creates a route server operating as AS asn.
 func New(asn uint16, ip uint32) *Server {
 	return &Server{
-		ASN:   asn,
-		IP:    ip,
-		peers: make(map[uint32]*peerState),
-		rib:   make(map[routeKey]*route),
+		ASN:    asn,
+		IP:     ip,
+		peers:  make(map[uint32]*peerState),
+		routes: make(map[bgp.Prefix][]route),
 	}
 }
 
@@ -161,9 +166,10 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // RegisterMetrics exposes the server's counters and live RIB gauges under
 // the "routeserver." prefix. The per-peer Adj-RIB-In size gauges
 // (routeserver.peer.AS<n>.rib_size) cover the peers registered at call
-// time, so register after AddPeer. Gauge callbacks read live server state
-// and follow the obs snapshot convention: snapshot from the goroutine
-// driving the (single-threaded) server, or after it finished.
+// time, so register after AddPeer; each scans the prefix index on read.
+// Gauge callbacks read live server state and follow the obs snapshot
+// convention: snapshot from the goroutine driving the (single-threaded)
+// server, or after it finished.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	m := &s.metrics
 	reg.RegisterCounter("routeserver.updates", &m.Updates)
@@ -191,12 +197,21 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("flowspec.import.rejected", &m.FlowSpecImportRejected)
 	reg.GaugeFunc("flowspec.rules", func() int64 { return int64(s.NumFlowSpecRules()) })
 	reg.GaugeFunc("routeserver.peers", func() int64 { return int64(len(s.peers)) })
-	reg.GaugeFunc("routeserver.rib_routes", func() int64 { return int64(len(s.rib)) })
-	for _, asn := range s.peerOrder {
-		ps := s.peers[asn]
-		reg.GaugeFunc(fmt.Sprintf("routeserver.peer.AS%d.rib_size", asn),
-			func() int64 { return int64(len(ps.rib)) })
+	reg.GaugeFunc("routeserver.rib_routes", func() int64 { return int64(s.numRoutes) })
+	for _, ps := range s.peerOrder {
+		reg.GaugeFunc(fmt.Sprintf("routeserver.peer.AS%d.rib_size", ps.peer.ASN),
+			func() int64 { return int64(s.ribSize(ps.idx)) })
 	}
+}
+
+// ribSize counts the distinct prefixes installed at the peer with index idx.
+func (s *Server) ribSize(idx int) (n int) {
+	for _, rts := range s.routes {
+		if slices.ContainsFunc(rts, func(rt route) bool { return rt.accepted.has(idx) }) {
+			n++
+		}
+	}
+	return n
 }
 
 // SetCollector installs the archive hook (may be nil to disable).
@@ -211,15 +226,34 @@ func (s *Server) AddPeer(p Peer) error {
 	if _, dup := s.peers[p.ASN]; dup {
 		return fmt.Errorf("routeserver: duplicate peer AS%d", p.ASN)
 	}
-	s.peers[p.ASN] = &peerState{peer: p, rib: make(map[bgp.Prefix]int)}
-	s.peerOrder = append(s.peerOrder, p.ASN)
-	sort.Slice(s.peerOrder, func(i, j int) bool { return s.peerOrder[i] < s.peerOrder[j] })
+	ps := &peerState{peer: p, idx: len(s.peers)}
+	s.peers[p.ASN] = ps
+	at, _ := slices.BinarySearchFunc(s.peerOrder, p.ASN, func(o *peerState, asn uint32) int { return cmp.Compare(o.peer.ASN, asn) })
+	s.peerOrder = slices.Insert(s.peerOrder, at, ps)
+	s.all = s.all.grown(ps.idx)
+	s.all.set(ps.idx)
+	for c, lens := range classLens {
+		s.accepts[c] = s.accepts[c].grown(ps.idx)
+		if p.Policy.Accepts(uint8(bits.Len64(lens) - 1)) { // a class decides alike for all its lengths
+			s.accepts[c].set(ps.idx)
+			ps.lens |= lens
+		}
+	}
 	return nil
 }
 
 // Peers returns the member ASNs in ascending order.
-func (s *Server) Peers() []uint32 {
-	return append([]uint32(nil), s.peerOrder...)
+func (s *Server) Peers() []uint32 { return s.members(s.all) }
+
+// members lists the ASNs in set in ascending order.
+func (s *Server) members(set peerSet) []uint32 {
+	var out []uint32
+	for _, ps := range s.peerOrder {
+		if set.has(ps.idx) {
+			out = append(out, ps.peer.ASN)
+		}
+	}
+	return out
 }
 
 // NumPeers returns the number of registered members.
@@ -229,7 +263,8 @@ func (s *Server) NumPeers() int { return len(s.peers) }
 // first (RFC 4271 ordering), then announcements. Announced prefixes must
 // carry the BLACKHOLE community — this route server instance implements
 // the blackholing service, and non-blackhole routes are outside the scope
-// of the study, so they are rejected with an error.
+// of the study, so they are rejected with an error. It returns the
+// announced (origin, prefix) pairs; who received them is a query.
 func (s *Server) Process(ts time.Time, peerAS uint32, upd *bgp.Update) ([]Announcement, error) {
 	ps, ok := s.peers[peerAS]
 	if !ok {
@@ -260,71 +295,52 @@ func (s *Server) Process(ts time.Time, peerAS uint32, upd *bgp.Update) ([]Announ
 		s.withdraw(peerAS, p)
 	}
 
-	var anns []Announcement
-	if len(upd.NLRI) > 0 {
-		if !upd.Attrs.Communities.HasBlackhole() {
-			s.metrics.RejectedNoBlackhole.Inc()
-			return nil, fmt.Errorf("routeserver: AS%d announced %v without BLACKHOLE community", peerAS, upd.NLRI[0])
-		}
-		targets := targetPeers(s.ASN, upd.Attrs.Communities, s.peerOrder, peerAS)
-		for _, p := range upd.NLRI {
-			anns = append(anns, s.announce(ts, peerAS, p, upd.Attrs, targets))
-		}
+	if len(upd.NLRI) == 0 {
+		return nil, nil
+	}
+	if !upd.Attrs.Communities.HasBlackhole() {
+		s.metrics.RejectedNoBlackhole.Inc()
+		return nil, fmt.Errorf("routeserver: AS%d announced %v without BLACKHOLE community", peerAS, upd.NLRI[0])
+	}
+	// Routes never mutate their target set, so the update's prefixes share one.
+	targets := s.targetPeers(upd.Attrs.Communities, ps)
+	anns := make([]Announcement, len(upd.NLRI))
+	for i, p := range upd.NLRI {
+		s.announce(peerAS, p, targets)
+		anns[i] = Announcement{Prefix: p, Origin: peerAS}
 	}
 	return anns, nil
 }
 
-func (s *Server) announce(ts time.Time, origin uint32, prefix bgp.Prefix, attrs bgp.PathAttrs, targets map[uint32]bool) Announcement {
-	key := routeKey{origin: origin, prefix: prefix}
-	s.metrics.AnnouncedPrefixes.Inc()
-	if old, exists := s.rib[key]; exists {
-		// Implicit withdraw: replace, releasing old acceptances.
-		s.metrics.Reannouncements.Inc()
-		s.releaseAccepted(old)
-	}
+// announce installs (or, as an implicit withdraw, replaces) origin's route
+// for prefix, counting import outcomes per target peer: one popcount each.
+func (s *Server) announce(origin uint32, prefix bgp.Prefix, targets peerSet) {
+	class := lengthClass(prefix.Len)
+	rt := route{origin: origin, targets: targets, accepted: targets.and(s.accepts[class])}
 
-	rt := &route{
-		key:      key,
-		attrs:    attrs.Clone(),
-		targets:  make(map[uint32]bool, len(targets)),
-		accepted: make(map[uint32]bool),
-		since:    ts,
-	}
-	// The route server rewrites the next hop to the blackhole.
-	rt.attrs.NextHop = BlackholeNextHop
+	m := &s.metrics
+	m.AnnouncedPrefixes.Inc()
+	nTargets, nAccepted := targets.count(), rt.accepted.count()
+	m.ImportAccepted.Add(int64(nAccepted))
+	rejected := [numClasses]*obs.Counter{&m.ImportRejectedStandard, &m.ImportRejectedMid, &m.ImportRejectedHost}
+	rejected[class].Add(int64(nTargets - nAccepted))
+	m.NotTargeted.Add(int64(len(s.peers) - 1 - nTargets))
 
-	ann := Announcement{Prefix: prefix, Origin: origin}
-	for _, target := range s.peerOrder {
-		if !targets[target] {
-			if target != origin {
-				s.metrics.NotTargeted.Inc()
-			}
-			continue
-		}
-		rt.targets[target] = true
-		ann.Targets = append(ann.Targets, target)
-		tps := s.peers[target]
-		if tps.peer.Policy.Accepts(prefix.Len) {
-			s.metrics.ImportAccepted.Inc()
-			rt.accepted[target] = true
-			ann.Accepted = append(ann.Accepted, target)
-			if tps.rib[prefix] == 0 {
-				tps.lenCount[prefix.Len]++
-			}
-			tps.rib[prefix]++
-		} else {
-			switch {
-			case prefix.Len <= 24:
-				s.metrics.ImportRejectedStandard.Inc()
-			case prefix.Len < 32:
-				s.metrics.ImportRejectedMid.Inc()
-			default:
-				s.metrics.ImportRejectedHost.Inc()
-			}
-		}
+	rts := s.routes[prefix]
+	if i := indexOrigin(rts, origin); i >= 0 {
+		m.Reannouncements.Inc()
+		rts[i] = rt
+		return
 	}
-	s.rib[key] = rt
-	return ann
+	s.routes[prefix] = append(rts, rt)
+	s.numRoutes++
+	s.lenCount[prefix.Len]++
+	s.lens |= 1 << prefix.Len
+}
+
+// indexOrigin finds origin's route among the routes for one prefix, or -1.
+func indexOrigin(rts []route, origin uint32) int {
+	return slices.IndexFunc(rts, func(rt route) bool { return rt.origin == origin })
 }
 
 // PeerDown handles a member session teardown (connection loss, hold
@@ -339,69 +355,54 @@ func (s *Server) PeerDown(peerAS uint32) int {
 		return 0
 	}
 	s.metrics.PeerDowns.Inc()
-	var prefixes []bgp.Prefix
-	for key := range s.rib {
-		if key.origin == peerAS {
-			prefixes = append(prefixes, key.prefix)
+	flushed := 0
+	for prefix, rts := range s.routes {
+		if indexOrigin(rts, peerAS) >= 0 {
+			s.withdraw(peerAS, prefix)
+			flushed++
 		}
-	}
-	// Deterministic flush order, matching ActiveRoutes ordering.
-	sort.Slice(prefixes, func(i, j int) bool {
-		if prefixes[i].Addr != prefixes[j].Addr {
-			return prefixes[i].Addr < prefixes[j].Addr
-		}
-		return prefixes[i].Len < prefixes[j].Len
-	})
-	for _, p := range prefixes {
-		s.withdraw(peerAS, p)
 	}
 	// The teardown also flushes the peer's FlowSpec rules (counted in
 	// FlowSpecWithdrawn), same as its RTBH routes.
-	return len(prefixes) + s.flushFlowSpec(peerAS)
+	return flushed + s.flushFlowSpec(peerAS)
 }
 
 func (s *Server) withdraw(origin uint32, prefix bgp.Prefix) {
-	key := routeKey{origin: origin, prefix: prefix}
-	rt, ok := s.rib[key]
-	if !ok {
-		s.metrics.WithdrawnNoop.Inc()
-		return // withdrawing a route we never installed is a no-op
+	rts := s.routes[prefix]
+	i := indexOrigin(rts, origin)
+	if i < 0 {
+		s.metrics.WithdrawnNoop.Inc() // withdrawing a route we never installed is a no-op
+		return
 	}
 	s.metrics.WithdrawnPrefixes.Inc()
-	s.releaseAccepted(rt)
-	delete(s.rib, key)
-}
-
-func (s *Server) releaseAccepted(rt *route) {
-	for target := range rt.accepted {
-		tps := s.peers[target]
-		if tps == nil {
-			continue
-		}
-		if c := tps.rib[rt.key.prefix]; c > 1 {
-			tps.rib[rt.key.prefix] = c - 1
-		} else if c == 1 {
-			delete(tps.rib, rt.key.prefix)
-			tps.lenCount[rt.key.prefix.Len]--
-		}
+	if len(rts) == 1 {
+		delete(s.routes, prefix)
+	} else {
+		s.routes[prefix] = slices.Delete(rts, i, i+1)
+	}
+	s.numRoutes--
+	if s.lenCount[prefix.Len]--; s.lenCount[prefix.Len] == 0 {
+		s.lens &^= 1 << prefix.Len
 	}
 }
 
 // DropFraction returns the fraction of traffic from member peerAS toward
 // dstIP that the member's routers send to the blackhole, per its installed
 // routes and import policy: the longest matching accepted prefix decides.
+// Lengths the member's policy rejects are skipped without a lookup — the
+// fast exit for the majority of members, which reject /32.
 func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 	ps, ok := s.peers[peerAS]
 	if !ok {
 		return 0
 	}
-	for length := 32; length >= 0; length-- {
-		if ps.lenCount[length] == 0 {
-			continue
-		}
-		p := bgp.MakePrefix(dstIP, uint8(length))
-		if ps.rib[p] > 0 {
-			return ps.peer.Policy.fraction(uint8(length))
+	for lens := s.lens & ps.lens; lens != 0; {
+		length := uint8(bits.Len64(lens) - 1) // longest first
+		lens &^= 1 << length
+		for _, rt := range s.routes[bgp.MakePrefix(dstIP, length)] {
+			if rt.accepted.has(ps.idx) {
+				return ps.peer.Policy.fraction(length)
+			}
 		}
 	}
 	return 0
@@ -410,44 +411,32 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 // VisibleTo reports whether peerAS currently has any announcement for
 // prefix in its Adj-RIB-In (regardless of whether its policy accepts it).
 func (s *Server) VisibleTo(peerAS uint32, prefix bgp.Prefix) bool {
-	for key, rt := range s.rib {
-		if key.prefix == prefix && rt.targets[peerAS] {
-			return true
-		}
-	}
-	return false
+	ps, ok := s.peers[peerAS]
+	return ok && slices.ContainsFunc(s.routes[prefix], func(rt route) bool { return rt.targets.has(ps.idx) })
 }
 
-// ActiveRoutes returns the currently installed blackhole routes as
-// (origin, prefix) pairs in deterministic order.
+// ActiveRoutes returns the currently installed blackhole routes in
+// deterministic order, each with the peers it was announced to and the
+// peers that accepted it (ascending ASN).
 func (s *Server) ActiveRoutes() []Announcement {
-	out := make([]Announcement, 0, len(s.rib))
-	for key, rt := range s.rib {
-		ann := Announcement{Prefix: key.prefix, Origin: key.origin}
-		for _, p := range s.peerOrder {
-			if rt.targets[p] {
-				ann.Targets = append(ann.Targets, p)
-			}
-			if rt.accepted[p] {
-				ann.Accepted = append(ann.Accepted, p)
-			}
+	out := make([]Announcement, 0, s.numRoutes)
+	for prefix, rts := range s.routes {
+		for _, rt := range rts {
+			out = append(out, Announcement{
+				Prefix: prefix, Origin: rt.origin,
+				Targets: s.members(rt.targets), Accepted: s.members(rt.accepted),
+			})
 		}
-		out = append(out, ann)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		if out[i].Prefix.Addr != out[j].Prefix.Addr {
-			return out[i].Prefix.Addr < out[j].Prefix.Addr
-		}
-		return out[i].Prefix.Len < out[j].Prefix.Len
+	slices.SortFunc(out, func(a, b Announcement) int {
+		return cmp.Or(cmp.Compare(a.Origin, b.Origin),
+			cmp.Compare(a.Prefix.Addr, b.Prefix.Addr), cmp.Compare(a.Prefix.Len, b.Prefix.Len))
 	})
 	return out
 }
 
 // NumActiveRoutes returns the number of installed blackhole routes.
-func (s *Server) NumActiveRoutes() int { return len(s.rib) }
+func (s *Server) NumActiveRoutes() int { return s.numRoutes }
 
 // MessagesProcessed returns the number of UPDATE messages handled.
 func (s *Server) MessagesProcessed() int { return s.msgsProcessed }

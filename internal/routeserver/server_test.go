@@ -45,6 +45,21 @@ func blackholeUpdate(prefix string, extra ...bgp.Community) *bgp.Update {
 	}
 }
 
+// activeRoute returns the single installed route for prefix.
+func activeRoute(t *testing.T, s *Server, prefix string) Announcement {
+	t.Helper()
+	var found []Announcement
+	for _, a := range s.ActiveRoutes() {
+		if a.Prefix == bgp.MustParsePrefix(prefix) {
+			found = append(found, a)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("active routes for %s = %+v, want exactly one", prefix, found)
+	}
+	return found[0]
+}
+
 func withdrawUpdate(prefix string) *bgp.Update {
 	return &bgp.Update{Withdrawn: []bgp.Prefix{bgp.MustParsePrefix(prefix)}}
 }
@@ -59,10 +74,11 @@ func TestAnnounceDistributesToAllOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(anns) != 1 {
-		t.Fatalf("got %d announcements", len(anns))
+	if len(anns) != 1 || anns[0].Origin != 100 || anns[0].Prefix != bgp.MustParsePrefix("203.0.113.5/32") {
+		t.Fatalf("Process reported %+v, want the one announced (origin, prefix)", anns)
 	}
-	a := anns[0]
+	// Who received the route is a query on live state.
+	a := activeRoute(t, s, "203.0.113.5/32")
 	if len(a.Targets) != 2 {
 		t.Fatalf("targets = %v, want peers 200 and 300", a.Targets)
 	}
@@ -236,31 +252,28 @@ func TestTargetedAnnouncementCommunities(t *testing.T) {
 	ts := time.Unix(0, 0)
 
 	// Exclude a single peer: 0:300.
-	anns, err := s.Process(ts, 100, blackholeUpdate("203.0.113.5/32", bgp.MakeCommunity(0, 300)))
-	if err != nil {
+	if _, err := s.Process(ts, 100, blackholeUpdate("203.0.113.5/32", bgp.MakeCommunity(0, 300))); err != nil {
 		t.Fatal(err)
 	}
-	if got := anns[0].Targets; len(got) != 2 || got[0] != 200 || got[1] != 400 {
+	if got := activeRoute(t, s, "203.0.113.5/32").Targets; len(got) != 2 || got[0] != 200 || got[1] != 400 {
 		t.Fatalf("exclude targeting = %v, want [200 400]", got)
 	}
 
 	// Allow-list mode: 0:rs plus rs:200.
-	anns, err = s.Process(ts, 100, blackholeUpdate("203.0.113.6/32",
-		bgp.MakeCommunity(0, rsASN), bgp.MakeCommunity(rsASN, 200)))
-	if err != nil {
+	if _, err := s.Process(ts, 100, blackholeUpdate("203.0.113.6/32",
+		bgp.MakeCommunity(0, rsASN), bgp.MakeCommunity(rsASN, 200))); err != nil {
 		t.Fatal(err)
 	}
-	if got := anns[0].Targets; len(got) != 1 || got[0] != 200 {
+	if got := activeRoute(t, s, "203.0.113.6/32").Targets; len(got) != 1 || got[0] != 200 {
 		t.Fatalf("allow-list targeting = %v, want [200]", got)
 	}
 
 	// Allow-list with an explicit block that overrides the allow.
-	anns, err = s.Process(ts, 100, blackholeUpdate("203.0.113.7/32",
-		bgp.MakeCommunity(rsASN, 200), bgp.MakeCommunity(rsASN, 300), bgp.MakeCommunity(0, 300)))
-	if err != nil {
+	if _, err := s.Process(ts, 100, blackholeUpdate("203.0.113.7/32",
+		bgp.MakeCommunity(rsASN, 200), bgp.MakeCommunity(rsASN, 300), bgp.MakeCommunity(0, 300))); err != nil {
 		t.Fatal(err)
 	}
-	if got := anns[0].Targets; len(got) != 1 || got[0] != 200 {
+	if got := activeRoute(t, s, "203.0.113.7/32").Targets; len(got) != 1 || got[0] != 200 {
 		t.Fatalf("allow+block targeting = %v, want [200]", got)
 	}
 }
@@ -334,21 +347,6 @@ func TestCollectorSeesMessages(t *testing.T) {
 	}
 	if s.MessagesProcessed() != 2 {
 		t.Fatalf("MessagesProcessed = %d", s.MessagesProcessed())
-	}
-}
-
-func TestNextHopRewrittenToBlackhole(t *testing.T) {
-	s := newTestServer(t, map[uint32]Policy{100: DefaultPolicy(), 200: DefaultPolicy()})
-	s.Process(time.Unix(0, 0), 100, blackholeUpdate("203.0.113.0/24"))
-	routes := s.ActiveRoutes()
-	if len(routes) != 1 {
-		t.Fatalf("routes = %v", routes)
-	}
-	// Check via the internal RIB that the next hop was rewritten.
-	for _, rt := range s.rib {
-		if rt.attrs.NextHop != BlackholeNextHop {
-			t.Fatalf("next hop = %#x, want blackhole %#x", rt.attrs.NextHop, BlackholeNextHop)
-		}
 	}
 }
 

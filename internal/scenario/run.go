@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -251,8 +252,8 @@ func Drive(w *World, build func(fabricRNG *stats.RNG) (Executor, error)) (*Drive
 		batches = appendInternalBatches(batches, w, dayStart, genRNG)
 
 		ctl := ctlByDay[d]
-		sort.SliceStable(ctl, func(i, j int) bool { return ctl[i].t.Before(ctl[j].t) })
-		sort.SliceStable(batches, func(i, j int) bool { return batches[i].Time.Before(batches[j].Time) })
+		slices.SortStableFunc(ctl, func(a, b controlMsg) int { return a.t.Compare(b.t) })
+		slices.SortStableFunc(batches, func(a, b fabric.Batch) int { return a.Time.Compare(b.Time) })
 
 		// Release vector pools of attacks that ended before this day.
 		for id, e := range attackEnds {

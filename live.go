@@ -349,9 +349,15 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 	// Close the mitigation loop: a final detector tick at the end of the
 	// scenario clock dispatches any pending announcements and withdraws
 	// blackholes whose cooldown has expired, so the archive records the
-	// full announce/withdraw lifecycle. Skipped on interruption — the
+	// full announce/withdraw lifecycle. The flow stream is drained first:
+	// the detector only sees a record once it crossed exporter, UDP and
+	// collector, and a detection raised by the tail still in flight must
+	// be pending when the tick fires. Skipped on interruption — the
 	// runner refuses new updates once its context is cancelled.
 	if lr.det != nil && !lr.interrupted {
+		if err := runner.Drain(); err != nil {
+			return nil, err
+		}
 		ex := liveExecutor{r: runner, fb: fb, det: lr.det}
 		if err := ex.dispatchDetections(w.Cfg.End()); err != nil {
 			return nil, err
@@ -472,6 +478,7 @@ func (e liveExecutor) dispatchDetections(now time.Time) error {
 func analysisMeta(w *scenario.World) *analysis.Metadata {
 	meta := &analysis.Metadata{
 		SamplingRate: w.Cfg.SamplingRate,
+		TrafficScale: w.Cfg.Scale(),
 		Start:        w.Cfg.Start,
 		End:          w.Cfg.End(),
 		MemberByMAC:  make(map[ipfix.MAC]uint32, len(w.Members)),

@@ -101,15 +101,6 @@ func TestLiveBatchParity(t *testing.T) {
 	// the batch analysis of the archived dataset.
 	opts := rtbh.DefaultOptions()
 	opts.OffsetStep = 20 * time.Millisecond
-	render := func(rep *rtbh.Report) []byte {
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "records %d/%d/%d/%d events %d\n",
-			rep.TotalRecords, rep.InternalRecords,
-			rep.AttributedRecords, rep.DroppedRecords, len(rep.Events))
-		textreport.RenderAll(&buf, rep)
-		return buf.Bytes()
-	}
-
 	ds, err := rtbh.OpenDataset(batchDir)
 	if err != nil {
 		t.Fatal(err)
@@ -122,17 +113,74 @@ func TestLiveBatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, got := render(batchRep), render(liveRep)
-	if !bytes.Equal(got, ref) {
-		refLines, gotLines := bytes.Split(ref, []byte("\n")), bytes.Split(got, []byte("\n"))
-		for i := range refLines {
-			if i >= len(gotLines) || !bytes.Equal(refLines[i], gotLines[i]) {
-				t.Fatalf("online report diverges at line %d:\nbatch:  %s\nonline: %s",
-					i+1, refLines[i], gotLines[i])
-			}
-		}
-		t.Fatalf("online report has %d extra lines", len(gotLines)-len(refLines))
+	requireSameReport(t, batchRep, liveRep)
+}
+
+// requireSameReport fails unless the online report renders byte-identical
+// to the batch one, naming the first diverging line.
+func requireSameReport(t *testing.T, batch, online *rtbh.Report) {
+	t.Helper()
+	render := func(rep *rtbh.Report) []byte {
+		var buf bytes.Buffer
+		fmt.Fprintf(&buf, "records %d/%d/%d/%d events %d\n",
+			rep.TotalRecords, rep.InternalRecords,
+			rep.AttributedRecords, rep.DroppedRecords, len(rep.Events))
+		textreport.RenderAll(&buf, rep)
+		return buf.Bytes()
 	}
+	ref, got := render(batch), render(online)
+	if bytes.Equal(got, ref) {
+		return
+	}
+	refLines, gotLines := bytes.Split(ref, []byte("\n")), bytes.Split(got, []byte("\n"))
+	for i := range refLines {
+		if i >= len(gotLines) || !bytes.Equal(refLines[i], gotLines[i]) {
+			t.Fatalf("online report diverges at line %d:\nbatch:  %s\nonline: %s",
+				i+1, refLines[i], gotLines[i])
+		}
+	}
+	t.Fatalf("online report has %d extra lines", len(gotLines)-len(refLines))
+}
+
+// TestLiveTrafficScaleParity runs a small world at 4x traffic through the
+// live transports and requires the online analyzer's final report to equal
+// the batch analysis of the dataset the same run wrote. At the calibrated
+// 1:10000 sampling the magnitude scale is 4 too, so the anomaly support
+// floor is 4x the scale-1 constant; an analyzer that is not told the
+// traffic scale keeps the scale-1 floor and reports different anomalies.
+// (4x keeps the record volume loss-free on loopback; 50x does not.)
+func TestLiveTrafficScaleParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a world through live transports")
+	}
+	cfg := smokeConfig()
+	cfg.TrafficScale = 4
+	dir := t.TempDir()
+	lr, err := rtbh.NewLiveRun(cfg, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := rtbh.OpenDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := ds.Meta.MagnitudeScale(); ms == 1 {
+		t.Fatalf("magnitude scale = %v: the world does not exercise scaled floors", ms)
+	}
+	opts := rtbh.DefaultOptions()
+	opts.OffsetStep = 20 * time.Millisecond
+	batchRep, err := ds.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveRep, err := lr.Analyzer().Final(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReport(t, batchRep, liveRep)
 }
 
 // TestLiveGracefulInterrupt cancels the run's context and expects a
