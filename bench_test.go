@@ -562,16 +562,22 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeFull measures the complete single-pass analysis over
-// the shared dataset.
+// BenchmarkAnalyzeFull measures the complete analysis over the shared
+// dataset — decode, observe, merge and compose — as records/s. It is the
+// gated series (bench_baseline.json) that watches composeReport; the
+// BenchmarkPipeline* family stops at the observe loop.
 func BenchmarkAnalyzeFull(b *testing.B) {
 	ds, _, _, opts := benchSetup(b)
+	var records int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Analyze(opts); err != nil {
+		report, err := ds.Analyze(opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		records += report.TotalRecords
 	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkOnlineSnapshot contrasts the online analyzer's incremental

@@ -9,6 +9,9 @@
 package anomaly
 
 import (
+	"cmp"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/analysis"
@@ -152,12 +155,8 @@ func (a *Aggregator) Snapshot() *Aggregator {
 	return s
 }
 
-// features returns the five feature values of a slot (zeros if empty).
-func (a *Aggregator) features(prefix bgp.Prefix, slot int64) [NumFeatures]float64 {
-	sf := a.slots[slotKey{prefix: prefix, slot: slot}]
-	if sf == nil {
-		return [NumFeatures]float64{}
-	}
+// features returns the five feature values of a populated slot.
+func (sf *slotFeat) features() [NumFeatures]float64 {
 	return [NumFeatures]float64{
 		FeatPackets:  float64(sf.packets),
 		FeatFlows:    float64(sf.flows.Count()),
@@ -165,6 +164,30 @@ func (a *Aggregator) features(prefix bgp.Prefix, slot int64) [NumFeatures]float6
 		FeatDstPorts: float64(sf.dstPorts.Count()),
 		FeatNonTCP:   float64(sf.nonTCP),
 	}
+}
+
+// slotRef is one populated slot of a prefix.
+type slotRef struct {
+	slot int64
+	feat *slotFeat
+}
+
+// slotsByPrefix lists each prefix's populated slots in ascending order.
+func (a *Aggregator) slotsByPrefix() map[bgp.Prefix][]slotRef {
+	by := make(map[bgp.Prefix][]slotRef)
+	for k, sf := range a.slots {
+		by[k.prefix] = append(by[k.prefix], slotRef{k.slot, sf})
+	}
+	for _, refs := range by {
+		slices.SortFunc(refs, func(x, y slotRef) int { return cmp.Compare(x.slot, y.slot) })
+	}
+	return by
+}
+
+// window cuts the slots in [from, to] out of a prefix's ascending list.
+func window(refs []slotRef, from, to int64) []slotRef {
+	refs = refs[sort.Search(len(refs), func(i int) bool { return refs[i].slot >= from }):]
+	return refs[:sort.Search(len(refs), func(i int) bool { return refs[i].slot > to })]
 }
 
 // Anomaly is one detected anomalous slot in a pre-RTBH window.
@@ -212,6 +235,15 @@ func (a *Aggregator) Analyze(evs []*events.Event, periodEnd time.Time, threshold
 // (analysis.Metadata.MagnitudeScale), which sets the anomaly support
 // floor (MinMagnitudeAt): the EWMA threshold is relative (standard
 // deviations) and needs no scaling, the absolute magnitude floor does.
+//
+// The scan is sparse: most pre-windows hold no sample at all and the rest
+// hold few (Fig 11), so the work follows the populated slots, not the 865
+// slots of the window. A fresh detector fed k zeros has all-zero sums, so
+// the leading empty stretch is skipped (stats.EWMA.ResetZeros); a slot
+// without samples can never be anomalous, so the scan stops at the last
+// populated slot; and a detector's verdict is only used at or above the
+// support floor, so below it the value is pushed untested. The verdicts are
+// bit for bit those of observing every slot (see DESIGN.md, "Compose cost").
 func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, threshold, scale float64) []Verdict {
 	minMag := MinMagnitudeAt(scale)
 	verdicts := make([]Verdict, 0, len(evs))
@@ -220,14 +252,12 @@ func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, thr
 		detectors[f] = stats.NewEWMA(Span, threshold)
 	}
 	preSlots := int64(events.PreWindow / analysis.SlotDuration)
+	slots := a.slotsByPrefix()
 
 	for _, e := range evs {
 		v := Verdict{EventID: e.ID}
 		startSlot := analysis.Slot(e.Start())
 		endSlot := analysis.Slot(e.End(periodEnd))
-		for f := range detectors {
-			detectors[f].Reset()
-		}
 
 		var sum [NumFeatures]float64
 		var last [NumFeatures]float64
@@ -246,12 +276,31 @@ func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, thr
 		// The scan includes the announcement's own slot (offset 0): the
 		// attack traffic preceding a fast-reaction announcement often
 		// lands in the same five-minute slot as the announcement itself.
-		for s := startSlot - preSlots; s <= startSlot; s++ {
-			feats := a.features(e.Prefix, s)
+		own := slots[e.Prefix]
+		first := startSlot - preSlots
+		pre := window(own, first, startSlot)
+		for i, r := range pre {
+			s := r.slot
+			if i == 0 {
+				for f := range detectors {
+					detectors[f].ResetZeros(int(s - first))
+				}
+			} else if gap := s - pre[i-1].slot - 1; gap > 0 {
+				// Empty slots inside the populated stretch.
+				for ; gap > 0; gap-- {
+					for f := range detectors {
+						detectors[f].Push(0)
+					}
+				}
+				flushRun()
+			}
+			feats := r.feat.features()
 			slotsBefore := int(startSlot - s)
 			level := 0
 			for f := range feats {
-				if detectors[f].Observe(feats[f]) && feats[f] >= minMag {
+				if feats[f] < minMag {
+					detectors[f].Push(feats[f])
+				} else if detectors[f].Observe(feats[f]) {
 					level++
 				}
 				if s < startSlot {
@@ -294,11 +343,10 @@ func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, thr
 		}
 		v.LastSlotIsMax = last[FeatPackets] > 0 && last[FeatPackets] >= maxPackets
 
-		for s := startSlot; s <= endSlot; s++ {
-			f := a.features(e.Prefix, s)
-			if f[FeatPackets] > 0 {
+		for _, r := range window(own, startSlot, endSlot) {
+			if r.feat.packets > 0 {
 				v.HasEventData = true
-				v.EventPackets += int64(f[FeatPackets])
+				v.EventPackets += int64(r.feat.packets)
 			}
 		}
 		verdicts = append(verdicts, v)

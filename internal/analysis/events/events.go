@@ -8,6 +8,7 @@
 package events
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -203,28 +204,46 @@ type SweepPoint struct {
 	Fraction float64
 }
 
-// Sweep evaluates Merge over the given thresholds; it also returns the
-// lower bound (delta = infinity), where the event count equals the number
-// of distinct blackhole streams.
-func Sweep(updates []analysis.ControlUpdate, deltas []time.Duration, periodEnd time.Time) (points []SweepPoint, lowerBound float64) {
+// Sweep reports the event count Merge would produce at each of the given
+// thresholds; it also returns the lower bound (delta = infinity), where
+// the event count equals the number of distinct blackhole streams.
+//
+// It runs one pass, not one Merge per threshold: every stream opens one
+// event, and an announcement after a withdraw opens another exactly when
+// the gap exceeds delta. Whether it does leaves the state Merge carries
+// forward untouched (either way the route is active again), so the gaps
+// do not depend on delta and Events(delta) = streams + #{gap > delta}. The
+// period end closes open episodes and so moves no count; the parameter
+// stays for the callers.
+func Sweep(updates []analysis.ControlUpdate, deltas []time.Duration, _ time.Time) (points []SweepPoint, lowerBound float64) {
 	ann := 0
-	streams := make(map[streamKey]bool)
+	lastWd := make(map[streamKey]time.Time) // zero while the route is active
+	var gaps []time.Duration
 	for i := range updates {
-		if updates[i].Announce {
+		u := &updates[i]
+		key := streamKey{prefix: u.Prefix, peer: u.Peer}
+		wd, seen := lastWd[key]
+		if u.Announce {
 			ann++
-			streams[streamKey{prefix: updates[i].Prefix, peer: updates[i].Peer}] = true
+			if seen && !wd.IsZero() {
+				gaps = append(gaps, u.Time.Sub(wd))
+			}
+			lastWd[key] = time.Time{}
+		} else if seen && wd.IsZero() {
+			lastWd[key] = u.Time
 		}
 	}
 	if ann == 0 {
 		return nil, 0
 	}
+	slices.Sort(gaps)
 	for _, d := range deltas {
-		evs := Merge(updates, d, periodEnd)
+		n := len(lastWd) + len(gaps) - sort.Search(len(gaps), func(i int) bool { return gaps[i] > d })
 		points = append(points, SweepPoint{
 			Delta:    d,
-			Events:   len(evs),
-			Fraction: float64(len(evs)) / float64(ann),
+			Events:   n,
+			Fraction: float64(n) / float64(ann),
 		})
 	}
-	return points, float64(len(streams)) / float64(ann)
+	return points, float64(len(lastWd)) / float64(ann)
 }

@@ -2,19 +2,37 @@ package stats
 
 import "testing"
 
-// BenchmarkEWMAObserve measures the per-slot detector cost: the anomaly
-// analysis runs five of these per slot per event window.
+// BenchmarkEWMAObserve measures the per-slot detector cost on a full
+// window, which is the state the anomaly scan keeps it in for two of every
+// pre-window's three days: Observe tests the value against the window's
+// mean and deviation before pushing it, Push (the scan's path for values
+// below its support floor) only pushes.
 func BenchmarkEWMAObserve(b *testing.B) {
-	e := NewEWMA(288, 2.5)
-	r := NewRNG(1)
-	for i := 0; i < 288; i++ {
-		e.Observe(r.Float64() * 100)
+	warm := func() *EWMA {
+		e := NewEWMA(288, 2.5)
+		r := NewRNG(1)
+		for i := 0; i < 288; i++ {
+			e.Observe(r.Float64() * 100)
+		}
+		return e
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Observe(float64(i & 0xff))
-	}
+	b.Run("full-window", func(b *testing.B) {
+		e := warm()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchAnomalous = e.Observe(float64(i & 0xff))
+		}
+	})
+	b.Run("push-only", func(b *testing.B) {
+		e := warm()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Push(float64(i & 0xff))
+		}
+	})
 }
+
+var benchAnomalous bool
 
 // BenchmarkBinomialSampling measures the 1:10000 thinning hot path.
 func BenchmarkBinomialSampling(b *testing.B) {

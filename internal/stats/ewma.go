@@ -36,6 +36,7 @@ type EWMA struct {
 
 	decay    float64 // 1 - alpha
 	decayW   float64 // (1 - alpha)^Window
+	fullWS   float64 // weightSum at a full window
 	buf      []float64
 	n        int // observations seen so far
 	head     int // ring index of most recent value
@@ -63,6 +64,7 @@ func NewEWMA(span int, threshold float64) *EWMA {
 		buf:       make([]float64, span),
 	}
 	e.decayW = math.Pow(e.decay, float64(span))
+	e.fullWS = e.weightSumAt(span)
 	return e
 }
 
@@ -71,11 +73,16 @@ func NewEWMA(span int, threshold float64) *EWMA {
 func (e *EWMA) Ready() bool { return e.n >= e.Window }
 
 // weightSum returns sum_{i=0}^{m-1} decay^i for the current fill level m.
+// Once the window is full the level no longer moves, so the value computed
+// at construction (by the same expression, hence the same bits) is used.
 func (e *EWMA) weightSum() float64 {
-	m := e.n
-	if m > e.Window {
-		m = e.Window
+	if e.n >= e.Window {
+		return e.fullWS
 	}
+	return e.weightSumAt(e.n)
+}
+
+func (e *EWMA) weightSumAt(m int) float64 {
 	if m == 0 {
 		return 0
 	}
@@ -113,14 +120,19 @@ func (e *EWMA) Observe(x float64) bool {
 			anomalous = x > mean+e.Threshold*std
 		}
 	}
-	e.push(x)
+	e.Push(x)
 	return anomalous
 }
 
-func (e *EWMA) push(x float64) {
+// Push appends x to the window without testing it: Observe minus the
+// verdict, for callers that would discard it. The window state afterwards
+// is exactly Observe's.
+func (e *EWMA) Push(x float64) {
 	var evicted float64
 	full := e.n >= e.Window
-	e.head = (e.head + 1) % e.Window
+	if e.head++; e.head == e.Window {
+		e.head = 0
+	}
 	if full {
 		evicted = e.buf[e.head]
 	}
@@ -163,6 +175,16 @@ func (e *EWMA) recompute() {
 		w *= e.decay
 	}
 	e.sum, e.sumSq = s, q
+}
+
+// ResetZeros is Reset followed by k observations of zero, without taking
+// the k steps: zero pushed onto all-zero sums leaves them +0 bit for bit
+// (and so does the periodic exact recompute), so only the counters move.
+func (e *EWMA) ResetZeros(k int) {
+	e.Reset()
+	e.n = k
+	e.head = k % e.Window
+	e.sincefix = k % ewmaRefreshEvery
 }
 
 // Reset clears all observed state, reusing buffers.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +176,69 @@ func TestEWMAHighThresholdFiresLess(t *testing.T) {
 	}
 	if lowCount == 0 {
 		t.Fatal("2.5-sigma detector never fired on planted bursts")
+	}
+}
+
+// TestEWMACachedWeightBits pins the two shortcuts the sparse anomaly scan
+// relies on to the bits: the weight sum cached at construction, and
+// ResetZeros + Push standing in for a run of Observe calls whose verdicts
+// the caller discards.
+func TestEWMACachedWeightBits(t *testing.T) {
+	for _, span := range []int{1, 20, 288} {
+		e := NewEWMA(span, 2.5)
+		r := NewRNG(uint64(span))
+		for n := 0; n <= 2*e.Window; n++ {
+			// The formula as written in the paper, at the current fill level.
+			var mean, std float64
+			if m := min(n, e.Window); m > 0 {
+				ws := (1 - math.Pow(e.decay, float64(m))) / (1 - e.decay)
+				mean = e.sum / ws
+				std = math.Sqrt(max(e.sumSq/ws-mean*mean, 0))
+			}
+			gotMean, gotStd := e.MeanStd()
+			if math.Float64bits(gotMean) != math.Float64bits(mean) || math.Float64bits(gotStd) != math.Float64bits(std) {
+				t.Fatalf("span %d fill %d: MeanStd = %v, %v, want %v, %v", span, n, gotMean, gotStd, mean, std)
+			}
+			e.Observe(r.Float64() * 100)
+		}
+	}
+
+	// A dense run that crosses the exact-recompute boundary inside the
+	// zero stretch's tail: zeros, then values on both sides of a floor.
+	const zeros, floor = ewmaRefreshEvery - 100, 40.0
+	plain, sparse := NewEWMA(288, 2.5), NewEWMA(288, 2.5)
+	for i := 0; i < 10; i++ {
+		sparse.Observe(float64(i)) // ResetZeros must not depend on a clean detector
+	}
+	for i := 0; i < zeros; i++ {
+		if plain.Observe(0) {
+			t.Fatalf("zero %d tagged anomalous", i)
+		}
+	}
+	sparse.ResetZeros(zeros)
+	r := NewRNG(7)
+	for i := 0; i < 400; i++ {
+		x := math.Floor(r.Float64() * 60)
+		if i%5 == 0 {
+			x = 0
+		}
+		want := plain.Observe(x) && x >= floor
+		got := false
+		if x < floor {
+			sparse.Push(x)
+		} else {
+			got = sparse.Observe(x)
+		}
+		if got != want {
+			t.Fatalf("value %d (%v): sparse verdict %v, plain %v", i, x, got, want)
+		}
+		if !reflect.DeepEqual(plain, sparse) ||
+			math.Float64bits(plain.sum) != math.Float64bits(sparse.sum) ||
+			math.Float64bits(plain.sumSq) != math.Float64bits(sparse.sumSq) {
+			t.Fatalf("value %d: states diverge:\nplain  %+v\nsparse %+v", i, plain, sparse)
+		}
+	}
+	if plain.n <= ewmaRefreshEvery {
+		t.Fatal("the run never crossed the recompute boundary")
 	}
 }

@@ -8,20 +8,24 @@ import (
 )
 
 // benchLiveRun drives one full live run per iteration and reports
-// end-to-end flow throughput. profile "" runs without chaos at all;
+// end-to-end flow throughput as collected_records/s — what reached the
+// analyzer, from the run's live.ipfix.collected_records counter — beside
+// exported_records/s, the exporter's rate (the two differ by whatever
+// the collector dropped). profile "" runs without chaos at all;
 // "none" installs the fault wrappers with an empty schedule, so
 // comparing BenchmarkLiveClean with BenchmarkLiveWithChaos/none bounds
 // the inactive-wrapper overhead (target: ≤2%).
 func benchLiveRun(b *testing.B, profile string) {
 	b.Helper()
 	cfg := chaosConfig()
-	var records int64
+	var exported, collected int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := b.TempDir()
 		b.StartTimer()
-		lr, err := rtbh.NewLiveRun(cfg, dir, nil)
+		reg := rtbh.NewMetricsRegistry()
+		lr, err := rtbh.NewLiveRun(cfg, dir, reg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,9 +38,11 @@ func benchLiveRun(b *testing.B, profile string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		records += sum.FlowRecords
+		exported += sum.FlowRecords
+		collected += reg.Snapshot().Counter("live.ipfix.collected_records")
 	}
-	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(collected)/b.Elapsed().Seconds(), "collected_records/s")
+	b.ReportMetric(float64(exported)/b.Elapsed().Seconds(), "exported_records/s")
 }
 
 // BenchmarkLiveClean is the baseline: the live pipeline with no fault

@@ -307,6 +307,21 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	}
 }
 
+// frozen returns the operator state of a batch pass over everything
+// observed so far, leaving the analyzer's own state to keep accepting
+// seals (copy-on-snapshot): it catches the seals up, clones the compact
+// operator state and replays the unsealed tail through the clone.
+// a.sortedUpdates is the matching control stream. Caller holds opMu.
+func (a *OnlineAnalyzer) frozen() *pipeline.Pipeline {
+	a.advanceLocked()
+	_, _, pend, _ := a.ingestView()
+	clone := a.ops.Clone()
+	for i := a.head; i < len(pend); i++ {
+		clone.Observe(&pend[i])
+	}
+	return clone
+}
+
 // Snapshot composes a report over everything observed so far. Safe to
 // call at any time, including while the streams are still being fed; the
 // snapshot covers a consistent prefix of each stream and its rendered
@@ -331,16 +346,7 @@ func (a *OnlineAnalyzer) Snapshot(opts Options) (*Report, error) {
 
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	a.advanceLocked()
-
-	// Copy-on-snapshot: clone the compact operator state and replay the
-	// unsealed tail through the clone, giving the exact state of a batch
-	// pass over the full prefix while a.ops keeps accepting seals.
-	_, _, pend, _ := a.ingestView()
-	clone := a.ops.Clone()
-	for i := a.head; i < len(pend); i++ {
-		clone.Observe(&pend[i])
-	}
+	clone := a.frozen()
 	report := composeReport(a.meta, a.sortedUpdates, clone, opts)
 
 	if m := a.metrics; m != nil {
@@ -369,13 +375,7 @@ func (a *OnlineAnalyzer) FederationState(ixp int, seq uint64, clockOffset time.D
 	}
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
-	a.advanceLocked()
-
-	_, _, pend, _ := a.ingestView()
-	clone := a.ops.Clone()
-	for i := a.head; i < len(pend); i++ {
-		clone.Observe(&pend[i])
-	}
+	clone := a.frozen()
 	clone.Finalize()
 	state, err := clone.MarshalState()
 	if err != nil {

@@ -28,8 +28,13 @@ type FlowRecord = ipfix.FlowRecord
 // state and the (time-sorted) control-update stream. Both the batch
 // driver and the online analyzer's Snapshot call it: the pipeline carries
 // the flow-derived operator state, and the control-plane figures are
-// recomputed from the updates — they are cheap pure functions of a stream
-// several orders of magnitude smaller than the flow archive.
+// recomputed from the updates — pure functions of a stream several orders
+// of magnitude smaller than the flow archive, each one pass over it (the
+// Fig 10 sweep included: one pass, then a binary search per threshold).
+// The pre-RTBH anomaly scan follows the populated feature slots, not the
+// 865 slots of every event's window. Every cold looking-glass query pays
+// for all of this, so nothing here may grow with a window length or a
+// parameter count (DESIGN.md, "Compose cost").
 func composeReport(meta *analysis.Metadata, updates []analysis.ControlUpdate, p *pipeline.Pipeline, opts Options) *Report {
 	r := &Report{
 		TotalRecords:      p.TotalRecords,
