@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func benchSetup(b *testing.B) (*Dataset, *pipeline.Pipeline, *Report, Options) {
 			bench.err = err
 			return
 		}
-		if err := ds.EachFlow(func(rec *FlowRecord) error { p.Observe(rec); return nil }); err != nil {
+		if err := ds.EachFlowBatch(func(b *recordBatch) error { p.ObserveBatch(b); return nil }); err != nil {
 			bench.err = err
 			return
 		}
@@ -678,8 +679,9 @@ func loadBenchFlows(b *testing.B, ds *Dataset) (int, []*recordBatch) {
 			return nil
 		})
 		benchFlows.total = len(recs)
-		for i := 0; i < len(recs); i += pipeline.DefaultBatchSize {
-			j := i + pipeline.DefaultBatchSize
+		const batchSize = 4096 // records per dispatch batch
+		for i := 0; i < len(recs); i += batchSize {
+			j := i + batchSize
 			if j > len(recs) {
 				j = len(recs)
 			}
@@ -758,7 +760,11 @@ func BenchmarkPipelineSequential(b *testing.B) { runPipelineBench(b, 0) }
 // counts. workers=1 isolates the dispatch overhead; higher counts show
 // the scaling headroom (bounded by GOMAXPROCS on the machine).
 func BenchmarkPipelineParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+	counts := []int{1, 2, 4}
+	if n := runtime.GOMAXPROCS(0); !slices.Contains(counts, n) {
+		counts = append(counts, n)
+	}
+	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			runPipelineBench(b, workers)
 		})

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	rtbh-benchgate -in BENCH_pr10.json -baseline bench_baseline.json \
-//	               [-headline BENCH_pr10_headline.json]
+//	rtbh-benchgate -in BENCH.json -baseline bench_baseline.json \
+//	               [-headline BENCH_headline.json]
 //
 // "-" for -in reads the stream from stdin, so the gate can also sit at
 // the end of a pipe: go test -json -bench=. ./... | rtbh-benchgate

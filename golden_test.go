@@ -183,16 +183,26 @@ func reconcile(t *testing.T, snap, simSnap rtbh.MetricsSnapshot, report *rtbh.Re
 		}
 	}
 	if workers > 1 {
-		var sharded int64
+		var sharded, busy int64
 		for i := 0; i < workers; i++ {
 			sharded += snap.Counter(fmt.Sprintf("pipeline.shard.%02d.records", i))
+			busy += snap.Gauge(fmt.Sprintf("pipeline.shard.%02d.busy_ns", i))
 		}
 		// The single pass feeds every record to its destination shard, and
 		// to a second shard when the source hashes apart (the role split in
-		// parallel.go). So the entry sum is bounded by 1x..2x the record
-		// total.
-		if lo, hi := report.TotalRecords, 2*report.TotalRecords; sharded < lo || sharded > hi {
-			t.Errorf("workers=%d: shard counters sum to %d, want within [%d, %d]", workers, sharded, lo, hi)
+		// parallel.go): destination roles plus split source roles.
+		split := snap.Counter("pipeline.dispatch.split_records")
+		if want := report.TotalRecords + split; sharded != want || split < 0 || split > report.TotalRecords {
+			t.Errorf("workers=%d: shard counters sum to %d, want %d records + %d split", workers, sharded, report.TotalRecords, split)
+		}
+		// The workers are busy, and the dispatcher is blocked, only inside
+		// the observe span.
+		wall := snap.Timers["pipeline.observe"].TotalNS
+		if busy <= 0 || busy > int64(workers)*wall {
+			t.Errorf("workers=%d: shard busy time %dns outside (0, %d x %dns]", workers, busy, workers, wall)
+		}
+		if blocked := snap.Gauge("pipeline.dispatch.blocked_ns"); blocked < 0 || blocked > wall {
+			t.Errorf("workers=%d: dispatcher blocked %dns of a %dns pass", workers, blocked, wall)
 		}
 		if got := snap.Counter("pipeline.merges"); got != int64(workers) {
 			t.Errorf("workers=%d: pipeline.merges = %d, want %d", workers, got, workers)

@@ -90,6 +90,13 @@ type slotFeat struct {
 // (pre-window or event window); everything else is wasted memory.
 type Aggregator struct {
 	slots map[slotKey]*slotFeat
+
+	// lastKey/last memoize the slot of the most recent Add: the records of
+	// one traffic batch land in the same (prefix, five-minute slot), so the
+	// struct-keyed probe runs once per run. last is nil after the map was
+	// replaced (UnmarshalBinary).
+	lastKey slotKey
+	last    *slotFeat
 }
 
 // New returns an empty aggregator.
@@ -100,10 +107,14 @@ func New() *Aggregator {
 // Add accumulates one sampled packet into the feature slot of prefix.
 func (a *Aggregator) Add(prefix bgp.Prefix, t time.Time, srcIP uint32, srcPort, dstPort uint16, proto uint8, pkts int64) {
 	key := slotKey{prefix: prefix, slot: analysis.Slot(t)}
-	sf := a.slots[key]
-	if sf == nil {
-		sf = &slotFeat{}
-		a.slots[key] = sf
+	sf := a.last
+	if sf == nil || key != a.lastKey {
+		sf = a.slots[key]
+		if sf == nil {
+			sf = &slotFeat{}
+			a.slots[key] = sf
+		}
+		a.lastKey, a.last = key, sf
 	}
 	sf.packets += uint32(pkts)
 	if proto != 6 {

@@ -78,6 +78,6 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("anomaly: %w", err)
 	}
-	a.slots = slots
+	a.slots, a.last = slots, nil
 	return nil
 }

@@ -1,0 +1,274 @@
+package collateral
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/hosts"
+	"repro/internal/stats"
+)
+
+// mapPending is the reference model for Pending: the two-level map of
+// pointer cells — event ID, then dstIP<<32|proto<<16|port — the store
+// used before the per-event open-addressed tables, with the v1 encoder it
+// had.
+type mapPending struct {
+	cells map[int]map[uint64]*counts
+	n     int
+}
+
+func newMapPending() *mapPending {
+	return &mapPending{cells: make(map[int]map[uint64]*counts)}
+}
+
+func (p *mapPending) add(eventID int, dstIP uint32, dstPort uint16, proto uint8, dropped bool, pkts int64) {
+	inner := p.cells[eventID]
+	if inner == nil {
+		inner = make(map[uint64]*counts)
+		p.cells[eventID] = inner
+	}
+	key := cellKey(dstIP, dstPort, proto)
+	c := inner[key]
+	if c == nil {
+		c = &counts{}
+		inner[key] = c
+		p.n++
+	}
+	c.all += pkts
+	if dropped {
+		c.dropped += pkts
+	}
+}
+
+func (p *mapPending) merge(o *mapPending) {
+	for id, oinner := range o.cells {
+		inner := p.cells[id]
+		if inner == nil {
+			p.cells[id] = oinner
+			p.n += len(oinner)
+			continue
+		}
+		for k, oc := range oinner {
+			c := inner[k]
+			if c == nil {
+				inner[k] = oc
+				p.n++
+				continue
+			}
+			c.all += oc.all
+			c.dropped += oc.dropped
+		}
+	}
+}
+
+func (p *mapPending) snapshot() *mapPending {
+	s := newMapPending()
+	s.n = p.n
+	for id, inner := range p.cells {
+		si := make(map[uint64]*counts, len(inner))
+		for k, c := range inner {
+			cp := *c
+			si[k] = &cp
+		}
+		s.cells[id] = si
+	}
+	return s
+}
+
+func (p *mapPending) materialize(agg *Aggregator) {
+	for id, inner := range p.cells {
+		for k, c := range inner {
+			agg.AddCounts(id, uint32(k>>32), uint32(k&0xffffffff), c.all, c.dropped)
+		}
+	}
+}
+
+func (p *mapPending) marshal() []byte {
+	w := analysis.NewWireWriter()
+	w.Byte(pendingWireVersion)
+	ids := make([]int, 0, len(p.cells))
+	for id := range p.cells {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	w.Uvarint(uint64(p.n))
+	for _, id := range ids {
+		cells := p.cells[id]
+		inner := make([]uint64, 0, len(cells))
+		for k := range cells {
+			inner = append(inner, k)
+		}
+		sort.Slice(inner, func(i, j int) bool { return inner[i] < inner[j] })
+		for _, k := range inner {
+			c := cells[k]
+			w.Uvarint(uint64(id))
+			w.Uvarint(uint64(uint32(k >> 32)))
+			w.Uvarint(uint64(uint32(k & 0xffffffff)))
+			w.Varint(c.all)
+			w.Varint(c.dropped)
+		}
+	}
+	return w.Bytes()
+}
+
+func (p *mapPending) remapEvents(m map[int]int) {
+	out := make(map[int]map[uint64]*counts, len(p.cells))
+	n := 0
+	for id, inner := range p.cells {
+		nid := m[id]
+		dst := out[nid]
+		if dst == nil {
+			out[nid] = inner
+			n += len(inner)
+			continue
+		}
+		for k, c := range inner {
+			if cur := dst[k]; cur != nil {
+				cur.all += c.all
+				cur.dropped += c.dropped
+			} else {
+				dst[k] = c
+				n++
+			}
+		}
+	}
+	p.cells, p.n = out, n
+}
+
+// pendingPair drives a Pending and its reference through the same calls.
+type pendingPair struct {
+	got  *Pending
+	want *mapPending
+}
+
+func newPendingPair() pendingPair { return pendingPair{NewPending(), newMapPending()} }
+
+func (pp pendingPair) add(id int, ip uint32, port uint16, proto uint8, dropped bool, pkts int64) {
+	pp.got.Add(id, ip, port, proto, dropped, pkts)
+	pp.want.add(id, ip, port, proto, dropped, pkts)
+}
+
+// mustMatch compares everything a Pending can be asked: its cell count,
+// what it materializes into an aggregator whose servers own the hot
+// cells, and its encoding, byte for byte.
+func (pp pendingPair) mustMatch(t *testing.T, label string, profiles []hosts.Profile) {
+	t.Helper()
+	if pp.got.Len() != pp.want.n {
+		t.Fatalf("%s: Len = %d, reference %d", label, pp.got.Len(), pp.want.n)
+	}
+	gotAgg, wantAgg := New(profiles), New(profiles)
+	pp.got.Materialize(gotAgg)
+	pp.want.materialize(wantAgg)
+	if !reflect.DeepEqual(gotAgg.perEvent, wantAgg.perEvent) {
+		t.Fatalf("%s: Materialize diverges from the reference", label)
+	}
+	enc, err := pp.got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, pp.want.marshal()) {
+		t.Fatalf("%s: MarshalBinary diverges from the reference encoding", label)
+	}
+	// The encoding round-trips into an equal store.
+	var back Pending
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if again, _ := back.MarshalBinary(); !bytes.Equal(again, enc) || back.Len() != pp.got.Len() {
+		t.Fatalf("%s: decode/encode is not a fixed point", label)
+	}
+}
+
+// TestPendingMatchesMapReference runs seeded random Add / Merge /
+// Snapshot / RemapEvents sequences against the two-level map. The key
+// population includes the two keys a sentinel could steal — all-ones
+// (255.255.255.255, proto 255, port 65535) and zero — and one event
+// grows through several doublings of its table.
+func TestPendingMatchesMapReference(t *testing.T) {
+	type hot struct {
+		ip    uint32
+		port  uint16
+		proto uint8
+	}
+	hots := []hot{
+		{0xffffffff, 0xffff, 0xff},
+		{0, 0, 0},
+		{0xcb007105, 443, 6},
+		{0xcb007105, 53, 17},
+		{0xc6336407, 80, 6},
+	}
+	var profiles []hosts.Profile
+	for _, h := range hots {
+		profiles = append(profiles, hosts.Profile{IP: h.ip, Kind: hosts.KindServer,
+			TopPorts: []uint32{uint32(h.proto)<<16 | uint32(h.port)}})
+	}
+
+	for seed := uint64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := stats.NewRNG(seed)
+			fill := func(pp pendingPair, n, events int) {
+				for i := 0; i < n; i++ {
+					id := r.Intn(events)
+					if r.Bool(0.5) {
+						id = events - 1 // one event takes half: its table doubles repeatedly
+					}
+					pkts, dropped := int64(r.Intn(20)), r.Bool(0.6)
+					if r.Bool(0.2) {
+						h := hots[r.Intn(len(hots))]
+						pp.add(id, h.ip, h.port, h.proto, dropped, pkts)
+					} else {
+						pp.add(id, uint32(r.Uint64()), uint16(r.Intn(1<<16)), uint8(r.Intn(256)), dropped, pkts)
+					}
+				}
+			}
+
+			a := newPendingPair()
+			a.mustMatch(t, "empty", profiles)
+			fill(a, 3000, 12)
+			a.mustMatch(t, "filled", profiles)
+			if biggest := a.got.tables[11]; len(biggest.slots) < 16*minTableSlots {
+				t.Fatalf("largest table has %d slots; growth was not exercised", len(biggest.slots))
+			}
+
+			// A snapshot stays what it was while the original keeps adding.
+			snap := pendingPair{a.got.Snapshot(), a.want.snapshot()}
+			frozen, _ := snap.got.MarshalBinary()
+			fill(a, 2000, 12)
+			a.mustMatch(t, "after snapshot", profiles)
+			snap.mustMatch(t, "snapshot", profiles)
+			if now, _ := snap.got.MarshalBinary(); !bytes.Equal(now, frozen) {
+				t.Fatal("snapshot changed while the original kept adding")
+			}
+
+			// Merge: events on one side only are adopted, shared ones summed;
+			// the merged store keeps taking records afterwards.
+			b := newPendingPair()
+			fill(b, 1500, 20)
+			a.got.Merge(b.got)
+			a.want.merge(b.want)
+			a.mustMatch(t, "merged", profiles)
+			fill(a, 500, 20)
+			a.mustMatch(t, "merged, then added", profiles)
+
+			// Remap folds several old events onto one new ID.
+			m := make(map[int]int)
+			for id := 0; id < 20; id++ {
+				m[id] = 100 + id/3
+			}
+			if err := a.got.RemapEvents(m); err != nil {
+				t.Fatal(err)
+			}
+			a.want.remapEvents(m)
+			a.mustMatch(t, "remapped", profiles)
+			fill(a, 500, 7)
+			a.mustMatch(t, "remapped, then added", profiles)
+			if err := a.got.RemapEvents(map[int]int{}); err == nil {
+				t.Fatal("RemapEvents accepted an unmapped event")
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
 package collateral
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -87,31 +89,27 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the pending store canonically: cells sorted by
-// (event ID, destination, port key) — the packed inner key sorts
-// exactly by (destination, port key), so the byte stream is unchanged
-// from the flat-keyed encoding.
+// (event ID, destination, port key) — the packed cell key sorts exactly
+// by (destination, port key), so the byte stream does not depend on how
+// the cells are laid out in memory.
 func (p *Pending) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(pendingWireVersion)
-	ids := make([]int, 0, len(p.cells))
-	for id := range p.cells {
+	ids := make([]int, 0, len(p.tables))
+	for id := range p.tables {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	w.Uvarint(uint64(p.n))
-	var inner []uint64
+	var cells []cell
 	for _, id := range ids {
-		cells := p.cells[id]
-		inner = inner[:0]
-		for k := range cells {
-			inner = append(inner, k)
-		}
-		sort.Slice(inner, func(i, j int) bool { return inner[i] < inner[j] })
-		for _, k := range inner {
-			c := cells[k]
+		cells = cells[:0]
+		p.tables[id].each(func(c cell) { cells = append(cells, c) })
+		slices.SortFunc(cells, func(x, y cell) int { return cmp.Compare(x.key, y.key) })
+		for _, c := range cells {
 			w.Uvarint(uint64(id))
-			w.Uvarint(uint64(uint32(k >> 32)))
-			w.Uvarint(uint64(uint32(k & 0xffffffff)))
+			w.Uvarint(c.key >> 32)
+			w.Uvarint(uint64(uint32(c.key)))
 			w.Varint(c.all)
 			w.Varint(c.dropped)
 		}
@@ -125,60 +123,38 @@ func (p *Pending) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(pendingWireVersion)
 	n := r.Count(5)
-	cells := make(map[int]map[uint64]*counts)
+	d := NewPending()
 	for i := 0; i < n; i++ {
 		id := r.Int()
 		dstIP := r.U32()
 		portKey := r.U32()
-		c := &counts{all: r.Varint(), dropped: r.Varint()}
+		all, dropped := r.Varint(), r.Varint()
 		if r.Err() != nil {
 			break
 		}
-		inner := cells[id]
-		if inner == nil {
-			inner = make(map[uint64]*counts)
-			cells[id] = inner
-		}
-		inner[uint64(dstIP)<<32|uint64(portKey)] = c
+		c := d.cell(id, uint64(dstIP)<<32|uint64(portKey))
+		c.all, c.dropped = all, dropped
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("collateral: pending: %w", err)
 	}
-	p.cells = cells
-	p.n = n
-	p.lastInner = nil
+	*p = *d
 	return nil
 }
 
-// RemapEvents rewrites the cell keys through m (old event ID -> new
-// ID), summing cells that land on the same new key. Every present event
-// must be mapped.
+// RemapEvents rewrites the event IDs through m (old event ID -> new ID),
+// summing cells that land on the same new key. Every present event must
+// be mapped.
 func (p *Pending) RemapEvents(m map[int]int) error {
-	out := make(map[int]map[uint64]*counts, len(p.cells))
-	n := 0
-	for id, inner := range p.cells {
-		nid, ok := m[id]
-		if !ok {
+	for id := range p.tables {
+		if _, ok := m[id]; !ok {
 			return fmt.Errorf("collateral: pending: no mapping for event %d", id)
 		}
-		dst := out[nid]
-		if dst == nil {
-			out[nid] = inner
-			n += len(inner)
-			continue
-		}
-		for k, c := range inner {
-			if cur := dst[k]; cur != nil {
-				cur.all += c.all
-				cur.dropped += c.dropped
-			} else {
-				dst[k] = c
-				n++
-			}
-		}
 	}
-	p.cells = out
-	p.n = n
-	p.lastInner = nil
+	out := NewPending()
+	for id, t := range p.tables {
+		out.fold(m[id], t)
+	}
+	*p = *out
 	return nil
 }

@@ -6,15 +6,13 @@ import (
 	"repro/internal/bgp"
 )
 
-// Candidate is one blackhole prefix covering a cursor's current address
-// together with its start-sorted merged-event list. Candidates are held
-// longest prefix first — the order the Index methods scan in.
-type Candidate struct {
-	Prefix bgp.Prefix
-	Events []*Event
-	// spans carries the same events with nanosecond-resolved bounds for
-	// the cursor's time-dependent scans.
-	spans []eventSpan
+// candidate is one blackhole prefix covering a cursor's current address
+// together with its start-sorted events, bounds resolved to nanoseconds.
+// Candidates are held longest prefix first — the order the Index methods
+// scan in.
+type candidate struct {
+	prefix bgp.Prefix
+	spans  []eventSpan
 }
 
 // Cursor is a single-address memo over an Index. The flow stream has
@@ -33,7 +31,7 @@ type Cursor struct {
 	ix    *Index
 	valid bool
 	ip    uint32
-	cands []Candidate
+	cands []candidate
 }
 
 // NewCursor returns a cursor over ix with an empty memo.
@@ -46,27 +44,24 @@ func (c *Cursor) Rebind(ix *Index) {
 }
 
 // seek resolves the candidate lists covering ip, reusing the memo when
-// the previous query asked about the same address.
+// the previous query asked about the same address. Addresses change with
+// every record on the source side (reflectors), and almost none of them
+// is blackholed: the index's /16 filter answers those without a probe.
 func (c *Cursor) seek(ip uint32) {
 	if c.valid && c.ip == ip {
 		return
 	}
 	c.valid, c.ip = true, ip
 	c.cands = c.cands[:0]
+	if !c.ix.covered16(ip) {
+		return
+	}
 	for _, l := range c.ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		if lst, ok := c.ix.byPrefix[pkey(p)]; ok {
-			c.cands = append(c.cands, Candidate{Prefix: p, Events: lst, spans: c.ix.spans[pkey(p)]})
+		if sps, ok := c.ix.spans[pkey(p)]; ok {
+			c.cands = append(c.cands, candidate{prefix: p, spans: sps})
 		}
 	}
-}
-
-// Candidates returns the blackhole prefixes covering ip, longest first,
-// with their event lists. The slice is the cursor's memo: valid only
-// until the next cursor call, callers must not retain or modify it.
-func (c *Cursor) Candidates(ip uint32) []Candidate {
-	c.seek(ip)
-	return c.cands
 }
 
 // EverBlackholed answers Index.EverBlackholed through the memo.
@@ -75,7 +70,7 @@ func (c *Cursor) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
 	if len(c.cands) == 0 {
 		return bgp.Prefix{}, false
 	}
-	return c.cands[0].Prefix, true
+	return c.cands[0].prefix, true
 }
 
 // Lookup answers Index.Lookup through the memo: the longest prefix with
@@ -99,16 +94,42 @@ func (c *Cursor) Lookup(ip uint32, t time.Time) Match {
 				continue
 			}
 			for _, ep := range sp.eps {
-				if tn >= ep.ann && tn < ep.wd {
-					return Match{Event: sp.ev, Active: true, Prefix: cand.Prefix}
+				if tn >= ep.Ann && tn < ep.Wd {
+					return Match{Event: sp.ev, Active: true, Prefix: cand.prefix}
 				}
 			}
 			if m.Event == nil {
-				m = Match{Event: sp.ev, Prefix: cand.Prefix}
+				m = Match{Event: sp.ev, Prefix: cand.prefix}
 			}
 		}
 	}
 	return m
+}
+
+// Episodes appends the bounds of every episode, of every blackhole prefix
+// covering ip, that overlaps [lo, hi] (unix nanoseconds, inclusive) —
+// longest prefix first, events and episodes in start order. These are the
+// integer bounds Lookup compares against, so a caller's arithmetic on
+// them agrees with time.Time arithmetic on the episodes themselves.
+func (c *Cursor) Episodes(dst []EpisodeSpan, ip uint32, lo, hi int64) []EpisodeSpan {
+	c.seek(ip)
+	for i := range c.cands {
+		for j := range c.cands[i].spans {
+			sp := &c.cands[i].spans[j]
+			if sp.start > hi {
+				break // spans sorted by start; later events start later
+			}
+			if sp.end < lo {
+				continue
+			}
+			for _, ep := range sp.eps {
+				if ep.Ann <= hi && ep.Wd >= lo {
+					dst = append(dst, ep)
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // Interesting answers Index.Interesting through the memo: whether (ip,
@@ -129,7 +150,7 @@ func (c *Cursor) Interesting(ip uint32, t time.Time) (bgp.Prefix, bool) {
 				break
 			}
 			if tn <= sp.end {
-				return cand.Prefix, true
+				return cand.prefix, true
 			}
 		}
 	}

@@ -36,18 +36,43 @@ type Index struct {
 	// lengths lists the distinct prefix lengths present, descending, so
 	// longest-prefix-match scans only real candidates.
 	lengths []uint8
+	// cover16 has one bit per /16 of the address space, set when the /16
+	// contains or is contained in a blackhole prefix. Every prefix covering
+	// an address either lies inside the address's /16 (length >= 16) or
+	// contains that /16 whole (length < 16), and both mark it — so an
+	// unmarked /16 has no covering prefix at any length, and the Cursor
+	// answers "no candidates" from this one bit without probing byPrefix.
+	cover16 [1 << 16 / 64]uint64
 }
 
-// episodeSpan is one announce/withdraw interval in unix nanoseconds,
-// with an open-ended withdraw resolved to the period end.
-type episodeSpan struct{ ann, wd int64 }
+// mark16 sets the cover16 bits of every /16 that p touches.
+func (ix *Index) mark16(p bgp.Prefix) {
+	first, n := p.Addr>>16, uint32(1)
+	if p.Len < 16 {
+		n = 1 << (16 - p.Len)
+		first &^= n - 1
+	}
+	for b := first; b < first+n; b++ {
+		ix.cover16[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// covered16 reports whether any blackhole prefix can cover ip.
+func (ix *Index) covered16(ip uint32) bool {
+	b := ip >> 16
+	return ix.cover16[b>>6]&(1<<(b&63)) != 0
+}
+
+// EpisodeSpan is one announce/withdraw interval [Ann, Wd) in unix
+// nanoseconds, with an open-ended withdraw resolved to the period end.
+type EpisodeSpan struct{ Ann, Wd int64 }
 
 // eventSpan is one event's merged window [start, end] in unix
 // nanoseconds plus its resolved episodes, ordered like the *Event lists.
 type eventSpan struct {
 	start, end int64
 	ev         *Event
-	eps        []episodeSpan
+	eps        []EpisodeSpan
 }
 
 // newEventSpan resolves e's bounds against periodEnd. Nanosecond
@@ -58,14 +83,14 @@ func newEventSpan(e *Event, periodEnd time.Time) eventSpan {
 		start: e.Start().UnixNano(),
 		end:   e.End(periodEnd).UnixNano(),
 		ev:    e,
-		eps:   make([]episodeSpan, len(e.Episodes)),
+		eps:   make([]EpisodeSpan, len(e.Episodes)),
 	}
 	for i, ep := range e.Episodes {
 		wd := ep.Withdraw
 		if wd.IsZero() {
 			wd = periodEnd
 		}
-		sp.eps[i] = episodeSpan{ann: ep.Announce.UnixNano(), wd: wd.UnixNano()}
+		sp.eps[i] = EpisodeSpan{Ann: ep.Announce.UnixNano(), Wd: wd.UnixNano()}
 	}
 	return sp
 }
@@ -104,6 +129,7 @@ func NewIndex(evs []*Event, periodEnd time.Time) *Index {
 			sps[i] = newEventSpan(e, periodEnd)
 		}
 		ix.spans[p] = sps
+		ix.mark16(lst[0].Prefix)
 	}
 	return ix
 }

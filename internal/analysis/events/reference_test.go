@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/bgp"
 	"repro/internal/stats"
 )
 
@@ -94,5 +95,131 @@ func TestSweepMatchesMergePerDelta(t *testing.T) {
 	}
 	if split == 0 {
 		t.Fatal("no threshold changed any event count: the streams exercise nothing")
+	}
+}
+
+// prefilterStream draws announce/withdraw updates over the given prefixes.
+func prefilterStream(r *stats.RNG, prefixes []bgp.Prefix, n int) []analysis.ControlUpdate {
+	t := time.Date(2018, 10, 1, 0, 0, 0, 0, time.UTC)
+	var out []analysis.ControlUpdate
+	for i := 0; i < n; i++ {
+		t = t.Add(time.Duration(10+r.Intn(4000)) * time.Second)
+		u := analysis.ControlUpdate{
+			Time:     t,
+			Peer:     uint32(100 * (1 + r.Intn(3))),
+			Prefix:   prefixes[r.Intn(len(prefixes))],
+			Announce: r.Bool(0.55),
+		}
+		if u.Announce {
+			u.Communities = bgp.Communities{bgp.Blackhole}
+		}
+		out = append(out, u)
+	}
+	return out
+}
+
+// edgeProbes lists the addresses where a /16 filter can go wrong: both
+// ends of every prefix and of its /16 (or, for a shorter prefix, of its
+// whole range), the addresses just outside them, and random ones.
+func edgeProbes(r *stats.RNG, prefixes []bgp.Prefix) []uint32 {
+	ips := []uint32{0, 0xffff, 0x10000, 0xffffffff, 0xffff0000, 0xfffeffff}
+	for _, p := range prefixes {
+		size := uint32(1)<<(32-p.Len) - 1 // /0 wraps to all-ones, as wanted
+		first, last := p.Addr, p.Addr+size
+		lo16, hi16 := first&^0xffff, last|0xffff
+		ips = append(ips, first, last, first-1, last+1, lo16, hi16, lo16-1, hi16+1,
+			first+uint32(r.Uint64())&size)
+	}
+	for i := 0; i < 64; i++ {
+		ips = append(ips, uint32(r.Uint64()))
+	}
+	return ips
+}
+
+// TestCursorMatchesIndexWithPrefilter pins the Cursor — the /16 cover
+// filter in front of its probes included — to the Index methods of the
+// same name, which probe every prefix length unfiltered: over blackholes
+// from /32 down to /8, /12 and /0, on every filter edge, with the memo
+// carried from probe to probe, and again after the cursor is rebound to
+// an index rebuilt over a grown update stream (what Pipeline.Rebind does
+// as announcements arrive).
+func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
+	end := time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
+	base := time.Date(2018, 9, 28, 0, 0, 0, 0, time.UTC)
+	pool := []bgp.Prefix{
+		bgp.MustParsePrefix("203.0.113.5/32"),
+		bgp.MustParsePrefix("203.0.113.0/24"),
+		bgp.MustParsePrefix("203.0.0.0/16"),
+		bgp.MustParsePrefix("198.51.100.0/22"),
+		bgp.MustParsePrefix("198.51.255.255/32"),
+		bgp.MustParsePrefix("198.52.0.0/32"),
+		bgp.MustParsePrefix("172.16.0.0/12"),
+		bgp.MustParsePrefix("10.0.0.0/8"),
+		bgp.MustParsePrefix("255.255.255.255/32"),
+		bgp.MustParsePrefix("0.0.0.0/32"),
+	}
+	everything := bgp.MustParsePrefix("0.0.0.0/0")
+
+	check := func(t *testing.T, cur *Cursor, ix *Index, r *stats.RNG, ips []uint32) (hits int) {
+		t.Helper()
+		for probe := 0; probe < 4*len(ips); probe++ {
+			ip := ips[r.Intn(len(ips))]
+			at := base.Add(time.Duration(r.Intn(100*24*3600)) * time.Second)
+			wantP, wantOK := ix.EverBlackholed(ip)
+			if gotP, gotOK := cur.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
+				t.Fatalf("EverBlackholed(%08x) = %v, %v; index says %v, %v", ip, gotP, gotOK, wantP, wantOK)
+			}
+			if got, want := cur.Lookup(ip, at), ix.Lookup(ip, at); got != want {
+				t.Fatalf("Lookup(%08x, %v) = %+v; index says %+v", ip, at, got, want)
+			}
+			wantP, wantI := ix.Interesting(ip, at)
+			if gotP, gotI := cur.Interesting(ip, at); gotP != wantP || gotI != wantI {
+				t.Fatalf("Interesting(%08x, %v) = %v, %v; index says %v, %v", ip, at, gotP, gotI, wantP, wantI)
+			}
+			if wantOK {
+				hits++
+			}
+		}
+		return hits
+	}
+
+	for seed := uint64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := stats.NewRNG(seed)
+			// A random half of the pool, so that some /16s stay unmarked;
+			// every third seed blackholes the whole address space as well.
+			var prefixes []bgp.Prefix
+			for _, p := range pool {
+				if r.Bool(0.5) {
+					prefixes = append(prefixes, p)
+				}
+			}
+			if len(prefixes) == 0 {
+				prefixes = pool[:1]
+			}
+			if seed%3 == 0 {
+				prefixes = append(prefixes, everything)
+			}
+			ips := edgeProbes(r, append(pool[:len(pool):len(pool)], everything))
+
+			updates := prefilterStream(r, prefixes, 150)
+			ix := NewIndex(Merge(updates, DefaultDelta, end), end)
+			cur := NewCursor(ix)
+			hits := check(t, cur, ix, r, ips)
+			if hits == 0 {
+				t.Fatal("no probe was ever blackholed; the comparison would be vacuous")
+			}
+			if seed%3 != 0 && hits == 4*len(ips) {
+				t.Fatal("every probe was blackholed; the filter never said no")
+			}
+
+			// The control stream grows by prefixes the first index never
+			// saw: rebind the same cursor, memo and all.
+			grown := append(updates[:len(updates):len(updates)], prefilterStream(r, pool, 150)...)
+			analysis.SortUpdates(grown)
+			ix2 := NewIndex(Merge(grown, DefaultDelta, end), end)
+			cur.Rebind(ix2)
+			check(t, cur, ix2, r, ips)
+		})
 	}
 }

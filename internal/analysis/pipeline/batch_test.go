@@ -84,35 +84,62 @@ func TestObserveBatchParity(t *testing.T) {
 	}
 }
 
-// TestObserveBatchAllocs gates the steady-state allocation rate of the
-// batch observation path: once the operator state for a stream exists
-// (maps populated, bounded structures saturated, memo cursors warm),
+// TestObserveBatchAllocs gates the allocation rate of the batch
+// observation path, twice, because the two figures answer different
+// questions. Warm: once the operator state for a stream exists (maps
+// populated, bounded structures saturated, memo cursors warm),
 // re-observing the same records must allocate essentially nothing per
-// record. First-pass allocations are state growth — proportional to
-// distinct cells, not to records — and are excluded by the warm-up pass.
+// record — the loop itself is allocation-free. Cold: a fresh pipeline's
+// one pass over the stream, which is what a run pays; those allocations
+// are state growth (feature slots, per-event aggregates, host days, table
+// doublings), proportional to distinct keys, not to records.
 func TestObserveBatchAllocs(t *testing.T) {
 	recs := parityStream(30000)
 	batches := chunkBatches(recs, 512)
-
-	p, err := New(testMeta(), parityUpdates(), events.DefaultDelta)
-	if err != nil {
-		t.Fatal(err)
+	fresh := func() *Pipeline {
+		p, err := New(testMeta(), parityUpdates(), events.DefaultDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	observe := func() {
+	observe := func(p *Pipeline) {
 		for _, b := range batches {
 			p.ObserveBatch(b)
 		}
 	}
-	observe() // warm-up: grow all keyed state once
 
-	perRun := testing.AllocsPerRun(3, observe)
-	perRecord := perRun / float64(len(recs))
-	t.Logf("allocs/record (warm) = %.4f (%.0f allocs over %d records)",
-		perRecord, perRun, len(recs))
-	// The only allowed steady-state allocations are the amortized growth
-	// of the time-alignment interval arrays, which keep extending across
-	// passes; everything else must be allocation-free.
-	if perRecord > 0.01 {
-		t.Fatalf("warm batch path allocates %.4f allocs/record, want ~0 (<= 0.01)", perRecord)
-	}
+	t.Run("warm", func(t *testing.T) {
+		p := fresh()
+		observe(p) // warm-up: grow all keyed state once
+		perRun := testing.AllocsPerRun(3, func() { observe(p) })
+		perRecord := perRun / float64(len(recs))
+		t.Logf("allocs/record (warm) = %.4f (%.0f allocs over %d records)",
+			perRecord, perRun, len(recs))
+		// The only allowed steady-state allocations are the amortized growth
+		// of the time-alignment interval arrays, which keep extending across
+		// passes; everything else must be allocation-free.
+		if perRecord > 0.01 {
+			t.Fatalf("warm batch path allocates %.4f allocs/record, want ~0 (<= 0.01)", perRecord)
+		}
+	})
+
+	t.Run("cold", func(t *testing.T) {
+		pipes := make([]*Pipeline, 4) // AllocsPerRun calls once to warm up, then 3 times
+		for i := range pipes {
+			pipes[i] = fresh()
+		}
+		next := 0
+		perRun := testing.AllocsPerRun(3, func() { observe(pipes[next]); next++ })
+		perRecord := perRun / float64(len(recs))
+		t.Logf("allocs/record (cold) = %.4f (%.0f allocs over %d records)",
+			perRecord, perRun, len(recs))
+		// Measured 0.55 on this stream, which is dense in distinct hosts,
+		// days and slots (the 1M-record flowheavy benchmark world reads
+		// 0.14); a pending store that allocates per cell reads 0.85. The
+		// limit is the measured figure plus 25 %.
+		if perRecord > 0.69 {
+			t.Fatalf("cold batch pass allocates %.4f allocs/record, want <= 0.69", perRecord)
+		}
+	})
 }

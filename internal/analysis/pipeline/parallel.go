@@ -34,12 +34,9 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultBatchSize is the number of records per dispatch batch; batching
-// amortizes channel synchronization over ~200KB of records.
-const DefaultBatchSize = 4096
-
-// Source streams flow records to fn, exactly like Dataset.EachFlow.
-type Source func(fn func(*ipfix.FlowRecord) error) error
+// keyListCap is the initial capacity of a pooled per-shard key list;
+// append grows it to whatever batch size the source delivers.
+const keyListCap = 4096
 
 // BatchSource streams pooled record batches to fn, exactly like
 // Dataset.EachFlowBatch. The runner retains each batch (per the
@@ -65,11 +62,10 @@ type shardChunk struct {
 }
 
 // Parallel runs the single-pass analysis across worker-owned operator
-// shards. Build with NewParallel, then Run, and read results from
+// shards. Build with NewParallel, then RunBatches, and read results from
 // Pipeline().
 type Parallel struct {
-	workers   int
-	batchSize int
+	workers int
 	// shift positions the shard key at the top minLen bits of an address.
 	shift uint
 	// merged accumulates the combined state; shards hold per-worker state.
@@ -84,10 +80,15 @@ type Parallel struct {
 }
 
 // parallelObs is the parallel runner's instrumentation: per-shard record
-// counters (incremented by the worker goroutines, hence atomic obs
-// counters), per-operator merge timers, and a merge counter.
+// counters and busy time (updated by the worker goroutines, hence atomic
+// obs values), the dispatcher's split count and blocked time, per-operator
+// merge timers, and a merge counter. Everything on the record path is
+// accounted per chunk, never per record.
 type parallelObs struct {
 	shardRecords []*obs.Counter
+	shardBusy    []*obs.Gauge
+	split        *obs.Counter
+	blocked      *obs.Gauge
 	mergeTimers  MergeTimers
 	merges       obs.Counter
 }
@@ -95,15 +96,26 @@ type parallelObs struct {
 // Instrument registers the runner's metrics: the merged pipeline's
 // counters (pipeline.*, dropstats.*), one records counter per shard
 // (pipeline.shard.NN.records, counting every record role the shard
-// processed), the per-operator shard-merge timers (pipeline.merge.*),
-// and pipeline.merges, the number of shard merges performed. Call before
-// Run.
+// processed) and one busy-time gauge per shard
+// (pipeline.shard.NN.busy_ns, the time the worker spent observing
+// chunks), the dispatcher's pipeline.dispatch.split_records (records
+// whose source address belongs to another shard than the destination, so
+// that the shard counters sum to pipeline.records.total plus this) and
+// pipeline.dispatch.blocked_ns (time the dispatcher waited on a full
+// shard channel), the per-operator shard-merge timers (pipeline.merge.*),
+// and pipeline.merges, the number of shard merges performed. Busy time
+// close to the pass's wall on every shard means the workers are the
+// bottleneck; blocked time close to zero with idle shards means the
+// dispatcher is. Call before RunBatches.
 func (pp *Parallel) Instrument(reg *obs.Registry) {
 	pp.merged.RegisterMetrics(reg)
 	po := &parallelObs{}
 	for i := range pp.shards {
 		po.shardRecords = append(po.shardRecords, reg.Counter(fmt.Sprintf("pipeline.shard.%02d.records", i)))
+		po.shardBusy = append(po.shardBusy, reg.Gauge(fmt.Sprintf("pipeline.shard.%02d.busy_ns", i)))
 	}
+	po.split = reg.Counter("pipeline.dispatch.split_records")
+	po.blocked = reg.Gauge("pipeline.dispatch.blocked_ns")
 	reg.RegisterTimer("pipeline.merge.drop", &po.mergeTimers.Drop)
 	reg.RegisterTimer("pipeline.merge.anomaly", &po.mergeTimers.Anomaly)
 	reg.RegisterTimer("pipeline.merge.proto", &po.mergeTimers.Proto)
@@ -128,9 +140,8 @@ func NewParallel(meta *analysis.Metadata, updates []analysis.ControlUpdate, delt
 		workers = runtime.GOMAXPROCS(0)
 	}
 	pp := &Parallel{
-		workers:   workers,
-		batchSize: DefaultBatchSize,
-		merged:    p,
+		workers: workers,
+		merged:  p,
 	}
 	if ls := p.Index.Lengths(); len(ls) > 0 {
 		pp.shift = uint(32 - ls[len(ls)-1])
@@ -145,7 +156,7 @@ func NewParallel(meta *analysis.Metadata, updates []analysis.ControlUpdate, delt
 func (pp *Parallel) Workers() int { return pp.workers }
 
 // BindFlow points the merged pipeline and every shard at the FlowSpec
-// mitigation view. Call before Run.
+// mitigation view. Call before RunBatches.
 func (pp *Parallel) BindFlow(ix *mitigation.Index) {
 	pp.merged.BindFlow(ix)
 	for _, sh := range pp.shards {
@@ -154,7 +165,7 @@ func (pp *Parallel) BindFlow(ix *mitigation.Index) {
 }
 
 // Pipeline returns the merged pipeline. Its operators are complete once
-// Run returned.
+// RunBatches returned.
 func (pp *Parallel) Pipeline() *Pipeline { return pp.merged }
 
 // shardOf maps an address to its owning shard. Addresses inside the same
@@ -169,31 +180,6 @@ func (pp *Parallel) shardOf(ip uint32) int {
 	key *= 0x94d049bb133111eb
 	key ^= key >> 31
 	return int(key % uint64(pp.workers))
-}
-
-// Run streams per-record src through the shards. The records are packed
-// into pooled batches (one copy, as any record source must materialize
-// them somewhere) and handed to the zero-copy batch path.
-func (pp *Parallel) Run(src Source) error {
-	return pp.RunBatches(func(fn ipfix.BatchSink) error {
-		b := ipfix.GetBatch()
-		err := src(func(rec *ipfix.FlowRecord) error {
-			b.Recs = append(b.Recs, *rec)
-			if len(b.Recs) >= pp.batchSize {
-				if err := fn(b); err != nil {
-					return err
-				}
-				b.Release()
-				b = ipfix.GetBatch()
-			}
-			return nil
-		})
-		if err == nil && len(b.Recs) > 0 {
-			err = fn(b)
-		}
-		b.Release()
-		return err
-	})
 }
 
 // RunBatches streams src through the shards and merges the operator
@@ -223,6 +209,23 @@ func (pp *Parallel) RunBatches(src BatchSource) error {
 	return nil
 }
 
+// send hands ck to a shard. When instrumented, a send that finds the
+// channel full is timed: the clock is read only when the dispatcher
+// actually has to wait.
+func (pp *Parallel) send(ch chan<- shardChunk, ck shardChunk) {
+	if pp.obs == nil {
+		ch <- ck
+		return
+	}
+	select {
+	case ch <- ck:
+	default:
+		start := time.Now()
+		ch <- ck
+		pp.obs.blocked.Add(int64(time.Since(start)))
+	}
+}
+
 // runBatches dispatches each batch's records to their owning shards and
 // waits for the workers to drain. Per-shard record order equals stream
 // order (chunks are sent in batch order, keys within a chunk in record
@@ -233,13 +236,14 @@ func (pp *Parallel) runBatches(src BatchSource) error {
 	for i := range chans {
 		chans[i] = make(chan shardChunk, 4)
 		wg.Add(1)
-		var recCount *obs.Counter
-		if pp.obs != nil {
-			recCount = pp.obs.shardRecords[i]
-		}
-		go func(sh *Pipeline, ch <-chan shardChunk) {
+		go func(i int, sh *Pipeline, ch <-chan shardChunk) {
 			defer wg.Done()
+			po := pp.obs
 			for ck := range ch {
+				var start time.Time
+				if po != nil {
+					start = time.Now()
+				}
 				recs := ck.batch.Recs
 				for _, k := range ck.keys {
 					rec := &recs[k&keyIndex]
@@ -250,20 +254,21 @@ func (pp *Parallel) runBatches(src BatchSource) error {
 						sh.observeSrc(rec)
 					}
 				}
-				if recCount != nil {
-					recCount.Add(int64(len(ck.keys)))
+				if po != nil {
+					po.shardRecords[i].Add(int64(len(ck.keys)))
+					po.shardBusy[i].Add(int64(time.Since(start)))
 				}
 				ck.batch.Release()
 				pp.pool.Put(ck.keys[:0]) //nolint:staticcheck // slice reuse
 			}
-		}(pp.shards[i], chans[i])
+		}(i, pp.shards[i], chans[i])
 	}
 
 	newKeys := func() []uint32 {
 		if ks, ok := pp.pool.Get().([]uint32); ok {
 			return ks
 		}
-		return make([]uint32, 0, pp.batchSize)
+		return make([]uint32, 0, keyListCap)
 	}
 	scratch := make([][]uint32, pp.workers)
 	for i := range scratch {
@@ -278,11 +283,13 @@ func (pp *Parallel) runBatches(src BatchSource) error {
 		if len(recs) > keyIndex {
 			return fmt.Errorf("pipeline: batch of %d records exceeds dispatch key space", len(recs))
 		}
+		split := 0
 		for i := range recs {
 			sd := pp.shardOf(recs[i].DstIP)
 			if ss := pp.shardOf(recs[i].SrcIP); ss != sd {
 				scratch[sd] = append(scratch[sd], uint32(i)|keyDst)
 				scratch[ss] = append(scratch[ss], uint32(i)|keySrc)
+				split++
 			} else {
 				scratch[sd] = append(scratch[sd], uint32(i)|keyDst|keySrc)
 			}
@@ -292,8 +299,11 @@ func (pp *Parallel) runBatches(src BatchSource) error {
 				continue
 			}
 			b.Retain()
-			chans[s] <- shardChunk{batch: b, keys: keys}
+			pp.send(chans[s], shardChunk{batch: b, keys: keys})
 			scratch[s] = newKeys()
+		}
+		if pp.obs != nil {
+			pp.obs.split.Add(int64(split))
 		}
 		return nil
 	})

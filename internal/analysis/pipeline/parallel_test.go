@@ -17,6 +17,7 @@ import (
 	"repro/internal/analysis/timealign"
 	"repro/internal/bgp"
 	"repro/internal/ipfix"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -147,17 +148,6 @@ func parityStream(n int) []ipfix.FlowRecord {
 	return recs
 }
 
-func sliceSource(recs []ipfix.FlowRecord) Source {
-	return func(fn func(*ipfix.FlowRecord) error) error {
-		for i := range recs {
-			if err := fn(&recs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // snapshot captures every derived outcome the report reads from a
 // pipeline; two pipelines with equal snapshots produce identical reports.
 type snapshot struct {
@@ -242,7 +232,7 @@ func (s snapshot) mustEqual(t *testing.T, ref snapshot, label string) {
 // exactly, down to bounded-structure saturation behaviour.
 func TestParallelParity(t *testing.T) {
 	recs := parityStream(30000)
-	src := sliceSource(recs)
+	src := batchSource(chunkBatches(recs, 64)) // many batches per shard
 
 	seq, err := New(testMeta(), parityUpdates(), events.DefaultDelta)
 	if err != nil {
@@ -265,8 +255,7 @@ func TestParallelParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pp.batchSize = 64 // force many batches per shard
-			if err := pp.Run(src); err != nil {
+			if err := pp.RunBatches(src); err != nil {
 				t.Fatal(err)
 			}
 			snap(pp.Pipeline()).mustEqual(t, ref, fmt.Sprintf("workers=%d", workers))
@@ -281,9 +270,9 @@ func TestParallelSourceError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	bad := Source(func(fn func(*ipfix.FlowRecord) error) error { return boom })
-	if err := pp.Run(bad); err != boom {
-		t.Fatalf("Run err = %v, want boom", err)
+	bad := BatchSource(func(ipfix.BatchSink) error { return boom })
+	if err := pp.RunBatches(bad); err != boom {
+		t.Fatalf("RunBatches err = %v, want boom", err)
 	}
 }
 
@@ -295,5 +284,92 @@ func TestParallelDefaultsWorkers(t *testing.T) {
 	}
 	if pp.Workers() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workers = %d, want GOMAXPROCS", pp.Workers())
+	}
+}
+
+// TestParallelDispatchAccounting reconciles the instrumented runner's
+// dispatch metrics with what the dispatcher must have done: the shard
+// record counters sum to one destination role per record plus one source
+// role per record whose two addresses belong to different shards, and
+// workers are busy — and the dispatcher blocked — only while RunBatches
+// runs. An uninstrumented runner registers and reads no clock at all
+// (obs == nil on every path), which the parity tests above run through.
+func TestParallelDispatchAccounting(t *testing.T) {
+	recs := parityStream(30000)
+	const workers = 3
+	pp, err := NewParallel(testMeta(), parityUpdates(), events.DefaultDelta, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	pp.Instrument(reg)
+
+	var split int64
+	for i := range recs {
+		if pp.shardOf(recs[i].DstIP) != pp.shardOf(recs[i].SrcIP) {
+			split++
+		}
+	}
+	if split == 0 || split == int64(len(recs)) {
+		t.Fatalf("fixture splits %d of %d records; both roles must occur", split, len(recs))
+	}
+
+	start := time.Now()
+	// Small batches: many chunks per shard, so the 4-deep channels fill.
+	if err := pp.RunBatches(batchSource(chunkBatches(recs, 64))); err != nil {
+		t.Fatal(err)
+	}
+	wall := int64(time.Since(start))
+
+	snap := reg.Snapshot()
+	if got := snap.Counter("pipeline.dispatch.split_records"); got != split {
+		t.Errorf("pipeline.dispatch.split_records = %d, want %d", got, split)
+	}
+	var sharded, busy int64
+	for i := 0; i < workers; i++ {
+		sharded += snap.Counter(fmt.Sprintf("pipeline.shard.%02d.records", i))
+		b := snap.Gauge(fmt.Sprintf("pipeline.shard.%02d.busy_ns", i))
+		if b <= 0 || b > wall {
+			t.Errorf("shard %d busy %dns of a %dns run", i, b, wall)
+		}
+		busy += b
+	}
+	if want := int64(len(recs)) + split; sharded != want {
+		t.Errorf("shard counters sum to %d, want %d destination + %d source roles", sharded, len(recs), split)
+	}
+	if busy > workers*wall {
+		t.Errorf("shards busy %dns in total, more than %d x %dns", busy, workers, wall)
+	}
+	if blocked := snap.Gauge("pipeline.dispatch.blocked_ns"); blocked < 0 || blocked > wall {
+		t.Errorf("dispatcher blocked %dns of a %dns run", blocked, wall)
+	}
+}
+
+// TestRebindRebindsCursors checks that a speculative pipeline's address
+// memos follow Rebind: an address resolved as not blackholed under the
+// old index must resolve under the new one, cover filter included.
+func TestRebindRebindsCursors(t *testing.T) {
+	p, err := NewSpeculative(testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cur := range []*events.Cursor{p.curDst, p.curSrc} {
+		if _, ok := cur.EverBlackholed(victim.Addr); ok {
+			t.Fatal("empty index blackholes the victim")
+		}
+	}
+	evs := events.Merge(testUpdates(), events.DefaultDelta, p.Meta.End)
+	p.Rebind(evs, events.NewIndex(evs, p.Meta.End))
+	for _, cur := range []*events.Cursor{p.curDst, p.curSrc} {
+		if got, ok := cur.EverBlackholed(victim.Addr); !ok || got != victim {
+			t.Fatalf("after Rebind: EverBlackholed = %v, %v; want %v", got, ok, victim)
+		}
+		if m := cur.Lookup(victim.Addr, t0.Add(time.Minute)); !m.Active {
+			t.Fatalf("after Rebind: Lookup = %+v, want an active match", m)
+		}
+	}
+	p.Observe(rec(t0.Add(time.Minute), memberMAC200, blackholeMAC, 0x50000001, victim.Addr, 389, 4444, 17))
+	if p.Align.Estimate(50*time.Millisecond).BestOverlap != 1 {
+		t.Fatal("time alignment did not see the rebound index")
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"repro/internal/analysis/protomix"
 	"repro/internal/analysis/timealign"
 	"repro/internal/ipfix"
+	"repro/internal/netgen"
 	"repro/internal/obs"
 )
 
@@ -305,7 +306,9 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("mitigation.windows", func() int64 { return int64(p.FlowIx.Windows()) })
 }
 
-// Observe processes one flow record.
+// Observe processes one flow record. No driver calls it — they all hand
+// over slices or batches (ObserveRecords, ObserveBatch, RunBatches) — it
+// is the per-record definition TestObserveBatchParity pins those to.
 //
 // The pass is split into a destination-keyed and a source-keyed half so
 // that the parallel runner can route each half to the shard owning the
@@ -322,6 +325,12 @@ func (p *Pipeline) Observe(rec *ipfix.FlowRecord) {
 // records overwhelmingly share endpoints, so the per-record map probes
 // that dominate a naive pass amortize across each run. State after
 // ObserveRecords(recs) is identical to calling Observe on each record.
+//
+// The loop and the operators under it keep one rule: a record's keys are
+// resolved by a run memo, a dense array or bitset read, or one
+// find-or-insert in a flat table — never by lookup-then-assign on a Go
+// map, by a per-record allocation, or by time.Time arithmetic (DESIGN.md,
+// "The observe loop").
 func (p *Pipeline) ObserveRecords(recs []ipfix.FlowRecord) {
 	for i := range recs {
 		rec := &recs[i]
@@ -390,8 +399,6 @@ func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
 	if !dstBH && !p.speculative {
 		return
 	}
-	day := int32(analysis.Day(p.Meta.Start, rec.Start))
-
 	m := p.curDst.Lookup(rec.DstIP, rec.Start)
 	if dstBH {
 		if m.Active {
@@ -401,7 +408,11 @@ func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
 			}
 		}
 		if m.Event != nil {
-			originAS, _ := p.Meta.IP2AS.Lookup(rec.SrcIP)
+			// Proto.Add reads the origin AS of amplification traffic only.
+			var originAS uint32
+			if netgen.IsAmplificationPort(rec.Proto, rec.SrcPort) {
+				originAS, _ = p.Meta.IP2AS.Lookup(rec.SrcIP)
+			}
 			p.Proto.Add(m.Event.ID, rec.Proto, rec.SrcIP, rec.SrcPort, pkts, originAS, srcMember)
 			p.Pending.Add(m.Event.ID, rec.DstIP, rec.DstPort, rec.Proto, dropped, pkts)
 		}
@@ -416,6 +427,7 @@ func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
 	// evaluate identically either way: once a record is old enough to
 	// be observed here, no future event can still cover it.
 	if m.Event == nil && p.legitAt(p.curDst, rec.DstIP, rec.Start) {
+		day := int32(analysis.Day(p.Meta.Start, rec.Start))
 		p.Hosts.AddIncoming(rec.DstIP, day, rec.SrcPort, rec.DstPort, rec.Proto, pkts)
 	}
 }

@@ -31,6 +31,12 @@ type eventAgg struct {
 // pass. Feed it records that fall inside merged event windows.
 type Aggregator struct {
 	events map[int]*eventAgg
+
+	// lastID/last memoize the event of the most recent Add; in-event
+	// records arrive in long same-event runs. last is nil after the map
+	// was replaced (UnmarshalBinary, RemapEvents).
+	lastID int
+	last   *eventAgg
 }
 
 // New returns an empty aggregator.
@@ -42,15 +48,19 @@ func New() *Aggregator {
 // originAS is the source's origin AS per the routing table (0 when
 // unresolvable, e.g. spoofed), handoverAS the ingress member.
 func (a *Aggregator) Add(eventID int, proto uint8, srcIP uint32, srcPort uint16, pkts int64, originAS, handoverAS uint32) {
-	ea := a.events[eventID]
-	if ea == nil {
-		ea = &eventAgg{
-			ampPkts:      make(map[uint16]int64),
-			originASes:   make(map[uint32]bool),
-			handoverASes: make(map[uint32]bool),
-			srcIPs:       *analysis.NewBoundedSet(4096),
+	ea := a.last
+	if ea == nil || eventID != a.lastID {
+		ea = a.events[eventID]
+		if ea == nil {
+			ea = &eventAgg{
+				ampPkts:      make(map[uint16]int64),
+				originASes:   make(map[uint32]bool),
+				handoverASes: make(map[uint32]bool),
+				srcIPs:       *analysis.NewBoundedSet(4096),
+			}
+			a.events[eventID] = ea
 		}
-		a.events[eventID] = ea
+		a.lastID, a.last = eventID, ea
 	}
 	switch proto {
 	case netgen.ProtoUDP:

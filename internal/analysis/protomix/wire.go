@@ -102,7 +102,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("protomix: %w", err)
 	}
-	a.events = events
+	a.events, a.last = events, nil
 	return nil
 }
 
@@ -124,6 +124,6 @@ func (a *Aggregator) RemapEvents(m map[int]int) error {
 			out[nid] = ea
 		}
 	}
-	a.events = out
+	a.events, a.last = out, nil
 	return nil
 }

@@ -33,6 +33,7 @@ type Aggregator struct {
 	// record, so each record contributes at most once to any offset.
 	starts, ends []float64
 	total        int64
+	eps          []events.EpisodeSpan
 	scratch      []span
 }
 
@@ -48,11 +49,33 @@ func New(ix *events.Index) *Aggregator {
 // can explain the drop: a host may be blackholed as a /32 at one time and
 // as part of a covering /24 at another. Overlapping explanations are
 // merged so that the likelihood stays a proper fraction.
+//
+// The episode bounds come from the cursor as unix nanoseconds, and an
+// offset is time.Duration(bound - t).Seconds(): for archive timestamps
+// that is the very integer Time.Sub forms before converting, so the
+// recorded float64s carry the bits the time.Time arithmetic would.
 func (a *Aggregator) AddDropped(dstIP uint32, t time.Time) {
 	a.total++
+	tn := t.UnixNano()
+	a.eps = a.cur.Episodes(a.eps[:0], dstIP, tn-int64(SearchRange), tn+int64(SearchRange))
 	a.scratch = a.scratch[:0]
-	for _, cand := range a.cur.Candidates(dstIP) {
-		a.collect(cand.Events, t)
+	for _, ep := range a.eps {
+		// Offsets delta with t+delta in [announce, withdraw).
+		dLo := time.Duration(ep.Ann - tn).Seconds()
+		dHi := time.Duration(ep.Wd - tn).Seconds()
+		if dLo < -SearchRange.Seconds() {
+			dLo = -SearchRange.Seconds()
+		}
+		// Clip the (exclusive) upper bound slightly beyond the search
+		// range so that an interval extending past the range still
+		// covers the range's edge grid point.
+		if dHi > SearchRange.Seconds() {
+			dHi = SearchRange.Seconds() + 1
+		}
+		if dHi <= dLo {
+			continue
+		}
+		a.scratch = append(a.scratch, span{lo: dLo, hi: dHi})
 	}
 	if len(a.scratch) == 0 {
 		return
@@ -79,44 +102,6 @@ func (a *Aggregator) AddDropped(dstIP uint32, t time.Time) {
 	}
 	a.starts = append(a.starts, cur.lo)
 	a.ends = append(a.ends, cur.hi)
-}
-
-func (a *Aggregator) collect(evs []*events.Event, t time.Time) {
-	lo := t.Add(-SearchRange)
-	hi := t.Add(SearchRange)
-	for _, e := range evs {
-		if e.Start().After(hi) {
-			break
-		}
-		if e.End(a.index.PeriodEnd()).Before(lo) {
-			continue
-		}
-		for _, ep := range e.Episodes {
-			wd := ep.Withdraw
-			if wd.IsZero() {
-				wd = a.index.PeriodEnd()
-			}
-			if ep.Announce.After(hi) || wd.Before(lo) {
-				continue
-			}
-			// Offsets delta with t+delta in [announce, wd).
-			dLo := ep.Announce.Sub(t).Seconds()
-			dHi := wd.Sub(t).Seconds()
-			if dLo < -SearchRange.Seconds() {
-				dLo = -SearchRange.Seconds()
-			}
-			// Clip the (exclusive) upper bound slightly beyond the search
-			// range so that an interval extending past the range still
-			// covers the range's edge grid point.
-			if dHi > SearchRange.Seconds() {
-				dHi = SearchRange.Seconds() + 1
-			}
-			if dHi <= dLo {
-				continue
-			}
-			a.scratch = append(a.scratch, span{lo: dLo, hi: dHi})
-		}
-	}
 }
 
 // Merge folds o's per-record offset intervals into a. The intervals of

@@ -24,33 +24,39 @@ type Entry struct {
 // Lookup; Add and Lookup may be interleaved. The zero value is empty and
 // usable.
 type Table struct {
-	byLen   [33]map[bgp.Prefix]uint32
-	entries int
+	// asn maps a packed prefix (see pkey) to its origin AS; integer keys
+	// take the runtime's specialized hash path, and Lookup runs once per
+	// amplification record of the streaming pass.
+	asn map[uint64]uint32
+	// lens lists the distinct prefix lengths present, descending, so a
+	// lookup probes only lengths that can match.
+	lens []uint8
 }
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
 
+func pkey(p bgp.Prefix) uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
+
 // Add inserts prefix -> asn, replacing any existing identical prefix.
 func (t *Table) Add(p bgp.Prefix, asn uint32) {
-	if t.byLen[p.Len] == nil {
-		t.byLen[p.Len] = make(map[bgp.Prefix]uint32)
+	if t.asn == nil {
+		t.asn = make(map[uint64]uint32)
 	}
-	if _, dup := t.byLen[p.Len][p]; !dup {
-		t.entries++
+	t.asn[pkey(p)] = asn
+	i := sort.Search(len(t.lens), func(i int) bool { return t.lens[i] <= p.Len })
+	if i == len(t.lens) || t.lens[i] != p.Len {
+		t.lens = append(t.lens, 0)
+		copy(t.lens[i+1:], t.lens[i:])
+		t.lens[i] = p.Len
 	}
-	t.byLen[p.Len][p] = asn
 }
 
 // Lookup returns the origin AS of the longest prefix covering addr, or
 // (0, false) when no prefix matches.
 func (t *Table) Lookup(addr uint32) (uint32, bool) {
-	for length := 32; length >= 0; length-- {
-		m := t.byLen[length]
-		if len(m) == 0 {
-			continue
-		}
-		if asn, ok := m[bgp.MakePrefix(addr, uint8(length))]; ok {
+	for _, l := range t.lens {
+		if asn, ok := t.asn[pkey(bgp.MakePrefix(addr, l))]; ok {
 			return asn, true
 		}
 	}
@@ -58,25 +64,20 @@ func (t *Table) Lookup(addr uint32) (uint32, bool) {
 }
 
 // Len returns the number of entries.
-func (t *Table) Len() int { return t.entries }
+func (t *Table) Len() int { return len(t.asn) }
 
 // Entries returns all entries sorted by (address, length).
 func (t *Table) Entries() []Entry {
-	var keys []bgp.Prefix
-	for length := 0; length <= 32; length++ {
-		for p := range t.byLen[length] {
-			keys = append(keys, p)
-		}
+	keys := make([]uint64, 0, len(t.asn))
+	for k := range t.asn {
+		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Addr != keys[j].Addr {
-			return keys[i].Addr < keys[j].Addr
-		}
-		return keys[i].Len < keys[j].Len
-	})
+	// The packed key orders by address, then length.
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := make([]Entry, len(keys))
-	for i, p := range keys {
-		out[i] = Entry{Prefix: p.String(), ASN: t.byLen[p.Len][p]}
+	for i, k := range keys {
+		p := bgp.Prefix{Addr: uint32(k >> 8), Len: uint8(k)}
+		out[i] = Entry{Prefix: p.String(), ASN: t.asn[k]}
 	}
 	return out
 }

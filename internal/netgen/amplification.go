@@ -55,13 +55,14 @@ var AmplificationProtocols = []AmpProtocol{
 	{Name: "Fragmentation", Port: 0, PacketSize: 1480, Weight: 2},
 }
 
-// ampPortSet indexes AmplificationProtocols by port for O(1) membership.
-var ampPortSet = func() map[uint16]bool {
-	m := make(map[uint16]bool, len(AmplificationProtocols))
+// ampPortSet indexes AmplificationProtocols by port: one bit per port.
+// The analysis asks for every in-event record, several times over, so
+// membership is an array read rather than a hash probe.
+var ampPortSet = func() (set [1 << 16 / 64]uint64) {
 	for _, p := range AmplificationProtocols {
-		m[p.Port] = true
+		set[p.Port>>6] |= 1 << (p.Port & 63)
 	}
-	return m
+	return set
 }()
 
 // IsAmplificationPort reports whether a UDP source port belongs to a known
@@ -69,7 +70,7 @@ var ampPortSet = func() map[uint16]bool {
 // service port as *source* port (the reflector answers the victim), which
 // is what port-list filtering matches on (§5.5, Fig 14).
 func IsAmplificationPort(proto uint8, srcPort uint16) bool {
-	return proto == ProtoUDP && ampPortSet[srcPort]
+	return proto == ProtoUDP && ampPortSet[srcPort>>6]&(1<<(srcPort&63)) != 0
 }
 
 // AmpProtocolByPort returns the catalog entry for a port.

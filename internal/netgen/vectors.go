@@ -180,7 +180,7 @@ func (v *RandomPortUDPVector) Batches(dst []fabric.Batch, start time.Time, dur t
 				// genuinely unfilterable by the port list.
 				for {
 					src := EphemeralPort(r)
-					if !ampPortSet[src] {
+					if !IsAmplificationPort(ProtoUDP, src) {
 						return src, uint16(r.Intn(65536))
 					}
 				}

@@ -280,12 +280,13 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	// tail is always exactly the arrival order — the order the batch
 	// pipeline would observe.
 	cutoff := w.Add(-sealHorizon)
-	sealed := 0
-	for a.head < len(pend) && pend[a.head].Start.Before(cutoff) {
-		a.ops.Observe(&pend[a.head])
-		a.head++
-		sealed++
+	end := a.head
+	for end < len(pend) && pend[end].Start.Before(cutoff) {
+		end++
 	}
+	sealed := end - a.head
+	a.ops.ObserveRecords(pend[a.head:end])
+	a.head = end
 
 	if m := a.metrics; m != nil {
 		if sealed > 0 {
@@ -316,9 +317,7 @@ func (a *OnlineAnalyzer) frozen() *pipeline.Pipeline {
 	a.advanceLocked()
 	_, _, pend, _ := a.ingestView()
 	clone := a.ops.Clone()
-	for i := a.head; i < len(pend); i++ {
-		clone.Observe(&pend[i])
-	}
+	clone.ObserveRecords(pend[a.head:])
 	return clone
 }
 
