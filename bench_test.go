@@ -585,10 +585,12 @@ func BenchmarkAnalyzeFull(b *testing.B) {
 // snapshot against a cold batch re-analysis of the same streams, at two
 // stream lengths with the event population held fixed. Everything past
 // the ~73h seal horizon is folded into compact operator state and the
-// raw records released, so a snapshot clones that state and replays
-// only the horizon-sized tail: doubling the stream length roughly
-// doubles the cold cost while the incremental cost stays flat —
-// sub-linear in total stream length. retained_records (vs
+// raw records released, so a snapshot shares that state with a clone
+// (copy-on-write: only the map of each keyed store is copied) and
+// replays only the horizon-sized tail through it, with batch gates:
+// doubling the stream length roughly doubles the cold cost while the
+// incremental cost grows only by the longer control stream and the
+// larger maps — sub-linear in total stream length. retained_records (vs
 // total_records) is the steady-state memory bound, which depends on the
 // horizon, not on how long the run has streamed.
 func BenchmarkOnlineSnapshot(b *testing.B) {

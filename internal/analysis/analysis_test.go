@@ -9,6 +9,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/ipfix"
 	"repro/internal/mrt"
+	"repro/internal/stats"
 )
 
 func TestSlotHelpers(t *testing.T) {
@@ -181,6 +182,74 @@ func TestBoundedSetNeverUndercounts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deepCloneSet is the reference model for BoundedSet.Clone: the copy of
+// the key array that Clone made before the array became shared.
+func deepCloneSet(s *BoundedSet) BoundedSet {
+	return BoundedSet{keys: append([]uint64(nil), s.keys...), saturated: s.saturated, cap: s.cap}
+}
+
+// TestBoundedSetCloneMatchesDeepCopy walks seeded random sequences of Add,
+// Clone (of originals and of clones), Merge and drop over a population of
+// sets that share key arrays, each mirrored by a set that shares nothing.
+// Every set must encode like its mirror after every step — including the
+// steps at which a set fills up and saturates while the sets it shares an
+// array with do not.
+func TestBoundedSetCloneMatchesDeepCopy(t *testing.T) {
+	type pair struct{ shared, deep BoundedSet }
+	encode := func(s *BoundedSet) []byte {
+		w := NewWireWriter()
+		s.EncodeWire(w)
+		return w.Bytes()
+	}
+	oneSided := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := stats.NewRNG(seed)
+		live := []*pair{{*NewBoundedSet(8), *NewBoundedSet(8)}}
+		for step := 0; step < 400; step++ {
+			p := live[r.Intn(len(live))]
+			switch k := r.Intn(8); {
+			case k < 4:
+				key := uint64(r.Intn(24))
+				p.shared.Add(key)
+				p.deep.Add(key)
+			case k < 6:
+				live = append(live, &pair{p.shared.Clone(), deepCloneSet(&p.deep)})
+			case k == 6:
+				o := live[r.Intn(len(live))]
+				if o != p {
+					c, d := o.shared.Clone(), deepCloneSet(&o.deep)
+					p.shared.Merge(&c)
+					p.deep.Merge(&d)
+				}
+			case len(live) > 1:
+				i := r.Intn(len(live))
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if len(live) > 8 {
+				live = live[1:]
+			}
+			exact, saturated := 0, 0
+			for i, q := range live {
+				if !bytes.Equal(encode(&q.shared), encode(&q.deep)) {
+					t.Fatalf("seed %d step %d: set %d of %d diverges from its deep copy", seed, step, i, len(live))
+				}
+				if q.shared.Exact() {
+					exact++
+				} else {
+					saturated++
+				}
+			}
+			if exact > 0 && saturated > 0 {
+				oneSided++
+			}
+		}
+	}
+	if oneSided == 0 {
+		t.Fatal("no step had a saturated and an exact set side by side")
 	}
 }
 

@@ -10,6 +10,7 @@ package anomaly
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -76,8 +77,11 @@ type slotKey struct {
 }
 
 // slotFeat accumulates one slot's features; unique counts are bounded
-// (saturation happens far above any detection threshold).
+// (saturation happens far above any detection threshold). It is the unit
+// of copy-on-write sharing between an aggregator and its snapshots: owner
+// names the aggregator that may write it in place.
 type slotFeat struct {
+	owner    analysis.Stamp
 	packets  uint32
 	nonTCP   uint32
 	flows    analysis.BoundedSet
@@ -90,18 +94,42 @@ type slotFeat struct {
 // (pre-window or event window); everything else is wasted memory.
 type Aggregator struct {
 	slots map[slotKey]*slotFeat
+	cow   analysis.Cow
 
 	// lastKey/last memoize the slot of the most recent Add: the records of
 	// one traffic batch land in the same (prefix, five-minute slot), so the
-	// struct-keyed probe runs once per run. last is nil after the map was
-	// replaced (UnmarshalBinary).
+	// struct-keyed probe runs once per run. The memoised slot is always one
+	// the aggregator owns: last is nil after a Snapshot and after the map
+	// was replaced (UnmarshalBinary).
 	lastKey slotKey
 	last    *slotFeat
 }
 
 // New returns an empty aggregator.
 func New() *Aggregator {
-	return &Aggregator{slots: make(map[slotKey]*slotFeat)}
+	return &Aggregator{slots: make(map[slotKey]*slotFeat), cow: analysis.NewCow()}
+}
+
+// own returns key's slot for writing: created if absent, copied first if
+// it is shared with another aggregator.
+func (a *Aggregator) own(key slotKey) *slotFeat {
+	sf := a.slots[key]
+	switch {
+	case sf == nil:
+		sf = &slotFeat{owner: a.cow.Stamp()}
+		a.slots[key] = sf
+	case !a.cow.Owns(sf.owner):
+		sf = &slotFeat{
+			owner:    a.cow.Copied(),
+			packets:  sf.packets,
+			nonTCP:   sf.nonTCP,
+			flows:    sf.flows.Clone(),
+			srcIPs:   sf.srcIPs.Clone(),
+			dstPorts: sf.dstPorts.Clone(),
+		}
+		a.slots[key] = sf
+	}
+	return sf
 }
 
 // Add accumulates one sampled packet into the feature slot of prefix.
@@ -109,11 +137,7 @@ func (a *Aggregator) Add(prefix bgp.Prefix, t time.Time, srcIP uint32, srcPort, 
 	key := slotKey{prefix: prefix, slot: analysis.Slot(t)}
 	sf := a.last
 	if sf == nil || key != a.lastKey {
-		sf = a.slots[key]
-		if sf == nil {
-			sf = &slotFeat{}
-			a.slots[key] = sf
-		}
+		sf = a.own(key)
 		a.lastKey, a.last = key, sf
 	}
 	sf.packets += uint32(pkts)
@@ -133,14 +157,15 @@ func (a *Aggregator) Slots() int { return len(a.slots) }
 // their bounded distinct sets. The parallel pipeline shards records so
 // that all samples of one (prefix, slot) land in one shard, making the
 // merged state identical to a sequential pass. o must not be used
-// afterwards.
+// afterwards. An adopted slot keeps the stamp it came with, so a copies it
+// before its first write.
 func (a *Aggregator) Merge(o *Aggregator) {
 	for k, osf := range o.slots {
-		sf := a.slots[k]
-		if sf == nil {
+		if a.slots[k] == nil {
 			a.slots[k] = osf
 			continue
 		}
+		sf := a.own(k)
 		sf.packets += osf.packets
 		sf.nonTCP += osf.nonTCP
 		sf.flows.Merge(&osf.flows)
@@ -149,22 +174,19 @@ func (a *Aggregator) Merge(o *Aggregator) {
 	}
 }
 
-// Snapshot returns an independent deep copy of the aggregator; further
-// Adds on either side do not affect the other (Operator contract in
-// internal/analysis).
+// Snapshot returns an independent copy of the aggregator; further Adds on
+// either side do not affect the other (Operator contract in
+// internal/analysis). Only the slot map is copied: the slots stay shared
+// until one side writes them (analysis.Cow), and a five-minute slot the
+// stream has moved past is never written again.
 func (a *Aggregator) Snapshot() *Aggregator {
-	s := New()
-	for k, sf := range a.slots {
-		s.slots[k] = &slotFeat{
-			packets:  sf.packets,
-			nonTCP:   sf.nonTCP,
-			flows:    sf.flows.Clone(),
-			srcIPs:   sf.srcIPs.Clone(),
-			dstPorts: sf.dstPorts.Clone(),
-		}
-	}
-	return s
+	a.last = nil
+	return &Aggregator{slots: maps.Clone(a.slots), cow: a.cow.Fork()}
 }
+
+// CowCopies returns how many slots the aggregator has copied on first
+// write after a Snapshot or Merge.
+func (a *Aggregator) CowCopies() int64 { return a.cow.Copies() }
 
 // features returns the five feature values of a populated slot.
 func (sf *slotFeat) features() [NumFeatures]float64 {

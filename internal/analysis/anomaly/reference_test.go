@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/cowtest"
 	aevents "repro/internal/analysis/events"
 	"repro/internal/bgp"
 	"repro/internal/stats"
@@ -294,5 +295,52 @@ func requireSameVerdicts(t *testing.T, name string, got, want []Verdict) {
 		if !same {
 			t.Fatalf("%s: verdict %d differs:\nsparse %+v\ndense  %+v", name, i, got[i], want[i])
 		}
+	}
+}
+
+// deepSnapshot is the reference model for Snapshot: the copy of every
+// slot and key array that Snapshot made before slots became shared between
+// an aggregator and its snapshots. (A fresh set merged with a set is that
+// set: the keys in their order, then the saturated tail.)
+func deepSnapshot(a *Aggregator) *Aggregator {
+	s := New()
+	for k, sf := range a.slots {
+		c := &slotFeat{owner: s.cow.Stamp(), packets: sf.packets, nonTCP: sf.nonTCP}
+		c.flows.Merge(&sf.flows)
+		c.srcIPs.Merge(&sf.srcIPs)
+		c.dstPorts.Merge(&sf.dstPorts)
+		s.slots[k] = c
+	}
+	return s
+}
+
+// TestSnapshotMatchesDeepCopy drives the aggregator and the deep-copy
+// reference through the same random Add / Snapshot / Merge /
+// UnmarshalBinary sequences (cowtest.Run). Two prefixes over four slots,
+// one slot taking half of the samples, with sources and ports drawn from
+// twice the 32-key capacity of the distinct sets: the hot slot saturates
+// on the stores that live long and stays exact on fresh branches, and
+// merges cross the saturation point.
+func TestSnapshotMatchesDeepCopy(t *testing.T) {
+	base := time.Date(2019, 4, 1, 0, 0, 0, 0, time.UTC)
+	c := cowtest.Case[*Aggregator]{
+		New:  New,
+		Deep: deepSnapshot,
+		Add: func(a *Aggregator, x uint64) {
+			prefix, slot := bgp.MakePrefix(0x0a000000, 24), uint64(0)
+			if x&1 == 0 {
+				prefix, slot = bgp.MakePrefix(0x0a000000+uint32(x>>1%2)<<8, 24), x>>2%4
+			}
+			at := base.Add(time.Duration(slot) * analysis.SlotDuration)
+			proto := uint8(6)
+			if x>>5&1 == 0 {
+				proto = 17
+			}
+			a.Add(prefix, at, 0xc0a80000+uint32(x>>8%64), uint16(x>>16%8), uint16(x>>24%64), proto, int64(1+x>>40%3))
+		},
+		Copies: (*Aggregator).CowCopies,
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { cowtest.Run(t, seed, 250, c) })
 	}
 }

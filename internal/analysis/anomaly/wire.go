@@ -64,6 +64,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		k.prefix = bgp.MakePrefix(addr, plen)
 		k.slot = r.Varint()
 		sf := &slotFeat{
+			owner:   a.cow.Stamp(),
 			packets: r.U32(),
 			nonTCP:  r.U32(),
 		}

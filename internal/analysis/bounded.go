@@ -68,11 +68,15 @@ func (s *BoundedSet) Merge(o *BoundedSet) {
 func (s *BoundedSet) Exact() bool { return s.saturated == 0 }
 
 // Clone returns an independent copy of the set: further Adds on either
-// side do not affect the other. Used by the copy-on-snapshot path of the
-// incremental operators (see the Operator contract in this package).
+// side do not affect the other. The key array is shared, not copied — the
+// set is append-only (no key is ever rewritten or removed), and the copy's
+// capacity is cut to its length, so its next append reallocates while the
+// original's lands past everything the copy can see. That makes copying a
+// sub-aggregate on its first write after a snapshot (see Cow) cost a few
+// words per set.
 func (s *BoundedSet) Clone() BoundedSet {
 	return BoundedSet{
-		keys:      append([]uint64(nil), s.keys...),
+		keys:      s.keys[:len(s.keys):len(s.keys)],
 		saturated: s.saturated,
 		cap:       s.cap,
 	}

@@ -7,9 +7,11 @@
 package collateral
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/hosts"
 )
 
@@ -131,12 +133,18 @@ func (a *Aggregator) AddCounts(eventID int, dstIP uint32, portKey uint32, all, d
 // destination ports), so the store is built for insertion: one flat
 // open-addressed table per event, one find-or-insert per Add, no per-cell
 // allocation and no pointers for the collector to trace.
+//
+// An event's table is the unit of copy-on-write sharing between a store
+// and its snapshots (analysis.Cow): every path that writes a table — Add,
+// Merge, RemapEvents — reaches it through own.
 type Pending struct {
 	tables map[int]*table
 	n      int
+	cow    analysis.Cow
 
 	// lastID/last memoize the table of the most recent Add; attributed
-	// records arrive in long same-event runs.
+	// records arrive in long same-event runs. The memoised table is always
+	// one the store owns: Snapshot drops the memo.
 	lastID int
 	last   *table
 }
@@ -155,6 +163,7 @@ type cell struct {
 // state on the 1M-record benchmark world, and retained state is what
 // this store exists to keep small.)
 type table struct {
+	owner   analysis.Stamp
 	slots   []cell
 	shift   uint // 64 - log2(len(slots)): the hash's top bits index slots
 	n       int  // cells held, zero included
@@ -166,8 +175,15 @@ type table struct {
 // a handful of cells.
 const minTableSlots = 8
 
-func newTable() *table {
-	return &table{slots: make([]cell, minTableSlots), shift: 64 - 3}
+func newTable(owner analysis.Stamp) *table {
+	return &table{owner: owner, slots: make([]cell, minTableSlots), shift: 64 - 3}
+}
+
+// clone copies the table for a new owner: one slice copy.
+func (t *table) clone(owner analysis.Stamp) *table {
+	c := *t
+	c.owner, c.slots = owner, slices.Clone(t.slots)
+	return &c
 }
 
 // home is the slot key's probe sequence starts at. Fibonacci hashing:
@@ -243,7 +259,7 @@ func (t *table) absorb(o *table) {
 
 // NewPending returns an empty pending store.
 func NewPending() *Pending {
-	return &Pending{tables: make(map[int]*table)}
+	return &Pending{tables: make(map[int]*table), cow: analysis.NewCow()}
 }
 
 // cellKey packs (dstIP, proto, dstPort) into the cell key.
@@ -251,15 +267,26 @@ func cellKey(dstIP uint32, dstPort uint16, proto uint8) uint64 {
 	return uint64(dstIP)<<32 | uint64(proto)<<16 | uint64(dstPort)
 }
 
+// own returns eventID's table for writing: created if absent, copied
+// first if it is shared with another store.
+func (p *Pending) own(eventID int) *table {
+	t := p.tables[eventID]
+	switch {
+	case t == nil:
+		t = newTable(p.cow.Stamp())
+		p.tables[eventID] = t
+	case !p.cow.Owns(t.owner):
+		t = t.clone(p.cow.Copied())
+		p.tables[eventID] = t
+	}
+	return t
+}
+
 // cell returns the tally cell of (eventID, key), creating it if absent.
 func (p *Pending) cell(eventID int, key uint64) *cell {
 	t := p.last
 	if t == nil || p.lastID != eventID {
-		t = p.tables[eventID]
-		if t == nil {
-			t = newTable()
-			p.tables[eventID] = t
-		}
+		t = p.own(eventID)
 		p.lastID, p.last = eventID, t
 	}
 	held := t.n
@@ -279,14 +306,15 @@ func (p *Pending) Add(eventID int, dstIP uint32, dstPort uint16, proto uint8, dr
 }
 
 // fold merges a whole table into event id: adopted as is when p holds
-// none for id, summed cell by cell otherwise.
+// none for id (under the stamp it came with, so p copies it before its
+// first write), summed cell by cell otherwise.
 func (p *Pending) fold(id int, t *table) {
-	dst := p.tables[id]
-	if dst == nil {
+	if p.tables[id] == nil {
 		p.tables[id] = t
 		p.n += t.n
 		return
 	}
+	dst := p.own(id)
 	held := dst.n
 	dst.absorb(t)
 	p.n += dst.n - held
@@ -301,17 +329,18 @@ func (p *Pending) Merge(o *Pending) {
 	}
 }
 
-// Snapshot returns an independent deep copy (Operator contract in
-// internal/analysis): one slice copy per event.
+// Snapshot returns an independent copy (Operator contract in
+// internal/analysis). Only the event map is copied: the tables stay
+// shared until one side writes them (analysis.Cow), which for a closed
+// event is never.
 func (p *Pending) Snapshot() *Pending {
-	s := &Pending{tables: make(map[int]*table, len(p.tables)), n: p.n}
-	for id, t := range p.tables {
-		cp := *t
-		cp.slots = slices.Clone(t.slots)
-		s.tables[id] = &cp
-	}
-	return s
+	p.last = nil
+	return &Pending{tables: maps.Clone(p.tables), n: p.n, cow: p.cow.Fork()}
 }
+
+// CowCopies returns how many tables the store has copied on first write
+// after a Snapshot or Merge.
+func (p *Pending) CowCopies() int64 { return p.cow.Copies() }
 
 // Len returns the number of tally cells retained.
 func (p *Pending) Len() int { return p.n }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/cowtest"
 	"repro/internal/analysis/hosts"
 	"repro/internal/stats"
 )
@@ -270,5 +272,62 @@ func TestPendingMatchesMapReference(t *testing.T) {
 				t.Fatal("RemapEvents accepted an unmapped event")
 			}
 		})
+	}
+}
+
+// deepSnapshot is the reference model for Pending.Snapshot: the slice copy
+// per event that Snapshot made before tables became shared between a store
+// and its snapshots.
+func deepSnapshot(p *Pending) *Pending {
+	s := NewPending()
+	s.n = p.n
+	for id, t := range p.tables {
+		cp := *t
+		cp.owner, cp.slots = s.cow.Stamp(), slices.Clone(t.slots)
+		s.tables[id] = &cp
+	}
+	return s
+}
+
+// TestPendingSnapshotMatchesDeepCopy drives the store and the deep-copy
+// reference through the same random Add / Snapshot / Merge /
+// UnmarshalBinary / RemapEvents sequences (cowtest.Run). Six events, one
+// taking half of the cells so that its table keeps doubling while shared;
+// the remaps permute the event IDs or fold pairs of them onto one, so
+// adopted tables are absorbed into and written afterwards.
+func TestPendingSnapshotMatchesDeepCopy(t *testing.T) {
+	const events = 6
+	remap := func(p *Pending, x uint64) {
+		m := make(map[int]int, events)
+		for id := 0; id < events; id++ {
+			if x&1 == 0 {
+				m[id] = (id + int(x>>1%events)) % events
+			} else {
+				m[id] = id / 2
+			}
+		}
+		if err := p.RemapEvents(m); err != nil {
+			panic(err)
+		}
+	}
+	c := cowtest.Case[*Pending]{
+		New:  NewPending,
+		Deep: deepSnapshot,
+		Add: func(p *Pending, x uint64) {
+			id := events - 1
+			if x&1 == 0 {
+				id = int(x >> 1 % events)
+			}
+			ip := uint32(x >> 8 % 16)
+			if x>>4&3 == 0 {
+				ip = uint32(x >> 8) // a new cell nearly every time
+			}
+			p.Add(id, ip, uint16(x>>40%4), uint8(x>>42%2), x>>5&1 == 0, int64(x>>44%20))
+		},
+		Rewrites: []func(*Pending, uint64){remap},
+		Copies:   (*Pending).CowCopies,
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { cowtest.Run(t, seed, 250, c) })
 	}
 }

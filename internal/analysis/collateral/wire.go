@@ -151,10 +151,10 @@ func (p *Pending) RemapEvents(m map[int]int) error {
 			return fmt.Errorf("collateral: pending: no mapping for event %d", id)
 		}
 	}
-	out := NewPending()
-	for id, t := range p.tables {
-		out.fold(m[id], t)
+	tables := p.tables
+	p.tables, p.n, p.last = make(map[int]*table, len(tables)), 0, nil
+	for id, t := range tables {
+		p.fold(m[id], t)
 	}
-	*p = *out
 	return nil
 }

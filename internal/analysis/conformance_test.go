@@ -9,6 +9,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/anomaly"
 	"repro/internal/analysis/collateral"
+	"repro/internal/analysis/cowtest"
 	"repro/internal/analysis/dropstats"
 	"repro/internal/analysis/events"
 	"repro/internal/analysis/hosts"
@@ -26,8 +27,11 @@ import (
 //	(a) merging over any split of the observation stream produces the
 //	    same state as a sequential pass (parallel shards, federation);
 //	(b) Merge is associative across three-way splits (merge trees);
-//	(c) Snapshot is a deep copy — neither side sees the other's
-//	    subsequent observations (copy-on-snapshot in the online path);
+//	(c) Snapshot is an independent copy — neither side sees the other's
+//	    subsequent observations (copy-on-snapshot in the online path),
+//	    however many snapshots, snapshots of snapshots and merges of
+//	    snapshots are alive at once (three operators share state with
+//	    their snapshots until one side writes it; analysis.Cow);
 //	(d) the wire codec round-trips: Marshal → Unmarshal → Marshal is
 //	    byte-identical (federation snapshots are state fingerprints).
 //
@@ -199,6 +203,7 @@ func timealignCase() operatorCase {
 			if err := d.UnmarshalBinary(data); err != nil {
 				return nil, err
 			}
+			d.Rebind(ix) // decoding leaves the index unbound
 			return wrap(d), nil
 		}
 		return h
@@ -492,6 +497,52 @@ func TestOperatorSnapshotIsolation(t *testing.T) {
 			feedRange(seq, 0, c.stream)
 			if got := mustMarshal(t, seq); !bytes.Equal(got, full) {
 				t.Error("original diverged after its snapshot observed independently")
+			}
+		})
+	}
+}
+
+// The handle as a cowtest.Store. UnmarshalBinary rebinds the handle to a
+// freshly decoded operator.
+func (h *handle) Merge(o *handle)                { h.merge(o) }
+func (h *handle) Snapshot() *handle              { return h.snapshot() }
+func (h *handle) MarshalBinary() ([]byte, error) { return h.marshal() }
+func (h *handle) UnmarshalBinary(data []byte) error {
+	d, err := h.unmarshal(data)
+	if err == nil {
+		*h = *d
+	}
+	return err
+}
+
+// TestOperatorSnapshotSequences: property (c) over whole populations. A
+// single snapshot survives most ownership bugs of a store that shares
+// state with its snapshots, so every operator also walks cowtest's random
+// sequences — interleaved observations on an original and several live
+// snapshots, snapshots of snapshots, merges of and into snapshotted
+// stores, decoding over a snapshotted store — against a reference whose
+// copies go through the wire codec and therefore share nothing. (The
+// streams stay below every bounded structure's capacity, where a decoded
+// copy behaves exactly like the state it was encoded from. The three
+// sharing operators are driven past capacity, and through Filter and
+// RemapEvents, against their in-memory deep-copy models in their own
+// packages: TestSnapshotMatchesDeepCopy, TestPendingSnapshotMatchesDeepCopy.)
+func TestOperatorSnapshotSequences(t *testing.T) {
+	for _, c := range operatorCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 2; seed++ {
+				cowtest.Run(t, seed, 150, cowtest.Case[*handle]{
+					New: c.fresh,
+					Deep: func(h *handle) *handle {
+						d, err := h.unmarshal(mustMarshal(t, h))
+						if err != nil {
+							t.Fatalf("unmarshal: %v", err)
+						}
+						return d
+					},
+					Add: func(h *handle, x uint64) { h.feed(int(x % uint64(c.stream))) },
+				})
 			}
 		})
 	}

@@ -135,8 +135,13 @@ func NewIndex(evs []*Event, periodEnd time.Time) *Index {
 }
 
 // EverBlackholed returns the longest blackhole prefix covering ip, if any
-// event ever targeted one.
+// event ever targeted one. Compose asks this of every speculative
+// candidate (hosts, unattributed pairs), nearly all of which sit in a /16
+// no blackhole touches: cover16 answers those without a probe.
 func (ix *Index) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
+	if !ix.covered16(ip) {
+		return bgp.Prefix{}, false
+	}
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
 		if _, ok := ix.byPrefix[pkey(p)]; ok {

@@ -136,9 +136,23 @@ func edgeProbes(r *stats.RNG, prefixes []bgp.Prefix) []uint32 {
 	return ips
 }
 
+// everBlackholedUnfiltered is the reference model for EverBlackholed, on
+// the Index and through the Cursor: one map probe per prefix length
+// present, longest first, with no /16 cover filter in front.
+func everBlackholedUnfiltered(ix *Index, ip uint32) (bgp.Prefix, bool) {
+	for _, l := range ix.lengths {
+		p := bgp.MakePrefix(ip, l)
+		if _, ok := ix.byPrefix[pkey(p)]; ok {
+			return p, true
+		}
+	}
+	return bgp.Prefix{}, false
+}
+
 // TestCursorMatchesIndexWithPrefilter pins the Cursor — the /16 cover
 // filter in front of its probes included — to the Index methods of the
-// same name, which probe every prefix length unfiltered: over blackholes
+// same name, which probe every prefix length unfiltered (EverBlackholed,
+// filtered on the Index too, to the unfiltered model above): over blackholes
 // from /32 down to /8, /12 and /0, on every filter edge, with the memo
 // carried from probe to probe, and again after the cursor is rebound to
 // an index rebuilt over a grown update stream (what Pipeline.Rebind does
@@ -165,9 +179,12 @@ func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 		for probe := 0; probe < 4*len(ips); probe++ {
 			ip := ips[r.Intn(len(ips))]
 			at := base.Add(time.Duration(r.Intn(100*24*3600)) * time.Second)
-			wantP, wantOK := ix.EverBlackholed(ip)
+			wantP, wantOK := everBlackholedUnfiltered(ix, ip)
 			if gotP, gotOK := cur.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
-				t.Fatalf("EverBlackholed(%08x) = %v, %v; index says %v, %v", ip, gotP, gotOK, wantP, wantOK)
+				t.Fatalf("Cursor.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
+			}
+			if gotP, gotOK := ix.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
+				t.Fatalf("Index.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
 			}
 			if got, want := cur.Lookup(ip, at), ix.Lookup(ip, at); got != want {
 				t.Fatalf("Lookup(%08x, %v) = %+v; index says %+v", ip, at, got, want)

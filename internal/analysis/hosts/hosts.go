@@ -6,6 +6,7 @@
 package hosts
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/analysis"
@@ -60,9 +61,12 @@ type dayAgg struct {
 	inTop         *analysis.TopCounter // (proto<<16|port) -> packets
 }
 
-// hostAgg accumulates one host's legitimate traffic.
+// hostAgg accumulates one host's legitimate traffic. It is the unit of
+// copy-on-write sharing between an aggregator and its snapshots: owner
+// names the aggregator that may write it (days included) in place.
 type hostAgg struct {
-	days map[int32]*dayAgg
+	owner analysis.Stamp
+	days  map[int32]*dayAgg
 	// period-level distinct port sets for the four RadViz features.
 	feat [NumFeatures]analysis.BoundedSet
 }
@@ -72,25 +76,49 @@ type hostAgg struct {
 // reaction buffer), for addresses inside ever-blackholed prefixes.
 type Aggregator struct {
 	hosts map[uint32]*hostAgg
+	cow   analysis.Cow
 }
 
 // New returns an empty aggregator.
 func New() *Aggregator {
-	return &Aggregator{hosts: make(map[uint32]*hostAgg)}
+	return &Aggregator{hosts: make(map[uint32]*hostAgg), cow: analysis.NewCow()}
 }
 
 const featCap = 512
 
+// host returns ip's aggregate for writing: created if absent, copied
+// first if it is shared with another aggregator.
 func (a *Aggregator) host(ip uint32) *hostAgg {
 	h := a.hosts[ip]
-	if h == nil {
-		h = &hostAgg{days: make(map[int32]*dayAgg)}
+	switch {
+	case h == nil:
+		h = &hostAgg{owner: a.cow.Stamp(), days: make(map[int32]*dayAgg)}
 		for i := range h.feat {
 			h.feat[i] = *analysis.NewBoundedSet(featCap)
 		}
 		a.hosts[ip] = h
+	case !a.cow.Owns(h.owner):
+		h = h.clone(a.cow.Copied())
+		a.hosts[ip] = h
 	}
 	return h
+}
+
+// clone copies the host for a new owner: its days in full (their counters
+// are updated in place), its feature sets by BoundedSet.Clone.
+func (h *hostAgg) clone(owner analysis.Stamp) *hostAgg {
+	c := &hostAgg{owner: owner, days: make(map[int32]*dayAgg, len(h.days))}
+	for d, da := range h.days {
+		c.days[d] = da.clone()
+	}
+	for f := range h.feat {
+		c.feat[f] = h.feat[f].Clone()
+	}
+	return c
+}
+
+func (da *dayAgg) clone() *dayAgg {
+	return &dayAgg{hasIn: da.hasIn, hasOut: da.hasOut, inTop: da.inTop.Clone()}
 }
 
 func (h *hostAgg) day(d int32) *dayAgg {
@@ -126,16 +154,24 @@ func (a *Aggregator) AddOutgoing(ip uint32, d int32, srcPort, dstPort uint16, pr
 // sets. The parallel pipeline shards records by host address so that all
 // traffic of one host lands in one shard, making the merged state
 // identical to a sequential pass. o must not be used afterwards.
+//
+// An adopted host keeps the stamp it came with, so a copies it before its
+// first write; a day moves into a host of a's only when o alone held it,
+// and is copied otherwise (o's snapshots still read it).
 func (a *Aggregator) Merge(o *Aggregator) {
 	for ip, oh := range o.hosts {
-		h := a.hosts[ip]
-		if h == nil {
+		if a.hosts[ip] == nil {
 			a.hosts[ip] = oh
 			continue
 		}
+		h := a.host(ip)
+		exclusive := o.cow.Owns(oh.owner)
 		for d, oda := range oh.days {
 			da := h.days[d]
 			if da == nil {
+				if !exclusive {
+					oda = oda.clone()
+				}
 				h.days[d] = oda
 				continue
 			}
@@ -149,23 +185,17 @@ func (a *Aggregator) Merge(o *Aggregator) {
 	}
 }
 
-// Snapshot returns an independent deep copy of the aggregator; further
-// Adds on either side do not affect the other (Operator contract in
-// internal/analysis).
+// Snapshot returns an independent copy of the aggregator; further Adds on
+// either side do not affect the other (Operator contract in
+// internal/analysis). Only the host map is copied: the hosts themselves
+// stay shared until one side writes them (analysis.Cow).
 func (a *Aggregator) Snapshot() *Aggregator {
-	s := New()
-	for ip, h := range a.hosts {
-		ch := &hostAgg{days: make(map[int32]*dayAgg, len(h.days))}
-		for d, da := range h.days {
-			ch.days[d] = &dayAgg{hasIn: da.hasIn, hasOut: da.hasOut, inTop: da.inTop.Clone()}
-		}
-		for f := range h.feat {
-			ch.feat[f] = h.feat[f].Clone()
-		}
-		s.hosts[ip] = ch
-	}
-	return s
+	return &Aggregator{hosts: maps.Clone(a.hosts), cow: a.cow.Fork()}
 }
+
+// CowCopies returns how many hosts the aggregator has copied on first
+// write after a Snapshot or Merge.
+func (a *Aggregator) CowCopies() int64 { return a.cow.Copies() }
 
 // Profile is the per-host analysis outcome.
 type Profile struct {
@@ -202,10 +232,11 @@ func (a *Aggregator) Profiles(minActiveDays int) []Profile {
 func (a *Aggregator) ProfilesFunc(minActiveDays int, keep func(ip uint32) bool) []Profile {
 	var out []Profile
 	for ip, h := range a.hosts {
-		if keep != nil && !keep(ip) {
+		active := h.activeDays(minActiveDays)
+		if active < minActiveDays || (keep != nil && !keep(ip)) {
 			continue
 		}
-		p := Profile{IP: ip}
+		p := Profile{IP: ip, ActiveDays: active}
 		inDays := 0
 		topSet := map[uint32]bool{}
 		for _, da := range h.days {
@@ -215,12 +246,6 @@ func (a *Aggregator) ProfilesFunc(minActiveDays int, keep func(ip uint32) bool) 
 					topSet[key] = true
 				}
 			}
-			if da.hasIn && da.hasOut {
-				p.ActiveDays++
-			}
-		}
-		if p.ActiveDays < minActiveDays {
-			continue
 		}
 		for f := range p.Features {
 			p.Features[f] = float64(h.feat[f].Count())
@@ -241,6 +266,24 @@ func (a *Aggregator) ProfilesFunc(minActiveDays int, keep func(ip uint32) bool) 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
 	return out
+}
+
+// activeDays counts the days with both incoming and outgoing traffic, or
+// returns 0 without looking when the host has fewer than atLeast days at
+// all. Both compose filters call it before their keep predicate: the day
+// count rejects nearly every speculative candidate (most were seen on one
+// day), while keep costs a map probe per prefix length.
+func (h *hostAgg) activeDays(atLeast int) int {
+	if len(h.days) < atLeast {
+		return 0
+	}
+	n := 0
+	for _, da := range h.days {
+		if da.hasIn && da.hasOut {
+			n++
+		}
+	}
+	return n
 }
 
 // Hosts returns the number of distinct profiled addresses (before the

@@ -34,16 +34,7 @@ func (a *Aggregator) WhitelistCoverage(minActiveDays int) []Coverage {
 func (a *Aggregator) WhitelistCoverageFunc(minActiveDays int, keep func(ip uint32) bool) []Coverage {
 	var out []Coverage
 	for ip, h := range a.hosts {
-		if keep != nil && !keep(ip) {
-			continue
-		}
-		active := 0
-		for _, da := range h.days {
-			if da.hasIn && da.hasOut {
-				active++
-			}
-		}
-		if active < minActiveDays {
+		if h.activeDays(minActiveDays) < minActiveDays || (keep != nil && !keep(ip)) {
 			continue
 		}
 		days := make([]int32, 0, len(h.days))

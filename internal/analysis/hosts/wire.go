@@ -63,7 +63,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	for i := 0; i < n; i++ {
 		ip := r.U32()
 		nDays := r.Count(4) // day, flags, minimal counter
-		h := &hostAgg{days: make(map[int32]*dayAgg, nDays)}
+		h := &hostAgg{owner: a.cow.Stamp(), days: make(map[int32]*dayAgg, nDays)}
 		for j := 0; j < nDays; j++ {
 			d := r.Varint()
 			if int64(int32(d)) != d {
@@ -99,6 +99,8 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 // Filter drops every host for which keep returns false. The federation's
 // live path uses this to reduce a speculative candidate population to
 // the hosts a batch pass would have profiled before shipping the state.
+// It only removes entries from a's own host map, so hosts shared with a
+// snapshot are untouched.
 func (a *Aggregator) Filter(keep func(ip uint32) bool) {
 	for ip := range a.hosts {
 		if !keep(ip) {

@@ -15,10 +15,16 @@ package analysis
 //     are disjoint by shard routing, which makes Merge exact; the online
 //     path never merges overlapping operators — it snapshots and replays
 //     instead (see Snapshot).
-//   - Snapshot: return an independent deep copy of the state. The
-//     original may continue observing concurrently-arriving records; the
-//     copy is immutable input for report composition. Cost is
-//     proportional to the compact state, not to the records observed.
+//   - Snapshot: return an independent copy of the state; cost follows
+//     what is written afterwards. Neither side ever sees the other's later
+//     observations, and the original may go on observing while the copy
+//     is read (it is the input of report composition). How the copy comes
+//     about is the operator's business: the small operators copy their
+//     state outright, while the keyed stores that hold nearly all of it
+//     (hosts, collateral.Pending, anomaly) copy only their top-level map
+//     and share every sub-aggregate until one side writes it (see Cow).
+//     Either way a sub-aggregate reachable from a snapshot is never
+//     written in place.
 //
 // The control-plane stages (events, load, visibility, the Fig 10 sweep)
 // deliberately do not implement this contract: they are pure functions of

@@ -21,6 +21,7 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/analysis"
@@ -99,14 +100,18 @@ type Pipeline struct {
 	lastMember             uint32
 	macValid               bool
 
-	// speculative marks a pipeline observing records before the control
-	// stream is complete (the online analyzer). It widens two gates that
-	// batch mode can evaluate eagerly because EverBlackholed grows
-	// monotonically as updates arrive: host profiling observes every
-	// external candidate (filtered by the final predicate at compose
-	// time), and records attributable only through a not-yet-announced
-	// blackhole are tallied in pairs for FinalAttributed to resolve.
+	// speculative marks a pipeline whose state holds candidates gathered
+	// before the control stream was complete (the online analyzer): compose
+	// filters the profiled hosts through the ever-blackholed predicate and
+	// resolves the pair tallies (hostKeep, FinalAttributed, Finalize).
 	speculative bool
+	// wide marks a speculative pipeline whose control-plane view can still
+	// grow under it. It widens two observation gates that batch mode
+	// evaluates eagerly, which is sound because EverBlackholed grows
+	// monotonically as updates arrive: host profiling observes every
+	// external candidate, and records attributable only through a
+	// not-yet-announced blackhole are tallied in pairs. Freeze clears it.
+	wide bool
 	// pairs counts records whose destination/source pair was not (yet)
 	// ever-blackholed at observation time, keyed dst<<32|src.
 	pairs map[uint64]int64
@@ -134,15 +139,15 @@ func New(meta *analysis.Metadata, updates []analysis.ControlUpdate, delta time.D
 }
 
 // NewSpeculative builds a pipeline for the online analyzer: the control
-// stream is still growing, so observation runs in speculative mode (see
-// the field comment) against an index the caller advances with Rebind as
+// stream is still growing, so observation runs with wide gates (see the
+// field comments) against an index the caller advances with Rebind as
 // updates arrive.
 func NewSpeculative(meta *analysis.Metadata) (*Pipeline, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
 	p := newEmpty(meta)
-	p.speculative = true
+	p.speculative, p.wide = true, true
 	p.pairs = make(map[uint64]int64)
 	p.Index = events.NewIndex(nil, meta.End)
 	p.Align = timealign.New(p.Index)
@@ -189,10 +194,23 @@ func (p *Pipeline) Rebind(evs []*events.Event, ix *events.Index) {
 // FlowSpec update can still cover its timestamp.
 func (p *Pipeline) BindFlow(ix *mitigation.Index) { p.FlowIx = ix }
 
-// Clone returns an independent deep copy of the pipeline's operator state
+// Freeze declares that the pipeline's control-plane view will not change
+// for the rest of its life (no further Rebind or BindFlow): observation
+// narrows to the batch gates. The online analyzer freezes the clone it
+// replays the unsealed tail through. That is exact because the clone
+// composes under the very index it observed with: a host the eager gate
+// skips is one hostKeep would drop, and a pair it does not tally is one
+// FinalAttributed would resolve to zero. The compose-time filters stay on —
+// the sealed state underneath still holds unfiltered candidates.
+func (p *Pipeline) Freeze() { p.wide = false }
+
+// Clone returns an independent copy of the pipeline's operator state
 // (shared immutable control-plane view). The original may continue
 // observing; the clone is the copy-on-snapshot input for report
-// composition.
+// composition. The keyed stores that make up nearly all of the state
+// (hosts, pending collateral cells, anomaly slots) share their
+// sub-aggregates with the clone until one side writes them, so the cost
+// follows what is written afterwards, not what has accumulated.
 func (p *Pipeline) Clone() *Pipeline {
 	c := &Pipeline{
 		Meta:              p.Meta,
@@ -211,15 +229,17 @@ func (p *Pipeline) Clone() *Pipeline {
 		AttributedRecords: p.AttributedRecords,
 		DroppedRecords:    p.DroppedRecords,
 		speculative:       p.speculative,
-	}
-	if p.pairs != nil {
-		c.pairs = make(map[uint64]int64, len(p.pairs))
-		for k, v := range p.pairs {
-			c.pairs[k] = v
-		}
+		wide:              p.wide,
+		pairs:             maps.Clone(p.pairs),
 	}
 	c.bindCursors()
 	return c
+}
+
+// CowCopies returns how many shared sub-aggregates (hosts, pending tables,
+// anomaly slots) the pipeline's stores have copied on first write.
+func (p *Pipeline) CowCopies() int64 {
+	return p.Hosts.CowCopies() + p.Pending.CowCopies() + p.Anomaly.CowCopies()
 }
 
 // newShard returns a pipeline sharing p's immutable control-plane state
@@ -232,8 +252,8 @@ func (p *Pipeline) newShard() *Pipeline {
 	s.FlowIx = p.FlowIx
 	s.Align = timealign.New(p.Index)
 	s.bindCursors()
-	s.speculative = p.speculative
-	if p.speculative {
+	s.speculative, s.wide = p.speculative, p.wide
+	if p.wide {
 		s.pairs = make(map[uint64]int64)
 	}
 	return s
@@ -388,7 +408,7 @@ func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
 	_, srcBH := p.curSrc.EverBlackholed(rec.SrcIP)
 	if dstBH || srcBH {
 		p.AttributedRecords++
-	} else if p.speculative {
+	} else if p.wide {
 		// Neither endpoint has been blackholed *yet*; a later
 		// announcement can still make this record attributable.
 		// EverBlackholed is monotone, so tallying the pair now and
@@ -396,7 +416,7 @@ func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
 		// reproduces the batch count exactly.
 		p.pairs[uint64(rec.DstIP)<<32|uint64(rec.SrcIP)]++
 	}
-	if !dstBH && !p.speculative {
+	if !dstBH && !p.wide {
 		return
 	}
 	m := p.curDst.Lookup(rec.DstIP, rec.Start)
@@ -421,9 +441,9 @@ func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
 		}
 	}
 	// Host profiling. Batch mode knows the final ever-blackholed set up
-	// front and only profiles those destinations; speculative mode
-	// reaches here for every external candidate and leaves the (by then
-	// final) predicate to ComposeProfiles. The event-window gates
+	// front and only profiles those destinations; with wide gates every
+	// external candidate reaches here and the (by then final) predicate
+	// is left to ComposeProfiles. The event-window gates
 	// evaluate identically either way: once a record is old enough to
 	// be observed here, no future event can still cover it.
 	if m.Event == nil && p.legitAt(p.curDst, rec.DstIP, rec.Start) {
@@ -440,7 +460,7 @@ func (p *Pipeline) observeSrc(rec *ipfix.FlowRecord) {
 	if internal {
 		return
 	}
-	if _, srcBH := p.curSrc.EverBlackholed(rec.SrcIP); !srcBH && !p.speculative {
+	if _, srcBH := p.curSrc.EverBlackholed(rec.SrcIP); !srcBH && !p.wide {
 		return
 	}
 	mSrc := p.curSrc.Lookup(rec.SrcIP, rec.Start)

@@ -62,6 +62,7 @@ func UnmarshalState(meta *analysis.Metadata, data []byte) (*Pipeline, error) {
 	p.AttributedRecords = r.Varint()
 	p.DroppedRecords = r.Varint()
 	p.speculative = r.Bool()
+	p.wide = p.speculative
 	nPairs := r.Count(2)
 	if p.speculative || nPairs > 0 {
 		p.pairs = make(map[uint64]int64, nPairs)
@@ -121,5 +122,5 @@ func (p *Pipeline) Finalize() {
 	p.AttributedRecords = p.FinalAttributed()
 	p.pairs = nil
 	p.Hosts.Filter(p.EverBlackholed)
-	p.speculative = false
+	p.speculative, p.wide = false, false
 }

@@ -10,9 +10,13 @@ import (
 
 // snapshotCache is the copy-on-snapshot TTL cache between the HTTP
 // handlers and the online analyzer. A cached entry is one immutable
-// *rtbh.Report — OnlineAnalyzer.Snapshot already clones the operator
-// state before composing, so sharing the pointer across any number of
-// concurrent readers is safe and costs nothing per request.
+// *rtbh.Report, shared across any number of concurrent readers at no cost
+// per request. That is safe because nothing reachable from a finished
+// snapshot is ever written in place: the snapshot's pipeline clone shares
+// its sub-aggregates with the analyzer's sealed state rather than copying
+// them, and whichever side writes one afterwards copies it first
+// (analysis.Cow; DESIGN.md, "Incremental analysis"), so the report stays
+// what it was while sealing continues underneath it.
 //
 // Freshness is per query: a request carrying maxAge=d accepts any entry
 // at most d old. Requests that find the entry stale take a new snapshot;

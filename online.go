@@ -41,6 +41,11 @@ type onlineMetrics struct {
 	openEventRecords *obs.Gauge
 	recordsCompacted *obs.Counter
 	snapshotLatency  *obs.Histogram
+	// The three phases of a snapshot after the seals have caught up, and
+	// the sub-aggregates copied on first write by the sealed side and by
+	// the snapshots' clones together.
+	clone, replay, compose *obs.Timer
+	cowCopies              *obs.Counter
 }
 
 // OnlineAnalyzer accumulates a live run's measurement streams
@@ -57,7 +62,8 @@ type onlineMetrics struct {
 // its attribution, so it is folded into the compact operator state and
 // released. Retained memory is therefore bounded by the horizon-sized
 // tail of the flow stream plus the per-event aggregates, and Snapshot
-// costs O(state + horizon tail), not O(everything ever observed).
+// costs what the horizon tail touches plus compose: the sealed state is
+// shared with the snapshot, not copied (see frozen).
 //
 // ObserveUpdate and ObserveFlow may be called from different goroutines
 // (in live mode they are: updates arrive on the route server's delivery
@@ -85,11 +91,13 @@ type OnlineAnalyzer struct {
 	// opMu guards the incremental operator state and the seal machinery.
 	// Lock order: opMu before mu; mu is never held while taking opMu.
 	opMu sync.Mutex
-	// ops holds the operator state of every sealed record, observing in
-	// speculative mode (see pipeline.NewSpeculative).
+	// ops holds the operator state of every sealed record, observing with
+	// wide gates (see pipeline.NewSpeculative).
 	ops *pipeline.Pipeline
 	// head is the count of pending records already folded into ops.
 	head int
+	// cowSeen is how much of ops.CowCopies the cow_copies counter holds.
+	cowSeen int64
 	// sortedUpdates/opUpdates cache the time-sorted control stream and
 	// how many raw updates it covers; events/index rebuild only when the
 	// update stream grew. sortedFlows/opFlows do the same for the
@@ -122,8 +130,13 @@ func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 // RegisterMetrics exposes the analyzer's retention and snapshot metrics
 // under the "online." prefix: gauges for retained control updates,
 // retained (unsealed) flow records and open-event collateral cells, a
-// counter of records compacted into operator state, and a snapshot
-// latency histogram (milliseconds). Call once, before the run starts.
+// counter of records compacted into operator state, a snapshot latency
+// histogram (milliseconds) with span timers for its clone, replay and
+// compose phases (they sum to no more than the histogram's total: lock
+// wait and seal catch-up are the rest), and a counter of operator
+// sub-aggregates copied on first write — at most one per key written per
+// snapshot on either side. All are updated per seal batch or per
+// snapshot, never per record. Call once, before the run starts.
 func (a *OnlineAnalyzer) RegisterMetrics(reg *obs.Registry) {
 	a.metrics = &onlineMetrics{
 		retainedUpdates:  reg.Gauge("online.retained_updates"),
@@ -132,6 +145,10 @@ func (a *OnlineAnalyzer) RegisterMetrics(reg *obs.Registry) {
 		recordsCompacted: reg.Counter("online.records_compacted"),
 		snapshotLatency: reg.Histogram("online.snapshot_latency_ms",
 			1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000),
+		clone:     reg.Timer("online.snapshot.clone"),
+		replay:    reg.Timer("online.snapshot.replay"),
+		compose:   reg.Timer("online.snapshot.compose"),
+		cowCopies: reg.Counter("online.cow_copies"),
 	}
 }
 
@@ -295,6 +312,9 @@ func (a *OnlineAnalyzer) advanceLocked() {
 		m.retainedUpdates.Set(int64(len(updates)))
 		m.retainedFlows.Set(int64(len(pend) - a.head))
 		m.openEventRecords.Set(int64(a.ops.PendingCells()))
+		copies := a.ops.CowCopies()
+		m.cowCopies.Add(copies - a.cowSeen)
+		a.cowSeen = copies
 	}
 
 	// Release sealed raw records once they dominate the buffer.
@@ -308,26 +328,55 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	}
 }
 
-// frozen returns the operator state of a batch pass over everything
+// frozen hands compose the operator state of a batch pass over everything
 // observed so far, leaving the analyzer's own state to keep accepting
-// seals (copy-on-snapshot): it catches the seals up, clones the compact
-// operator state and replays the unsealed tail through the clone.
-// a.sortedUpdates is the matching control stream. Caller holds opMu.
-func (a *OnlineAnalyzer) frozen() *pipeline.Pipeline {
+// seals: it catches the seals up, clones the compact operator state —
+// which copies nothing sealed; the clone shares every sub-aggregate until
+// one side writes it — and replays the unsealed tail through the clone.
+// The clone's control-plane view is fixed for its whole life, so it is
+// frozen first and the tail pays batch gates, not speculative ones (see
+// pipeline.Freeze). a.sortedUpdates is the matching control stream.
+//
+// compose may keep whatever it derives from the clone after opMu is
+// released: sealing never writes a sub-aggregate in place while it is
+// shared, so state reachable from a finished snapshot is immutable.
+func (a *OnlineAnalyzer) frozen(compose func(*pipeline.Pipeline) error) error {
+	start := time.Now()
+	a.opMu.Lock()
+	defer a.opMu.Unlock()
 	a.advanceLocked()
 	_, _, pend, _ := a.ingestView()
+
+	cloneStart := time.Now()
 	clone := a.ops.Clone()
+	clone.Freeze()
+	replayStart := time.Now()
 	clone.ObserveRecords(pend[a.head:])
-	return clone
+	composeStart := time.Now()
+	err := compose(clone)
+
+	if m := a.metrics; m != nil {
+		end := time.Now()
+		m.clone.Observe(replayStart.Sub(cloneStart))
+		m.replay.Observe(composeStart.Sub(replayStart))
+		m.compose.Observe(end.Sub(composeStart))
+		m.cowCopies.Add(clone.CowCopies())
+		m.snapshotLatency.Observe(end.Sub(start).Milliseconds())
+	}
+	return err
 }
 
 // Snapshot composes a report over everything observed so far. Safe to
 // call at any time, including while the streams are still being fed; the
 // snapshot covers a consistent prefix of each stream and its rendered
 // output is byte-identical to Dataset.Analyze over that prefix. Cost is
-// proportional to the compact operator state plus the records and
-// updates that arrived since sealing last caught up — not to the total
-// stream length.
+// proportional to the records and updates that arrived since sealing last
+// caught up, the operator state those records touch, and compose — not to
+// the total stream length or the sealed state.
+//
+// The report may be shared freely (the serving layer caches it across
+// readers): whatever it references of the analyzer's state is never
+// written in place afterwards.
 //
 // opts.Delta must equal the construction-time merge threshold
 // (events.DefaultDelta, as in DefaultOptions). opts.Metrics is ignored:
@@ -341,17 +390,12 @@ func (a *OnlineAnalyzer) Snapshot(opts Options) (*Report, error) {
 	if opts.Delta != a.delta {
 		return nil, fmt.Errorf("rtbh: online snapshot delta %v does not match analyzer delta %v", opts.Delta, a.delta)
 	}
-	start := time.Now()
-
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
-	clone := a.frozen()
-	report := composeReport(a.meta, a.sortedUpdates, clone, opts)
-
-	if m := a.metrics; m != nil {
-		m.snapshotLatency.Observe(time.Since(start).Milliseconds())
-	}
-	return report, nil
+	var report *Report
+	err := a.frozen(func(clone *pipeline.Pipeline) error {
+		report = composeReport(a.meta, a.sortedUpdates, clone, opts)
+		return nil
+	})
+	return report, err
 }
 
 // Final is the report over the drained streams: call it after the live
@@ -372,19 +416,16 @@ func (a *OnlineAnalyzer) FederationState(ixp int, seq uint64, clockOffset time.D
 	if a.initErr != nil {
 		return nil, a.initErr
 	}
-	a.opMu.Lock()
-	defer a.opMu.Unlock()
-	clone := a.frozen()
-	clone.Finalize()
-	state, err := clone.MarshalState()
+	snap := &federation.Snapshot{IXP: ixp, Seq: seq, ClockOffset: clockOffset}
+	err := a.frozen(func(clone *pipeline.Pipeline) error {
+		clone.Finalize()
+		state, err := clone.MarshalState()
+		snap.State = state
+		snap.Updates = append([]analysis.ControlUpdate(nil), a.sortedUpdates...)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &federation.Snapshot{
-		IXP:         ixp,
-		Seq:         seq,
-		ClockOffset: clockOffset,
-		Updates:     append([]analysis.ControlUpdate(nil), a.sortedUpdates...),
-		State:       state,
-	}, nil
+	return snap, nil
 }
