@@ -231,7 +231,7 @@ type Report struct {
 	AnomalyAndData int
 }
 
-// stageTimers are the per-stage span timers shared by both Analyze paths;
+// stageTimers are the per-stage span timers of an Analyze call;
 // all fields are nil when the run is not instrumented.
 type stageTimers struct {
 	observe, compose *obs.Timer
@@ -270,44 +270,42 @@ func (d *Dataset) Analyze(opts Options) (*Report, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// The worker count decides who owns the pass: one worker observes
+	// every batch on the calling goroutine (the reference path), several
+	// shard it and merge into one pipeline. All else is shared.
+	var (
+		p          *pipeline.Pipeline
+		instrument func(*MetricsRegistry)
+		observe    func() error
+	)
+	flowIx := mitigation.NewIndex(d.FlowUpdates, d.Meta.End)
 	if workers == 1 {
-		return d.analyzeSequential(opts)
+		var err error
+		if p, err = pipeline.New(d.Meta, d.Updates, opts.Delta); err != nil {
+			return nil, err
+		}
+		p.BindFlow(flowIx)
+		instrument = p.RegisterMetrics
+		observe = func() error {
+			return d.EachFlowBatch(func(b *recordBatch) error {
+				p.ObserveBatch(b)
+				return nil
+			})
+		}
+	} else {
+		pp, err := pipeline.NewParallel(d.Meta, d.Updates, opts.Delta, workers)
+		if err != nil {
+			return nil, err
+		}
+		pp.BindFlow(flowIx)
+		p, instrument = pp.Pipeline(), pp.Instrument
+		observe = func() error { return pp.RunBatches(d.EachFlowBatch) }
 	}
-	pp, err := pipeline.NewParallel(d.Meta, d.Updates, opts.Delta, workers)
-	if err != nil {
-		return nil, err
-	}
-	pp.BindFlow(mitigation.NewIndex(d.FlowUpdates, d.Meta.End))
 	if opts.Metrics != nil {
-		pp.Instrument(opts.Metrics)
+		instrument(opts.Metrics)
 	}
 	tm := newStageTimers(opts.Metrics, d)
-	if err := span(tm.observe, func() error { return pp.RunBatches(d.EachFlowBatch) }); err != nil {
-		return nil, err
-	}
-	var report *Report
-	_ = span(tm.compose, func() error { report = composeReport(d.Meta, d.Updates, pp.Pipeline(), opts); return nil })
-	return report, nil
-}
-
-// analyzeSequential is the single-goroutine reference path (-workers=1).
-func (d *Dataset) analyzeSequential(opts Options) (*Report, error) {
-	p, err := pipeline.New(d.Meta, d.Updates, opts.Delta)
-	if err != nil {
-		return nil, err
-	}
-	p.BindFlow(mitigation.NewIndex(d.FlowUpdates, d.Meta.End))
-	if opts.Metrics != nil {
-		p.RegisterMetrics(opts.Metrics)
-	}
-	tm := newStageTimers(opts.Metrics, d)
-	err = span(tm.observe, func() error {
-		return d.EachFlowBatch(func(b *recordBatch) error {
-			p.ObserveBatch(b)
-			return nil
-		})
-	})
-	if err != nil {
+	if err := span(tm.observe, observe); err != nil {
 		return nil, err
 	}
 	var report *Report

@@ -300,3 +300,27 @@ func TestChaosDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestChaosJournalSingleExchange pins the journal of a one-exchange run
+// to its plan's own rendering: no exchange header, nothing re-ordered.
+func TestChaosJournalSingleExchange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a world through impaired live transports")
+	}
+	lr, err := rtbh.NewLiveRun(chaosConfig(), t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr.ChaosJournal() != "" {
+		t.Error("journal is not empty before chaos is enabled")
+	}
+	if err := lr.EnableChaos(1, "flapping-tcp"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lr.ChaosJournal(), lr.PlanJournal(0); got != want || got == "" {
+		t.Errorf("journal:\n%s\nwant the plan's own:\n%s", got, want)
+	}
+}

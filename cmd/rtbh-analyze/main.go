@@ -90,27 +90,9 @@ func main() {
 	textreport.RenderAll(w, report)
 
 	if *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
+		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeMetrics dumps the registry snapshot as JSON to path ("-" = stderr,
-// so the report on stdout stays machine-separable from the metrics).
-func writeMetrics(reg *rtbh.MetricsRegistry, path string) error {
-	snap := reg.Snapshot()
-	if path == "-" {
-		return snap.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -93,25 +93,9 @@ func main() {
 
 	dir := *data
 	if dir == "" {
-		world, worldTraffic, err := cliutil.ParseScale(*simulate)
+		cfg, err := cliutil.WorldConfig(*simulate)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-experiments: %v\n", err)
-			os.Exit(2)
-		}
-		var cfg rtbh.Config
-		switch world {
-		case "test":
-			cfg = rtbh.TestConfig()
-		case "bench":
-			cfg = rtbh.BenchConfig()
-		case "full":
-			cfg = rtbh.DefaultConfig()
-		}
-		cfg.TrafficScale = worldTraffic
-		if worldTraffic != 0 {
-			// The paper configuration: sampling coarsens with the traffic
-			// so the sampled stream stays scale-1 sized (see ParseScale).
-			cfg.SamplingRate = int64(float64(cfg.SamplingRate)*worldTraffic + 0.5)
+			usageFail(err)
 		}
 		if err := cliutil.CheckTrafficScale(*trafficScale); err != nil {
 			fmt.Fprintf(os.Stderr, "rtbh-experiments: %v\n", err)
@@ -187,27 +171,10 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
+		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {
 			fail(err)
 		}
 	}
-}
-
-// writeMetrics dumps the registry snapshot as JSON to path ("-" = stderr).
-func writeMetrics(reg *rtbh.MetricsRegistry, path string) error {
-	snap := reg.Snapshot()
-	if path == "-" {
-		return snap.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fail(err error) {

@@ -5,6 +5,7 @@
 // incrementally. At the end the same dataset files as rtbh-sim are on
 // disk (byte-identical for the same configuration) and the final report
 // — computed online, without re-reading the archives — is printed.
+// One driver (rtbh.LiveRun) runs one exchange or, with -ixps, several.
 //
 // Usage:
 //
@@ -41,8 +42,9 @@
 // its own route server, fabric, BGP sessions and IPFIX export, writes a
 // standalone dataset into OUT/ixp<i>, and accumulates its own online
 // analyzer. At the end the per-exchange snapshots cross the federation
-// TCP transport — impaired by -snapshot-chaos-profile when set — and
-// the merged federated report is printed.
+// TCP transport — impaired by -snapshot-chaos-profile when set, which
+// is rejected without -ixps — and the merged federated report is
+// printed.
 //
 // With -chaos-profile, a seeded fault-injection plan (internal/faultnet)
 // impairs the live transports — connection kills, handshake resets and
@@ -55,7 +57,8 @@
 // in-flight streams drain, the archives hold the delivered prefix of
 // the run, and the report covers exactly that prefix. With
 // -snapshot-every, a partial analysis snapshot is printed periodically
-// while the run is streaming.
+// while the run is streaming — one line per exchange, prefixed ixp<i>:
+// when there are several.
 package main
 
 import (
@@ -111,44 +114,20 @@ func main() {
 	mitigation := flag.String("mitigation", "", `fine-grained mitigation policy: "flowspec", "escalate" or "mixed" (empty keeps pure RTBH; see the table5 report section)`)
 	flag.Parse()
 
-	world, worldTraffic, err := cliutil.ParseScale(*scale)
+	cfg, err := cliutil.WorldConfig(*scale)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-		os.Exit(2)
+		usageFail(err)
 	}
-	var cfg rtbh.Config
-	switch world {
-	case "test":
-		cfg = rtbh.TestConfig()
-	case "bench":
-		cfg = rtbh.BenchConfig()
-	case "full":
-		cfg = rtbh.DefaultConfig()
-	}
-	cfg.TrafficScale = worldTraffic
-	if worldTraffic != 0 {
-		// The paper configuration: sampling coarsens with the traffic so
-		// the sampled stream stays scale-1 sized (see ParseScale).
-		cfg.SamplingRate = int64(float64(cfg.SamplingRate)*worldTraffic + 0.5)
-	}
-	if err := cliutil.CheckTrafficScale(*trafficScale); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-		os.Exit(2)
-	}
-	if *trafficScale != 0 {
-		cfg.TrafficScale = *trafficScale
-	}
-	if err := cliutil.CheckDays(*days); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cliutil.CheckWorkers(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cliutil.CheckIXPs(*ixps); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-		os.Exit(2)
+	for _, err := range []error{
+		cliutil.CheckTrafficScale(*trafficScale),
+		cliutil.CheckDays(*days),
+		cliutil.CheckWorkers(*workers),
+		cliutil.CheckIXPs(*ixps),
+		cliutil.CheckLiveModes(*ixps, *serveAddr != "", *detectOn, *snapChaos != ""),
+	} {
+		if err != nil {
+			usageFail(err)
+		}
 	}
 	// The default 0 disables periodic snapshots; only an explicitly set
 	// cadence must be a positive duration. Tuning flags for a disabled
@@ -157,43 +136,32 @@ func main() {
 		switch f.Name {
 		case "snapshot-every":
 			if err := cliutil.CheckSnapshotEvery(*snapEvery); err != nil {
-				fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-				os.Exit(2)
+				usageFail(err)
 			}
 		case "detect-threshold", "detect-window", "detect-cooldown":
 			if !*detectOn {
-				fmt.Fprintf(os.Stderr, "rtbh-live: -%s is set but the detector is off; add -detect\n", f.Name)
-				os.Exit(2)
+				usageFail(fmt.Errorf("-%s is set but the detector is off; add -detect", f.Name))
 			}
 		}
 	})
 	if *detectOn {
 		if err := cliutil.CheckDetect(*detectThreshold, *detectWindow, *detectCooldown); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-		if *ixps > 1 {
-			fmt.Fprintf(os.Stderr, "rtbh-live: -detect supports a single exchange; drop -ixps or the -detect flag\n")
-			os.Exit(2)
+			usageFail(err)
 		}
 	}
 	if *serveAddr != "" {
-		if err := cliutil.CheckServeAddr(*serveAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
+		for _, err := range []error{
+			cliutil.CheckServeAddr(*serveAddr),
+			cliutil.CheckServeMaxAge(*serveMaxAge),
+			cliutil.CheckServeHistory(*serveHistory, *serveHistoryDepth),
+		} {
+			if err != nil {
+				usageFail(err)
+			}
 		}
-		if err := cliutil.CheckServeMaxAge(*serveMaxAge); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-		if err := cliutil.CheckServeHistory(*serveHistory, *serveHistoryDepth); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-		if *ixps > 1 {
-			fmt.Fprintf(os.Stderr, "rtbh-live: -serve supports a single exchange; drop -ixps or the -serve flag\n")
-			os.Exit(2)
-		}
+	}
+	if *trafficScale != 0 {
+		cfg.TrafficScale = *trafficScale
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -201,10 +169,12 @@ func main() {
 	if *days != 0 {
 		cfg.Days = *days
 	}
+	if *ixps > 1 {
+		cfg.IXPs = *ixps
+	}
 	cfg.MitigationPolicy = *mitigation
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-		os.Exit(2)
+		usageFail(err)
 	}
 
 	reg := rtbh.NewMetricsRegistry()
@@ -214,19 +184,18 @@ func main() {
 		}
 	}
 
-	if *ixps > 1 {
-		runFederated(cfg, *out, reg, *ixps, *workers, *report, *chaosProfile, *chaosSeed, *snapChaos, *metricsOut)
-		return
-	}
-
 	lr, err := rtbh.NewLiveRun(cfg, *out, reg)
 	if err != nil {
 		fail(err)
 	}
 	if *chaosProfile != "" {
 		if err := lr.EnableChaos(*chaosSeed, *chaosProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
+			usageFail(err)
+		}
+	}
+	if *snapChaos != "" {
+		if err := lr.EnableSnapshotChaos(*chaosSeed, *snapChaos); err != nil {
+			usageFail(err)
 		}
 	}
 	if *detectOn {
@@ -236,8 +205,7 @@ func main() {
 			Cooldown:  *detectCooldown,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
+			usageFail(err)
 		}
 	}
 
@@ -283,8 +251,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "looking glass: http://%s/api/health\n", bound)
 	}
 
+	n := lr.IXPs()
 	if *snapEvery > 0 {
-		go snapshotLoop(ctx, lr.Analyzer(), opts, *snapEvery)
+		for i := 0; i < n; i++ {
+			prefix := ""
+			if n > 1 {
+				prefix = fmt.Sprintf("ixp%d: ", i)
+			}
+			go snapshotLoop(ctx, prefix, lr.IXPAnalyzer(i), opts, *snapEvery)
+		}
 	}
 
 	start := time.Now()
@@ -298,13 +273,24 @@ func main() {
 	if lr.Interrupted() {
 		verb = "interrupted; drained gracefully —"
 	}
-	fmt.Printf("live run %s in %v, dataset written to %s\n", verb, time.Since(start).Round(time.Millisecond), *out)
-	fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d\n",
-		cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate)
-	fmt.Printf("control plane: %d messages over BGP/TCP (%d announcements, %d withdrawals)\n",
-		sum.ControlMsgs, sum.Announcements, sum.Withdrawals)
-	fmt.Printf("data plane: %d flow records over IPFIX/UDP (%d packets offered, %d dropped)\n",
-		sum.FlowRecords, sum.PacketsIn, sum.PacketsDropped)
+	took := time.Since(start).Round(time.Millisecond)
+	if n == 1 {
+		fmt.Printf("live run %s in %v, dataset written to %s\n", verb, took, *out)
+		fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d\n",
+			cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate)
+		fmt.Printf("control plane: %d messages over BGP/TCP (%d announcements, %d withdrawals)\n",
+			sum.ControlMsgs[0], sum.Announcements, sum.Withdrawals)
+		fmt.Printf("data plane: %d flow records over IPFIX/UDP (%d packets offered, %d dropped)\n",
+			sum.FlowRecords[0], sum.PacketsIn[0], sum.PacketsDropped[0])
+	} else {
+		fmt.Printf("federated live run %s in %v across %d exchanges, datasets written under %s\n", verb, took, n, *out)
+		fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d, multi-homed members: %d\n",
+			cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate, len(sum.MultiHomedMembers))
+		for i := 0; i < n; i++ {
+			fmt.Printf("ixp%d: %d control messages, %d flow records (%d packets offered, %d dropped)\n",
+				i, sum.ControlMsgs[i], sum.FlowRecords[i], sum.PacketsIn[i], sum.PacketsDropped[i])
+		}
+	}
 	if *chaosProfile != "" {
 		fmt.Printf("chaos: profile %s, seed %d — injected faults reconciled (faultnet.* in the metrics snapshot)\n",
 			*chaosProfile, *chaosSeed)
@@ -317,93 +303,35 @@ func main() {
 	}
 
 	if *report {
-		rep, err := lr.Analyzer().Final(opts)
-		if err != nil {
-			fail(err)
-		}
 		w := bufio.NewWriter(os.Stdout)
-		fmt.Fprintf(w, "\nonline analyzer final report (%d events):\n\n", len(rep.Events))
-		textreport.RenderAll(w, rep)
+		if n == 1 {
+			rep, err := lr.Analyzer().Final(opts)
+			if err != nil {
+				fail(err)
+			}
+			fmt.Fprintf(w, "\nonline analyzer final report (%d events):\n\n", len(rep.Events))
+			textreport.RenderAll(w, rep)
+		} else {
+			fr, err := lr.Report(opts)
+			if err != nil {
+				fail(err)
+			}
+			fmt.Fprintln(w)
+			textreport.RenderFederation(w, fr)
+		}
 		w.Flush()
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// runFederated is the -ixps > 1 path: one live exchange per IXP, a
-// standalone dataset per exchange under OUT/ixp<i>, and a federated
-// report merged over the snapshot transport. Periodic snapshots
-// (-snapshot-every) are not printed in federated mode.
-func runFederated(cfg rtbh.Config, out string, reg *rtbh.MetricsRegistry, ixps, workers int,
-	report bool, chaosProfile string, chaosSeed uint64, snapChaos, metricsOut string) {
-	cfg.IXPs = ixps
-	flr, err := rtbh.NewFederatedLiveRun(cfg, out, reg)
-	if err != nil {
-		fail(err)
-	}
-	if chaosProfile != "" {
-		if err := flr.EnableChaos(chaosSeed, chaosProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if snapChaos != "" {
-		if err := flr.EnableSnapshotChaos(chaosSeed, snapChaos); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	start := time.Now()
-	sum, err := flr.Run(ctx)
-	if err != nil {
-		fail(err)
-	}
-	stop()
-
-	verb := "completed"
-	if flr.Interrupted() {
-		verb = "interrupted; drained gracefully —"
-	}
-	fmt.Printf("federated live run %s in %v across %d exchanges, datasets written under %s\n",
-		verb, time.Since(start).Round(time.Millisecond), sum.IXPs, out)
-	fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d, multi-homed members: %d\n",
-		cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate, len(sum.MultiHomedMembers))
-	for i := 0; i < sum.IXPs; i++ {
-		fmt.Printf("ixp%d: %d control messages, %d flow records (%d packets offered, %d dropped)\n",
-			i, sum.ControlMsgs[i], sum.FlowRecords[i], sum.PacketsIn[i], sum.PacketsDropped[i])
-	}
-
-	if report {
-		opts := rtbh.DefaultOptions()
-		opts.Workers = workers
-		fr, err := flr.Report(opts)
-		if err != nil {
-			fail(err)
-		}
-		w := bufio.NewWriter(os.Stdout)
-		fmt.Fprintln(w)
-		textreport.RenderFederation(w, fr)
-		w.Flush()
-	}
-
-	if metricsOut != "" {
-		if err := writeMetrics(reg, metricsOut); err != nil {
+		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {
 			fail(err)
 		}
 	}
 }
 
 // snapshotLoop periodically prints a one-line partial analysis snapshot
-// while the run is streaming.
-func snapshotLoop(ctx context.Context, a *rtbh.OnlineAnalyzer, opts rtbh.Options, every time.Duration) {
+// of one exchange while the run is streaming.
+func snapshotLoop(ctx context.Context, prefix string, a *rtbh.OnlineAnalyzer, opts rtbh.Options, every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
@@ -415,32 +343,22 @@ func snapshotLoop(ctx context.Context, a *rtbh.OnlineAnalyzer, opts rtbh.Options
 		updates, flows := a.Counts()
 		rep, err := a.Snapshot(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-live: snapshot: %v\n", err)
+			fmt.Fprintf(os.Stderr, "rtbh-live: %ssnapshot: %v\n", prefix, err)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "snapshot: %d control updates, %d flow records -> %d events, %d attributed records\n",
-			updates, flows, len(rep.Events), rep.AttributedRecords)
+		fmt.Fprintf(os.Stderr, "%ssnapshot: %d control updates, %d flow records -> %d events, %d attributed records\n",
+			prefix, updates, flows, len(rep.Events), rep.AttributedRecords)
 	}
-}
-
-// writeMetrics dumps the registry snapshot as JSON to path ("-" = stderr).
-func writeMetrics(reg *rtbh.MetricsRegistry, path string) error {
-	snap := reg.Snapshot()
-	if path == "-" {
-		return snap.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
 	os.Exit(1)
+}
+
+// usageFail reports an invalid invocation (exit code 2, like flag
+// parsing errors).
+func usageFail(err error) {
+	fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
+	os.Exit(2)
 }

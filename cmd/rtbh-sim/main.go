@@ -47,25 +47,10 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	world, worldTraffic, err := cliutil.ParseScale(*scale)
+	cfg, err := cliutil.WorldConfig(*scale)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rtbh-sim: %v\n", err)
 		os.Exit(2)
-	}
-	var cfg rtbh.Config
-	switch world {
-	case "test":
-		cfg = rtbh.TestConfig()
-	case "bench":
-		cfg = rtbh.BenchConfig()
-	case "full":
-		cfg = rtbh.DefaultConfig()
-	}
-	cfg.TrafficScale = worldTraffic
-	if worldTraffic != 0 {
-		// The paper configuration: sampling coarsens with the traffic so
-		// the sampled stream stays scale-1 sized (see ParseScale).
-		cfg.SamplingRate = int64(float64(cfg.SamplingRate)*worldTraffic + 0.5)
 	}
 	if err := cliutil.CheckDays(*days); err != nil {
 		fmt.Fprintf(os.Stderr, "rtbh-sim: %v\n", err)
@@ -118,26 +103,9 @@ func main() {
 		sum.FlowRecords, sum.PacketsIn, sum.PacketsDropped)
 
 	if *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
+		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "rtbh-sim: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeMetrics dumps the registry snapshot as JSON to path ("-" = stderr).
-func writeMetrics(reg *rtbh.MetricsRegistry, path string) error {
-	snap := reg.Snapshot()
-	if path == "-" {
-		return snap.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

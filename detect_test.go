@@ -259,3 +259,21 @@ func BenchmarkDetectIngest(b *testing.B) {
 	b.Run("detector-off", func(b *testing.B) { run(b, false) })
 	b.Run("detector-on", func(b *testing.B) { run(b, true) })
 }
+
+// TestDetectRefusesSeveralExchanges: where a victim seen at several
+// exchanges would be announced is undecided, so arming the detector on
+// a multi-exchange run is an error, not a detector on exchange 0.
+func TestDetectRefusesSeveralExchanges(t *testing.T) {
+	cfg := smokeConfig()
+	cfg.IXPs = 2
+	lr, err := rtbh.NewLiveRun(cfg, t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lr.EnableDetector(detect.Config{}); err == nil {
+		t.Fatal("EnableDetector accepted a two-exchange run")
+	}
+	if lr.Detector() != nil {
+		t.Fatal("a refused detector is armed")
+	}
+}

@@ -25,3 +25,8 @@ func (a *OnlineAnalyzer) TailReplayStates() (wide, frozen []byte, err error) {
 	frozen, err = finalized(clone)
 	return wide, frozen, err
 }
+
+// PlanJournal returns the fault journal of exchange i's own plan, the
+// string ChaosJournal returned when a live run had one exchange and one
+// plan.
+func (lr *LiveRun) PlanJournal(i int) string { return lr.xs[i].plan.Journal() }

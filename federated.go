@@ -2,14 +2,12 @@ package rtbh
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/analysis/mitigation"
 	"repro/internal/analysis/pipeline"
 	"repro/internal/federation"
-	"repro/internal/ipfix"
-	"repro/internal/mrt"
 	"repro/internal/scenario"
 )
 
@@ -19,7 +17,8 @@ func IXPDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("ixp%d", i))
 }
 
-// FederatedSummary reports what a federated simulation produced.
+// FederatedSummary reports what a run over one or more exchanges
+// produced: SimulateFederated's, or a LiveRun's.
 type FederatedSummary struct {
 	IXPs              int
 	MultiHomedMembers []uint32
@@ -47,97 +46,48 @@ func SimulateFederated(cfg Config, dir string) (*FederatedSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.IXPs
-	if n < 1 {
-		n = 1
+	fed := scenario.PlanFederation(w)
+	writers := make([]*datasetWriter, fed.N)
+	sinks := make([]scenario.Sinks, fed.N)
+	for i := range writers {
+		if writers[i], err = newDatasetWriter(IXPDir(dir, i), w); err != nil {
+			return nil, err
+		}
+		defer writers[i].close()
+		sinks[i] = writers[i].sinks()
 	}
-
-	type ixpFiles struct {
-		mrtFile, flowFile *os.File
-		mrtW              *mrt.Writer
-		flowW             *ipfix.Writer
-	}
-	files := make([]*ixpFiles, n)
-	sinks := make([]scenario.Sinks, n)
-	defer func() {
-		for _, f := range files {
-			if f == nil {
-				continue
-			}
-			f.mrtFile.Close()
-			f.flowFile.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		sub := IXPDir(dir, i)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		f := &ixpFiles{}
-		if f.mrtFile, err = os.Create(filepath.Join(sub, FileUpdates)); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		files[i] = f
-		if f.flowFile, err = os.Create(filepath.Join(sub, FileFlows)); err != nil {
-			return nil, fmt.Errorf("rtbh: %w", err)
-		}
-		f.mrtW = mrt.NewWriter(f.mrtFile)
-		f.flowW = ipfix.NewWriter(f.flowFile, 1)
-		mrtW := f.mrtW
-		sinks[i] = scenario.Sinks{
-			Control: func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-				rec := mrt.Record{
-					Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-					PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
-				}
-				_ = mrtW.WriteRecord(&rec)
-			},
-			Flow: f.flowW.WriteBatch,
-		}
-	}
-
-	res, err := scenario.RunFederated(w, sinks)
+	xs, st, err := scenario.RunFederated(fed, sinks)
 	if err != nil {
 		return nil, err
 	}
-	for i, f := range files {
-		if err := f.mrtW.Flush(); err != nil {
-			return nil, fmt.Errorf("rtbh: flushing MRT for IXP %d: %w", i, err)
-		}
-		if err := f.flowW.Flush(); err != nil {
-			return nil, fmt.Errorf("rtbh: flushing IPFIX for IXP %d: %w", i, err)
-		}
-		sub := IXPDir(dir, i)
-		if err := writeJSON(filepath.Join(sub, FileMetadata), metaOf(w)); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FilePDB), w.PDB.WriteJSON); err != nil {
-			return nil, err
-		}
-		if err := writeFile(filepath.Join(sub, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
+	for _, dw := range writers {
+		if err := dw.finish(); err != nil {
 			return nil, err
 		}
 	}
+	return federatedSummary(fed, xs, st), nil
+}
 
+// federatedSummary reports a finished run over the federation's
+// exchanges, in-process or live.
+func federatedSummary(fed *scenario.Federation, xs []*scenario.Exchange, st *scenario.DriveStats) *FederatedSummary {
 	sum := &FederatedSummary{
-		IXPs:              res.Federation.N,
-		MultiHomedMembers: res.Federation.MultiHomedMembers(),
-		Events:            len(w.Events),
-		Hosts:             len(w.Hosts),
-		Members:           len(w.Members),
-		Announcements:     res.Announcements,
-		Withdrawals:       res.Withdrawals,
-		ControlMsgs:       res.ControlMsgs,
-		FlowRecords:       res.FlowRecords,
+		IXPs:              fed.N,
+		MultiHomedMembers: fed.MultiHomedMembers(),
+		Events:            len(fed.W.Events),
+		Hosts:             len(fed.W.Hosts),
+		Members:           len(fed.W.Members),
+		Announcements:     st.Announcements,
+		Withdrawals:       st.Withdrawals,
 	}
-	for _, st := range res.FabricStats {
-		sum.PacketsIn = append(sum.PacketsIn, st.PacketsIn)
-		sum.PacketsDropped = append(sum.PacketsDropped, st.PacketsDropped)
+	for _, x := range xs {
+		fst := x.FB.Stats()
+		sum.ControlMsgs = append(sum.ControlMsgs, x.RS.MessagesProcessed())
+		sum.FlowRecords = append(sum.FlowRecords, x.FlowRecords)
+		sum.PacketsIn = append(sum.PacketsIn, fst.PacketsIn)
+		sum.PacketsDropped = append(sum.PacketsDropped, fst.PacketsDropped)
 	}
-	return sum, nil
+	return sum
 }
 
 // IXPReport is one exchange's view within a federated report.
@@ -174,6 +124,7 @@ func snapshotDataset(ds *Dataset, ixp int, seq uint64, opts Options) (*federatio
 	if err != nil {
 		return nil, err
 	}
+	p.BindFlow(mitigation.NewIndex(ds.FlowUpdates, ds.Meta.End))
 	err = ds.EachFlowBatch(func(b *recordBatch) error {
 		p.ObserveBatch(b)
 		return nil

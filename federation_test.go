@@ -46,6 +46,16 @@ func TestFederatedParityGolden(t *testing.T) {
 	if sum.IXPs != 1 {
 		t.Fatalf("summary reports %d IXPs, want 1", sum.IXPs)
 	}
+	singleDir := t.TempDir()
+	if _, err := rtbh.Simulate(cfg, singleDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		rtbh.FileUpdates, rtbh.FileFlows, rtbh.FileMetadata,
+		rtbh.FileIP2AS, rtbh.FilePDB, rtbh.FileTruth,
+	} {
+		requireSameFile(t, filepath.Join(singleDir, name), filepath.Join(rtbh.IXPDir(dir, 0), name))
+	}
 
 	fr, err := rtbh.AnalyzeFederated([]string{rtbh.IXPDir(dir, 0)}, federationOptions())
 	if err != nil {
@@ -190,26 +200,42 @@ func TestFederatedMultiHomed(t *testing.T) {
 	}
 }
 
+// requireSameFile fails unless the two files hold the same bytes.
+func requireSameFile(t *testing.T, wantPath, gotPath string) {
+	t.Helper()
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(gotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s (%d bytes) differs from %s (%d bytes)", gotPath, len(got), wantPath, len(want))
+	}
+}
+
 // runFederatedLive drives one federated live run to completion and
 // returns its report alongside the batch AnalyzeFederated result over
 // the archives the run wrote — the two views every live-parity test
 // compares.
 func runFederatedLive(t *testing.T, cfg rtbh.Config, dir, snapChaosProfile string) (*rtbh.FederatedReport, *rtbh.FederatedReport) {
 	t.Helper()
-	flr, err := rtbh.NewFederatedLiveRun(cfg, dir, nil)
+	lr, err := rtbh.NewLiveRun(cfg, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snapChaosProfile != "" {
-		if err := flr.EnableSnapshotChaos(cfg.Seed+7, snapChaosProfile); err != nil {
+		if err := lr.EnableSnapshotChaos(cfg.Seed+7, snapChaosProfile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sum, err := flr.Run(context.Background())
+	sum, err := lr.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flr.Interrupted() {
+	if lr.Interrupted() {
 		t.Fatal("uninterrupted federated run reports Interrupted")
 	}
 	if sum.IXPs != cfg.IXPs {
@@ -217,7 +243,7 @@ func runFederatedLive(t *testing.T, cfg rtbh.Config, dir, snapChaosProfile strin
 	}
 
 	opts := federationOptions()
-	live, err := flr.Report(opts)
+	live, err := lr.Report(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,5 +334,73 @@ func TestChaosFederatedSnapshotTransport(t *testing.T) {
 		t.Errorf("cross view diverges: live foreign=%d leaked=%d, batch foreign=%d leaked=%d",
 			live.Cross.ForeignPkts, live.Cross.LeakedEvents,
 			batch.Cross.ForeignPkts, batch.Cross.LeakedEvents)
+	}
+}
+
+// TestChaosFederatedLiveTransport impairs the live transports of a
+// two-exchange run with the flapping-tcp profile: exchange i draws its
+// kill schedule from seed+i, every exchange's sessions re-establish,
+// and each control-plane archive stays byte-identical to the batch
+// federated simulation. The report merged from the online analyzers
+// still equals the batch AnalyzeFederated over the run's own archives.
+func TestChaosFederatedLiveTransport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a federated world through impaired live transports")
+	}
+	cfg := chaosConfig()
+	cfg.IXPs = 2
+
+	batchDir, liveDir := t.TempDir(), t.TempDir()
+	if _, err := rtbh.SimulateFederated(cfg, batchDir); err != nil {
+		t.Fatal(err)
+	}
+	reg := rtbh.NewMetricsRegistry()
+	lr, err := rtbh.NewLiveRun(cfg, liveDir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lr.EnableChaos(1, "flapping-tcp"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := reg.Snapshot()
+	if kills, rec := snap.Counter("faultnet.tcp.kills"), snap.Counter("live.bgp.reconnects"); kills == 0 || rec != kills {
+		t.Errorf("exchange 0: %d injected kills, %d reconnects", kills, rec)
+	}
+	// Every exchange injected its own schedule.
+	want := "=== ixp0 ===\n" + lr.PlanJournal(0) + "=== ixp1 ===\n" + lr.PlanJournal(1)
+	if lr.PlanJournal(0) == "" || lr.PlanJournal(1) == "" || lr.PlanJournal(0) == lr.PlanJournal(1) {
+		t.Error("the exchanges' fault journals are empty or equal: seed+i plans did not fire independently")
+	}
+	if got := lr.ChaosJournal(); got != want {
+		t.Errorf("ChaosJournal is not the per-exchange journals under ixp<i> headers:\n%s", got)
+	}
+
+	dirs := make([]string, cfg.IXPs)
+	for i := range dirs {
+		dirs[i] = rtbh.IXPDir(liveDir, i)
+		requireSameFile(t, filepath.Join(rtbh.IXPDir(batchDir, i), rtbh.FileUpdates), filepath.Join(dirs[i], rtbh.FileUpdates))
+	}
+	opts := federationOptions()
+	live, err := lr.Report(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := rtbh.AnalyzeFederated(dirs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderGolden(live.Global), renderGolden(batch.Global); !bytes.Equal(got, want) {
+		diffLines(t, want, got)
+		t.Fatal("global report of the impaired run does not match AnalyzeFederated over its archives")
+	}
+	for i := range batch.PerIXP {
+		if got, want := renderGolden(live.PerIXP[i].Report), renderGolden(batch.PerIXP[i].Report); !bytes.Equal(got, want) {
+			diffLines(t, want, got)
+			t.Fatalf("per-IXP report %d of the impaired run does not match batch", i)
+		}
 	}
 }

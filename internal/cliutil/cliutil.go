@@ -14,6 +14,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // CheckWorkers validates a -workers flag: 0 means GOMAXPROCS, positive
@@ -108,6 +111,31 @@ func ParseScale(spec string) (world string, trafficScale float64, err error) {
 	return "full", s, nil
 }
 
+// WorldConfig turns a -scale value into the world it names: the test,
+// bench or full configuration, and for a numeric scale the paper
+// configuration — the full world at that traffic multiplier with the
+// sampling coarsened by the same factor (see ParseScale).
+func WorldConfig(spec string) (scenario.Config, error) {
+	world, trafficScale, err := ParseScale(spec)
+	if err != nil {
+		return scenario.Config{}, err
+	}
+	var cfg scenario.Config
+	switch world {
+	case "test":
+		cfg = scenario.TestConfig()
+	case "bench":
+		cfg = scenario.BenchConfig()
+	case "full":
+		cfg = scenario.DefaultConfig()
+	}
+	cfg.TrafficScale = trafficScale
+	if trafficScale != 0 {
+		cfg.SamplingRate = int64(float64(cfg.SamplingRate)*trafficScale + 0.5)
+	}
+	return cfg, nil
+}
+
 // CheckTrafficScale validates a -traffic-scale override: 0 keeps the
 // scale default, positive multipliers are taken literally.
 func CheckTrafficScale(s float64) error {
@@ -132,6 +160,41 @@ func CheckDetect(threshold float64, window, cooldown time.Duration) error {
 		return fmt.Errorf("-detect-cooldown must be >= 0 (0 withdraws on the first quiet tick), got %v", cooldown)
 	}
 	return nil
+}
+
+// CheckLiveModes validates rtbh-live's mode flags against the exchange
+// count. What a looking glass or a detector over several exchanges
+// means is undecided (federation v2), so both stay single-exchange;
+// the snapshot transport only exists between several.
+func CheckLiveModes(ixps int, serve, detect, snapshotChaos bool) error {
+	switch {
+	case detect && ixps > 1:
+		return fmt.Errorf("-detect supports a single exchange; drop -ixps or the -detect flag")
+	case serve && ixps > 1:
+		return fmt.Errorf("-serve supports a single exchange; drop -ixps or the -serve flag")
+	case snapshotChaos && ixps <= 1:
+		return fmt.Errorf("-snapshot-chaos-profile impairs the snapshot transport between exchanges; add -ixps N (N > 1) or drop the flag")
+	}
+	return nil
+}
+
+// WriteMetrics dumps the registry snapshot as JSON to path; "-" writes
+// to stderr, so a report on stdout stays machine-separable from the
+// metrics.
+func WriteMetrics(reg *obs.Registry, path string) error {
+	snap := reg.Snapshot()
+	if path == "-" {
+		return snap.WriteJSON(os.Stderr)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := snap.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // CheckDatasetDir validates that dir exists and looks like a dataset

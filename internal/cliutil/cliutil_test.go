@@ -4,9 +4,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 func TestCheckWorkers(t *testing.T) {
@@ -114,6 +117,30 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+func TestWorldConfig(t *testing.T) {
+	for spec, want := range map[string]scenario.Config{
+		"test":  scenario.TestConfig(),
+		"bench": scenario.BenchConfig(),
+		"full":  scenario.DefaultConfig(),
+	} {
+		got, err := WorldConfig(spec)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("WorldConfig(%q) = (%+v, %v), want the %s configuration untouched", spec, got, err, spec)
+		}
+	}
+	// A numeric scale is the full world with traffic and sampling
+	// denominator multiplied alike.
+	full := scenario.DefaultConfig()
+	got, err := WorldConfig("50")
+	if err != nil || got.TrafficScale != 50 || got.SamplingRate != 50*full.SamplingRate || got.Days != full.Days {
+		t.Errorf(`WorldConfig("50") = traffic x%g, sampling 1:%d, %d days (%v), want x50, 1:%d, %d days`,
+			got.TrafficScale, got.SamplingRate, got.Days, err, 50*full.SamplingRate, full.Days)
+	}
+	if _, err := WorldConfig("huge"); err == nil {
+		t.Error(`WorldConfig("huge") accepted`)
+	}
+}
+
 func TestCheckTrafficScale(t *testing.T) {
 	for _, ok := range []float64{0, 1, 50, 0.1} {
 		if err := CheckTrafficScale(ok); err != nil {
@@ -160,6 +187,35 @@ func TestCheckDetect(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantFlag) {
 			t.Errorf("CheckDetect(%v, %v, %v) error %q does not name %s",
 				c.threshold, c.window, c.cooldown, err, c.wantFlag)
+		}
+	}
+}
+
+func TestCheckLiveModes(t *testing.T) {
+	for _, c := range []struct {
+		ixps                         int
+		serve, detect, snapshotChaos bool
+		wantFlag                     string // "" = accepted
+	}{
+		{1, false, false, false, ""},
+		{1, true, true, false, ""},
+		{3, false, false, false, ""},
+		{3, false, false, true, ""},
+		{3, true, false, false, "-serve"},
+		{3, false, true, false, "-detect"},
+		{3, true, true, true, "-detect"},
+		{1, false, false, true, "-snapshot-chaos-profile"},
+		{1, true, true, true, "-snapshot-chaos-profile"},
+	} {
+		err := CheckLiveModes(c.ixps, c.serve, c.detect, c.snapshotChaos)
+		switch {
+		case c.wantFlag == "" && err != nil:
+			t.Errorf("CheckLiveModes(%d, %v, %v, %v) = %v, want nil", c.ixps, c.serve, c.detect, c.snapshotChaos, err)
+		case c.wantFlag != "" && err == nil:
+			t.Errorf("CheckLiveModes(%d, %v, %v, %v) accepted", c.ixps, c.serve, c.detect, c.snapshotChaos)
+		case c.wantFlag != "" && !strings.HasPrefix(err.Error(), c.wantFlag+" "):
+			t.Errorf("CheckLiveModes(%d, %v, %v, %v) error %q does not start with %s",
+				c.ixps, c.serve, c.detect, c.snapshotChaos, err, c.wantFlag)
 		}
 	}
 }

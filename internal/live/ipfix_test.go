@@ -260,3 +260,62 @@ func TestRunnerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunnerDrainAccountsQueueTailDrop overflows the ingest queue of a
+// runner without a fault plan: the sink is held until the read loop has
+// shed the tail of the export stream, so no later datagram reveals the
+// gap. The drain must still account the loss promptly (its Sync carries
+// the final sequence number) instead of waiting out DrainTimeout.
+func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
+	const queueLen, msgs = 2, 40
+	m := NewMetrics()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var collected int64
+	r, err := NewRunner(t.Context(),
+		RunnerConfig{Session: testSessionConfig(), QueueLen: queueLen, DrainTimeout: 2 * time.Second}, m,
+		func(time.Time, uint32, *bgp.Update) error { return nil }, nil,
+		func(b *ipfix.RecordBatch) error {
+			if collected == 0 {
+				close(entered)
+				<-release
+			}
+			collected += int64(b.Len())
+			return nil
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown()
+
+	// Whole messages only, so Drain's flush adds no datagram of its own.
+	n := msgs * ipfix.MaxRecords(DefaultMTU, true)
+	for i := 0; i < n; i++ {
+		rec := flowRec(i)
+		if err := r.ExportFlow(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered
+	waitFor(t, 5*time.Second, "the read loop to shed the tail", func() bool {
+		return 1+int64(len(r.collector.queue))+m.DroppedDatagrams.Value() == msgs
+	})
+	if m.DroppedDatagrams.Value() < msgs-1-queueLen {
+		t.Fatalf("dropped %d datagrams, want at least %d", m.DroppedDatagrams.Value(), msgs-1-queueLen)
+	}
+	close(release)
+
+	start := time.Now()
+	if err := r.Drain(); err != nil {
+		t.Fatalf("drain after a queue tail drop: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("drain took %v, want well under the %v timeout", took, 2*time.Second)
+	}
+	if err := r.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if got := collected + m.DroppedRecords.Value(); got != int64(n) || m.DroppedRecords.Value() == 0 {
+		t.Fatalf("collected %d + dropped %d = %d, exported %d", collected, m.DroppedRecords.Value(), got, n)
+	}
+}

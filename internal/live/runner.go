@@ -169,13 +169,14 @@ func (r *Runner) ExportFlowBatch(b *ipfix.RecordBatch) error { return r.exporter
 // barrier, an exporter flush, and a wait for the collector to account
 // for every exported record. Call once driving is done (or aborted).
 //
-// Under a fault plan two extra steps make the drain converge. First,
-// recovery must complete — every killed session re-established, every
-// deferred peer-down cancelled — or shutdown could strand a reconnect
-// and break the kills==reconnects reconciliation. Second, a tail drop
-// leaves no later datagram to reveal its sequence gap, so the drain
-// repeatedly emits impairment-exempt Sync messages carrying the final
-// sequence number until the collector has accounted for every record.
+// A tail drop — injected, or shed by a full ingest queue on a loaded
+// box — leaves no later datagram to reveal its sequence gap, so the
+// drain repeatedly emits Sync messages (exempt from impairment) carrying
+// the final sequence number until the collector has accounted for every
+// record. Under a fault plan recovery must complete first — every
+// killed session re-established, every deferred peer-down cancelled —
+// or shutdown could strand a reconnect and break the kills==reconnects
+// reconciliation.
 func (r *Runner) Drain() error {
 	// On an aborted run the barrier may legitimately time out (a send
 	// may have failed); drain the flow stream regardless so the archive
@@ -184,25 +185,20 @@ func (r *Runner) Drain() error {
 	if ferr := r.exporter.Flush(); err == nil {
 		err = ferr
 	}
-	if r.cfg.Fault == nil {
-		if derr := r.collector.Drain(r.exporter.Exported(), r.cfg.DrainTimeout); err == nil {
-			err = derr
-		}
-		return err
-	}
 	deadline := time.Now().Add(r.cfg.DrainTimeout)
-	if rerr := r.awaitRecovery(deadline); err == nil {
-		err = rerr
+	if r.cfg.Fault != nil {
+		if rerr := r.awaitRecovery(deadline); err == nil {
+			err = rerr
+		}
 	}
 	var derr error
 	for {
 		if derr = r.exporter.Sync(); derr != nil {
 			break
 		}
-		if derr = r.collector.Drain(r.exporter.Exported(), 100*time.Millisecond); derr == nil {
-			break
-		}
-		if !time.Now().Before(deadline) {
+		derr = r.collector.Drain(r.exporter.Exported(), 100*time.Millisecond)
+		// Only a timeout is worth another Sync: a failed sink stays failed.
+		if derr == nil || r.collector.err() != nil || !time.Now().Before(deadline) {
 			break
 		}
 	}

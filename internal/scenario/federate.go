@@ -1,14 +1,11 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/fabric"
-	"repro/internal/ipfix"
-	"repro/internal/routeserver"
 	"repro/internal/stats"
 )
 
@@ -33,8 +30,11 @@ type Federation struct {
 // config: home assignments for every member, per-IXP clock offsets, and
 // the deterministic multi-homed member selection (seed-derived, so the
 // same world always federates identically).
-func PlanFederation(w *World) *Federation {
-	n := w.Cfg.IXPs
+func PlanFederation(w *World) *Federation { return planFederation(w, w.Cfg.IXPs) }
+
+// planFederation federates w across n exchanges; Run passes 1 to keep
+// the world on a single exchange regardless of its config.
+func planFederation(w *World, n int) *Federation {
 	if n < 1 {
 		n = 1
 	}
@@ -115,106 +115,26 @@ func (f *Federation) DispatchIXP(b *fabric.Batch) int {
 	return h
 }
 
-// FederatedResult summarizes a completed federated run.
-type FederatedResult struct {
-	World      *World
-	Federation *Federation
-	// Per-IXP measurements, indexed by exchange.
-	FabricStats []fabric.Stats
-	ControlMsgs []int
-	FlowRecords []int64
-
-	Announcements int
-	Withdrawals   int
+// Route returns the executor that fans Drive's total event order out
+// across the per-exchange executors: control messages to the announcing
+// member's home exchange, batches wherever DispatchIXP anchors them. A
+// single exchange needs no routing and is returned as is.
+func (f *Federation) Route(exs []Executor) Executor {
+	if f.N == 1 {
+		return exs[0]
+	}
+	return router{fed: f, exs: exs}
 }
 
-// federatedExecutor routes Drive's total event order across the per-IXP
-// executors: control messages to the announcing member's home exchange,
-// batches wherever DispatchIXP anchors them.
-type federatedExecutor struct {
+type router struct {
 	fed *Federation
 	exs []Executor
 }
 
-func (e *federatedExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
-	return e.exs[e.fed.Home(peerAS)].Control(ts, peerAS, upd)
+func (r router) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
+	return r.exs[r.fed.Home(peerAS)].Control(ts, peerAS, upd)
 }
 
-func (e *federatedExecutor) Inject(b *fabric.Batch) error {
-	return e.exs[e.fed.DispatchIXP(b)].Inject(b)
-}
-
-// RunFederated executes the planned world across the federation's
-// exchanges: one route server and fabric per IXP, fed from the same
-// totally ordered action stream Run dispatches, with every fabric
-// drawing from one shared sample source. With IXPs == 1 the emitted
-// streams are byte-identical to Run's; with more, they partition them
-// (exactly, when MultiHomedShare is zero).
-//
-// sinks must have one entry per exchange.
-func RunFederated(w *World, sinks []Sinks) (*FederatedResult, error) {
-	fed := PlanFederation(w)
-	if len(sinks) != fed.N {
-		return nil, fmt.Errorf("scenario: %d sinks for %d IXPs", len(sinks), fed.N)
-	}
-	for i := range sinks {
-		if sinks[i].Flow == nil {
-			return nil, fmt.Errorf("scenario: Sinks[%d].Flow is required", i)
-		}
-	}
-
-	res := &FederatedResult{
-		World:       w,
-		Federation:  fed,
-		FabricStats: make([]fabric.Stats, fed.N),
-		ControlMsgs: make([]int, fed.N),
-		FlowRecords: make([]int64, fed.N),
-	}
-	rss := make([]*routeserver.Server, fed.N)
-	fbs := make([]*fabric.Fabric, fed.N)
-
-	st, err := Drive(w, func(fabricRNG *stats.RNG) (Executor, error) {
-		src, err := fabric.NewSampleSource(w.Cfg.SamplingRate, fabricRNG)
-		if err != nil {
-			return nil, err
-		}
-		exs := make([]Executor, fed.N)
-		for i := 0; i < fed.N; i++ {
-			i := i
-			rs, err := NewRouteServer(w)
-			if err != nil {
-				return nil, err
-			}
-			if sinks[i].Control != nil {
-				rs.SetCollector(sinks[i].Control)
-			}
-			fb, err := fabric.NewWithSource(rs, src, func(b *ipfix.RecordBatch) error {
-				res.FlowRecords[i] += int64(b.Len())
-				return sinks[i].Flow(b)
-			})
-			if err != nil {
-				return nil, err
-			}
-			fb.ClockOffset = fed.ClockOffsets[i]
-			if sinks[i].Metrics != nil {
-				rs.RegisterMetrics(sinks[i].Metrics)
-				fb.RegisterMetrics(sinks[i].Metrics)
-			}
-			rss[i] = rs
-			fbs[i] = fb
-			exs[i] = directExecutor{rs: rs, fb: fb}
-		}
-		return &federatedExecutor{fed: fed, exs: exs}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for i := 0; i < fed.N; i++ {
-		res.FabricStats[i] = fbs[i].Stats()
-		res.ControlMsgs[i] = rss[i].MessagesProcessed()
-	}
-	res.Announcements = st.Announcements
-	res.Withdrawals = st.Withdrawals
-	return res, nil
+func (r router) Inject(b *fabric.Batch) error {
+	return r.exs[r.fed.DispatchIXP(b)].Inject(b)
 }

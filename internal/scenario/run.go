@@ -102,78 +102,123 @@ func NewRouteServer(w *World) (*routeserver.Server, error) {
 	return rs, nil
 }
 
-// Run executes the planned world chronologically, feeding the route
-// server, the switching fabric and the sinks.
-func Run(w *World, sinks Sinks) (*Result, error) {
-	if sinks.Flow == nil {
-		return nil, fmt.Errorf("scenario: Sinks.Flow is required")
-	}
-	res := &Result{World: w}
+// Exchange is the unit every run wires: one route server and the
+// switching fabric that forwards by its state. It is also the in-process
+// Executor of its own exchange: control messages go straight to the
+// route server, batches straight to the fabric.
+type Exchange struct {
+	RS *routeserver.Server
+	FB *fabric.Fabric
+	// FlowRecords counts the sampled flow records the fabric emitted.
+	FlowRecords int64
+}
 
-	var (
-		rs        *routeserver.Server
-		fb        *fabric.Fabric
-		flowCount int64
-	)
-	st, err := Drive(w, func(fabricRNG *stats.RNG) (Executor, error) {
-		var err error
-		if rs, err = NewRouteServer(w); err != nil {
+func (x *Exchange) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
+	_, err := x.RS.Process(ts, peerAS, upd)
+	return err
+}
+
+func (x *Exchange) Inject(b *fabric.Batch) error { return x.FB.Inject(b) }
+
+// NewExchanges builds the federation's exchanges inside Drive's build
+// callback, one per entry of sinks: a route server with every member
+// session and sinks[i].Control as its collector hook, a fabric emitting
+// into sinks[i].Flow on the exchange's clock offset, and both registered
+// on sinks[i].Metrics. All fabrics draw from one sample source forked
+// from fabricRNG exactly as fabric.New forks it, so a single exchange
+// reproduces the unfederated data plane bit for bit and N exchanges
+// partition it (exactly, when MultiHomedShare is zero).
+func NewExchanges(fed *Federation, fabricRNG *stats.RNG, sinks []Sinks) ([]*Exchange, error) {
+	if len(sinks) != fed.N {
+		return nil, fmt.Errorf("scenario: %d sinks for %d IXPs", len(sinks), fed.N)
+	}
+	w := fed.W
+	src, err := fabric.NewSampleSource(w.Cfg.SamplingRate, fabricRNG)
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]*Exchange, fed.N)
+	for i, s := range sinks {
+		if s.Flow == nil {
+			return nil, fmt.Errorf("scenario: Sinks[%d].Flow is required", i)
+		}
+		x := &Exchange{}
+		if x.RS, err = NewRouteServer(w); err != nil {
 			return nil, err
 		}
-		if sinks.Control != nil {
-			rs.SetCollector(sinks.Control)
+		if s.Control != nil {
+			x.RS.SetCollector(s.Control)
 		}
-		fb, err = fabric.New(rs, w.Cfg.SamplingRate, fabricRNG, func(b *ipfix.RecordBatch) error {
-			flowCount += int64(b.Len())
-			return sinks.Flow(b)
+		x.FB, err = fabric.NewWithSource(x.RS, src, func(b *ipfix.RecordBatch) error {
+			x.FlowRecords += int64(b.Len())
+			return s.Flow(b)
 		})
 		if err != nil {
 			return nil, err
 		}
-		fb.ClockOffset = w.Cfg.ClockOffset
-		if sinks.Metrics != nil {
-			rs.RegisterMetrics(sinks.Metrics)
-			fb.RegisterMetrics(sinks.Metrics)
+		x.FB.ClockOffset = fed.ClockOffsets[i]
+		if s.Metrics != nil {
+			x.RS.RegisterMetrics(s.Metrics)
+			x.FB.RegisterMetrics(s.Metrics)
 		}
-		return directExecutor{rs: rs, fb: fb}, nil
+		xs[i] = x
+	}
+	return xs, nil
+}
+
+// RunFederated executes the planned world across the federation's
+// exchanges in process: every control message and batch of Drive's
+// totally ordered action stream goes straight to the route server and
+// fabric of the exchange the federation routes it to. With fed.N == 1
+// the emitted streams are byte-identical to Run's; with more, they
+// partition them. sinks must have one entry per exchange.
+func RunFederated(fed *Federation, sinks []Sinks) ([]*Exchange, *DriveStats, error) {
+	var xs []*Exchange
+	st, err := Drive(fed.W, func(fabricRNG *stats.RNG) (Executor, error) {
+		var err error
+		if xs, err = NewExchanges(fed, fabricRNG, sinks); err != nil {
+			return nil, err
+		}
+		exs := make([]Executor, len(xs))
+		for i, x := range xs {
+			exs[i] = x
+		}
+		return fed.Route(exs), nil
 	})
+	return xs, st, err
+}
+
+// Run executes the planned world chronologically on a single exchange
+// (whatever Config.IXPs says), feeding the route server, the switching
+// fabric and the sinks.
+func Run(w *World, sinks Sinks) (*Result, error) {
+	xs, st, err := RunFederated(planFederation(w, 1), []Sinks{sinks})
 	if err != nil {
 		return nil, err
 	}
-
-	res.FabricStats = fb.Stats()
-	res.ControlMsgs = rs.MessagesProcessed()
-	res.Announcements = st.Announcements
-	res.Withdrawals = st.Withdrawals
-	res.FlowSpecAnnouncements = st.FlowSpecAnnouncements
-	res.FlowSpecWithdrawals = st.FlowSpecWithdrawals
-	res.FlowRecords = flowCount
-	res.Mitigation = fb.Mitigation()
-	return res, nil
+	x := xs[0]
+	return &Result{
+		World:                 w,
+		FabricStats:           x.FB.Stats(),
+		ControlMsgs:           x.RS.MessagesProcessed(),
+		Announcements:         st.Announcements,
+		Withdrawals:           st.Withdrawals,
+		FlowRecords:           x.FlowRecords,
+		FlowSpecAnnouncements: st.FlowSpecAnnouncements,
+		FlowSpecWithdrawals:   st.FlowSpecWithdrawals,
+		Mitigation:            x.FB.Mitigation(),
+	}, nil
 }
-
-// directExecutor is the in-process executor Run uses: control messages
-// go straight to the route server, batches straight to the fabric.
-type directExecutor struct {
-	rs *routeserver.Server
-	fb *fabric.Fabric
-}
-
-func (e directExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
-	_, err := e.rs.Process(ts, peerAS, upd)
-	return err
-}
-
-func (e directExecutor) Inject(b *fabric.Batch) error { return e.fb.Inject(b) }
 
 // Drive walks the planned world's total event order and dispatches every
 // action to the executor created by build. The RNG substream handed to
-// build is the exact fork Run passes to fabric.New, so an executor that
-// wraps a fabric constructed with it reproduces Run's data plane
-// bit-identically; the control updates Drive builds are likewise
-// bit-identical to Run's. This is the seam the live subsystem uses to
-// put real transports between the scenario and the route server/fabric
-// while keeping the archived dataset byte-identical to the batch path.
+// build is the exact fork Run's fabrics sample from, so an executor that
+// wraps exchanges built with it (NewExchanges, or fabric.New for a
+// hand-wired single fabric) reproduces Run's data plane bit-identically;
+// the control updates Drive builds are likewise bit-identical to Run's.
+// This is the seam the live subsystem uses to put real transports
+// between the scenario and the route server/fabric while keeping the
+// archived dataset byte-identical to the batch path.
 //
 // When an executor call fails mid-walk (including a cancelled live run),
 // Drive returns the stats of the actions dispatched so far alongside the

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,9 +14,9 @@ import (
 	"repro/internal/detect"
 	"repro/internal/fabric"
 	"repro/internal/faultnet"
+	"repro/internal/federation"
 	"repro/internal/ipfix"
 	"repro/internal/live"
-	"repro/internal/mrt"
 	"repro/internal/routeserver"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -27,74 +27,106 @@ import (
 // does, every control update crosses a real BGP-over-TCP session and
 // every sampled flow record is exported as RFC 7011 IPFIX over UDP to a
 // collector, which writes the archives and feeds an OnlineAnalyzer.
-// The archived dataset is byte-identical to Simulate's for the same
-// Config (see DESIGN.md, "Live mode").
+// The world runs across cfg.IXPs exchanges, each with its own route
+// server, fabric, transports, analyzer and dataset directory: dir itself
+// for a single exchange, IXPDir(dir, i) for more. The archived datasets
+// are byte-identical to Simulate's, respectively SimulateFederated's,
+// for the same Config (see DESIGN.md, "Live mode").
 //
 // Construct with NewLiveRun, inspect progress through Analyzer, then
 // Run once. Cancelling Run's context interrupts the run gracefully: the
-// in-flight streams drain, the archive holds the delivered prefix of
-// the run, and the analyzer reports over exactly that prefix.
+// in-flight streams drain, the archives hold the delivered prefix of
+// the run, and the analyzers report over exactly that prefix.
 type LiveRun struct {
 	cfg      Config
-	dir      string
 	reg      *MetricsRegistry
 	w        *scenario.World
-	analyzer *OnlineAnalyzer
-	lm       *live.Metrics
-	plan     *faultnet.Plan
+	fed      *scenario.Federation
+	xs       []*liveExchange
+	snapPlan *faultnet.Plan
 	det      *detect.Detector
 
 	ran         bool
 	interrupted bool
 }
 
+// liveExchange is one exchange of a live run.
+type liveExchange struct {
+	dir      string
+	analyzer *OnlineAnalyzer
+	lm       *live.Metrics
+	plan     *faultnet.Plan
+
+	// Run state. ex is assigned inside Drive's build callback, strictly
+	// before the runner carries any traffic that reaches it.
+	dw     *datasetWriter
+	runner *live.Runner
+	ex     *scenario.Exchange
+	// rsMu serializes route-server access: deliveries arrive on the
+	// sequencer's delivery goroutine, peer flushes on per-session
+	// listener goroutines, and the route server itself is not
+	// concurrency-safe.
+	rsMu sync.Mutex
+}
+
 // ChaosProfiles lists the fault-injection profile names accepted by
 // EnableChaos and the -chaos-profile flag.
 func ChaosProfiles() []string { return faultnet.ProfileNames() }
 
-// NewLiveRun plans the world described by cfg and prepares the online
-// analyzer. Nothing is written and no sockets open until Run. When reg
-// is non-nil the live transports register their metrics ("live.*") on
-// it immediately, and the route server and fabric add theirs
-// ("routeserver.*", "fabric.*") during Run.
+// NewLiveRun plans the world described by cfg and its federation, and
+// prepares one online analyzer per exchange. Nothing is written and no
+// sockets open until Run. When reg is non-nil, exchange 0 registers its
+// transport and analyzer metrics ("live.*", "online.*") on it
+// immediately and its route-server and fabric metrics
+// ("routeserver.*", "fabric.*") during Run — one exchange only, because
+// the metric names are global.
 func NewLiveRun(cfg Config, dir string, reg *MetricsRegistry) (*LiveRun, error) {
 	w, err := scenario.Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	lm := live.NewMetrics()
-	analyzer := NewOnlineAnalyzer(analysisMeta(w))
-	if reg != nil {
-		lm.Register(reg)
-		analyzer.RegisterMetrics(reg)
+	lr := &LiveRun{cfg: cfg, reg: reg, w: w, fed: scenario.PlanFederation(w)}
+	meta := analysisMeta(w)
+	for i := 0; i < lr.fed.N; i++ {
+		x := &liveExchange{dir: dir, analyzer: NewOnlineAnalyzer(meta), lm: live.NewMetrics()}
+		if lr.fed.N > 1 {
+			x.dir = IXPDir(dir, i)
+		}
+		if reg != nil && i == 0 {
+			x.lm.Register(reg)
+			x.analyzer.RegisterMetrics(reg)
+		}
+		lr.xs = append(lr.xs, x)
 	}
-	return &LiveRun{
-		cfg:      cfg,
-		dir:      dir,
-		reg:      reg,
-		w:        w,
-		analyzer: analyzer,
-		lm:       lm,
-	}, nil
+	return lr, nil
 }
 
-// Analyzer returns the run's online analyzer. Snapshot it at any time —
-// before, during or after Run. The looking-glass serving layer
-// (internal/serve, rtbh-live -serve) mounts its HTTP API over exactly
-// this analyzer: every endpoint is a cached view of its Snapshot.
-func (lr *LiveRun) Analyzer() *OnlineAnalyzer { return lr.analyzer }
+// IXPs returns the number of exchanges the run drives.
+func (lr *LiveRun) IXPs() int { return lr.fed.N }
+
+// Analyzer returns the online analyzer of exchange 0 — the run's only
+// one unless cfg.IXPs > 1. Snapshot it at any time — before, during or
+// after Run. The looking-glass serving layer (internal/serve, rtbh-live
+// -serve) mounts its HTTP API over exactly this analyzer: every
+// endpoint is a cached view of its Snapshot.
+func (lr *LiveRun) Analyzer() *OnlineAnalyzer { return lr.xs[0].analyzer }
+
+// IXPAnalyzer returns exchange i's online analyzer.
+func (lr *LiveRun) IXPAnalyzer(i int) *OnlineAnalyzer { return lr.xs[i].analyzer }
 
 // Config returns the configuration the run was planned with; the
 // serving layer's health endpoint reports it so clients can tell which
 // world they are looking at.
 func (lr *LiveRun) Config() Config { return lr.cfg }
 
-// EnableChaos arms a seeded fault-injection plan for the run: the given
+// EnableChaos arms seeded fault-injection plans for the run: the given
 // profile's impairments are applied to the BGP/TCP sessions and the
-// IPFIX/UDP export path, scheduled deterministically from seed (see
-// internal/faultnet). Call before Run. The plan's injection counters
-// register on the run's metrics registry under "faultnet.*", so a
-// snapshot reconciles injected faults against observed recovery.
+// IPFIX/UDP export path, scheduled deterministically (see
+// internal/faultnet). Exchange i draws its schedule from seed+i, so
+// every exchange flaps independently but reproducibly. Call before Run.
+// Exchange 0's injection counters register on the run's metrics
+// registry under "faultnet.*", so a snapshot reconciles injected faults
+// against observed recovery.
 func (lr *LiveRun) EnableChaos(seed uint64, profile string) error {
 	if lr.ran {
 		return fmt.Errorf("rtbh: live run already executed")
@@ -103,10 +135,26 @@ func (lr *LiveRun) EnableChaos(seed uint64, profile string) error {
 	if err != nil {
 		return err
 	}
-	lr.plan = faultnet.NewPlan(seed, p)
-	if lr.reg != nil {
-		lr.plan.M.Register(lr.reg)
+	for i, x := range lr.xs {
+		x.plan = faultnet.NewPlan(seed+uint64(i), p)
 	}
+	if lr.reg != nil {
+		lr.xs[0].plan.M.Register(lr.reg)
+	}
+	return nil
+}
+
+// EnableSnapshotChaos arms a fault-injection plan on the snapshot
+// transport alone: every federation.Send from Report dials through the
+// profile's connection middleware, so snapshot frames are truncated and
+// connections cut deterministically while the coordinator still
+// converges through retransmits and Seq dedup. Call before Report.
+func (lr *LiveRun) EnableSnapshotChaos(seed uint64, profile string) error {
+	p, err := faultnet.ParseProfile(profile)
+	if err != nil {
+		return err
+	}
+	lr.snapPlan = faultnet.NewPlan(seed, p)
 	return nil
 }
 
@@ -122,10 +170,15 @@ func (lr *LiveRun) EnableChaos(seed uint64, profile string) error {
 //
 // The detector is strictly opt-in: without it the archived dataset is
 // byte-identical to Simulate's, with it the archive additionally holds
-// the mitigation peer's announcements.
+// the mitigation peer's announcements. Where a victim seen at several
+// exchanges would be announced is undecided (federation v2), so a
+// multi-exchange run refuses the detector.
 func (lr *LiveRun) EnableDetector(cfg detect.Config) error {
 	if lr.ran {
 		return fmt.Errorf("rtbh: live run already executed")
+	}
+	if lr.fed.N > 1 {
+		return fmt.Errorf("rtbh: the detector supports a single exchange, the run has %d", lr.fed.N)
 	}
 	cfg.SamplingRate = lr.w.Cfg.SamplingRate
 	cfg.BlackholeMAC = fabric.BlackholeMAC
@@ -185,127 +238,71 @@ func (lr *LiveRun) EvaluateDetections(slack time.Duration) *detect.Eval {
 	return detect.Evaluate(lr.det.Status().Detections, lr.AttackTruth(), slack)
 }
 
-// ChaosJournal renders every fault the plan injected, grouped by stream:
-// byte-identical across runs with the same seed, profile and Config. It
-// is empty until Run and when chaos is not enabled.
+// ChaosJournal renders every fault the plans injected, grouped by
+// stream (and, with several exchanges, by exchange): byte-identical
+// across runs with the same seed, profile and Config. It is empty until
+// Run and when chaos is not enabled.
 func (lr *LiveRun) ChaosJournal() string {
-	if lr.plan == nil {
-		return ""
+	var sb strings.Builder
+	for i, x := range lr.xs {
+		if x.plan == nil {
+			return ""
+		}
+		j := x.plan.Journal()
+		if j != "" && lr.fed.N > 1 {
+			fmt.Fprintf(&sb, "=== ixp%d ===\n", i)
+		}
+		sb.WriteString(j)
 	}
-	return lr.plan.Journal()
+	return sb.String()
 }
 
 // Interrupted reports whether Run ended early because its context was
-// cancelled (the dataset then covers the delivered prefix of the run).
+// cancelled (the datasets then cover the delivered prefix of the run).
 func (lr *LiveRun) Interrupted() bool { return lr.interrupted }
 
-// Run drives the planned world through the live transports and writes
-// the same dataset files as Simulate into the run's directory. It
-// returns after the streams have drained, the shutdown invariants have
-// been reconciled (every sent update delivered; every exported record
-// collected or accounted as dropped) and the archives are flushed.
+// Run drives the planned world through every exchange's live transports
+// and writes the same dataset files as Simulate into each exchange's
+// directory. It returns after the streams have drained, the shutdown
+// invariants have been reconciled (every sent update delivered; every
+// exported record collected or accounted as dropped) and the archives
+// are flushed.
 //
 // Cancelling ctx stops dispatching, drains what is in flight, and
 // returns normally with Interrupted() set; any other failure is an
 // error.
-func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
+func (lr *LiveRun) Run(ctx context.Context) (*FederatedSummary, error) {
 	if lr.ran {
 		return nil, fmt.Errorf("rtbh: live run already executed")
 	}
 	lr.ran = true
-	w := lr.w
+	w, fed := lr.w, lr.fed
 
-	if err := os.MkdirAll(lr.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	mrtFile, err := os.Create(filepath.Join(lr.dir, FileUpdates))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	defer mrtFile.Close()
-	mrtW := mrt.NewWriter(mrtFile)
-
-	flowFile, err := os.Create(filepath.Join(lr.dir, FileFlows))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	defer flowFile.Close()
-	flowW := ipfix.NewWriter(flowFile, 1)
-
-	// rs and fb are assigned inside Drive's build callback, strictly
-	// before the runner carries any traffic that reaches these closures.
-	var (
-		rs *routeserver.Server
-		fb *fabric.Fabric
-	)
-
-	// rsMu serializes route-server access: deliveries arrive on the
-	// sequencer's delivery goroutine, peer flushes on per-session
-	// listener goroutines, and the route server itself is not
-	// concurrency-safe.
-	var rsMu sync.Mutex
-
-	// Delivered updates (totally ordered by the sequencer) go to the
-	// route server — whose collector hook archives the re-encoded wire
-	// message, byte-identical to the batch path — and to the analyzer.
-	deliver := func(ts time.Time, peer uint32, upd *bgp.Update) error {
-		rsMu.Lock()
-		_, err := rs.Process(ts, peer, upd)
-		rsMu.Unlock()
-		if err != nil {
-			return err
+	defer func() {
+		for _, x := range lr.xs {
+			x.abandon()
 		}
-		lr.analyzer.ObserveUpdate(ts, peer, upd)
-		return nil
-	}
-	// Ungraceful session loss flushes the peer's routes, exactly like a
-	// production route server would. The orderly Cease at shutdown does
-	// not take this path.
-	onPeerFlush := func(peer uint32) {
-		rsMu.Lock()
-		rs.PeerDown(peer)
-		rsMu.Unlock()
-	}
-	// Collected flow records (in export order) feed the archive and the
-	// analyzer.
-	flowSink := func(b *ipfix.RecordBatch) error {
-		if err := flowW.WriteBatch(b); err != nil {
-			return err
-		}
-		lr.analyzer.ObserveFlowBatch(b)
-		if lr.det != nil {
-			lr.det.ObserveFlowBatch(b)
-		}
-		return nil
-	}
-
-	rcfg := live.RunnerConfig{Fault: lr.plan}
-	if lr.plan != nil {
-		// Chaos tuning: reconnect fast enough that injected kills heal
-		// well inside the restart tolerance, with a hold time that
-		// injected stalls (≤2ms) can never expire.
-		rcfg.Session = live.SessionConfig{
-			HoldTime:     30 * time.Second,
-			ReconnectMin: 2 * time.Millisecond,
-			ReconnectMax: 50 * time.Millisecond,
+	}()
+	sinks := make([]scenario.Sinks, fed.N)
+	for i, x := range lr.xs {
+		var err error
+		if sinks[i], err = x.start(ctx, w, lr.det); err != nil {
+			return nil, err
 		}
 	}
-	runner, err := live.NewRunner(ctx, rcfg, lr.lm, deliver, onPeerFlush, flowSink)
-	if err != nil {
-		return nil, err
-	}
-	defer runner.Shutdown()
+	sinks[0].Metrics = lr.reg
 
-	var flowCount int64
+	var exs []*scenario.Exchange
 	st, driveErr := scenario.Drive(w, func(fabricRNG *stats.RNG) (scenario.Executor, error) {
-		if rs, err = scenario.NewRouteServer(w); err != nil {
+		var err error
+		if exs, err = scenario.NewExchanges(fed, fabricRNG, sinks); err != nil {
 			return nil, err
 		}
 		if lr.det != nil {
 			// The detector peers with the route server like any member:
 			// its announcements cross a real BGP session and are archived
 			// by the collector hook exactly like operator-originated RTBH.
-			if err := rs.AddPeer(routeserver.Peer{
+			if err := exs[0].RS.AddPeer(routeserver.Peer{
 				ASN:    detect.PeerASN,
 				IP:     w.RSIP + 0xFFFD,
 				Policy: routeserver.DefaultPolicy(),
@@ -313,37 +310,19 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 				return nil, err
 			}
 		}
-		rs.SetCollector(func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-			rec := mrt.Record{
-				Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-				PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
-			}
-			// Write errors surface at Flush below, as in Simulate.
-			_ = mrtW.WriteRecord(&rec)
-		})
-		fb, err = fabric.New(rs, w.Cfg.SamplingRate, fabricRNG, func(b *ipfix.RecordBatch) error {
-			flowCount += int64(b.Len())
-			return runner.ExportFlowBatch(b)
-		})
-		if err != nil {
-			return nil, err
+		out := make([]scenario.Executor, fed.N)
+		for i, x := range lr.xs {
+			x.ex = exs[i]
+			x.runner.SetRouteServerASN(uint32(w.RSASN))
+			out[i] = liveExecutor{r: x.runner, fb: x.ex.FB, det: lr.det}
 		}
-		fb.ClockOffset = w.Cfg.ClockOffset
-		if lr.reg != nil {
-			rs.RegisterMetrics(lr.reg)
-			fb.RegisterMetrics(lr.reg)
-		}
-		runner.SetRouteServerASN(uint32(w.RSASN))
-		return liveExecutor{r: runner, fb: fb, det: lr.det}, nil
+		return fed.Route(out), nil
 	})
 	if driveErr != nil {
 		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
 			return nil, driveErr
 		}
 		lr.interrupted = true
-	}
-	if st == nil { // Drive returns no stats when build itself failed
-		st = &scenario.DriveStats{}
 	}
 
 	// Close the mitigation loop: a final detector tick at the end of the
@@ -355,61 +334,163 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 	// be pending when the tick fires. Skipped on interruption — the
 	// runner refuses new updates once its context is cancelled.
 	if lr.det != nil && !lr.interrupted {
-		if err := runner.Drain(); err != nil {
+		x := lr.xs[0]
+		if err := x.runner.Drain(); err != nil {
 			return nil, err
 		}
-		ex := liveExecutor{r: runner, fb: fb, det: lr.det}
+		ex := liveExecutor{r: x.runner, fb: x.ex.FB, det: lr.det}
 		if err := ex.dispatchDetections(w.Cfg.End()); err != nil {
 			return nil, err
 		}
-		if err := runner.Barrier(); err != nil {
+		if err := x.runner.Barrier(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Drain what is in flight even on an interrupted run, so the archive
-	// and the analyzer agree on the delivered prefix.
-	if err := runner.Drain(); err != nil {
-		return nil, err
+	for i, x := range lr.xs {
+		if err := x.stop(); err != nil {
+			return nil, fmt.Errorf("rtbh: ixp%d: %w", i, err)
+		}
 	}
-	if err := runner.Reconcile(); err != nil {
-		return nil, err
+	return federatedSummary(fed, exs, st), nil
+}
+
+// start opens the exchange's dataset writer and live transports and
+// returns the sinks its route server and fabric feed: the collector hook
+// archives straight into the dataset, sampled flow records leave through
+// the IPFIX exporter.
+func (x *liveExchange) start(ctx context.Context, w *scenario.World, det *detect.Detector) (scenario.Sinks, error) {
+	var err error
+	if x.dw, err = newDatasetWriter(x.dir, w); err != nil {
+		return scenario.Sinks{}, err
 	}
-	if err := runner.Shutdown(); err != nil {
-		return nil, err
+	archive := x.dw.sinks()
+
+	// Delivered updates (totally ordered by the sequencer) go to the
+	// route server — whose collector hook archives the re-encoded wire
+	// message, byte-identical to the batch path — and to the analyzer.
+	deliver := func(ts time.Time, peer uint32, upd *bgp.Update) error {
+		x.rsMu.Lock()
+		_, err := x.ex.RS.Process(ts, peer, upd)
+		x.rsMu.Unlock()
+		if err != nil {
+			return err
+		}
+		x.analyzer.ObserveUpdate(ts, peer, upd)
+		return nil
+	}
+	// Ungraceful session loss flushes the peer's routes, exactly like a
+	// production route server would. The orderly Cease at shutdown does
+	// not take this path.
+	onPeerFlush := func(peer uint32) {
+		x.rsMu.Lock()
+		x.ex.RS.PeerDown(peer)
+		x.rsMu.Unlock()
+	}
+	// Collected flow records (in export order) feed the archive, the
+	// analyzer and the detector.
+	flowSink := func(b *ipfix.RecordBatch) error {
+		if err := archive.Flow(b); err != nil {
+			return err
+		}
+		x.analyzer.ObserveFlowBatch(b)
+		if det != nil {
+			det.ObserveFlowBatch(b)
+		}
+		return nil
 	}
 
-	if err := mrtW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing MRT: %w", err)
+	rcfg := live.RunnerConfig{Fault: x.plan}
+	if x.plan != nil {
+		// Chaos tuning: reconnect fast enough that injected kills heal
+		// well inside the restart tolerance, with a hold time that
+		// injected stalls (≤2ms) can never expire.
+		rcfg.Session = live.SessionConfig{
+			HoldTime:     30 * time.Second,
+			ReconnectMin: 2 * time.Millisecond,
+			ReconnectMax: 50 * time.Millisecond,
+		}
 	}
-	if err := flowW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing IPFIX: %w", err)
+	if x.runner, err = live.NewRunner(ctx, rcfg, x.lm, deliver, onPeerFlush, flowSink); err != nil {
+		return scenario.Sinks{}, err
 	}
-	if err := writeJSON(filepath.Join(lr.dir, FileMetadata), metaOf(w)); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(lr.dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(lr.dir, FilePDB), w.PDB.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(lr.dir, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
-		return nil, err
-	}
+	return scenario.Sinks{Control: archive.Control, Flow: x.runner.ExportFlowBatch}, nil
+}
 
-	fst := fb.Stats()
-	return &SimulationSummary{
-		Events:         len(w.Events),
-		Hosts:          len(w.Hosts),
-		Members:        len(w.Members),
-		ControlMsgs:    rs.MessagesProcessed(),
-		Announcements:  st.Announcements,
-		Withdrawals:    st.Withdrawals,
-		FlowRecords:    flowCount,
-		PacketsIn:      fst.PacketsIn,
-		PacketsDropped: fst.PacketsDropped,
-	}, nil
+// stop drains what is in flight — even on an interrupted run, so the
+// archive and the analyzer agree on the delivered prefix — reconciles
+// the shutdown invariants, and completes the dataset.
+func (x *liveExchange) stop() error {
+	if err := x.runner.Drain(); err != nil {
+		return err
+	}
+	if err := x.runner.Reconcile(); err != nil {
+		return err
+	}
+	if err := x.runner.Shutdown(); err != nil {
+		return err
+	}
+	return x.dw.finish()
+}
+
+// abandon releases whatever start opened; after stop it is a no-op.
+func (x *liveExchange) abandon() {
+	if x.runner != nil {
+		x.runner.Shutdown() //nolint:errcheck // best-effort cleanup
+	}
+	if x.dw != nil {
+		x.dw.close()
+	}
+}
+
+// Report federates the online analyzers: each exchange's state is
+// reduced to a snapshot (OnlineAnalyzer.FederationState), shipped over
+// the federation TCP transport to an in-process coordinator — through
+// the snapshot-chaos middleware when armed — and merged, exactly as
+// distributed instances would. The cross-IXP view re-streams the flow
+// archives Run wrote. Call after Run; the result is identical to
+// AnalyzeFederated over the same directories (see DESIGN.md,
+// "Federation").
+func (lr *LiveRun) Report(opts Options) (*FederatedReport, error) {
+	if !lr.ran {
+		return nil, fmt.Errorf("rtbh: live run has not executed")
+	}
+	coord := federation.NewCoordinator(analysisMeta(lr.w), opts.Delta)
+	srv, err := federation.Serve("127.0.0.1:0", coord)
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+
+	datasets := make([]*Dataset, lr.fed.N)
+	for i, x := range lr.xs {
+		snap, err := x.analyzer.FederationState(i, 1, lr.fed.ClockOffsets[i])
+		if err != nil {
+			return nil, err
+		}
+		var wrap func(c net.Conn) net.Conn
+		attempts := 3
+		if lr.snapPlan != nil {
+			// Each exchange's snapshot stream draws its own deterministic
+			// schedule; the reset-free progress guarantee bounds retries.
+			wrap = lr.snapPlan.TCP(uint32(i)).Wrap
+			attempts = 6
+		}
+		if err := federation.Send(srv.Addr(), snap, wrap, attempts); err != nil {
+			return nil, err
+		}
+		if datasets[i], err = OpenDataset(x.dir); err != nil {
+			return nil, err
+		}
+	}
+	if got := coord.Snapshots(); got != lr.fed.N {
+		return nil, fmt.Errorf("rtbh: coordinator holds %d snapshots, want %d", got, lr.fed.N)
+	}
+	merged, err := coord.Merge()
+	if err != nil {
+		return nil, err
+	}
+	return composeFederatedReport(merged, datasets, opts)
 }
 
 // liveExecutor dispatches the scenario driver's action stream onto the

@@ -90,11 +90,11 @@ func TestLiveBatchParity(t *testing.T) {
 	if downs, est := counter("live.bgp.peer_downs"), counter("live.bgp.sessions_established"); est == 0 || 2*downs != est {
 		t.Errorf("peer_downs = %d, sessions_established = %d, want exactly one graceful down per session", downs, est)
 	}
-	if sent, delivered := counter("live.bgp.updates_sent"), counter("live.bgp.updates_delivered"); sent != delivered || int(sent) != liveSum.ControlMsgs {
-		t.Errorf("updates sent %d / delivered %d / processed %d", sent, delivered, liveSum.ControlMsgs)
+	if sent, delivered := counter("live.bgp.updates_sent"), counter("live.bgp.updates_delivered"); sent != delivered || int(sent) != liveSum.ControlMsgs[0] {
+		t.Errorf("updates sent %d / delivered %d / processed %d", sent, delivered, liveSum.ControlMsgs[0])
 	}
-	if exp, col := counter("live.ipfix.exported_records"), counter("live.ipfix.collected_records"); exp != col || exp != liveSum.FlowRecords {
-		t.Errorf("records exported %d / collected %d / summary %d", exp, col, liveSum.FlowRecords)
+	if exp, col := counter("live.ipfix.exported_records"), counter("live.ipfix.collected_records"); exp != col || exp != liveSum.FlowRecords[0] {
+		t.Errorf("records exported %d / collected %d / summary %d", exp, col, liveSum.FlowRecords[0])
 	}
 
 	// The online analyzer's final report must render byte-identical to
@@ -203,8 +203,8 @@ func TestLiveGracefulInterrupt(t *testing.T) {
 	if !lr.Interrupted() {
 		t.Fatal("cancelled run not reported as interrupted")
 	}
-	if sum.FlowRecords != 0 {
-		t.Fatalf("interrupted-at-start run exported %d flow records", sum.FlowRecords)
+	if sum.FlowRecords[0] != 0 {
+		t.Fatalf("interrupted-at-start run exported %d flow records", sum.FlowRecords[0])
 	}
 
 	// The dataset directory is complete and loadable.

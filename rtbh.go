@@ -14,6 +14,16 @@
 //	ds, err := rtbh.OpenDataset(dir)          // load what an analyst gets
 //	report, err := ds.Analyze(rtbh.DefaultOptions())
 //
+// The same world streams through real transports — BGP over TCP, IPFIX
+// over UDP — into online analyzers with one driver for one exchange or
+// cfg.IXPs of them; the datasets it writes are byte-identical to
+// Simulate's (SimulateFederated's):
+//
+//	lr, err := rtbh.NewLiveRun(cfg, dir, nil)
+//	sum, err := lr.Run(ctx)                   // archives + online analysis
+//	report, err := lr.Analyzer().Final(rtbh.DefaultOptions())
+//	fed, err := lr.Report(rtbh.DefaultOptions()) // merged over all exchanges
+//
 // The simulation and the analysis share no state beyond the dataset
 // files: the analysis only sees what the paper's authors saw (BGP
 // messages, sampled flow records, the member interface database, routing

@@ -72,64 +72,24 @@ func Simulate(cfg Config, dir string) (*SimulationSummary, error) {
 // "fabric.*") on it. Snapshot after the call returns; the fabric's
 // ground-truth gauges match the returned summary exactly.
 func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*SimulationSummary, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
 	w, err := scenario.Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	mrtFile, err := os.Create(filepath.Join(dir, FileUpdates))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	defer mrtFile.Close()
-	mrtW := mrt.NewWriter(mrtFile)
-
-	flowFile, err := os.Create(filepath.Join(dir, FileFlows))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	defer flowFile.Close()
-	flowW := ipfix.NewWriter(flowFile, 1)
-
-	res, err := scenario.Run(w, scenario.Sinks{
-		Control: func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
-			rec := mrt.Record{
-				Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(w.RSASN),
-				PeerIP: peerIP, LocalIP: w.RSIP, Message: msg,
-			}
-			// The run aborts on the first sink error via the flow sink;
-			// control write errors surface at Flush below.
-			_ = mrtW.WriteRecord(&rec)
-		},
-		Flow:    flowW.WriteBatch,
-		Metrics: reg,
-	})
+	dw, err := newDatasetWriter(dir, w)
 	if err != nil {
 		return nil, err
 	}
-	if err := mrtW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing MRT: %w", err)
-	}
-	if err := flowW.Flush(); err != nil {
-		return nil, fmt.Errorf("rtbh: flushing IPFIX: %w", err)
-	}
-
-	if err := writeJSON(filepath.Join(dir, FileMetadata), metaOf(w)); err != nil {
+	defer dw.close()
+	sinks := dw.sinks()
+	sinks.Metrics = reg
+	res, err := scenario.Run(w, sinks)
+	if err != nil {
 		return nil, err
 	}
-	if err := writeFile(filepath.Join(dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
+	if err := dw.finish(); err != nil {
 		return nil, err
 	}
-	if err := writeFile(filepath.Join(dir, FilePDB), w.PDB.WriteJSON); err != nil {
-		return nil, err
-	}
-	if err := writeFile(filepath.Join(dir, FileTruth), scenario.Truth(w).WriteJSON); err != nil {
-		return nil, err
-	}
-
 	st := res.FabricStats
 	return &SimulationSummary{
 		Events:         len(w.Events),
@@ -142,6 +102,90 @@ func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*Simulation
 		PacketsIn:      st.PacketsIn,
 		PacketsDropped: st.PacketsDropped,
 	}, nil
+}
+
+// datasetWriter writes one exchange's dataset directory: the two stream
+// archives while the run is in flight, the side tables once it is over.
+// Simulate, SimulateFederated and LiveRun all archive through it, so
+// what a dataset directory holds is decided here and nowhere else.
+type datasetWriter struct {
+	dir               string
+	w                 *scenario.World
+	mrtFile, flowFile *os.File
+	mrtW              *mrt.Writer
+	flowW             *ipfix.Writer
+}
+
+// newDatasetWriter creates dir if missing and opens the two archives.
+func newDatasetWriter(dir string, w *scenario.World) (*datasetWriter, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	dw := &datasetWriter{dir: dir, w: w}
+	var err error
+	if dw.mrtFile, err = os.Create(filepath.Join(dir, FileUpdates)); err != nil {
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	if dw.flowFile, err = os.Create(filepath.Join(dir, FileFlows)); err != nil {
+		dw.mrtFile.Close()
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	dw.mrtW = mrt.NewWriter(dw.mrtFile)
+	dw.flowW = ipfix.NewWriter(dw.flowFile, 1)
+	return dw, nil
+}
+
+// sinks returns the archive ends of the two streams: Control frames
+// every message the route server's collector hook sees as one MRT
+// record, Flow appends each record batch to the IPFIX archive.
+func (dw *datasetWriter) sinks() scenario.Sinks {
+	return scenario.Sinks{
+		Control: func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
+			rec := mrt.Record{
+				Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(dw.w.RSASN),
+				PeerIP: peerIP, LocalIP: dw.w.RSIP, Message: msg,
+			}
+			// A failing disk aborts the run through the flow sink;
+			// control write errors surface at Flush in finish.
+			_ = dw.mrtW.WriteRecord(&rec)
+		},
+		Flow: dw.flowW.WriteBatch,
+	}
+}
+
+// finish flushes and closes the archives and writes the side tables,
+// which makes the directory a complete, loadable dataset.
+func (dw *datasetWriter) finish() error {
+	if err := dw.mrtW.Flush(); err != nil {
+		return fmt.Errorf("rtbh: flushing MRT: %w", err)
+	}
+	if err := dw.flowW.Flush(); err != nil {
+		return fmt.Errorf("rtbh: flushing IPFIX: %w", err)
+	}
+	if err := dw.mrtFile.Close(); err != nil {
+		return fmt.Errorf("rtbh: %w", err)
+	}
+	if err := dw.flowFile.Close(); err != nil {
+		return fmt.Errorf("rtbh: %w", err)
+	}
+	w := dw.w
+	if err := writeJSON(filepath.Join(dw.dir, FileMetadata), metaOf(w)); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dw.dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dw.dir, FilePDB), w.PDB.WriteJSON); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(dw.dir, FileTruth), scenario.Truth(w).WriteJSON)
+}
+
+// close releases the archive files on paths that never reached finish
+// (closing twice is harmless).
+func (dw *datasetWriter) close() {
+	dw.mrtFile.Close()
+	dw.flowFile.Close()
 }
 
 func metaOf(w *scenario.World) datasetMeta {
