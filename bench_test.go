@@ -633,7 +633,7 @@ func benchOnlineSnapshot(b *testing.B, days int) {
 	for i := range ds.Updates {
 		a.ObserveControl(ds.Updates[i])
 	}
-	if err := ds.EachFlow(func(rec *FlowRecord) error { a.ObserveFlow(rec); return nil }); err != nil {
+	if err := ds.EachFlowBatch(func(b *recordBatch) error { a.ObserveFlowBatch(b); return nil }); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := a.Snapshot(opts); err != nil { // seal everything eligible once
@@ -676,8 +676,8 @@ func loadBenchFlows(b *testing.B, ds *Dataset) (int, []*recordBatch) {
 	b.Helper()
 	benchFlows.once.Do(func() {
 		var recs []FlowRecord
-		benchFlows.err = ds.EachFlow(func(rec *FlowRecord) error {
-			recs = append(recs, *rec)
+		benchFlows.err = ds.EachFlowBatch(func(b *recordBatch) error {
+			recs = append(recs, b.Recs...)
 			return nil
 		})
 		benchFlows.total = len(recs)

@@ -153,11 +153,6 @@ func NewDataset(meta *analysis.Metadata, updates []analysis.ControlUpdate, flows
 	}
 }
 
-// EachFlow streams the flow records to fn; callable repeatedly.
-func (d *Dataset) EachFlow(fn func(*ipfix.FlowRecord) error) error {
-	return d.eachBatch(ipfix.EachRecord(fn))
-}
-
 // EachFlowBatch streams the flow records to fn in batches — one batch
 // per archived IPFIX message for on-disk datasets — handing each batch
 // per the ipfix.RecordBatch contract; callable repeatedly. This is the

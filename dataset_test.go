@@ -113,12 +113,12 @@ func TestEachFlowRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func() (n int64) {
-		ds.EachFlow(func(*FlowRecord) error { n++; return nil })
+		ds.EachFlowBatch(func(b *recordBatch) error { n += int64(b.Len()); return nil })
 		return
 	}
 	a, b := count(), count()
 	if a == 0 || a != b {
-		t.Fatalf("EachFlow not repeatable: %d vs %d", a, b)
+		t.Fatalf("EachFlowBatch not repeatable: %d vs %d", a, b)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestInMemoryDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var flows []FlowRecord
-	ds.EachFlow(func(r *FlowRecord) error { flows = append(flows, *r); return nil })
+	ds.EachFlowBatch(func(b *recordBatch) error { flows = append(flows, b.Recs...); return nil })
 
 	mem := NewDataset(ds.Meta, ds.Updates, flows)
 	opts := DefaultOptions()

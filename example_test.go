@@ -6,6 +6,7 @@ import (
 	"os"
 
 	rtbh "repro"
+	"repro/internal/ipfix"
 )
 
 // Example demonstrates the complete workflow: simulate a miniature IXP
@@ -48,8 +49,9 @@ func Example() {
 	// clock offset near +40ms: true
 }
 
-// ExampleOnlineAnalyzer feeds the measurement streams record by record —
-// the way live mode delivers them — takes a partial snapshot mid-stream,
+// ExampleOnlineAnalyzer feeds the measurement streams update by update
+// and batch by batch — the way live mode delivers them — takes a partial
+// snapshot mid-stream,
 // and shows that the final online report matches the batch analysis of
 // the same archive. Snapshots stay cheap regardless of stream length:
 // records behind the seal horizon are folded into compact operator state
@@ -82,17 +84,18 @@ func ExampleOnlineAnalyzer() {
 	for _, u := range ds.Updates {
 		a.ObserveControl(u)
 	}
-	flows := 0
-	if err := ds.EachFlow(func(rec *rtbh.FlowRecord) error {
-		a.ObserveFlow(rec)
-		flows++
-		if flows == 5000 { // mid-stream: snapshot without stopping ingest
+	flows, snapped := 0, false
+	if err := ds.EachFlowBatch(func(b *ipfix.RecordBatch) error {
+		a.ObserveFlowBatch(b)
+		flows += b.Len()
+		if flows >= 5000 && !snapped { // mid-stream: snapshot without stopping ingest
+			snapped = true
 			partial, err := a.Snapshot(opts)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("partial snapshot covers the 5000 records fed: %v\n",
-				partial.TotalRecords == 5000)
+			fmt.Printf("partial snapshot covers the records fed so far: %v\n",
+				partial.TotalRecords == int64(flows))
 			fmt.Printf("partial snapshot has events: %v\n", len(partial.Events) > 0)
 		}
 		return nil
@@ -113,7 +116,7 @@ func ExampleOnlineAnalyzer() {
 			final.AttributedRecords == batch.AttributedRecords &&
 			len(final.Events) == len(batch.Events))
 	// Output:
-	// partial snapshot covers the 5000 records fed: true
+	// partial snapshot covers the records fed so far: true
 	// partial snapshot has events: true
 	// final == batch: true
 }

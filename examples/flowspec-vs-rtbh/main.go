@@ -107,21 +107,24 @@ func runScenario(mitigate func(*routeserver.Server) error) outcome {
 	}
 
 	var o outcome
-	fb, err := fabric.New(rs, 1 /* sample everything */, stats.NewRNG(42), ipfix.EachRecord(func(r *ipfix.FlowRecord) error {
-		dropped := r.DstMAC == fabric.BlackholeMAC
-		attack := r.Proto == netgen.ProtoUDP && netgen.IsAmplificationPort(r.Proto, r.SrcPort)
-		switch {
-		case attack && dropped:
-			o.attackDropped++
-		case attack:
-			o.attackForwarded++
-		case dropped:
-			o.legitDropped++
-		default:
-			o.legitForwarded++
+	fb, err := fabric.New(rs, 1 /* sample everything */, stats.NewRNG(42), func(b *ipfix.RecordBatch) error {
+		for i := range b.Recs {
+			r := &b.Recs[i]
+			dropped := r.DstMAC == fabric.BlackholeMAC
+			attack := r.Proto == netgen.ProtoUDP && netgen.IsAmplificationPort(r.Proto, r.SrcPort)
+			switch {
+			case attack && dropped:
+				o.attackDropped++
+			case attack:
+				o.attackForwarded++
+			case dropped:
+				o.legitDropped++
+			default:
+				o.legitForwarded++
+			}
 		}
 		return nil
-	}))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func composeFederatedReport(merged *federation.MergedState, datasets []*Dataset,
 		sources := make(map[int]federation.FlowSource)
 		for _, v := range merged.IXPs {
 			if v.IXP >= 0 && v.IXP < len(datasets) && datasets[v.IXP] != nil {
-				sources[v.IXP] = datasets[v.IXP].EachFlow
+				sources[v.IXP] = datasets[v.IXP].EachFlowBatch
 			}
 		}
 		cross, err := merged.Cross(sources)

@@ -36,11 +36,6 @@ const SlotDuration = 5 * time.Minute
 // Slot returns the global slot index of t.
 func Slot(t time.Time) int64 { return t.Unix() / int64(SlotDuration/time.Second) }
 
-// SlotStart returns the start time of slot index s.
-func SlotStart(s int64) time.Time {
-	return time.Unix(s*int64(SlotDuration/time.Second), 0).UTC()
-}
-
 // Day returns the UTC day index of t relative to start.
 func Day(start, t time.Time) int {
 	return int(t.Sub(start) / (24 * time.Hour))
@@ -129,17 +124,11 @@ func SortFlowUpdates(us []FlowUpdate) {
 	sort.SliceStable(us, func(i, j int) bool { return us[i].Time.Before(us[j].Time) })
 }
 
-// ParseMRT extracts RTBH control updates from an MRT stream written by
-// the collector. Non-UPDATE records are skipped; see ExpandUpdate for
-// what qualifies. The result is sorted by time.
-func ParseMRT(r io.Reader) ([]ControlUpdate, error) {
-	out, _, err := ParseMRTAll(r)
-	return out, err
-}
-
-// ParseMRTAll extracts both signaling streams from an MRT archive: the
-// RTBH control updates and the FlowSpec rule actions, each sorted by
-// time. The same UPDATE never contributes to both — FlowSpec updates
+// ParseMRTAll extracts both signaling streams from an MRT archive
+// written by the collector: the RTBH control updates and the FlowSpec
+// rule actions, each sorted by time. Non-UPDATE records are skipped; see
+// ExpandUpdate and ExpandFlowSpec for what qualifies. The same UPDATE
+// never contributes to both — FlowSpec updates
 // carry no IPv4 NLRI and no BLACKHOLE community, so ExpandUpdate yields
 // nothing for them, and vice versa.
 func ParseMRTAll(r io.Reader) ([]ControlUpdate, []FlowUpdate, error) {

@@ -15,9 +15,9 @@ import (
 func TestSlotHelpers(t *testing.T) {
 	t0 := time.Date(2018, 10, 1, 12, 2, 30, 0, time.UTC)
 	s := Slot(t0)
-	start := SlotStart(s)
-	if t0.Before(start) || !t0.Before(start.Add(SlotDuration)) {
-		t.Fatalf("slot %d start %v does not contain %v", s, start, t0)
+	start := time.Date(2018, 10, 1, 12, 0, 0, 0, time.UTC) // the slot boundary below t0
+	if Slot(start.Add(-time.Second)) != s-1 {
+		t.Fatal("previous slot wrong")
 	}
 	if Slot(start) != s || Slot(start.Add(SlotDuration-time.Second)) != s {
 		t.Fatal("slot boundaries wrong")
@@ -70,7 +70,7 @@ func TestParseMRT(t *testing.T) {
 	})
 	w.Flush()
 
-	us, err := ParseMRT(&buf)
+	us, _, err := ParseMRTAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

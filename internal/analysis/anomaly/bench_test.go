@@ -24,11 +24,16 @@ func BenchmarkAnalyzeScaled(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			a, r := New(), stats.NewRNG(1)
 			evs := make([]*aevents.Event, nEvents)
+			slots := make([]int, preSlots)
+			for i := range slots {
+				slots[i] = i
+			}
 			for i := range evs {
 				p := bgp.MakePrefix(0xcb007100+uint32(i), 32)
 				at := start.Add(time.Duration(i) * 7 * time.Minute)
 				evs[i] = &aevents.Event{ID: i, Prefix: p, Episodes: []aevents.Episode{{Announce: at, Withdraw: at.Add(time.Hour)}}}
-				for _, s := range r.Perm(preSlots)[:bc.populated] {
+				r.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
+				for _, s := range slots[:bc.populated] {
 					t := at.Add(-time.Duration(s+1) * analysis.SlotDuration)
 					for k := 1 + r.Intn(8); k > 0; k-- {
 						a.Add(p, t, uint32(r.Intn(64)), 123, uint16(r.Intn(64)), 17, 1)

@@ -15,9 +15,10 @@ import (
 	"repro/internal/analysis/hosts"
 )
 
-// Aggregator counts during-event packets to server top ports. It runs as
-// a second streaming pass, after host profiling has produced the server
-// top-port lists.
+// Aggregator holds the per-event damage counters: during-event packets
+// to server top ports. It is a compose-time result, not a streaming
+// stage — built from the server profiles once host profiling has
+// produced the top-port lists, and filled by Pending.Materialize.
 type Aggregator struct {
 	// topPorts maps server IP -> set of proto<<16|port top ports.
 	topPorts map[uint32]map[uint32]bool
@@ -49,62 +50,12 @@ func New(profiles []hosts.Profile) *Aggregator {
 	return a
 }
 
-// Servers returns the number of servers under observation.
-func (a *Aggregator) Servers() int { return len(a.topPorts) }
-
-// Add inspects one sampled packet observed during eventID's window toward
-// dstIP. Packets to a detected server's top ports count as (worst-case)
-// collateral damage; dropped marks packets the blackhole discarded.
-func (a *Aggregator) Add(eventID int, dstIP uint32, dstPort uint16, proto uint8, dropped bool, pkts int64) {
-	set := a.topPorts[dstIP]
-	if set == nil || !set[uint32(proto)<<16|uint32(dstPort)] {
-		return
-	}
-	c := a.perEvent[eventID]
-	if c == nil {
-		c = &counts{}
-		a.perEvent[eventID] = c
-	}
-	c.all += pkts
-	if dropped {
-		c.dropped += pkts
-	}
-}
-
-// Merge folds o's per-event damage tallies into a, summing colliding
-// events. Both aggregators must have been built from the same profiles.
-// o must not be used afterwards.
-func (a *Aggregator) Merge(o *Aggregator) {
-	for id, oc := range o.perEvent {
-		c := a.perEvent[id]
-		if c == nil {
-			a.perEvent[id] = oc
-			continue
-		}
-		c.all += oc.all
-		c.dropped += oc.dropped
-	}
-}
-
-// Snapshot returns an independent deep copy of the aggregator (Operator
-// contract in internal/analysis). The top-port sets are shared — they are
-// immutable after New.
-func (a *Aggregator) Snapshot() *Aggregator {
-	s := &Aggregator{
-		topPorts: a.topPorts,
-		perEvent: make(map[int]*counts, len(a.perEvent)),
-	}
-	for id, c := range a.perEvent {
-		cp := *c
-		s.perEvent[id] = &cp
-	}
-	return s
-}
-
-// AddCounts folds pre-tallied packet counts for one (event, dstIP, port)
-// cell, applying the same top-port filter as Add. Pending.Materialize
-// uses this to replay the compact during-event tallies once the server
-// profiles — and therefore the top-port sets — are known.
+// AddCounts folds pre-tallied packet counts for one (event, dstIP,
+// proto<<16|port) cell. Packets to a detected server's top ports count
+// as (worst-case) collateral damage, dropped being those the blackhole
+// discarded; everything else is ignored. Pending.Materialize uses this
+// to replay the compact during-event tallies once the server profiles —
+// and therefore the top-port sets — are known.
 func (a *Aggregator) AddCounts(eventID int, dstIP uint32, portKey uint32, all, dropped int64) {
 	set := a.topPorts[dstIP]
 	if set == nil || !set[portKey] {

@@ -13,28 +13,23 @@ func serverProfile() hosts.Profile {
 	return hosts.Profile{
 		IP:       serverIP,
 		Kind:     hosts.KindServer,
-		TopPorts: []uint32{uint32(netgen.ProtoTCP)<<16 | 443},
+		TopPorts: []uint32{portKey(netgen.ProtoTCP, 443)},
 	}
 }
 
+func portKey(proto uint8, port uint16) uint32 { return uint32(proto)<<16 | uint32(port) }
+
 func TestCollateralCountsTopPortTrafficOnly(t *testing.T) {
 	a := New([]hosts.Profile{serverProfile(), {IP: 99, Kind: hosts.KindClient}})
-	if a.Servers() != 1 {
-		t.Fatalf("servers = %d", a.Servers())
-	}
 	// Top-port traffic during event 1: 5 dropped, 3 forwarded.
-	for i := 0; i < 5; i++ {
-		a.Add(1, serverIP, 443, netgen.ProtoTCP, true, 1)
-	}
-	for i := 0; i < 3; i++ {
-		a.Add(1, serverIP, 443, netgen.ProtoTCP, false, 1)
-	}
+	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 5, 5)
+	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 3, 0)
 	// Attack traffic on other ports must not count.
-	a.Add(1, serverIP, 40000, netgen.ProtoUDP, true, 100)
+	a.AddCounts(1, serverIP, portKey(netgen.ProtoUDP, 40000), 100, 100)
 	// Same port number under UDP is a different service.
-	a.Add(1, serverIP, 443, netgen.ProtoUDP, true, 100)
+	a.AddCounts(1, serverIP, portKey(netgen.ProtoUDP, 443), 100, 100)
 	// Traffic to a non-server host never counts.
-	a.Add(1, 99, 443, netgen.ProtoTCP, true, 100)
+	a.AddCounts(1, 99, portKey(netgen.ProtoTCP, 443), 100, 100)
 
 	res := a.Result()
 	if res.Events != 1 {
@@ -53,9 +48,9 @@ func TestCollateralCountsTopPortTrafficOnly(t *testing.T) {
 
 func TestResultSorted(t *testing.T) {
 	a := New([]hosts.Profile{serverProfile()})
-	a.Add(1, serverIP, 443, netgen.ProtoTCP, false, 9)
-	a.Add(2, serverIP, 443, netgen.ProtoTCP, false, 3)
-	a.Add(3, serverIP, 443, netgen.ProtoTCP, false, 6)
+	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 9, 0)
+	a.AddCounts(2, serverIP, portKey(netgen.ProtoTCP, 443), 3, 0)
+	a.AddCounts(3, serverIP, portKey(netgen.ProtoTCP, 443), 6, 0)
 	res := a.Result()
 	if res.Events != 3 {
 		t.Fatalf("events = %d", res.Events)
@@ -70,7 +65,8 @@ func TestResultSorted(t *testing.T) {
 
 func TestServersWithoutTopPortsIgnored(t *testing.T) {
 	a := New([]hosts.Profile{{IP: serverIP, Kind: hosts.KindServer}})
-	if a.Servers() != 0 {
-		t.Fatal("top-port-less server registered")
+	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 5, 5)
+	if res := a.Result(); res.Events != 0 {
+		t.Fatalf("top-port-less server counted: %+v", res)
 	}
 }

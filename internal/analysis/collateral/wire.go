@@ -9,84 +9,8 @@ import (
 	"repro/internal/analysis"
 )
 
-// Snapshot codec versions of the two collateral operators.
-const (
-	aggWireVersion     = 1
-	pendingWireVersion = 1
-)
-
-// MarshalBinary encodes the aggregator canonically: the server top-port
-// sets sorted by IP (ports ascending), then the per-event tallies sorted
-// by event ID.
-func (a *Aggregator) MarshalBinary() ([]byte, error) {
-	w := analysis.NewWireWriter()
-	w.Byte(aggWireVersion)
-	ips := make([]uint32, 0, len(a.topPorts))
-	for ip := range a.topPorts {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	w.Uvarint(uint64(len(ips)))
-	for _, ip := range ips {
-		set := a.topPorts[ip]
-		ports := make([]uint32, 0, len(set))
-		for p := range set {
-			ports = append(ports, p)
-		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-		w.Uvarint(uint64(ip))
-		w.Uvarint(uint64(len(ports)))
-		for _, p := range ports {
-			w.Uvarint(uint64(p))
-		}
-	}
-	ids := make([]int, 0, len(a.perEvent))
-	for id := range a.perEvent {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		c := a.perEvent[id]
-		w.Uvarint(uint64(id))
-		w.Varint(c.all)
-		w.Varint(c.dropped)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary replaces the aggregator's state with the decoded
-// snapshot. On error the aggregator is left unchanged.
-func (a *Aggregator) UnmarshalBinary(data []byte) error {
-	r := analysis.NewWireReader(data)
-	r.Version(aggWireVersion)
-	nServers := r.Count(2)
-	topPorts := make(map[uint32]map[uint32]bool, nServers)
-	for i := 0; i < nServers; i++ {
-		ip := r.U32()
-		nPorts := r.Count(1)
-		set := make(map[uint32]bool, nPorts)
-		for j := 0; j < nPorts; j++ {
-			set[r.U32()] = true
-		}
-		if r.Err() != nil {
-			break
-		}
-		topPorts[ip] = set
-	}
-	nEvents := r.Count(3)
-	perEvent := make(map[int]*counts, nEvents)
-	for i := 0; i < nEvents; i++ {
-		id := r.Int()
-		perEvent[id] = &counts{all: r.Varint(), dropped: r.Varint()}
-	}
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("collateral: %w", err)
-	}
-	a.topPorts = topPorts
-	a.perEvent = perEvent
-	return nil
-}
+// Snapshot codec version of the pending store.
+const pendingWireVersion = 1
 
 // MarshalBinary encodes the pending store canonically: cells sorted by
 // (event ID, destination, port key) — the packed cell key sorts exactly

@@ -17,7 +17,6 @@ import (
 	"repro/internal/analysis/protomix"
 	"repro/internal/analysis/timealign"
 	"repro/internal/bgp"
-	"repro/internal/detect"
 )
 
 // The operator-contract conformance suite. Every registered operator
@@ -211,48 +210,6 @@ func timealignCase() operatorCase {
 	return operatorCase{name: "timealign", stream: 40, fresh: func() *handle { return wrap(timealign.New(ix)) }}
 }
 
-// conformanceProfiles is the fixed server population the collateral
-// aggregator filters against.
-func conformanceProfiles() []hosts.Profile {
-	return []hosts.Profile{
-		{IP: 0x0a000001, Kind: hosts.KindServer, TopPorts: []uint32{6<<16 | 443, 6<<16 | 80}},
-		{IP: 0x0a000002, Kind: hosts.KindServer, TopPorts: []uint32{17<<16 | 53}},
-		{IP: 0x0a000003, Kind: hosts.KindClient, TopPorts: []uint32{6<<16 | 443}},
-	}
-}
-
-func collateralCase() operatorCase {
-	var wrap func(a *collateral.Aggregator) *handle
-	wrap = func(a *collateral.Aggregator) *handle {
-		h := &handle{self: a}
-		h.feed = func(i int) {
-			ip := 0x0a000001 + uint32(i%4)
-			port := uint16([]int{443, 80, 53, 8080}[i%4])
-			proto := uint8(6)
-			if i%4 == 2 {
-				proto = 17
-			}
-			a.Add(i%3, ip, port, proto, i%2 == 0, int64(1+i%3))
-		}
-		h.merge = func(o *handle) { a.Merge(o.self.(*collateral.Aggregator)) }
-		h.marshal = a.MarshalBinary
-		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
-		h.unmarshal = func(data []byte) (*handle, error) {
-			d := collateral.New(nil)
-			if err := d.UnmarshalBinary(data); err != nil {
-				return nil, err
-			}
-			return wrap(d), nil
-		}
-		return h
-	}
-	return operatorCase{
-		name:   "collateral",
-		stream: 60,
-		fresh:  func() *handle { return wrap(collateral.New(conformanceProfiles())) },
-	}
-}
-
 func pendingCase() operatorCase {
 	var wrap func(p *collateral.Pending) *handle
 	wrap = func(p *collateral.Pending) *handle {
@@ -303,65 +260,8 @@ func mitigationCase() operatorCase {
 	return operatorCase{name: "mitigation", stream: 60, fresh: func() *handle { return wrap(mitigation.New()) }}
 }
 
-func detectRateCase() operatorCase {
-	base := conformanceBase()
-	// Geometry matching the detector defaults at a smaller horizon; the
-	// stream spans more than the horizon so eviction is part of the
-	// conformance surface.
-	const slot, retention = time.Minute, 40 * time.Minute
-	var wrap func(a *detect.Rate) *handle
-	wrap = func(a *detect.Rate) *handle {
-		h := &handle{self: a}
-		h.feed = func(i int) {
-			t := base.Add(time.Duration(i%60)*time.Minute + time.Duration(i%5)*11*time.Second)
-			a.Observe(0x0a000001+uint32(i%4), t, int64(1+i%4), int64(64+100*(i%6)))
-		}
-		h.merge = func(o *handle) { a.Merge(o.self.(*detect.Rate)) }
-		h.marshal = a.MarshalBinary
-		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
-		h.unmarshal = func(data []byte) (*handle, error) {
-			d := detect.NewRate(slot, retention)
-			if err := d.UnmarshalBinary(data); err != nil {
-				return nil, err
-			}
-			return wrap(d), nil
-		}
-		return h
-	}
-	return operatorCase{name: "detect-rate", stream: 64, fresh: func() *handle {
-		return wrap(detect.NewRate(slot, retention))
-	}}
-}
-
-func detectVectorsCase() operatorCase {
-	base := conformanceBase()
-	const slot, retention = time.Minute, 40 * time.Minute
-	var wrap func(a *detect.Vectors) *handle
-	wrap = func(a *detect.Vectors) *handle {
-		h := &handle{self: a}
-		h.feed = func(i int) {
-			t := base.Add(time.Duration(i%60) * time.Minute)
-			proto := []uint8{17, 17, 6, 17}[i%4]
-			port := uint16([]int{123, 11211, 80, 53}[i%4])
-			a.Observe(0x0a000001+uint32(i%4), t, proto, port, int64(1+i%3))
-		}
-		h.merge = func(o *handle) { a.Merge(o.self.(*detect.Vectors)) }
-		h.marshal = a.MarshalBinary
-		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
-		h.unmarshal = func(data []byte) (*handle, error) {
-			d := detect.NewVectors(slot, retention)
-			if err := d.UnmarshalBinary(data); err != nil {
-				return nil, err
-			}
-			return wrap(d), nil
-		}
-		return h
-	}
-	return operatorCase{name: "detect-vectors", stream: 56, fresh: func() *handle {
-		return wrap(detect.NewVectors(slot, retention))
-	}}
-}
-
+// operatorCases registers the seven operators whose snapshots
+// Pipeline.MarshalState writes, in section order.
 func operatorCases() []operatorCase {
 	return []operatorCase{
 		dropstatsCase(),
@@ -369,11 +269,8 @@ func operatorCases() []operatorCase {
 		protomixCase(),
 		hostsCase(),
 		timealignCase(),
-		collateralCase(),
 		pendingCase(),
 		mitigationCase(),
-		detectRateCase(),
-		detectVectorsCase(),
 	}
 }
 

@@ -251,25 +251,6 @@ func TestIndexEverBlackholed(t *testing.T) {
 	}
 }
 
-func TestIndexPreEventOf(t *testing.T) {
-	ix, evs := buildIndex(t)
-	ip := prefixA.Addr
-
-	pre := ix.PreEventOf(nil, ip, t0.Add(-time.Hour))
-	if len(pre) != 2 { // within 72h of both events
-		t.Fatalf("pre events = %d, want 2", len(pre))
-	}
-	pre = ix.PreEventOf(nil, ip, t0.Add(-73*time.Hour))
-	if len(pre) != 0 {
-		t.Fatalf("pre events at -73h = %d", len(pre))
-	}
-	// Between events: pre-window of event 1 only.
-	pre = ix.PreEventOf(nil, ip, t0.Add(time.Hour))
-	if len(pre) != 1 || pre[0] != evs[1] {
-		t.Fatalf("pre events between = %v", pre)
-	}
-}
-
 func TestIndexInteresting(t *testing.T) {
 	ix, _ := buildIndex(t)
 	ip := prefixA.Addr

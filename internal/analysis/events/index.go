@@ -191,28 +191,6 @@ func scanLookup(p bgp.Prefix, lst []*Event, t, periodEnd time.Time, m *Match) {
 	}
 }
 
-// PreEventOf returns the events whose 72-hour pre-window covers (ip, t),
-// appending to dst. A record can precede several events of the same or a
-// covering prefix.
-func (ix *Index) PreEventOf(dst []*Event, ip uint32, t time.Time) []*Event {
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		lst, ok := ix.byPrefix[pkey(p)]
-		if !ok {
-			continue
-		}
-		for _, e := range lst {
-			if !t.Before(e.Start()) {
-				continue
-			}
-			if e.Start().Sub(t) <= PreWindow {
-				dst = append(dst, e)
-			}
-		}
-	}
-	return dst
-}
-
 // Interesting reports whether (ip, t) falls inside any event's analysis
 // range — the pre-window plus the merged event window — and returns the
 // matched (longest) prefix. The anomaly aggregator uses this to bound its

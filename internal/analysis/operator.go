@@ -1,8 +1,9 @@
 package analysis
 
-// Operator is the incremental-operator contract shared by every streaming
-// analysis stage (dropstats, anomaly, protomix, hosts, timealign, and the
-// collateral pending store). An operator accumulates observations through
+// Operator is the incremental-operator contract shared by the seven
+// streaming analysis stages whose state Pipeline.MarshalState writes
+// (dropstats, anomaly, protomix, hosts, timealign, the collateral pending
+// store and mitigation). An operator accumulates observations through
 // its stage-specific Observe methods (Add, AddDropped, AddIncoming, ...),
 // supports the three uniform lifecycle operations below, and derives its
 // figures from the accumulated state only when asked:

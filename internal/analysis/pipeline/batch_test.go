@@ -37,10 +37,11 @@ func batchSource(batches []*ipfix.RecordBatch) BatchSource {
 	}
 }
 
-// TestObserveBatchParity pins the batch contract to the per-record one:
-// ObserveBatch over a chunked stream must leave the exact state Observe
-// leaves, and the zero-copy parallel dispatch (RunBatches) must merge to
-// that same state at every worker count. This is the aggregator-level
+// TestObserveBatchParity pins the batch contract: how a stream is cut
+// into batches never shows. ObserveBatch over a chunked stream must leave
+// the exact state ObserveRecords over the whole stream leaves, and the
+// zero-copy parallel dispatch (RunBatches) must merge to that same state
+// at every worker count. This is the aggregator-level
 // face of the byte-identical-reports guarantee the root-package golden
 // and parity suites pin end to end.
 func TestObserveBatchParity(t *testing.T) {
@@ -51,12 +52,10 @@ func TestObserveBatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		seq.Observe(&recs[i])
-	}
+	seq.ObserveRecords(recs)
 	ref := snap(seq)
 	if ref.Attributed == 0 || ref.Dropped == 0 || len(ref.Profiles) == 0 {
-		t.Fatalf("fixture too thin: %+v", ref.Cleaning)
+		t.Fatalf("fixture too thin: %v", counters(seq))
 	}
 
 	t.Run("sequential", func(t *testing.T) {

@@ -35,11 +35,11 @@ func seedStates(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	populated.speculative = true
-	populated.Observe(rec(t0.Add(10*time.Minute), memberMAC200, blackholeMAC,
+	observe(populated, rec(t0.Add(10*time.Minute), memberMAC200, blackholeMAC,
 		0x50000001, victim.Addr, 389, 44444, 17))
-	populated.Observe(rec(t0.Add(11*time.Minute), memberMAC200, memberMAC100,
+	observe(populated, rec(t0.Add(11*time.Minute), memberMAC200, memberMAC100,
 		0x50000002, victim.Addr, 389, 44445, 17))
-	populated.Observe(rec(t0.Add(12*time.Minute), memberMAC100, memberMAC200,
+	observe(populated, rec(t0.Add(12*time.Minute), memberMAC100, memberMAC200,
 		victim.Addr, 0x50000001, 44444, 389, 17))
 	// Populate the mitigation blob too, so the seventh snapshot section
 	// starts from a non-empty encoding as well.

@@ -152,7 +152,7 @@ func parityStream(n int) []ipfix.FlowRecord {
 // pipeline; two pipelines with equal snapshots produce identical reports.
 type snapshot struct {
 	Total, Internal, Attributed, Dropped int64
-	Cleaning                             string
+	FinalAttributed                      int64
 
 	ByLength          []dropstats.LengthStat
 	AvgPkts, AvgBytes float64
@@ -163,7 +163,6 @@ type snapshot struct {
 	Slots    int
 	Verdicts []anomaly.Verdict
 
-	WithData   []int
 	Shares     protomix.ProtocolShares
 	Filterable []float64
 	Origin     protomix.Participation
@@ -179,12 +178,15 @@ type snapshot struct {
 }
 
 func snap(p *Pipeline) snapshot {
-	withData := p.Proto.EventsWithData()
+	ids := make([]int, len(p.Events))
+	for i, e := range p.Events {
+		ids[i] = e.ID
+	}
 	profiles := p.ComposeProfiles(2)
 	return snapshot{
 		Total: p.TotalRecords, Internal: p.InternalRecords,
 		Attributed: p.AttributedRecords, Dropped: p.DroppedRecords,
-		Cleaning: p.CleaningSummary(),
+		FinalAttributed: p.FinalAttributed(),
 
 		ByLength:   p.Drop.ByLength(),
 		Top:        p.Drop.TopSources(50),
@@ -194,12 +196,11 @@ func snap(p *Pipeline) snapshot {
 		Slots:    p.Anomaly.Slots(),
 		Verdicts: p.Anomaly.Analyze(p.Events, p.Index.PeriodEnd(), anomaly.DefaultThreshold),
 
-		WithData:   withData,
-		Shares:     p.Proto.Shares(withData),
-		Filterable: p.Proto.FilterableShares(withData),
-		Origin:     p.Proto.OriginParticipation(withData),
-		Handover:   p.Proto.HandoverParticipation(withData),
-		Scale:      p.Proto.Scale(withData),
+		Shares:     p.Proto.Shares(ids),
+		Filterable: p.Proto.FilterableShares(ids),
+		Origin:     p.Proto.OriginParticipation(ids),
+		Handover:   p.Proto.HandoverParticipation(ids),
+		Scale:      p.Proto.Scale(ids),
 
 		Hosts:    p.Hosts.Hosts(),
 		Profiles: profiles,
@@ -238,15 +239,13 @@ func TestParallelParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		seq.Observe(&recs[i])
-	}
+	seq.ObserveRecords(recs)
 	ref := snap(seq)
 	if len(ref.Profiles) == 0 {
 		t.Fatal("fixture produced no host profiles; parity would be vacuous")
 	}
-	if ref.Attributed == 0 || ref.Dropped == 0 || ref.Slots == 0 || len(ref.WithData) == 0 {
-		t.Fatalf("fixture too thin: %+v", ref.Cleaning)
+	if ref.Attributed == 0 || ref.Dropped == 0 || ref.Slots == 0 || ref.Shares.Packets == 0 {
+		t.Fatalf("fixture too thin: %v", counters(seq))
 	}
 
 	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
@@ -368,7 +367,7 @@ func TestRebindRebindsCursors(t *testing.T) {
 			t.Fatalf("after Rebind: Lookup = %+v, want an active match", m)
 		}
 	}
-	p.Observe(rec(t0.Add(time.Minute), memberMAC200, blackholeMAC, 0x50000001, victim.Addr, 389, 4444, 17))
+	observe(p, rec(t0.Add(time.Minute), memberMAC200, blackholeMAC, 0x50000001, victim.Addr, 389, 4444, 17))
 	if p.Align.Estimate(50*time.Millisecond).BestOverlap != 1 {
 		t.Fatal("time alignment did not see the rebound index")
 	}

@@ -2,17 +2,17 @@
 // each sampled flow record against the control-plane event structure
 // exactly once and dispatches the attributed observation to the
 // per-question incremental operators (drop statistics, anomaly features,
-// protocol mix, host profiles, time alignment, collateral damage).
+// protocol mix, host profiles, time alignment, collateral damage,
+// mitigation).
 //
 // The pipeline runs in a single streaming pass over the flow archive.
-// The collateral-damage question — which historically forced a second
-// pass because it needs the server top-ports detected by host profiling —
-// is answered from a compact pending store keyed by (event, destination,
+// The collateral-damage question — which needs the server top ports that
+// host profiling only knows at the end of the pass — is answered from a compact pending store keyed by (event, destination,
 // proto/port): whether a packet counts as collateral depends only on
 // those coordinates, so tallying during the pass and filtering against
 // the top-port sets at compose time is exact (see collateral.Pending).
 //
-// Every aggregator satisfies the analysis.Operator contract
+// The seven streaming stages satisfy the analysis.Operator contract
 // (Observe/Merge/Snapshot), which is what lets one engine serve three
 // drivers: the sequential batch pass, the sharded parallel runner
 // (Merge), and the online analyzer (Snapshot + speculative observation;
@@ -20,7 +20,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"maps"
 	"time"
 
@@ -46,7 +45,6 @@ var (
 	_ analysis.Operator[*protomix.Aggregator]   = (*protomix.Aggregator)(nil)
 	_ analysis.Operator[*hosts.Aggregator]      = (*hosts.Aggregator)(nil)
 	_ analysis.Operator[*timealign.Aggregator]  = (*timealign.Aggregator)(nil)
-	_ analysis.Operator[*collateral.Aggregator] = (*collateral.Aggregator)(nil)
 	_ analysis.Operator[*collateral.Pending]    = (*collateral.Pending)(nil)
 	_ analysis.Operator[*mitigation.Aggregator] = (*mitigation.Aggregator)(nil)
 )
@@ -326,25 +324,14 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("mitigation.windows", func() int64 { return int64(p.FlowIx.Windows()) })
 }
 
-// Observe processes one flow record. No driver calls it — they all hand
-// over slices or batches (ObserveRecords, ObserveBatch, RunBatches) — it
-// is the per-record definition TestObserveBatchParity pins those to.
-//
-// The pass is split into a destination-keyed and a source-keyed half so
-// that the parallel runner can route each half to the shard owning the
+// ObserveRecords processes a slice of flow records in order. Each record
+// goes through a destination-keyed and a source-keyed half, split so that
+// the parallel runner can route each half to the shard owning the
 // respective address; run back to back they are exactly the sequential
-// pass.
-func (p *Pipeline) Observe(rec *ipfix.FlowRecord) {
-	p.observeDst(rec)
-	p.observeSrc(rec)
-}
-
-// ObserveRecords processes a slice of flow records in order through the
-// same two halves as Observe — the batch fast path. The per-run memos
-// (address cursors, MAC metadata) do the heavy lifting: consecutive
-// records overwhelmingly share endpoints, so the per-record map probes
-// that dominate a naive pass amortize across each run. State after
-// ObserveRecords(recs) is identical to calling Observe on each record.
+// pass. The per-run memos (address cursors, MAC metadata) do the heavy
+// lifting: consecutive records overwhelmingly share endpoints, so the
+// per-record map probes that dominate a naive pass amortize across each
+// run.
 //
 // The loop and the operators under it keep one rule: a record's keys are
 // resolved by a run memo, a dense array or bitset read, or one
@@ -538,17 +525,3 @@ func (p *Pipeline) ComposeCollateral(profiles []hosts.Profile) *collateral.Aggre
 // currently retained for the collateral question (the
 // online.open_event_records gauge).
 func (p *Pipeline) PendingCells() int { return p.Pending.Len() }
-
-// CleaningSummary describes the §3.1 data-cleaning outcome. With no
-// records processed the internal share is reported as "n/a" rather than
-// a fabricated 0.0000% — there is no measurement to report.
-func (p *Pipeline) CleaningSummary() string {
-	if p.TotalRecords == 0 {
-		return fmt.Sprintf("records=0 internal=0 (n/a) attributed=%d dropped=%d",
-			p.FinalAttributed(), p.DroppedRecords)
-	}
-	return fmt.Sprintf("records=%d internal=%d (%.4f%%) attributed=%d dropped=%d",
-		p.TotalRecords, p.InternalRecords,
-		100*float64(p.InternalRecords)/float64(p.TotalRecords),
-		p.FinalAttributed(), p.DroppedRecords)
-}

@@ -56,12 +56,20 @@ func newPipeline(t *testing.T) *Pipeline {
 	return p
 }
 
-func rec(at time.Time, srcMAC, dstMAC ipfix.MAC, srcIP, dstIP uint32, srcPort, dstPort uint16, proto uint8) *ipfix.FlowRecord {
-	return &ipfix.FlowRecord{
+func rec(at time.Time, srcMAC, dstMAC ipfix.MAC, srcIP, dstIP uint32, srcPort, dstPort uint16, proto uint8) ipfix.FlowRecord {
+	return ipfix.FlowRecord{
 		Start: at, SrcMAC: srcMAC, DstMAC: dstMAC,
 		SrcIP: srcIP, DstIP: dstIP, SrcPort: srcPort, DstPort: dstPort,
 		Proto: proto, Packets: 1, Bytes: 500,
 	}
+}
+
+func observe(p *Pipeline, recs ...ipfix.FlowRecord) { p.ObserveRecords(recs) }
+
+// counters returns the cleaning and attribution counters (§3.1): total,
+// internal, attributed, dropped.
+func counters(p *Pipeline) [4]int64 {
+	return [4]int64{p.TotalRecords, p.InternalRecords, p.FinalAttributed(), p.DroppedRecords}
 }
 
 func TestNewRejectsBadMetadata(t *testing.T) {
@@ -74,22 +82,22 @@ func TestNewRejectsBadMetadata(t *testing.T) {
 
 func TestInternalRecordsCleaned(t *testing.T) {
 	p := newPipeline(t)
-	p.Observe(rec(t0, memberMAC100, internalMAC, 1, 2, 3, 4, 6))
+	observe(p, rec(t0, memberMAC100, internalMAC, 1, 2, 3, 4, 6))
 	if p.InternalRecords != 1 || p.AttributedRecords != 0 {
-		t.Fatalf("counters: %s", p.CleaningSummary())
+		t.Fatalf("counters: %v", counters(p))
 	}
 }
 
 func TestDuringEventAttribution(t *testing.T) {
 	p := newPipeline(t)
 	// Dropped packet during the active episode.
-	p.Observe(rec(t0.Add(10*time.Minute), memberMAC200, blackholeMAC,
+	observe(p, rec(t0.Add(10*time.Minute), memberMAC200, blackholeMAC,
 		0x50000001, victim.Addr, 389, 44444, 17))
 	// Forwarded packet during the active episode.
-	p.Observe(rec(t0.Add(11*time.Minute), memberMAC200, memberMAC100,
+	observe(p, rec(t0.Add(11*time.Minute), memberMAC200, memberMAC100,
 		0x50000002, victim.Addr, 389, 44445, 17))
 	if p.AttributedRecords != 2 || p.DroppedRecords != 1 {
-		t.Fatalf("counters: %s", p.CleaningSummary())
+		t.Fatalf("counters: %v", counters(p))
 	}
 	rows := p.Drop.ByLength()
 	if len(rows) != 1 || rows[0].PrefixLen != 32 {
@@ -99,7 +107,7 @@ func TestDuringEventAttribution(t *testing.T) {
 		t.Fatalf("drop counters = %+v", rows[0])
 	}
 	// Protocol mix captured for the event, with origin AS resolution.
-	part := p.Proto.OriginParticipation(p.Proto.EventsWithData())
+	part := p.Proto.OriginParticipation([]int{p.Events[0].ID})
 	if part.ASes != 1 || part.TopAS != 9000 {
 		t.Fatalf("participation = %+v", part)
 	}
@@ -107,9 +115,9 @@ func TestDuringEventAttribution(t *testing.T) {
 
 func TestUnrelatedTrafficIgnored(t *testing.T) {
 	p := newPipeline(t)
-	p.Observe(rec(t0, memberMAC100, memberMAC200, 0x01010101, 0x02020202, 1, 2, 6))
+	observe(p, rec(t0, memberMAC100, memberMAC200, 0x01010101, 0x02020202, 1, 2, 6))
 	if p.AttributedRecords != 0 || p.TotalRecords != 1 {
-		t.Fatalf("counters: %s", p.CleaningSummary())
+		t.Fatalf("counters: %v", counters(p))
 	}
 }
 
@@ -117,10 +125,10 @@ func TestLegitTrafficExcludesReactionBuffer(t *testing.T) {
 	p := newPipeline(t)
 	// 5 minutes before the event: inside the 10-minute reaction buffer,
 	// must NOT count as legitimate host traffic.
-	p.Observe(rec(t0.Add(-5*time.Minute), memberMAC200, memberMAC100,
+	observe(p, rec(t0.Add(-5*time.Minute), memberMAC200, memberMAC100,
 		0x50000001, victim.Addr, 12345, 443, 6))
 	// 3 hours before: legitimate.
-	p.Observe(rec(t0.Add(-3*time.Hour), memberMAC200, memberMAC100,
+	observe(p, rec(t0.Add(-3*time.Hour), memberMAC200, memberMAC100,
 		0x50000001, victim.Addr, 12345, 443, 6))
 	if p.Hosts.Hosts() != 1 {
 		t.Fatalf("hosts = %d", p.Hosts.Hosts())
@@ -139,7 +147,7 @@ func TestLegitTrafficExcludesReactionBuffer(t *testing.T) {
 
 func TestOutgoingTrafficProfiled(t *testing.T) {
 	p := newPipeline(t)
-	p.Observe(rec(t0.Add(-3*time.Hour), memberMAC100, memberMAC200,
+	observe(p, rec(t0.Add(-3*time.Hour), memberMAC100, memberMAC200,
 		victim.Addr, 0x50000001, 443, 23456, 6))
 	profiles := p.Hosts.Profiles(0)
 	if len(profiles) != 1 || profiles[0].IP != victim.Addr {
@@ -154,18 +162,18 @@ func TestCollateralSinglePass(t *testing.T) {
 	for d := 0; d < 25; d++ {
 		at := p.Meta.Start.Add(time.Duration(d)*24*time.Hour + time.Hour)
 		for i := 0; i < 3; i++ {
-			p.Observe(rec(at, memberMAC200, memberMAC100,
+			observe(p, rec(at, memberMAC200, memberMAC100,
 				0x50000001+uint32(i), victim.Addr, uint16(20000+d*31+i), 443, 6))
-			p.Observe(rec(at, memberMAC100, memberMAC200,
+			observe(p, rec(at, memberMAC100, memberMAC200,
 				victim.Addr, 0x50000001, 443, uint16(30000+d*17+i), 6))
 		}
 	}
 	// Dropped packet to the top port during the event: a pending cell
 	// that must survive the compose-time top-port filter.
-	p.Observe(rec(t0.Add(5*time.Minute), memberMAC200, blackholeMAC,
+	observe(p, rec(t0.Add(5*time.Minute), memberMAC200, blackholeMAC,
 		0x50000009, victim.Addr, 55555, 443, 6))
 	// Outside the event: no event window, no pending cell.
-	p.Observe(rec(t0.Add(48*time.Hour), memberMAC200, memberMAC100,
+	observe(p, rec(t0.Add(48*time.Hour), memberMAC200, memberMAC100,
 		0x50000009, victim.Addr, 55555, 443, 6))
 
 	profiles := p.ComposeProfiles(20)
@@ -181,21 +189,9 @@ func TestCollateralSinglePass(t *testing.T) {
 	}
 }
 
-func TestCleaningSummaryEmpty(t *testing.T) {
-	p := newPipeline(t)
-	if got, want := p.CleaningSummary(), "records=0 internal=0 (n/a) attributed=0 dropped=0"; got != want {
-		t.Fatalf("empty summary = %q, want %q", got, want)
-	}
-	// One record makes the share well-defined again.
-	p.Observe(rec(t0, memberMAC100, internalMAC, 1, 2, 3, 4, 6))
-	if got, want := p.CleaningSummary(), "records=1 internal=1 (100.0000%) attributed=0 dropped=0"; got != want {
-		t.Fatalf("summary = %q, want %q", got, want)
-	}
-}
-
 func TestDroppedRecordFeedsTimeAlign(t *testing.T) {
 	p := newPipeline(t)
-	p.Observe(rec(t0.Add(time.Minute), memberMAC200, blackholeMAC,
+	observe(p, rec(t0.Add(time.Minute), memberMAC200, blackholeMAC,
 		0x50000001, victim.Addr, 389, 44444, 17))
 	res := p.Align.Estimate(100 * time.Millisecond)
 	if res.Dropped != 1 || res.BestOverlap != 1 {

@@ -373,13 +373,3 @@ func (a *Aggregator) Scale(eventIDs []int) AttackScale {
 	}
 	return s
 }
-
-// EventsWithData returns the IDs with any during-event traffic.
-func (a *Aggregator) EventsWithData() []int {
-	ids := make([]int, 0, len(a.events))
-	for id := range a.events {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}

@@ -84,11 +84,13 @@ func TestFilterableShares(t *testing.T) {
 func TestParticipationSkew(t *testing.T) {
 	a := New()
 	// AS 9000 participates in all 10 events; others once each.
+	var ids []int
 	for ev := 0; ev < 10; ev++ {
+		ids = append(ids, ev)
 		a.Add(ev, netgen.ProtoUDP, uint32(ev*100), 123, 1, 9000, 500)
 		a.Add(ev, netgen.ProtoUDP, uint32(ev*100+1), 123, 1, uint32(100+ev), uint32(600+ev))
 	}
-	p := a.OriginParticipation(a.EventsWithData())
+	p := a.OriginParticipation(ids)
 	if p.ASes != 11 {
 		t.Fatalf("origin ASes = %d", p.ASes)
 	}
@@ -99,7 +101,7 @@ func TestParticipationSkew(t *testing.T) {
 	if p.Shares[len(p.Shares)-1] != 1.0 || p.Shares[0] != 0.1 {
 		t.Fatalf("shares = %v", p.Shares)
 	}
-	h := a.HandoverParticipation(a.EventsWithData())
+	h := a.HandoverParticipation(ids)
 	if h.ASes != 11 { // 500 in all events, 600..609 once each
 		t.Fatalf("handover ASes = %d", h.ASes)
 	}
@@ -128,15 +130,5 @@ func TestScale(t *testing.T) {
 	}
 	if s.MeanOriginASes != 30 || s.MeanHandoverASes != 10 {
 		t.Fatalf("scale = %+v", s)
-	}
-}
-
-func TestEventsWithDataSorted(t *testing.T) {
-	a := New()
-	a.Add(5, netgen.ProtoUDP, 1, 123, 1, 0, 0)
-	a.Add(2, netgen.ProtoUDP, 1, 123, 1, 0, 0)
-	ids := a.EventsWithData()
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 5 {
-		t.Fatalf("ids = %v", ids)
 	}
 }

@@ -61,20 +61,6 @@ type RawAttr struct {
 	Value []byte
 }
 
-// Clone returns a deep copy of the attributes.
-func (a *PathAttrs) Clone() PathAttrs {
-	out := *a
-	out.ASPath = append([]uint32(nil), a.ASPath...)
-	out.Communities = a.Communities.Clone()
-	if a.Unknown != nil {
-		out.Unknown = make([]RawAttr, len(a.Unknown))
-		for i, u := range a.Unknown {
-			out.Unknown[i] = RawAttr{Flags: u.Flags, Type: u.Type, Value: append([]byte(nil), u.Value...)}
-		}
-	}
-	return out
-}
-
 // OriginAS returns the rightmost AS of the AS_PATH (the route's origin),
 // or 0 for an empty path (locally originated at the peer).
 func (a *PathAttrs) OriginAS() uint32 {

@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -39,23 +38,6 @@ const (
 // String renders the conventional "asn:value" form.
 func (c Community) String() string {
 	return strconv.Itoa(int(c.ASN())) + ":" + strconv.Itoa(int(c.Value()))
-}
-
-// ParseCommunity parses the "asn:value" form.
-func ParseCommunity(s string) (Community, error) {
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
-		return 0, fmt.Errorf("bgp: invalid community %q (want asn:value)", s)
-	}
-	asn, err := strconv.ParseUint(s[:i], 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: invalid community ASN in %q", s)
-	}
-	val, err := strconv.ParseUint(s[i+1:], 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: invalid community value in %q", s)
-	}
-	return MakeCommunity(uint16(asn), uint16(val)), nil
 }
 
 // Communities is an ordered community list as carried in the COMMUNITIES

@@ -25,32 +25,6 @@ func TestMakeCommunityRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestParseCommunity(t *testing.T) {
-	c, err := ParseCommunity("64500:666")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ASN() != 64500 || c.Value() != 666 {
-		t.Fatalf("got %s", c)
-	}
-	for _, bad := range []string{"", "64500", ":", "70000:1", "1:70000", "a:b"} {
-		if _, err := ParseCommunity(bad); err == nil {
-			t.Errorf("ParseCommunity(%q) unexpectedly succeeded", bad)
-		}
-	}
-}
-
-func TestParseCommunityStringRoundTrip(t *testing.T) {
-	f := func(asn, value uint16) bool {
-		c := MakeCommunity(asn, value)
-		got, err := ParseCommunity(c.String())
-		return err == nil && got == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCommunitiesContains(t *testing.T) {
 	cs := Communities{Blackhole, MakeCommunity(0, 64501)}
 	if !cs.HasBlackhole() {

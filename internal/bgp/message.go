@@ -30,12 +30,6 @@ type Update struct {
 	NLRI      []Prefix
 }
 
-// IsWithdrawOnly reports whether the message withdraws routes without
-// announcing any.
-func (u *Update) IsWithdrawOnly() bool {
-	return len(u.NLRI) == 0 && len(u.Withdrawn) > 0
-}
-
 // Open is a minimal decoded OPEN message, sufficient for the route-server
 // session handshake in the simulator.
 type Open struct {

@@ -55,11 +55,6 @@ func (p Prefix) Contains(addr uint32) bool {
 	return addr&p.Mask() == p.Addr
 }
 
-// ContainsPrefix reports whether q is equal to or more specific than p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return q.Len >= p.Len && p.Contains(q.Addr)
-}
-
 // NumAddresses returns the number of addresses covered by the prefix.
 func (p Prefix) NumAddresses() uint64 { return 1 << (32 - p.Len) }
 

@@ -88,22 +88,6 @@ func TestPrefixContains(t *testing.T) {
 	}
 }
 
-func TestContainsPrefix(t *testing.T) {
-	p24 := MustParsePrefix("192.0.2.0/24")
-	p25 := MustParsePrefix("192.0.2.128/25")
-	p32 := MustParsePrefix("192.0.2.5/32")
-	other := MustParsePrefix("198.51.100.0/24")
-	if !p24.ContainsPrefix(p25) || !p24.ContainsPrefix(p32) || !p24.ContainsPrefix(p24) {
-		t.Error("ContainsPrefix misses covered prefixes")
-	}
-	if p25.ContainsPrefix(p24) {
-		t.Error("more specific cannot contain less specific")
-	}
-	if p24.ContainsPrefix(other) {
-		t.Error("disjoint prefixes reported as nested")
-	}
-}
-
 func TestNumAddresses(t *testing.T) {
 	if n := MustParsePrefix("10.0.0.0/8").NumAddresses(); n != 1<<24 {
 		t.Fatalf("/8 has %d addresses", n)

@@ -275,8 +275,8 @@ func ringIdx(cs, n int64) int64 {
 	return i
 }
 
-// Detector is the streaming closed-loop engine. ObserveFlow is safe to
-// call from the collector goroutine concurrently with Tick and Status
+// Detector is the streaming closed-loop engine. ObserveFlowBatch is safe
+// to call from the collector goroutine concurrently with Tick and Status
 // from the run loop; all state is guarded by one mutex, and the hot
 // path does a map update plus (rarely) a bounded window scan.
 type Detector struct {
@@ -336,10 +336,6 @@ func New(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// Config returns the detector's effective (default-filled)
-// configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // RegisterMetrics registers the detector's counters and gauges
 // ("detect.*") on reg.
 func (d *Detector) RegisterMetrics(reg *obs.Registry) {
@@ -375,19 +371,11 @@ func (d *Detector) activeLocked() int {
 	return n
 }
 
-// ObserveFlow folds one collected record into the sketches and runs the
-// detection check for its destination. Call it on every record the
-// collector delivers, in arrival order.
-func (d *Detector) ObserveFlow(rec *ipfix.FlowRecord) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.observeFlowLocked(rec)
-}
-
 // ObserveFlowBatch folds one batch of collected records into the
-// sketches under a single lock acquisition, leaving the detector in
-// exactly the state per-record ObserveFlow calls in the same order
-// would. It borrows b per the ipfix.RecordBatch contract.
+// sketches, in order and under a single lock acquisition, and runs the
+// detection check for each record's destination. Call it on every batch
+// the collector delivers, in arrival order. It borrows b per the
+// ipfix.RecordBatch contract.
 func (d *Detector) ObserveFlowBatch(b *ipfix.RecordBatch) {
 	if b.Len() == 0 {
 		return

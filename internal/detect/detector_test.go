@@ -28,6 +28,10 @@ func flowRec(victim uint32, t time.Time, proto uint8, srcPort uint16) *ipfix.Flo
 	}
 }
 
+func observe(d *Detector, rec *ipfix.FlowRecord) {
+	d.ObserveFlowBatch(&ipfix.RecordBatch{Recs: []ipfix.FlowRecord{*rec}})
+}
+
 // TestDetectorLifecycle drives one synthetic attack through the whole
 // loop: quiet baseline (no detection), a burst over the threshold
 // (detection + announce action), a blackholed record (first-drop
@@ -42,7 +46,7 @@ func TestDetectorLifecycle(t *testing.T) {
 	// Baseline: one sampled packet per half hour (≈5 pps estimated at
 	// 1:10000) is far under every bar.
 	for i := 0; i < 10; i++ {
-		d.ObserveFlow(flowRec(0xC0A80001, base.Add(time.Duration(i)*30*time.Minute), 6, 443))
+		observe(d, flowRec(0xC0A80001, base.Add(time.Duration(i)*30*time.Minute), 6, 443))
 	}
 	if acts := d.Tick(base.Add(10 * time.Minute)); len(acts) != 0 {
 		t.Fatalf("baseline produced actions: %+v", acts)
@@ -52,7 +56,7 @@ func TestDetectorLifecycle(t *testing.T) {
 	// at 1:10000, over the 125 pps threshold.
 	victim := uint32(0xC0A80002)
 	for i := 0; i < 8; i++ {
-		d.ObserveFlow(flowRec(victim, base.Add(10*time.Minute+time.Duration(i)*30*time.Second), 17, 123))
+		observe(d, flowRec(victim, base.Add(10*time.Minute+time.Duration(i)*30*time.Second), 17, 123))
 	}
 	acts := d.Tick(base.Add(15 * time.Minute))
 	if len(acts) != 1 || !acts[0].Announce || acts[0].Victim != victim {
@@ -77,14 +81,14 @@ func TestDetectorLifecycle(t *testing.T) {
 	// drop; one after it must.
 	early := flowRec(victim, det.AnnouncedAt.Add(-time.Minute), 17, 123)
 	early.DstMAC = testBlackholeMAC
-	d.ObserveFlow(early)
+	observe(d, early)
 	if got := d.Status().Detections[0]; !got.FirstDropAt.IsZero() {
 		t.Fatalf("pre-announcement drop stamped FirstDropAt=%v", got.FirstDropAt)
 	}
 	dropT := det.AnnouncedAt.Add(30 * time.Second)
 	drop := flowRec(victim, dropT, 17, 123)
 	drop.DstMAC = testBlackholeMAC
-	d.ObserveFlow(drop)
+	observe(d, drop)
 	if got := d.Status().Detections[0]; !got.FirstDropAt.Equal(dropT) {
 		t.Fatalf("FirstDropAt=%v, want %v", got.FirstDropAt, dropT)
 	}
@@ -105,13 +109,13 @@ func TestDetectorLifecycle(t *testing.T) {
 	}
 
 	// The same retained samples must not re-trigger...
-	d.ObserveFlow(flowRec(victim, base.Add(14*time.Minute), 17, 123))
+	observe(d, flowRec(victim, base.Add(14*time.Minute), 17, 123))
 	if acts := d.Tick(base.Add(41 * time.Minute)); len(acts) != 0 {
 		t.Fatalf("stale window re-triggered: %+v", acts)
 	}
 	// ...but a genuinely new burst must.
 	for i := 0; i < 8; i++ {
-		d.ObserveFlow(flowRec(victim, base.Add(60*time.Minute+time.Duration(i)*30*time.Second), 17, 123))
+		observe(d, flowRec(victim, base.Add(60*time.Minute+time.Duration(i)*30*time.Second), 17, 123))
 	}
 	acts = d.Tick(base.Add(65 * time.Minute))
 	if len(acts) != 1 || !acts[0].Announce || acts[0].DetectionID != 1 {

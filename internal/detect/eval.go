@@ -5,16 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/analysis"
-)
-
-// Compile-time checks: the detector's sketches honor the incremental
-// operator contract, so they shard, Merge and Snapshot like every
-// analysis stage and are covered by the operator conformance suite.
-var (
-	_ analysis.Operator[*Rate]    = (*Rate)(nil)
-	_ analysis.Operator[*Vectors] = (*Vectors)(nil)
 )
 
 // TruthAttack is one ground-truth DDoS attack from the scenario

@@ -5,9 +5,7 @@
 // (IXmon-style, Subramani et al. — see DESIGN.md, "Closed-loop
 // detection").
 //
-// The state the detector accumulates is held in two incremental
-// operators that satisfy the same Merge/Snapshot/wire-codec contract as
-// every analysis stage (internal/analysis, conformance suite): Rate, a
+// The state the detector accumulates is held in two sketches: Rate, a
 // per-victim slot-bucketed packet counter, and Vectors, the same
 // slotting keyed by (proto, source port) so a detection can name the
 // amplification vectors behind it.
@@ -50,15 +48,10 @@ const denseSlots = 32
 // always dead and is simply discarded on overwrite. The flat
 // pointer-free arrays make the per-record hot path two array indexings
 // and cost the garbage collector nothing to scan.
-//
-// pkts is the sum of the resident cells' packet counts; it may
-// over-count dead cells that have not been evicted or overwritten yet,
-// which is safe for its only use as an upper bound.
 type victimRate struct {
 	slots   map[int64]rateCell // sparse representation; nil once dense
 	ids     []int64            // dense ring; nil while sparse
 	cells   []rateCell
-	pkts    int64
 	maxSlot int64 // newest slot ever observed for this victim
 }
 
@@ -78,7 +71,6 @@ func (v *victimRate) add(s int64, c rateCell, n, h int64) {
 		old.pkts += c.pkts
 		old.bytes += c.bytes
 		v.slots[s] = old
-		v.pkts += c.pkts
 		if len(v.slots) > denseSlots {
 			v.toDense(n, h)
 		}
@@ -87,13 +79,11 @@ func (v *victimRate) add(s int64, c rateCell, n, h int64) {
 	i := ringIdx(s, n)
 	if v.ids[i] != s {
 		// The occupant (if any) is necessarily dead; discard it.
-		v.pkts -= v.cells[i].pkts
 		v.ids[i] = s
 		v.cells[i] = rateCell{}
 	}
 	v.cells[i].pkts += c.pkts
 	v.cells[i].bytes += c.bytes
-	v.pkts += c.pkts
 }
 
 // toDense rebuilds the victim as a ring, dropping dead slots.
@@ -103,7 +93,6 @@ func (v *victimRate) toDense(n, h int64) {
 		ids[i] = minSlot
 	}
 	cells := make([]rateCell, n)
-	var pkts int64
 	for s, c := range v.slots {
 		if s < h {
 			continue
@@ -111,9 +100,8 @@ func (v *victimRate) toDense(n, h int64) {
 		i := ringIdx(s, n)
 		ids[i] = s // live slots cannot collide
 		cells[i] = c
-		pkts += c.pkts
 	}
-	v.slots, v.ids, v.cells, v.pkts = nil, ids, cells, pkts
+	v.slots, v.ids, v.cells = nil, ids, cells
 }
 
 // cellPkts returns slot s's packets (zero when absent or, in dense
@@ -129,43 +117,12 @@ func (v *victimRate) cellPkts(s, n int64) int64 {
 	return v.cells[i].pkts
 }
 
-// cell returns slot s's full tally, the zero cell when absent.
-func (v *victimRate) cell(s, n int64) rateCell {
-	if v.ids == nil {
-		return v.slots[s]
-	}
-	i := ringIdx(s, n)
-	if v.ids[i] != s {
-		return rateCell{}
-	}
-	return v.cells[i]
-}
-
-// eachLive visits every resident cell with slot >= h, in arbitrary
-// order.
-func (v *victimRate) eachLive(h int64, f func(s int64, c rateCell)) {
-	if v.ids == nil {
-		for s, c := range v.slots {
-			if s >= h {
-				f(s, c)
-			}
-		}
-		return
-	}
-	for i, id := range v.ids {
-		if id != minSlot && id >= h {
-			f(id, v.cells[i])
-		}
-	}
-}
-
 // Rate is the per-victim sliding rate sketch. Flow timestamps are
 // bucketed into fixed slots; only the most recent `retain` slots
-// relative to the highest slot ever observed are live. Because both
-// eviction and every query are pure functions of (slot width, horizon,
-// observation multiset), observation order and merge topology never
-// change the sketch's canonical state — which is what the operator
-// conformance suite demands.
+// relative to the highest slot ever observed are live. Both eviction
+// and every query are pure functions of (slot width, horizon,
+// observation multiset), so observation order never changes what a
+// query answers.
 //
 // The flow timeline at an IXP is far from monotone: day-long baseline
 // batches put records up to ~24h ahead of the injection clock, so a
@@ -201,9 +158,6 @@ func NewRate(slot, retention time.Duration) *Rate {
 	}
 }
 
-// Slot returns the sketch's slot width.
-func (a *Rate) Slot() time.Duration { return a.slot }
-
 // slotOf buckets a timestamp.
 func (a *Rate) slotOf(t time.Time) int64 { return t.UnixNano() / int64(a.slot) }
 
@@ -228,9 +182,9 @@ func (a *Rate) Observe(victim uint32, t time.Time, pkts, bytes int64) {
 	if s > a.maxSlot {
 		a.maxSlot = s
 		// Amortized eviction: a full sweep only when the horizon has
-		// moved a quarter of its span since the last one. Queries and
-		// Marshal filter dead slots themselves, so the sweep is purely
-		// a memory bound.
+		// moved a quarter of its span since the last one. Queries
+		// filter dead slots themselves, so the sweep is purely a memory
+		// bound.
 		if a.swept == minSlot || a.maxSlot-a.swept >= a.retain/4+1 {
 			a.sweep()
 		}
@@ -266,78 +220,17 @@ func (a *Rate) sweep() {
 	}
 }
 
-// RetainedPkts returns an upper bound on the victim's packets within
-// the live horizon (dead cells count until overwritten).
-func (a *Rate) RetainedPkts(victim uint32) int64 {
-	v := a.victims[victim]
-	if v == nil {
-		return 0
-	}
-	return v.pkts
-}
-
 // Victims returns how many victims currently hold retained state. The
 // count may include victims whose every slot is dead: a victim's ring is
 // kept through a grace period of one extra horizon so the interleaved
 // day-batch timeline does not thrash ring allocations.
 func (a *Rate) Victims() int { return len(a.victims) }
 
-// MaxSlot returns the highest slot observed and whether anything has
-// been observed at all.
-func (a *Rate) MaxSlot() (int64, bool) { return a.maxSlot, a.maxSlot != minSlot }
-
-// ScanWindows visits every candidate sliding window of width `wslots`
-// for the victim, in increasing end-slot order. A candidate end is any
-// slot within [s, s+wslots) of a live slot s — every window whose sum
-// can be locally maximal ends at one of these. visit receives the
-// window's end slot and its packet sum over (end-wslots, end].
-func (a *Rate) ScanWindows(victim uint32, wslots int64, visit func(endSlot, pkts int64)) {
-	v := a.victims[victim]
-	if v == nil || wslots <= 0 {
-		return
-	}
-	h := a.horizon()
-	var live []int64
-	v.eachLive(h, func(s int64, _ rateCell) { live = append(live, s) })
-	if len(live) == 0 {
-		return
-	}
-	sortInt64s(live)
-
-	// Two pointers over the sorted live slots: lo..hi-1 are the slots
-	// inside the current window (end-wslots, end].
-	lo, hi := 0, 0
-	var sum int64
-	prevEnd := int64(math.MinInt64)
-	for i, s := range live {
-		for end := s; end < s+wslots; end++ {
-			if end <= prevEnd {
-				continue
-			}
-			// A later live slot may generate the same candidate ends;
-			// stop at the next live slot so each end is visited once.
-			if i+1 < len(live) && end >= live[i+1] {
-				break
-			}
-			for hi < len(live) && live[hi] <= end {
-				sum += v.cellPkts(live[hi], a.retain)
-				hi++
-			}
-			for lo < hi && live[lo] <= end-wslots {
-				sum -= v.cellPkts(live[lo], a.retain)
-				lo++
-			}
-			visit(end, sum)
-			prevEnd = end
-		}
-	}
-}
-
 // WindowsAt visits exactly the window sums an observation in slot s can
 // have changed: ends in [s, s+wslots), each summing live slots in
 // (end-wslots, end]. It is the detector's per-record hot path — O(wslots)
-// map lookups with no allocation, against ScanWindows' walk over every
-// retained slot. A dead s (already behind the horizon) visits nothing.
+// lookups with no allocation. A dead s (already behind the horizon)
+// visits nothing.
 func (a *Rate) WindowsAt(victim uint32, s, wslots int64, visit func(endSlot, pkts int64)) {
 	if wslots <= 0 {
 		return
@@ -365,48 +258,4 @@ func (a *Rate) WindowsAt(victim uint32, s, wslots int64, visit func(endSlot, pkt
 		sum += count(end) - count(end-wslots)
 		visit(end, sum)
 	}
-}
-
-// Merge folds o's state into a. Both sketches must share slot width and
-// horizon (they are construction parameters of one detector); o must
-// not be used afterwards.
-func (a *Rate) Merge(o *Rate) {
-	if o.slot != a.slot || o.retain != a.retain {
-		panic("detect: merging rate sketches with different geometry")
-	}
-	if o.maxSlot > a.maxSlot {
-		a.maxSlot = o.maxSlot
-	}
-	h := a.horizon()
-	for victim, ov := range o.victims {
-		v := a.victims[victim]
-		ov.eachLive(h, func(s int64, c rateCell) {
-			if v == nil {
-				v = newVictimRate()
-				a.victims[victim] = v
-			}
-			v.add(s, c, a.retain, h)
-		})
-	}
-	a.sweep()
-}
-
-// Snapshot returns an independent deep copy holding exactly the live
-// slots.
-func (a *Rate) Snapshot() *Rate {
-	out := NewRate(a.slot, time.Duration(a.retain)*a.slot)
-	out.maxSlot = a.maxSlot
-	out.swept = a.maxSlot
-	h := a.horizon()
-	for victim, v := range a.victims {
-		var nv *victimRate
-		v.eachLive(h, func(s int64, c rateCell) {
-			if nv == nil {
-				nv = newVictimRate()
-				out.victims[victim] = nv
-			}
-			nv.add(s, c, a.retain, h)
-		})
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,22 +80,6 @@ func (n *naiveRate) windowPkts(victim uint32, end, w int64) int64 {
 	return sum
 }
 
-// maxWindow brute-forces the best window sum over every possible end.
-func (n *naiveRate) maxWindow(victim uint32, w int64) int64 {
-	m, ok := n.maxSlot()
-	if !ok {
-		return 0
-	}
-	lo := m - int64(testRetain/testSlot) + 1 - w
-	var best int64
-	for end := lo; end <= m+w; end++ {
-		if s := n.windowPkts(victim, end, w); s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 func feedRate(obs []obsRec) *Rate {
 	a := NewRate(testSlot, testRetain)
 	for _, o := range obs {
@@ -110,11 +93,9 @@ func slotTime(s int64) time.Time {
 	return time.Unix(0, s*int64(testSlot)+int64(testSlot/2))
 }
 
-// TestRateWindowsMatchNaive checks, over random streams, that every
-// window ScanWindows reports matches the brute-force sum at that end,
-// and that the scan's best window equals the brute-force maximum over
-// every conceivable end (i.e. the candidate-end enumeration is
-// sufficient).
+// TestRateWindowsMatchNaive checks, over random streams, that the
+// O(wslots) hot-path scan agrees with the brute-force sum at every end
+// it visits, for anchor slots live and dead alike.
 func TestRateWindowsMatchNaive(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -126,26 +107,7 @@ func TestRateWindowsMatchNaive(t *testing.T) {
 			ref.observe(o)
 		}
 		for victim := uint32(0); victim < 4; victim++ {
-			var scanBest int64
 			ok := true
-			a.ScanWindows(victim, w, func(end, pkts int64) {
-				if want := ref.windowPkts(victim, end, w); pkts != want {
-					t.Logf("seed %d victim %d w %d end %d: scan %d want %d", seed, victim, w, end, pkts, want)
-					ok = false
-				}
-				if pkts > scanBest {
-					scanBest = pkts
-				}
-			})
-			if !ok {
-				return false
-			}
-			if want := ref.maxWindow(victim, w); scanBest != want {
-				t.Logf("seed %d victim %d w %d: max %d want %d", seed, victim, w, scanBest, want)
-				return false
-			}
-			// The O(wslots) hot-path scan must agree with the reference at
-			// every end it visits, for anchor slots live and dead alike.
 			for _, anchor := range []int64{0, 150, 299, int64(r.Intn(300))} {
 				a.WindowsAt(victim, anchor, w, func(end, pkts int64) {
 					if end < anchor || end >= anchor+w {
@@ -161,49 +123,6 @@ func TestRateWindowsMatchNaive(t *testing.T) {
 			if !ok {
 				return false
 			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRateCanonicalState checks that observation order and merge
-// topology never change the sketch's canonical encoding: a shuffled
-// feed and a split-merge feed marshal byte-identically to the
-// sequential one.
-func TestRateCanonicalState(t *testing.T) {
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		obs := genObs(r, 1+r.Intn(120))
-
-		seq, err := feedRate(obs).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		shuffled := append([]obsRec(nil), obs...)
-		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		shuf, err := feedRate(shuffled).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq, shuf) {
-			t.Logf("seed %d: shuffled feed diverged", seed)
-			return false
-		}
-
-		cut := r.Intn(len(obs) + 1)
-		left, right := feedRate(obs[:cut]), feedRate(obs[cut:])
-		left.Merge(right)
-		merged, err := left.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq, merged) {
-			t.Logf("seed %d: split-merge at %d diverged", seed, cut)
-			return false
 		}
 		return true
 	}
@@ -267,36 +186,28 @@ func TestVectorsTopMatchNaive(t *testing.T) {
 
 // TestRateEviction pins the horizon semantics on a deterministic case:
 // a slot more than the retention behind the newest observation is dead
-// — excluded from scans and from the canonical encoding.
+// — it anchors no scan and contributes to no window.
 func TestRateEviction(t *testing.T) {
+	windows := func(a *Rate, s, w int64) (sums []int64) {
+		a.WindowsAt(1, s, w, func(_, pkts int64) { sums = append(sums, pkts) })
+		return sums
+	}
 	a := NewRate(testSlot, testRetain)
 	a.Observe(1, slotTime(0), 10, 100)
 	a.Observe(1, slotTime(99), 1, 10) // same horizon: slot 0 still live
-	var sums []int64
-	a.ScanWindows(1, 1, func(end, pkts int64) { sums = append(sums, pkts) })
-	if len(sums) != 2 || sums[0] != 10 || sums[1] != 1 {
-		t.Fatalf("before eviction: window sums %v", sums)
+	if sums := windows(a, 0, 1); len(sums) != 1 || sums[0] != 10 {
+		t.Fatalf("before eviction: slot 0 window sums %v", sums)
 	}
 	a.Observe(1, slotTime(100), 2, 20) // horizon moves to 1: slot 0 dies
-	sums = nil
-	a.ScanWindows(1, 1, func(end, pkts int64) { sums = append(sums, pkts) })
-	if len(sums) != 2 || sums[0] != 1 || sums[1] != 2 {
-		t.Fatalf("after eviction: window sums %v", sums)
+	if sums := windows(a, 0, 1); len(sums) != 0 {
+		t.Fatalf("after eviction: dead slot 0 still anchors windows %v", sums)
 	}
-
-	// The dead slot must not reach the wire either.
-	enc, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	// The window (−1, 1] covers slots 0 and 1; only the dead slot was ever
+	// populated, so it must sum to nothing.
+	if sums := windows(a, 1, 2); len(sums) != 2 || sums[0] != 0 {
+		t.Fatalf("after eviction: window over the dead slot sums %v", sums)
 	}
-	fresh := NewRate(testSlot, testRetain)
-	fresh.Observe(1, slotTime(99), 1, 10)
-	fresh.Observe(1, slotTime(100), 2, 20)
-	want, err := fresh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, want) {
-		t.Fatal("dead slot leaked into the canonical encoding")
+	if sums := windows(a, 99, 2); len(sums) != 2 || sums[0] != 1 || sums[1] != 3 {
+		t.Fatalf("after eviction: live window sums %v", sums)
 	}
 }

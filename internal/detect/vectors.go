@@ -1,6 +1,9 @@
 package detect
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
 // vectorKey packs (IP protocol, UDP/TCP source port) into one map key.
 // For DRDoS the source port names the amplification service (123 NTP,
@@ -44,9 +47,8 @@ type victimVectors struct {
 // Vectors is the companion sketch to Rate: the same slot bucketing and
 // retention horizon, keyed by (proto, source port) instead of a plain
 // tally, so a detection can report which services reflected the attack.
-// The same canonical-state argument applies: eviction and queries
-// depend only on the construction geometry and the observation
-// multiset, never on arrival or merge order.
+// As with Rate, eviction and queries depend only on the construction
+// geometry and the observation multiset, never on arrival order.
 type Vectors struct {
 	slot    time.Duration
 	retain  int64
@@ -159,59 +161,11 @@ func (a *Vectors) Top(victim uint32, endSlot, wslots int64, n int) []Vector {
 	return out
 }
 
-// Merge folds o's state into a; geometry must match, o must not be used
-// afterwards.
-func (a *Vectors) Merge(o *Vectors) {
-	if o.slot != a.slot || o.retain != a.retain {
-		panic("detect: merging vector sketches with different geometry")
-	}
-	if o.maxSlot > a.maxSlot {
-		a.maxSlot = o.maxSlot
-	}
-	h := a.horizon()
-	for victim, ov := range o.victims {
-		v := a.victims[victim]
-		for s, ocells := range ov.slots {
-			if s < h {
-				continue
-			}
-			if v == nil {
-				v = &victimVectors{slots: make(map[int64][]vcell)}
-				a.victims[victim] = v
-			}
-			cells := v.slots[s]
-			if cells == nil {
-				v.slots[s] = ocells
-				continue
-			}
-			for _, c := range ocells {
-				cells = addVec(cells, c.key, c.pkts)
-			}
-			v.slots[s] = cells
+func sortVectors(s []Vector) {
+	sort.Slice(s, func(i, j int) bool {
+		if s[i].Pkts != s[j].Pkts {
+			return s[i].Pkts > s[j].Pkts
 		}
-	}
-	a.sweep()
-}
-
-// Snapshot returns an independent deep copy holding exactly the live
-// slots.
-func (a *Vectors) Snapshot() *Vectors {
-	out := NewVectors(a.slot, time.Duration(a.retain)*a.slot)
-	out.maxSlot = a.maxSlot
-	out.swept = a.maxSlot
-	h := a.horizon()
-	for victim, v := range a.victims {
-		var nv *victimVectors
-		for s, cells := range v.slots {
-			if s < h {
-				continue
-			}
-			if nv == nil {
-				nv = &victimVectors{slots: make(map[int64][]vcell, len(v.slots))}
-				out.victims[victim] = nv
-			}
-			nv.slots[s] = append([]vcell(nil), cells...)
-		}
-	}
-	return out
+		return makeVectorKey(s[i].Proto, s[i].SrcPort) < makeVectorKey(s[j].Proto, s[j].SrcPort)
+	})
 }

@@ -191,10 +191,10 @@ func (c *Coordinator) Merge() (*MergedState, error) {
 	return m, nil
 }
 
-// FlowSource re-streams one exchange's sampled flow records. The batch
-// path re-opens the IPFIX archive; a live deployment would replay its
-// local spool.
-type FlowSource func(fn func(*ipfix.FlowRecord) error) error
+// FlowSource re-streams one exchange's sampled flow records, batch by
+// batch. The batch path re-opens the IPFIX archive; a live deployment
+// would replay its local spool.
+type FlowSource func(fn ipfix.BatchSink) error
 
 // IXPEventTraffic is one exchange's during-event traffic for one union
 // event.
@@ -251,28 +251,31 @@ func (m *MergedState) Cross(sources map[int]FlowSource) (*CrossView, error) {
 	}
 	sort.Ints(ixps)
 	for _, ixp := range ixps {
-		err := sources[ixp](func(rec *ipfix.FlowRecord) error {
-			if m.Meta.IsInternal(rec) {
-				return nil
-			}
-			match := m.Index.Lookup(rec.DstIP, rec.Start)
-			if match.Event == nil || !match.Active {
-				return nil
-			}
-			byIXP := perEvent[match.Event.ID]
-			if byIXP == nil {
-				byIXP = make(map[int]*cell)
-				perEvent[match.Event.ID] = byIXP
-			}
-			cl := byIXP[ixp]
-			if cl == nil {
-				cl = &cell{}
-				byIXP[ixp] = cl
-			}
-			if rec.DstMAC == m.Meta.BlackholeMAC {
-				cl.dropped += int64(rec.Packets)
-			} else {
-				cl.forwarded += int64(rec.Packets)
+		err := sources[ixp](func(b *ipfix.RecordBatch) error {
+			for i := range b.Recs {
+				rec := &b.Recs[i]
+				if m.Meta.IsInternal(rec) {
+					continue
+				}
+				match := m.Index.Lookup(rec.DstIP, rec.Start)
+				if match.Event == nil || !match.Active {
+					continue
+				}
+				byIXP := perEvent[match.Event.ID]
+				if byIXP == nil {
+					byIXP = make(map[int]*cell)
+					perEvent[match.Event.ID] = byIXP
+				}
+				cl := byIXP[ixp]
+				if cl == nil {
+					cl = &cell{}
+					byIXP[ixp] = cl
+				}
+				if rec.DstMAC == m.Meta.BlackholeMAC {
+					cl.dropped += int64(rec.Packets)
+				} else {
+					cl.forwarded += int64(rec.Packets)
+				}
 			}
 			return nil
 		})

@@ -57,24 +57,5 @@ func (b *RecordBatch) Release() {
 	}
 }
 
-// Append adds one record to the batch.
-func (b *RecordBatch) Append(r *FlowRecord) {
-	b.Recs = append(b.Recs, *r)
-}
-
 // Len returns the number of records in the batch.
 func (b *RecordBatch) Len() int { return len(b.Recs) }
-
-// EachRecord adapts a per-record callback to the batch contract: the
-// returned sink feeds every record of each batch to fn in order. Useful
-// for tests and low-rate consumers that do not need the batch fast path.
-func EachRecord(fn func(*FlowRecord) error) BatchSink {
-	return func(b *RecordBatch) error {
-		for i := range b.Recs {
-			if err := fn(&b.Recs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}

@@ -8,42 +8,49 @@ import (
 	"time"
 )
 
-// BenchmarkWriteRecord measures flow-record export throughput.
-func BenchmarkWriteRecord(b *testing.B) {
+// benchBatch is one full message worth of records.
+func benchBatch() *RecordBatch {
+	b := &RecordBatch{Recs: make([]FlowRecord, 1024)}
+	for i := range b.Recs {
+		b.Recs[i] = benchRecord()
+	}
+	return b
+}
+
+// BenchmarkWriteBatch measures flow-record export throughput.
+func BenchmarkWriteBatch(b *testing.B) {
 	w := NewWriter(io.Discard, 1)
-	rec := benchRecord()
+	batch := benchBatch()
 	b.ReportAllocs()
-	b.SetBytes(flowRecordLen)
+	b.SetBytes(int64(flowRecordLen * batch.Len()))
 	for i := 0; i < b.N; i++ {
-		if err := w.WriteRecord(&rec); err != nil {
+		if err := w.WriteBatch(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkReadRecord measures flow-record parse throughput.
-func BenchmarkReadRecord(b *testing.B) {
+// BenchmarkNextBatch measures flow-record parse throughput.
+func BenchmarkNextBatch(b *testing.B) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 1)
-	rec := benchRecord()
-	const n = 100000
-	for i := 0; i < n; i++ {
-		w.WriteRecord(&rec)
+	batch := benchBatch()
+	for i := 0; i < 100; i++ {
+		w.WriteBatch(batch)
 	}
 	w.Flush()
 	data := buf.Bytes()
 	b.ReportAllocs()
-	b.SetBytes(flowRecordLen)
+	b.SetBytes(int64(flowRecordLen * batch.Len()))
 	b.ResetTimer()
 	rd := NewReader(bytes.NewReader(data))
 	for i := 0; i < b.N; i++ {
-		_, err := rd.Next()
+		err := rd.NextBatch(batch)
 		if errors.Is(err, io.EOF) {
 			rd = NewReader(bytes.NewReader(data))
-			if _, err = rd.Next(); err != nil {
-				b.Fatal(err)
-			}
-		} else if err != nil {
+			err = rd.NextBatch(batch)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

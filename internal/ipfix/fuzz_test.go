@@ -48,10 +48,8 @@ func encodeStream(t testing.TB, recs []FlowRecord, batchSize int) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 1)
 	w.BatchSize = batchSize
-	for i := range recs {
-		if err := w.WriteRecord(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.WriteBatch(&RecordBatch{Recs: recs}); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

@@ -26,10 +26,8 @@ func encode(recs []ipfix.FlowRecord, batchSize int) []byte {
 	var buf bytes.Buffer
 	w := ipfix.NewWriter(&buf, 1)
 	w.BatchSize = batchSize
-	for i := range recs {
-		if err := w.WriteRecord(&recs[i]); err != nil {
-			panic(err)
-		}
+	if err := w.WriteBatch(&ipfix.RecordBatch{Recs: recs}); err != nil {
+		panic(err)
 	}
 	if err := w.Flush(); err != nil {
 		panic(err)
@@ -91,8 +89,8 @@ func main() {
 
 	streams = append(streams,
 		[]byte{},
-		[]byte{0, 9, 0, 16},                        // unsupported version
-		[]byte{0, 10, 0, 15},                       // length below header size
+		[]byte{0, 9, 0, 16},  // unsupported version
+		[]byte{0, 10, 0, 15}, // length below header size
 		[]byte{0, 10, 0, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 8}, // data set, unknown template
 		[]byte{0, 10, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // header-only
 	)

@@ -25,17 +25,17 @@ func sampleRecord(i int) FlowRecord {
 	}
 }
 
+func sampleRecords(n int) []FlowRecord {
+	recs := make([]FlowRecord, n)
+	for i := range recs {
+		recs[i] = sampleRecord(i)
+	}
+	return recs
+}
+
 func TestRoundTripSingleRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 7)
 	rec := sampleRecord(0)
-	if err := w.WriteRecord(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
+	got, err := ReadAll(bytes.NewReader(encodeStream(t, []FlowRecord{rec}, 1024)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,30 +47,25 @@ func TestRoundTripSingleRecord(t *testing.T) {
 	}
 }
 
+// TestRoundTripManyMessages round-trips a stream under every kind of
+// BatchSize: out of range below (clamped to one record per message),
+// small (many messages, exercising template re-emission), and beyond
+// what a message can hold (clamped to maxRecordsPerMsg).
 func TestRoundTripManyMessages(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 7)
-	w.BatchSize = 16 // force many messages, exercising template re-emission
 	const n = 10000
-	for i := 0; i < n; i++ {
-		rec := sampleRecord(i)
-		if err := w.WriteRecord(&rec); err != nil {
-			t.Fatal(err)
+	recs := sampleRecords(n)
+	for _, batch := range []int{0, 1, 16, maxRecordsPerMsg + 1} {
+		got, err := ReadAll(bytes.NewReader(encodeStream(t, recs, batch)))
+		if err != nil {
+			t.Fatalf("BatchSize %d: %v", batch, err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("read %d records, want %d", len(got), n)
-	}
-	for i := 0; i < n; i += 997 {
-		if got[i] != sampleRecord(i) {
-			t.Fatalf("record %d mismatch", i)
+		if len(got) != n {
+			t.Fatalf("BatchSize %d: read %d records, want %d", batch, len(got), n)
+		}
+		for i := 0; i < n; i += 997 {
+			if got[i] != recs[i] {
+				t.Fatalf("BatchSize %d: record %d mismatch", batch, i)
+			}
 		}
 	}
 }
@@ -89,12 +84,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Packets: pkts,
 			Bytes:   octets,
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf, 1)
-		if w.WriteRecord(&rec) != nil || w.Flush() != nil {
-			return false
-		}
-		got, err := ReadAll(&buf)
+		got, err := ReadAll(bytes.NewReader(encodeStream(t, []FlowRecord{rec}, 1024)))
 		return err == nil && len(got) == 1 && got[0] == rec
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -113,12 +103,7 @@ func TestMACString(t *testing.T) {
 }
 
 func TestReaderRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 1)
-	rec := sampleRecord(1)
-	w.WriteRecord(&rec)
-	w.Flush()
-	data := buf.Bytes()
+	data := encodeStream(t, sampleRecords(1), 1024)
 	data[0], data[1] = 0, 9 // NetFlow v9, not IPFIX
 	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
 		t.Fatal("version 9 accepted")
@@ -143,12 +128,7 @@ func TestReaderRejectsDataBeforeTemplate(t *testing.T) {
 }
 
 func TestReaderRejectsTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 1)
-	rec := sampleRecord(1)
-	w.WriteRecord(&rec)
-	w.Flush()
-	data := buf.Bytes()
+	data := encodeStream(t, sampleRecords(1), 1024)
 	for cut := 1; cut < len(data); cut += 11 {
 		if _, err := ReadAll(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -157,11 +137,7 @@ func TestReaderRejectsTruncated(t *testing.T) {
 }
 
 func TestReaderSkipsOptionsTemplateSet(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 1)
-	rec := sampleRecord(1)
-	w.WriteRecord(&rec)
-	w.Flush()
+	buf := bytes.NewBuffer(encodeStream(t, sampleRecords(1), 1024))
 	// Append a message containing an options-template set (id 3) which
 	// must be skipped, then a normal message.
 	var m []byte
@@ -176,7 +152,7 @@ func TestReaderSkipsOptionsTemplateSet(t *testing.T) {
 	binary.BigEndian.PutUint16(m[2:4], uint16(len(m)))
 	buf.Write(m)
 
-	got, err := ReadAll(&buf)
+	got, err := ReadAll(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,28 +169,22 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestStreamingReaderInterleavesWithWriter(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 9)
-	w.BatchSize = 8
 	const n = 100
-	for i := 0; i < n; i++ {
-		rec := sampleRecord(i)
-		if err := w.WriteRecord(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	rd := NewReader(&buf)
+	rd := NewReader(bytes.NewReader(encodeStream(t, sampleRecords(n), 8)))
+	var b RecordBatch
 	count := 0
 	for {
-		_, err := rd.Next()
+		err := rd.NextBatch(&b)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		count++
+		if b.Len() == 0 || b.Len() > 8 {
+			t.Fatalf("batch of %d records from 8-record messages", b.Len())
+		}
+		count += b.Len()
 	}
 	if count != n {
 		t.Fatalf("streamed %d records, want %d", count, n)

@@ -19,7 +19,6 @@ import (
 type Reader struct {
 	r        *bufio.Reader
 	dec      *MsgDecoder
-	queue    []FlowRecord
 	hdr      [msgHeaderLen]byte
 	body     []byte
 	offset   int64 // stream offset of the next unread byte
@@ -34,34 +33,20 @@ func NewReader(r io.Reader) *Reader {
 	}
 }
 
-// Next returns the next flow record, or io.EOF at end of stream.
-func (rd *Reader) Next() (*FlowRecord, error) {
-	for len(rd.queue) == 0 {
-		if err := rd.readMessage(); err != nil {
-			return nil, err
-		}
-	}
-	rec := rd.queue[0]
-	rd.queue = rd.queue[1:]
-	return &rec, nil
-}
-
 // NextBatch decodes the flow records of the next non-empty message into
 // b, replacing its contents, and returns io.EOF at end of stream. The
 // caller owns b and may reuse it across calls; backing storage grows once
 // to a full message and is then reused, so steady-state decoding does not
-// allocate per record.
-//
-// NextBatch and Next may be interleaved: any records still queued from a
-// message partially drained by Next are returned as a batch first.
+// allocate per record. On error b is left empty.
 func (rd *Reader) NextBatch(b *RecordBatch) error {
-	for len(rd.queue) == 0 {
-		if err := rd.readMessage(); err != nil {
+	b.Recs = b.Recs[:0]
+	for len(b.Recs) == 0 {
+		recs, err := rd.readMessage(b.Recs)
+		if err != nil {
 			return err
 		}
+		b.Recs = recs
 	}
-	b.Recs = append(b.Recs[:0], rd.queue...)
-	rd.queue = rd.queue[:0]
 	return nil
 }
 
@@ -71,23 +56,24 @@ func (rd *Reader) msgErr(msgStart int64, err error) error {
 	return fmt.Errorf("ipfix: message %d at offset %d: %w", rd.msgIndex, msgStart, err)
 }
 
-func (rd *Reader) readMessage() error {
+// readMessage reads one message and appends its flow records to dst.
+func (rd *Reader) readMessage(dst []FlowRecord) ([]FlowRecord, error) {
 	msgStart := rd.offset
 	n, err := io.ReadFull(rd.r, rd.hdr[:])
 	rd.offset += int64(n)
 	if err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return rd.msgErr(msgStart, fmt.Errorf("truncated message header: %d of %d bytes: %w", n, msgHeaderLen, err))
+			return dst, rd.msgErr(msgStart, fmt.Errorf("truncated message header: %d of %d bytes: %w", n, msgHeaderLen, err))
 		}
-		return err
+		return dst, err
 	}
 	version := binary.BigEndian.Uint16(rd.hdr[0:2])
 	if version != ipfixVersion {
-		return rd.msgErr(msgStart, fmt.Errorf("unsupported version %d", version))
+		return dst, rd.msgErr(msgStart, fmt.Errorf("unsupported version %d", version))
 	}
 	length := int(binary.BigEndian.Uint16(rd.hdr[2:4]))
 	if length < msgHeaderLen {
-		return rd.msgErr(msgStart, fmt.Errorf("message length %d below header size", length))
+		return dst, rd.msgErr(msgStart, fmt.Errorf("message length %d below header size", length))
 	}
 	bodyLen := length - msgHeaderLen
 	if cap(rd.body) < bodyLen {
@@ -102,29 +88,30 @@ func (rd *Reader) readMessage() error {
 		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return rd.msgErr(msgStart, fmt.Errorf("truncated message body: %d of %d bytes: %w", n, bodyLen, err))
+		return dst, rd.msgErr(msgStart, fmt.Errorf("truncated message body: %d of %d bytes: %w", n, bodyLen, err))
 	}
 
-	rd.queue, err = rd.dec.decodeBody(body, rd.queue)
+	dst, err = rd.dec.decodeBody(body, dst)
 	if err != nil {
-		return rd.msgErr(msgStart, err)
+		return dst, rd.msgErr(msgStart, err)
 	}
 	rd.msgIndex++
-	return nil
+	return dst, nil
 }
 
 // ReadAll drains the stream. Intended for tests and small datasets.
 func ReadAll(r io.Reader) ([]FlowRecord, error) {
 	rd := NewReader(r)
 	var out []FlowRecord
+	var b RecordBatch
 	for {
-		rec, err := rd.Next()
+		err := rd.NextBatch(&b)
 		if errors.Is(err, io.EOF) {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, *rec)
+		out = append(out, b.Recs...)
 	}
 }

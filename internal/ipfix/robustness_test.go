@@ -11,17 +11,7 @@ import (
 // of a valid stream: every read must return records or an error, never
 // panic.
 func TestReaderNeverPanicsOnCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 1)
-	w.BatchSize = 4
-	for i := 0; i < 64; i++ {
-		rec := sampleRecord(i)
-		if err := w.WriteRecord(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	valid := buf.Bytes()
+	valid := encodeStream(t, sampleRecords(64), 4)
 
 	r := stats.NewRNG(0xc0ffee)
 	for trial := 0; trial < 5000; trial++ {

@@ -14,19 +14,7 @@ import (
 // bytes plus each message's start offset.
 func ipfixStream(t *testing.T, n, batch int) ([]byte, []int) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf, 1)
-	w.BatchSize = batch
-	for i := 0; i < n; i++ {
-		rec := sampleRecord(i)
-		if err := w.WriteRecord(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encodeStream(t, sampleRecords(n), batch)
 	var starts []int
 	for off := 0; off < len(raw); {
 		starts = append(starts, off)

@@ -3,7 +3,6 @@ package ipfix
 import (
 	"bufio"
 	"io"
-	"time"
 )
 
 // Writer streams FlowRecords as IPFIX messages. The template set is
@@ -13,50 +12,32 @@ import (
 // templateResendEvery messages in will find a template).
 type Writer struct {
 	w       *bufio.Writer
-	c       io.Closer
 	enc     *MsgEncoder
 	msgs    int
 	pending []FlowRecord
-	// BatchSize is the number of records accumulated per message.
-	// Defaults to 1024; tests may lower it.
+	// BatchSize is the number of records accumulated per message,
+	// clamped to between one and what a message holds beside the template
+	// set. Defaults to 1024; tests may lower it.
 	BatchSize int
 }
 
 const templateResendEvery = 512
 
 // NewWriter creates a Writer exporting on observation domain id domain.
-// If w is an io.Closer, Close closes it.
 func NewWriter(w io.Writer, domain uint32) *Writer {
-	wr := &Writer{
+	return &Writer{
 		w:         bufio.NewWriterSize(w, 1<<16),
 		enc:       NewMsgEncoder(domain),
 		BatchSize: 1024,
 	}
-	if c, ok := w.(io.Closer); ok {
-		wr.c = c
-	}
-	return wr
-}
-
-// WriteRecord queues r for export, flushing a full message when the batch
-// fills.
-func (w *Writer) WriteRecord(r *FlowRecord) error {
-	w.pending = append(w.pending, *r)
-	if len(w.pending) >= w.BatchSize || len(w.pending) >= maxRecordsPerMsg {
-		return w.emit()
-	}
-	return nil
 }
 
 // WriteBatch queues every record of b for export, emitting full messages
 // as the pending buffer fills. It borrows b per the RecordBatch contract.
 func (w *Writer) WriteBatch(b *RecordBatch) error {
+	limit := min(max(w.BatchSize, 1), MaxRecords(maxMsgLen, true))
 	recs := b.Recs
 	for len(recs) > 0 {
-		limit := w.BatchSize
-		if limit > maxRecordsPerMsg {
-			limit = maxRecordsPerMsg
-		}
 		room := limit - len(w.pending)
 		if room > len(recs) {
 			room = len(recs)
@@ -82,27 +63,14 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Close flushes and closes the destination if it is an io.Closer.
-func (w *Writer) Close() error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if w.c != nil {
-		return w.c.Close()
-	}
-	return nil
-}
-
 // emit writes one IPFIX message containing (optionally) the template set
-// and all pending data records.
+// and all pending data records — at least one, whose start time stamps
+// the message, so an archive's bytes never depend on the wall clock.
 func (w *Writer) emit() error {
 	includeTemplate := w.msgs%templateResendEvery == 0
 	w.msgs++
 
-	exportTime := uint32(time.Now().Unix())
-	if len(w.pending) > 0 {
-		exportTime = uint32(w.pending[len(w.pending)-1].Start.Unix())
-	}
+	exportTime := uint32(w.pending[len(w.pending)-1].Start.Unix())
 	b := w.enc.Encode(w.pending, includeTemplate, exportTime)
 	w.pending = w.pending[:0]
 	_, err := w.w.Write(b)

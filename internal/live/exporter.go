@@ -88,18 +88,10 @@ func (e *Exporter) SetFault(u *faultnet.UDPSchedule) error {
 	return e.Sync()
 }
 
-// Export queues one record, sending a datagram when the message fills.
-func (e *Exporter) Export(rec *ipfix.FlowRecord) error {
-	e.pending = append(e.pending, *rec)
-	if len(e.pending) >= e.perMsg {
-		return e.emit()
-	}
-	return nil
-}
-
-// ExportBatch queues every record of b, sending datagrams as messages
-// fill. It borrows b per the ipfix.RecordBatch contract; the datagram
-// packing is identical to per-record Export calls in the same order.
+// ExportBatch queues every record of b, sending a datagram whenever a
+// message fills, so the datagram packing depends only on the record
+// sequence, not on how it was cut into batches. It borrows b per the
+// ipfix.RecordBatch contract.
 func (e *Exporter) ExportBatch(b *ipfix.RecordBatch) error {
 	recs := b.Recs
 	for len(recs) > 0 {

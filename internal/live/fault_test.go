@@ -103,11 +103,8 @@ func TestExporterChaosAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i := 0; i < n; i++ {
-		rec := flowRec(i)
-		if err := exp.Export(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := exp.ExportBatch(flowBatch(n)); err != nil {
+		t.Fatal(err)
 	}
 	if err := exp.Flush(); err != nil {
 		t.Fatal(err)
@@ -171,11 +168,8 @@ func TestRunnerChaosDrainPartition(t *testing.T) {
 	}
 
 	const n = 3000
-	for i := 0; i < n; i++ {
-		rec := flowRec(i)
-		if err := exp.Export(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := exp.ExportBatch(flowBatch(n)); err != nil {
+		t.Fatal(err)
 	}
 	if err := exp.Flush(); err != nil {
 		t.Fatal(err)

@@ -24,6 +24,15 @@ func flowRec(i int) ipfix.FlowRecord {
 	}
 }
 
+// flowBatch returns flowRec(0) .. flowRec(n-1) as one batch.
+func flowBatch(n int) *ipfix.RecordBatch {
+	b := &ipfix.RecordBatch{Recs: make([]ipfix.FlowRecord, n)}
+	for i := range b.Recs {
+		b.Recs[i] = flowRec(i)
+	}
+	return b
+}
+
 func newLoopbackPair(t *testing.T, queueLen int, sink ipfix.BatchSink, m *Metrics) (*Exporter, *Collector) {
 	t.Helper()
 	cc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -55,11 +64,8 @@ func TestExportCollectLoopback(t *testing.T) {
 		return nil
 	}, m)
 
-	for i := 0; i < n; i++ {
-		rec := flowRec(i)
-		if err := exp.Export(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := exp.ExportBatch(flowBatch(n)); err != nil {
+		t.Fatal(err)
 	}
 	if err := exp.Flush(); err != nil {
 		t.Fatal(err)
@@ -241,11 +247,8 @@ func TestRunnerEndToEnd(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < 500; i++ {
-		rec := flowRec(i)
-		if err := r.ExportFlow(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.ExportFlowBatch(flowBatch(500)); err != nil {
+		t.Fatal(err)
 	}
 	if err := r.Drain(); err != nil {
 		t.Fatal(err)
@@ -290,11 +293,8 @@ func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
 
 	// Whole messages only, so Drain's flush adds no datagram of its own.
 	n := msgs * ipfix.MaxRecords(DefaultMTU, true)
-	for i := 0; i < n; i++ {
-		rec := flowRec(i)
-		if err := r.ExportFlow(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.ExportFlowBatch(flowBatch(n)); err != nil {
+		t.Fatal(err)
 	}
 	<-entered
 	waitFor(t, 5*time.Second, "the read loop to shed the tail", func() bool {

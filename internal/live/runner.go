@@ -157,12 +157,8 @@ func (r *Runner) Barrier() error {
 	return r.seq.Barrier(r.cfg.DrainTimeout)
 }
 
-// ExportFlow hands one sampled flow record to the IPFIX exporter.
-func (r *Runner) ExportFlow(rec *ipfix.FlowRecord) error { return r.exporter.Export(rec) }
-
 // ExportFlowBatch hands one batch of sampled flow records to the IPFIX
-// exporter; the datagram stream is identical to per-record ExportFlow
-// calls in the same order.
+// exporter.
 func (r *Runner) ExportFlowBatch(b *ipfix.RecordBatch) error { return r.exporter.ExportBatch(b) }
 
 // Drain completes the streams without tearing sessions down: a final

@@ -62,21 +62,15 @@ func (r *Record) DecodeUpdate() (*bgp.Update, bool, error) {
 }
 
 // Writer streams MRT records to an io.Writer. Writers buffer internally;
-// call Flush (or Close if the destination is an io.Closer) when done.
+// call Flush when done.
 type Writer struct {
 	w   *bufio.Writer
-	c   io.Closer
 	buf []byte
 }
 
-// NewWriter returns a Writer emitting to w. If w is also an io.Closer,
-// Close will close it after flushing.
+// NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
-	mw := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
-	if c, ok := w.(io.Closer); ok {
-		mw.c = c
-	}
-	return mw
+	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // WriteRecord appends one record to the stream.
@@ -115,17 +109,6 @@ func (w *Writer) WriteRecord(r *Record) error {
 
 // Flush writes any buffered data to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Close flushes and, if the destination is an io.Closer, closes it.
-func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if w.c != nil {
-		return w.c.Close()
-	}
-	return nil
-}
 
 // Reader parses an MRT stream produced by Writer (and, more generally,
 // any stream of BGP4MP/BGP4MP_ET MESSAGE_AS4 records over IPv4 sessions).

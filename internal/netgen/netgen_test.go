@@ -273,24 +273,6 @@ func TestScanBatches(t *testing.T) {
 	}
 }
 
-func TestDiurnalAveragesToOne(t *testing.T) {
-	var sum float64
-	n := 0
-	for m := 0; m < 24*60; m += 5 {
-		sum += Diurnal(time.Date(2018, 10, 1, 0, m, 0, 0, time.UTC).Add(0))
-		n++
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-1) > 0.01 {
-		t.Fatalf("diurnal mean = %v", mean)
-	}
-	low := Diurnal(time.Date(2018, 10, 1, 4, 0, 0, 0, time.UTC))
-	high := Diurnal(time.Date(2018, 10, 1, 20, 0, 0, 0, time.UTC))
-	if low >= high {
-		t.Fatalf("diurnal: 04:00 (%v) not below 20:00 (%v)", low, high)
-	}
-}
-
 func TestVectorsProduceInjectableBatches(t *testing.T) {
 	// Every vector's batches must satisfy the fabric's invariants.
 	vs := []Vector{

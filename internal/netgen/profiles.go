@@ -1,7 +1,6 @@
 package netgen
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/fabric"
@@ -214,13 +213,4 @@ func ScanBatches(dst []fabric.Batch, dayStart time.Time, hostIP, memberAS uint32
 		},
 		VarySrcIP: func(r *stats.RNG) uint32 { return remotes.Addr(r) },
 	})
-}
-
-// Diurnal returns a traffic multiplier for the hour of day: a smooth
-// day/night cycle peaking in the evening, averaging 1.0 across a day.
-func Diurnal(t time.Time) float64 {
-	h := float64(t.Hour()) + float64(t.Minute())/60
-	// Minimum ~0.4 at 04:00, maximum ~1.6 at 20:00 (UTC+1-ish evening).
-	phase := (h - 20) / 24 * 2 * math.Pi
-	return 1 + 0.6*math.Cos(phase)
 }

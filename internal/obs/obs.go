@@ -51,12 +51,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -98,17 +98,6 @@ func (r *Registry) All() []Network {
 	return out
 }
 
-// TypeDistribution counts entries of asns by organization type. ASNs not
-// in the registry count as TypeUnknown. Duplicate ASNs count repeatedly:
-// the callers tally host or event populations, not unique networks.
-func (r *Registry) TypeDistribution(asns []uint32) map[OrgType]int {
-	dist := make(map[OrgType]int)
-	for _, asn := range asns {
-		dist[r.TypeOf(asn)]++
-	}
-	return dist
-}
-
 // WriteJSON serializes the registry.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -42,20 +42,6 @@ func TestAddReplaces(t *testing.T) {
 	}
 }
 
-func TestTypeDistribution(t *testing.T) {
-	r := New()
-	r.Add(Network{ASN: 1, Type: TypeCableDSL})
-	r.Add(Network{ASN: 2, Type: TypeCableDSL})
-	r.Add(Network{ASN: 3, Type: TypeContent})
-	dist := r.TypeDistribution([]uint32{1, 2, 3, 1, 999})
-	if dist[TypeCableDSL] != 3 {
-		t.Fatalf("Cable/DSL count = %d, want 3 (duplicates counted)", dist[TypeCableDSL])
-	}
-	if dist[TypeContent] != 1 || dist[TypeUnknown] != 1 {
-		t.Fatalf("dist = %v", dist)
-	}
-}
-
 func TestAllSorted(t *testing.T) {
 	r := New()
 	for _, asn := range []uint32{30, 10, 20} {

@@ -62,16 +62,6 @@ func (p *Projection) Project(features []float64) Point {
 	return out
 }
 
-// AngleOf returns the polar angle of a projected point in radians in
-// [0, 2*pi); useful to test which anchors dominate a point.
-func AngleOf(pt Point) float64 {
-	a := math.Atan2(pt.Y, pt.X)
-	if a < 0 {
-		a += 2 * math.Pi
-	}
-	return a
-}
-
 // Radius returns the distance from the origin (0 = perfectly balanced
 // features, 1 = a single dominating feature).
 func Radius(pt Point) float64 { return math.Hypot(pt.X, pt.Y) }

@@ -79,15 +79,6 @@ func TestPointsStayInUnitDisk(t *testing.T) {
 	}
 }
 
-func TestAngleOf(t *testing.T) {
-	if a := AngleOf(Point{X: 0, Y: 1}); math.Abs(a-math.Pi/2) > 1e-12 {
-		t.Fatalf("angle = %v", a)
-	}
-	if a := AngleOf(Point{X: 0, Y: -1}); math.Abs(a-3*math.Pi/2) > 1e-12 {
-		t.Fatalf("angle = %v", a)
-	}
-}
-
 func TestPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -285,34 +285,3 @@ func (s *Server) NumFlowSpecRules() int {
 	}
 	return len(s.flowspec.rules)
 }
-
-// ActiveFlowRules returns the installed rules as (origin, rule) pairs in
-// deterministic order, with the peers that accepted each.
-type FlowAnnouncement struct {
-	Origin   uint32
-	Rule     *bgp.FlowRule
-	Accepted []uint32
-}
-
-// ActiveFlowRules lists the installed FlowSpec rules deterministically.
-func (s *Server) ActiveFlowRules() []FlowAnnouncement {
-	if s.flowspec == nil {
-		return nil
-	}
-	out := make([]FlowAnnouncement, 0, len(s.flowspec.rules))
-	keys := make([]fsKey, 0, len(s.flowspec.rules))
-	for key := range s.flowspec.rules {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].origin != keys[j].origin {
-			return keys[i].origin < keys[j].origin
-		}
-		return keys[i].wire < keys[j].wire
-	})
-	for _, key := range keys {
-		rt := s.flowspec.rules[key]
-		out = append(out, FlowAnnouncement{Origin: key.origin, Rule: rt.rule, Accepted: s.members(rt.accepted)})
-	}
-	return out
-}

@@ -237,6 +237,31 @@ type ribPair struct {
 	ref  *refServer
 	reg  *obs.Registry // re-registered after AddPeer so late peers have gauges
 	asns []uint32
+	// meant records, per prefix and origin, the audience of every active
+	// announcement: what check's containment invariant holds VisibleTo to.
+	meant map[bgp.Prefix]map[uint32]audience
+}
+
+// audience is who an announcement was meant for: of the peers registered
+// when it was made (the first peers of ribPair.asns), those cs steers it to.
+type audience struct {
+	cs    bgp.Communities
+	peers int
+}
+
+// includes reports whether the announcement by origin was meant for the
+// i-th peer (negative for the unregistered AS 9): never the announcer,
+// never a peer it blocks (0:peer), and — once it restricts its audience
+// (0:rs, or any rs:peer) — only the peers it names (rs:peer).
+func (a audience) includes(origin uint32, i int, peer uint32) bool {
+	if i < 0 || i >= a.peers || peer == origin || a.cs.Contains(bgp.MakeCommunity(0, uint16(peer))) {
+		return false
+	}
+	restricted := a.cs.Contains(bgp.MakeCommunity(0, rsASN))
+	for _, c := range a.cs {
+		restricted = restricted || (c.ASN() == rsASN && c.Value() != rsASN)
+	}
+	return !restricted || a.cs.Contains(bgp.MakeCommunity(rsASN, uint16(peer)))
 }
 
 func (p *ribPair) addPeer(asn uint32, pol Policy) {
@@ -255,8 +280,19 @@ func (p *ribPair) process(step string, peerAS uint32, upd *bgp.Update) {
 	if ok := p.ref.process(peerAS, upd); ok != (err == nil) {
 		p.t.Fatalf("%s: Process error = %v, reference accepted = %v", step, err, ok)
 	}
+	if p.ref.peers[peerAS] != nil { // a known peer's withdrawals apply even if its announcements are refused
+		for _, pfx := range upd.Withdrawn {
+			delete(p.meant[pfx], peerAS)
+		}
+	}
 	if err != nil {
 		return
+	}
+	for _, pfx := range upd.NLRI {
+		if p.meant[pfx] == nil {
+			p.meant[pfx] = map[uint32]audience{}
+		}
+		p.meant[pfx][peerAS] = audience{cs: upd.Attrs.Communities, peers: len(p.asns)}
 	}
 	if len(anns) != len(upd.NLRI) {
 		p.t.Fatalf("%s: Process reported %d announcements for %d NLRI", step, len(anns), len(upd.NLRI))
@@ -268,19 +304,45 @@ func (p *ribPair) process(step string, peerAS uint32, upd *bgp.Update) {
 	}
 }
 
-// check compares every query and every routeserver.* metric.
+func (p *ribPair) peerDown(step string, peerAS uint32) {
+	p.t.Helper()
+	if got, want := p.s.PeerDown(peerAS), p.ref.peerDown(peerAS); got != want {
+		p.t.Fatalf("%s: PeerDown flushed %d, reference %d", step, got, want)
+	}
+	for _, byOrigin := range p.meant {
+		delete(byOrigin, peerAS)
+	}
+}
+
+// check compares every query and every routeserver.* metric, and holds
+// visibility to the containment FRR's bgp_blackhole_community topotest
+// requires of a BLACKHOLE route, with or without NO_EXPORT: it never
+// reaches a peer it was not meant for. Whoever sees a prefix is in the
+// audience of an announcement of it that is still active — so never its
+// only announcer, never a peer that joined later, nobody once withdrawn.
 func (p *ribPair) check(step string, probes []uint32, prefixes []bgp.Prefix) {
 	p.t.Helper()
 	// 9 is never registered: both sides must treat an unknown peer alike.
-	for _, asn := range append([]uint32{9}, p.asns...) {
+	for i, asn := range append([]uint32{9}, p.asns...) {
 		for _, dst := range probes {
 			if got, want := p.s.DropFraction(asn, dst), p.ref.dropFraction(asn, dst); got != want {
 				p.t.Fatalf("%s: DropFraction(AS%d, %s) = %v, reference %v", step, asn, bgp.FormatAddr(dst), got, want)
 			}
 		}
 		for _, pfx := range prefixes {
-			if got, want := p.s.VisibleTo(asn, pfx), p.ref.visibleTo(asn, pfx); got != want {
+			got, want := p.s.VisibleTo(asn, pfx), p.ref.visibleTo(asn, pfx)
+			if got != want {
 				p.t.Fatalf("%s: VisibleTo(AS%d, %v) = %v, reference %v", step, asn, pfx, got, want)
+			}
+			if !got {
+				continue
+			}
+			meant := false
+			for origin, a := range p.meant[pfx] {
+				meant = meant || a.includes(origin, i-1, asn)
+			}
+			if !meant {
+				p.t.Fatalf("%s: AS%d sees %v, which no active announcement was meant for it", step, asn, pfx)
 			}
 		}
 	}
@@ -350,7 +412,7 @@ func TestRIBMatchesReference(t *testing.T) {
 			}
 			for seed := uint64(1); seed <= 2; seed++ {
 				rng := stats.NewRNG(seed*1000 + uint64(nPeers))
-				p := &ribPair{t: t, s: New(rsASN, 1), ref: newRefServer(rsASN)}
+				p := &ribPair{t: t, s: New(rsASN, 1), ref: newRefServer(rsASN), meant: map[bgp.Prefix]map[uint32]audience{}}
 				nextASN := uint32(1000)
 				join := func() {
 					p.addPeer(nextASN, policies[rng.Intn(len(policies))])
@@ -389,6 +451,9 @@ func TestRIBMatchesReference(t *testing.T) {
 							cs = append(cs, bgp.MakeCommunity(0, rsASN), bgp.MakeCommunity(rsASN, rsASN))
 						}
 					}
+					if rng.Intn(2) == 0 { // RFC 7999: SHOULD
+						cs = append(cs, bgp.NoExport)
+					}
 					return cs
 				}
 
@@ -417,9 +482,7 @@ func TestRIBMatchesReference(t *testing.T) {
 					}
 					switch op {
 					case 18:
-						if got, want := p.s.PeerDown(origin), p.ref.peerDown(origin); got != want {
-							t.Fatalf("%s: PeerDown flushed %d, reference %d", what, got, want)
-						}
+						p.peerDown(what, origin)
 					case 19:
 						join() // routes installed so far must stay invisible to it
 					default:

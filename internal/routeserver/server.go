@@ -242,9 +242,6 @@ func (s *Server) AddPeer(p Peer) error {
 	return nil
 }
 
-// Peers returns the member ASNs in ascending order.
-func (s *Server) Peers() []uint32 { return s.members(s.all) }
-
 // members lists the ASNs in set in ascending order.
 func (s *Server) members(set peerSet) []uint32 {
 	var out []uint32
@@ -255,9 +252,6 @@ func (s *Server) members(set peerSet) []uint32 {
 	}
 	return out
 }
-
-// NumPeers returns the number of registered members.
-func (s *Server) NumPeers() int { return len(s.peers) }
 
 // Process handles one UPDATE received from peerAS at time ts: withdrawals
 // first (RFC 4271 ordering), then announcements. Announced prefixes must

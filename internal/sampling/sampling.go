@@ -49,7 +49,3 @@ func (s *Sampler) Sample(n int64) int64 {
 	}
 	return s.rng.Binomial(n, 1/float64(s.rate))
 }
-
-// ScaleUp inverts the sampling: the best estimate of the original packet
-// count behind sampled samples.
-func (s *Sampler) ScaleUp(sampled int64) int64 { return sampled * s.rate }

@@ -88,13 +88,6 @@ func TestSmallFlowsOftenInvisible(t *testing.T) {
 	}
 }
 
-func TestScaleUp(t *testing.T) {
-	s, _ := New(10000, stats.NewRNG(6))
-	if got := s.ScaleUp(3); got != 30000 {
-		t.Fatalf("ScaleUp(3) = %d", got)
-	}
-}
-
 func TestDeterministicGivenSeed(t *testing.T) {
 	a, _ := New(1000, stats.NewRNG(7))
 	b, _ := New(1000, stats.NewRNG(7))

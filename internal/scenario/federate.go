@@ -79,10 +79,6 @@ func planFederation(w *World, n int) *Federation {
 // multi-homed). Unknown ASNs map to IXP 0.
 func (f *Federation) Home(asn uint32) int { return f.home[asn] }
 
-// MultiHomed reports whether the member is additionally connected at
-// (Home+1) mod N.
-func (f *Federation) MultiHomed(asn uint32) bool { return f.multi[asn] }
-
 // MultiHomedMembers returns the sorted ASNs of all multi-homed members.
 func (f *Federation) MultiHomedMembers() []uint32 {
 	out := make([]uint32, 0, len(f.multi))

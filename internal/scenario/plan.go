@@ -78,7 +78,6 @@ func logNormalMedian(r *stats.RNG, median, sigma, lo, hi float64) float64 {
 func planMembers(w *World, r *stats.RNG) {
 	n := w.Cfg.Members
 	w.Members = make([]Member, n)
-	w.memberIdx = make(map[uint32]int, n)
 
 	// Organization-type marginals for members, NSP-heavy among the big
 	// players as the paper observes (Fig 8).
@@ -130,7 +129,6 @@ func planMembers(w *World, r *stats.RNG) {
 			TrafficWeight: weight,
 			PDBType:       typ,
 		}
-		w.memberIdx[asn] = i
 	}
 }
 

@@ -39,6 +39,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// memberASNs returns the set of the world's member ASNs.
+func memberASNs(w *World) map[uint32]bool {
+	set := make(map[uint32]bool, len(w.Members))
+	for _, m := range w.Members {
+		set[m.ASN] = true
+	}
+	return set
+}
+
 func planTest(t *testing.T) *World {
 	t.Helper()
 	w, err := Plan(TestConfig())
@@ -114,6 +123,7 @@ func TestPlanPopulationShape(t *testing.T) {
 func TestPlanEventInvariants(t *testing.T) {
 	w := planTest(t)
 	endOfPeriod := w.Cfg.End()
+	members := memberASNs(w)
 	for _, e := range w.Events {
 		if len(e.Episodes) == 0 {
 			t.Fatalf("event %d has no episodes", e.ID)
@@ -157,7 +167,7 @@ func TestPlanEventInvariants(t *testing.T) {
 				t.Fatalf("squatting event with host")
 			}
 		}
-		if _, ok := w.MemberByASN(e.Peer); !ok {
+		if !members[e.Peer] {
 			t.Fatalf("event %d peer AS%d is not a member", e.ID, e.Peer)
 		}
 	}
@@ -408,12 +418,14 @@ func TestRunClockOffsetVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	earliest := time.Time{}
-	_, err = Run(w, Sinks{Flow: ipfix.EachRecord(func(r *ipfix.FlowRecord) error {
-		if earliest.IsZero() || r.Start.Before(earliest) {
-			earliest = r.Start
+	_, err = Run(w, Sinks{Flow: func(b *ipfix.RecordBatch) error {
+		for _, r := range b.Recs {
+			if earliest.IsZero() || r.Start.Before(earliest) {
+				earliest = r.Start
+			}
 		}
 		return nil
-	})})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,6 +488,7 @@ func TestPlanAcrossSeedsProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		endOfPeriod := w.Cfg.End()
+		members := memberASNs(w)
 		for _, e := range w.Events {
 			if len(e.Episodes) == 0 {
 				t.Fatalf("seed %d: event without episodes", seed)
@@ -503,7 +516,7 @@ func TestPlanAcrossSeedsProperty(t *testing.T) {
 					t.Fatalf("seed %d: event prefix %v does not contain host %x", seed, e.Prefix, h.IP)
 				}
 			}
-			if _, ok := w.MemberByASN(e.Peer); !ok {
+			if !members[e.Peer] {
 				t.Fatalf("seed %d: event peer not a member", seed)
 			}
 		}

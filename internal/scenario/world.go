@@ -242,7 +242,6 @@ type World struct {
 	RSIP  uint32
 
 	Members    []Member
-	memberIdx  map[uint32]int
 	VictimASes []VictimAS
 	RemoteASes []RemoteAS
 	// ConeByMember lists, per handover member ASN, the indices of the
@@ -256,13 +255,4 @@ type World struct {
 	RemotePool   *netgen.RemotePool
 	SquatASes    int
 	SquatPrefix  int
-}
-
-// MemberByASN returns the member with the given ASN.
-func (w *World) MemberByASN(asn uint32) (*Member, bool) {
-	i, ok := w.memberIdx[asn]
-	if !ok {
-		return nil, false
-	}
-	return &w.Members[i], true
 }

@@ -166,7 +166,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/api/federation", s.handle("federation", s.handleFederation))
 	s.mux.Handle("/api/detections", s.handle("detections", s.handleDetections))
 	s.mux.Handle("/api/history", s.handle("history", s.handleHistory))
-	s.mux.Handle("/", s.handle("health", func(r *http.Request) (any, *httpError) {
+	// No endpoint name: an unknown path counts under serve.errors only.
+	s.mux.Handle("/", s.handle("", func(r *http.Request) (any, *httpError) {
 		return nil, notFound("unknown path %q (endpoints: /api/{%s})",
 			r.URL.Path, joinNames(endpointNames))
 	}))

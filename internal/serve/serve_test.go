@@ -679,6 +679,9 @@ func TestServeMetricsRegistered(t *testing.T) {
 	if snap.Counter("serve.errors") != 1 {
 		t.Fatalf("errors = %d", snap.Counter("serve.errors"))
 	}
+	if n := snap.Counter("serve.requests.health"); n != 0 {
+		t.Fatalf("unknown path counted as %d health checks", n)
+	}
 	if !snap.Has("serve.latency_ms") || !snap.Has("serve.history_entries") {
 		t.Fatal("latency histogram or history gauge missing")
 	}

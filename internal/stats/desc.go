@@ -17,20 +17,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the default of most
 // data-analysis tools, matching the paper's tooling). xs need not be
@@ -102,70 +88,3 @@ func (e *ECDF) Quantile(q float64) float64 {
 
 // Len returns the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Values returns the sorted sample. The caller must not modify it.
-func (e *ECDF) Values() []float64 { return e.sorted }
-
-// Points returns up to n evenly spaced (x, P(X<=x)) points suitable for
-// plotting the CDF curve, always including the extremes.
-func (e *ECDF) Points(n int) (xs, ps []float64) {
-	m := len(e.sorted)
-	if m == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n > m {
-		n = m
-	}
-	xs = make([]float64, 0, n)
-	ps = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (m - 1) / max(n-1, 1)
-		xs = append(xs, e.sorted[idx])
-		ps = append(ps, float64(idx+1)/float64(m))
-	}
-	return xs, ps
-}
-
-// Histogram counts values into uniform-width bins over [lo, hi]. Values
-// outside the range are clamped to the first/last bin, which is the right
-// behaviour for the bounded shares (0..1) and offsets the analysis bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-}
-
-// NewHistogram creates a histogram with bins uniform bins across [lo, hi].
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation of x.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}

@@ -2,21 +2,17 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("Mean = %v, want 5", m)
 	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, want 2", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty-slice mean/std should be 0")
+	if Mean(nil) != 0 {
+		t.Fatal("empty-slice mean should be 0")
 	}
 }
 
@@ -112,50 +108,4 @@ func TestECDFProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{5, 1, 3, 2, 4})
-	xs, ps := e.Points(3)
-	if len(xs) != 3 || len(ps) != 3 {
-		t.Fatalf("Points returned %d/%d values", len(xs), len(ps))
-	}
-	if xs[0] != 1 || xs[2] != 5 {
-		t.Fatalf("Points extremes = %v", xs)
-	}
-	if ps[2] != 1 {
-		t.Fatalf("final CDF point = %v, want 1", ps[2])
-	}
-	if !sort.Float64sAreSorted(xs) {
-		t.Fatal("Points xs not sorted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for _, v := range []float64{-1, 0, 0.1, 0.3, 0.6, 0.9, 1.0, 2.0} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// -1 and 0 and 0.1 in bin 0; 0.3 in bin 1; 0.6 in bin 2; 0.9, 1.0, 2.0 in bin 3.
-	want := []int64{3, 1, 1, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bin %d = %d, want %d (%v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.125) > 1e-12 {
-		t.Fatalf("BinCenter(0) = %v", c)
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 0, 4)
 }

@@ -65,11 +65,11 @@ type onlineMetrics struct {
 // costs what the horizon tail touches plus compose: the sealed state is
 // shared with the snapshot, not copied (see frozen).
 //
-// ObserveUpdate and ObserveFlow may be called from different goroutines
-// (in live mode they are: updates arrive on the route server's delivery
-// goroutine, flows on the collector's decode goroutine); Snapshot may be
-// called concurrently with both and never blocks ingest — the ingest
-// paths only take a mutex held for O(1) appends.
+// ObserveUpdate and ObserveFlowBatch may be called from different
+// goroutines (in live mode they are: updates arrive on the route server's
+// delivery goroutine, flows on the collector's decode goroutine);
+// Snapshot may be called concurrently with both and never blocks ingest
+// — the ingest paths only take a mutex held for O(1) appends.
 //
 // Updates must arrive in non-decreasing timestamp order (the live
 // sequencer's delivery order guarantees this); feeding an update older
@@ -188,28 +188,12 @@ func (a *OnlineAnalyzer) ObserveFlowSpec(u analysis.FlowUpdate) {
 	a.mu.Unlock()
 }
 
-// ObserveFlow ingests one collected flow record (copied; the caller may
-// reuse rec). Every sealCheckEvery records it opportunistically folds
-// sealed records into the operators — skipped without blocking when a
-// Snapshot holds the operator state.
-func (a *OnlineAnalyzer) ObserveFlow(rec *ipfix.FlowRecord) {
-	a.mu.Lock()
-	a.pending = append(a.pending, *rec)
-	a.flowCount++
-	n := a.flowCount
-	a.mu.Unlock()
-
-	if n%sealCheckEvery == 0 && a.opMu.TryLock() {
-		a.advanceLocked()
-		a.opMu.Unlock()
-	}
-}
-
 // ObserveFlowBatch ingests one batch of collected flow records (copied;
 // the caller keeps ownership of b per the ipfix.RecordBatch contract).
-// The ingest lock is taken once per batch and the opportunistic seal
-// check fires at the same stream positions as per-record ingest, so the
-// analyzer state is identical to feeding the records one at a time.
+// The ingest lock is taken once per batch. Whenever the stream crosses a
+// multiple of sealCheckEvery records it opportunistically folds sealed
+// records into the operators — skipped without blocking when a Snapshot
+// holds the operator state.
 func (a *OnlineAnalyzer) ObserveFlowBatch(b *ipfix.RecordBatch) {
 	if b.Len() == 0 {
 		return

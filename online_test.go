@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/events"
 	"repro/internal/bgp"
+	"repro/internal/ipfix"
 	"repro/internal/obs"
 	"repro/internal/textreport"
 )
@@ -61,8 +62,8 @@ func onlineTestDataset(t *testing.T) (*rtbh.Dataset, []rtbh.FlowRecord) {
 		t.Fatal(err)
 	}
 	var flows []rtbh.FlowRecord
-	if err := ds.EachFlow(func(rec *rtbh.FlowRecord) error {
-		flows = append(flows, *rec)
+	if err := ds.EachFlowBatch(func(b *ipfix.RecordBatch) error {
+		flows = append(flows, b.Recs...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -71,6 +72,18 @@ func onlineTestDataset(t *testing.T) (*rtbh.Dataset, []rtbh.FlowRecord) {
 		t.Fatalf("empty test world: %d updates, %d flows", len(ds.Updates), len(flows))
 	}
 	return ds, flows
+}
+
+// flowChunk is about what one collected datagram carries.
+const flowChunk = 32
+
+// feedFlows hands flows to a in flowChunk-sized batches.
+func feedFlows(a *rtbh.OnlineAnalyzer, flows []rtbh.FlowRecord) {
+	for len(flows) > 0 {
+		n := min(flowChunk, len(flows))
+		a.ObserveFlowBatch(&ipfix.RecordBatch{Recs: flows[:n]})
+		flows = flows[n:]
+	}
 }
 
 // TestOnlineSnapshotCutPoints feeds one OnlineAnalyzer incrementally and
@@ -97,9 +110,8 @@ func TestOnlineSnapshotCutPoints(t *testing.T) {
 		for ; fedUpd < u; fedUpd++ {
 			a.ObserveControl(ds.Updates[fedUpd])
 		}
-		for ; fedFlow < f; fedFlow++ {
-			a.ObserveFlow(&flows[fedFlow])
-		}
+		feedFlows(a, flows[fedFlow:f])
+		fedFlow = f
 
 		snap, err := a.Snapshot(opts)
 		if err != nil {
@@ -172,13 +184,11 @@ func TestOnlineSnapshotConcurrent(t *testing.T) {
 	reached, resume := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer wg.Done()
-		for i := range flows {
-			if i == len(flows)/8*7 {
-				close(reached)
-				<-resume
-			}
-			a.ObserveFlow(&flows[i])
-		}
+		cut := len(flows) / 8 * 7
+		feedFlows(a, flows[:cut])
+		close(reached)
+		<-resume
+		feedFlows(a, flows[cut:])
 	}()
 	go func() { wg.Wait(); close(done) }()
 
@@ -275,9 +285,9 @@ func TestFrozenReplayMatchesSpeculative(t *testing.T) {
 		for u := len(ds.Updates) * k / cuts; fedUpd < u; fedUpd++ {
 			a.ObserveControl(ds.Updates[fedUpd])
 		}
-		for f := len(flows) * k / cuts; fedFlow < f; fedFlow++ {
-			a.ObserveFlow(&flows[fedFlow])
-		}
+		f := len(flows) * k / cuts
+		feedFlows(a, flows[fedFlow:f])
+		fedFlow = f
 		wide, frozen, err := a.TailReplayStates()
 		if err != nil {
 			t.Fatalf("cut %d/%d: %v", k, cuts, err)
@@ -345,9 +355,9 @@ func TestOnlineSnapshotMetricsReconcile(t *testing.T) {
 		for u := len(ds.Updates) * k / cuts; fedUpd < u; fedUpd++ {
 			a.ObserveControl(ds.Updates[fedUpd])
 		}
-		for f := len(flows) * k / cuts; fedFlow < f; fedFlow++ {
-			a.ObserveFlow(&flows[fedFlow])
-		}
+		f := len(flows) * k / cuts
+		feedFlows(a, flows[fedFlow:f])
+		fedFlow = f
 		if k == cuts/2 {
 			// A federation tick is a snapshot too; its clone's copies join
 			// this interval's.

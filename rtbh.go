@@ -24,6 +24,11 @@
 //	report, err := lr.Analyzer().Final(rtbh.DefaultOptions())
 //	fed, err := lr.Report(rtbh.DefaultOptions()) // merged over all exchanges
 //
+// An OnlineAnalyzer is the same analysis fed incrementally — control
+// updates one by one, flow records batch by batch (ObserveFlowBatch; a
+// batch is what Dataset.EachFlowBatch and the live collector deliver) —
+// with a Report available mid-stream; see ExampleOnlineAnalyzer.
+//
 // The simulation and the analysis share no state beyond the dataset
 // files: the analysis only sees what the paper's authors saw (BGP
 // messages, sampled flow records, the member interface database, routing

@@ -47,8 +47,8 @@ func run(t *testing.T) (*SimulationSummary, *Dataset, *Report) {
 			sharedRun.failure = err
 			return
 		}
-		// The dir must outlive the analysis: EachFlow re-opens the flow
-		// archive on every call.
+		// The dir must outlive the analysis: EachFlowBatch re-opens the
+		// flow archive on every call.
 		sharedRun.dir = dir
 		sharedRun.sum, sharedRun.ds, sharedRun.report = sum, ds, report
 	})
@@ -70,7 +70,7 @@ func TestEndToEndDatasetRoundTrip(t *testing.T) {
 	}
 	// The IPFIX round trip preserves every record.
 	var n int64
-	ds.EachFlow(func(*FlowRecord) error { n++; return nil })
+	ds.EachFlowBatch(func(b *recordBatch) error { n += int64(b.Len()); return nil })
 	if n != sum.FlowRecords {
 		t.Fatalf("flow records = %d, want %d", n, sum.FlowRecords)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	rtbh "repro"
+	"repro/internal/ipfix"
 	"repro/internal/serve"
 )
 
@@ -58,7 +59,7 @@ func benchServeSnapshot(b *testing.B, days int) {
 	for i := range ds.Updates {
 		a.ObserveControl(ds.Updates[i])
 	}
-	if err := ds.EachFlow(func(rec *rtbh.FlowRecord) error { a.ObserveFlow(rec); return nil }); err != nil {
+	if err := ds.EachFlowBatch(func(b *ipfix.RecordBatch) error { a.ObserveFlowBatch(b); return nil }); err != nil {
 		b.Fatal(err)
 	}
 

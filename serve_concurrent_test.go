@@ -90,9 +90,11 @@ func TestServeConcurrent(t *testing.T) {
 	}()
 	go func() {
 		defer ingest.Done()
-		for i := range flows {
+		for rest := flows; len(rest) > 0; {
+			n := min(flowChunk, len(rest))
 			t0 := time.Now()
-			a.ObserveFlow(&flows[i])
+			feedFlows(a, rest[:n])
+			rest = rest[n:]
 			if d := time.Since(t0).Nanoseconds(); d > flowStallNS {
 				flowStallNS = d
 			}

@@ -14,6 +14,7 @@ import (
 	rtbh "repro"
 	"repro/internal/detect"
 	"repro/internal/federation"
+	"repro/internal/ipfix"
 	"repro/internal/serve"
 )
 
@@ -74,9 +75,9 @@ func TestServeGoldenEndpoints(t *testing.T) {
 	for i := range ds.Updates {
 		a.ObserveControl(ds.Updates[i])
 	}
-	if err := ds.EachFlow(func(rec *rtbh.FlowRecord) error {
-		a.ObserveFlow(rec)
-		det.ObserveFlow(rec)
+	if err := ds.EachFlowBatch(func(b *ipfix.RecordBatch) error {
+		a.ObserveFlowBatch(b)
+		det.ObserveFlowBatch(b)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -205,8 +206,8 @@ func TestServeGoldenMitigation(t *testing.T) {
 	for i := range ds.FlowUpdates {
 		a.ObserveFlowSpec(ds.FlowUpdates[i])
 	}
-	if err := ds.EachFlow(func(rec *rtbh.FlowRecord) error {
-		a.ObserveFlow(rec)
+	if err := ds.EachFlowBatch(func(b *ipfix.RecordBatch) error {
+		a.ObserveFlowBatch(b)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
