@@ -661,6 +661,41 @@ func benchOnlineSnapshot(b *testing.B, days int) {
 	})
 }
 
+// BenchmarkOnlineIngest times what the looking glass and the live collector
+// sink into: one OnlineAnalyzer ingesting the shared world's whole archive,
+// control updates interleaved with the flow batches in timestamp order (see
+// IngestInterleaved), seal checks and all, with no snapshot taken. The
+// batches are the archive's own, one per IPFIX message. Besides records/s
+// it reports what the ingest allocates per record over the whole run —
+// pending storage, view extension and operator state growth together.
+func BenchmarkOnlineIngest(b *testing.B) {
+	ds, _, _, _ := benchSetup(b)
+	var batches []*recordBatch
+	total := 0
+	if err := ds.EachFlowBatch(func(fb *recordBatch) error {
+		if fb.Len() > 0 {
+			batches = append(batches, &recordBatch{Recs: slices.Clone(fb.Recs)})
+			total += fb.Len()
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		IngestInterleaved(NewOnlineAnalyzer(ds.Meta), ds, batches)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(total) * float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+}
+
 // benchFlows caches the shared dataset's flow archive in memory, chunked
 // into dispatch-sized record batches, so the pipeline benchmarks time
 // aggregation, not file decoding. Each batch holds one permanent

@@ -104,6 +104,11 @@ func TestDetectClosedLoop(t *testing.T) {
 		}
 		if u.Announce {
 			announced[u.Prefix.String()]++
+			// RFC 7999: the originator of a blackhole keeps it from leaving
+			// the exchange.
+			if !u.Communities.Contains(bgp.Blackhole) || !u.Communities.Contains(bgp.NoExport) {
+				t.Errorf("announcement of %s from peer %d carries %v, want BLACKHOLE and NO_EXPORT", u.Prefix, u.Peer, u.Communities)
+			}
 		} else {
 			withdrawn[u.Prefix.String()]++
 		}

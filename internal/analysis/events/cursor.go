@@ -21,9 +21,10 @@ type candidate struct {
 // per-length prefix-map probes once per run of identical addresses and
 // replaying the cached candidate lists for the time-dependent queries
 // removes nearly all map hashing from the streaming pass. Every query
-// answers exactly like the Index method of the same name: the index is
-// immutable after construction, so a cached resolution can only go
-// stale through Rebind, which drops the memo.
+// answers exactly like the Index method of the same name. A cached
+// resolution goes stale when the index changes — a Merger extends its
+// index in place — so whoever extends it rebinds every cursor, which
+// drops the memo.
 //
 // A cursor is single-goroutine state; every pipeline shard owns its
 // own pair (destination- and source-keyed).
@@ -37,7 +38,8 @@ type Cursor struct {
 // NewCursor returns a cursor over ix with an empty memo.
 func NewCursor(ix *Index) *Cursor { return &Cursor{ix: ix} }
 
-// Rebind points the cursor at a rebuilt index and drops the memo.
+// Rebind points the cursor at ix — a rebuilt index, or the same one after
+// it was extended — and drops the memo.
 func (c *Cursor) Rebind(ix *Index) {
 	c.ix = ix
 	c.valid = false

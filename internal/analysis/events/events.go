@@ -93,72 +93,11 @@ type streamKey struct {
 // Updates must be time-sorted (ParseMRT guarantees this). Withdrawals
 // without a preceding announcement are ignored, as are repeated
 // announcements of an already-active route (they refresh attributes but
-// open no new episode).
+// open no new episode). It is a Merger extended once.
 func Merge(updates []analysis.ControlUpdate, delta time.Duration, periodEnd time.Time) []*Event {
-	type openState struct {
-		event  *Event
-		lastWd time.Time // zero while the route is active
-	}
-	open := make(map[streamKey]*openState)
-	var all []*Event
-
-	for i := range updates {
-		u := &updates[i]
-		key := streamKey{prefix: u.Prefix, peer: u.Peer}
-		st := open[key]
-
-		if u.Announce {
-			excl := excludedPeers(u.Communities)
-			switch {
-			case st == nil || (!st.lastWd.IsZero() && u.Time.Sub(st.lastWd) > delta):
-				// New event (first sighting, or the gap exceeds delta).
-				e := &Event{
-					Prefix:        u.Prefix,
-					Peer:          u.Peer,
-					OriginAS:      u.OriginAS,
-					Episodes:      []Episode{{Announce: u.Time}},
-					Announcements: 1,
-					Excluded:      excl,
-				}
-				all = append(all, e)
-				open[key] = &openState{event: e}
-			case !st.lastWd.IsZero():
-				// Same event: new episode after a short gap.
-				st.event.Episodes = append(st.event.Episodes, Episode{Announce: u.Time})
-				st.event.Announcements++
-				st.lastWd = time.Time{}
-				mergeExcluded(st.event, excl)
-			default:
-				// Re-announcement of an active route.
-				st.event.Announcements++
-				mergeExcluded(st.event, excl)
-			}
-		} else if st != nil && st.lastWd.IsZero() {
-			ep := &st.event.Episodes[len(st.event.Episodes)-1]
-			ep.Withdraw = u.Time
-			st.lastWd = u.Time
-		}
-	}
-
-	// Stable sort over the first-announce order: appending updates to the
-	// stream can only append events whose Start is at or past the previous
-	// maximum timestamp, so the IDs of events that started earlier never
-	// renumber as a live stream grows — the online analyzer's sealed
-	// per-event aggregates rely on this (DESIGN.md, "Incremental
-	// analysis").
-	sort.SliceStable(all, func(i, j int) bool {
-		if !all[i].Start().Equal(all[j].Start()) {
-			return all[i].Start().Before(all[j].Start())
-		}
-		if all[i].Prefix.Addr != all[j].Prefix.Addr {
-			return all[i].Prefix.Addr < all[j].Prefix.Addr
-		}
-		return all[i].Peer < all[j].Peer
-	})
-	for i, e := range all {
-		e.ID = i
-	}
-	return all
+	m := NewMerger(delta, periodEnd)
+	m.Extend(updates)
+	return m.Events()
 }
 
 func mergeExcluded(e *Event, excl map[uint32]bool) {

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -22,16 +23,16 @@ type Match struct {
 }
 
 // Index answers time+address attribution queries over a set of events.
-// Build once with NewIndex, then query from the streaming pass.
+// Build once with NewIndex, then query from the streaming pass; the one
+// a Merger keeps is extended in place as its view grows.
 type Index struct {
 	periodEnd time.Time
-	// byPrefix holds the per-prefix event lists sorted by start time,
-	// keyed by the packed prefix (see pkey).
-	byPrefix map[uint64][]*Event
-	// spans mirrors byPrefix with the events' window and episode bounds
-	// resolved to unix nanoseconds — the representation the Cursor scans:
-	// integer comparisons instead of time.Time's wall/monotonic decode,
-	// which the streaming pass performs several times per record.
+	// spans holds the per-prefix event lists in ID order (so sorted by
+	// start time), keyed by the packed prefix (see pkey), with the events'
+	// window and episode bounds resolved to unix nanoseconds — the
+	// representation the Cursor scans: integer comparisons instead of
+	// time.Time's wall/monotonic decode, which the streaming pass performs
+	// several times per record.
 	spans map[uint64][]eventSpan
 	// lengths lists the distinct prefix lengths present, descending, so
 	// longest-prefix-match scans only real candidates.
@@ -41,7 +42,7 @@ type Index struct {
 	// an address either lies inside the address's /16 (length >= 16) or
 	// contains that /16 whole (length < 16), and both mark it — so an
 	// unmarked /16 has no covering prefix at any length, and the Cursor
-	// answers "no candidates" from this one bit without probing byPrefix.
+	// answers "no candidates" from this one bit without probing spans.
 	cover16 [1 << 16 / 64]uint64
 }
 
@@ -75,24 +76,19 @@ type eventSpan struct {
 	eps        []EpisodeSpan
 }
 
-// newEventSpan resolves e's bounds against periodEnd. Nanosecond
-// comparisons order exactly like time.Time for the in-range wall-clock
-// timestamps the archives carry.
-func newEventSpan(e *Event, periodEnd time.Time) eventSpan {
-	sp := eventSpan{
-		start: e.Start().UnixNano(),
-		end:   e.End(periodEnd).UnixNano(),
-		ev:    e,
-		eps:   make([]EpisodeSpan, len(e.Episodes)),
-	}
-	for i, ep := range e.Episodes {
+// resolve sets sp to e's bounds against periodEnd, reusing its episode
+// array. Nanosecond comparisons order exactly like time.Time for the
+// in-range wall-clock timestamps the archives carry.
+func (sp *eventSpan) resolve(e *Event, periodEnd time.Time) {
+	sp.start, sp.end, sp.ev = e.Start().UnixNano(), e.End(periodEnd).UnixNano(), e
+	sp.eps = sp.eps[:0]
+	for _, ep := range e.Episodes {
 		wd := ep.Withdraw
 		if wd.IsZero() {
 			wd = periodEnd
 		}
-		sp.eps[i] = EpisodeSpan{Ann: ep.Announce.UnixNano(), Wd: wd.UnixNano()}
+		sp.eps = append(sp.eps, EpisodeSpan{Ann: ep.Announce.UnixNano(), Wd: wd.UnixNano()})
 	}
-	return sp
 }
 
 // pkey packs a canonical prefix into one integer map key: the masked
@@ -104,34 +100,49 @@ func pkey(p bgp.Prefix) uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
 
 // NewIndex builds the attribution index.
 func NewIndex(evs []*Event, periodEnd time.Time) *Index {
-	ix := &Index{
-		periodEnd: periodEnd,
-		byPrefix:  make(map[uint64][]*Event),
-	}
-	seen := make(map[uint8]bool)
+	ix := &Index{periodEnd: periodEnd, spans: make(map[uint64][]eventSpan)}
 	for _, e := range evs {
-		ix.byPrefix[pkey(e.Prefix)] = append(ix.byPrefix[pkey(e.Prefix)], e)
-		seen[e.Prefix.Len] = true
-	}
-	for l := 32; l >= 0; l-- {
-		if seen[uint8(l)] {
-			ix.lengths = append(ix.lengths, uint8(l))
-		}
-	}
-	for p := range ix.byPrefix {
-		lst := ix.byPrefix[p]
-		sort.Slice(lst, func(i, j int) bool { return lst[i].Start().Before(lst[j].Start()) })
-	}
-	ix.spans = make(map[uint64][]eventSpan, len(ix.byPrefix))
-	for p, lst := range ix.byPrefix {
-		sps := make([]eventSpan, len(lst))
-		for i, e := range lst {
-			sps[i] = newEventSpan(e, periodEnd)
-		}
-		ix.spans[p] = sps
-		ix.mark16(lst[0].Prefix)
+		ix.add(e)
 	}
 	return ix
+}
+
+// add indexes e: after the events of its prefix that start before it or,
+// on equal starts, carry a lower ID. Events come in ID order, so this
+// appends but for a new event that ties with the newest start.
+func (ix *Index) add(e *Event) {
+	k := pkey(e.Prefix)
+	sps, ok := ix.spans[k]
+	if !ok {
+		ix.mark16(e.Prefix)
+		j := 0
+		for j < len(ix.lengths) && ix.lengths[j] > e.Prefix.Len {
+			j++
+		}
+		if j == len(ix.lengths) || ix.lengths[j] != e.Prefix.Len {
+			ix.lengths = slices.Insert(ix.lengths, j, e.Prefix.Len)
+		}
+	}
+	sp := eventSpan{eps: make([]EpisodeSpan, 0, len(e.Episodes))}
+	sp.resolve(e, ix.periodEnd)
+	j := len(sps)
+	for j > 0 && (sps[j-1].start > sp.start || sps[j-1].start == sp.start && sps[j-1].ev.ID > e.ID) {
+		j--
+	}
+	ix.spans[k] = slices.Insert(sps, j, sp)
+}
+
+// replace points the span of old, an indexed event, at cur — a copy of it
+// or old itself, with episodes added or closed — and resolves it again.
+// An event's prefix and start never change.
+func (ix *Index) replace(old, cur *Event) {
+	sps := ix.spans[pkey(old.Prefix)]
+	start := old.Start().UnixNano()
+	j := sort.Search(len(sps), func(j int) bool { return sps[j].start >= start })
+	for sps[j].ev != old {
+		j++
+	}
+	sps[j].resolve(cur, ix.periodEnd)
 }
 
 // EverBlackholed returns the longest blackhole prefix covering ip, if any
@@ -144,7 +155,7 @@ func (ix *Index) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
 	}
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		if _, ok := ix.byPrefix[pkey(p)]; ok {
+		if _, ok := ix.spans[pkey(p)]; ok {
 			return p, true
 		}
 	}
@@ -157,11 +168,11 @@ func (ix *Index) Lookup(ip uint32, t time.Time) Match {
 	var windowMatch Match
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		lst, ok := ix.byPrefix[pkey(p)]
+		sps, ok := ix.spans[pkey(p)]
 		if !ok {
 			continue
 		}
-		scanLookup(p, lst, t, ix.periodEnd, &windowMatch)
+		scanLookup(p, sps, t, ix.periodEnd, &windowMatch)
 		if windowMatch.Active {
 			return windowMatch
 		}
@@ -173,8 +184,9 @@ func (ix *Index) Lookup(ip uint32, t time.Time) Match {
 // match is written to m and reported; otherwise the first (longest-
 // prefix, since callers scan longest first) covering window is retained
 // in m.
-func scanLookup(p bgp.Prefix, lst []*Event, t, periodEnd time.Time, m *Match) {
-	for _, e := range lst {
+func scanLookup(p bgp.Prefix, sps []eventSpan, t, periodEnd time.Time, m *Match) {
+	for i := range sps {
+		e := sps[i].ev
 		if t.Before(e.Start()) {
 			break // list sorted by start; later events start later
 		}
@@ -198,11 +210,11 @@ func scanLookup(p bgp.Prefix, lst []*Event, t, periodEnd time.Time, m *Match) {
 func (ix *Index) Interesting(ip uint32, t time.Time) (bgp.Prefix, bool) {
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		lst, ok := ix.byPrefix[pkey(p)]
+		sps, ok := ix.spans[pkey(p)]
 		if !ok {
 			continue
 		}
-		if scanInteresting(lst, t, ix.periodEnd) {
+		if scanInteresting(sps, t, ix.periodEnd) {
 			return p, true
 		}
 	}
@@ -211,8 +223,9 @@ func (ix *Index) Interesting(ip uint32, t time.Time) (bgp.Prefix, bool) {
 
 // scanInteresting reports whether t falls inside any event's analysis
 // range (pre-window plus merged window) of one start-sorted list.
-func scanInteresting(lst []*Event, t, periodEnd time.Time) bool {
-	for _, e := range lst {
+func scanInteresting(sps []eventSpan, t, periodEnd time.Time) bool {
+	for i := range sps {
+		e := sps[i].ev
 		if t.Before(e.Start().Add(-PreWindow)) {
 			break
 		}
@@ -223,9 +236,14 @@ func scanInteresting(lst []*Event, t, periodEnd time.Time) bool {
 	return false
 }
 
-// Events returns the event lists per prefix (shared; callers must not
-// modify).
-func (ix *Index) EventsFor(p bgp.Prefix) []*Event { return ix.byPrefix[pkey(p)] }
+// EventsFor returns the events of one prefix in start order.
+func (ix *Index) EventsFor(p bgp.Prefix) []*Event {
+	var evs []*Event
+	for _, sp := range ix.spans[pkey(p)] {
+		evs = append(evs, sp.ev)
+	}
+	return evs
+}
 
 // PeriodEnd returns the period end used for open-ended events.
 func (ix *Index) PeriodEnd() time.Time { return ix.periodEnd }

@@ -142,7 +142,7 @@ func edgeProbes(r *stats.RNG, prefixes []bgp.Prefix) []uint32 {
 func everBlackholedUnfiltered(ix *Index, ip uint32) (bgp.Prefix, bool) {
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		if _, ok := ix.byPrefix[pkey(p)]; ok {
+		if _, ok := ix.spans[pkey(p)]; ok {
 			return p, true
 		}
 	}

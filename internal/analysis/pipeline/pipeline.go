@@ -138,8 +138,8 @@ func New(meta *analysis.Metadata, updates []analysis.ControlUpdate, delta time.D
 
 // NewSpeculative builds a pipeline for the online analyzer: the control
 // stream is still growing, so observation runs with wide gates (see the
-// field comments) against an index the caller advances with Rebind as
-// updates arrive.
+// field comments) against a view the caller extends as updates arrive,
+// calling Rebind each time.
 func NewSpeculative(meta *analysis.Metadata) (*Pipeline, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
@@ -172,10 +172,13 @@ func newEmpty(meta *analysis.Metadata) *Pipeline {
 	}
 }
 
-// Rebind points the pipeline at a rebuilt control-plane view (events plus
-// attribution index). Only meaningful for speculative pipelines, whose
-// sealed observations stay valid because records are only finalized once
-// no new event can still cover them (DESIGN.md, "Incremental analysis").
+// Rebind points the pipeline at the current control-plane view (events
+// plus attribution index): a rebuilt one, or the same index after an
+// events.Merger extended it in place — either way every address memo
+// resolved against the old state is dropped. Only meaningful for
+// speculative pipelines, whose sealed observations stay valid because
+// records are only finalized once no new event can still cover them
+// (DESIGN.md, "Incremental analysis").
 func (p *Pipeline) Rebind(evs []*events.Event, ix *events.Index) {
 	p.Events = evs
 	p.Index = ix

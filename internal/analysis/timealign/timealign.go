@@ -129,11 +129,12 @@ func (a *Aggregator) Snapshot() *Aggregator {
 	}
 }
 
-// Rebind points the aggregator at a rebuilt event index. The online
-// analyzer rebuilds the index when new control updates arrive; the
-// already-recorded offset intervals stay valid because sealed records are
-// only finalized once no event that could cover them can still appear
-// (see DESIGN.md, "Incremental analysis").
+// Rebind points the aggregator at the current event index and drops its
+// address memo. The online analyzer extends the index in place when new
+// control updates arrive and rebinds; the already-recorded offset
+// intervals stay valid because sealed records are only finalized once no
+// event that could cover them can still appear (see DESIGN.md,
+// "Incremental analysis").
 func (a *Aggregator) Rebind(ix *events.Index) {
 	a.index = ix
 	if a.cur == nil {

@@ -15,6 +15,8 @@ import (
 // Backpressure policy: the socket reader never blocks on the decoder —
 // it copies each datagram into a bounded ingest queue and, when the
 // queue is full, drops the datagram and counts it (DroppedDatagrams).
+// The copies are recycled: the decoder hands every buffer back once it is
+// done with the datagram (a FlowRecord holds no reference into it).
 // Records lost that way (and any lost by the kernel) surface in
 // DroppedRecords through RFC 7011 sequence-number gap accounting: each
 // message header carries the count of data records sent before it, so a
@@ -25,6 +27,7 @@ type Collector struct {
 	sink  ipfix.BatchSink
 	m     *Metrics
 	queue chan []byte
+	free  chan []byte // datagram buffers the decoder is done with
 
 	dec      *ipfix.MsgDecoder
 	expected map[uint32]uint32 // per observation domain: next expected seq
@@ -55,6 +58,7 @@ func NewCollector(conn *net.UDPConn, queueLen int, sink ipfix.BatchSink, m *Metr
 		sink:     sink,
 		m:        m,
 		queue:    make(chan []byte, queueLen),
+		free:     make(chan []byte, dgramFreeLen),
 		dec:      ipfix.NewMsgDecoder(),
 		expected: make(map[uint32]uint32),
 		seen:     make(map[uint32]bool),
@@ -72,17 +76,55 @@ func (c *Collector) readLoop() {
 	defer close(c.queue)
 	buf := make([]byte, 1<<16)
 	for {
-		n, _, err := c.conn.ReadFromUDP(buf)
+		// The AddrPort form returns the source by value: ReadFromUDP
+		// allocates a *UDPAddr per datagram.
+		n, _, err := c.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
-		dg := make([]byte, n)
+		dg := c.getBuf(n)
 		copy(dg, buf[:n])
 		select {
 		case c.queue <- dg:
 		default:
 			c.m.DroppedDatagrams.Inc()
+			c.putBuf(dg)
 		}
+	}
+}
+
+const (
+	// dgramBufLen is the capacity of a recycled datagram buffer: what an
+	// MTU-bound exporter sends (DefaultMTU) and some. A larger datagram
+	// gets a buffer of its own that is not recycled.
+	dgramBufLen = 2048
+	// dgramFreeLen bounds the free list to what a burst that deep needs
+	// back when the next one comes; the rest is left to the garbage
+	// collector, so a drained queue does not pin its high-water mark.
+	dgramFreeLen = 256
+)
+
+// getBuf returns a buffer of length n, recycled if one is free.
+func (c *Collector) getBuf(n int) []byte {
+	if n > dgramBufLen {
+		return make([]byte, n)
+	}
+	select {
+	case b := <-c.free:
+		return b[:n]
+	default:
+		return make([]byte, n, dgramBufLen)
+	}
+}
+
+// putBuf hands a buffer from getBuf back.
+func (c *Collector) putBuf(b []byte) {
+	if cap(b) != dgramBufLen {
+		return
+	}
+	select {
+	case c.free <- b:
+	default:
 	}
 }
 
@@ -94,6 +136,7 @@ func (c *Collector) decodeLoop() {
 	for dg := range c.queue {
 		recs, hdr, err := c.dec.Decode(dg, batch.Recs[:0])
 		batch.Recs = recs
+		c.putBuf(dg) // on every path below: the records are decoded out of it
 		if err != nil {
 			c.m.DecodeErrors.Inc()
 			continue

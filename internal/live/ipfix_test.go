@@ -2,6 +2,7 @@ package live
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -190,6 +191,102 @@ func TestCollectorLateDatagram(t *testing.T) {
 	}
 	if got != 4 {
 		t.Fatalf("sink saw %d records, want 4 (late replay must not re-deliver)", got)
+	}
+}
+
+// TestCollectorRecyclesDatagramBuffers streams 10,000 datagrams of every
+// size an MTU-bound exporter sends through a loopback collector and counts
+// the process's allocations once the first window has warmed the free
+// list: fewer than one per ten datagrams, where a copy made per datagram
+// is one each. A quarter of the datagrams is late and a quarter carries no
+// records, so a decode-loop exit that kept its buffer would show as one
+// allocation per four. Undecodable datagrams allocate their error, so that
+// exit is checked on the free list itself.
+func TestCollectorRecyclesDatagramBuffers(t *testing.T) {
+	m := NewMetrics()
+	got := 0
+	cc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(cc, 0, func(b *ipfix.RecordBatch) error { got += b.Len(); return nil }, m)
+	defer col.Close()
+	ec, err := net.Dial("udp", cc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+
+	sent := 0
+	write := func(b []byte) {
+		if _, err := ec.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+	}
+	// Pace on what the decode loop has finished with, so that the kernel
+	// buffer never overflows and every datagram arrives.
+	resolve := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for m.CollectedMsgs.Value()+m.DecodeErrors.Value()+m.LateMsgs.Value() < int64(sent) {
+			if !time.Now().Before(deadline) {
+				t.Fatalf("collector resolved %d msgs, %d errors, %d late of %d datagrams sent",
+					m.CollectedMsgs.Value(), m.DecodeErrors.Value(), m.LateMsgs.Value(), sent)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
+	enc := ipfix.NewMsgEncoder(1)
+	recs := flowBatch(ipfix.MaxRecords(DefaultMTU, false)).Recs
+	write(enc.Encode(recs[:3], true, 98))                           // the template, once
+	late := append([]byte(nil), enc.Encode(recs[:3], false, 99)...) // on time now, late from then on
+	write(late)
+	wantRecords := 6
+
+	const window, total = 50, 10_000
+	var before, after runtime.MemStats
+	for sent < total+window {
+		if sent == 2+window {
+			runtime.ReadMemStats(&before)
+		}
+		for i := 0; i < window; i++ {
+			switch k := sent; k % 4 {
+			case 1:
+				write(late)
+			case 3:
+				write(enc.Encode(nil, false, uint32(100+k)))
+			default:
+				n := 1 + k%len(recs)
+				write(enc.Encode(recs[:n], false, uint32(100+k)))
+				wantRecords += n
+			}
+		}
+		resolve()
+	}
+	runtime.ReadMemStats(&after)
+	if got != wantRecords || m.DroppedDatagrams.Value() != 0 || m.DecodeErrors.Value() != 0 {
+		t.Fatalf("sink saw %d records, want %d; %d datagrams shed, %d undecodable",
+			got, wantRecords, m.DroppedDatagrams.Value(), m.DecodeErrors.Value())
+	}
+	if m.LateMsgs.Value() < total/4 {
+		t.Fatalf("%d late messages of %d datagrams: the late exit went untested", m.LateMsgs.Value(), total)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations over %d datagrams", allocs, total)
+	if allocs > total/10 {
+		t.Fatalf("%d allocations over %d datagrams, want fewer than one per ten", allocs, total)
+	}
+
+	// One more undecodable datagram than the free list holds, one at a
+	// time: an exit that kept its buffer would have emptied the list.
+	garbage := make([]byte, 700)
+	for i := 0; i <= dgramFreeLen; i++ {
+		write(garbage)
+		resolve()
+	}
+	if m.DecodeErrors.Value() != dgramFreeLen+1 || len(col.free) == 0 {
+		t.Fatalf("%d decode errors, %d buffers on the free list after them", m.DecodeErrors.Value(), len(col.free))
 	}
 }
 

@@ -525,7 +525,8 @@ func (e liveExecutor) Inject(b *fabric.Batch) error {
 // sends every action it queued as a BGP UPDATE from the mitigation
 // peer. Announcements carry the blackhole community and next hop, so
 // the route server accepts and archives them exactly like
-// operator-originated RTBH; the fabric then drops the victim's traffic
+// operator-originated RTBH, and NO_EXPORT beside it, as RFC 7999 asks of
+// whoever originates a blackhole; the fabric then drops the victim's traffic
 // from the next injected batch on (the barrier in Inject orders the
 // announcement ahead of the traffic it protects against).
 func (e liveExecutor) dispatchDetections(now time.Time) error {
@@ -540,7 +541,7 @@ func (e liveExecutor) dispatchDetections(now time.Time) error {
 				Origin:      bgp.OriginIGP,
 				ASPath:      []uint32{detect.PeerASN},
 				NextHop:     routeserver.BlackholeNextHop,
-				Communities: bgp.Communities{bgp.Blackhole},
+				Communities: bgp.Communities{bgp.Blackhole, bgp.NoExport},
 			}
 			upd.NLRI = []bgp.Prefix{p}
 		} else {

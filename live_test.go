@@ -114,6 +114,13 @@ func TestLiveBatchParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameReport(t, batchRep, liveRep)
+
+	// The live stream is time-ordered, so the analyzer's event view folded
+	// in every control update once and never had to rebuild.
+	snap = reg.Snapshot()
+	if merged, retained := counter("online.control.merged_updates"), snap.Gauge("online.retained_updates"); merged == 0 || merged != retained {
+		t.Errorf("online.control.merged_updates = %d for %d retained updates", merged, retained)
+	}
 }
 
 // requireSameReport fails unless the online report renders byte-identical

@@ -46,6 +46,11 @@ type onlineMetrics struct {
 	// the snapshots' clones together.
 	clone, replay, compose *obs.Timer
 	cowCopies              *obs.Counter
+	// What the seal checks cost the ingest goroutine, and how many control
+	// updates the event view has folded in: equal to retained_updates as
+	// long as every update was merged once, not once per check.
+	seal          *obs.Timer
+	mergedUpdates *obs.Counter
 }
 
 // OnlineAnalyzer accumulates a live run's measurement streams
@@ -68,8 +73,11 @@ type onlineMetrics struct {
 // ObserveUpdate and ObserveFlowBatch may be called from different
 // goroutines (in live mode they are: updates arrive on the route server's
 // delivery goroutine, flows on the collector's decode goroutine);
-// Snapshot may be called concurrently with both and never blocks ingest
-// — the ingest paths only take a mutex held for O(1) appends.
+// Snapshot may be called concurrently with both and never blocks ingest:
+// the ingest paths wait only for a mutex held for appends and chunk
+// hand-overs. Sealing runs on the flow goroutine itself, every
+// sealCheckEvery records, when the operator state is free (TryLock) — a
+// check that finds a Snapshot holding it is skipped, not waited for.
 //
 // Updates must arrive in non-decreasing timestamp order (the live
 // sequencer's delivery order guarantees this); feeding an update older
@@ -79,14 +87,18 @@ type OnlineAnalyzer struct {
 	meta  *analysis.Metadata
 	delta time.Duration
 
-	// mu guards the O(1) ingest state: stream appends and counters.
-	// Ingest never blocks on analysis work.
+	// mu guards the ingest state: stream appends and counters. Ingest
+	// never blocks on analysis work.
 	mu          sync.Mutex
 	updates     []analysis.ControlUpdate
 	flowUpdates []analysis.FlowUpdate
-	pending     []ipfix.FlowRecord // arrival-order FIFO; [:head] sealed
-	flowCount   int64
-	watermark   time.Time // newest control-update timestamp
+	// chunks is the arrival-order FIFO of the flow records not yet
+	// released: pooled batches with Recs stretched to capacity, every one
+	// but the last full; tail is how many records the last one holds.
+	chunks    []*ipfix.RecordBatch
+	tail      int
+	flowCount int64
+	watermark time.Time // newest control-update timestamp
 
 	// opMu guards the incremental operator state and the seal machinery.
 	// Lock order: opMu before mu; mu is never held while taking opMu.
@@ -94,18 +106,22 @@ type OnlineAnalyzer struct {
 	// ops holds the operator state of every sealed record, observing with
 	// wide gates (see pipeline.NewSpeculative).
 	ops *pipeline.Pipeline
-	// head is the count of pending records already folded into ops.
-	head int
+	// sealed counts the records folded into ops; head is how many of them
+	// sit at the front of chunks[0], waiting for the rest of their chunk.
+	sealed int64
+	head   int
 	// cowSeen is how much of ops.CowCopies the cow_copies counter holds.
 	cowSeen int64
-	// sortedUpdates/opUpdates cache the time-sorted control stream and
-	// how many raw updates it covers; events/index rebuild only when the
-	// update stream grew. sortedFlows/opFlows do the same for the
-	// FlowSpec stream and its mitigation index.
-	sortedUpdates []analysis.ControlUpdate
-	opUpdates     int
-	sortedFlows   []analysis.FlowUpdate
-	opFlows       int
+	// view is the control-plane view ops observes under — events,
+	// attribution index and the time-sorted stream behind them — extended
+	// by the updates past the first opUpdates whenever a seal check finds
+	// some. sortedFlows/opFlows cache the time-sorted FlowSpec stream and
+	// how many raw updates it covers; its mitigation index is rebuilt when
+	// the stream grew.
+	view        *events.Merger
+	opUpdates   int
+	sortedFlows []analysis.FlowUpdate
+	opFlows     int
 
 	// initErr records an invalid-metadata failure; Snapshot surfaces it.
 	initErr error
@@ -122,6 +138,7 @@ func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 	a := &OnlineAnalyzer{
 		meta:  meta,
 		delta: events.DefaultDelta,
+		view:  events.NewMerger(events.DefaultDelta, meta.End),
 	}
 	a.ops, a.initErr = pipeline.NewSpeculative(meta)
 	return a
@@ -135,8 +152,11 @@ func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 // compose phases (they sum to no more than the histogram's total: lock
 // wait and seal catch-up are the rest), and a counter of operator
 // sub-aggregates copied on first write — at most one per key written per
-// snapshot on either side. All are updated per seal batch or per
-// snapshot, never per record. Call once, before the run starts.
+// snapshot on either side. A span timer covers the seal checks that ran
+// on the ingest goroutine, and a counter the control updates folded into
+// the event view, each once: it equals the retained-updates gauge unless
+// an out-of-order update forced a rebuild. All are updated per seal check
+// or per snapshot, never per record. Call once, before the run starts.
 func (a *OnlineAnalyzer) RegisterMetrics(reg *obs.Registry) {
 	a.metrics = &onlineMetrics{
 		retainedUpdates:  reg.Gauge("online.retained_updates"),
@@ -149,6 +169,9 @@ func (a *OnlineAnalyzer) RegisterMetrics(reg *obs.Registry) {
 		replay:    reg.Timer("online.snapshot.replay"),
 		compose:   reg.Timer("online.snapshot.compose"),
 		cowCopies: reg.Counter("online.cow_copies"),
+
+		seal:          reg.Timer("online.seal"),
+		mergedUpdates: reg.Counter("online.control.merged_updates"),
 	}
 }
 
@@ -188,26 +211,40 @@ func (a *OnlineAnalyzer) ObserveFlowSpec(u analysis.FlowUpdate) {
 	a.mu.Unlock()
 }
 
-// ObserveFlowBatch ingests one batch of collected flow records (copied;
-// the caller keeps ownership of b per the ipfix.RecordBatch contract).
-// The ingest lock is taken once per batch. Whenever the stream crosses a
-// multiple of sealCheckEvery records it opportunistically folds sealed
-// records into the operators — skipped without blocking when a Snapshot
-// holds the operator state.
+// ObserveFlowBatch ingests one batch of collected flow records (copied
+// into the pending chunks; the caller keeps ownership of b per the
+// ipfix.RecordBatch contract). The ingest lock is taken once per batch.
+// Whenever the stream crosses a multiple of sealCheckEvery records it
+// opportunistically folds sealed records into the operators — skipped
+// without blocking when a Snapshot holds the operator state.
 func (a *OnlineAnalyzer) ObserveFlowBatch(b *ipfix.RecordBatch) {
 	if b.Len() == 0 {
 		return
 	}
 	a.mu.Lock()
-	a.pending = append(a.pending, b.Recs...)
+	for src := b.Recs; len(src) > 0; {
+		if len(a.chunks) == 0 || a.tail == len(a.chunks[len(a.chunks)-1].Recs) {
+			c := ipfix.GetBatch()
+			c.Recs = c.Recs[:cap(c.Recs)]
+			a.chunks = append(a.chunks, c)
+			a.tail = 0
+		}
+		n := copy(a.chunks[len(a.chunks)-1].Recs[a.tail:], src)
+		a.tail += n
+		src = src[n:]
+	}
 	before := a.flowCount
 	a.flowCount += int64(b.Len())
 	n := a.flowCount
 	a.mu.Unlock()
 
 	if n/sealCheckEvery != before/sealCheckEvery && a.opMu.TryLock() {
+		start := time.Now()
 		a.advanceLocked()
 		a.opMu.Unlock()
+		if m := a.metrics; m != nil {
+			m.seal.Observe(time.Since(start))
+		}
 	}
 }
 
@@ -233,19 +270,48 @@ func (a *OnlineAnalyzer) Period() (start, end time.Time) {
 	return a.meta.Start, a.meta.End
 }
 
+// pendingView is a stable prefix of the pending FIFO: the chunk list as
+// it stood, the record count of its last chunk, and how many flow records
+// the stream held in all. Ingest only writes past it — behind tail in the
+// last chunk, or into chunks appended since.
+type pendingView struct {
+	chunks []*ipfix.RecordBatch
+	tail   int
+	total  int64
+}
+
+// recs returns the records of the view's i-th chunk.
+func (v pendingView) recs(i int) []ipfix.FlowRecord {
+	if i == len(v.chunks)-1 {
+		return v.chunks[i].Recs[:v.tail]
+	}
+	return v.chunks[i].Recs
+}
+
+// observe feeds p the view's records in arrival order, from the head-th
+// of the first chunk on.
+func (v pendingView) observe(p *pipeline.Pipeline, head int) {
+	for i := range v.chunks {
+		p.ObserveRecords(v.recs(i)[head:])
+		head = 0
+	}
+}
+
 // ingestView returns a consistent view of the ingest state: the slices
 // are stable prefixes (elements are never mutated and appends either
 // write past the view or relocate the backing array).
-func (a *OnlineAnalyzer) ingestView() (updates []analysis.ControlUpdate, flows []analysis.FlowUpdate, pend []ipfix.FlowRecord, w time.Time) {
+func (a *OnlineAnalyzer) ingestView() (updates []analysis.ControlUpdate, flows []analysis.FlowUpdate, pend pendingView, w time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.updates, a.flowUpdates, a.pending, a.watermark
+	return a.updates, a.flowUpdates, pendingView{a.chunks, a.tail, a.flowCount}, a.watermark
 }
 
-// advanceLocked brings the operator state up to date: it rebuilds the
-// control-plane view if new updates arrived, then folds every pending
-// record older than the seal horizon into the operators and accounts the
-// retention metrics. Caller holds opMu.
+// advanceLocked brings the operator state up to date: it extends the
+// control-plane view by the updates that arrived since the last call,
+// then folds every pending record older than the seal horizon into the
+// operators, hands the chunks that leaves empty back to the batch pool
+// and accounts the retention metrics. Caller holds opMu; any pendingView
+// taken before the call is stale after it.
 func (a *OnlineAnalyzer) advanceLocked() {
 	if a.ops == nil {
 		return
@@ -254,19 +320,21 @@ func (a *OnlineAnalyzer) advanceLocked() {
 
 	if len(updates) != a.opUpdates {
 		// The batch parser sorts by time after reading the archive; the
-		// live stream arrives in processing order, which equal-timestamp
-		// stability preserves.
-		sorted := append([]analysis.ControlUpdate(nil), updates...)
-		analysis.SortUpdates(sorted)
-		evs := events.Merge(sorted, a.delta, a.meta.End)
-		ix := events.NewIndex(evs, a.meta.End)
-		a.ops.Rebind(evs, ix)
-		a.sortedUpdates = sorted
+		// live stream arrives time-ordered, equal timestamps in processing
+		// order, so extending the view by the new updates alone merges what
+		// the parser's order would (a stream that is not falls back to
+		// that order inside Extend). The index is extended in place:
+		// Rebind drops the address memos resolved against its old state.
+		merged := a.view.Extend(updates[a.opUpdates:])
+		a.ops.Rebind(a.view.Events(), a.view.Index())
 		a.opUpdates = len(updates)
+		if m := a.metrics; m != nil {
+			m.mergedUpdates.Add(int64(merged))
+		}
 	}
 
 	if len(flows) != a.opFlows {
-		// Same rebuild discipline for the FlowSpec view: records seal only
+		// The FlowSpec view is small enough to rebuild: records seal only
 		// once every FlowSpec update that can cover them has arrived, so
 		// rebinding never invalidates a sealed observation.
 		sorted := append([]analysis.FlowUpdate(nil), flows...)
@@ -279,36 +347,45 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	// Seal strictly in arrival order from the head: a young head record
 	// blocks older successors, so the sealed stream plus the replayed
 	// tail is always exactly the arrival order — the order the batch
-	// pipeline would observe.
+	// pipeline would observe. A chunk is released once it is full and
+	// sealed to its last record; the last chunk may still be filling.
 	cutoff := w.Add(-sealHorizon)
-	end := a.head
-	for end < len(pend) && pend[end].Start.Before(cutoff) {
-		end++
+	before, released := a.sealed, 0
+	for released < len(pend.chunks) {
+		recs := pend.recs(released)
+		end := a.head
+		for end < len(recs) && recs[end].Start.Before(cutoff) {
+			end++
+		}
+		a.ops.ObserveRecords(recs[a.head:end])
+		a.sealed += int64(end - a.head)
+		a.head = end
+		if end < len(pend.chunks[released].Recs) {
+			break
+		}
+		released++
+		a.head = 0
 	}
-	sealed := end - a.head
-	a.ops.ObserveRecords(pend[a.head:end])
-	a.head = end
+	if released > 0 {
+		// Ingest only ever appends to the list, so its first entries are
+		// still the chunks just sealed.
+		a.mu.Lock()
+		for i := range a.chunks[:released] {
+			a.chunks[i].Release()
+			a.chunks[i] = nil
+		}
+		a.chunks = a.chunks[released:]
+		a.mu.Unlock()
+	}
 
 	if m := a.metrics; m != nil {
-		if sealed > 0 {
-			m.recordsCompacted.Add(int64(sealed))
-		}
+		m.recordsCompacted.Add(a.sealed - before)
 		m.retainedUpdates.Set(int64(len(updates)))
-		m.retainedFlows.Set(int64(len(pend) - a.head))
+		m.retainedFlows.Set(pend.total - a.sealed)
 		m.openEventRecords.Set(int64(a.ops.PendingCells()))
 		copies := a.ops.CowCopies()
 		m.cowCopies.Add(copies - a.cowSeen)
 		a.cowSeen = copies
-	}
-
-	// Release sealed raw records once they dominate the buffer.
-	if a.head > 2*sealCheckEvery && a.head > len(pend)/2 {
-		a.mu.Lock()
-		remain := make([]ipfix.FlowRecord, len(a.pending)-a.head)
-		copy(remain, a.pending[a.head:])
-		a.pending = remain
-		a.mu.Unlock()
-		a.head = 0
 	}
 }
 
@@ -319,7 +396,7 @@ func (a *OnlineAnalyzer) advanceLocked() {
 // one side writes it — and replays the unsealed tail through the clone.
 // The clone's control-plane view is fixed for its whole life, so it is
 // frozen first and the tail pays batch gates, not speculative ones (see
-// pipeline.Freeze). a.sortedUpdates is the matching control stream.
+// pipeline.Freeze). a.view.Updates() is the matching control stream.
 //
 // compose may keep whatever it derives from the clone after opMu is
 // released: sealing never writes a sub-aggregate in place while it is
@@ -335,7 +412,7 @@ func (a *OnlineAnalyzer) frozen(compose func(*pipeline.Pipeline) error) error {
 	clone := a.ops.Clone()
 	clone.Freeze()
 	replayStart := time.Now()
-	clone.ObserveRecords(pend[a.head:])
+	pend.observe(clone, a.head)
 	composeStart := time.Now()
 	err := compose(clone)
 
@@ -376,7 +453,7 @@ func (a *OnlineAnalyzer) Snapshot(opts Options) (*Report, error) {
 	}
 	var report *Report
 	err := a.frozen(func(clone *pipeline.Pipeline) error {
-		report = composeReport(a.meta, a.sortedUpdates, clone, opts)
+		report = composeReport(a.meta, a.view.Updates(), clone, opts)
 		return nil
 	})
 	return report, err
@@ -405,7 +482,7 @@ func (a *OnlineAnalyzer) FederationState(ixp int, seq uint64, clockOffset time.D
 		clone.Finalize()
 		state, err := clone.MarshalState()
 		snap.State = state
-		snap.Updates = append([]analysis.ControlUpdate(nil), a.sortedUpdates...)
+		snap.Updates = append([]analysis.ControlUpdate(nil), a.view.Updates()...)
 		return err
 	})
 	if err != nil {

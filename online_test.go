@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	rtbh "repro"
 	"repro/internal/analysis"
 	"repro/internal/analysis/events"
+	"repro/internal/analysis/pipeline"
 	"repro/internal/bgp"
 	"repro/internal/ipfix"
 	"repro/internal/obs"
@@ -79,11 +81,21 @@ const flowChunk = 32
 
 // feedFlows hands flows to a in flowChunk-sized batches.
 func feedFlows(a *rtbh.OnlineAnalyzer, flows []rtbh.FlowRecord) {
+	for _, b := range flowBatches(flows, flowChunk) {
+		a.ObserveFlowBatch(b)
+	}
+}
+
+// flowBatches cuts flows into batches of size records (the last one
+// shorter), sharing its storage.
+func flowBatches(flows []rtbh.FlowRecord, size int) []*ipfix.RecordBatch {
+	var out []*ipfix.RecordBatch
 	for len(flows) > 0 {
-		n := min(flowChunk, len(flows))
-		a.ObserveFlowBatch(&ipfix.RecordBatch{Recs: flows[:n]})
+		n := min(size, len(flows))
+		out = append(out, &ipfix.RecordBatch{Recs: flows[:n]})
 		flows = flows[n:]
 	}
+	return out
 }
 
 // TestOnlineSnapshotCutPoints feeds one OnlineAnalyzer incrementally and
@@ -144,6 +156,140 @@ func TestOnlineSnapshotCutPoints(t *testing.T) {
 	}
 	if prevRecords == 0 || prevEvents == 0 {
 		t.Fatalf("final snapshot empty: %d records, %d events", prevRecords, prevEvents)
+	}
+}
+
+// TestOnlineIngestChunkBoundaries feeds the cut-point test's stream in
+// batches of one record, one short of a pending chunk, exactly one, one
+// more and several chunks and a bit, so that batch ends, seals and
+// snapshots land inside a chunk, on its boundary and across several. The
+// first snapshot is taken with a whole number of chunks fed, the second
+// after the last record; each must render byte-identical to the batch
+// analysis of the prefix, and whatever the batch length the pending FIFO
+// may hold no more chunks than its unsealed records need, plus the partly
+// sealed one at its head: a sealed chunk goes back to the pool at the seal
+// that empties it.
+func TestOnlineIngestChunkBoundaries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a test-scale world and replays it five times")
+	}
+	ds, flows := onlineTestDataset(t)
+	opts := onlineTestOpts()
+
+	probe := rtbh.NewOnlineAnalyzer(ds.Meta)
+	probe.ObserveFlowBatch(&ipfix.RecordBatch{Recs: flows[:1]})
+	_, chunkCap, _ := probe.PendingState()
+	if chunkCap < 2 || len(flows) < 8*chunkCap {
+		t.Fatalf("chunks of %d records against a stream of %d: nothing to cut", chunkCap, len(flows))
+	}
+
+	type cut struct {
+		updates, flows int
+		want           []byte
+	}
+	half := len(flows) / 2 / chunkCap * chunkCap // a chunk boundary
+	cuts := []*cut{{updates: len(ds.Updates) / 2, flows: half}, {updates: len(ds.Updates), flows: len(flows)}}
+	for _, c := range cuts {
+		batch, err := rtbh.NewDataset(ds.Meta, ds.Updates[:c.updates], flows[:c.flows]).Analyze(opts)
+		if err != nil {
+			t.Fatalf("batch reference over %d flows: %v", c.flows, err)
+		}
+		c.want = renderSnapshot(t, batch)
+	}
+
+	for _, size := range []int{1, chunkCap - 1, chunkCap, chunkCap + 1, 3*chunkCap + 7} {
+		reg := obs.NewRegistry()
+		a := rtbh.NewOnlineAnalyzer(ds.Meta)
+		a.RegisterMetrics(reg)
+		fedUpd, fedFlow, released := 0, 0, false
+		for _, c := range cuts {
+			for ; fedUpd < c.updates; fedUpd++ {
+				a.ObserveControl(ds.Updates[fedUpd])
+			}
+			for i, b := range flowBatches(flows[fedFlow:c.flows], size) {
+				a.ObserveFlowBatch(b)
+				if size == 1 && i%61 != 0 {
+					continue // the state moves once per 4,096 records; sample the calls
+				}
+				chunks, _, retained := a.PendingState()
+				if limit := (int(retained)+chunkCap-1)/chunkCap + 1; chunks > limit {
+					t.Fatalf("batches of %d: %d chunks pending for %d unsealed records, want at most %d", size, chunks, retained, limit)
+				}
+				released = released || int(retained) < fedFlow+(i+1)*size-chunkCap
+			}
+			fedFlow = c.flows
+
+			snap, err := a.Snapshot(opts)
+			if err != nil {
+				t.Fatalf("batches of %d, %d flows: snapshot: %v", size, c.flows, err)
+			}
+			if got := renderSnapshot(t, snap); !bytes.Equal(got, c.want) {
+				t.Fatalf("batches of %d: snapshot over %d flows diverges from the batch analysis (%d vs %d bytes)", size, c.flows, len(got), len(c.want))
+			}
+			chunks, _, retained := a.PendingState()
+			if gauge := reg.Snapshot().Gauge("online.retained_flows"); gauge != retained {
+				t.Fatalf("batches of %d: online.retained_flows = %d with %d records unsealed", size, gauge, retained)
+			}
+			if limit := (int(retained)+chunkCap-1)/chunkCap + 1; chunks > limit {
+				t.Fatalf("batches of %d: %d chunks pending after the snapshot for %d unsealed records, want at most %d", size, chunks, retained, limit)
+			}
+		}
+		if !released {
+			t.Fatalf("batches of %d: no seal ever released a chunk; the bound was never tested", size)
+		}
+	}
+}
+
+// TestOnlineIngestAllocs bounds what ingest itself allocates — the pending
+// FIFO, the control-plane view, the seal machinery — on top of the operator
+// state its records grow. The whole ingest of the cut-point test's stream,
+// control updates interleaved in timestamp order, is measured against a
+// bare speculative pipeline observing the same sealed records under the
+// final view, which allocates what the operators need for them (on this
+// small world most of one allocation per record: wide gates profile every
+// external host). The difference must stay below 0.1 allocations per
+// record. Rebuilding the view at every seal check read 0.95, and a pending
+// buffer that grows by append about six record-sizes of memory per record.
+func TestOnlineIngestAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a test-scale world")
+	}
+	ds, flows := onlineTestDataset(t)
+	batches := flowBatches(flows, 1000)
+	measure := func(fn func()) (mallocs, bytes float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+	}
+
+	reg := obs.NewRegistry()
+	a := rtbh.NewOnlineAnalyzer(ds.Meta)
+	a.RegisterMetrics(reg)
+	ingest, ingestBytes := measure(func() { rtbh.IngestInterleaved(a, ds, batches) })
+	snap := reg.Snapshot()
+	sealed := snap.Counter("online.records_compacted")
+	if sealed < int64(len(flows))/2 {
+		t.Fatalf("only %d of %d records sealed: the comparison covers too little of the stream", sealed, len(flows))
+	}
+	if merged, retained := snap.Counter("online.control.merged_updates"), snap.Gauge("online.retained_updates"); merged != retained {
+		t.Errorf("online.control.merged_updates = %d for %d retained updates: the view was not extended update by update", merged, retained)
+	}
+
+	evs := events.Merge(ds.Updates, events.DefaultDelta, ds.Meta.End)
+	p, err := pipeline.NewSpeculative(ds.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Rebind(evs, events.NewIndex(evs, ds.Meta.End))
+	operators, _ := measure(func() { p.ObserveRecords(flows[:sealed]) })
+
+	n := float64(len(flows))
+	t.Logf("ingest of %d records: %.3f allocs/record and %.0f B/record, the operators alone %.3f allocs/record over the %d sealed",
+		len(flows), ingest/n, ingestBytes/n, operators/n, sealed)
+	if own := (ingest - operators) / n; own > 0.1 {
+		t.Fatalf("ingest allocates %.3f allocs/record beyond its operators, want <= 0.1", own)
 	}
 }
 
@@ -330,8 +476,9 @@ func writtenKeys(ix *events.Index, recs []rtbh.FlowRecord) int64 {
 }
 
 // TestOnlineSnapshotMetricsReconcile cross-checks the snapshot phase
-// timers and the copy-on-write counter against what they are parts of, in
-// the style of TestGoldenEndToEnd. Clone, replay and compose are timed
+// timers, the copy-on-write counter and the merged-updates counter against
+// what they are parts of, in the style of TestGoldenEndToEnd. The seal
+// checks ingest ran are timed, one span each. Clone, replay and compose are timed
 // once per snapshot (federation ticks included) and sum to no more than
 // the latency histogram's total. And sharing is paid per key, not per
 // snapshot: between two snapshots the sealed side and the new snapshot's
@@ -370,6 +517,11 @@ func TestOnlineSnapshotMetricsReconcile(t *testing.T) {
 		}
 		snap := reg.Snapshot()
 		copies, compacted := snap.Counter("online.cow_copies"), snap.Counter("online.records_compacted")
+		// Every control update is folded into the event view exactly once,
+		// not once per seal check: the count that proves incrementality.
+		if merged, retained := snap.Counter("online.control.merged_updates"), snap.Gauge("online.retained_updates"); merged != retained || retained != int64(fedUpd) {
+			t.Errorf("cut %d/%d: online.control.merged_updates = %d, online.retained_updates = %d, want both %d", k, cuts, merged, retained, fedUpd)
+		}
 
 		evs := events.Merge(ds.Updates[:fedUpd], events.DefaultDelta, ds.Meta.End)
 		ix := events.NewIndex(evs, ds.Meta.End)
@@ -406,5 +558,10 @@ func TestOnlineSnapshotMetricsReconcile(t *testing.T) {
 	if totalNS := (hist.Sum + hist.Count) * int64(time.Millisecond); phasesNS > totalNS {
 		t.Errorf("snapshot phases sum to %v, more than the %v the latency histogram accounts for",
 			time.Duration(phasesNS), time.Duration(totalNS))
+	}
+	// Nothing contends for the operator state here, so every crossing of a
+	// sealCheckEvery multiple ran its check on the ingest goroutine.
+	if seal, want := snap.Timers["online.seal"], int64(len(flows)/4096); seal.Count != want {
+		t.Errorf("online.seal holds %d spans, want one per 4,096 records ingested (%d)", seal.Count, want)
 	}
 }
