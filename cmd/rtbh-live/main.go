@@ -85,7 +85,7 @@ func main() {
 	scale := flag.String("scale", "test", "world scale: test, bench, full, or a traffic multiplier (e.g. 50 = the full 104-day world at the paper's absolute traffic magnitudes)")
 	trafficScale := flag.Float64("traffic-scale", 0, "override the traffic-magnitude multiplier on any world scale (0 keeps the scale default)")
 	seed := flag.Uint64("seed", 0, "override the scenario seed (0 keeps the scale default)")
-	days := flag.Int("days", 0, "override the measurement-period length in days (0 keeps the scale default)")
+	days := flag.Int("days", 0, "override the measurement-period length in days; keeps event density: the event and victim budgets scale with it (0 keeps the scale default)")
 	snapEvery := flag.Duration("snapshot-every", 0, "print a partial analysis snapshot at this interval (0 disables)")
 	report := flag.Bool("report", true, "print the online analyzer's final report")
 	workers := flag.Int("workers", 0, "parallel pipeline shards for the report (0 = GOMAXPROCS)")
@@ -166,9 +166,7 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *days != 0 {
-		cfg.Days = *days
-	}
+	cfg = cliutil.WithDays(cfg, *days)
 	if *ixps > 1 {
 		cfg.IXPs = *ixps
 	}

@@ -41,7 +41,7 @@ func main() {
 	scale := flag.String("scale", "test", "world scale: test, bench, full, or a traffic multiplier (e.g. 50 = the full 104-day world at the paper's absolute traffic magnitudes)")
 	trafficScale := flag.Float64("traffic-scale", 0, "override the traffic-magnitude multiplier on any world scale (0 keeps the scale default)")
 	seed := flag.Uint64("seed", 0, "override the scenario seed (0 keeps the scale default)")
-	days := flag.Int("days", 0, "override the measurement-period length in days (0 keeps the scale default)")
+	days := flag.Int("days", 0, "override the measurement-period length in days; keeps event density: the event and victim budgets scale with it (0 keeps the scale default)")
 	mitigation := flag.String("mitigation", "", `fine-grained mitigation policy: "flowspec", "escalate" or "mixed" (empty keeps pure RTBH)`)
 	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the run ("-" for stderr)`)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
@@ -63,9 +63,7 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *days != 0 {
-		cfg.Days = *days
-	}
+	cfg = cliutil.WithDays(cfg, *days)
 	if *trafficScale != 0 {
 		cfg.TrafficScale = *trafficScale
 	}
@@ -101,6 +99,8 @@ func main() {
 		sum.ControlMsgs, sum.Announcements, sum.Withdrawals)
 	fmt.Printf("data plane: %d sampled flow records (%d packets offered, %d dropped)\n",
 		sum.FlowRecords, sum.PacketsIn, sum.PacketsDropped)
+	fmt.Printf("generator: %d packet batches (%d of them pieces cut at mitigation transitions; at most %d a day)\n",
+		sum.Batches, sum.SplitSegments, sum.MaxDayBatches)
 
 	if *metricsOut != "" {
 		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {

@@ -3,8 +3,11 @@ package rtbh
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // smallDataset simulates a tiny world into a fresh directory.
@@ -151,5 +154,35 @@ func TestInMemoryDataset(t *testing.T) {
 	if len(r1.Events) != len(r2.Events) || r1.Table2 != r2.Table2 {
 		t.Fatalf("analysis differs: %d/%d events, %+v vs %+v",
 			len(r1.Events), len(r2.Events), r1.Table2, r2.Table2)
+	}
+}
+
+// TestDatasetWriterReportsRejectedControlMessage pins that a control
+// message the MRT writer refuses is an error of the run, not a record
+// silently missing from updates.mrt: the collector hook cannot return
+// it, so finish must.
+func TestDatasetWriterReportsRejectedControlMessage(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Days = 6
+	cfg.EventsTotal = 80
+	cfg.UniqueVictims = 40
+	w, err := scenario.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dw, err := newDatasetWriter(t.TempDir(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dw.close()
+	control := dw.sinks().Control
+	control(cfg.Start, 1001, 1, make([]byte, 10)) // shorter than a BGP header
+	control(cfg.Start, 1001, 1, make([]byte, 5))
+	err = dw.finish()
+	if err == nil {
+		t.Fatal("finish succeeded after a control message was rejected")
+	}
+	if !strings.Contains(err.Error(), "10 bytes") {
+		t.Errorf("finish reports %q, want the first rejection (the 10-byte message)", err)
 	}
 }

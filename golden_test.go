@@ -55,6 +55,17 @@ func TestGoldenEndToEnd(t *testing.T) {
 		{"fabric.packets_in", sum.PacketsIn},
 		{"fabric.packets_dropped", sum.PacketsDropped},
 		{"fabric.records_sampled", sum.FlowRecords},
+		// Every batch the generator dispatched reached the fabric and
+		// none other did.
+		{"fabric.batches", sum.Batches},
+		{"scenario.batches", sum.Batches},
+		{"scenario.split_segments", sum.SplitSegments},
+		{"scenario.day_batches_max", int64(sum.MaxDayBatches)},
+	}
+	if sum.Batches == 0 || sum.SplitSegments == 0 || sum.SplitSegments > sum.Batches ||
+		sum.MaxDayBatches == 0 || int64(sum.MaxDayBatches) > sum.Batches {
+		t.Errorf("generator counts do not nest: %d batches, %d split segments, at most %d a day",
+			sum.Batches, sum.SplitSegments, sum.MaxDayBatches)
 	}
 	for _, c := range simChecks {
 		if got := simSnap.Gauge(c.name); got != c.want {

@@ -36,6 +36,20 @@ func CheckDays(n int) error {
 	return nil
 }
 
+// WithDays applies a -days override to a world: the period becomes days
+// long and the event and victim budgets scale with it, so the world keeps
+// its event density — fewer days are a shorter run of the same world, not
+// the whole period's events packed into them. 0 keeps the scale default.
+func WithDays(cfg scenario.Config, days int) scenario.Config {
+	if days == 0 {
+		return cfg
+	}
+	cfg.EventsTotal = cfg.EventsTotal * days / cfg.Days
+	cfg.UniqueVictims = cfg.UniqueVictims * days / cfg.Days
+	cfg.Days = days
+	return cfg
+}
+
 // CheckIXPs validates an -ixps flag: the federation needs at least one
 // exchange.
 func CheckIXPs(n int) error {

@@ -32,6 +32,51 @@ func TestCheckDays(t *testing.T) {
 	}
 }
 
+// TestWithDays pins what -days means: a shorter period keeps the world's
+// event density instead of packing the whole budget into fewer days.
+func TestWithDays(t *testing.T) {
+	paper, err := WorldConfig("50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := WithDays(paper, 0); got != paper {
+		t.Errorf("WithDays(cfg, 0) changed the world: %+v", got)
+	}
+	short := WithDays(paper, 14)
+	if short.Days != 14 {
+		t.Fatalf("Days = %d, want 14", short.Days)
+	}
+	perDay := func(c scenario.Config) (events, victims float64) {
+		return float64(c.EventsTotal) / float64(c.Days), float64(c.UniqueVictims) / float64(c.Days)
+	}
+	fullE, fullV := perDay(paper)
+	shortE, shortV := perDay(short)
+	if math.Abs(shortE-fullE) > 1 || math.Abs(shortV-fullV) > 1 {
+		t.Errorf("-scale 50 -days 14: %.1f events/day and %.1f victims/day, the 104-day world has %.1f and %.1f",
+			shortE, shortV, fullE, fullV)
+	}
+	short.EventsTotal, short.UniqueVictims, short.Days = paper.EventsTotal, paper.UniqueVictims, paper.Days
+	if short != paper {
+		t.Errorf("WithDays touched more than the period and its budgets: %+v", short)
+	}
+	if err := short.Validate(); err != nil {
+		t.Errorf("-scale 50 -days 14 does not validate: %v", err)
+	}
+	// The shortest period the scenario accepts still validates on the
+	// smallest world, and one day less is still rejected.
+	shortest := WithDays(scenario.TestConfig(), 4)
+	if err := shortest.Validate(); err != nil {
+		t.Errorf("-scale test -days 4 does not validate: %v", err)
+	}
+	if under := WithDays(scenario.TestConfig(), 3); under.Validate() == nil {
+		t.Error("-scale test -days 3 validates")
+	}
+	// A longer period scales the budgets up the same way.
+	if long := WithDays(scenario.TestConfig(), 60); long.EventsTotal != 1800 || long.UniqueVictims != 900 {
+		t.Errorf("-scale test -days 60: %d events, %d victims, want 1800 and 900", long.EventsTotal, long.UniqueVictims)
+	}
+}
+
 func TestCheckIXPs(t *testing.T) {
 	for _, n := range []int{1, 2, 16} {
 		if err := CheckIXPs(n); err != nil {

@@ -220,13 +220,13 @@ func TestFlowSpecRulePrecedence(t *testing.T) {
 		return a
 	}
 	cases := []struct {
-		name                     string
-		rules                    []int // catalog indices to install
-		dst                      string
-		proto                    uint8
-		srcPort, dstPort         uint16
-		want                     int // winning catalog index, -1 for no match
-		wantTieBetween           [2]int
+		name             string
+		rules            []int // catalog indices to install
+		dst              string
+		proto            uint8
+		srcPort, dstPort uint16
+		want             int // winning catalog index, -1 for no match
+		wantTieBetween   [2]int
 	}{
 		{name: "only-covering-slash24", rules: []int{0, 2, 7},
 			dst: "203.0.113.77", proto: 17, srcPort: 123, dstPort: 40000, want: 0,

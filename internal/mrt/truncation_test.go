@@ -47,7 +47,7 @@ func TestReaderTruncationErrors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		cut  int    // byte length to keep
+		cut  int // byte length to keep
 		want []string
 	}{
 		{"mid header", third + 5, []string{"record 2", "truncated record header"}},

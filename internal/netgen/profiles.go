@@ -29,6 +29,17 @@ var CommonServices = []Service{
 	{ProtoTCP, 8080, 1000, 3},
 }
 
+// serviceChooser draws catalog indices by the services' weights.
+func serviceChooser(catalog []Service) *stats.Chooser {
+	weights := make([]float64, len(catalog))
+	for i, svc := range catalog {
+		weights[i] = svc.Weight
+	}
+	return stats.NewChooser(weights)
+}
+
+var commonServiceChooser = serviceChooser(CommonServices)
+
 // RemotePool models the rest of the Internet as seen through the IXP: a
 // block of remote addresses reachable via a set of member (handover) ASes.
 type RemotePool struct {
@@ -74,20 +85,20 @@ func (s *ServerProfile) DayBatches(dst []fabric.Batch, dayStart time.Time, remot
 	if len(s.Services) == 0 || s.DailyPackets <= 0 {
 		return dst
 	}
-	weights := make([]float64, len(s.Services))
-	for i, svc := range s.Services {
-		weights[i] = svc.Weight
-		if weights[i] <= 0 {
-			weights[i] = 1
+	// A service without a weight takes an even share.
+	weight := func(svc Service) float64 {
+		if svc.Weight <= 0 {
+			return 1
 		}
+		return svc.Weight
 	}
 	var wsum float64
-	for _, w := range weights {
-		wsum += w
+	for _, svc := range s.Services {
+		wsum += weight(svc)
 	}
 	day := 24 * time.Hour
-	for i, svc := range s.Services {
-		pkts := int64(float64(s.DailyPackets) * weights[i] / wsum)
+	for _, svc := range s.Services {
+		pkts := int64(float64(s.DailyPackets) * weight(svc) / wsum)
 		if pkts <= 0 {
 			continue
 		}
@@ -146,19 +157,17 @@ var gameServices = []Service{
 	{ProtoTCP, 443, 1200, 2},
 }
 
+var gameServiceChooser = serviceChooser(gameServices)
+
 // DayBatches appends the client's batches for one active day.
 func (c *ClientProfile) DayBatches(dst []fabric.Batch, dayStart time.Time, remotes *RemotePool, r *stats.RNG) []fabric.Batch {
 	sessions := c.SessionsPerDay
 	if sessions <= 0 || c.DailyPackets <= 0 {
 		return dst
 	}
-	catalog := CommonServices
+	catalog, chooser := CommonServices, commonServiceChooser
 	if c.Gaming {
-		catalog = gameServices
-	}
-	weights := make([]float64, len(catalog))
-	for i, svc := range catalog {
-		weights[i] = svc.Weight
+		catalog, chooser = gameServices, gameServiceChooser
 	}
 	perSession := c.DailyPackets / int64(sessions)
 	if perSession <= 0 {
@@ -166,7 +175,7 @@ func (c *ClientProfile) DayBatches(dst []fabric.Batch, dayStart time.Time, remot
 	}
 	day := 24 * time.Hour
 	for i := 0; i < sessions; i++ {
-		svc := catalog[r.WeightedChoice(weights)]
+		svc := catalog[chooser.Choose(r)]
 		eph := EphemeralPort(r)
 		remote := remotes.Addr(r)
 		handover := remotes.Handover(r)

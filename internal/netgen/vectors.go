@@ -30,33 +30,54 @@ type AmplificationVector struct {
 	Protocol   AmpProtocol
 	Reflectors []Reflector
 
-	// byHandover groups the pool for batch emission; built lazily.
-	byHandover map[uint32][]uint32
-	handovers  []uint32
-	// weights skew the per-handover traffic split: the amplifier
+	// handovers groups the pool for batch emission; built on first use.
+	handovers []ampHandover
+	wsum      float64
+	// varyPorts is the per-packet port hook every batch of the vector
+	// shares: the service source port and an ephemeral destination. It
+	// is set once the vector is built.
+	varyPorts func(r *stats.RNG) (uint16, uint16)
+}
+
+// ampHandover is the part of the reflector pool behind one handover
+// member, with everything a batch of it needs built once.
+type ampHandover struct {
+	as   uint32
+	pool []uint32
+	// weight skews the per-handover traffic split: the amplifier
 	// populations behind different networks respond with very different
 	// aggregate rates, so one or two handover members usually carry the
 	// bulk of an attack. This per-attack skew is what spreads the
 	// per-event drop rates across the whole 0..1 range (paper Fig 6).
-	weights []float64
-	wsum    float64
+	weight float64
+	// varySrcIP draws a per-packet source from this handover's pool.
+	varySrcIP func(r *stats.RNG) uint32
 }
 
 func (v *AmplificationVector) build(r *stats.RNG) {
-	if v.byHandover != nil {
+	if v.varyPorts != nil {
 		return
 	}
-	v.byHandover = make(map[uint32][]uint32)
+	// Handovers in first-seen order.
+	index := make(map[uint32]int)
 	for _, rf := range v.Reflectors {
-		if _, seen := v.byHandover[rf.HandoverAS]; !seen {
-			v.handovers = append(v.handovers, rf.HandoverAS)
+		i, seen := index[rf.HandoverAS]
+		if !seen {
+			i = len(v.handovers)
+			index[rf.HandoverAS] = i
+			v.handovers = append(v.handovers, ampHandover{as: rf.HandoverAS})
 		}
-		v.byHandover[rf.HandoverAS] = append(v.byHandover[rf.HandoverAS], rf.IP)
+		v.handovers[i].pool = append(v.handovers[i].pool, rf.IP)
 	}
-	v.weights = make([]float64, len(v.handovers))
-	for i := range v.weights {
-		v.weights[i] = r.Pareto(0.7, 1, 5000)
-		v.wsum += v.weights[i]
+	for i := range v.handovers {
+		h := &v.handovers[i]
+		h.weight = r.Pareto(0.7, 1, 5000)
+		v.wsum += h.weight
+		pool := h.pool
+		h.varySrcIP = func(r *stats.RNG) uint32 { return pool[r.Intn(len(pool))] }
+	}
+	v.varyPorts = func(r *stats.RNG) (uint16, uint16) {
+		return v.Protocol.Port, EphemeralPort(r)
 	}
 }
 
@@ -74,29 +95,25 @@ func (v *AmplificationVector) Batches(dst []fabric.Batch, start time.Time, dur t
 	if total <= 0 {
 		return dst
 	}
-	for i, h := range v.handovers {
-		per := int64(float64(total) * v.weights[i] / v.wsum)
+	for i := range v.handovers {
+		h := &v.handovers[i]
+		per := int64(float64(total) * h.weight / v.wsum)
 		if per == 0 {
 			per = 1
 		}
-		pool := v.byHandover[h]
 		dst = append(dst, fabric.Batch{
 			Time: start, Duration: dur,
-			IngressAS: h, EgressAS: victimAS,
-			SrcIP: pool[0], DstIP: victimIP,
+			IngressAS: h.as, EgressAS: victimAS,
+			SrcIP: h.pool[0], DstIP: victimIP,
 			SrcPort: v.Protocol.Port, Proto: ProtoUDP,
 			PacketSize: v.Protocol.PacketSize,
 			Packets:    per,
-			VaryPorts: func(r *stats.RNG) (uint16, uint16) {
-				return v.Protocol.Port, EphemeralPort(r)
-			},
+			VaryPorts:  v.varyPorts,
 			// Reflected traffic keeps the service source port; only the
 			// destination port varies. Source-port FlowSpec rules can
 			// therefore be evaluated per batch.
 			FixedSrcPort: true,
-			VarySrcIP: func(r *stats.RNG) uint32 {
-				return pool[r.Intn(len(pool))]
-			},
+			VarySrcIP:    h.varySrcIP,
 		})
 	}
 	return dst
@@ -107,6 +124,15 @@ func (v *AmplificationVector) Batches(dst []fabric.Batch, start time.Time, dur t
 type SYNFloodVector struct {
 	Handovers []uint32 // ingress members carrying the flood
 	DstPorts  []uint16 // attacked service ports (e.g. 80, 443)
+
+	varyPorts func(r *stats.RNG) (uint16, uint16) // built on first use
+}
+
+// spoofedSrcIP draws a spoofed source: uniform over unicast space. These
+// do not resolve in the IP-to-AS table, exactly like real spoofed traffic
+// defeats attribution.
+func spoofedSrcIP(r *stats.RNG) uint32 {
+	return 0x01000000 + uint32(r.Int63n(0xdf000000-0x01000000))
 }
 
 // Batches implements Vector.
@@ -123,7 +149,11 @@ func (v *SYNFloodVector) Batches(dst []fabric.Batch, start time.Time, dur time.D
 	if per == 0 {
 		per = 1
 	}
-	ports := v.DstPorts
+	if v.varyPorts == nil {
+		v.varyPorts = func(r *stats.RNG) (uint16, uint16) {
+			return EphemeralPort(r), v.DstPorts[r.Intn(len(v.DstPorts))]
+		}
+	}
 	for _, h := range v.Handovers {
 		dst = append(dst, fabric.Batch{
 			Time: start, Duration: dur,
@@ -132,15 +162,8 @@ func (v *SYNFloodVector) Batches(dst []fabric.Batch, start time.Time, dur time.D
 			Proto:      ProtoTCP,
 			PacketSize: 60, // SYN-sized
 			Packets:    per,
-			VaryPorts: func(r *stats.RNG) (uint16, uint16) {
-				return EphemeralPort(r), ports[r.Intn(len(ports))]
-			},
-			// Spoofed sources: uniform over unicast space. These do not
-			// resolve in the IP-to-AS table, exactly like real spoofed
-			// traffic defeats attribution.
-			VarySrcIP: func(r *stats.RNG) uint32 {
-				return 0x01000000 + uint32(r.Int63n(0xdf000000-0x01000000))
-			},
+			VaryPorts:  v.varyPorts,
+			VarySrcIP:  spoofedSrcIP,
 		})
 	}
 	return dst
@@ -185,9 +208,7 @@ func (v *RandomPortUDPVector) Batches(dst []fabric.Batch, start time.Time, dur t
 					}
 				}
 			},
-			VarySrcIP: func(r *stats.RNG) uint32 {
-				return 0x01000000 + uint32(r.Int63n(0xdf000000-0x01000000))
-			},
+			VarySrcIP: spoofedSrcIP,
 		})
 	}
 	return dst
@@ -199,6 +220,8 @@ func (v *RandomPortUDPVector) Batches(dst []fabric.Batch, start time.Time, dur t
 type RotatingPortVector struct {
 	Handovers []uint32
 	next      uint32
+
+	varyPorts func(r *stats.RNG) (uint16, uint16) // built on first use
 }
 
 // Batches implements Vector.
@@ -215,6 +238,12 @@ func (v *RotatingPortVector) Batches(dst []fabric.Batch, start time.Time, dur ti
 	if per == 0 {
 		per = 1
 	}
+	if v.varyPorts == nil {
+		v.varyPorts = func(r *stats.RNG) (uint16, uint16) {
+			v.next++
+			return EphemeralPort(r), uint16(v.next)
+		}
+	}
 	for _, h := range v.Handovers {
 		dst = append(dst, fabric.Batch{
 			Time: start, Duration: dur,
@@ -223,13 +252,8 @@ func (v *RotatingPortVector) Batches(dst []fabric.Batch, start time.Time, dur ti
 			Proto:      ProtoUDP,
 			PacketSize: 512,
 			Packets:    per,
-			VaryPorts: func(r *stats.RNG) (uint16, uint16) {
-				v.next++
-				return EphemeralPort(r), uint16(v.next)
-			},
-			VarySrcIP: func(r *stats.RNG) uint32 {
-				return 0x01000000 + uint32(r.Int63n(0xdf000000-0x01000000))
-			},
+			VaryPorts:  v.varyPorts,
+			VarySrcIP:  spoofedSrcIP,
 		})
 	}
 	return dst

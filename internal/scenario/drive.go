@@ -1,0 +1,737 @@
+package scenario
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+	"time"
+
+	"repro/internal/bgp"
+	"repro/internal/fabric"
+	"repro/internal/netgen"
+	"repro/internal/routeserver"
+	"repro/internal/stats"
+)
+
+// The generator loop follows one rule per batch: instants are integer
+// unix nanoseconds inside this package (fabric.Batch.Time stays a
+// time.Time at the Executor boundary), a day is ordered by sorting small
+// keys rather than moving batches, a batch finds its transitions by
+// binary search, and nothing is allocated per batch.
+
+// attackSlotDuration is the granularity at which attack traffic is
+// generated; matching the analysis slot size keeps boundary noise small.
+const attackSlotDuration = 5 * time.Minute
+
+const dayNanos = int64(24 * time.Hour)
+
+// controlMsg is one scheduled BGP action.
+type controlMsg struct {
+	ns       int64 // t in unix nanoseconds, what the day is ordered by
+	t        time.Time
+	event    *Event
+	announce bool
+	fs       bool // FlowSpec rule action instead of an RTBH route action
+}
+
+// transitions is a sorted table of the instants at which mitigation
+// state may change. Batches are split at them so that every emitted
+// segment sees one forwarding decision throughout.
+type transitions struct {
+	at []int64 // unix nanoseconds, ascending, duplicates allowed
+	// phase is set on the table of a single event: phase[k] is the
+	// event's mitigation phase on [at[k-1], at[k]), phase[0] the one
+	// before at[0]. A host's table merges several events and has none.
+	phase []fabric.Phase
+}
+
+// after returns the number of transitions at or before ns: the index of
+// the first one strictly later, and of the phase covering ns.
+func (tr *transitions) after(ns int64) int {
+	lo, hi := 0, len(tr.at)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tr.at[mid] <= ns {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// eventTransitions builds the table of e's own mitigation actions.
+func eventTransitions(e *Event) transitions {
+	var ts []time.Time
+	e.actions(func(t time.Time, _, _ bool) { ts = append(ts, t) })
+	slices.SortFunc(ts, time.Time.Compare)
+	tr := transitions{at: make([]int64, len(ts)), phase: make([]fabric.Phase, len(ts)+1)}
+	for i, t := range ts {
+		tr.at[i] = t.UnixNano()
+		tr.phase[i+1] = e.MitigationPhase(t)
+	}
+	return tr
+}
+
+// attackPlan is what the generator keeps per attack event for the run.
+type attackPlan struct {
+	e *Event
+	// tr are the event's own transitions: they bound drop-decision error,
+	// so attack slots are split at them like baseline batches.
+	tr         transitions
+	start, end int64 // attack traffic runs over [start, end)
+	mitigated  int64 // first mitigation action
+	// vectors are built on the attack's first day and released after its
+	// last, which bounds reflector-pool memory.
+	vectors []netgen.Vector
+	built   bool
+	lastDay int
+}
+
+// mitSpan is the time range during which a host's inbound traffic is
+// attributed to one attack event in the fabric's mitigation ledger: from
+// the earlier of attack start and first mitigation action to the later
+// of attack end and mitigation end.
+type mitSpan struct {
+	a        *attackPlan
+	from, to int64
+}
+
+// hostPlan is what the generator keeps per host for the run.
+type hostPlan struct {
+	// tr are the instants at which the blackholing state of the host's
+	// address may change: besides the host's own /32 events, covering
+	// shorter-prefix events (a /24 blackhole blankets every host in the
+	// subnet) contribute transitions too.
+	tr transitions
+	// spans are the attack events the host's inbound traffic is
+	// attributed to, by start.
+	spans []mitSpan
+}
+
+// dayKey stands in for one of the day's batches while the day is put in
+// order: 16 bytes move instead of the batch's 128. The order is by start
+// instant and, among equal instants, by emission ordinal — what a stable
+// sort of the batches themselves would give. The fabric's random draws
+// follow dispatch order, so how ties fall decides archive bytes.
+type dayKey struct {
+	ns  int64 // batch start, unix nanoseconds
+	idx int32 // position in the day's emission order
+}
+
+// orderDay returns the dispatch order of batches, built in keys with
+// spare as the second buffer, and the buffer left over. It is an LSD
+// radix sort over the start instants: every pass is a counting sort by
+// one digit, which keeps keys of equal digit in the order they came in —
+// so equal instants end up in emission order without the ordinal ever
+// being compared.
+func orderDay(keys, spare []dayKey, batches []fabric.Batch) (order, left []dayKey) {
+	const digitBits = 12
+	keys = keys[:0]
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := range batches {
+		ns := batches[i].Time.UnixNano()
+		lo, hi = min(lo, ns), max(hi, ns)
+		keys = append(keys, dayKey{ns: ns, idx: int32(i)})
+	}
+	spare = slices.Grow(spare[:0], len(keys))[:len(keys)]
+	for shift := 0; shift < 64 && uint64(hi-lo)>>shift != 0; shift += digitBits {
+		var next [1 << digitBits]int32 // per digit: count, then next output position
+		for _, k := range keys {
+			next[uint64(k.ns-lo)>>shift&(1<<digitBits-1)]++
+		}
+		pos := int32(0)
+		for d, n := range next {
+			next[d] = pos
+			pos += n
+		}
+		for _, k := range keys {
+			d := uint64(k.ns-lo) >> shift & (1<<digitBits - 1)
+			spare[next[d]] = k
+			next[d]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys, spare
+}
+
+// driver is the state of one Drive call: the per-run indexes built up
+// front and the per-day scratch every day reuses.
+type driver struct {
+	w   *World
+	ex  Executor
+	st  *DriveStats
+	gen *stats.RNG // the one stream generation and control updates share
+
+	ctlByDay     [][]controlMsg
+	attacksByDay [][]*attackPlan
+	hosts        []hostPlan
+
+	batches []fabric.Batch // the day's batches in emission order
+	uncut   []fabric.Batch // a group of them moved out to be split
+	keys    []dayKey       // the day's dispatch order and its second sort buffer
+	spare   []dayKey
+}
+
+// Drive walks the planned world's total event order and dispatches every
+// action to the executor created by build. The RNG substream handed to
+// build is the exact fork Run's fabrics sample from, so an executor that
+// wraps exchanges built with it (NewExchanges, or fabric.New for a
+// hand-wired single fabric) reproduces Run's data plane bit-identically;
+// the control updates Drive builds are likewise bit-identical to Run's.
+// This is the seam the live subsystem uses to put real transports
+// between the scenario and the route server/fabric while keeping the
+// archived dataset byte-identical to the batch path.
+//
+// When an executor call fails mid-walk (including a cancelled live run),
+// Drive returns the stats of the actions dispatched so far alongside the
+// error, so interrupted runs can still report what was delivered.
+func Drive(w *World, build func(fabricRNG *stats.RNG) (Executor, error)) (*DriveStats, error) {
+	rng := stats.NewRNG(w.Cfg.Seed ^ 0x52554e)
+	ex, err := build(rng.Fork(1))
+	if err != nil {
+		return nil, err
+	}
+	dr := newDriver(w, ex, rng)
+	for d := 0; d < w.Cfg.Days; d++ {
+		dr.generate(d)
+		if err := dr.dispatch(dr.ctlByDay[d]); err != nil {
+			return dr.st, err
+		}
+	}
+	return dr.st, nil
+}
+
+// newDriver indexes the world by day and by host. It forks the session
+// reset stream and then the generator stream from rng, in that order.
+func newDriver(w *World, ex Executor, rng *stats.RNG) *driver {
+	days := w.Cfg.Days
+	dr := &driver{
+		w: w, ex: ex, st: &DriveStats{},
+		ctlByDay:     make([][]controlMsg, days),
+		attacksByDay: make([][]*attackPlan, days),
+		hosts:        make([]hostPlan, len(w.Hosts)),
+	}
+	for _, e := range w.Events {
+		e.actions(func(t time.Time, announce, fs bool) { dr.schedule(t, e, announce, fs) })
+	}
+	dr.addSessionResets(rng.Fork(3))
+	dr.gen = rng.Fork(2)
+
+	for _, e := range w.Events {
+		if e.Attack == nil {
+			continue
+		}
+		a := &attackPlan{
+			e: e, tr: eventTransitions(e),
+			start: e.Attack.Start.UnixNano(), end: e.Attack.End().UnixNano(),
+			mitigated: e.Start().UnixNano(),
+			lastDay:   dr.dayIndex(e.Attack.End()),
+		}
+		for d := dr.dayIndex(e.Attack.Start); d <= a.lastDay; d++ {
+			dr.attacksByDay[d] = append(dr.attacksByDay[d], a)
+		}
+		if e.Host < 0 {
+			continue
+		}
+		from, to := min(a.start, a.mitigated), a.end
+		if end, ok := e.End(); !ok {
+			to = w.Cfg.End().UnixNano()
+		} else {
+			to = max(to, end.UnixNano())
+		}
+		hp := &dr.hosts[e.Host]
+		hp.spans = append(hp.spans, mitSpan{a: a, from: from, to: to})
+	}
+	dr.hostTransitions()
+	for i := range dr.hosts {
+		sp := dr.hosts[i].spans
+		sort.Slice(sp, func(i, j int) bool { return sp[i].from < sp[j].from })
+	}
+	return dr
+}
+
+// dayIndex returns the day of the period t falls on, clamped to it.
+func (dr *driver) dayIndex(t time.Time) int {
+	d := int(t.Sub(dr.w.Cfg.Start) / (24 * time.Hour))
+	return max(0, min(d, dr.w.Cfg.Days-1))
+}
+
+// schedule queues one BGP action on the day it falls on.
+func (dr *driver) schedule(t time.Time, e *Event, announce, fs bool) {
+	d := dr.dayIndex(t)
+	dr.ctlByDay[d] = append(dr.ctlByDay[d],
+		controlMsg{ns: t.UnixNano(), t: t, event: e, announce: announce, fs: fs})
+}
+
+// hostTransitions fills every host's transition table.
+func (dr *driver) hostTransitions() {
+	w := dr.w
+	add := func(host int, e *Event) {
+		tr := &dr.hosts[host].tr
+		e.actions(func(t time.Time, _, _ bool) { tr.at = append(tr.at, t.UnixNano()) })
+	}
+	var wide []*Event // events on prefixes shorter than /32
+	for _, e := range w.Events {
+		if e.Prefix.Len < 32 {
+			wide = append(wide, e)
+		}
+		if e.Host >= 0 && e.Prefix.Len == 32 {
+			add(e.Host, e)
+		}
+	}
+	for hi, h := range w.Hosts {
+		for _, e := range wide {
+			if e.Prefix.Contains(h.IP) {
+				add(hi, e)
+			}
+		}
+		slices.Sort(dr.hosts[hi].tr.at)
+	}
+}
+
+// generate fills dr.batches with day d's batches in emission order.
+func (dr *driver) generate(d int) {
+	dayStart := dr.w.Cfg.Start.AddDate(0, 0, d)
+	dr.batches = dr.batches[:0]
+	dr.baseline(d, dayStart)
+	dr.attacks(d, dayStart)
+	dr.internal(dayStart)
+	dr.st.MaxDayBatches = max(dr.st.MaxDayBatches, len(dr.batches))
+}
+
+// dispatch hands the day's control messages and batches to the executor
+// in chronological order.
+func (dr *driver) dispatch(ctl []controlMsg) error {
+	slices.SortStableFunc(ctl, func(a, b controlMsg) int { return cmp.Compare(a.ns, b.ns) })
+	dr.keys, dr.spare = orderDay(dr.keys, dr.spare, dr.batches)
+	ci := 0
+	for _, k := range dr.keys {
+		// Control messages win ties so that a batch starting exactly at
+		// an announcement sees the new state.
+		for ; ci < len(ctl) && ctl[ci].ns <= k.ns; ci++ {
+			if err := dr.control(&ctl[ci]); err != nil {
+				return err
+			}
+		}
+		if err := dr.ex.Inject(&dr.batches[k.idx]); err != nil {
+			return err
+		}
+		dr.st.Batches++
+	}
+	for ; ci < len(ctl); ci++ {
+		if err := dr.control(&ctl[ci]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// control builds and delivers one scheduled UPDATE.
+func (dr *driver) control(cm *controlMsg) error {
+	upd, err := buildControlUpdate(cm, dr.gen)
+	if err != nil {
+		return err
+	}
+	if err := dr.ex.Control(cm.t, cm.event.Peer, upd); err != nil {
+		return err
+	}
+	switch {
+	case cm.fs && cm.announce:
+		dr.st.FlowSpecAnnouncements++
+	case cm.fs:
+		dr.st.FlowSpecWithdrawals++
+	case cm.announce:
+		dr.st.Announcements++
+	default:
+		dr.st.Withdrawals++
+	}
+	return nil
+}
+
+// buildControlUpdate constructs the announce/withdraw UPDATE of one
+// scheduled control message, consuming the shared generator stream.
+// FlowSpec actions are wrapped as plain UPDATEs (MP attributes, no IPv4
+// NLRI) and draw nothing from the stream.
+func buildControlUpdate(cm *controlMsg, r *stats.RNG) (*bgp.Update, error) {
+	e := cm.event
+	if cm.fs {
+		fsu := &bgp.FlowSpecUpdate{}
+		if cm.announce {
+			fsu.Announced = []*bgp.FlowRule{e.FlowSpec.Rule}
+			fsu.ExtComms = []bgp.ExtCommunity{bgp.TrafficRateDiscard}
+		} else {
+			fsu.Withdrawn = []*bgp.FlowRule{e.FlowSpec.Rule}
+		}
+		return bgp.UpdateFromFlowSpec(fsu)
+	}
+	upd := &bgp.Update{}
+	if cm.announce {
+		comms := make(bgp.Communities, 1, 2+len(e.TargetedExclude))
+		comms[0] = bgp.Blackhole
+		if r.Bool(0.5) {
+			comms = append(comms, bgp.NoExport)
+		}
+		for _, excl := range e.TargetedExclude {
+			comms = append(comms, bgp.MakeCommunity(0, uint16(excl)))
+		}
+		path := make([]uint32, 1, 2)
+		path[0] = e.Peer
+		if e.OriginAS != e.Peer {
+			path = append(path, e.OriginAS)
+		}
+		upd.Attrs = bgp.PathAttrs{
+			Origin:      bgp.OriginIGP,
+			ASPath:      path,
+			NextHop:     routeserver.BlackholeNextHop,
+			Communities: comms,
+		}
+		upd.NLRI = []bgp.Prefix{e.Prefix}
+	} else {
+		upd.Withdrawn = []bgp.Prefix{e.Prefix}
+	}
+	return upd, nil
+}
+
+// splitBatch appends b to dst, cut at every transition strictly inside
+// [b.Time, b.Time+b.Duration), dividing the packet count proportionally
+// to sub-interval duration; pieces left without packets are dropped. A
+// batch no transition touches is appended unchanged. When the table
+// carries phases, every appended batch gets the phase of the interval it
+// lies in. b must not point into dst.
+func splitBatch(dst []fabric.Batch, b *fabric.Batch, tr *transitions) []fabric.Batch {
+	start := b.Time.UnixNano()
+	end := start + int64(b.Duration)
+	k := tr.after(start)
+	if k == len(tr.at) || tr.at[k] >= end {
+		dst = append(dst, *b)
+		if tr.phase != nil {
+			dst[len(dst)-1].Mitigation = tr.phase[k]
+		}
+		return dst
+	}
+	total := float64(b.Duration)
+	remaining := b.Packets
+	for prev := start; ; k++ {
+		segEnd, last := end, true
+		if k < len(tr.at) && tr.at[k] < end {
+			segEnd, last = tr.at[k], false
+		}
+		dur := time.Duration(segEnd - prev)
+		packets := remaining
+		if !last {
+			packets = int64(float64(b.Packets) * float64(dur) / total)
+		}
+		remaining -= packets
+		if packets > 0 && dur > 0 {
+			dst = append(dst, *b)
+			seg := &dst[len(dst)-1]
+			seg.Time = b.Time.Add(time.Duration(prev - start))
+			seg.Duration = dur
+			seg.Packets = packets
+			if tr.phase != nil {
+				seg.Mitigation = tr.phase[k]
+			}
+		}
+		if last {
+			return dst
+		}
+		prev = segEnd
+	}
+}
+
+// split cuts the batches the generator just appended, dr.batches[n0:],
+// at tr. They all lie within [from, to): when no transition falls inside
+// that window they stay where they are, and only otherwise are they
+// moved out and put back through splitBatch. Either way a table with
+// phases stamps every batch.
+func (dr *driver) split(n0 int, tr *transitions, from, to int64) {
+	k := tr.after(from)
+	if k == len(tr.at) || tr.at[k] >= to {
+		if tr.phase != nil {
+			for i := n0; i < len(dr.batches); i++ {
+				dr.batches[i].Mitigation = tr.phase[k]
+			}
+		}
+		return
+	}
+	dr.uncut = append(dr.uncut[:0], dr.batches[n0:]...)
+	dr.batches = dr.batches[:n0]
+	for i := range dr.uncut {
+		n := len(dr.batches)
+		dr.batches = splitBatch(dr.batches, &dr.uncut[i], tr)
+		if n = len(dr.batches) - n; n > 1 {
+			dr.st.SplitSegments += int64(n)
+		}
+	}
+}
+
+// baseline emits the legitimate and scan traffic of all hosts active on
+// day d, split at blackholing transitions.
+func (dr *driver) baseline(d int, dayStart time.Time) {
+	w, r := dr.w, dr.gen
+	dayNs := dayStart.UnixNano()
+	for hi, h := range w.Hosts {
+		if d >= len(h.ActiveDays) {
+			continue
+		}
+		n0 := len(dr.batches)
+		if h.ActiveDays[d] {
+			switch {
+			case h.Server != nil:
+				dr.batches = h.Server.DayBatches(dr.batches, dayStart, w.RemotePool, r)
+			case h.Client != nil:
+				dr.batches = h.Client.DayBatches(dr.batches, dayStart, w.RemotePool, r)
+			default:
+				// A quiet host's stray active day: a trickle of traffic.
+				peer := w.VictimASes[h.VictimAS].Peer
+				dr.batches = append(dr.batches, fabric.Batch{
+					Time: dayStart, Duration: 24 * time.Hour,
+					IngressAS: w.RemotePool.Handover(r), EgressAS: peer,
+					SrcIP: w.RemotePool.Addr(r), DstIP: h.IP,
+					SrcPort: 443, DstPort: netgen.EphemeralPort(r),
+					Proto: netgen.ProtoTCP, PacketSize: 600,
+					Packets: 2000 + r.Int63n(8000),
+				})
+			}
+		}
+		if h.ScanDailyPackets > 0 && r.Bool(0.3) {
+			peer := w.VictimASes[h.VictimAS].Peer
+			dr.batches = netgen.ScanBatches(dr.batches, dayStart, h.IP, peer, h.ScanDailyPackets, w.RemotePool, r)
+		}
+		// All of a host's traffic — inbound, outbound, scans — anchors to
+		// the member announcing the host's prefix: in a federated run the
+		// host is observable exactly where its member connects.
+		owner := w.VictimASes[h.VictimAS].Peer
+		for i := n0; i < len(dr.batches); i++ {
+			dr.batches[i].Owner = owner
+		}
+		hp := &dr.hosts[hi]
+		// netgen keeps every baseline batch inside the day it is for.
+		dr.split(n0, &hp.tr, dayNs, dayNs+dayNanos)
+		if len(hp.spans) == 0 {
+			continue
+		}
+		// Attribute inbound segments to the covering attack event as the
+		// victim's legitimate traffic. Segments were split at every
+		// mitigation transition, so the phase at the segment start holds
+		// throughout it.
+		for i := n0; i < len(dr.batches); i++ {
+			seg := &dr.batches[i]
+			if seg.DstIP != h.IP {
+				continue
+			}
+			ns := seg.Time.UnixNano()
+			for _, s := range hp.spans {
+				if ns >= s.from && ns < s.to {
+					seg.Event = s.a.e.ID + 1
+					seg.Mitigation = s.a.tr.phase[s.a.tr.after(ns)]
+					break
+				}
+			}
+		}
+	}
+}
+
+// attacks emits the attack traffic slots of day d.
+func (dr *driver) attacks(d int, dayStart time.Time) {
+	w, r := dr.w, dr.gen
+	dayNs := dayStart.UnixNano()
+	for _, a := range dr.attacksByDay[d] {
+		e := a.e
+		if !a.built {
+			a.vectors, a.built = buildVectors(w, e, r), true
+		}
+		vs := a.vectors
+		if a.lastDay == d {
+			a.vectors = nil
+		}
+		if len(vs) == 0 {
+			continue
+		}
+		victimIP := victimAddr(w, e)
+		victimAS := e.Peer
+		end := min(a.end, dayNs+dayNanos)
+		// Bilateral (non-route-server) blackholing is an agreement with a
+		// single neighbor: one designated handover member drops the
+		// event's traffic regardless of route-server state.
+		var bilateralAS uint32
+		for t := max(a.start, dayNs); t < end; t += int64(attackSlotDuration) {
+			slotEnd := min(t+int64(attackSlotDuration), end)
+			pps := e.Attack.PPS * (0.8 + 0.4*r.Float64())
+			perVector := pps / float64(len(vs))
+			n0 := len(dr.batches)
+			for _, v := range vs {
+				dr.batches = v.Batches(dr.batches, dayStart.Add(time.Duration(t-dayNs)),
+					time.Duration(slotEnd-t), perVector, victimIP, victimAS, r)
+			}
+			slot := dr.batches[n0:]
+			if e.Bilateral && bilateralAS == 0 && len(slot) > 0 {
+				bilateralAS = slot[0].IngressAS
+			}
+			// The bilateral neighbor reacts like the victim does: its
+			// dropping starts with the first announcement, not with the
+			// attack itself.
+			bilateralLive := e.Bilateral && t >= a.mitigated
+			for i := range slot {
+				b := &slot[i]
+				b.Owner = victimAS
+				b.Event = e.ID + 1
+				b.Attack = true
+				if bilateralLive && b.IngressAS == bilateralAS {
+					b.BilateralDropFraction = 1
+				}
+			}
+			dr.split(n0, &a.tr, t, slotEnd)
+		}
+	}
+}
+
+// victimAddr returns the concrete attacked address of an event: the host
+// address, or an address inside the prefix for hostless events.
+func victimAddr(w *World, e *Event) uint32 {
+	if e.Host >= 0 {
+		return w.Hosts[e.Host].IP
+	}
+	return e.Prefix.Addr + 1
+}
+
+// buildVectors materializes the attack's vector set: reflector pools per
+// origin AS for amplification, and transit handovers for direct floods.
+func buildVectors(w *World, e *Event, r *stats.RNG) []netgen.Vector {
+	a := e.Attack
+	var out []netgen.Vector
+
+	if len(a.Protocols) > 0 {
+		nAmp := int(r.Poisson(float64(w.Cfg.MeanAmplifiersPerAttack)))
+		if nAmp < len(a.OriginASes) {
+			nAmp = len(a.OriginASes)
+		}
+		perAS := nAmp / len(a.OriginASes)
+		if perAS == 0 {
+			perAS = 1
+		}
+		var pool []netgen.Reflector
+		for _, asIdx := range a.OriginASes {
+			ras := w.RemoteASes[asIdx]
+			for i := 0; i < perAS; i++ {
+				ip := ras.Block.Addr + uint32(r.Int63n(int64(ras.Block.NumAddresses())))
+				pool = append(pool, netgen.Reflector{IP: ip, OriginAS: ras.ASN, HandoverAS: ras.Handover})
+			}
+		}
+		for _, proto := range a.Protocols {
+			out = append(out, &netgen.AmplificationVector{Protocol: proto, Reflectors: pool})
+		}
+	}
+
+	transit := make([]uint32, 0, 3)
+	for i := 0; i < 3 && i < len(w.RemotePool.Handovers); i++ {
+		transit = append(transit, w.RemotePool.Handovers[r.Intn(len(w.RemotePool.Handovers))])
+	}
+	if a.SYNFlood {
+		out = append(out, &netgen.SYNFloodVector{Handovers: transit, DstPorts: []uint16{80, 443}})
+	}
+	if a.ExtraRandomPort {
+		if r.Bool(0.5) {
+			out = append(out, &netgen.RandomPortUDPVector{Handovers: transit})
+		} else {
+			out = append(out, &netgen.RotatingPortVector{Handovers: transit})
+		}
+	}
+	return out
+}
+
+// internal emits the small share of IXP-internal flows that the paper
+// removes during data cleaning.
+func (dr *driver) internal(dayStart time.Time) {
+	w, r := dr.w, dr.gen
+	if w.Cfg.InternalTrafficShare <= 0 {
+		return
+	}
+	// Rough daily packet volume of the relevant traffic, from which the
+	// internal share is derived.
+	busy := len(w.Hosts) / 3
+	daily := float64(busy) * 2 * float64(w.Cfg.BaselineDailyPackets) * w.Cfg.Scale()
+	pkts := int64(daily * w.Cfg.InternalTrafficShare)
+	// Keep internal traffic visible even in miniature test worlds: at
+	// least ~0.4 expected samples per day.
+	if floor := 2 * w.Cfg.SamplingRate / 5; pkts < floor {
+		pkts = floor
+	}
+	for i := 0; i < 2; i++ {
+		m := w.Members[r.Intn(len(w.Members))].ASN
+		dr.batches = append(dr.batches, fabric.Batch{
+			Time: dayStart.Add(time.Duration(i) * 12 * time.Hour), Duration: 12 * time.Hour,
+			IngressAS: m,
+			EgressAS:  0,
+			Owner:     m,
+			SrcIP:     w.RSIP, DstIP: w.RSIP + 1,
+			SrcPort: 179, DstPort: netgen.EphemeralPort(r),
+			Proto: netgen.ProtoTCP, PacketSize: 100,
+			Packets:  pkts / 2,
+			Internal: true,
+		})
+	}
+}
+
+// addSessionResets injects BGP session flaps: a handful of times over the
+// period, one of the heaviest RTBH users re-announces its entire active
+// blackhole set within a minute. These bursts produce the message-rate
+// spikes of the paper's Fig 3 while leaving event structure untouched
+// (re-announcements of active routes merge into the same event).
+func (dr *driver) addSessionResets(r *stats.RNG) {
+	w := dr.w
+	// The three peers with the most events are reset candidates.
+	counts := make(map[uint32]int)
+	for _, e := range w.Events {
+		counts[e.Peer]++
+	}
+	type pc struct {
+		peer uint32
+		n    int
+	}
+	var peers []pc
+	for p, n := range counts {
+		peers = append(peers, pc{p, n})
+	}
+	sort.Slice(peers, func(i, j int) bool {
+		if peers[i].n != peers[j].n {
+			return peers[i].n > peers[j].n
+		}
+		return peers[i].peer < peers[j].peer
+	})
+	if len(peers) > 3 {
+		peers = peers[:3]
+	}
+	if len(peers) == 0 {
+		return
+	}
+
+	period := w.Cfg.End().Sub(w.Cfg.Start)
+	nResets := max(2, w.Cfg.Days/15)
+	for i := 0; i < nResets; i++ {
+		peer := peers[r.Intn(len(peers))].peer
+		// Leave margin at the period edges.
+		at := w.Cfg.Start.Add(time.Duration(0.05*float64(period)) +
+			time.Duration(r.Float64()*0.9*float64(period)))
+		for _, e := range w.Events {
+			if e.Peer != peer {
+				continue
+			}
+			// Re-announce only routes solidly inside an active episode.
+			for _, ep := range e.Episodes {
+				wd := ep.Withdraw
+				if wd.IsZero() {
+					wd = w.Cfg.End()
+				}
+				if !at.After(ep.Announce) || !at.Add(2*time.Minute).Before(wd) {
+					continue
+				}
+				t := at.Add(time.Duration(r.Int63n(int64(50 * time.Second))))
+				dr.schedule(t, e, true, false)
+				break
+			}
+		}
+	}
+}

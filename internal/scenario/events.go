@@ -64,8 +64,14 @@ func planEvents(w *World, r *stats.RNG) {
 	type quota struct{ ddos, steady, quiet, zombie int }
 	q := quota{ddos: nDDoS, steady: nSteady, quiet: nQuiet, zombie: nZombie}
 
+	// Attack clusters draw members by a flattened traffic weight.
+	flat := make([]float64, len(w.Members))
+	for i, m := range w.Members {
+		flat[i] = math.Pow(m.TrafficWeight, 0.4)
+	}
+	clusters := stats.NewChooser(flat)
 	schedule := func(class EventClass, hostIdx int) {
-		w.Events = append(w.Events, buildEvent(w, r, class, hostIdx))
+		w.Events = append(w.Events, buildEvent(w, r, clusters, class, hostIdx))
 	}
 
 	for i, h := range w.Hosts {
@@ -142,7 +148,7 @@ func planEvents(w *World, r *stats.RNG) {
 }
 
 // buildEvent constructs one event of the given class for the host.
-func buildEvent(w *World, r *stats.RNG, class EventClass, hostIdx int) *Event {
+func buildEvent(w *World, r *stats.RNG, clusters *stats.Chooser, class EventClass, hostIdx int) *Event {
 	h := w.Hosts[hostIdx]
 	vas := w.VictimASes[h.VictimAS]
 	e := &Event{
@@ -160,7 +166,7 @@ func buildEvent(w *World, r *stats.RNG, class EventClass, hostIdx int) *Event {
 		if r.Bool(0.01) {
 			e.Prefix = bgp.MakePrefix(h.IP, 24)
 		}
-		e.Attack = buildAttack(w, r)
+		e.Attack = buildAttack(w, r, clusters)
 		e.Bilateral = r.Bool(w.Cfg.BilateralShare)
 
 		var latency time.Duration
@@ -279,13 +285,13 @@ func fewCycleEpisodes(r *stats.RNG, start, periodEnd time.Time, hold time.Durati
 // buildAttack draws the attack parameters: magnitude, duration, vector
 // composition (Table 3 protocol-count distribution), and the reflector
 // origin-AS participation that yields Fig 15's skew.
-func buildAttack(w *World, r *stats.RNG) *Attack {
+func buildAttack(w *World, r *stats.RNG, clusters *stats.Chooser) *Attack {
 	s := w.Cfg.Scale()
 	a := &Attack{
 		PPS:      logNormalMedian(r, w.Cfg.AttackPPSMedian*s, 1.2, 200*s, w.Cfg.AttackPPSMedian*s*150),
 		Duration: time.Duration(logNormalMedian(r, w.Cfg.AttackDurationMedian.Minutes(), 1.1, 4, 720) * float64(time.Minute)),
 	}
-	nProto := r.WeightedChoice(protocolCountDist)
+	nProto := protocolCountDist.Choose(r)
 	if nProto == 0 {
 		if r.Bool(0.25) {
 			a.SYNFlood = true
@@ -310,7 +316,7 @@ func buildAttack(w *World, r *stats.RNG) *Attack {
 			}
 		}
 		tailMean := max(12, w.Cfg.RemoteOriginASes*70/20000)
-		cluster := attackCluster(w, r)
+		cluster := attackCluster(w, r, clusters)
 		nTail := int(r.Poisson(float64(tailMean)))
 		for i := 0; i < nTail && len(cluster) > 0; i++ {
 			cone := cluster[r.Intn(len(cluster))]
@@ -327,15 +333,11 @@ func buildAttack(w *World, r *stats.RNG) *Attack {
 }
 
 // attackCluster draws the transit cones the attack's tail reflectors live
-// behind: a few members, weighted by a flattened traffic weight.
-func attackCluster(w *World, r *stats.RNG) [][]int {
-	weights := make([]float64, len(w.Members))
-	for i, m := range w.Members {
-		weights[i] = math.Pow(m.TrafficWeight, 0.4)
-	}
+// behind: a few members, drawn from clusters (one entry per member).
+func attackCluster(w *World, r *stats.RNG, clusters *stats.Chooser) [][]int {
 	cluster := make([][]int, 0, 5)
 	for len(cluster) < 5 {
-		m := w.Members[r.WeightedChoice(weights)].ASN
+		m := w.Members[clusters.Choose(r)].ASN
 		if cone := w.ConeByMember[m]; len(cone) > 0 {
 			cluster = append(cluster, cone)
 		} else if r.Bool(0.3) {

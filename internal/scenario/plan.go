@@ -33,7 +33,7 @@ var popularReflectorParticipation = []float64{0.60, 0.38, 0.30, 0.26, 0.24, 0.23
 
 // protocolCountDist is the target distribution of distinct amplification
 // protocols per attack (paper Table 3): index = count.
-var protocolCountDist = []float64{0.06, 0.40, 0.45, 0.083, 0.006, 0.001}
+var protocolCountDist = stats.NewChooser([]float64{0.06, 0.40, 0.45, 0.083, 0.006, 0.001})
 
 // Plan builds the full world for cfg. Planning is separate from running so
 // tests can inspect ground truth without simulating traffic.
@@ -235,9 +235,10 @@ func planRemoteASes(w *World, r *stats.RNG) {
 	for i, m := range w.Members {
 		weights[i] = m.TrafficWeight
 	}
+	byTraffic := stats.NewChooser(weights)
 	w.ConeByMember = make(map[uint32][]int)
 	for i := 0; i < n; i++ {
-		hIdx := r.WeightedChoice(weights)
+		hIdx := byTraffic.Choose(r)
 		asn := uint32(remoteASNBase + i)
 		switch {
 		case i == 0:

@@ -273,8 +273,8 @@ func TestSplitBatch(t *testing.T) {
 		Packets:    1000,
 		PacketSize: 100,
 	}
-	cuts := []time.Time{time.Unix(25, 0), time.Unix(50, 0), time.Unix(200, 0)}
-	out := splitBatch(nil, b, cuts)
+	sec := int64(time.Second)
+	out := splitBatch(nil, &b, &transitions{at: []int64{25 * sec, 50 * sec, 200 * sec}})
 	if len(out) != 3 {
 		t.Fatalf("segments = %d, want 3", len(out))
 	}
@@ -292,7 +292,7 @@ func TestSplitBatch(t *testing.T) {
 		t.Fatalf("split = %d/%d/%d", out[0].Packets, out[1].Packets, out[2].Packets)
 	}
 	// No cuts: unchanged.
-	out = splitBatch(nil, b, []time.Time{time.Unix(500, 0)})
+	out = splitBatch(nil, &b, &transitions{at: []int64{500 * sec}})
 	if len(out) != 1 || out[0].Packets != 1000 {
 		t.Fatalf("no-cut split = %+v", out)
 	}

@@ -216,6 +216,24 @@ func (e *Event) End() (time.Time, bool) {
 	return end, true
 }
 
+// actions calls yield for every mitigation action of the event in the
+// order the victim takes them: each episode's announcement and, unless
+// the route stays up, its withdrawal, then the FlowSpec rule's.
+func (e *Event) actions(yield func(t time.Time, announce, flowSpec bool)) {
+	for _, ep := range e.Episodes {
+		yield(ep.Announce, true, false)
+		if !ep.Withdraw.IsZero() {
+			yield(ep.Withdraw, false, false)
+		}
+	}
+	if fs := e.FlowSpec; fs != nil {
+		yield(fs.Start, true, true)
+		if !fs.End.IsZero() {
+			yield(fs.End, false, true)
+		}
+	}
+}
+
 // MitigationPhase returns the mitigation state covering instant t. The
 // FlowSpec window wins where it overlaps an RTBH episode (escalation
 // withdraws the blackhole at the handover, so overlap is momentary).

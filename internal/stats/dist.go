@@ -164,3 +164,57 @@ func (r *RNG) WeightedChoice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
+
+// Chooser draws indices from a fixed weight vector by prefix sum: the
+// running sums are accumulated once, in index order, and a draw is a
+// binary search for the first one the variate falls below. The sums are
+// the exact values WeightedChoice's scan passes through, so for the same
+// weights and generator state a Chooser returns the same index and
+// leaves the generator in the same state — it is WeightedChoice for
+// callers that draw many times from weights that do not change.
+type Chooser struct {
+	cum []float64 // cum[i] = sum of the positive weights through index i
+}
+
+// NewChooser precomputes the running sums of weights. Like
+// WeightedChoice it panics on an empty vector and treats non-positive
+// weights as zero.
+func NewChooser(weights []float64) *Chooser {
+	if len(weights) == 0 {
+		panic("stats: NewChooser with no weights")
+	}
+	cum := make([]float64, len(weights))
+	acc := 0.0
+	for i, w := range weights {
+		if w > 0 {
+			acc += w
+		}
+		cum[i] = acc
+	}
+	return &Chooser{cum: cum}
+}
+
+// Choose selects index i with probability weights[i]/sum(weights).
+func (c *Chooser) Choose(r *RNG) int {
+	n := len(c.cum)
+	total := c.cum[n-1]
+	if total <= 0 {
+		return r.Intn(n)
+	}
+	u := r.Float64() * total
+	// First index whose running sum exceeds u. A zero-weight entry repeats
+	// its predecessor's sum, so it is never the first.
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < c.cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == n {
+		return n - 1
+	}
+	return lo
+}

@@ -188,3 +188,59 @@ func TestLogNormalPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestChooserMatchesWeightedChoice pins Chooser bit-exact to the scan it
+// replaces: for the same weights and generator state, the same index
+// comes out and the generator is left in the same state.
+func TestChooserMatchesWeightedChoice(t *testing.T) {
+	gen := NewRNG(0xC005E)
+	random := func(n int, w func(i int) float64) []float64 {
+		ws := make([]float64, n)
+		for i := range ws {
+			ws[i] = w(i)
+		}
+		return ws
+	}
+	cases := map[string][]float64{
+		"single":          {3},
+		"single zero":     {0},
+		"all zero":        {0, 0, 0, 0},
+		"all negative":    {-1, -2, -3},
+		"zero head":       {0, 0, 5, 1},
+		"zero tail":       {5, 1, 0, 0},
+		"negative inside": {2, -7, 3, math.NaN(), 1},
+		"denormals":       {5e-324, 1e-323, 5e-324, 0, 1.5e-323},
+		"denormal vs big": {1e300, 5e-324, 1e300, 5e-324},
+		"infinite":        {1, math.Inf(1), 1},
+		"catalog":         {0.06, 0.40, 0.45, 0.083, 0.006, 0.001},
+		"pareto 830":      random(830, func(int) float64 { return gen.Pareto(1.05, 1, 4000) }),
+		"sparse 5000": random(5000, func(i int) float64 {
+			if i%7 != 0 {
+				return 0
+			}
+			return gen.Float64()
+		}),
+		"uniform 20000": random(20000, func(int) float64 { return gen.Float64() }),
+		"mixed sign 20000": random(20000, func(int) float64 {
+			return gen.NormFloat64()
+		}),
+	}
+	for name, weights := range cases {
+		c := NewChooser(weights)
+		seen := make(map[int]bool)
+		a, b := NewRNG(42), NewRNG(42)
+		for draw := 0; draw < 3000; draw++ {
+			want, got := a.WeightedChoice(weights), c.Choose(b)
+			if got != want {
+				t.Fatalf("%s: draw %d: Chooser picked %d, WeightedChoice %d", name, draw, got, want)
+			}
+			if *a != *b {
+				t.Fatalf("%s: draw %d: generator states diverged", name, draw)
+			}
+			seen[got] = true
+		}
+		if len(weights) > 4 && len(seen) < 2 {
+			t.Errorf("%s: 3000 draws hit %d distinct indices", name, len(seen))
+		}
+	}
+}

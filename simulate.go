@@ -35,6 +35,12 @@ type SimulationSummary struct {
 	FlowRecords    int64
 	PacketsIn      int64
 	PacketsDropped int64
+	// The generator's own counts: packet batches handed to the fabric,
+	// how many of them are pieces of a batch cut at a mitigation
+	// transition, and the most any one day held.
+	Batches       int64
+	SplitSegments int64
+	MaxDayBatches int
 }
 
 // datasetMeta is the JSON schema of metadata.json: everything an analyst
@@ -69,8 +75,10 @@ func Simulate(cfg Config, dir string) (*SimulationSummary, error) {
 
 // SimulateObserved is Simulate with observability: when reg is non-nil
 // the route server and fabric register their metrics ("routeserver.*",
-// "fabric.*") on it. Snapshot after the call returns; the fabric's
-// ground-truth gauges match the returned summary exactly.
+// "fabric.*") on it and the generator's counts are published as
+// "scenario.batches", "scenario.split_segments" and
+// "scenario.day_batches_max". Snapshot after the call returns; the
+// fabric's ground-truth gauges match the returned summary exactly.
 func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*SimulationSummary, error) {
 	w, err := scenario.Plan(cfg)
 	if err != nil {
@@ -90,6 +98,11 @@ func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*Simulation
 	if err := dw.finish(); err != nil {
 		return nil, err
 	}
+	if reg != nil {
+		reg.Gauge("scenario.batches").Set(res.Drive.Batches)
+		reg.Gauge("scenario.split_segments").Set(res.Drive.SplitSegments)
+		reg.Gauge("scenario.day_batches_max").Set(int64(res.Drive.MaxDayBatches))
+	}
 	st := res.FabricStats
 	return &SimulationSummary{
 		Events:         len(w.Events),
@@ -101,6 +114,9 @@ func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*Simulation
 		FlowRecords:    res.FlowRecords,
 		PacketsIn:      st.PacketsIn,
 		PacketsDropped: st.PacketsDropped,
+		Batches:        res.Drive.Batches,
+		SplitSegments:  res.Drive.SplitSegments,
+		MaxDayBatches:  res.Drive.MaxDayBatches,
 	}, nil
 }
 
@@ -114,6 +130,9 @@ type datasetWriter struct {
 	mrtFile, flowFile *os.File
 	mrtW              *mrt.Writer
 	flowW             *ipfix.Writer
+	// controlErr is the first error archiving a control message; the
+	// collector hook has no error path, so finish reports it.
+	controlErr error
 }
 
 // newDatasetWriter creates dir if missing and opens the two archives.
@@ -145,9 +164,9 @@ func (dw *datasetWriter) sinks() scenario.Sinks {
 				Timestamp: ts, PeerAS: peerAS, LocalAS: uint32(dw.w.RSASN),
 				PeerIP: peerIP, LocalIP: dw.w.RSIP, Message: msg,
 			}
-			// A failing disk aborts the run through the flow sink;
-			// control write errors surface at Flush in finish.
-			_ = dw.mrtW.WriteRecord(&rec)
+			if err := dw.mrtW.WriteRecord(&rec); err != nil && dw.controlErr == nil {
+				dw.controlErr = err
+			}
 		},
 		Flow: dw.flowW.WriteBatch,
 	}
@@ -156,6 +175,9 @@ func (dw *datasetWriter) sinks() scenario.Sinks {
 // finish flushes and closes the archives and writes the side tables,
 // which makes the directory a complete, loadable dataset.
 func (dw *datasetWriter) finish() error {
+	if dw.controlErr != nil {
+		return fmt.Errorf("rtbh: archiving control message: %w", dw.controlErr)
+	}
 	if err := dw.mrtW.Flush(); err != nil {
 		return fmt.Errorf("rtbh: flushing MRT: %w", err)
 	}
