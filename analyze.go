@@ -1,7 +1,6 @@
 package rtbh
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/analysis/anomaly"
@@ -112,10 +111,12 @@ type Options struct {
 	// MinEventPkts excludes events with fewer samples from the Fig 6
 	// per-event drop-rate CDFs.
 	MinEventPkts int64
-	// Workers is the number of parallel pipeline shards: 0 selects
-	// runtime.GOMAXPROCS, 1 runs the plain sequential pipeline. Both
-	// paths produce byte-identical reports (see DESIGN.md, "Parallel
-	// pipeline").
+	// Workers selects how the streaming pass is scheduled: 1 runs it on
+	// one goroutine; 0 (the default) runs one goroutine per operator,
+	// scheduled over GOMAXPROCS — on the caller alone when GOMAXPROCS is
+	// 1. Any larger count is accepted and means 0: there is one lane per
+	// operator, not per worker. Reports are byte-identical either way
+	// (see DESIGN.md, "Parallel pipeline").
 	Workers int
 	// Metrics, when non-nil, receives the analysis observability metrics
 	// ("pipeline.*", "dropstats.*", "analysis.*"; see DESIGN.md,
@@ -261,55 +262,26 @@ func span(t *obs.Timer, fn func() error) error {
 }
 
 // Analyze streams the archive through the single-pass operator pipeline
-// and composes the report. With Options.Workers != 1 the pass runs on
-// the sharded parallel pipeline; the report is byte-identical either way,
-// and identical to what the online analyzer's Snapshot produces over the
-// same stream (see DESIGN.md, "Incremental analysis").
+// and composes the report. Options.Workers decides only how the pass is
+// scheduled — on the caller, or on a goroutine per operator — so the
+// report is byte-identical either way, and identical to what the online
+// analyzer's Snapshot produces over the same stream (see DESIGN.md,
+// "Incremental analysis").
 func (d *Dataset) Analyze(opts Options) (*Report, error) {
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	pp, err := pipeline.NewParallel(d.Meta, d.Updates, opts.Delta, opts.Workers)
+	if err != nil {
+		return nil, err
 	}
-	// The worker count decides who owns the pass: one worker observes
-	// every batch on the calling goroutine (the reference path), several
-	// shard it and merge into one pipeline. All else is shared.
-	var (
-		p          *pipeline.Pipeline
-		instrument func(*MetricsRegistry)
-		observe    func() error
-	)
-	flowIx := mitigation.NewIndex(d.FlowUpdates, d.Meta.End)
-	if workers == 1 {
-		var err error
-		if p, err = pipeline.New(d.Meta, d.Updates, opts.Delta); err != nil {
-			return nil, err
-		}
-		p.BindFlow(flowIx)
-		instrument = p.RegisterMetrics
-		observe = func() error {
-			return d.EachFlowBatch(func(b *recordBatch) error {
-				p.ObserveBatch(b)
-				return nil
-			})
-		}
-	} else {
-		pp, err := pipeline.NewParallel(d.Meta, d.Updates, opts.Delta, workers)
-		if err != nil {
-			return nil, err
-		}
-		pp.BindFlow(flowIx)
-		p, instrument = pp.Pipeline(), pp.Instrument
-		observe = func() error { return pp.RunBatches(d.EachFlowBatch) }
-	}
+	pp.BindFlow(mitigation.NewIndex(d.FlowUpdates, d.Meta.End))
 	if opts.Metrics != nil {
-		instrument(opts.Metrics)
+		pp.Instrument(opts.Metrics)
 	}
 	tm := newStageTimers(opts.Metrics, d)
-	if err := span(tm.observe, observe); err != nil {
+	if err := span(tm.observe, func() error { return pp.RunBatches(d.EachFlowBatch) }); err != nil {
 		return nil, err
 	}
 	var report *Report
-	_ = span(tm.compose, func() error { report = composeReport(d.Meta, d.Updates, p, opts); return nil })
+	_ = span(tm.compose, func() error { report = composeReport(d.Meta, d.Updates, pp.Pipeline(), opts); return nil })
 	return report, nil
 }
 

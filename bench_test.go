@@ -734,8 +734,8 @@ func loadBenchFlows(b *testing.B, ds *Dataset) (int, []*recordBatch) {
 }
 
 // runPipelineBench times the streaming pass over the in-memory archive at
-// the given worker count (0 = sequential pipeline, no dispatch layer),
-// through the batch contract the production drivers use. Besides
+// the given worker count (1 = the inline pass, 0 = one goroutine per
+// operator), through the batch driver the production path uses. Besides
 // records/s it reports allocs/record over the observation phase alone
 // (pipeline construction excluded) — the steady-state figure the batch
 // path is designed to hold at ~0.
@@ -754,31 +754,17 @@ func runPipelineBench(b *testing.B, workers int) {
 	var observeMallocs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers == 0 {
-			p, err := pipeline.New(ds.Meta, ds.Updates, opts.Delta)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runtime.ReadMemStats(&ms)
-			before := ms.Mallocs
-			for _, bb := range batches {
-				p.ObserveBatch(bb)
-			}
-			runtime.ReadMemStats(&ms)
-			observeMallocs += ms.Mallocs - before
-		} else {
-			pp, err := pipeline.NewParallel(ds.Meta, ds.Updates, opts.Delta, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runtime.ReadMemStats(&ms)
-			before := ms.Mallocs
-			if err := pp.RunBatches(src); err != nil {
-				b.Fatal(err)
-			}
-			runtime.ReadMemStats(&ms)
-			observeMallocs += ms.Mallocs - before
+		pp, err := pipeline.NewParallel(ds.Meta, ds.Updates, opts.Delta, workers)
+		if err != nil {
+			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if err := pp.RunBatches(src); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		observeMallocs += ms.Mallocs - before
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
@@ -789,24 +775,14 @@ func runPipelineBench(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkPipelineSequential is the single-pass baseline: the plain
-// Pipeline with no sharding or dispatch overhead.
-func BenchmarkPipelineSequential(b *testing.B) { runPipelineBench(b, 0) }
+// BenchmarkPipelineSequential is the single-pass baseline: attribution and
+// every operator feed on the calling goroutine.
+func BenchmarkPipelineSequential(b *testing.B) { runPipelineBench(b, 1) }
 
-// BenchmarkPipelineParallel times the sharded runner across worker
-// counts. workers=1 isolates the dispatch overhead; higher counts show
-// the scaling headroom (bounded by GOMAXPROCS on the machine).
-func BenchmarkPipelineParallel(b *testing.B) {
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); !slices.Contains(counts, n) {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			runPipelineBench(b, workers)
-		})
-	}
-}
+// BenchmarkPipelineLanes times the same pass with one goroutine per
+// operator feed behind the source's attribution (the default; the inline
+// pass again when GOMAXPROCS is 1).
+func BenchmarkPipelineLanes(b *testing.B) { runPipelineBench(b, 0) }
 
 func maxI(a, b int) int {
 	if a > b {

@@ -35,7 +35,7 @@ func main() {
 	threshold := flag.Float64("threshold", 2.5, "EWMA anomaly threshold in standard deviations")
 	minDays := flag.Int("min-days", 20, "minimum active days for host profiling")
 	offsetStep := flag.Duration("offset-step", 10*time.Millisecond, "time-offset MLE grid step")
-	workers := flag.Int("workers", 0, "parallel pipeline shards (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "how the streaming pass is scheduled: "+cliutil.WorkersUsage)
 	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the analysis ("-" for stderr)`)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()

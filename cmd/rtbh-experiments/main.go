@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override scenario seed for -simulate")
 	mitigation := flag.String("mitigation", "", `fine-grained mitigation policy for -simulate: "flowspec", "escalate" or "mixed" (empty keeps pure RTBH; see table5)`)
 	list := flag.Bool("list", false, "list available experiments and exit")
-	workers := flag.Int("workers", 0, "parallel pipeline shards (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flag.Int("workers", 0, "how the streaming pass is scheduled: "+cliutil.WorkersUsage)
 	ixps := flag.Int("ixps", 1, "federate the world across this many exchanges (with -data, the directory holds ixp0..ixpN-1 datasets)")
 	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the run ("-" for stderr)`)
 	flag.Parse()

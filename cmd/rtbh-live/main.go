@@ -88,7 +88,7 @@ func main() {
 	days := flag.Int("days", 0, "override the measurement-period length in days; keeps event density: the event and victim budgets scale with it (0 keeps the scale default)")
 	snapEvery := flag.Duration("snapshot-every", 0, "print a partial analysis snapshot at this interval (0 disables)")
 	report := flag.Bool("report", true, "print the online analyzer's final report")
-	workers := flag.Int("workers", 0, "parallel pipeline shards for the report (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "how a report's replay of the unsealed flow tail is scheduled: "+cliutil.WorkersUsage)
 	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the run ("-" for stderr)`)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	chaosProfile := flag.String("chaos-profile", "",

@@ -7,25 +7,25 @@ import (
 
 // TailReplayStates computes the finalized, marshaled pipeline state over
 // everything observed so far twice: once replaying the unsealed tail
-// through a plain clone, which keeps the sealed side's wide gates, and
-// once through a frozen clone, the way frozen does. The two must be
-// byte-equal (TestFrozenReplayMatchesSpeculative).
+// through a plain clone on the caller, which keeps the sealed side's wide
+// gates, and once through a frozen clone's lanes, the way frozen does. The
+// two must be byte-equal (TestFrozenReplayMatchesSpeculative).
 func (a *OnlineAnalyzer) TailReplayStates() (wide, frozen []byte, err error) {
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
 	a.advanceLocked()
 	_, _, pend, _ := a.ingestView()
-	finalized := func(clone *pipeline.Pipeline) ([]byte, error) {
-		pend.observe(clone, a.head)
+	finalized := func(clone *pipeline.Pipeline, inline bool) ([]byte, error) {
+		pend.observe(clone, a.head, inline)
 		clone.Finalize()
 		return clone.MarshalState()
 	}
-	if wide, err = finalized(a.ops.Clone()); err != nil {
+	if wide, err = finalized(a.ops.Clone(), true); err != nil {
 		return nil, nil, err
 	}
 	clone := a.ops.Clone()
 	clone.Freeze()
-	frozen, err = finalized(clone)
+	frozen, err = finalized(clone, false)
 	return wide, frozen, err
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -30,7 +29,7 @@ func goldenConfig() rtbh.Config {
 // TestGoldenEndToEnd drives the full chain — route server and fabric
 // simulation, dataset round trip, single-pass analysis, text rendering —
 // and byte-compares the rendered report against the checked-in fixture,
-// for the sequential runner and the sharded parallel runner alike. On
+// for the inline pass and the one-goroutine-per-operator lanes alike. On
 // the way it reconciles every layer's metrics snapshot with the ground
 // truth next to it: the fabric gauges against the simulation summary,
 // and the pipeline counters against the report the analyst sees.
@@ -89,11 +88,9 @@ func TestGoldenEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workerCounts := []int{1, 3}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 3 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
+	// 0 is the default (one goroutine per operator when there is a second
+	// processor), 1 the inline pass, 2 stands for every N > 1, which means 0.
+	for _, workers := range []int{0, 1, 2} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg := rtbh.NewMetricsRegistry()
@@ -185,42 +182,41 @@ func reconcile(t *testing.T, snap, simSnap rtbh.MetricsSnapshot, report *rtbh.Re
 		}
 	}
 
-	// Stage timers fired once each; the parallel runner also accounts
-	// every record to a shard and counts its merges.
+	// Stage timers fired once each.
 	for _, name := range []string{"pipeline.observe", "analysis.compose"} {
 		tv, ok := snap.Timers[name]
 		if !ok || tv.Count != 1 {
 			t.Errorf("workers=%d: timer %s = %+v, want exactly one span", workers, name, tv)
 		}
 	}
-	if workers > 1 {
-		var sharded, busy int64
-		for i := 0; i < workers; i++ {
-			sharded += snap.Counter(fmt.Sprintf("pipeline.shard.%02d.records", i))
-			busy += snap.Gauge(fmt.Sprintf("pipeline.shard.%02d.busy_ns", i))
+
+	// The pass accounts itself the same way however it is scheduled: every
+	// operator feed took some of the external records and was busy for
+	// some of the observe span, never for more of it than there is; the
+	// time-alignment feed takes exactly the dropped records, and protocol
+	// mix and pending collateral share one gate.
+	external := report.TotalRecords - report.InternalRecords
+	wall := snap.Timers["pipeline.observe"].TotalNS
+	fed := func(op string) int64 { return snap.Counter("pipeline.lane." + op + ".records") }
+	for _, op := range []string{"align", "drop", "proto", "pending", "anomaly", "hosts"} {
+		if n := fed(op); n <= 0 || n > external {
+			t.Errorf("workers=%d: pipeline.lane.%s.records = %d of %d external records", workers, op, n, external)
 		}
-		// The single pass feeds every record to its destination shard, and
-		// to a second shard when the source hashes apart (the role split in
-		// parallel.go): destination roles plus split source roles.
-		split := snap.Counter("pipeline.dispatch.split_records")
-		if want := report.TotalRecords + split; sharded != want || split < 0 || split > report.TotalRecords {
-			t.Errorf("workers=%d: shard counters sum to %d, want %d records + %d split", workers, sharded, report.TotalRecords, split)
+		if busy := snap.Gauge("pipeline.lane." + op + ".busy_ns"); busy <= 0 || busy > wall {
+			t.Errorf("workers=%d: feed %s busy %dns outside (0, %dns]", workers, op, busy, wall)
 		}
-		// The workers are busy, and the dispatcher is blocked, only inside
-		// the observe span.
-		wall := snap.Timers["pipeline.observe"].TotalNS
-		if busy <= 0 || busy > int64(workers)*wall {
-			t.Errorf("workers=%d: shard busy time %dns outside (0, %d x %dns]", workers, busy, workers, wall)
-		}
-		if blocked := snap.Gauge("pipeline.dispatch.blocked_ns"); blocked < 0 || blocked > wall {
-			t.Errorf("workers=%d: dispatcher blocked %dns of a %dns pass", workers, blocked, wall)
-		}
-		if got := snap.Counter("pipeline.merges"); got != int64(workers) {
-			t.Errorf("workers=%d: pipeline.merges = %d, want %d", workers, got, workers)
-		}
-		if got := snap.Gauge("pipeline.workers"); got != int64(workers) {
-			t.Errorf("workers=%d: pipeline.workers gauge = %d", workers, got)
-		}
+	}
+	if got := fed("align"); got != report.DroppedRecords {
+		t.Errorf("workers=%d: pipeline.lane.align.records = %d, report drops %d", workers, got, report.DroppedRecords)
+	}
+	if fed("proto") != fed("pending") {
+		t.Errorf("workers=%d: pipeline.lane.proto.records = %d, pipeline.lane.pending.records = %d", workers, fed("proto"), fed("pending"))
+	}
+	if busy := snap.Gauge("pipeline.attribute.busy_ns"); busy <= 0 || busy > wall {
+		t.Errorf("workers=%d: attribution busy %dns outside (0, %dns]", workers, busy, wall)
+	}
+	if blocked := snap.Gauge("pipeline.lanes.blocked_ns"); blocked < 0 || blocked > wall {
+		t.Errorf("workers=%d: source blocked %dns of a %dns pass", workers, blocked, wall)
 	}
 }
 

@@ -154,9 +154,9 @@ func (a *Aggregator) Slots() int { return len(a.slots) }
 
 // Merge folds o's feature slots into a. Slots present in only one
 // aggregator are adopted; colliding slots sum their counters and merge
-// their bounded distinct sets. The parallel pipeline shards records so
-// that all samples of one (prefix, slot) land in one shard, making the
-// merged state identical to a sequential pass. o must not be used
+// their bounded distinct sets, which is what one pass over both streams
+// leaves wherever only one side saw a (prefix, slot), and up to the sets'
+// saturation (BoundedSet.Merge) where both did. o must not be used
 // afterwards. An adopted slot keeps the stamp it came with, so a copies it
 // before its first write.
 func (a *Aggregator) Merge(o *Aggregator) {

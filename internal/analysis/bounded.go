@@ -54,9 +54,7 @@ func (s *BoundedSet) Count() int { return len(s.keys) + int(s.saturated) }
 // Merge folds o into s: o's recorded keys are replayed as Adds and o's
 // saturated tail carries over. The result is exact whenever neither set
 // saturated and the union fits the capacity; beyond that it inherits
-// Add's saturation overestimate. The parallel pipeline only merges sets
-// whose key populations are disjoint by shard routing, where Merge
-// reproduces the sequential outcome exactly.
+// Add's saturation overestimate.
 func (s *BoundedSet) Merge(o *BoundedSet) {
 	for _, k := range o.keys {
 		s.Add(k)
@@ -130,8 +128,7 @@ func (c *TopCounter) Add(key uint32, n uint64) {
 
 // Merge folds o's counts into c, replaying them as Adds. Exact whenever
 // the union of keys fits the capacity; beyond that it inherits Add's
-// drop-unseen behaviour. As with BoundedSet.Merge, the parallel pipeline
-// only merges counters fed from disjoint shards.
+// drop-unseen behaviour.
 func (c *TopCounter) Merge(o *TopCounter) {
 	for i, k := range o.keys {
 		c.Add(k, o.counts[i])
@@ -162,9 +159,6 @@ func (c *TopCounter) Clone() *TopCounter {
 		cap:    c.cap,
 	}
 }
-
-// Len returns the number of tracked keys.
-func (c *TopCounter) Len() int { return len(c.keys) }
 
 // Entries returns the tracked keys and their counts (shared slices; the
 // caller must not modify them).

@@ -271,9 +271,9 @@ func (p *Pending) fold(id int, t *table) {
 	p.n += dst.n - held
 }
 
-// Merge folds o's cells into p, summing colliding cells. Exact regardless
-// of sharding: cell sums are commutative. o must not be used afterwards:
-// p adopts the tables of events only o holds.
+// Merge folds o's cells into p, summing colliding cells. Exact however
+// the stream was split: cell sums are commutative. o must not be used
+// afterwards: p adopts the tables of events only o holds.
 func (p *Pending) Merge(o *Pending) {
 	for id, ot := range o.tables {
 		p.fold(id, ot)

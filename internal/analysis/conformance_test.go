@@ -24,7 +24,7 @@ import (
 // satisfy four properties the engine relies on:
 //
 //	(a) merging over any split of the observation stream produces the
-//	    same state as a sequential pass (parallel shards, federation);
+//	    same state as a sequential pass (federation);
 //	(b) Merge is associative across three-way splits (merge trees);
 //	(c) Snapshot is an independent copy — neither side sees the other's
 //	    subsequent observations (copy-on-snapshot in the online path),

@@ -126,9 +126,9 @@ func (a *Aggregator) Add(eventID int, prefixLen uint8, srcMember uint32, dropped
 
 // Merge folds o's tallies into a; counters are summed, per-event and
 // per-source maps union-merged. Merging is commutative and associative,
-// so shard aggregators combine into the exact state a single sequential
-// aggregator would hold. o must not be used afterwards: a may adopt its
-// internal structures.
+// so the aggregators of a federation's exchanges combine into the exact
+// state one aggregator over all their streams would hold. o must not be
+// used afterwards: a may adopt its internal structures.
 func (a *Aggregator) Merge(o *Aggregator) {
 	for l := range o.byLen {
 		a.byLen[l].merge(&o.byLen[l])

@@ -26,8 +26,9 @@ type candidate struct {
 // index in place — so whoever extends it rebinds every cursor, which
 // drops the memo.
 //
-// A cursor is single-goroutine state; every pipeline shard owns its
-// own pair (destination- and source-keyed).
+// A cursor is single-goroutine state: a pipeline's pair (destination-
+// and source-keyed) belongs to the goroutine that attributes, and the
+// time-alignment operator keeps one of its own.
 type Cursor struct {
 	ix    *Index
 	valid bool

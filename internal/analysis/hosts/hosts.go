@@ -151,9 +151,9 @@ func (a *Aggregator) AddOutgoing(ip uint32, d int32, srcPort, dstPort uint16, pr
 // Merge folds o's host aggregates into a. Hosts present in only one
 // aggregator are adopted; colliding hosts union their day maps (OR-ing
 // direction flags, merging top-port counters) and merge their feature
-// sets. The parallel pipeline shards records by host address so that all
-// traffic of one host lands in one shard, making the merged state
-// identical to a sequential pass. o must not be used afterwards.
+// sets, which is what one pass over both streams leaves wherever only one
+// side saw a host, and up to the sets' saturation (BoundedSet.Merge) where
+// both did. o must not be used afterwards.
 //
 // An adopted host keeps the stamp it came with, so a copies it before its
 // first write; a day moves into a host of a's only when o alone held it,

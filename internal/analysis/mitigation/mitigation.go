@@ -139,9 +139,9 @@ func (a *Aggregator) Add(prefix bgp.Prefix, phase Phase, proto uint8, srcPort ui
 	}
 }
 
-// Merge folds o's tallies into a (commutative and associative; shard
-// aggregators combine into exactly the sequential state). o must not be
-// used afterwards: a may adopt its internal structures.
+// Merge folds o's tallies into a (commutative and associative: any split
+// of a stream merges into exactly the state one pass leaves). o must not
+// be used afterwards: a may adopt its internal structures.
 func (a *Aggregator) Merge(o *Aggregator) {
 	for p, oc := range o.byPrefix {
 		if cs := a.byPrefix[p]; cs != nil {

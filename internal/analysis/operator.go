@@ -11,11 +11,13 @@ package analysis
 //   - Observe (stage-specific signature): fold one flow observation into
 //     the compact aggregate state. O(1) amortized per record; never
 //     retains the raw record.
-//   - Merge: fold another operator's state into this one. The sharded
-//     parallel pipeline merges per-worker operators whose key populations
-//     are disjoint by shard routing, which makes Merge exact; the online
-//     path never merges overlapping operators — it snapshots and replays
-//     instead (see Snapshot).
+//   - Merge: fold another operator's state into this one — how a
+//     federation combines its exchanges' pipelines (Pipeline.Fold). Exact
+//     wherever the two sides' key populations are disjoint, and up to the
+//     bounded structures' saturation where they overlap. Neither the
+//     batch pass nor the online path merges: every operator sees the
+//     whole stream in stream order, on the caller or on a lane of its own,
+//     and snapshots are replayed into, not merged (see Snapshot).
 //   - Snapshot: return an independent copy of the state; cost follows
 //     what is written afterwards. Neither side ever sees the other's later
 //     observations, and the original may go on observing while the copy

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/analysis/events"
@@ -39,11 +38,11 @@ func batchSource(batches []*ipfix.RecordBatch) BatchSource {
 
 // TestObserveBatchParity pins the batch contract: how a stream is cut
 // into batches never shows. ObserveBatch over a chunked stream must leave
-// the exact state ObserveRecords over the whole stream leaves, and the
-// zero-copy parallel dispatch (RunBatches) must merge to that same state
-// at every worker count. This is the aggregator-level
-// face of the byte-identical-reports guarantee the root-package golden
-// and parity suites pin end to end.
+// the exact state ObserveRecords over the whole stream leaves, and so
+// must the batch driver (RunBatches), whose lanes retain the batches, at
+// every worker count. This is the aggregator-level face of the
+// byte-identical-reports guarantee the root-package golden and parity
+// suites pin end to end.
 func TestObserveBatchParity(t *testing.T) {
 	recs := parityStream(30000)
 	batches := chunkBatches(recs, 512)
@@ -69,7 +68,7 @@ func TestObserveBatchParity(t *testing.T) {
 		snap(p).mustEqual(t, ref, "ObserveBatch")
 	})
 
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			pp, err := NewParallel(testMeta(), parityUpdates(), events.DefaultDelta, workers)
 			if err != nil {
@@ -120,6 +119,31 @@ func TestObserveBatchAllocs(t *testing.T) {
 		// passes; everything else must be allocation-free.
 		if perRecord > 0.01 {
 			t.Fatalf("warm batch path allocates %.4f allocs/record, want ~0 (<= 0.01)", perRecord)
+		}
+	})
+
+	// The lanes add what starting them costs — the ring's slots, channels
+	// and goroutines, and one side array per slot used — and nothing per
+	// batch: eight times as many batches must not allocate more.
+	t.Run("lanes", func(t *testing.T) {
+		p := fresh()
+		observe(p)
+		through := func(batches []*ipfix.RecordBatch) float64 {
+			return testing.AllocsPerRun(3, func() {
+				l := p.startLanes()
+				for _, b := range batches {
+					l.ObserveBatch(b)
+				}
+				l.Close()
+			})
+		}
+		few, many := through(batches), through(chunkBatches(recs, 64))
+		inline := testing.AllocsPerRun(3, func() { observe(p) })
+		t.Logf("allocs per warm pass: inline %.0f, lanes %.0f over %d batches, %.0f over %d",
+			inline, few, len(batches), many, (len(recs)+63)/64)
+		if start := 4.0 * laneRing; few > inline+start || many > inline+start {
+			t.Fatalf("a warm pass through the lanes allocates %.0f (%d batches) and %.0f (%d batches) times, want at most %.0f more than the inline pass's %.0f",
+				few, len(batches), many, (len(recs)+63)/64, start, inline)
 		}
 	})
 

@@ -13,10 +13,13 @@
 // the top-port sets at compose time is exact (see collateral.Pending).
 //
 // The seven streaming stages satisfy the analysis.Operator contract
-// (Observe/Merge/Snapshot), which is what lets one engine serve three
-// drivers: the sequential batch pass, the sharded parallel runner
-// (Merge), and the online analyzer (Snapshot + speculative observation;
-// see NewSpeculative and DESIGN.md, "Incremental analysis").
+// (Observe/Merge/Snapshot), which is what lets one engine serve the batch
+// pass, federation (Merge) and the online analyzer (Snapshot +
+// speculative observation; see NewSpeculative and DESIGN.md, "Incremental
+// analysis"). A record is resolved against the control plane once
+// (attribute) and each operator is fed from the result, either back to
+// back on the caller (ObserveRecords) or on a goroutine per operator
+// (Lanes).
 package pipeline
 
 import (
@@ -32,6 +35,7 @@ import (
 	"repro/internal/analysis/mitigation"
 	"repro/internal/analysis/protomix"
 	"repro/internal/analysis/timealign"
+	"repro/internal/bgp"
 	"repro/internal/ipfix"
 	"repro/internal/netgen"
 	"repro/internal/obs"
@@ -97,6 +101,8 @@ type Pipeline struct {
 	lastInternal           bool
 	lastMember             uint32
 	macValid               bool
+	// side is the inline pass's side array (see attr), one block long.
+	side []attr
 
 	// speculative marks a pipeline whose state holds candidates gathered
 	// before the control stream was complete (the online analyzer): compose
@@ -117,6 +123,16 @@ type Pipeline struct {
 	// profileCount is set by ComposeProfiles for the pipeline.profiles
 	// gauge.
 	profileCount int64
+	// obs is the optional accounting of the pass (RegisterMetrics).
+	obs *passObs
+}
+
+// passObs accounts where a pass spends its time, per batch, never per
+// record. Under Lanes every feed adds to its own from its own goroutine.
+type passObs struct {
+	attribute, blocked *obs.Gauge
+	busy               [nFeeds]*obs.Gauge
+	records            [nFeeds]*obs.Counter
 }
 
 // New builds a batch pipeline: events are merged from the complete update
@@ -243,67 +259,6 @@ func (p *Pipeline) CowCopies() int64 {
 	return p.Hosts.CowCopies() + p.Pending.CowCopies() + p.Anomaly.CowCopies()
 }
 
-// newShard returns a pipeline sharing p's immutable control-plane state
-// (metadata, events, attribution index — all read-only during the
-// streaming pass) with fresh, empty operators.
-func (p *Pipeline) newShard() *Pipeline {
-	s := newEmpty(p.Meta)
-	s.Events = p.Events
-	s.Index = p.Index
-	s.FlowIx = p.FlowIx
-	s.Align = timealign.New(p.Index)
-	s.bindCursors()
-	s.speculative, s.wide = p.speculative, p.wide
-	if p.wide {
-		s.pairs = make(map[uint64]int64)
-	}
-	return s
-}
-
-// MergeTimers holds per-operator span timers for the shard-merge stage of
-// the parallel runner. Each shard merge contributes one span per
-// operator.
-type MergeTimers struct {
-	Drop, Anomaly, Proto, Hosts, Align, Collateral, Mitigation obs.Timer
-}
-
-// spanned runs fn under t when timing is enabled (t may be nil).
-func spanned(t *obs.Timer, fn func()) {
-	if t == nil {
-		fn()
-		return
-	}
-	sp := t.Start()
-	fn()
-	sp.End()
-}
-
-// merge folds o's state into p, timing each operator merge when tm is
-// non-nil. o must not observe any further records.
-func (p *Pipeline) merge(o *Pipeline, tm *MergeTimers) {
-	p.TotalRecords += o.TotalRecords
-	p.InternalRecords += o.InternalRecords
-	p.AttributedRecords += o.AttributedRecords
-	p.DroppedRecords += o.DroppedRecords
-	var drop, anom, proto, hosts, align, coll, mit *obs.Timer
-	if tm != nil {
-		drop, anom, proto, hosts, align, coll, mit = &tm.Drop, &tm.Anomaly, &tm.Proto, &tm.Hosts, &tm.Align, &tm.Collateral, &tm.Mitigation
-	}
-	spanned(drop, func() { p.Drop.Merge(o.Drop) })
-	spanned(anom, func() { p.Anomaly.Merge(o.Anomaly) })
-	spanned(proto, func() { p.Proto.Merge(o.Proto) })
-	spanned(hosts, func() { p.Hosts.Merge(o.Hosts) })
-	spanned(align, func() { p.Align.Merge(o.Align) })
-	spanned(coll, func() { p.Pending.Merge(o.Pending) })
-	spanned(mit, func() { p.Mit.Merge(o.Mit) })
-	if p.pairs == nil && len(o.pairs) > 0 {
-		p.pairs = make(map[uint64]int64, len(o.pairs))
-	}
-	for k, v := range o.pairs {
-		p.pairs[k] += v
-	}
-}
-
 // RegisterMetrics exposes the pipeline's cleaning counters, event and
 // profile populations, and the drop-statistics totals under the
 // "pipeline." and "dropstats." prefixes. The gauges read pipeline state
@@ -311,7 +266,21 @@ func (p *Pipeline) merge(o *Pipeline, tm *MergeTimers) {
 // values reconcile exactly with the rendered report: records.dropped
 // equals the report's DroppedRecords, and the dropstats totals sum the
 // Fig 5 rows (see DESIGN.md, "Observability").
+//
+// It also switches on the pass's own accounting, however the pass is
+// driven: pipeline.attribute.busy_ns, per operator feed
+// pipeline.lane.<op>.busy_ns and .records (what the feed handed its
+// operators), and pipeline.lanes.blocked_ns (a Lanes source waiting for a
+// ring slot). Without a registry no clock is read. Call before the pass.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
+	p.obs = &passObs{
+		attribute: reg.Gauge("pipeline.attribute.busy_ns"),
+		blocked:   reg.Gauge("pipeline.lanes.blocked_ns"),
+	}
+	for i, f := range feeds {
+		p.obs.busy[i] = reg.Gauge("pipeline.lane." + f.name + ".busy_ns")
+		p.obs.records[i] = reg.Counter("pipeline.lane." + f.name + ".records")
+	}
 	reg.GaugeFunc("pipeline.records.total", func() int64 { return p.TotalRecords })
 	reg.GaugeFunc("pipeline.records.internal", func() int64 { return p.InternalRecords })
 	reg.GaugeFunc("pipeline.records.attributed", func() int64 { return p.FinalAttributed() })
@@ -327,25 +296,60 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("mitigation.windows", func() int64 { return int64(p.FlowIx.Windows()) })
 }
 
-// ObserveRecords processes a slice of flow records in order. Each record
-// goes through a destination-keyed and a source-keyed half, split so that
-// the parallel runner can route each half to the shard owning the
-// respective address; run back to back they are exactly the sequential
-// pass. The per-run memos (address cursors, MAC metadata) do the heavy
-// lifting: consecutive records overwhelmingly share endpoints, so the
-// per-record map probes that dominate a naive pass amortize across each
-// run.
+// attr is what the attribution pass resolves about one record and every
+// operator feed reads instead of resolving it again. A prefix an
+// attribution query returns is the record's destination address cut to
+// some length, so only the length is kept. The zero value (an internal
+// record) feeds no operator.
+type attr struct {
+	flags                    uint8
+	matchLen, fsLen, anomLen uint8  // prefix lengths: blackhole (fInEvent), FlowSpec (fFlowSpec), anomaly (fInRange)
+	event                    int32  // fInEvent: the covering event's ID
+	member                   uint32 // ingress (source-MAC) member ASN
+	day                      int32  // fLegitIn, fLegitOut: day of the period
+}
+
+// The attr flags. fDropped is never set on an internal record; fActive
+// implies fInEvent.
+const (
+	fDropped  uint8 = 1 << iota // delivered to the blackhole MAC
+	fFlowSpec                   // a FlowSpec window covers the record
+	fActive                     // an announced episode covers the ever-blackholed destination
+	fInEvent                    // an event window covers the ever-blackholed destination
+	fInRange                    // the destination is inside an event's analysis range
+	fLegitIn                    // legitimate traffic toward a profiled host
+	fLegitOut                   // legitimate traffic from a profiled host
+)
+
+// inlineBlock is how many records the inline pass attributes before it
+// runs the feeds over them: few enough that records and side array are
+// still in the first-level cache when the last feed reads them.
+const inlineBlock = 256
+
+// ObserveRecords processes a slice of flow records in order, on the
+// calling goroutine: block by block, one attribution pass resolves every
+// record against the control plane, then each operator's feed walks the
+// attributed block. The per-run memos (address cursors, MAC metadata) do
+// the heavy lifting: consecutive records overwhelmingly share endpoints,
+// so the per-record map probes that dominate a naive pass amortize across
+// each run.
 //
 // The loop and the operators under it keep one rule: a record's keys are
-// resolved by a run memo, a dense array or bitset read, or one
-// find-or-insert in a flat table — never by lookup-then-assign on a Go
+// resolved once per batch, by a run memo, a dense array or bitset read, or
+// one find-or-insert in a flat table — never by lookup-then-assign on a Go
 // map, by a per-record allocation, or by time.Time arithmetic (DESIGN.md,
 // "The observe loop").
 func (p *Pipeline) ObserveRecords(recs []ipfix.FlowRecord) {
-	for i := range recs {
-		rec := &recs[i]
-		p.observeDst(rec)
-		p.observeSrc(rec)
+	if p.side == nil {
+		p.side = make([]attr, inlineBlock)
+	}
+	for len(recs) > 0 {
+		n := min(len(recs), inlineBlock)
+		p.attribute(recs[:n], p.side[:n])
+		for i := range feeds {
+			p.feed(i, recs[:n], p.side[:n])
+		}
+		recs = recs[n:]
 	}
 }
 
@@ -353,111 +357,216 @@ func (p *Pipeline) ObserveRecords(recs []ipfix.FlowRecord) {
 // duration of the call per the ipfix.RecordBatch contract.
 func (p *Pipeline) ObserveBatch(b *ipfix.RecordBatch) { p.ObserveRecords(b.Recs) }
 
-// resolveMACs returns the MAC-derived metadata for rec through the
-// one-entry memo: whether the record touches an internal system and the
-// ingress (source-MAC) member ASN.
-func (p *Pipeline) resolveMACs(rec *ipfix.FlowRecord) (internal bool, srcMember uint32) {
-	if !p.macValid || rec.SrcMAC != p.lastSrcMAC || rec.DstMAC != p.lastDstMAC {
-		p.macValid = true
-		p.lastSrcMAC, p.lastDstMAC = rec.SrcMAC, rec.DstMAC
-		p.lastInternal = p.Meta.IsInternal(rec)
-		p.lastMember = p.Meta.MemberOf(rec.SrcMAC)
+// attribute is the one place a record meets the control plane: it counts
+// the cleaning steps (§3.1), tallies the wide-gate pairs and writes each
+// record's attr into at. Memos and counters belong to its one caller.
+func (p *Pipeline) attribute(recs []ipfix.FlowRecord, at []attr) {
+	var start time.Time
+	if p.obs != nil {
+		start = time.Now()
 	}
-	return p.lastInternal, p.lastMember
-}
+	// Summed per batch: under Lanes the feeds read the pipeline's operator
+	// pointers from the cache lines the counters share.
+	var internal, blackholed, attributed int64
+	for i := range recs {
+		rec, a := &recs[i], &at[i]
+		*a = attr{}
+		if !p.macValid || rec.SrcMAC != p.lastSrcMAC || rec.DstMAC != p.lastDstMAC {
+			p.macValid = true
+			p.lastSrcMAC, p.lastDstMAC = rec.SrcMAC, rec.DstMAC
+			p.lastInternal = p.Meta.IsInternal(rec)
+			p.lastMember = p.Meta.MemberOf(rec.SrcMAC)
+		}
+		if p.lastInternal {
+			internal++
+			continue
+		}
+		a.member = p.lastMember
+		if rec.DstMAC == p.Meta.BlackholeMAC {
+			blackholed++
+			a.flags |= fDropped
+		}
+		// FlowSpec is evaluated before the RTBH gates: a FlowSpec-only
+		// mitigation covers destinations that may never enter the
+		// ever-blackholed set at all.
+		if fs, ok := p.FlowIx.Lookup(rec.DstIP, rec.Start); ok {
+			a.flags |= fFlowSpec
+			a.fsLen = fs.Len
+		}
 
-// observeDst handles the cleaning counters and all aggregations keyed by
-// the destination address (drop stats, protocol mix, anomaly features,
-// time alignment, incoming host traffic, pending collateral tallies).
-func (p *Pipeline) observeDst(rec *ipfix.FlowRecord) {
-	p.TotalRecords++
-	internal, srcMember := p.resolveMACs(rec)
-	if internal {
-		p.InternalRecords++
-		return
-	}
-	dropped := rec.DstMAC == p.Meta.BlackholeMAC
-	if dropped {
-		p.DroppedRecords++
-		p.Align.AddDropped(rec.DstIP, rec.Start)
-	}
-	pkts := int64(rec.Packets)
-	bytes := int64(rec.Bytes)
-
-	// FlowSpec-phase mitigation tally, evaluated before the RTBH
-	// attribution gates: a FlowSpec-only mitigation covers destinations
-	// that may never enter the ever-blackholed set at all. When both a
-	// FlowSpec window and an RTBH episode cover the record, FlowSpec wins
-	// (the rule is more specific than the covering blackhole).
-	fsPrefix, fsActive := p.FlowIx.Lookup(rec.DstIP, rec.Start)
-	if fsActive {
-		p.Mit.Add(fsPrefix, mitigation.PhaseFlowSpec, rec.Proto, rec.SrcPort, dropped, pkts, bytes)
-	}
-
-	_, dstBH := p.curDst.EverBlackholed(rec.DstIP)
-	_, srcBH := p.curSrc.EverBlackholed(rec.SrcIP)
-	if dstBH || srcBH {
-		p.AttributedRecords++
-	} else if p.wide {
-		// Neither endpoint has been blackholed *yet*; a later
-		// announcement can still make this record attributable.
-		// EverBlackholed is monotone, so tallying the pair now and
-		// resolving it against the final predicate (FinalAttributed)
-		// reproduces the batch count exactly.
-		p.pairs[uint64(rec.DstIP)<<32|uint64(rec.SrcIP)]++
-	}
-	if !dstBH && !p.wide {
-		return
-	}
-	m := p.curDst.Lookup(rec.DstIP, rec.Start)
-	if dstBH {
-		if m.Active {
-			p.Drop.Add(m.Event.ID, m.Prefix.Len, srcMember, dropped, pkts, bytes)
-			if !fsActive {
-				p.Mit.Add(m.Prefix, mitigation.PhaseRTBH, rec.Proto, rec.SrcPort, dropped, pkts, bytes)
+		_, dstBH := p.curDst.EverBlackholed(rec.DstIP)
+		_, srcBH := p.curSrc.EverBlackholed(rec.SrcIP)
+		if dstBH || srcBH {
+			attributed++
+		} else if p.wide {
+			// Neither endpoint has been blackholed *yet*; a later
+			// announcement can still make this record attributable.
+			// EverBlackholed is monotone, so tallying the pair now and
+			// resolving it against the final predicate (FinalAttributed)
+			// reproduces the batch count exactly.
+			p.pairs[uint64(rec.DstIP)<<32|uint64(rec.SrcIP)]++
+		}
+		// Host profiling. Batch mode knows the final ever-blackholed set
+		// up front and only profiles those hosts; with wide gates every
+		// external candidate passes and the (by then final) predicate is
+		// left to ComposeProfiles. The event-window gates evaluate
+		// identically either way: once a record is old enough to be
+		// observed here, no future event can still cover it.
+		if dstBH || p.wide {
+			m := p.curDst.Lookup(rec.DstIP, rec.Start)
+			if dstBH {
+				if m.Active {
+					a.flags |= fActive
+				}
+				if m.Event != nil {
+					a.flags |= fInEvent
+					a.event, a.matchLen = int32(m.Event.ID), m.Prefix.Len
+				}
+				if prefix, ok := p.curDst.Interesting(rec.DstIP, rec.Start); ok {
+					a.flags |= fInRange
+					a.anomLen = prefix.Len
+				}
+			}
+			if m.Event == nil && p.legitAt(p.curDst, rec.DstIP, rec.Start) {
+				a.flags |= fLegitIn
 			}
 		}
-		if m.Event != nil {
-			// Proto.Add reads the origin AS of amplification traffic only.
-			var originAS uint32
-			if netgen.IsAmplificationPort(rec.Proto, rec.SrcPort) {
-				originAS, _ = p.Meta.IP2AS.Lookup(rec.SrcIP)
+		if srcBH || p.wide {
+			if m := p.curSrc.Lookup(rec.SrcIP, rec.Start); m.Event == nil && p.legitAt(p.curSrc, rec.SrcIP, rec.Start) {
+				a.flags |= fLegitOut
 			}
-			p.Proto.Add(m.Event.ID, rec.Proto, rec.SrcIP, rec.SrcPort, pkts, originAS, srcMember)
-			p.Pending.Add(m.Event.ID, rec.DstIP, rec.DstPort, rec.Proto, dropped, pkts)
 		}
-		if prefix, ok := p.curDst.Interesting(rec.DstIP, rec.Start); ok {
-			p.Anomaly.Add(prefix, rec.Start, rec.SrcIP, rec.SrcPort, rec.DstPort, rec.Proto, pkts)
+		if a.flags&(fLegitIn|fLegitOut) != 0 {
+			a.day = int32(analysis.Day(p.Meta.Start, rec.Start))
 		}
 	}
-	// Host profiling. Batch mode knows the final ever-blackholed set up
-	// front and only profiles those destinations; with wide gates every
-	// external candidate reaches here and the (by then final) predicate
-	// is left to ComposeProfiles. The event-window gates
-	// evaluate identically either way: once a record is old enough to
-	// be observed here, no future event can still cover it.
-	if m.Event == nil && p.legitAt(p.curDst, rec.DstIP, rec.Start) {
-		day := int32(analysis.Day(p.Meta.Start, rec.Start))
-		p.Hosts.AddIncoming(rec.DstIP, day, rec.SrcPort, rec.DstPort, rec.Proto, pkts)
+	p.TotalRecords += int64(len(recs))
+	p.InternalRecords += internal
+	p.DroppedRecords += blackholed
+	p.AttributedRecords += attributed
+	if p.obs != nil {
+		p.obs.attribute.Add(int64(time.Since(start)))
 	}
 }
 
-// observeSrc handles the aggregation keyed by the source address
-// (outgoing host traffic). Counters are owned by observeDst so that a
-// record dispatched to two shards is counted once.
-func (p *Pipeline) observeSrc(rec *ipfix.FlowRecord) {
-	internal, _ := p.resolveMACs(rec)
-	if internal {
+const nFeeds = 6
+
+// feeds are the operator lanes: each walks an attributed batch and touches
+// its own operators only, so the feeds can run back to back on one
+// goroutine (ObserveRecords) or each on its own (Lanes) and every operator
+// still sees the stream in order. run returns how many records it fed.
+var feeds = [nFeeds]struct {
+	name string
+	run  func(*Pipeline, []ipfix.FlowRecord, []attr) int
+}{
+	{"align", (*Pipeline).feedAlign},
+	{"drop", (*Pipeline).feedDrop},
+	{"proto", (*Pipeline).feedProto},
+	{"pending", (*Pipeline).feedPending},
+	{"anomaly", (*Pipeline).feedAnomaly},
+	{"hosts", (*Pipeline).feedHosts},
+}
+
+// feed runs feeds[i] over one attributed batch and accounts it when
+// instrumented.
+func (p *Pipeline) feed(i int, recs []ipfix.FlowRecord, at []attr) {
+	if p.obs == nil {
+		feeds[i].run(p, recs, at)
 		return
 	}
-	if _, srcBH := p.curSrc.EverBlackholed(rec.SrcIP); !srcBH && !p.wide {
-		return
+	start := time.Now()
+	n := feeds[i].run(p, recs, at)
+	p.obs.busy[i].Add(int64(time.Since(start)))
+	p.obs.records[i].Add(int64(n))
+}
+
+func (p *Pipeline) feedAlign(recs []ipfix.FlowRecord, at []attr) (n int) {
+	for i := range at {
+		if at[i].flags&fDropped != 0 {
+			p.Align.AddDropped(recs[i].DstIP, recs[i].Start)
+			n++
+		}
 	}
-	mSrc := p.curSrc.Lookup(rec.SrcIP, rec.Start)
-	if mSrc.Event == nil && p.legitAt(p.curSrc, rec.SrcIP, rec.Start) {
-		day := int32(analysis.Day(p.Meta.Start, rec.Start))
-		p.Hosts.AddOutgoing(rec.SrcIP, day, rec.SrcPort, rec.DstPort, rec.Proto, int64(rec.Packets))
+	return n
+}
+
+// feedDrop feeds the drop statistics and the mitigation comparison, where
+// FlowSpec wins a record an RTBH episode covers too: the more specific rule.
+func (p *Pipeline) feedDrop(recs []ipfix.FlowRecord, at []attr) (n int) {
+	for i, a := range at {
+		if a.flags&(fFlowSpec|fActive) == 0 {
+			continue
+		}
+		rec := &recs[i]
+		drop, pkts, bytes := a.flags&fDropped != 0, int64(rec.Packets), int64(rec.Bytes)
+		if a.flags&fFlowSpec != 0 {
+			p.Mit.Add(bgp.MakePrefix(rec.DstIP, a.fsLen), mitigation.PhaseFlowSpec, rec.Proto, rec.SrcPort, drop, pkts, bytes)
+		}
+		if a.flags&fActive != 0 {
+			p.Drop.Add(int(a.event), a.matchLen, a.member, drop, pkts, bytes)
+			if a.flags&fFlowSpec == 0 {
+				p.Mit.Add(bgp.MakePrefix(rec.DstIP, a.matchLen), mitigation.PhaseRTBH, rec.Proto, rec.SrcPort, drop, pkts, bytes)
+			}
+		}
+		n++
 	}
+	return n
+}
+
+func (p *Pipeline) feedProto(recs []ipfix.FlowRecord, at []attr) (n int) {
+	for i, a := range at {
+		if a.flags&fInEvent == 0 {
+			continue
+		}
+		rec := &recs[i]
+		// Proto.Add reads the origin AS of amplification traffic only.
+		var originAS uint32
+		if netgen.IsAmplificationPort(rec.Proto, rec.SrcPort) {
+			originAS, _ = p.Meta.IP2AS.Lookup(rec.SrcIP)
+		}
+		p.Proto.Add(int(a.event), rec.Proto, rec.SrcIP, rec.SrcPort, int64(rec.Packets), originAS, a.member)
+		n++
+	}
+	return n
+}
+
+func (p *Pipeline) feedPending(recs []ipfix.FlowRecord, at []attr) (n int) {
+	for i, a := range at {
+		if a.flags&fInEvent != 0 {
+			rec := &recs[i]
+			p.Pending.Add(int(a.event), rec.DstIP, rec.DstPort, rec.Proto, a.flags&fDropped != 0, int64(rec.Packets))
+			n++
+		}
+	}
+	return n
+}
+
+func (p *Pipeline) feedAnomaly(recs []ipfix.FlowRecord, at []attr) (n int) {
+	for i, a := range at {
+		if a.flags&fInRange != 0 {
+			rec := &recs[i]
+			p.Anomaly.Add(bgp.MakePrefix(rec.DstIP, a.anomLen), rec.Start, rec.SrcIP, rec.SrcPort, rec.DstPort, rec.Proto, int64(rec.Packets))
+			n++
+		}
+	}
+	return n
+}
+
+func (p *Pipeline) feedHosts(recs []ipfix.FlowRecord, at []attr) (n int) {
+	for i, a := range at {
+		if a.flags&(fLegitIn|fLegitOut) == 0 {
+			continue
+		}
+		rec := &recs[i]
+		if a.flags&fLegitIn != 0 {
+			p.Hosts.AddIncoming(rec.DstIP, a.day, rec.SrcPort, rec.DstPort, rec.Proto, int64(rec.Packets))
+		}
+		if a.flags&fLegitOut != 0 {
+			p.Hosts.AddOutgoing(rec.SrcIP, a.day, rec.SrcPort, rec.DstPort, rec.Proto, int64(rec.Packets))
+		}
+		n++
+	}
+	return n
 }
 
 // legitAt reports that no event window starts within the reaction buffer

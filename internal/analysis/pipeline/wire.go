@@ -88,10 +88,27 @@ func UnmarshalState(meta *analysis.Metadata, data []byte) (*Pipeline, error) {
 }
 
 // Fold merges o's operator state into p — the exported entry point the
-// federation coordinator uses to combine decoded per-IXP pipelines. The
-// same contract as the parallel runner's shard merge applies: o must
-// not observe any further records.
-func (p *Pipeline) Fold(o *Pipeline) { p.merge(o, nil) }
+// federation coordinator uses to combine decoded per-IXP pipelines. o
+// must not observe any further records.
+func (p *Pipeline) Fold(o *Pipeline) {
+	p.TotalRecords += o.TotalRecords
+	p.InternalRecords += o.InternalRecords
+	p.AttributedRecords += o.AttributedRecords
+	p.DroppedRecords += o.DroppedRecords
+	p.Drop.Merge(o.Drop)
+	p.Anomaly.Merge(o.Anomaly)
+	p.Proto.Merge(o.Proto)
+	p.Hosts.Merge(o.Hosts)
+	p.Align.Merge(o.Align)
+	p.Pending.Merge(o.Pending)
+	p.Mit.Merge(o.Mit)
+	if p.pairs == nil && len(o.pairs) > 0 {
+		p.pairs = make(map[uint64]int64, len(o.pairs))
+	}
+	for k, v := range o.pairs {
+		p.pairs[k] += v
+	}
+}
 
 // RemapEvents rewrites every event-keyed operator through m (local
 // event ID -> federated event ID). The coordinator derives m by

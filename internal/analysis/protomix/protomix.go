@@ -89,9 +89,9 @@ func (a *Aggregator) Add(eventID int, proto uint8, srcIP uint32, srcPort uint16,
 // Merge folds o's per-event aggregates into a. Events present in only
 // one aggregator are adopted; colliding events sum their packet counters,
 // union their AS sets (bounded as in Add) and merge their source-IP
-// sets. The parallel pipeline shards records so that all samples of one
-// event land in one shard, making the merged state identical to a
-// sequential pass. o must not be used afterwards.
+// sets, which is what one pass over both streams leaves wherever only one
+// side saw an event, and up to the sets' saturation (BoundedSet.Merge)
+// where both did. o must not be used afterwards.
 func (a *Aggregator) Merge(o *Aggregator) {
 	for id, oea := range o.events {
 		ea := a.events[id]

@@ -25,7 +25,7 @@ import (
 // Result is one benchmark's parsed measurement line.
 type Result struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
-	// e.g. "BenchmarkPipelineParallel/workers=2".
+	// e.g. "BenchmarkOnlineSnapshot/incremental".
 	Name string `json:"name"`
 	// Iterations is the b.N the line reports.
 	Iterations int `json:"iterations"`

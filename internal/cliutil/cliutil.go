@@ -19,8 +19,11 @@ import (
 	"repro/internal/scenario"
 )
 
-// CheckWorkers validates a -workers flag: 0 means GOMAXPROCS, positive
-// counts are taken literally, negatives are rejected.
+// WorkersUsage is the value part of every -workers flag's help.
+const WorkersUsage = "1 = one goroutine, 0 = one goroutine per operator over GOMAXPROCS (one goroutine when GOMAXPROCS is 1); N > 1 means 0"
+
+// CheckWorkers validates a -workers flag (see WorkersUsage): any count
+// from 0 up is accepted, negatives are rejected.
 func CheckWorkers(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", n)

@@ -63,9 +63,6 @@ func (t *Table) Lookup(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
-// Len returns the number of entries.
-func (t *Table) Len() int { return len(t.asn) }
-
 // Entries returns all entries sorted by (address, length).
 func (t *Table) Entries() []Entry {
 	keys := make([]uint64, 0, len(t.asn))

@@ -56,8 +56,8 @@ func TestAddReplacesAndCounts(t *testing.T) {
 	p := bgp.MustParsePrefix("10.0.0.0/8")
 	tb.Add(p, 1)
 	tb.Add(p, 2)
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d", tb.Len())
+	if n := len(tb.Entries()); n != 1 {
+		t.Fatalf("%d entries", n)
 	}
 	if asn, _ := tb.Lookup(0x0a000001); asn != 2 {
 		t.Fatalf("replacement failed: %d", asn)
@@ -76,8 +76,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 {
-		t.Fatalf("Len = %d", got.Len())
+	if n := len(got.Entries()); n != 2 {
+		t.Fatalf("%d entries", n)
 	}
 	if asn, ok := got.Lookup(0xcb007105); !ok || asn != 64500 {
 		t.Fatalf("lookup after round trip = %d, %v", asn, ok)

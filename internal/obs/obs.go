@@ -9,8 +9,8 @@
 // counters that a snapshot can cross-check against the rendered report
 // (see DESIGN.md, "Observability"). Counters and gauges are single atomic
 // words: incrementing one costs a few nanoseconds and is safe from any
-// goroutine, so instrumentation stays on even in the sharded parallel
-// pipeline.
+// goroutine, so instrumentation stays on when the pipeline's operators
+// each run on a goroutine of their own.
 package obs
 
 import (

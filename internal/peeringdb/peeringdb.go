@@ -85,9 +85,6 @@ func (r *Registry) TypeOf(asn uint32) OrgType {
 	return n.Type
 }
 
-// Len returns the number of registered networks.
-func (r *Registry) Len() int { return len(r.networks) }
-
 // All returns all entries sorted by ASN.
 func (r *Registry) All() []Network {
 	out := make([]Network, 0, len(r.networks))

@@ -37,8 +37,8 @@ func TestAddReplaces(t *testing.T) {
 	r := New()
 	r.Add(Network{ASN: 10, Type: TypeContent})
 	r.Add(Network{ASN: 10, Type: TypeNSP})
-	if r.Len() != 1 || r.TypeOf(10) != TypeNSP {
-		t.Fatalf("replace failed: len=%d type=%s", r.Len(), r.TypeOf(10))
+	if n := len(r.All()); n != 1 || r.TypeOf(10) != TypeNSP {
+		t.Fatalf("replace failed: len=%d type=%s", n, r.TypeOf(10))
 	}
 }
 
@@ -65,8 +65,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 {
-		t.Fatalf("round trip lost entries: %d", got.Len())
+	if n := len(got.All()); n != 2 {
+		t.Fatalf("round trip lost entries: %d", n)
 	}
 	n, _ := got.Lookup(64501)
 	if n.Type != TypeCableDSL || n.Scp != ScopeLocal || n.Name != "B" {

@@ -247,11 +247,11 @@ func TestPlanTargetingEpoch(t *testing.T) {
 
 func TestPlanRegistries(t *testing.T) {
 	w := planTest(t)
-	if w.PDB.Len() == 0 {
+	if len(w.PDB.All()) == 0 {
 		t.Fatal("empty PeeringDB registry")
 	}
-	if w.IP2AS.Len() != len(w.VictimASes)+len(w.RemoteASes) {
-		t.Fatalf("ip2as entries = %d", w.IP2AS.Len())
+	if n := len(w.IP2AS.Entries()); n != len(w.VictimASes)+len(w.RemoteASes) {
+		t.Fatalf("ip2as entries = %d", n)
 	}
 	// Every host resolves to its victim AS.
 	for _, h := range w.Hosts[:50] {

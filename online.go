@@ -289,10 +289,14 @@ func (v pendingView) recs(i int) []ipfix.FlowRecord {
 }
 
 // observe feeds p the view's records in arrival order, from the head-th
-// of the first chunk on.
-func (v pendingView) observe(p *pipeline.Pipeline, head int) {
+// of the first chunk on, through the pipeline's lanes (inline: on the
+// caller). The caller holds opMu, which keeps the chunks from being
+// released under the lanes.
+func (v pendingView) observe(p *pipeline.Pipeline, head int, inline bool) {
+	l := p.StartLanes(inline)
+	defer l.Close()
 	for i := range v.chunks {
-		p.ObserveRecords(v.recs(i)[head:])
+		l.ObserveRecords(v.recs(i)[head:])
 		head = 0
 	}
 }
@@ -396,12 +400,14 @@ func (a *OnlineAnalyzer) advanceLocked() {
 // one side writes it — and replays the unsealed tail through the clone.
 // The clone's control-plane view is fixed for its whole life, so it is
 // frozen first and the tail pays batch gates, not speculative ones (see
-// pipeline.Freeze). a.view.Updates() is the matching control stream.
+// pipeline.Freeze) and, being private to this call, can take it through
+// the pipeline's lanes unless inline is set. a.view.Updates() is the
+// matching control stream.
 //
 // compose may keep whatever it derives from the clone after opMu is
 // released: sealing never writes a sub-aggregate in place while it is
 // shared, so state reachable from a finished snapshot is immutable.
-func (a *OnlineAnalyzer) frozen(compose func(*pipeline.Pipeline) error) error {
+func (a *OnlineAnalyzer) frozen(inline bool, compose func(*pipeline.Pipeline) error) error {
 	start := time.Now()
 	a.opMu.Lock()
 	defer a.opMu.Unlock()
@@ -412,7 +418,7 @@ func (a *OnlineAnalyzer) frozen(compose func(*pipeline.Pipeline) error) error {
 	clone := a.ops.Clone()
 	clone.Freeze()
 	replayStart := time.Now()
-	pend.observe(clone, a.head)
+	pend.observe(clone, a.head, inline)
 	composeStart := time.Now()
 	err := compose(clone)
 
@@ -440,7 +446,8 @@ func (a *OnlineAnalyzer) frozen(compose func(*pipeline.Pipeline) error) error {
 // written in place afterwards.
 //
 // opts.Delta must equal the construction-time merge threshold
-// (events.DefaultDelta, as in DefaultOptions). opts.Metrics is ignored:
+// (events.DefaultDelta, as in DefaultOptions). opts.Workers schedules the
+// tail replay as it schedules Analyze's pass. opts.Metrics is ignored:
 // a snapshot is repeatable, and re-registering the pipeline gauges on
 // each call would collide — use RegisterMetrics for the online path's
 // own instrumentation.
@@ -452,7 +459,7 @@ func (a *OnlineAnalyzer) Snapshot(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("rtbh: online snapshot delta %v does not match analyzer delta %v", opts.Delta, a.delta)
 	}
 	var report *Report
-	err := a.frozen(func(clone *pipeline.Pipeline) error {
+	err := a.frozen(opts.Workers == 1, func(clone *pipeline.Pipeline) error {
 		report = composeReport(a.meta, a.view.Updates(), clone, opts)
 		return nil
 	})
@@ -478,7 +485,7 @@ func (a *OnlineAnalyzer) FederationState(ixp int, seq uint64, clockOffset time.D
 		return nil, a.initErr
 	}
 	snap := &federation.Snapshot{IXP: ixp, Seq: seq, ClockOffset: clockOffset}
-	err := a.frozen(func(clone *pipeline.Pipeline) error {
+	err := a.frozen(false, func(clone *pipeline.Pipeline) error {
 		clone.Finalize()
 		state, err := clone.MarshalState()
 		snap.State = state

@@ -111,6 +111,10 @@ func TestOnlineSnapshotCutPoints(t *testing.T) {
 	}
 	ds, flows := onlineTestDataset(t)
 	opts := onlineTestOpts()
+	// The snapshots replay their tail through the lanes (the default); the
+	// batch references run the inline pass.
+	snapOpts := opts
+	snapOpts.Workers = 0
 
 	a := rtbh.NewOnlineAnalyzer(ds.Meta)
 	cuts := []int{8, 4, 2, 1} // denominators: 1/8, 1/4, 1/2, all
@@ -125,7 +129,7 @@ func TestOnlineSnapshotCutPoints(t *testing.T) {
 		feedFlows(a, flows[fedFlow:f])
 		fedFlow = f
 
-		snap, err := a.Snapshot(opts)
+		snap, err := a.Snapshot(snapOpts)
 		if err != nil {
 			t.Fatalf("cut 1/%d: snapshot: %v", div, err)
 		}
@@ -420,13 +424,21 @@ func TestFrozenReplayMatchesSpeculative(t *testing.T) {
 		t.Skip("simulates a test-scale world")
 	}
 	ds, flows := onlineTestDataset(t)
+	if tailReplaysAgree(t, ds, flows, 8) == 0 {
+		t.Fatal("no cut point had both sealed state and an unsealed tail; the comparison was vacuous")
+	}
+}
+
+// tailReplaysAgree streams ds into a fresh online analyzer and at each of
+// cuts cut points demands that the two replays of TailReplayStates
+// finalize to the same bytes. It returns how many cut points had both
+// sealed state and an unsealed tail.
+func tailReplaysAgree(t *testing.T, ds *rtbh.Dataset, flows []rtbh.FlowRecord, cuts int) (sealedAndTail int) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	a := rtbh.NewOnlineAnalyzer(ds.Meta)
 	a.RegisterMetrics(reg)
-
-	const cuts = 8
 	fedUpd, fedFlow := 0, 0
-	sealedAndTail := 0
 	for k := 1; k <= cuts; k++ {
 		for u := len(ds.Updates) * k / cuts; fedUpd < u; fedUpd++ {
 			a.ObserveControl(ds.Updates[fedUpd])
@@ -439,7 +451,7 @@ func TestFrozenReplayMatchesSpeculative(t *testing.T) {
 			t.Fatalf("cut %d/%d: %v", k, cuts, err)
 		}
 		if !bytes.Equal(wide, frozen) {
-			t.Fatalf("cut %d/%d: frozen tail replay finalizes to %d bytes that differ from the speculative replay's %d",
+			t.Fatalf("cut %d/%d: the frozen clone's replay through the lanes finalizes to %d bytes that differ from the speculative inline replay's %d",
 				k, cuts, len(frozen), len(wide))
 		}
 		snap := reg.Snapshot()
@@ -447,9 +459,7 @@ func TestFrozenReplayMatchesSpeculative(t *testing.T) {
 			sealedAndTail++
 		}
 	}
-	if sealedAndTail == 0 {
-		t.Fatal("no cut point had both sealed state and an unsealed tail; the comparison was vacuous")
-	}
+	return sealedAndTail
 }
 
 // writtenKeys bounds from above how many operator sub-aggregates a pass
