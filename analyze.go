@@ -232,25 +232,6 @@ type Report struct {
 	AnomalyAndData int
 }
 
-// stageTimers are the per-stage span timers of an Analyze call;
-// all fields are nil when the run is not instrumented.
-type stageTimers struct {
-	observe, compose *obs.Timer
-}
-
-// newStageTimers registers the stage timers (and the dataset-level
-// control-plane gauge) when reg is non-nil.
-func newStageTimers(reg *MetricsRegistry, d *Dataset) stageTimers {
-	if reg == nil {
-		return stageTimers{}
-	}
-	reg.GaugeFunc("analysis.control_updates", func() int64 { return int64(len(d.Updates)) })
-	return stageTimers{
-		observe: reg.Timer("pipeline.observe"),
-		compose: reg.Timer("analysis.compose"),
-	}
-}
-
 // span runs fn as one timed span of t (t may be nil).
 func span(t *obs.Timer, fn func() error) error {
 	if t == nil {
@@ -261,27 +242,44 @@ func span(t *obs.Timer, fn func() error) error {
 	return fn()
 }
 
-// Analyze streams the archive through the single-pass operator pipeline
-// and composes the report. Options.Workers decides only how the pass is
-// scheduled — on the caller, or on a goroutine per operator — so the
-// report is byte-identical either way, and identical to what the online
-// analyzer's Snapshot produces over the same stream (see DESIGN.md,
-// "Incremental analysis").
-func (d *Dataset) Analyze(opts Options) (*Report, error) {
+// pass streams the archive through the single-pass operator pipeline:
+// the one batch pass, behind Analyze and behind every snapshot
+// AnalyzeFederated merges. opts.Workers decides only how it is scheduled
+// — on the caller, or on a goroutine per operator — and the pipeline's
+// state is the same either way.
+func (d *Dataset) pass(opts Options) (*pipeline.Pipeline, error) {
 	pp, err := pipeline.NewParallel(d.Meta, d.Updates, opts.Delta, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	pp.BindFlow(mitigation.NewIndex(d.FlowUpdates, d.Meta.End))
+	var observe *obs.Timer
 	if opts.Metrics != nil {
 		pp.Instrument(opts.Metrics)
+		observe = opts.Metrics.Timer("pipeline.observe")
 	}
-	tm := newStageTimers(opts.Metrics, d)
-	if err := span(tm.observe, func() error { return pp.RunBatches(d.EachFlowBatch) }); err != nil {
+	if err := span(observe, func() error { return pp.RunBatches(d.EachFlowBatch) }); err != nil {
 		return nil, err
 	}
+	return pp.Pipeline(), nil
+}
+
+// Analyze runs the batch pass and composes the report, byte-identical
+// at any Options.Workers and identical to what the online analyzer's
+// Snapshot produces over the same stream (see DESIGN.md, "Incremental
+// analysis").
+func (d *Dataset) Analyze(opts Options) (*Report, error) {
+	p, err := d.pass(opts)
+	if err != nil {
+		return nil, err
+	}
+	var compose *obs.Timer
+	if opts.Metrics != nil {
+		opts.Metrics.GaugeFunc("analysis.control_updates", func() int64 { return int64(len(d.Updates)) })
+		compose = opts.Metrics.Timer("analysis.compose")
+	}
 	var report *Report
-	_ = span(tm.compose, func() error { report = composeReport(d.Meta, d.Updates, pp.Pipeline(), opts); return nil })
+	_ = span(compose, func() error { report = composeReport(d.Meta, d.Updates, p, opts); return nil })
 	return report, nil
 }
 

@@ -1,12 +1,18 @@
 // Command rtbh-analyze runs the paper's full analysis pipeline over a
 // dataset directory produced by rtbh-sim (or any dataset in the same
-// format) and prints every reproduced figure and table with the paper's
-// reported values alongside.
+// format) and prints every reproduced figure and table — or the ones
+// -run selects — with the paper's reported values alongside.
 //
 // Usage:
 //
 //	rtbh-analyze -data DIR [-delta 10m] [-threshold 2.5] [-min-days 20]
-//	             [-metrics PATH] [-pprof ADDR]
+//	             [-run fig5,table3] [-ixps N] [-metrics PATH] [-pprof ADDR]
+//	rtbh-analyze -list
+//
+// With -ixps N (N > 1) DIR holds the ixp0..ixpN-1 datasets rtbh-sim -ixps
+// writes: each exchange's archive is reduced to a snapshot, the snapshots
+// are merged through the federation coordinator, and the report adds the
+// cross-exchange leakage view (see DESIGN.md, "Federation").
 //
 // With -metrics, a JSON snapshot of the analysis observability metrics
 // (pipeline stage counters and timers, dropstats totals) is written after
@@ -36,17 +42,50 @@ func main() {
 	minDays := flag.Int("min-days", 20, "minimum active days for host profiling")
 	offsetStep := flag.Duration("offset-step", 10*time.Millisecond, "time-offset MLE grid step")
 	workers := flag.Int("workers", 0, "how the streaming pass is scheduled: "+cliutil.WorkersUsage)
+	runIDs := flag.String("run", "all", "comma-separated experiment ids to print (fig2..fig19, table1..table5) or 'all'")
+	list := flag.Bool("list", false, "list the experiment ids and exit")
+	ixps := flag.Int("ixps", 1, "analyze a federated dataset: -data holds the ixp0..ixpN-1 datasets of this many exchanges")
 	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the analysis ("-" for stderr)`)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	if err := cliutil.CheckWorkers(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-		os.Exit(2)
+	w := bufio.NewWriter(os.Stdout)
+	defer w.Flush()
+
+	var knownIDs []string
+	for _, e := range textreport.All() {
+		if *list {
+			fmt.Fprintf(w, "%-8s %s\n", e.ID, e.Title)
+		}
+		knownIDs = append(knownIDs, e.ID)
 	}
-	if err := cliutil.CheckDatasetDir(*data, rtbh.FileMetadata); err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-		os.Exit(2)
+	if *list {
+		return
+	}
+
+	// Every input is validated before the analysis starts: a typoed
+	// experiment id must fail now, not after minutes of work.
+	selected, err := cliutil.CheckRunIDs(*runIDs, knownIDs)
+	for _, err := range []error{
+		err,
+		cliutil.CheckWorkers(*workers),
+		cliutil.CheckBatchIXPs(*ixps, *metricsOut != ""),
+	} {
+		if err != nil {
+			usageFail(err)
+		}
+	}
+	dirs := []string{*data}
+	if *ixps > 1 {
+		dirs = dirs[:0]
+		for i := 0; i < *ixps; i++ {
+			dirs = append(dirs, rtbh.IXPDir(*data, i))
+		}
+	}
+	for _, dir := range dirs {
+		if err := cliutil.CheckDatasetDir(dir, rtbh.FileMetadata); err != nil {
+			usageFail(err)
+		}
 	}
 
 	var reg *rtbh.MetricsRegistry
@@ -55,16 +94,10 @@ func main() {
 	}
 	if *pprofAddr != "" {
 		if err := obs.StartDebugServer(*pprofAddr, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 
-	ds, err := rtbh.OpenDataset(*data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-		os.Exit(1)
-	}
 	opts := rtbh.DefaultOptions()
 	opts.Delta = *delta
 	opts.Threshold = *threshold
@@ -74,25 +107,57 @@ func main() {
 	opts.Metrics = reg
 
 	start := time.Now()
-	report, err := ds.Analyze(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-		os.Exit(1)
+	var report *rtbh.Report
+	var fed *rtbh.FederatedReport
+	var control string
+	if *ixps > 1 {
+		if fed, err = rtbh.AnalyzeFederated(dirs, opts); err != nil {
+			fail(err)
+		}
+		report, control = fed.Global, fmt.Sprintf("%d exchanges", *ixps)
+	} else {
+		ds, err := rtbh.OpenDataset(*data)
+		if err != nil {
+			fail(err)
+		}
+		if report, err = ds.Analyze(opts); err != nil {
+			fail(err)
+		}
+		control = fmt.Sprintf("%d updates", len(ds.Updates))
 	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	fmt.Fprintf(w, "analysis finished in %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(w, "records: %d total, %d internal (cleaned), %d attributed to blackholed prefixes, %d dropped\n",
 		report.TotalRecords, report.InternalRecords, report.AttributedRecords, report.DroppedRecords)
-	fmt.Fprintf(w, "control plane: %d updates -> %d RTBH events at delta %v\n\n",
-		len(ds.Updates), len(report.Events), *delta)
-	textreport.RenderAll(w, report)
+	fmt.Fprintf(w, "control plane: %s -> %d RTBH events at delta %v\n\n", control, len(report.Events), *delta)
+	switch {
+	case selected != nil:
+		for _, id := range selected {
+			e, _ := textreport.ByID(id)
+			textreport.RenderOne(w, report, e)
+		}
+	case fed != nil:
+		textreport.RenderFederation(w, fed)
+	default:
+		textreport.RenderAll(w, report)
+	}
+	w.Flush() // before a failing metrics write can exit past the deferred one
 
 	if *metricsOut != "" {
 		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
+	os.Exit(1)
+}
+
+// usageFail reports an invalid invocation (exit code 2, like flag
+// parsing errors).
+func usageFail(err error) {
+	fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
+	os.Exit(2)
 }

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/analysis/mitigation"
-	"repro/internal/analysis/pipeline"
 	"repro/internal/federation"
 	"repro/internal/scenario"
 )
@@ -115,20 +113,12 @@ type FederatedReport struct {
 }
 
 // snapshotDataset reduces one opened dataset to a federation snapshot:
-// a sequential (non-speculative) pipeline pass over its flows, then the
-// marshaled state. The sequential pass keeps per-stream observation
-// order identical to a union pass, which makes the canonical state
-// encoding a fingerprint the parity tests compare directly.
+// the batch pass over its flows, then the marshaled state. The lanes keep
+// per-stream observation order, so the state is the inline pass's at any
+// opts.Workers, and its canonical encoding is a fingerprint the parity
+// tests compare directly.
 func snapshotDataset(ds *Dataset, ixp int, seq uint64, opts Options) (*federation.Snapshot, error) {
-	p, err := pipeline.New(ds.Meta, ds.Updates, opts.Delta)
-	if err != nil {
-		return nil, err
-	}
-	p.BindFlow(mitigation.NewIndex(ds.FlowUpdates, ds.Meta.End))
-	err = ds.EachFlowBatch(func(b *recordBatch) error {
-		p.ObserveBatch(b)
-		return nil
-	})
+	p, err := ds.pass(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +134,9 @@ func snapshotDataset(ds *Dataset, ixp int, seq uint64, opts Options) (*federatio
 // coordinator — round-tripping every snapshot through its wire encoding
 // exactly as a distributed deployment would. The returned global report
 // over N partitioned datasets is identical to Analyze over the
-// equivalent single dataset (see DESIGN.md, "Federation").
+// equivalent single dataset (see DESIGN.md, "Federation"). opts.Metrics
+// is ignored: a registry instruments one pass, and there is one per
+// exchange here.
 func AnalyzeFederated(dirs []string, opts Options) (*FederatedReport, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("rtbh: no federated dataset directories")
@@ -159,8 +151,10 @@ func AnalyzeFederated(dirs []string, opts Options) (*FederatedReport, error) {
 	}
 
 	coord := federation.NewCoordinator(datasets[0].Meta, opts.Delta)
+	passOpts := opts
+	passOpts.Metrics = nil
 	for i, ds := range datasets {
-		snap, err := snapshotDataset(ds, i, 1, opts)
+		snap, err := snapshotDataset(ds, i, 1, passOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ const WorkersUsage = "1 = one goroutine, 0 = one goroutine per operator over GOM
 // from 0 up is accepted, negatives are rejected.
 func CheckWorkers(n int) error {
 	if n < 0 {
-		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", n)
+		return fmt.Errorf("-workers must be >= 0 (%s), got %d", WorkersUsage, n)
 	}
 	return nil
 }
@@ -58,6 +58,19 @@ func WithDays(cfg scenario.Config, days int) scenario.Config {
 func CheckIXPs(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-ixps must be >= 1, got %d", n)
+	}
+	return nil
+}
+
+// CheckBatchIXPs validates rtbh-sim's and rtbh-analyze's -ixps against
+// -metrics: a registry instruments one exchange's run, and over several
+// the snapshot would come out empty.
+func CheckBatchIXPs(ixps int, metrics bool) error {
+	if err := CheckIXPs(ixps); err != nil {
+		return err
+	}
+	if metrics && ixps > 1 {
+		return fmt.Errorf("-metrics covers a single exchange; drop -ixps or the -metrics flag")
 	}
 	return nil
 }

@@ -87,6 +87,19 @@ func TestCheckIXPs(t *testing.T) {
 		if err := CheckIXPs(n); err == nil {
 			t.Errorf("CheckIXPs(%d) accepted", n)
 		}
+		if err := CheckBatchIXPs(n, false); err == nil {
+			t.Errorf("CheckBatchIXPs(%d, false) accepted", n)
+		}
+	}
+	// A metrics snapshot covers one exchange's run.
+	if err := CheckBatchIXPs(1, true); err != nil {
+		t.Errorf("CheckBatchIXPs(1, true) = %v, want nil", err)
+	}
+	if err := CheckBatchIXPs(3, false); err != nil {
+		t.Errorf("CheckBatchIXPs(3, false) = %v, want nil", err)
+	}
+	if err := CheckBatchIXPs(3, true); err == nil {
+		t.Error("CheckBatchIXPs(3, true) accepted: -metrics over several exchanges writes an empty snapshot")
 	}
 }
 

@@ -26,21 +26,17 @@ const (
 // goroutine-safe: the fabric emits records from the single driver
 // goroutine.
 type Exporter struct {
-	conn    net.Conn
-	enc     *ipfix.MsgEncoder
-	pending []ipfix.FlowRecord
-	perMsg  int
-	msgs    int
-	m       *Metrics
+	conn net.Conn
+	enc  *ipfix.MsgEncoder
+	p    *ipfix.Packer
+	m    *Metrics
 
-	// fault, when set, impairs every data datagram; every is the
-	// template resend period (1 under a fault plan, so a dropped
-	// template-bearing datagram can never strand later messages
-	// undecodable — decode errors would break record-exact drop
-	// accounting). lastExport is the last export timestamp emitted, for
-	// Sync messages.
+	// fault, when set, impairs every data datagram; the packer's
+	// template resend period is then 1, so a dropped template-bearing
+	// datagram can never strand later messages undecodable — decode
+	// errors would break record-exact drop accounting. lastExport is the
+	// last export timestamp emitted, for Sync messages.
 	fault      *faultnet.UDPSchedule
-	every      int
 	lastExport uint32
 }
 
@@ -60,13 +56,9 @@ func NewExporter(conn net.Conn, domain uint32, mtu int, m *Metrics) (*Exporter, 
 	if m == nil {
 		m = NewMetrics()
 	}
-	return &Exporter{
-		conn:   conn,
-		enc:    ipfix.NewMsgEncoder(domain),
-		perMsg: perMsg,
-		m:      m,
-		every:  templateEvery,
-	}, nil
+	e := &Exporter{conn: conn, enc: ipfix.NewMsgEncoder(domain), m: m}
+	e.p = ipfix.NewPacker(e.enc, perMsg, templateEvery, e.send)
+	return e, nil
 }
 
 // SetFault routes every data datagram through the impairment schedule
@@ -83,7 +75,7 @@ func NewExporter(conn net.Conn, domain uint32, mtu int, m *Metrics) (*Exporter, 
 func (e *Exporter) SetFault(u *faultnet.UDPSchedule) error {
 	e.fault = u
 	if !u.Inert() {
-		e.every = 1
+		e.p.TemplateEvery = 1
 	}
 	return e.Sync()
 }
@@ -92,31 +84,10 @@ func (e *Exporter) SetFault(u *faultnet.UDPSchedule) error {
 // message fills, so the datagram packing depends only on the record
 // sequence, not on how it was cut into batches. It borrows b per the
 // ipfix.RecordBatch contract.
-func (e *Exporter) ExportBatch(b *ipfix.RecordBatch) error {
-	recs := b.Recs
-	for len(recs) > 0 {
-		room := e.perMsg - len(e.pending)
-		if room > len(recs) {
-			room = len(recs)
-		}
-		e.pending = append(e.pending, recs[:room]...)
-		recs = recs[room:]
-		if len(e.pending) >= e.perMsg {
-			if err := e.emit(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (e *Exporter) ExportBatch(b *ipfix.RecordBatch) error { return e.p.Pack(b.Recs) }
 
 // Flush sends any partially filled message.
-func (e *Exporter) Flush() error {
-	if len(e.pending) == 0 {
-		return nil
-	}
-	return e.emit()
-}
+func (e *Exporter) Flush() error { return e.p.Flush() }
 
 // Sync transmits an empty, template-bearing message carrying the current
 // sequence number, bypassing the impairment schedule (after releasing
@@ -142,19 +113,16 @@ func (e *Exporter) rawWrite(b []byte) error {
 	return err
 }
 
-func (e *Exporter) emit() error {
-	includeTemplate := e.msgs%e.every == 0
-	e.msgs++
-	exportTime := uint32(e.pending[len(e.pending)-1].Start.Unix())
+// send is the packer's hook: one message of n records, one datagram.
+func (e *Exporter) send(msg []byte, n int, exportTime uint32) error {
 	e.lastExport = exportTime
-	msg := e.enc.Encode(e.pending, includeTemplate, exportTime)
-	n := len(e.pending)
-	e.pending = e.pending[:0]
+	var err error
 	if e.fault != nil {
-		if err := e.fault.Send(msg, n, e.rawWrite); err != nil {
-			return fmt.Errorf("live: exporting %d flow records: %w", n, err)
-		}
-	} else if _, err := e.conn.Write(msg); err != nil {
+		err = e.fault.Send(msg, n, e.rawWrite)
+	} else {
+		err = e.rawWrite(msg)
+	}
+	if err != nil {
 		return fmt.Errorf("live: exporting %d flow records: %w", n, err)
 	}
 	e.m.ExportedRecords.Add(int64(n))

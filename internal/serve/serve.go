@@ -1,8 +1,8 @@
 // Package serve is the looking-glass layer over a live analysis: an
 // HTTP+JSON API that lets many concurrent clients query the state of an
 // rtbh.OnlineAnalyzer — per-event efficacy, collateral damage, active
-// blackhole counts, victim and use-case breakdowns, federation leakage
-// — while the measurement streams are still being ingested.
+// blackhole counts, victim and use-case breakdowns — while the
+// measurement streams are still being ingested.
 //
 // Requests never touch the ingest path. Every data endpoint is a view
 // of one immutable report produced by the analyzer's copy-on-snapshot
@@ -69,9 +69,6 @@ type Config struct {
 	// Info is static run metadata echoed by /api/health (scale, seed,
 	// chaos profile, ...).
 	Info map[string]string
-	// Federation, when non-nil, backs /api/federation: it returns the
-	// merged cross-exchange report. When nil the endpoint answers 404.
-	Federation func() (*rtbh.FederatedReport, error)
 	// Detections, when non-nil, backs /api/detections: it returns the
 	// closed-loop detector's current status (rtbh.LiveRun.Detector's
 	// Status). When nil the endpoint answers 404.
@@ -107,7 +104,7 @@ type Server struct {
 // endpointNames lists the API surface, in the order health reports it.
 var endpointNames = []string{
 	"health", "summary", "events", "active", "collateral",
-	"usecases", "victims", "mitigation", "federation", "detections",
+	"usecases", "victims", "mitigation", "detections",
 	"history",
 }
 
@@ -163,7 +160,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/api/usecases", s.handle("usecases", s.handleUseCases))
 	s.mux.Handle("/api/victims", s.handle("victims", s.handleVictims))
 	s.mux.Handle("/api/mitigation", s.handle("mitigation", s.handleMitigation))
-	s.mux.Handle("/api/federation", s.handle("federation", s.handleFederation))
 	s.mux.Handle("/api/detections", s.handle("detections", s.handleDetections))
 	s.mux.Handle("/api/history", s.handle("history", s.handleHistory))
 	// No endpoint name: an unknown path counts under serve.errors only.
@@ -360,7 +356,6 @@ type HealthView struct {
 	Watermark   time.Time         `json:"watermark"`
 	Updates     int               `json:"updates"`
 	Flows       int64             `json:"flows"`
-	Federated   bool              `json:"federated"`
 	History     HistoryStatusView `json:"history"`
 	Info        map[string]string `json:"info,omitempty"`
 	Endpoints   []string          `json:"endpoints"`
@@ -389,7 +384,6 @@ func (s *Server) handleHealth(*http.Request) (any, *httpError) {
 		Watermark:   s.cfg.Source.Watermark().UTC(),
 		Updates:     updates,
 		Flows:       flows,
-		Federated:   s.cfg.Federation != nil,
 		History: HistoryStatusView{
 			Entries:    s.ring.len(),
 			Depth:      s.cfg.HistoryDepth,
@@ -810,87 +804,6 @@ func (s *Server) handleMitigation(r *http.Request) (any, *httpError) {
 			RTBHLegit:      mitCounterView(&ps.Legit[mitigation.PhaseRTBH]),
 			FlowSpecAttack: mitCounterView(&ps.Attack[mitigation.PhaseFlowSpec]),
 			FlowSpecLegit:  mitCounterView(&ps.Legit[mitigation.PhaseFlowSpec]),
-		})
-	}
-	return out, nil
-}
-
-// FederationIXPView is one exchange's column in a cross-event join.
-type FederationIXPView struct {
-	IXP           int   `json:"ixp"`
-	DroppedPkts   int64 `json:"dropped_pkts"`
-	ForwardedPkts int64 `json:"forwarded_pkts"`
-	LocalRTBH     bool  `json:"local_rtbh"`
-}
-
-// FederationEventView is one leaked event.
-type FederationEventView struct {
-	EventID          int                 `json:"event_id"`
-	Prefix           string              `json:"prefix"`
-	PeerAS           uint32              `json:"peer_as"`
-	ForeignDelivered float64             `json:"foreign_delivered"`
-	IXPs             []FederationIXPView `json:"ixps"`
-}
-
-// FederationPerIXPView summarizes one exchange's standalone report.
-type FederationPerIXPView struct {
-	IXP               int   `json:"ixp"`
-	ClockOffsetMS     int64 `json:"clock_offset_ms"`
-	Events            int   `json:"events"`
-	TotalRecords      int64 `json:"total_records"`
-	AttributedRecords int64 `json:"attributed_records"`
-}
-
-// FederationView is /api/federation: the cross-exchange leakage join.
-type FederationView struct {
-	IXPs         int                    `json:"ixps"`
-	LeakedEvents int                    `json:"leaked_events"`
-	DroppedPkts  int64                  `json:"dropped_pkts"`
-	ForeignPkts  int64                  `json:"foreign_pkts"`
-	ForeignShare float64                `json:"foreign_share"`
-	Events       []FederationEventView  `json:"events"`
-	PerIXP       []FederationPerIXPView `json:"per_ixp"`
-}
-
-func (s *Server) handleFederation(*http.Request) (any, *httpError) {
-	if s.cfg.Federation == nil {
-		return nil, notFound("not federated: this server fronts a single exchange")
-	}
-	fr, err := s.cfg.Federation()
-	if err != nil {
-		return nil, internalErr(err)
-	}
-	out := &FederationView{IXPs: len(fr.PerIXP)}
-	if fr.Cross != nil {
-		out.LeakedEvents = fr.Cross.LeakedEvents
-		out.DroppedPkts = fr.Cross.DroppedPkts
-		out.ForeignPkts = fr.Cross.ForeignPkts
-		out.ForeignShare = fr.Cross.ForeignShare
-		for _, ec := range fr.Cross.Events {
-			ev := FederationEventView{
-				EventID:          ec.EventID,
-				Prefix:           ec.Prefix.String(),
-				PeerAS:           ec.Peer,
-				ForeignDelivered: ec.ForeignDelivered,
-			}
-			for _, tr := range ec.IXPs {
-				ev.IXPs = append(ev.IXPs, FederationIXPView{
-					IXP:           tr.IXP,
-					DroppedPkts:   tr.DroppedPkts,
-					ForwardedPkts: tr.ForwardedPkts,
-					LocalRTBH:     tr.LocalRTBH,
-				})
-			}
-			out.Events = append(out.Events, ev)
-		}
-	}
-	for _, v := range fr.PerIXP {
-		out.PerIXP = append(out.PerIXP, FederationPerIXPView{
-			IXP:               v.IXP,
-			ClockOffsetMS:     v.ClockOffset.Milliseconds(),
-			Events:            len(v.Report.Events),
-			TotalRecords:      v.Report.TotalRecords,
-			AttributedRecords: v.Report.AttributedRecords,
 		})
 	}
 	return out, nil

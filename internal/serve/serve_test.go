@@ -18,7 +18,6 @@ import (
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/usecase"
 	"repro/internal/bgp"
-	"repro/internal/federation"
 	"repro/internal/obs"
 )
 
@@ -452,9 +451,6 @@ func TestHealthEndpoint(t *testing.T) {
 	if h.Status != "ok" || h.Updates != 8 || h.Flows != 1000 {
 		t.Fatalf("health = %+v", h)
 	}
-	if h.Federated {
-		t.Fatal("single-IXP server reports federated")
-	}
 	if h.Info["scale"] != "test" {
 		t.Fatalf("info = %v", h.Info)
 	}
@@ -556,62 +552,6 @@ func TestVictimsEndpoint(t *testing.T) {
 	}
 	if v.Victims[1].Prefix != "10.0.0.2/32" || v.Victims[1].DroppedPkts != 0 {
 		t.Fatalf("victim 1 = %+v", v.Victims[1])
-	}
-}
-
-func TestFederationEndpoint(t *testing.T) {
-	// Without a provider the endpoint is 404.
-	s, _, _ := newTestServer(t, nil)
-	if code := get(t, s, "/api/federation", nil); code != http.StatusNotFound {
-		t.Fatalf("non-federated: status %d, want 404", code)
-	}
-
-	// With a provider it renders the cross view.
-	s2, _, _ := newTestServer(t, func(cfg *Config) {
-		cfg.Federation = func() (*rtbh.FederatedReport, error) {
-			return &rtbh.FederatedReport{
-				PerIXP: []*rtbh.IXPReport{
-					{IXP: 0, Report: testReport()},
-					{IXP: 1, ClockOffset: 250 * time.Millisecond, Report: testReport()},
-				},
-				Cross: &federation.CrossView{
-					LeakedEvents: 1,
-					DroppedPkts:  300,
-					ForeignPkts:  40,
-					ForeignShare: 40.0 / 340.0,
-				},
-			}, nil
-		}
-	})
-	var fv FederationView
-	if code := get(t, s2, "/api/federation", &fv); code != http.StatusOK {
-		t.Fatalf("federated: status %d", code)
-	}
-	if fv.IXPs != 2 || fv.LeakedEvents != 1 || fv.ForeignPkts != 40 {
-		t.Fatalf("federation = %+v", fv)
-	}
-	if len(fv.PerIXP) != 2 || fv.PerIXP[1].ClockOffsetMS != 250 {
-		t.Fatalf("per_ixp = %+v", fv.PerIXP)
-	}
-
-	// And health reflects federation.
-	var h HealthView
-	if code := get(t, s2, "/api/health", &h); code != http.StatusOK {
-		t.Fatalf("health: status %d", code)
-	}
-	if !h.Federated {
-		t.Fatal("federated server reports federated=false")
-	}
-}
-
-func TestFederationProviderError(t *testing.T) {
-	s, _, _ := newTestServer(t, func(cfg *Config) {
-		cfg.Federation = func() (*rtbh.FederatedReport, error) {
-			return nil, fmt.Errorf("merge failed")
-		}
-	})
-	if code := get(t, s, "/api/federation", nil); code != http.StatusInternalServerError {
-		t.Fatalf("provider error: status %d, want 500", code)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package textreport renders every reproduced figure and table as text,
-// one experiment per identifier (fig2..fig19, table1..table4), each
-// annotated with the paper's reported values so that a run can be read as
-// a paper-vs-measured comparison. Both rtbh-analyze and rtbh-experiments
-// print through this package, and EXPERIMENTS.md is generated from it.
+// one experiment per identifier (fig2..fig19, table1..table5, whitelist),
+// each annotated with the paper's reported values so that a run can be
+// read as a paper-vs-measured comparison. rtbh-analyze (all of them, or
+// the ids -run selects) and rtbh-live print through this package, and
+// EXPERIMENTS.md compares its output with the paper.
 package textreport
 
 import (

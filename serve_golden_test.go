@@ -13,7 +13,6 @@ import (
 
 	rtbh "repro"
 	"repro/internal/detect"
-	"repro/internal/federation"
 	"repro/internal/ipfix"
 	"repro/internal/serve"
 )
@@ -87,23 +86,11 @@ func TestServeGoldenEndpoints(t *testing.T) {
 	opts := onlineTestOpts()
 	clock := &serveClock{t: time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)}
 	srv, err := serve.New(serve.Config{
-		Source:  a,
-		Options: opts,
-		MaxAge:  time.Hour,
-		Clock:   clock.now,
-		Info:    map[string]string{"scale": "test", "fixture": "golden"},
-		Federation: func() (*rtbh.FederatedReport, error) {
-			// A deterministic single-exchange federation view: the
-			// endpoint's join logic over a report this same world produced.
-			rep, err := a.Snapshot(opts)
-			if err != nil {
-				return nil, err
-			}
-			return &rtbh.FederatedReport{
-				PerIXP: []*rtbh.IXPReport{{IXP: 0, Report: rep}},
-				Cross:  &federation.CrossView{},
-			}, nil
-		},
+		Source:     a,
+		Options:    opts,
+		MaxAge:     time.Hour,
+		Clock:      clock.now,
+		Info:       map[string]string{"scale": "test", "fixture": "golden"},
 		Detections: det.Status,
 	})
 	if err != nil {
@@ -132,7 +119,6 @@ func TestServeGoldenEndpoints(t *testing.T) {
 		{"collateral", "/api/collateral"},
 		{"usecases", "/api/usecases"},
 		{"victims", "/api/victims"},
-		{"federation", "/api/federation"},
 		{"detections", "/api/detections"},
 		{"history", "/api/history"},
 		{"history_at", "/api/summary?at=2026-01-02T03:04:00Z"}, // floors to the 03:00 capture
