@@ -6,18 +6,20 @@
 // Usage:
 //
 //	rtbh-analyze -data DIR [-delta 10m] [-threshold 2.5] [-min-days 20]
-//	             [-run fig5,table3] [-ixps N] [-metrics PATH] [-pprof ADDR]
+//	             [-run fig5,table3] [-metrics PATH] [-pprof ADDR]
 //	rtbh-analyze -list
 //
-// With -ixps N (N > 1) DIR holds the ixp0..ixpN-1 datasets rtbh-sim -ixps
-// writes: each exchange's archive is reduced to a snapshot, the snapshots
-// are merged through the federation coordinator, and the report adds the
+// DIR says what it holds (rtbh.DatasetDirs): one dataset, or the
+// ixp0..ixpN-1 datasets rtbh-sim -ixps N writes. Of several, each
+// exchange's archive is reduced to a snapshot, the snapshots are merged
+// through the federation coordinator, and the report adds the
 // cross-exchange leakage view (see DESIGN.md, "Federation").
 //
 // With -metrics, a JSON snapshot of the analysis observability metrics
 // (pipeline stage counters and timers, dropstats totals) is written after
-// the run; "-" writes to stderr. The snapshot's counters reconcile
-// exactly with the printed report (see DESIGN.md, "Observability"). With
+// the run; "-" writes to stderr. On one dataset the snapshot's counters
+// reconcile exactly with the printed report (see DESIGN.md,
+// "Observability"); of several it covers exchange 0's pass. With
 // -pprof, net/http/pprof and a live /metrics endpoint are served on the
 // given address for profiling long runs.
 package main
@@ -35,6 +37,8 @@ import (
 	"repro/internal/textreport"
 )
 
+var fail, usageFail = cliutil.Exits("rtbh-analyze")
+
 func main() {
 	data := flag.String("data", "dataset", "dataset directory (from rtbh-sim)")
 	delta := flag.Duration("delta", 10*time.Minute, "RTBH event merge threshold")
@@ -44,8 +48,7 @@ func main() {
 	workers := flag.Int("workers", 0, "how the streaming pass is scheduled: "+cliutil.WorkersUsage)
 	runIDs := flag.String("run", "all", "comma-separated experiment ids to print (fig2..fig19, table1..table5) or 'all'")
 	list := flag.Bool("list", false, "list the experiment ids and exit")
-	ixps := flag.Int("ixps", 1, "analyze a federated dataset: -data holds the ixp0..ixpN-1 datasets of this many exchanges")
-	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the analysis ("-" for stderr)`)
+	metricsOut := flag.String("metrics", "", cliutil.MetricsUsage)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
@@ -66,24 +69,9 @@ func main() {
 	// Every input is validated before the analysis starts: a typoed
 	// experiment id must fail now, not after minutes of work.
 	selected, err := cliutil.CheckRunIDs(*runIDs, knownIDs)
-	for _, err := range []error{
-		err,
-		cliutil.CheckWorkers(*workers),
-		cliutil.CheckBatchIXPs(*ixps, *metricsOut != ""),
-	} {
+	dirs, dirErr := rtbh.DatasetDirs(*data)
+	for _, err := range []error{err, cliutil.CheckWorkers(*workers), dirErr} {
 		if err != nil {
-			usageFail(err)
-		}
-	}
-	dirs := []string{*data}
-	if *ixps > 1 {
-		dirs = dirs[:0]
-		for i := 0; i < *ixps; i++ {
-			dirs = append(dirs, rtbh.IXPDir(*data, i))
-		}
-	}
-	for _, dir := range dirs {
-		if err := cliutil.CheckDatasetDir(dir, rtbh.FileMetadata); err != nil {
 			usageFail(err)
 		}
 	}
@@ -110,13 +98,13 @@ func main() {
 	var report *rtbh.Report
 	var fed *rtbh.FederatedReport
 	var control string
-	if *ixps > 1 {
+	if len(dirs) > 1 {
 		if fed, err = rtbh.AnalyzeFederated(dirs, opts); err != nil {
 			fail(err)
 		}
-		report, control = fed.Global, fmt.Sprintf("%d exchanges", *ixps)
+		report, control = fed.Global, fmt.Sprintf("%d exchanges", len(dirs))
 	} else {
-		ds, err := rtbh.OpenDataset(*data)
+		ds, err := rtbh.OpenDataset(dirs[0])
 		if err != nil {
 			fail(err)
 		}
@@ -148,16 +136,4 @@ func main() {
 			fail(err)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-	os.Exit(1)
-}
-
-// usageFail reports an invalid invocation (exit code 2, like flag
-// parsing errors).
-func usageFail(err error) {
-	fmt.Fprintf(os.Stderr, "rtbh-analyze: %v\n", err)
-	os.Exit(2)
 }

@@ -80,21 +80,19 @@ import (
 	"repro/internal/textreport"
 )
 
+var fail, usageFail = cliutil.Exits("rtbh-live")
+
 func main() {
 	out := flag.String("out", "dataset", "output directory for the dataset files")
-	scale := flag.String("scale", "test", "world scale: test, bench, full, or a traffic multiplier (e.g. 50 = the full 104-day world at the paper's absolute traffic magnitudes)")
-	trafficScale := flag.Float64("traffic-scale", 0, "override the traffic-magnitude multiplier on any world scale (0 keeps the scale default)")
-	seed := flag.Uint64("seed", 0, "override the scenario seed (0 keeps the scale default)")
-	days := flag.Int("days", 0, "override the measurement-period length in days; keeps event density: the event and victim budgets scale with it (0 keeps the scale default)")
+	world := cliutil.RegisterWorldFlags(flag.CommandLine)
 	snapEvery := flag.Duration("snapshot-every", 0, "print a partial analysis snapshot at this interval (0 disables)")
 	report := flag.Bool("report", true, "print the online analyzer's final report")
 	workers := flag.Int("workers", 0, "how a report's replay of the unsealed flow tail is scheduled: "+cliutil.WorkersUsage)
-	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the run ("-" for stderr)`)
+	metricsOut := flag.String("metrics", "", cliutil.MetricsUsage)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	chaosProfile := flag.String("chaos-profile", "",
 		fmt.Sprintf("inject transport faults from this profile (%s; empty disables)", strings.Join(rtbh.ChaosProfiles(), ", ")))
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the fault-injection schedule (same seed, same faults)")
-	ixps := flag.Int("ixps", 1, "federate the live run across this many exchanges (datasets land in OUT/ixp0..ixpN-1)")
 	snapChaos := flag.String("snapshot-chaos-profile", "",
 		"with -ixps > 1, impair the snapshot transport with this fault profile (empty disables)")
 	serveAddr := flag.String("serve", "", "serve the looking-glass JSON API on this address while the run streams (e.g. :8080)")
@@ -111,19 +109,13 @@ func main() {
 		"sliding window the detector rates victims over")
 	detectCooldown := flag.Duration("detect-cooldown", detect.DefaultCooldown,
 		"quiet time after the last hot window before the blackhole is withdrawn")
-	mitigation := flag.String("mitigation", "", `fine-grained mitigation policy: "flowspec", "escalate" or "mixed" (empty keeps pure RTBH; see the table5 report section)`)
 	flag.Parse()
 
-	cfg, err := cliutil.WorldConfig(*scale)
-	if err != nil {
-		usageFail(err)
-	}
+	cfg, err := world.Config()
 	for _, err := range []error{
-		cliutil.CheckTrafficScale(*trafficScale),
-		cliutil.CheckDays(*days),
+		err,
 		cliutil.CheckWorkers(*workers),
-		cliutil.CheckIXPs(*ixps),
-		cliutil.CheckLiveModes(*ixps, *serveAddr != "", *detectOn, *snapChaos != ""),
+		cliutil.CheckLiveModes(world.IXPs, *serveAddr != "", *detectOn, *snapChaos != ""),
 	} {
 		if err != nil {
 			usageFail(err)
@@ -160,21 +152,6 @@ func main() {
 			}
 		}
 	}
-	if *trafficScale != 0 {
-		cfg.TrafficScale = *trafficScale
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	cfg = cliutil.WithDays(cfg, *days)
-	if *ixps > 1 {
-		cfg.IXPs = *ixps
-	}
-	cfg.MitigationPolicy = *mitigation
-	if err := cfg.Validate(); err != nil {
-		usageFail(err)
-	}
-
 	reg := rtbh.NewMetricsRegistry()
 	if *pprofAddr != "" {
 		if err := obs.StartDebugServer(*pprofAddr, reg); err != nil {
@@ -225,7 +202,7 @@ func main() {
 			HistoryInterval: *serveHistory,
 			HistoryDepth:    *serveHistoryDepth,
 			Info: map[string]string{
-				"scale":         *scale,
+				"scale":         world.Scale,
 				"seed":          fmt.Sprintf("%d", cfg.Seed),
 				"days":          fmt.Sprintf("%d", cfg.Days),
 				"chaos_profile": *chaosProfile,
@@ -249,7 +226,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "looking glass: http://%s/api/health\n", bound)
 	}
 
-	n := lr.IXPs()
+	n := world.IXPs
 	if *snapEvery > 0 {
 		for i := 0; i < n; i++ {
 			prefix := ""
@@ -274,21 +251,10 @@ func main() {
 	took := time.Since(start).Round(time.Millisecond)
 	if n == 1 {
 		fmt.Printf("live run %s in %v, dataset written to %s\n", verb, took, *out)
-		fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d\n",
-			cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate)
-		fmt.Printf("control plane: %d messages over BGP/TCP (%d announcements, %d withdrawals)\n",
-			sum.ControlMsgs[0], sum.Announcements, sum.Withdrawals)
-		fmt.Printf("data plane: %d flow records over IPFIX/UDP (%d packets offered, %d dropped)\n",
-			sum.FlowRecords[0], sum.PacketsIn[0], sum.PacketsDropped[0])
 	} else {
 		fmt.Printf("federated live run %s in %v across %d exchanges, datasets written under %s\n", verb, took, n, *out)
-		fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d, multi-homed members: %d\n",
-			cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate, len(sum.MultiHomedMembers))
-		for i := 0; i < n; i++ {
-			fmt.Printf("ixp%d: %d control messages, %d flow records (%d packets offered, %d dropped)\n",
-				i, sum.ControlMsgs[i], sum.FlowRecords[i], sum.PacketsIn[i], sum.PacketsDropped[i])
-		}
 	}
+	cliutil.PrintRunSummary(os.Stdout, cfg, sum, true)
 	if *chaosProfile != "" {
 		fmt.Printf("chaos: profile %s, seed %d — injected faults reconciled (faultnet.* in the metrics snapshot)\n",
 			*chaosProfile, *chaosSeed)
@@ -347,16 +313,4 @@ func snapshotLoop(ctx context.Context, prefix string, a *rtbh.OnlineAnalyzer, op
 		fmt.Fprintf(os.Stderr, "%ssnapshot: %d control updates, %d flow records -> %d events, %d attributed records\n",
 			prefix, updates, flows, len(rep.Events), rep.AttributedRecords)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-	os.Exit(1)
-}
-
-// usageFail reports an invalid invocation (exit code 2, like flag
-// parsing errors).
-func usageFail(err error) {
-	fmt.Fprintf(os.Stderr, "rtbh-live: %v\n", err)
-	os.Exit(2)
 }

@@ -21,11 +21,12 @@
 // With -ixps N (N > 1) the world is planned once and run across N
 // exchanges, each observing only its members' control messages and
 // traffic: DIR/ixp0..ixpN-1 each hold one complete dataset, and
-// rtbh-analyze -ixps N merges them (see DESIGN.md, "Federation").
+// rtbh-analyze -data DIR merges them (see DESIGN.md, "Federation").
 //
 // With -metrics, a JSON snapshot of the route server's and the fabric's
-// observability metrics is written after the run ("-" for stderr); the
-// fabric gauges match the printed summary exactly. With -pprof, the
+// observability metrics is written after the run ("-" for stderr) — of
+// exchange 0 when there are several; on a single exchange the fabric
+// gauges match the printed summary exactly. With -pprof, the
 // net/http/pprof and live /metrics endpoints are served on the given
 // address.
 package main
@@ -41,43 +42,17 @@ import (
 	"repro/internal/obs"
 )
 
+var fail, usageFail = cliutil.Exits("rtbh-sim")
+
 func main() {
 	out := flag.String("out", "dataset", "output directory for the dataset files")
-	scale := flag.String("scale", "test", "world scale: test, bench, full, or a traffic multiplier (e.g. 50 = the full 104-day world at the paper's absolute traffic magnitudes)")
-	trafficScale := flag.Float64("traffic-scale", 0, "override the traffic-magnitude multiplier on any world scale (0 keeps the scale default)")
-	seed := flag.Uint64("seed", 0, "override the scenario seed (0 keeps the scale default)")
-	days := flag.Int("days", 0, "override the measurement-period length in days; keeps event density: the event and victim budgets scale with it (0 keeps the scale default)")
-	mitigation := flag.String("mitigation", "", `fine-grained mitigation policy: "flowspec", "escalate" or "mixed" (empty keeps pure RTBH)`)
-	ixps := flag.Int("ixps", 1, "federate the world across this many exchanges, writing one dataset each to ixp0..ixpN-1 under -out")
-	metricsOut := flag.String("metrics", "", `write a JSON metrics snapshot to this path after the run ("-" for stderr)`)
+	world := cliutil.RegisterWorldFlags(flag.CommandLine)
+	metricsOut := flag.String("metrics", "", cliutil.MetricsUsage)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	cfg, err := cliutil.WorldConfig(*scale)
+	cfg, err := world.Config()
 	if err != nil {
-		usageFail(err)
-	}
-	for _, err := range []error{
-		cliutil.CheckDays(*days),
-		cliutil.CheckTrafficScale(*trafficScale),
-		cliutil.CheckBatchIXPs(*ixps, *metricsOut != ""),
-	} {
-		if err != nil {
-			usageFail(err)
-		}
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	cfg = cliutil.WithDays(cfg, *days)
-	if *trafficScale != 0 {
-		cfg.TrafficScale = *trafficScale
-	}
-	cfg.MitigationPolicy = *mitigation
-	if *ixps > 1 {
-		cfg.IXPs = *ixps
-	}
-	if err := cfg.Validate(); err != nil {
 		usageFail(err)
 	}
 
@@ -92,52 +67,21 @@ func main() {
 	}
 
 	start := time.Now()
-	if *ixps > 1 {
-		sum, err := rtbh.SimulateFederated(cfg, *out)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("%d datasets written under %s in %v\n", *ixps, *out, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d, traffic x%g, multi-homed members: %d\n",
-			cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate, cfg.Scale(), len(sum.MultiHomedMembers))
-		fmt.Printf("members: %d, blackholed hosts: %d, RTBH events: %d\n", sum.Members, sum.Hosts, sum.Events)
-		for i := 0; i < *ixps; i++ {
-			fmt.Printf("ixp%d: %d control messages, %d sampled flow records (%d packets offered, %d dropped)\n",
-				i, sum.ControlMsgs[i], sum.FlowRecords[i], sum.PacketsIn[i], sum.PacketsDropped[i])
-		}
-		return
-	}
 	sum, err := rtbh.SimulateObserved(cfg, *out, reg)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("dataset written to %s in %v\n", *out, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("period: %s + %d days, seed %d, sampling 1:%d, traffic x%g\n",
-		cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate, cfg.Scale())
-	fmt.Printf("members: %d, blackholed hosts: %d, RTBH events: %d\n",
-		sum.Members, sum.Hosts, sum.Events)
-	fmt.Printf("control plane: %d messages (%d announcements, %d withdrawals)\n",
-		sum.ControlMsgs, sum.Announcements, sum.Withdrawals)
-	fmt.Printf("data plane: %d sampled flow records (%d packets offered, %d dropped)\n",
-		sum.FlowRecords, sum.PacketsIn, sum.PacketsDropped)
-	fmt.Printf("generator: %d packet batches (%d of them pieces cut at mitigation transitions; at most %d a day)\n",
-		sum.Batches, sum.SplitSegments, sum.MaxDayBatches)
+	took := time.Since(start).Round(time.Millisecond)
+	if n := len(sum.PerIXP); n > 1 {
+		fmt.Printf("%d datasets written under %s in %v\n", n, *out, took)
+	} else {
+		fmt.Printf("dataset written to %s in %v\n", *out, took)
+	}
+	cliutil.PrintRunSummary(os.Stdout, cfg, sum, false)
 
 	if *metricsOut != "" {
 		if err := cliutil.WriteMetrics(reg, *metricsOut); err != nil {
 			fail(err)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rtbh-sim: %v\n", err)
-	os.Exit(1)
-}
-
-// usageFail reports an invalid invocation (exit code 2, like flag
-// parsing errors).
-func usageFail(err error) {
-	fmt.Fprintf(os.Stderr, "rtbh-sim: %v\n", err)
-	os.Exit(2)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/ip2as"
@@ -33,12 +34,67 @@ type Dataset struct {
 	eachBatch func(fn ipfix.BatchSink) error
 }
 
-// OpenDataset loads the dataset written by Simulate from dir.
-func OpenDataset(dir string) (*Dataset, error) {
-	var dm datasetMeta
-	if err := readJSON(filepath.Join(dir, FileMetadata), &dm); err != nil {
-		return nil, err
+// ixpDirs names the dataset directories of a run over several exchanges:
+// <dir>/ixp0, <dir>/ixp1, ...
+func ixpDirs(dir string, n int) []string {
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, "ixp"+strconv.Itoa(i))
 	}
+	return dirs
+}
+
+// exchangeDirs is the dataset layout of a run over n exchanges: dir
+// itself holds the dataset of a single exchange, ixpDirs the datasets of
+// several. Simulate and LiveRun write by it, DatasetDirs reads it back.
+func exchangeDirs(dir string, n int) []string {
+	if n == 1 {
+		return []string{dir}
+	}
+	return ixpDirs(dir, n)
+}
+
+// DatasetDirs decides what dir holds and returns the dataset directories
+// in it, by exchange: dir itself when it has a metadata.json, else the
+// consecutive run dir/ixp0..ixp<N-1> that Simulate and LiveRun write for
+// cfg.IXPs = N. One directory goes to OpenDataset, several to
+// AnalyzeFederated. Every dataset returned is complete — holds its two
+// archives, metadata and side tables — so a gap in the run or a missing
+// file is an error here, naming the file, before any work starts.
+func DatasetDirs(dir string) ([]string, error) {
+	st, err := os.Stat(dir)
+	switch {
+	case os.IsNotExist(err):
+		return nil, fmt.Errorf("dataset directory %q does not exist (generate one with rtbh-sim -out %s)", dir, dir)
+	case err != nil:
+		return nil, fmt.Errorf("dataset directory %q: %v", dir, err)
+	case !st.IsDir():
+		return nil, fmt.Errorf("%q is not a directory", dir)
+	}
+	dirs := []string{dir}
+	if _, err := os.Stat(filepath.Join(dir, FileMetadata)); err != nil {
+		// Not a dataset itself: as many ixp<i> entries as there are have
+		// to be the run ixp0, ixp1, ... without a gap.
+		ixps, _ := filepath.Glob(filepath.Join(dir, "ixp[0-9]*"))
+		if len(ixps) == 0 {
+			return nil, fmt.Errorf("%q does not look like a dataset directory: missing %s, and no ixp0 of a run over several exchanges either (generate one with rtbh-sim -out %s)", dir, FileMetadata, dir)
+		}
+		dirs = ixpDirs(dir, len(ixps))
+	}
+	for _, d := range dirs {
+		for _, name := range []string{FileMetadata, FileUpdates, FileFlows, FileIP2AS, FilePDB} {
+			if _, err := os.Stat(filepath.Join(d, name)); err != nil {
+				return nil, fmt.Errorf("%q is not a complete dataset: missing %s (regenerate it with rtbh-sim)", dir, filepath.Join(d, name))
+			}
+		}
+	}
+	return dirs, nil
+}
+
+// newMetadata builds the analyzer-side metadata from what metadata.json
+// records and the two side tables: OpenDataset reads all three from disk,
+// a LiveRun has them in the planned world.
+func newMetadata(dm datasetMeta, tbl *ip2as.Table, pdb *peeringdb.Registry) *analysis.Metadata {
 	meta := &analysis.Metadata{
 		SamplingRate: dm.SamplingRate,
 		TrafficScale: dm.TrafficScale,
@@ -47,6 +103,8 @@ func OpenDataset(dir string) (*Dataset, error) {
 		MemberByMAC:  make(map[ipfix.MAC]uint32, len(dm.Members)),
 		BlackholeMAC: dm.BlackholeMAC,
 		InternalMACs: make(map[ipfix.MAC]bool, len(dm.InternalMACs)),
+		IP2AS:        tbl,
+		PDB:          pdb,
 	}
 	for _, m := range dm.Members {
 		meta.MemberByMAC[m.MAC] = m.ASN
@@ -54,12 +112,21 @@ func OpenDataset(dir string) (*Dataset, error) {
 	for _, mac := range dm.InternalMACs {
 		meta.InternalMACs[mac] = true
 	}
+	return meta
+}
+
+// OpenDataset loads the dataset written by Simulate from dir.
+func OpenDataset(dir string) (*Dataset, error) {
+	var dm datasetMeta
+	if err := readJSON(filepath.Join(dir, FileMetadata), &dm); err != nil {
+		return nil, err
+	}
 
 	tblFile, err := os.Open(filepath.Join(dir, FileIP2AS))
 	if err != nil {
 		return nil, fmt.Errorf("rtbh: %w", err)
 	}
-	meta.IP2AS, err = ip2as.ReadJSON(tblFile)
+	tbl, err := ip2as.ReadJSON(tblFile)
 	tblFile.Close()
 	if err != nil {
 		return nil, err
@@ -69,11 +136,12 @@ func OpenDataset(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtbh: %w", err)
 	}
-	meta.PDB, err = peeringdb.ReadJSON(pdbFile)
+	pdb, err := peeringdb.ReadJSON(pdbFile)
 	pdbFile.Close()
 	if err != nil {
 		return nil, err
 	}
+	meta := newMetadata(dm, tbl, pdb)
 
 	mrtFile, err := os.Open(filepath.Join(dir, FileUpdates))
 	if err != nil {

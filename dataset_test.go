@@ -43,6 +43,55 @@ func TestSimulateWritesAllFiles(t *testing.T) {
 	}
 }
 
+// TestDatasetDirs: the one layout rule, on every shape of directory the
+// binaries can be pointed at.
+func TestDatasetDirs(t *testing.T) {
+	root := t.TempDir()
+	all := []string{FileMetadata, FileUpdates, FileFlows, FileIP2AS, FilePDB}
+	// mk creates dir under root with one empty file per name in each of subs.
+	mk := func(dir string, subs []string, names ...string) string {
+		for _, sub := range subs {
+			if err := os.MkdirAll(filepath.Join(root, dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if err := os.WriteFile(filepath.Join(root, dir, sub, name), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return filepath.Join(root, dir)
+	}
+	noMeta := mk("nometa", []string{"ixp0", "ixp2"}, all...)
+	mk("nometa", []string{"ixp1"}, all[1:]...)
+	for _, tc := range []struct {
+		name, dir string
+		n         int    // datasets found, or
+		wantErr   string // what the error names
+	}{
+		{"single dataset", mk("single", []string{"."}, all...), 1, ""},
+		{"ixp0..2", mk("fed", []string{"ixp0", "ixp1", "ixp2"}, all...), 3, ""},
+		{"ixp0 and ixp2", mk("gap", []string{"ixp0", "ixp2"}, all...), 0, filepath.Join("gap", "ixp1", FileMetadata)},
+		{"ixp1 without metadata.json", noMeta, 0, filepath.Join("nometa", "ixp1", FileMetadata)},
+		{"single without its flows", mk("partial", []string{"."}, FileMetadata, FileUpdates), 0, filepath.Join("partial", FileFlows)},
+		{"empty directory", mk("empty", []string{"."}), 0, "rtbh-sim -out"},
+		{"no directory", filepath.Join(root, "nope"), 0, "does not exist (generate one with rtbh-sim -out"},
+		{"plain file", filepath.Join(mk("file", []string{"."}, "f"), "f"), 0, "is not a directory"},
+	} {
+		dirs, err := DatasetDirs(tc.dir)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil || len(dirs) != tc.n:
+			t.Errorf("%s: %d datasets, err %v; want %d", tc.name, len(dirs), err, tc.n)
+		case tc.n == 1 && dirs[0] != tc.dir, tc.n > 1 && dirs[2] != filepath.Join(tc.dir, "ixp2"):
+			t.Errorf("%s: dirs = %v", tc.name, dirs)
+		}
+	}
+}
+
 func TestOpenDatasetWithoutGroundTruth(t *testing.T) {
 	// A real-world dataset has no truth.json; analysis must still work.
 	dir := smallDataset(t)

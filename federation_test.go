@@ -28,10 +28,10 @@ func renderGolden(r *rtbh.Report) []byte {
 }
 
 // TestFederatedParityGolden runs the golden world through the
-// federation machinery with a single exchange: the simulated dataset,
-// the snapshot wire round trip, the coordinator merge, and the rendered
-// global report must all collapse to exactly the single-IXP pipeline —
-// byte-identical to the checked-in golden fixture.
+// federation machinery with a single exchange: the snapshot wire round
+// trip, the coordinator merge, and the rendered global report must all
+// collapse to exactly the single-IXP pipeline — byte-identical to the
+// checked-in golden fixture.
 func TestFederatedParityGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates and analyzes a full test-scale world")
@@ -39,25 +39,14 @@ func TestFederatedParityGolden(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.IXPs = 1
 	dir := t.TempDir()
-	sum, err := rtbh.SimulateFederated(cfg, dir)
+	sum, err := rtbh.Simulate(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.IXPs != 1 {
-		t.Fatalf("summary reports %d IXPs, want 1", sum.IXPs)
+	if len(sum.PerIXP) != 1 {
+		t.Fatalf("summary reports %d IXPs, want 1", len(sum.PerIXP))
 	}
-	singleDir := t.TempDir()
-	if _, err := rtbh.Simulate(cfg, singleDir); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		rtbh.FileUpdates, rtbh.FileFlows, rtbh.FileMetadata,
-		rtbh.FileIP2AS, rtbh.FilePDB, rtbh.FileTruth,
-	} {
-		requireSameFile(t, filepath.Join(singleDir, name), filepath.Join(rtbh.IXPDir(dir, 0), name))
-	}
-
-	fr, err := rtbh.AnalyzeFederated([]string{rtbh.IXPDir(dir, 0)}, federationOptions())
+	fr, err := rtbh.AnalyzeFederated(datasetDirs(t, dir, 1), federationOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,23 +99,21 @@ func TestFederatedParityUnion(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.IXPs = 3
 	fedDir := t.TempDir()
-	sum, err := rtbh.SimulateFederated(cfg, fedDir)
+	sum, err := rtbh.Simulate(cfg, fedDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.IXPs != 3 {
-		t.Fatalf("summary reports %d IXPs, want 3", sum.IXPs)
+	if len(sum.PerIXP) != 3 {
+		t.Fatalf("summary reports %d IXPs, want 3", len(sum.PerIXP))
 	}
-	var total int64
-	for i, n := range sum.FlowRecords {
-		if n == 0 {
+	for i, x := range sum.PerIXP {
+		if x.FlowRecords == 0 {
 			t.Errorf("IXP %d observed no flow records", i)
 		}
-		total += n
 	}
+	total := sum.FlowRecords
 
-	dirs := []string{rtbh.IXPDir(fedDir, 0), rtbh.IXPDir(fedDir, 1), rtbh.IXPDir(fedDir, 2)}
-	fr, err := rtbh.AnalyzeFederated(dirs, opts)
+	fr, err := rtbh.AnalyzeFederated(datasetDirs(t, fedDir, 3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +153,7 @@ func TestFederatedMultiHomed(t *testing.T) {
 	cfg.MultiHomedShare = 0.6
 	cfg.IXPClockSkewStep = 2 * time.Millisecond
 	dir := t.TempDir()
-	sum, err := rtbh.SimulateFederated(cfg, dir)
+	sum, err := rtbh.Simulate(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +161,7 @@ func TestFederatedMultiHomed(t *testing.T) {
 		t.Fatal("no members were multi-homed at share 0.6")
 	}
 
-	fr, err := rtbh.AnalyzeFederated([]string{
-		rtbh.IXPDir(dir, 0), rtbh.IXPDir(dir, 1), rtbh.IXPDir(dir, 2),
-	}, federationOptions())
+	fr, err := rtbh.AnalyzeFederated(datasetDirs(t, dir, 3), federationOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +185,19 @@ func TestFederatedMultiHomed(t *testing.T) {
 	}
 }
 
+// datasetDirs reads a run's layout back and requires n datasets in it.
+func datasetDirs(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	dirs, err := rtbh.DatasetDirs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != n {
+		t.Fatalf("%s holds %d datasets, want %d", dir, len(dirs), n)
+	}
+	return dirs
+}
+
 // requireSameFile fails unless the two files hold the same bytes.
 func requireSameFile(t *testing.T, wantPath, gotPath string) {
 	t.Helper()
@@ -213,6 +211,20 @@ func requireSameFile(t *testing.T, wantPath, gotPath string) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s (%d bytes) differs from %s (%d bytes)", gotPath, len(got), wantPath, len(want))
+	}
+}
+
+// requireSameFederatedReport fails unless the live run's merged report
+// renders like AnalyzeFederated's over its archives, globally and per
+// exchange.
+func requireSameFederatedReport(t *testing.T, batch, live *rtbh.FederatedReport) {
+	t.Helper()
+	if len(live.PerIXP) != len(batch.PerIXP) {
+		t.Fatalf("live has %d per-IXP reports, batch %d", len(live.PerIXP), len(batch.PerIXP))
+	}
+	requireSameReport(t, batch.Global, live.Global)
+	for i := range live.PerIXP {
+		requireSameReport(t, batch.PerIXP[i].Report, live.PerIXP[i].Report)
 	}
 }
 
@@ -238,8 +250,8 @@ func runFederatedLive(t *testing.T, cfg rtbh.Config, dir, snapChaosProfile strin
 	if lr.Interrupted() {
 		t.Fatal("uninterrupted federated run reports Interrupted")
 	}
-	if sum.IXPs != cfg.IXPs {
-		t.Fatalf("summary reports %d IXPs, want %d", sum.IXPs, cfg.IXPs)
+	if len(sum.PerIXP) != cfg.IXPs {
+		t.Fatalf("summary reports %d IXPs, want %d", len(sum.PerIXP), cfg.IXPs)
 	}
 
 	opts := federationOptions()
@@ -247,11 +259,7 @@ func runFederatedLive(t *testing.T, cfg rtbh.Config, dir, snapChaosProfile strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs := make([]string, cfg.IXPs)
-	for i := range dirs {
-		dirs[i] = rtbh.IXPDir(dir, i)
-	}
-	batch, err := rtbh.AnalyzeFederated(dirs, opts)
+	batch, err := rtbh.AnalyzeFederated(datasetDirs(t, dir, cfg.IXPs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +268,7 @@ func runFederatedLive(t *testing.T, cfg rtbh.Config, dir, snapChaosProfile strin
 
 // TestLiveFederatedParity is the federated live guarantee: a run whose
 // exchanges each stream over their own BGP/TCP sessions and IPFIX/UDP
-// export writes archives byte-identical to SimulateFederated's, and the
+// export writes archives byte-identical to Simulate's, and the
 // report merged from the online analyzers' snapshots — shipped over the
 // federation TCP transport — renders byte-identical to the batch
 // AnalyzeFederated over those archives.
@@ -272,41 +280,20 @@ func TestLiveFederatedParity(t *testing.T) {
 	cfg.IXPs = 3
 
 	batchDir, liveDir := t.TempDir(), t.TempDir()
-	if _, err := rtbh.SimulateFederated(cfg, batchDir); err != nil {
+	if _, err := rtbh.Simulate(cfg, batchDir); err != nil {
 		t.Fatal(err)
 	}
 	live, batch := runFederatedLive(t, cfg, liveDir, "")
 
 	// Each exchange's archives must match the batch simulation's bytes.
-	for i := 0; i < cfg.IXPs; i++ {
+	liveDirs := datasetDirs(t, liveDir, cfg.IXPs)
+	for i, d := range datasetDirs(t, batchDir, cfg.IXPs) {
 		for _, name := range []string{rtbh.FileUpdates, rtbh.FileFlows} {
-			want, err := os.ReadFile(filepath.Join(rtbh.IXPDir(batchDir, i), name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(filepath.Join(rtbh.IXPDir(liveDir, i), name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("ixp%d %s differs: batch %d bytes, live %d bytes", i, name, len(want), len(got))
-			}
+			requireSameFile(t, filepath.Join(d, name), filepath.Join(liveDirs[i], name))
 		}
 	}
 
-	if got, want := renderGolden(live.Global), renderGolden(batch.Global); !bytes.Equal(got, want) {
-		diffLines(t, want, got)
-		t.Fatal("live federated global report does not match batch AnalyzeFederated")
-	}
-	if len(live.PerIXP) != len(batch.PerIXP) {
-		t.Fatalf("live has %d per-IXP reports, batch %d", len(live.PerIXP), len(batch.PerIXP))
-	}
-	for i := range live.PerIXP {
-		if got, want := renderGolden(live.PerIXP[i].Report), renderGolden(batch.PerIXP[i].Report); !bytes.Equal(got, want) {
-			diffLines(t, want, got)
-			t.Fatalf("live per-IXP report %d does not match batch", i)
-		}
-	}
+	requireSameFederatedReport(t, batch, live)
 }
 
 // TestChaosFederatedSnapshotTransport impairs the snapshot transport
@@ -351,7 +338,7 @@ func TestChaosFederatedLiveTransport(t *testing.T) {
 	cfg.IXPs = 2
 
 	batchDir, liveDir := t.TempDir(), t.TempDir()
-	if _, err := rtbh.SimulateFederated(cfg, batchDir); err != nil {
+	if _, err := rtbh.Simulate(cfg, batchDir); err != nil {
 		t.Fatal(err)
 	}
 	reg := rtbh.NewMetricsRegistry()
@@ -379,10 +366,9 @@ func TestChaosFederatedLiveTransport(t *testing.T) {
 		t.Errorf("ChaosJournal is not the per-exchange journals under ixp<i> headers:\n%s", got)
 	}
 
-	dirs := make([]string, cfg.IXPs)
-	for i := range dirs {
-		dirs[i] = rtbh.IXPDir(liveDir, i)
-		requireSameFile(t, filepath.Join(rtbh.IXPDir(batchDir, i), rtbh.FileUpdates), filepath.Join(dirs[i], rtbh.FileUpdates))
+	dirs := datasetDirs(t, liveDir, cfg.IXPs)
+	for i, d := range datasetDirs(t, batchDir, cfg.IXPs) {
+		requireSameFile(t, filepath.Join(d, rtbh.FileUpdates), filepath.Join(dirs[i], rtbh.FileUpdates))
 	}
 	opts := federationOptions()
 	live, err := lr.Report(opts)
@@ -393,14 +379,5 @@ func TestChaosFederatedLiveTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderGolden(live.Global), renderGolden(batch.Global); !bytes.Equal(got, want) {
-		diffLines(t, want, got)
-		t.Fatal("global report of the impaired run does not match AnalyzeFederated over its archives")
-	}
-	for i := range batch.PerIXP {
-		if got, want := renderGolden(live.PerIXP[i].Report), renderGolden(batch.PerIXP[i].Report); !bytes.Equal(got, want) {
-			diffLines(t, want, got)
-			t.Fatalf("per-IXP report %d of the impaired run does not match batch", i)
-		}
-	}
+	requireSameFederatedReport(t, batch, live)
 }

@@ -9,7 +9,7 @@
 //	control plane (MRT)  -> events:    RTBH events via 10-minute merge
 //	                        load:      parallel-RTBH time series (Fig 3)
 //	                        visibility: per-peer filtered shares (Fig 4)
-//	data plane (IPFIX)   -> pipeline:  two streaming passes feeding
+//	data plane (IPFIX)   -> pipeline:  one streaming pass feeding
 //	                        timealign, dropstats, anomaly, protomix,
 //	                        hosts, collateral
 //	both                 -> usecase:   event classification (Fig 19)

@@ -5,19 +5,34 @@
 package cliutil
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	rtbh "repro"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
+
+// Exits returns the two ways a binary called name gives up, both with
+// "name: err" on stderr: fail for a run that broke (exit status 1) and
+// usageFail for an invalid invocation (2, like flag parsing errors).
+func Exits(name string) (fail, usageFail func(error)) {
+	exit := func(code int) func(error) {
+		return func(err error) {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			os.Exit(code)
+		}
+	}
+	return exit(1), exit(2)
+}
 
 // WorkersUsage is the value part of every -workers flag's help.
 const WorkersUsage = "1 = one goroutine, 0 = one goroutine per operator over GOMAXPROCS (one goroutine when GOMAXPROCS is 1); N > 1 means 0"
@@ -58,19 +73,6 @@ func WithDays(cfg scenario.Config, days int) scenario.Config {
 func CheckIXPs(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-ixps must be >= 1, got %d", n)
-	}
-	return nil
-}
-
-// CheckBatchIXPs validates rtbh-sim's and rtbh-analyze's -ixps against
-// -metrics: a registry instruments one exchange's run, and over several
-// the snapshot would come out empty.
-func CheckBatchIXPs(ixps int, metrics bool) error {
-	if err := CheckIXPs(ixps); err != nil {
-		return err
-	}
-	if metrics && ixps > 1 {
-		return fmt.Errorf("-metrics covers a single exchange; drop -ixps or the -metrics flag")
 	}
 	return nil
 }
@@ -175,6 +177,94 @@ func CheckTrafficScale(s float64) error {
 	return nil
 }
 
+// WorldFlags are the flags that choose the simulated world, the same six
+// on rtbh-sim and rtbh-live: register them on the binary's flag set, then
+// take the Config after parsing.
+type WorldFlags struct {
+	Scale        string
+	TrafficScale float64
+	Seed         uint64
+	Days         int
+	Mitigation   string
+	IXPs         int
+}
+
+// RegisterWorldFlags declares the world flags on fs.
+func RegisterWorldFlags(fs *flag.FlagSet) *WorldFlags {
+	f := &WorldFlags{}
+	fs.StringVar(&f.Scale, "scale", "test", "world scale: test, bench, full, or a traffic multiplier (e.g. 50 = the full 104-day world at the paper's absolute traffic magnitudes)")
+	fs.Float64Var(&f.TrafficScale, "traffic-scale", 0, "override the traffic-magnitude multiplier on any world scale (0 keeps the scale default)")
+	fs.Uint64Var(&f.Seed, "seed", 0, "override the scenario seed (0 keeps the scale default)")
+	fs.IntVar(&f.Days, "days", 0, "override the measurement-period length in days; keeps event density: the event and victim budgets scale with it (0 keeps the scale default)")
+	fs.StringVar(&f.Mitigation, "mitigation", "", `fine-grained mitigation policy: "flowspec", "escalate" or "mixed" (empty keeps pure RTBH; see the table5 report section)`)
+	fs.IntVar(&f.IXPs, "ixps", 1, "federate the world across this many exchanges, writing one dataset each to ixp0..ixpN-1 under -out")
+	return f
+}
+
+// Config checks the parsed world flags and applies them to the world
+// -scale names. Every error is a usage error.
+func (f *WorldFlags) Config() (scenario.Config, error) {
+	cfg, err := WorldConfig(f.Scale)
+	for _, err := range []error{err, CheckDays(f.Days), CheckTrafficScale(f.TrafficScale), CheckIXPs(f.IXPs)} {
+		if err != nil {
+			return scenario.Config{}, err
+		}
+	}
+	if f.Seed != 0 {
+		cfg.Seed = f.Seed
+	}
+	cfg = WithDays(cfg, f.Days)
+	if f.TrafficScale != 0 {
+		cfg.TrafficScale = f.TrafficScale
+	}
+	cfg.MitigationPolicy = f.Mitigation
+	if f.IXPs > 1 {
+		cfg.IXPs = f.IXPs
+	}
+	return cfg, cfg.Validate()
+}
+
+// MetricsUsage is the help of every -metrics flag.
+const MetricsUsage = `write a JSON metrics snapshot to this path when done ("-" for stderr); over several exchanges it covers exchange 0`
+
+// PrintRunSummary prints what a run over sum's exchanges produced, below
+// its binary's headline: the period, then the control- and data-plane
+// volumes of the one exchange, or a line per exchange. live selects
+// rtbh-live's wording: transports named, what its report repeats left out.
+func PrintRunSummary(w io.Writer, cfg scenario.Config, sum *rtbh.SimulationSummary, live bool) {
+	flows, overTCP, overUDP := "sampled flow records", "", ""
+	if live {
+		flows, overTCP, overUDP = "flow records", " over BGP/TCP", " over IPFIX/UDP"
+	}
+	fmt.Fprintf(w, "period: %s + %d days, seed %d, sampling 1:%d",
+		cfg.Start.Format("2006-01-02"), cfg.Days, cfg.Seed, cfg.SamplingRate)
+	if !live {
+		fmt.Fprintf(w, ", traffic x%g", cfg.Scale())
+	}
+	if len(sum.PerIXP) > 1 {
+		fmt.Fprintf(w, ", multi-homed members: %d", len(sum.MultiHomedMembers))
+	}
+	fmt.Fprintln(w)
+	if !live {
+		fmt.Fprintf(w, "members: %d, blackholed hosts: %d, RTBH events: %d\n", sum.Members, sum.Hosts, sum.Events)
+	}
+	if len(sum.PerIXP) > 1 {
+		for i, x := range sum.PerIXP {
+			fmt.Fprintf(w, "ixp%d: %d control messages, %d %s (%d packets offered, %d dropped)\n",
+				i, x.ControlMsgs, x.FlowRecords, flows, x.PacketsIn, x.PacketsDropped)
+		}
+		return
+	}
+	fmt.Fprintf(w, "control plane: %d messages%s (%d announcements, %d withdrawals)\n",
+		sum.ControlMsgs, overTCP, sum.Announcements, sum.Withdrawals)
+	fmt.Fprintf(w, "data plane: %d %s%s (%d packets offered, %d dropped)\n",
+		sum.FlowRecords, flows, overUDP, sum.PacketsIn, sum.PacketsDropped)
+	if !live {
+		fmt.Fprintf(w, "generator: %d packet batches (%d of them pieces cut at mitigation transitions; at most %d a day)\n",
+			sum.Batches, sum.SplitSegments, sum.MaxDayBatches)
+	}
+}
+
 // CheckDetect validates the -detect-* flags: the attack threshold must
 // be a non-negative finite packet rate (0 derives it from the world's
 // traffic scale), the detection window a positive duration, and the
@@ -225,25 +315,6 @@ func WriteMetrics(reg *obs.Registry, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// CheckDatasetDir validates that dir exists and looks like a dataset
-// directory (it must contain the given marker file, typically
-// metadata.json) before any expensive work starts.
-func CheckDatasetDir(dir, marker string) error {
-	st, err := os.Stat(dir)
-	switch {
-	case os.IsNotExist(err):
-		return fmt.Errorf("dataset directory %q does not exist (generate one with rtbh-sim -out %s)", dir, dir)
-	case err != nil:
-		return fmt.Errorf("dataset directory %q: %v", dir, err)
-	case !st.IsDir():
-		return fmt.Errorf("%q is not a directory", dir)
-	}
-	if _, err := os.Stat(filepath.Join(dir, marker)); err != nil {
-		return fmt.Errorf("%q does not look like a dataset directory: missing %s", dir, marker)
-	}
-	return nil
 }
 
 // CheckRunIDs validates a comma-separated -run list against the known

@@ -1,9 +1,9 @@
 package cliutil
 
 import (
+	"cmp"
+	"flag"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,19 +87,69 @@ func TestCheckIXPs(t *testing.T) {
 		if err := CheckIXPs(n); err == nil {
 			t.Errorf("CheckIXPs(%d) accepted", n)
 		}
-		if err := CheckBatchIXPs(n, false); err == nil {
-			t.Errorf("CheckBatchIXPs(%d, false) accepted", n)
+	}
+}
+
+// TestWorldFlags pins the shared world flags to what rtbh-sim and
+// rtbh-live each did by hand before: the two binaries applied the same six
+// flags to the -scale world in two different orders, and every flag alone,
+// and all of them together, must give the Config either order gave — and
+// every usage error its text.
+func TestWorldFlags(t *testing.T) {
+	parse := func(args []string) (*WorldFlags, scenario.Config, error) {
+		fs := flag.NewFlagSet("world", flag.ContinueOnError)
+		f := RegisterWorldFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := f.Config()
+		return f, cfg, err
+	}
+	apply := map[string]func(c *scenario.Config, f *WorldFlags){
+		"seed":          func(c *scenario.Config, f *WorldFlags) { c.Seed = cmp.Or(f.Seed, c.Seed) },
+		"days":          func(c *scenario.Config, f *WorldFlags) { *c = WithDays(*c, f.Days) },
+		"traffic-scale": func(c *scenario.Config, f *WorldFlags) { c.TrafficScale = cmp.Or(f.TrafficScale, c.TrafficScale) },
+		"mitigation":    func(c *scenario.Config, f *WorldFlags) { c.MitigationPolicy = f.Mitigation },
+		"ixps": func(c *scenario.Config, f *WorldFlags) {
+			if f.IXPs > 1 {
+				c.IXPs = f.IXPs
+			}
+		},
+	}
+	orders := map[string][]string{
+		"rtbh-sim":  {"seed", "days", "traffic-scale", "mitigation", "ixps"},
+		"rtbh-live": {"traffic-scale", "seed", "days", "ixps", "mitigation"},
+	}
+	for _, args := range [][]string{
+		{}, {"-scale", "bench"}, {"-scale", "50"}, {"-traffic-scale", "2.5"}, {"-seed", "7"},
+		{"-days", "5"}, {"-mitigation", "escalate"}, {"-ixps", "3"}, {"-ixps", "1"},
+		{"-scale", "full", "-traffic-scale", "3", "-seed", "9", "-days", "14", "-mitigation", "mixed", "-ixps", "2"},
+	} {
+		f, got, err := parse(args)
+		if err != nil {
+			t.Errorf("%v: %v", args, err)
+			continue
+		}
+		for bin, order := range orders {
+			want, _ := WorldConfig(f.Scale)
+			for _, name := range order {
+				apply[name](&want, f)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: Config differs from what %s built:\n got %+v\nwant %+v", args, bin, got, want)
+			}
 		}
 	}
-	// A metrics snapshot covers one exchange's run.
-	if err := CheckBatchIXPs(1, true); err != nil {
-		t.Errorf("CheckBatchIXPs(1, true) = %v, want nil", err)
-	}
-	if err := CheckBatchIXPs(3, false); err != nil {
-		t.Errorf("CheckBatchIXPs(3, false) = %v, want nil", err)
-	}
-	if err := CheckBatchIXPs(3, true); err == nil {
-		t.Error("CheckBatchIXPs(3, true) accepted: -metrics over several exchanges writes an empty snapshot")
+	for _, tc := range []struct{ flag, val, want string }{
+		{"-scale", "bogus", `-scale must be test, bench, full, or a positive traffic multiplier (e.g. 50), got "bogus"`},
+		{"-days", "-1", "-days must be >= 0 (0 keeps the scale default), got -1"},
+		{"-traffic-scale", "-2", "-traffic-scale must be >= 0 (0 keeps the scale default), got -2"},
+		{"-ixps", "0", "-ixps must be >= 1, got 0"},
+		{"-mitigation", "bogus", `scenario: MitigationPolicy must be one of rtbh, flowspec, escalate, mixed; got "bogus"`},
+	} {
+		if _, _, err := parse([]string{tc.flag, tc.val}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s %s: err = %v, want %s", tc.flag, tc.val, err, tc.want)
+		}
 	}
 }
 
@@ -275,35 +325,6 @@ func TestCheckLiveModes(t *testing.T) {
 			t.Errorf("CheckLiveModes(%d, %v, %v, %v) error %q does not start with %s",
 				c.ixps, c.serve, c.detect, c.snapshotChaos, err, c.wantFlag)
 		}
-	}
-}
-
-func TestCheckDatasetDir(t *testing.T) {
-	dir := t.TempDir()
-
-	err := CheckDatasetDir(filepath.Join(dir, "nope"), "metadata.json")
-	if err == nil || !strings.Contains(err.Error(), "does not exist") {
-		t.Errorf("missing dir: err = %v", err)
-	}
-
-	err = CheckDatasetDir(dir, "metadata.json")
-	if err == nil || !strings.Contains(err.Error(), "missing metadata.json") {
-		t.Errorf("empty dir: err = %v", err)
-	}
-
-	file := filepath.Join(dir, "afile")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDatasetDir(file, "metadata.json"); err == nil {
-		t.Error("plain file accepted as dataset directory")
-	}
-
-	if err := os.WriteFile(filepath.Join(dir, "metadata.json"), []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDatasetDir(dir, "metadata.json"); err != nil {
-		t.Errorf("valid dataset dir rejected: %v", err)
 	}
 }
 

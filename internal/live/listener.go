@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -25,30 +24,6 @@ type Hooks struct {
 	OnPeerDown func(peer uint32, graceful bool)
 }
 
-// srvConn wraps an accepted connection with a write mutex so the
-// keepalive goroutine and close-time NOTIFICATIONs never interleave
-// mid-message on the stream.
-type srvConn struct {
-	net.Conn
-	wmu sync.Mutex
-}
-
-// writeMsg writes one whole BGP message under the connection's write
-// lock.
-func (c *srvConn) writeMsg(b []byte, timeout time.Duration) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := c.Conn.Write(b)
-	return err
-}
-
-func (c *srvConn) notify(code uint8) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	sendNotification(c.Conn, code)
-}
-
 // Listener is the passive (route-server) side of the BGP transport: it
 // accepts speaker connections, runs the open exchange, and pumps decoded
 // updates into the hooks.
@@ -60,7 +35,7 @@ type Listener struct {
 	m     *Metrics
 
 	mu     sync.Mutex
-	conns  map[*srvConn]struct{}
+	conns  map[*session]struct{}
 	active map[uint32]chan struct{} // per-peer: closed when that peer's current session fully ends
 	closed bool
 	wg     sync.WaitGroup
@@ -83,7 +58,7 @@ func Listen(addr string, asn uint32, cfg SessionConfig, hooks Hooks, m *Metrics)
 		cfg:    cfg,
 		hooks:  hooks,
 		m:      m,
-		conns:  make(map[*srvConn]struct{}),
+		conns:  make(map[*session]struct{}),
 		active: make(map[uint32]chan struct{}),
 	}
 	l.wg.Add(1)
@@ -101,7 +76,7 @@ func (l *Listener) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		conn := &srvConn{Conn: c}
+		conn := &session{Conn: c, hold: l.cfg.HoldTime}
 		l.mu.Lock()
 		if l.closed {
 			l.mu.Unlock()
@@ -115,7 +90,7 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
-func (l *Listener) forget(conn *srvConn) {
+func (l *Listener) forget(conn *session) {
 	l.mu.Lock()
 	delete(l.conns, conn)
 	l.mu.Unlock()
@@ -134,7 +109,7 @@ func (l *Listener) claimPeer(peer uint32) (prev, done chan struct{}) {
 }
 
 // serve runs one session end to end.
-func (l *Listener) serve(conn *srvConn) {
+func (l *Listener) serve(conn *session) {
 	defer l.wg.Done()
 	defer l.forget(conn)
 	defer conn.Close()
@@ -181,12 +156,11 @@ func (l *Listener) serve(conn *srvConn) {
 		l.hooks.OnEstablished(peer)
 	}
 
-	stopKA := make(chan struct{})
-	defer close(stopKA)
-	l.wg.Add(1)
-	go l.keepalives(conn, stopKA)
-
-	graceful := l.readLoop(conn, peer, r)
+	var onUpdate func(*bgp.Update)
+	if l.hooks.OnUpdate != nil {
+		onUpdate = func(upd *bgp.Update) { l.hooks.OnUpdate(peer, upd) }
+	}
+	graceful := conn.pump(r, &l.wg, l.m, l.isClosed, onUpdate)
 	l.m.PeerDowns.Inc()
 	if l.hooks.OnPeerDown != nil {
 		l.hooks.OnPeerDown(peer, graceful)
@@ -209,15 +183,15 @@ func (l *Listener) readOpen(r *msgReader) (uint32, error) {
 
 // replyOpen is the second half: our OPEN and KEEPALIVE out, the peer's
 // KEEPALIVE in.
-func (l *Listener) replyOpen(conn *srvConn, r *msgReader) error {
+func (l *Listener) replyOpen(conn *session, r *msgReader) error {
 	ours, err := encodeOpen(l.asn, l.cfg.holdTimeSecs())
 	if err != nil {
 		return err
 	}
-	if err := conn.writeMsg(ours, l.cfg.HoldTime); err != nil {
+	if err := conn.write(ours, conn.hold); err != nil {
 		return err
 	}
-	if err := conn.writeMsg(bgp.EncodeKeepalive(), l.cfg.HoldTime); err != nil {
+	if err := conn.write(bgp.EncodeKeepalive(), conn.hold); err != nil {
 		return err
 	}
 	typ, _, err := r.read()
@@ -228,51 +202,6 @@ func (l *Listener) replyOpen(conn *srvConn, r *msgReader) error {
 		return fmt.Errorf("live: expected KEEPALIVE, got message type %d", typ)
 	}
 	return nil
-}
-
-func (l *Listener) keepalives(conn *srvConn, stop chan struct{}) {
-	defer l.wg.Done()
-	t := time.NewTicker(l.cfg.keepaliveEvery())
-	defer t.Stop()
-	ka := bgp.EncodeKeepalive()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if conn.writeMsg(ka, l.cfg.HoldTime) != nil {
-				return
-			}
-		}
-	}
-}
-
-// readLoop pumps the session until it ends, reporting whether the end
-// was an orderly Cease.
-func (l *Listener) readLoop(conn *srvConn, peer uint32, r *msgReader) (graceful bool) {
-	for {
-		conn.SetReadDeadline(time.Now().Add(l.cfg.HoldTime))
-		typ, msg, err := r.read()
-		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() && !l.isClosed() {
-				l.m.HoldExpiries.Inc()
-				conn.notify(notifHoldTimerExpired)
-			}
-			return false
-		}
-		switch typ {
-		case bgp.MsgKeepalive:
-			// Deadline refreshes on the next iteration.
-		case bgp.MsgUpdate:
-			if l.hooks.OnUpdate != nil {
-				l.hooks.OnUpdate(peer, msg.(*bgp.Update))
-			}
-		case bgp.MsgNotification:
-			n := msg.(*bgp.Notification)
-			return n.Code == notifCease
-		}
-	}
 }
 
 func (l *Listener) isClosed() bool {
@@ -291,7 +220,7 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	conns := make([]*srvConn, 0, len(l.conns))
+	conns := make([]*session, 0, len(l.conns))
 	for c := range l.conns {
 		conns = append(conns, c)
 	}
@@ -299,7 +228,7 @@ func (l *Listener) Close() error {
 
 	err := l.ln.Close()
 	for _, c := range conns {
-		c.notify(notifCease)
+		c.sendNotification(notifCease)
 		c.Close()
 	}
 	l.wg.Wait()

@@ -2,9 +2,11 @@ package live
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/bgp"
@@ -75,8 +77,6 @@ func (c *SessionConfig) fill() {
 		c.ReconnectMax = c.ReconnectMin
 	}
 }
-
-func (c SessionConfig) keepaliveEvery() time.Duration { return c.HoldTime / 3 }
 
 // nextBackoff returns the delay before reconnect attempt number attempt
 // (zero-based): exponential from min, capped at max, with uniform jitter
@@ -171,9 +171,79 @@ const (
 	notifCease            = 6
 )
 
-func sendNotification(c net.Conn, code uint8) {
+// session is one connection as either end runs an established BGP session
+// on it: whole messages written under a lock, so keepalives, updates and
+// close-time NOTIFICATIONs never interleave mid-message, and the pump.
+// Listener and Speaker differ in their handshakes and in what replaces a
+// session, not in this.
+type session struct {
+	net.Conn
+	hold time.Duration // the negotiated hold time
+	wmu  sync.Mutex
+}
+
+// write writes one whole BGP message under the write lock; every message
+// of an established session gets the hold time to go out.
+func (c *session) write(b []byte, timeout time.Duration) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := c.Conn.Write(b)
+	return err
+}
+
+// sendNotification is best effort: the connection closes next.
+func (c *session) sendNotification(code uint8) {
 	if b, err := bgp.EncodeNotification(&bgp.Notification{Code: code}); err == nil {
-		c.SetWriteDeadline(time.Now().Add(time.Second))
-		_, _ = c.Write(b)
+		_ = c.write(b, time.Second)
+	}
+}
+
+// pump runs the established session until it ends: a KEEPALIVE goes out
+// every hold/3 from a goroutine counted on wg, every message read
+// refreshes the hold timer, an UPDATE goes to onUpdate (nil discards it),
+// and a session silent for the hold time gets the RFC 4271 §6.5
+// NOTIFICATION, unless closed says this end is shutting down. It reports
+// whether the peer's orderly Cease ended the session, not expiry or a
+// transport failure.
+func (c *session) pump(r *msgReader, wg *sync.WaitGroup, m *Metrics, closed func() bool, onUpdate func(*bgp.Update)) (graceful bool) {
+	stop := make(chan struct{})
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(c.hold / 3)
+		defer t.Stop()
+		ka := bgp.EncodeKeepalive()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				if c.write(ka, c.hold) != nil {
+					return
+				}
+			}
+		}
+	}()
+	for {
+		c.SetReadDeadline(time.Now().Add(c.hold))
+		typ, msg, err := r.read()
+		if err != nil {
+			var nerr net.Error
+			if errors.As(err, &nerr) && nerr.Timeout() && !closed() {
+				m.HoldExpiries.Inc()
+				c.sendNotification(notifHoldTimerExpired)
+			}
+			return false
+		}
+		switch typ {
+		case bgp.MsgUpdate:
+			if onUpdate != nil {
+				onUpdate(msg.(*bgp.Update))
+			}
+		case bgp.MsgNotification:
+			return msg.(*bgp.Notification).Code == notifCease
+		}
 	}
 }

@@ -105,69 +105,109 @@ func TestSessionEstablishAndUpdate(t *testing.T) {
 	}
 }
 
-// TestListenerHoldTimerExpiry starves a handshaken session of keepalives
-// and expects the listener to expire it ungracefully.
-func TestListenerHoldTimerExpiry(t *testing.T) {
-	m := NewMetrics()
-	downs := make(chan bool, 1)
-	cfg := SessionConfig{HoldTime: 150 * time.Millisecond, ReconnectMin: time.Hour}
-	l, err := Listen("127.0.0.1:0", 65500, cfg, Hooks{
-		OnPeerDown: func(peer uint32, graceful bool) { downs <- graceful },
-	}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	// A bare TCP client that handshakes and then goes silent.
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	open, err := encodeOpen(201, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(open); err != nil {
-		t.Fatal(err)
-	}
+// bareOpen plays one side of the open exchange by hand on conn: the
+// active side sends its OPEN first, the passive side answers one.
+func bareOpen(t *testing.T, conn net.Conn, asn uint32, active bool) *msgReader {
+	t.Helper()
 	r := &msgReader{c: conn}
-	if typ, _, err := r.read(); err != nil || typ != bgp.MsgOpen {
-		t.Fatalf("open exchange: typ %d err %v", typ, err)
-	}
-	if _, err := conn.Write(bgp.EncodeKeepalive()); err != nil {
+	open, err := encodeOpen(asn, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	expect := func(want byte) {
+		if typ, _, err := r.read(); err != nil || typ != want {
+			t.Fatalf("open exchange: typ %d err %v, want typ %d", typ, err, want)
+		}
+	}
+	if active {
+		conn.Write(open)
+		expect(bgp.MsgOpen)
+		conn.Write(bgp.EncodeKeepalive())
+	} else {
+		expect(bgp.MsgOpen)
+		conn.Write(append(open, bgp.EncodeKeepalive()...))
+		expect(bgp.MsgKeepalive)
+	}
+	return r
+}
 
-	select {
-	case graceful := <-downs:
-		if graceful {
-			t.Fatal("hold expiry reported as graceful")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("session never expired")
-	}
-	if m.HoldExpiries.Value() == 0 {
-		t.Fatal("hold expiry not counted")
-	}
-	// The expiring side must have sent the RFC 4271 §6.5 NOTIFICATION.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for {
-		typ, msg, err := r.read()
-		if err != nil {
-			t.Fatalf("no NOTIFICATION before close: %v", err)
-		}
-		if typ == bgp.MsgKeepalive {
-			continue
-		}
-		if typ != bgp.MsgNotification {
-			t.Fatalf("got message type %d, want NOTIFICATION", typ)
-		}
-		if n := msg.(*bgp.Notification); n.Code != notifHoldTimerExpired {
-			t.Fatalf("NOTIFICATION code = %d, want %d", n.Code, notifHoldTimerExpired)
-		}
-		break
+// TestSessionHoldTimerExpiry: a peer that completes the open exchange and
+// then goes silent gets the RFC 4271 §6.5 NOTIFICATION, whichever end of
+// the session it left waiting — the pump is one, so one table holds both.
+// Each row sets its end up and returns a bare TCP peer's connection to it.
+func TestSessionHoldTimerExpiry(t *testing.T) {
+	cfg := SessionConfig{HoldTime: 150 * time.Millisecond, ReconnectMin: time.Hour}
+	downs := make(chan bool, 1)
+	for _, row := range []struct {
+		name       string
+		peer       func(t *testing.T, m *Metrics) net.Conn
+		peerASN    uint32
+		peerActive bool // the bare peer dials and opens; the end under test reports its peer-downs
+	}{
+		{"listener", func(t *testing.T, m *Metrics) net.Conn {
+			l, err := Listen("127.0.0.1:0", 65500, cfg, Hooks{
+				OnPeerDown: func(peer uint32, graceful bool) { downs <- graceful },
+			}, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			conn, err := net.Dial("tcp", l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		}, 201, true},
+		{"speaker", func(t *testing.T, m *Metrics) net.Conn {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			s := Dial(ln.Addr().String(), 201, cfg, m)
+			t.Cleanup(func() { s.Close() })
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		}, 65500, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			m := NewMetrics()
+			conn := row.peer(t, m)
+			defer conn.Close()
+			r := bareOpen(t, conn, row.peerASN, row.peerActive)
+
+			// The expiring side must send the NOTIFICATION before it closes.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for {
+				typ, msg, err := r.read()
+				if err != nil {
+					t.Fatalf("no NOTIFICATION before close: %v", err)
+				}
+				if typ == bgp.MsgKeepalive {
+					continue
+				}
+				if n, ok := msg.(*bgp.Notification); !ok || n.Code != notifHoldTimerExpired {
+					t.Fatalf("got message type %d (%+v), want NOTIFICATION code %d", typ, msg, notifHoldTimerExpired)
+				}
+				break
+			}
+			if m.HoldExpiries.Value() == 0 {
+				t.Fatal("hold expiry not counted")
+			}
+			if row.peerActive {
+				select {
+				case graceful := <-downs:
+					if graceful {
+						t.Fatal("hold expiry reported as graceful")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("session end never reported")
+				}
+			}
+		})
 	}
 }
 

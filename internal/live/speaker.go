@@ -26,12 +26,11 @@ type Speaker struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	state State
-	conn  net.Conn
+	conn  *session
 	err   error // sticky fatal error
 	done  chan struct{}
 
-	writeMu sync.Mutex
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // Dial starts a speaker for peer ASN asn against the listener at addr.
@@ -63,7 +62,7 @@ func (s *Speaker) State() State {
 	return s.state
 }
 
-func (s *Speaker) setState(st State, conn net.Conn) {
+func (s *Speaker) setState(st State, conn *session) {
 	s.mu.Lock()
 	s.state = st
 	s.conn = conn
@@ -73,7 +72,7 @@ func (s *Speaker) setState(st State, conn net.Conn) {
 
 // setConn records the in-progress connection so Close can tear it down
 // even mid-handshake.
-func (s *Speaker) setConn(conn net.Conn) {
+func (s *Speaker) setConn(conn *session) {
 	s.mu.Lock()
 	s.conn = conn
 	s.mu.Unlock()
@@ -100,11 +99,13 @@ func (s *Speaker) run() {
 			return
 		}
 		s.setState(StateConnect, nil)
-		conn, err := net.DialTimeout("tcp", s.addr, s.cfg.HoldTime)
+		var conn *session
+		c, err := net.DialTimeout("tcp", s.addr, s.cfg.HoldTime)
 		if err == nil {
 			if s.cfg.Wrap != nil {
-				conn = s.cfg.Wrap(conn)
+				c = s.cfg.Wrap(c)
 			}
+			conn = &session{Conn: c, hold: s.cfg.HoldTime}
 			s.setConn(conn)
 			err = s.handshake(conn)
 			if err != nil {
@@ -131,16 +132,17 @@ func (s *Speaker) run() {
 		s.m.SessionsEstablished.Inc()
 		s.setState(StateEstablished, conn)
 
-		stopKA := s.startKeepalives(conn)
-		s.readLoop(conn)
-		close(stopKA)
+		// Updates from the route server (Adj-RIB-Out announcements) are
+		// acknowledged receipt only — scenario peers do not keep a local
+		// RIB — and any end of the session is a reason to reconnect.
+		conn.pump(&msgReader{c: conn}, &s.wg, s.m, s.isClosed, nil)
 		conn.Close()
 		s.setState(StateIdle, nil)
 	}
 }
 
 // handshake runs the active-side open exchange on a fresh connection.
-func (s *Speaker) handshake(conn net.Conn) error {
+func (s *Speaker) handshake(conn *session) error {
 	deadline := time.Now().Add(s.cfg.HoldTime)
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
@@ -177,66 +179,6 @@ func (s *Speaker) handshake(conn net.Conn) error {
 	return nil
 }
 
-// startKeepalives sends a KEEPALIVE every HoldTime/3 until the returned
-// channel is closed.
-func (s *Speaker) startKeepalives(conn net.Conn) chan struct{} {
-	stop := make(chan struct{})
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(s.cfg.keepaliveEvery())
-		defer t.Stop()
-		ka := bgp.EncodeKeepalive()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if s.write(conn, ka) != nil {
-					return
-				}
-			}
-		}
-	}()
-	return stop
-}
-
-// readLoop consumes the session until it dies: keepalives refresh the
-// hold timer, a NOTIFICATION or read error ends the session, hold-timer
-// expiry sends the RFC 4271 §6.5 NOTIFICATION before closing.
-func (s *Speaker) readLoop(conn net.Conn) {
-	r := &msgReader{c: conn}
-	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.HoldTime))
-		typ, _, err := r.read()
-		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() && !s.isClosed() {
-				s.m.HoldExpiries.Inc()
-				sendNotification(conn, notifHoldTimerExpired)
-			}
-			return
-		}
-		switch typ {
-		case bgp.MsgKeepalive, bgp.MsgUpdate:
-			// Keepalives refresh the deadline; updates from the route
-			// server (Adj-RIB-Out announcements) are acknowledged receipt
-			// only — scenario peers do not keep a local RIB.
-		case bgp.MsgNotification:
-			return
-		}
-	}
-}
-
-// write serializes writes (updates from Send, keepalives) on the session.
-func (s *Speaker) write(conn net.Conn, b []byte) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.HoldTime))
-	_, err := conn.Write(b)
-	return err
-}
-
 // Send transmits one encoded BGP message on the session, blocking until
 // the session is established. An ordinary write error is returned to the
 // caller: the message may or may not have reached the peer, so resending
@@ -246,7 +188,7 @@ func (s *Speaker) write(conn net.Conn, b []byte) error {
 // establish a replacement session and resends there, preserving
 // exactly-once delivery under injected connection kills.
 func (s *Speaker) Send(msg []byte) error {
-	var failed net.Conn
+	var failed *session
 	for {
 		s.mu.Lock()
 		for s.err == nil && !s.isClosed() &&
@@ -262,7 +204,7 @@ func (s *Speaker) Send(msg []byte) error {
 		if closed {
 			return errors.New("live: speaker closed")
 		}
-		werr := s.write(conn, msg)
+		werr := conn.write(msg, conn.hold)
 		if werr == nil {
 			s.m.UpdatesSent.Inc()
 			return nil
@@ -291,9 +233,7 @@ func (s *Speaker) Close() error {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if conn != nil {
-		s.writeMu.Lock()
-		sendNotification(conn, notifCease)
-		s.writeMu.Unlock()
+		conn.sendNotification(notifCease)
 		// Let the peer read the Cease and close its side first: closing
 		// immediately can reset the connection while inbound keepalives
 		// sit unread in our receive buffer, and the RST would destroy the

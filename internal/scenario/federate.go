@@ -30,14 +30,8 @@ type Federation struct {
 // config: home assignments for every member, per-IXP clock offsets, and
 // the deterministic multi-homed member selection (seed-derived, so the
 // same world always federates identically).
-func PlanFederation(w *World) *Federation { return planFederation(w, w.Cfg.IXPs) }
-
-// planFederation federates w across n exchanges; Run passes 1 to keep
-// the world on a single exchange regardless of its config.
-func planFederation(w *World, n int) *Federation {
-	if n < 1 {
-		n = 1
-	}
+func PlanFederation(w *World) *Federation {
+	n := max(w.Cfg.IXPs, 1)
 	fed := &Federation{
 		W:            w,
 		N:            n,

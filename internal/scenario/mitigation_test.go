@@ -28,17 +28,15 @@ func TestMitigationEfficacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w, Sinks{Flow: func(*ipfix.RecordBatch) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, _ := runOne(t, w, Sinks{Flow: func(*ipfix.RecordBatch) error { return nil }})
+	ledger := x.FB.Mitigation()
 
 	var total, full, legitPairs int
 	for _, e := range w.Events {
 		if e.Attack == nil || e.FlowSpec == nil {
 			continue
 		}
-		em, ok := res.Mitigation[e.ID]
+		em, ok := ledger[e.ID]
 		if !ok {
 			t.Fatalf("event %d has a FlowSpec window but no ledger entry", e.ID)
 		}
@@ -98,15 +96,12 @@ func TestMitigationPolicyDefaultUntouched(t *testing.T) {
 			t.Fatalf("event %d planned a FlowSpec window under the default policy", e.ID)
 		}
 	}
-	res, err := Run(w, Sinks{Flow: func(*ipfix.RecordBatch) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FlowSpecAnnouncements != 0 || res.FlowSpecWithdrawals != 0 {
+	x, st := runOne(t, w, Sinks{Flow: func(*ipfix.RecordBatch) error { return nil }})
+	if st.FlowSpecAnnouncements != 0 || st.FlowSpecWithdrawals != 0 {
 		t.Fatalf("default run dispatched FlowSpec control: %d announces, %d withdraws",
-			res.FlowSpecAnnouncements, res.FlowSpecWithdrawals)
+			st.FlowSpecAnnouncements, st.FlowSpecWithdrawals)
 	}
-	for id, em := range res.Mitigation {
+	for id, em := range x.FB.Mitigation() {
 		fs := em.Attack[fabric.PhaseFlowSpec].Total() + em.Legit[fabric.PhaseFlowSpec].Total()
 		if fs != 0 {
 			t.Fatalf("event %d has FlowSpec-phase traffic under the default policy", id)

@@ -24,28 +24,8 @@ type Sinks struct {
 	Flow ipfix.BatchSink
 	// Metrics, when non-nil, receives the route server's and the
 	// fabric's observability metrics ("routeserver.*", "fabric.*").
-	// Snapshot after Run returns.
+	// Snapshot after RunFederated returns.
 	Metrics *obs.Registry
-}
-
-// Result summarizes a completed run.
-type Result struct {
-	World         *World
-	FabricStats   fabric.Stats
-	ControlMsgs   int
-	Announcements int // UPDATE messages announcing RTBH prefixes
-	Withdrawals   int // UPDATE messages withdrawing RTBH prefixes
-	FlowRecords   int64
-	// FlowSpecAnnouncements/Withdrawals count FlowSpec control messages
-	// (zero under the default mitigation policy).
-	FlowSpecAnnouncements int
-	FlowSpecWithdrawals   int
-	// Mitigation is the fabric's ground-truth per-event mitigation
-	// ledger, keyed by event ID.
-	Mitigation map[int]fabric.EventMitigation
-	// Drive is everything Drive counted, the generator's batch counts
-	// included.
-	Drive DriveStats
 }
 
 // Executor receives the planned world's totally ordered action stream
@@ -80,9 +60,9 @@ type DriveStats struct {
 }
 
 // NewRouteServer constructs the route server of the planned world with
-// every member session registered, exactly as Run does. Each member's
-// registered address space is the victim blocks it announces for, which
-// arms the route server's FlowSpec originator validation.
+// every member session registered, exactly as RunFederated does. Each
+// member's registered address space is the victim blocks it announces
+// for, which arms the route server's FlowSpec originator validation.
 func NewRouteServer(w *World) (*routeserver.Server, error) {
 	space := make(map[uint32][]bgp.Prefix)
 	for _, v := range w.VictimASes {
@@ -116,7 +96,7 @@ func (x *Exchange) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
 
 func (x *Exchange) Inject(b *fabric.Batch) error { return x.FB.Inject(b) }
 
-// NewExchanges builds the federation's exchanges inside Drive's build
+// newExchanges builds the federation's exchanges inside Drive's build
 // callback, one per entry of sinks: a route server with every member
 // session and sinks[i].Control as its collector hook, a fabric emitting
 // into sinks[i].Flow on the exchange's clock offset, and both registered
@@ -124,7 +104,7 @@ func (x *Exchange) Inject(b *fabric.Batch) error { return x.FB.Inject(b) }
 // from fabricRNG exactly as fabric.New forks it, so a single exchange
 // reproduces the unfederated data plane bit for bit and N exchanges
 // partition it (exactly, when MultiHomedShare is zero).
-func NewExchanges(fed *Federation, fabricRNG *stats.RNG, sinks []Sinks) ([]*Exchange, error) {
+func newExchanges(fed *Federation, fabricRNG *stats.RNG, sinks []Sinks) ([]*Exchange, error) {
 	if len(sinks) != fed.N {
 		return nil, fmt.Errorf("scenario: %d sinks for %d IXPs", len(sinks), fed.N)
 	}
@@ -162,47 +142,30 @@ func NewExchanges(fed *Federation, fabricRNG *stats.RNG, sinks []Sinks) ([]*Exch
 	return xs, nil
 }
 
-// RunFederated executes the planned world across the federation's
-// exchanges in process: every control message and batch of Drive's
-// totally ordered action stream goes straight to the route server and
-// fabric of the exchange the federation routes it to. With fed.N == 1
-// the emitted streams are byte-identical to Run's; with more, they
-// partition them. sinks must have one entry per exchange.
-func RunFederated(fed *Federation, sinks []Sinks) ([]*Exchange, *DriveStats, error) {
+// RunFederated is the one driver of every run: each control message and
+// batch of Drive's totally ordered action stream goes to the executor of
+// the exchange the federation routes it to. With over nil that is the
+// exchange itself, in process; the live driver's over puts its transports
+// in front of each exchange as it is built. N exchanges partition the
+// single exchange's streams. sinks has one entry per exchange. Exchanges
+// and stats come back even when an executor failed mid-run.
+func RunFederated(fed *Federation, sinks []Sinks, over func(i int, x *Exchange) (Executor, error)) ([]*Exchange, *DriveStats, error) {
 	var xs []*Exchange
 	st, err := Drive(fed.W, func(fabricRNG *stats.RNG) (Executor, error) {
 		var err error
-		if xs, err = NewExchanges(fed, fabricRNG, sinks); err != nil {
+		if xs, err = newExchanges(fed, fabricRNG, sinks); err != nil {
 			return nil, err
 		}
 		exs := make([]Executor, len(xs))
 		for i, x := range xs {
 			exs[i] = x
+			if over != nil {
+				if exs[i], err = over(i, x); err != nil {
+					return nil, err
+				}
+			}
 		}
 		return fed.Route(exs), nil
 	})
 	return xs, st, err
-}
-
-// Run executes the planned world chronologically on a single exchange
-// (whatever Config.IXPs says), feeding the route server, the switching
-// fabric and the sinks.
-func Run(w *World, sinks Sinks) (*Result, error) {
-	xs, st, err := RunFederated(planFederation(w, 1), []Sinks{sinks})
-	if err != nil {
-		return nil, err
-	}
-	x := xs[0]
-	return &Result{
-		World:                 w,
-		FabricStats:           x.FB.Stats(),
-		ControlMsgs:           x.RS.MessagesProcessed(),
-		Announcements:         st.Announcements,
-		Withdrawals:           st.Withdrawals,
-		FlowRecords:           x.FlowRecords,
-		FlowSpecAnnouncements: st.FlowSpecAnnouncements,
-		FlowSpecWithdrawals:   st.FlowSpecWithdrawals,
-		Mitigation:            x.FB.Mitigation(),
-		Drive:                 *st,
-	}, nil
 }

@@ -298,7 +298,18 @@ func TestSplitBatch(t *testing.T) {
 	}
 }
 
-func runSmall(t *testing.T) (*World, *Result, []ipfix.FlowRecord, []controlArchive) {
+// runOne runs w on the single exchange its config plans and returns that
+// exchange with what Drive counted.
+func runOne(t *testing.T, w *World, sinks Sinks) (*Exchange, *DriveStats) {
+	t.Helper()
+	xs, st, err := RunFederated(PlanFederation(w), []Sinks{sinks}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xs[0], st
+}
+
+func runSmall(t *testing.T) (*World, *Exchange, *DriveStats, []ipfix.FlowRecord, []controlArchive) {
 	t.Helper()
 	cfg := TestConfig()
 	cfg.Days = 14
@@ -314,7 +325,7 @@ func runSmall(t *testing.T) (*World, *Result, []ipfix.FlowRecord, []controlArchi
 	}
 	var flows []ipfix.FlowRecord
 	var msgs []controlArchive
-	res, err := Run(w, Sinks{
+	x, st := runOne(t, w, Sinks{
 		Control: func(ts time.Time, peerAS uint32, peerIP uint32, msg []byte) {
 			msgs = append(msgs, controlArchive{ts, peerAS, len(msg)})
 		},
@@ -323,10 +334,7 @@ func runSmall(t *testing.T) (*World, *Result, []ipfix.FlowRecord, []controlArchi
 			return nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, res, flows, msgs
+	return w, x, st, flows, msgs
 }
 
 type controlArchive struct {
@@ -336,22 +344,22 @@ type controlArchive struct {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	w, res, flows, msgs := runSmall(t)
+	w, x, ds, flows, msgs := runSmall(t)
 
-	if res.Announcements == 0 || res.Withdrawals == 0 {
-		t.Fatalf("control plane empty: %+v", res)
+	if ds.Announcements == 0 || ds.Withdrawals == 0 {
+		t.Fatalf("control plane empty: %+v", ds)
 	}
-	if res.Announcements < len(w.Events) {
-		t.Fatalf("announcements (%d) below event count (%d)", res.Announcements, len(w.Events))
+	if ds.Announcements < len(w.Events) {
+		t.Fatalf("announcements (%d) below event count (%d)", ds.Announcements, len(w.Events))
 	}
-	if len(msgs) != res.ControlMsgs {
-		t.Fatalf("collector saw %d messages, server processed %d", len(msgs), res.ControlMsgs)
+	if n := x.RS.MessagesProcessed(); len(msgs) != n {
+		t.Fatalf("collector saw %d messages, server processed %d", len(msgs), n)
 	}
 	if len(flows) == 0 {
 		t.Fatal("no flow records")
 	}
-	if res.FlowRecords != int64(len(flows)) {
-		t.Fatalf("record counters disagree: %d vs %d", res.FlowRecords, len(flows))
+	if x.FlowRecords != int64(len(flows)) {
+		t.Fatalf("record counters disagree: %d vs %d", x.FlowRecords, len(flows))
 	}
 
 	// Some traffic must be dropped (blackholed), some forwarded.
@@ -374,17 +382,17 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal("no internal records to clean")
 	}
 
-	st := res.FabricStats
+	st := x.FB.Stats()
 	if st.PacketsDropped == 0 || st.PacketsDropped >= st.PacketsIn {
 		t.Fatalf("fabric stats implausible: %+v", st)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	_, res1, flows1, _ := runSmall(t)
-	_, res2, flows2, _ := runSmall(t)
-	if res1.FlowRecords != res2.FlowRecords || res1.Announcements != res2.Announcements {
-		t.Fatalf("runs differ: %+v vs %+v", res1, res2)
+	_, x1, st1, flows1, _ := runSmall(t)
+	_, x2, st2, flows2, _ := runSmall(t)
+	if x1.FlowRecords != x2.FlowRecords || st1.Announcements != st2.Announcements {
+		t.Fatalf("runs differ: %d records, %+v vs %d records, %+v", x1.FlowRecords, st1, x2.FlowRecords, st2)
 	}
 	for i := range flows1 {
 		if flows1[i] != flows2[i] {
@@ -394,7 +402,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunControlChronological(t *testing.T) {
-	_, _, _, msgs := runSmall(t)
+	_, _, _, _, msgs := runSmall(t)
 	for i := 1; i < len(msgs); i++ {
 		if msgs[i].ts.Before(msgs[i-1].ts) {
 			t.Fatalf("control messages out of order at %d", i)
@@ -418,7 +426,7 @@ func TestRunClockOffsetVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	earliest := time.Time{}
-	_, err = Run(w, Sinks{Flow: func(b *ipfix.RecordBatch) error {
+	runOne(t, w, Sinks{Flow: func(b *ipfix.RecordBatch) error {
 		for _, r := range b.Recs {
 			if earliest.IsZero() || r.Start.Before(earliest) {
 				earliest = r.Start
@@ -426,9 +434,6 @@ func TestRunClockOffsetVisible(t *testing.T) {
 		}
 		return nil
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !earliest.Before(cfg.Start) {
 		t.Fatalf("clock offset not applied: earliest sample %v", earliest)
 	}
@@ -547,14 +552,11 @@ func TestRunAcrossSeedsSanity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var n int64
-		res, err := Run(w, Sinks{Flow: func(b *ipfix.RecordBatch) error { n += int64(b.Len()); return nil }})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if n == 0 || res.Announcements == 0 {
+		x, ds := runOne(t, w, Sinks{Flow: func(b *ipfix.RecordBatch) error { n += int64(b.Len()); return nil }})
+		if n == 0 || ds.Announcements == 0 {
 			t.Fatalf("seed %d: empty run", seed)
 		}
-		st := res.FabricStats
+		st := x.FB.Stats()
 		if st.PacketsDropped <= 0 || st.PacketsDropped >= st.PacketsIn {
 			t.Fatalf("seed %d: implausible drops %+v", seed, st)
 		}

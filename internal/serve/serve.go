@@ -462,6 +462,22 @@ type EventsView struct {
 	Events  []EventView `json:"events"`
 }
 
+// eventJoins indexes a report's per-event efficacy tallies and use-case
+// classes by event ID: the joins /api/events and /api/victims both make.
+func eventJoins(rep *rtbh.Report) (drops map[int]*rtbh.EventDropStat, classes map[int]string) {
+	drops = make(map[int]*rtbh.EventDropStat, len(rep.EventDrops))
+	for i := range rep.EventDrops {
+		drops[rep.EventDrops[i].ID] = &rep.EventDrops[i]
+	}
+	classes = make(map[int]string)
+	if rep.Fig19 != nil {
+		for _, ec := range rep.Fig19.PerEvent {
+			classes[ec.EventID] = ec.Class.String()
+		}
+	}
+	return drops, classes
+}
+
 func (s *Server) handleEvents(r *http.Request) (any, *httpError) {
 	rep, taken, herr := s.snapshotFor(r)
 	if herr != nil {
@@ -469,16 +485,7 @@ func (s *Server) handleEvents(r *http.Request) (any, *httpError) {
 	}
 	_, end := s.cfg.Source.Period()
 
-	drops := make(map[int]*rtbh.EventDropStat, len(rep.EventDrops))
-	for i := range rep.EventDrops {
-		drops[rep.EventDrops[i].ID] = &rep.EventDrops[i]
-	}
-	classes := make(map[int]string)
-	if rep.Fig19 != nil {
-		for _, ec := range rep.Fig19.PerEvent {
-			classes[ec.EventID] = ec.Class.String()
-		}
-	}
+	drops, classes := eventJoins(rep)
 	anomalies := make(map[int]bool, len(rep.Verdicts))
 	for i := range rep.Verdicts {
 		anomalies[rep.Verdicts[i].EventID] = rep.Verdicts[i].Within10Min
@@ -661,16 +668,7 @@ func (s *Server) handleVictims(r *http.Request) (any, *httpError) {
 	}
 	_, end := s.cfg.Source.Period()
 
-	drops := make(map[int]*rtbh.EventDropStat, len(rep.EventDrops))
-	for i := range rep.EventDrops {
-		drops[rep.EventDrops[i].ID] = &rep.EventDrops[i]
-	}
-	classes := make(map[int]string)
-	if rep.Fig19 != nil {
-		for _, ec := range rep.Fig19.PerEvent {
-			classes[ec.EventID] = ec.Class.String()
-		}
-	}
+	drops, classes := eventJoins(rep)
 
 	byPrefix := make(map[string]*VictimView)
 	for _, e := range rep.Events {

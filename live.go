@@ -19,7 +19,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/routeserver"
 	"repro/internal/scenario"
-	"repro/internal/stats"
 )
 
 // LiveRun is one live-mode run of a planned world: instead of feeding
@@ -29,18 +28,16 @@ import (
 // collector, which writes the archives and feeds an OnlineAnalyzer.
 // The world runs across cfg.IXPs exchanges, each with its own route
 // server, fabric, transports, analyzer and dataset directory: dir itself
-// for a single exchange, IXPDir(dir, i) for more. The archived datasets
-// are byte-identical to Simulate's, respectively SimulateFederated's,
-// for the same Config (see DESIGN.md, "Live mode").
+// for a single exchange, dir/ixp<i> for more. The archived datasets are
+// byte-identical to Simulate's for the same Config (see DESIGN.md,
+// "Live mode").
 //
 // Construct with NewLiveRun, inspect progress through Analyzer, then
 // Run once. Cancelling Run's context interrupts the run gracefully: the
 // in-flight streams drain, the archives hold the delivered prefix of
 // the run, and the analyzers report over exactly that prefix.
 type LiveRun struct {
-	cfg      Config
 	reg      *MetricsRegistry
-	w        *scenario.World
 	fed      *scenario.Federation
 	xs       []*liveExchange
 	snapPlan *faultnet.Plan
@@ -57,8 +54,8 @@ type liveExchange struct {
 	lm       *live.Metrics
 	plan     *faultnet.Plan
 
-	// Run state. ex is assigned inside Drive's build callback, strictly
-	// before the runner carries any traffic that reaches it.
+	// Run state. ex is assigned as RunFederated builds the exchanges,
+	// strictly before the runner carries any traffic that reaches it.
 	dw     *datasetWriter
 	runner *live.Runner
 	ex     *scenario.Exchange
@@ -85,13 +82,10 @@ func NewLiveRun(cfg Config, dir string, reg *MetricsRegistry) (*LiveRun, error) 
 	if err != nil {
 		return nil, err
 	}
-	lr := &LiveRun{cfg: cfg, reg: reg, w: w, fed: scenario.PlanFederation(w)}
+	lr := &LiveRun{reg: reg, fed: scenario.PlanFederation(w)}
 	meta := analysisMeta(w)
-	for i := 0; i < lr.fed.N; i++ {
-		x := &liveExchange{dir: dir, analyzer: NewOnlineAnalyzer(meta), lm: live.NewMetrics()}
-		if lr.fed.N > 1 {
-			x.dir = IXPDir(dir, i)
-		}
+	for i, d := range exchangeDirs(dir, lr.fed.N) {
+		x := &liveExchange{dir: d, analyzer: NewOnlineAnalyzer(meta), lm: live.NewMetrics()}
 		if reg != nil && i == 0 {
 			x.lm.Register(reg)
 			x.analyzer.RegisterMetrics(reg)
@@ -100,9 +94,6 @@ func NewLiveRun(cfg Config, dir string, reg *MetricsRegistry) (*LiveRun, error) 
 	}
 	return lr, nil
 }
-
-// IXPs returns the number of exchanges the run drives.
-func (lr *LiveRun) IXPs() int { return lr.fed.N }
 
 // Analyzer returns the online analyzer of exchange 0 — the run's only
 // one unless cfg.IXPs > 1. Snapshot it at any time — before, during or
@@ -113,11 +104,6 @@ func (lr *LiveRun) Analyzer() *OnlineAnalyzer { return lr.xs[0].analyzer }
 
 // IXPAnalyzer returns exchange i's online analyzer.
 func (lr *LiveRun) IXPAnalyzer(i int) *OnlineAnalyzer { return lr.xs[i].analyzer }
-
-// Config returns the configuration the run was planned with; the
-// serving layer's health endpoint reports it so clients can tell which
-// world they are looking at.
-func (lr *LiveRun) Config() Config { return lr.cfg }
 
 // EnableChaos arms seeded fault-injection plans for the run: the given
 // profile's impairments are applied to the BGP/TCP sessions and the
@@ -180,10 +166,10 @@ func (lr *LiveRun) EnableDetector(cfg detect.Config) error {
 	if lr.fed.N > 1 {
 		return fmt.Errorf("rtbh: the detector supports a single exchange, the run has %d", lr.fed.N)
 	}
-	cfg.SamplingRate = lr.w.Cfg.SamplingRate
+	cfg.SamplingRate = lr.fed.W.Cfg.SamplingRate
 	cfg.BlackholeMAC = fabric.BlackholeMAC
 	if cfg.TrafficScale == 0 {
-		cfg.TrafficScale = lr.w.Cfg.Scale()
+		cfg.TrafficScale = lr.fed.W.Cfg.Scale()
 	}
 	d, err := detect.New(cfg)
 	if err != nil {
@@ -206,20 +192,13 @@ func (lr *LiveRun) Detector() *detect.Detector { return lr.det }
 // and intensity per attack event.
 func (lr *LiveRun) AttackTruth() []detect.TruthAttack {
 	var out []detect.TruthAttack
-	for _, e := range lr.w.Events {
+	for _, e := range lr.fed.W.Events {
 		if e.Attack == nil {
 			continue
 		}
-		// Victim address, mirroring the scenario driver's choice: the
-		// event host's address, or the first host address inside a
-		// squatting prefix.
-		victim := e.Prefix.Addr + 1
-		if e.Host >= 0 {
-			victim = lr.w.Hosts[e.Host].IP
-		}
 		out = append(out, detect.TruthAttack{
 			EventID: e.ID,
-			Victim:  victim,
+			Victim:  lr.fed.W.VictimAddr(e),
 			Start:   e.Attack.Start,
 			End:     e.Attack.End(),
 			PPS:     e.Attack.PPS,
@@ -271,12 +250,12 @@ func (lr *LiveRun) Interrupted() bool { return lr.interrupted }
 // Cancelling ctx stops dispatching, drains what is in flight, and
 // returns normally with Interrupted() set; any other failure is an
 // error.
-func (lr *LiveRun) Run(ctx context.Context) (*FederatedSummary, error) {
+func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 	if lr.ran {
 		return nil, fmt.Errorf("rtbh: live run already executed")
 	}
 	lr.ran = true
-	w, fed := lr.w, lr.fed
+	w, fed := lr.fed.W, lr.fed
 
 	defer func() {
 		for _, x := range lr.xs {
@@ -292,17 +271,12 @@ func (lr *LiveRun) Run(ctx context.Context) (*FederatedSummary, error) {
 	}
 	sinks[0].Metrics = lr.reg
 
-	var exs []*scenario.Exchange
-	st, driveErr := scenario.Drive(w, func(fabricRNG *stats.RNG) (scenario.Executor, error) {
-		var err error
-		if exs, err = scenario.NewExchanges(fed, fabricRNG, sinks); err != nil {
-			return nil, err
-		}
+	exs, st, driveErr := scenario.RunFederated(fed, sinks, func(i int, ex *scenario.Exchange) (scenario.Executor, error) {
 		if lr.det != nil {
 			// The detector peers with the route server like any member:
 			// its announcements cross a real BGP session and are archived
 			// by the collector hook exactly like operator-originated RTBH.
-			if err := exs[0].RS.AddPeer(routeserver.Peer{
+			if err := ex.RS.AddPeer(routeserver.Peer{
 				ASN:    detect.PeerASN,
 				IP:     w.RSIP + 0xFFFD,
 				Policy: routeserver.DefaultPolicy(),
@@ -310,13 +284,10 @@ func (lr *LiveRun) Run(ctx context.Context) (*FederatedSummary, error) {
 				return nil, err
 			}
 		}
-		out := make([]scenario.Executor, fed.N)
-		for i, x := range lr.xs {
-			x.ex = exs[i]
-			x.runner.SetRouteServerASN(uint32(w.RSASN))
-			out[i] = liveExecutor{r: x.runner, fb: x.ex.FB, det: lr.det}
-		}
-		return fed.Route(out), nil
+		x := lr.xs[i]
+		x.ex = ex
+		x.runner.SetRouteServerASN(uint32(w.RSASN))
+		return liveExecutor{r: x.runner, fb: ex.FB, det: lr.det}, nil
 	})
 	if driveErr != nil {
 		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
@@ -352,7 +323,7 @@ func (lr *LiveRun) Run(ctx context.Context) (*FederatedSummary, error) {
 			return nil, fmt.Errorf("rtbh: ixp%d: %w", i, err)
 		}
 	}
-	return federatedSummary(fed, exs, st), nil
+	return summarize(fed, exs, st), nil
 }
 
 // start opens the exchange's dataset writer and live transports and
@@ -455,7 +426,7 @@ func (lr *LiveRun) Report(opts Options) (*FederatedReport, error) {
 	if !lr.ran {
 		return nil, fmt.Errorf("rtbh: live run has not executed")
 	}
-	coord := federation.NewCoordinator(analysisMeta(lr.w), opts.Delta)
+	coord := federation.NewCoordinator(analysisMeta(lr.fed.W), opts.Delta)
 	srv, err := federation.Serve("127.0.0.1:0", coord)
 	if err != nil {
 		return nil, err
@@ -558,19 +529,5 @@ func (e liveExecutor) dispatchDetections(now time.Time) error {
 // planned world — the same values OpenDataset reconstructs from the
 // dataset's metadata.json and side tables.
 func analysisMeta(w *scenario.World) *analysis.Metadata {
-	meta := &analysis.Metadata{
-		SamplingRate: w.Cfg.SamplingRate,
-		TrafficScale: w.Cfg.Scale(),
-		Start:        w.Cfg.Start,
-		End:          w.Cfg.End(),
-		MemberByMAC:  make(map[ipfix.MAC]uint32, len(w.Members)),
-		BlackholeMAC: fabric.BlackholeMAC,
-		InternalMACs: map[ipfix.MAC]bool{fabric.InternalMAC: true},
-		IP2AS:        w.IP2AS,
-		PDB:          w.PDB,
-	}
-	for _, m := range w.Members {
-		meta.MemberByMAC[fabric.MemberMAC(m.ASN)] = m.ASN
-	}
-	return meta
+	return newMetadata(metaOf(w), w.IP2AS, w.PDB)
 }

@@ -38,7 +38,7 @@ func benchLiveRun(b *testing.B, profile string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		exported += sum.FlowRecords[0]
+		exported += sum.FlowRecords
 		collected += reg.Snapshot().Counter("live.ipfix.collected_records")
 	}
 	b.ReportMetric(float64(collected)/b.Elapsed().Seconds(), "collected_records/s")

@@ -14,10 +14,11 @@
 //	ds, err := rtbh.OpenDataset(dir)          // load what an analyst gets
 //	report, err := ds.Analyze(rtbh.DefaultOptions())
 //
+// A run covers cfg.IXPs exchanges, one dataset each; DatasetDirs reads
+// back how many a directory holds, and AnalyzeFederated merges several.
 // The same world streams through real transports — BGP over TCP, IPFIX
-// over UDP — into online analyzers with one driver for one exchange or
-// cfg.IXPs of them; the datasets it writes are byte-identical to
-// Simulate's (SimulateFederated's):
+// over UDP — into online analyzers, one per exchange; the datasets it
+// writes are byte-identical to Simulate's:
 //
 //	lr, err := rtbh.NewLiveRun(cfg, dir, nil)
 //	sum, err := lr.Run(ctx)                   // archives + online analysis
@@ -50,8 +51,9 @@ type Config = scenario.Config
 type GroundTruth = scenario.GroundTruth
 
 // DefaultConfig returns the paper-scale world: 104 days, 830 members,
-// ~34k RTBH events, 1:10,000 sampling. Simulation takes about two
-// minutes and produces ~27M flow records (~1.4 GB of IPFIX).
+// ~34k RTBH events, 1:10,000 sampling. Simulation takes about five
+// seconds and produces 12.1M flow records (612 MB on disk; see
+// EXPERIMENTS.md).
 func DefaultConfig() Config { return scenario.DefaultConfig() }
 
 // TestConfig returns a miniature world for tests and quick exploration.

@@ -24,7 +24,9 @@ const (
 	FileTruth    = "truth.json"
 )
 
-// SimulationSummary reports what a simulation produced.
+// SimulationSummary reports what a run over one or more exchanges
+// produced: Simulate's, or a LiveRun's. The volumes are totals over the
+// exchanges; PerIXP holds each exchange's share of them.
 type SimulationSummary struct {
 	Events         int
 	Hosts          int
@@ -41,6 +43,50 @@ type SimulationSummary struct {
 	Batches       int64
 	SplitSegments int64
 	MaxDayBatches int
+	// PerIXP is indexed by exchange; its length is the exchange count.
+	PerIXP []IXPVolumes
+	// MultiHomedMembers lists the ASNs connected at two exchanges
+	// (empty on a single one).
+	MultiHomedMembers []uint32
+}
+
+// IXPVolumes is what one exchange measured of a run.
+type IXPVolumes struct {
+	ControlMsgs    int
+	FlowRecords    int64
+	PacketsIn      int64
+	PacketsDropped int64
+}
+
+// summarize reports a finished run over the federation's exchanges,
+// in-process or live.
+func summarize(fed *scenario.Federation, xs []*scenario.Exchange, st *scenario.DriveStats) *SimulationSummary {
+	sum := &SimulationSummary{
+		Events:            len(fed.W.Events),
+		Hosts:             len(fed.W.Hosts),
+		Members:           len(fed.W.Members),
+		Announcements:     st.Announcements,
+		Withdrawals:       st.Withdrawals,
+		Batches:           st.Batches,
+		SplitSegments:     st.SplitSegments,
+		MaxDayBatches:     st.MaxDayBatches,
+		MultiHomedMembers: fed.MultiHomedMembers(),
+	}
+	for _, x := range xs {
+		fst := x.FB.Stats()
+		v := IXPVolumes{
+			ControlMsgs:    x.RS.MessagesProcessed(),
+			FlowRecords:    x.FlowRecords,
+			PacketsIn:      fst.PacketsIn,
+			PacketsDropped: fst.PacketsDropped,
+		}
+		sum.PerIXP = append(sum.PerIXP, v)
+		sum.ControlMsgs += v.ControlMsgs
+		sum.FlowRecords += v.FlowRecords
+		sum.PacketsIn += v.PacketsIn
+		sum.PacketsDropped += v.PacketsDropped
+	}
+	return sum
 }
 
 // datasetMeta is the JSON schema of metadata.json: everything an analyst
@@ -65,64 +111,60 @@ type memberMeta struct {
 	MAC ipfix.MAC `json:"mac"`
 }
 
-// Simulate plans and runs the world described by cfg and writes the
-// dataset into dir (created if missing): the MRT control-plane archive,
-// the IPFIX flow archive, metadata, the IP-to-AS table, the PeeringDB
-// snapshot, and the ground truth.
+// Simulate plans the world described by cfg once and runs it across
+// cfg.IXPs exchanges, writing one complete dataset per exchange: into dir
+// itself (created if missing) for a single exchange, into dir/ixp<i> for
+// more — the layout DatasetDirs reads back. A dataset is the MRT
+// control-plane archive, the IPFIX flow archive, metadata, the IP-to-AS
+// table, the PeeringDB snapshot and the ground truth; each exchange's has
+// the full member table but only what was observed there.
 func Simulate(cfg Config, dir string) (*SimulationSummary, error) {
 	return SimulateObserved(cfg, dir, nil)
 }
 
 // SimulateObserved is Simulate with observability: when reg is non-nil
-// the route server and fabric register their metrics ("routeserver.*",
-// "fabric.*") on it and the generator's counts are published as
-// "scenario.batches", "scenario.split_segments" and
-// "scenario.day_batches_max". Snapshot after the call returns; the
-// fabric's ground-truth gauges match the returned summary exactly.
+// the route server and fabric of exchange 0 (the metric names are global)
+// register their metrics ("routeserver.*", "fabric.*") on it and the
+// generator's counts are published as "scenario.batches",
+// "scenario.split_segments" and "scenario.day_batches_max". Snapshot after
+// the call returns; on a single exchange the fabric's ground-truth gauges
+// match the returned summary exactly.
 func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*SimulationSummary, error) {
 	w, err := scenario.Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	dw, err := newDatasetWriter(dir, w)
+	fed := scenario.PlanFederation(w)
+	writers := make([]*datasetWriter, fed.N)
+	sinks := make([]scenario.Sinks, fed.N)
+	for i, d := range exchangeDirs(dir, fed.N) {
+		if writers[i], err = newDatasetWriter(d, w); err != nil {
+			return nil, err
+		}
+		defer writers[i].close()
+		sinks[i] = writers[i].sinks()
+	}
+	sinks[0].Metrics = reg
+	xs, st, err := scenario.RunFederated(fed, sinks, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer dw.close()
-	sinks := dw.sinks()
-	sinks.Metrics = reg
-	res, err := scenario.Run(w, sinks)
-	if err != nil {
-		return nil, err
-	}
-	if err := dw.finish(); err != nil {
-		return nil, err
+	for _, dw := range writers {
+		if err := dw.finish(); err != nil {
+			return nil, err
+		}
 	}
 	if reg != nil {
-		reg.Gauge("scenario.batches").Set(res.Drive.Batches)
-		reg.Gauge("scenario.split_segments").Set(res.Drive.SplitSegments)
-		reg.Gauge("scenario.day_batches_max").Set(int64(res.Drive.MaxDayBatches))
+		reg.Gauge("scenario.batches").Set(st.Batches)
+		reg.Gauge("scenario.split_segments").Set(st.SplitSegments)
+		reg.Gauge("scenario.day_batches_max").Set(int64(st.MaxDayBatches))
 	}
-	st := res.FabricStats
-	return &SimulationSummary{
-		Events:         len(w.Events),
-		Hosts:          len(w.Hosts),
-		Members:        len(w.Members),
-		ControlMsgs:    res.ControlMsgs,
-		Announcements:  res.Announcements,
-		Withdrawals:    res.Withdrawals,
-		FlowRecords:    res.FlowRecords,
-		PacketsIn:      st.PacketsIn,
-		PacketsDropped: st.PacketsDropped,
-		Batches:        res.Drive.Batches,
-		SplitSegments:  res.Drive.SplitSegments,
-		MaxDayBatches:  res.Drive.MaxDayBatches,
-	}, nil
+	return summarize(fed, xs, st), nil
 }
 
 // datasetWriter writes one exchange's dataset directory: the two stream
 // archives while the run is in flight, the side tables once it is over.
-// Simulate, SimulateFederated and LiveRun all archive through it, so
+// Simulate and LiveRun both archive through it, so
 // what a dataset directory holds is decided here and nowhere else.
 type datasetWriter struct {
 	dir               string
@@ -229,16 +271,7 @@ func metaOf(w *scenario.World) datasetMeta {
 }
 
 func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("rtbh: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return fmt.Errorf("rtbh: writing %s: %w", path, err)
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
 }
 
 func writeFile(path string, write func(w io.Writer) error) error {
