@@ -3,6 +3,7 @@ package rtbh
 import (
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/anomaly"
 	"repro/internal/analysis/collateral"
 	"repro/internal/analysis/dropstats"
@@ -80,7 +81,7 @@ type (
 	// MitigationPrefixStat is the per-victim-prefix Table 5 detail.
 	MitigationPrefixStat = mitigation.PrefixStat
 	// MitigationCounter is a dropped/forwarded traffic tally.
-	MitigationCounter = mitigation.Counter
+	MitigationCounter = analysis.Counter
 	// UseCaseResult is the Fig 19 outcome.
 	UseCaseResult = usecase.Result
 	// UseCaseClass is a Fig 19 classification label.

@@ -163,3 +163,53 @@ func (c *TopCounter) Clone() *TopCounter {
 // Entries returns the tracked keys and their counts (shared slices; the
 // caller must not modify them).
 func (c *TopCounter) Entries() ([]uint32, []uint64) { return c.keys, c.counts }
+
+// Counter is a dropped/forwarded tally, the cell of the drop-rate
+// (dropstats) and mitigation (Table 5) operators.
+type Counter struct {
+	DroppedPkts, ForwardedPkts   int64
+	DroppedBytes, ForwardedBytes int64
+}
+
+// TotalPkts returns dropped plus forwarded packets.
+func (c *Counter) TotalPkts() int64 { return c.DroppedPkts + c.ForwardedPkts }
+
+// TotalBytes returns dropped plus forwarded bytes.
+func (c *Counter) TotalBytes() int64 { return c.DroppedBytes + c.ForwardedBytes }
+
+// DropRatePkts returns the packet drop share (0 when no traffic).
+func (c *Counter) DropRatePkts() float64 {
+	t := c.TotalPkts()
+	if t == 0 {
+		return 0
+	}
+	return float64(c.DroppedPkts) / float64(t)
+}
+
+// DropRateBytes returns the byte drop share (0 when no traffic).
+func (c *Counter) DropRateBytes() float64 {
+	t := c.TotalBytes()
+	if t == 0 {
+		return 0
+	}
+	return float64(c.DroppedBytes) / float64(t)
+}
+
+// Add tallies one observation as dropped or forwarded.
+func (c *Counter) Add(dropped bool, pkts, bytes int64) {
+	if dropped {
+		c.DroppedPkts += pkts
+		c.DroppedBytes += bytes
+	} else {
+		c.ForwardedPkts += pkts
+		c.ForwardedBytes += bytes
+	}
+}
+
+// Merge adds o's tallies to c.
+func (c *Counter) Merge(o *Counter) {
+	c.DroppedPkts += o.DroppedPkts
+	c.ForwardedPkts += o.ForwardedPkts
+	c.DroppedBytes += o.DroppedBytes
+	c.ForwardedBytes += o.ForwardedBytes
+}

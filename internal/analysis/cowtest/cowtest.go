@@ -34,8 +34,8 @@ type Case[T Store[T]] struct {
 	Deep func(T) T
 	// Add folds the observation drawn from x into s.
 	Add func(s T, x uint64)
-	// Rewrites are the operator's other mutation paths (hosts.Filter,
-	// Pending.RemapEvents); may be empty.
+	// Rewrites are the operator's other mutation paths
+	// (hosts.Aggregator.Filter, Pending.RemapEvents); may be empty.
 	Rewrites []func(s T, x uint64)
 	// Copies, when set, reads a store's copy-on-first-write count; the run
 	// then fails unless some store copied, i.e. unless sharing was exercised.

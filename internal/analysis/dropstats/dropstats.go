@@ -12,81 +12,35 @@ package dropstats
 import (
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/peeringdb"
 	"repro/internal/stats"
 )
 
-// Counter is a dropped/forwarded tally.
-type Counter struct {
-	DroppedPkts, ForwardedPkts   int64
-	DroppedBytes, ForwardedBytes int64
-}
-
-// TotalPkts returns dropped plus forwarded packets.
-func (c *Counter) TotalPkts() int64 { return c.DroppedPkts + c.ForwardedPkts }
-
-// TotalBytes returns dropped plus forwarded bytes.
-func (c *Counter) TotalBytes() int64 { return c.DroppedBytes + c.ForwardedBytes }
-
-// DropRatePkts returns the packet drop share (0 when no traffic).
-func (c *Counter) DropRatePkts() float64 {
-	t := c.TotalPkts()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.DroppedPkts) / float64(t)
-}
-
-// DropRateBytes returns the byte drop share (0 when no traffic).
-func (c *Counter) DropRateBytes() float64 {
-	t := c.TotalBytes()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.DroppedBytes) / float64(t)
-}
-
-func (c *Counter) merge(o *Counter) {
-	c.DroppedPkts += o.DroppedPkts
-	c.ForwardedPkts += o.ForwardedPkts
-	c.DroppedBytes += o.DroppedBytes
-	c.ForwardedBytes += o.ForwardedBytes
-}
-
-func (c *Counter) add(dropped bool, pkts, bytes int64) {
-	if dropped {
-		c.DroppedPkts += pkts
-		c.DroppedBytes += bytes
-	} else {
-		c.ForwardedPkts += pkts
-		c.ForwardedBytes += bytes
-	}
-}
-
 // Aggregator accumulates drop statistics from the streaming pass.
 type Aggregator struct {
-	byLen    [33]Counter
+	byLen    [33]analysis.Counter
 	byEvent  map[int]*eventCounter
-	bySource map[uint32]*Counter // ingress member -> /32 counter
+	bySource map[uint32]*analysis.Counter // ingress member -> /32 counter
 
 	// Run memos: attributed records arrive in long runs sharing the
 	// event and ingress member, so the map probes resolve once per run.
 	lastEventID int
 	lastEvent   *eventCounter
 	lastMember  uint32
-	lastSource  *Counter
+	lastSource  *analysis.Counter
 }
 
 type eventCounter struct {
 	prefixLen uint8
-	c         Counter
+	c         analysis.Counter
 }
 
 // New returns an empty aggregator.
 func New() *Aggregator {
 	return &Aggregator{
 		byEvent:  make(map[int]*eventCounter),
-		bySource: make(map[uint32]*Counter),
+		bySource: make(map[uint32]*analysis.Counter),
 	}
 }
 
@@ -97,7 +51,7 @@ func (a *Aggregator) Add(eventID int, prefixLen uint8, srcMember uint32, dropped
 	if prefixLen > 32 {
 		return
 	}
-	a.byLen[prefixLen].add(dropped, pkts, bytes)
+	a.byLen[prefixLen].Add(dropped, pkts, bytes)
 
 	ec := a.lastEvent
 	if ec == nil || a.lastEventID != eventID {
@@ -108,19 +62,19 @@ func (a *Aggregator) Add(eventID int, prefixLen uint8, srcMember uint32, dropped
 		}
 		a.lastEventID, a.lastEvent = eventID, ec
 	}
-	ec.c.add(dropped, pkts, bytes)
+	ec.c.Add(dropped, pkts, bytes)
 
 	if prefixLen == 32 && srcMember != 0 {
 		sc := a.lastSource
 		if sc == nil || a.lastMember != srcMember {
 			sc = a.bySource[srcMember]
 			if sc == nil {
-				sc = &Counter{}
+				sc = &analysis.Counter{}
 				a.bySource[srcMember] = sc
 			}
 			a.lastMember, a.lastSource = srcMember, sc
 		}
-		sc.add(dropped, pkts, bytes)
+		sc.Add(dropped, pkts, bytes)
 	}
 }
 
@@ -131,18 +85,18 @@ func (a *Aggregator) Add(eventID int, prefixLen uint8, srcMember uint32, dropped
 // used afterwards: a may adopt its internal structures.
 func (a *Aggregator) Merge(o *Aggregator) {
 	for l := range o.byLen {
-		a.byLen[l].merge(&o.byLen[l])
+		a.byLen[l].Merge(&o.byLen[l])
 	}
 	for id, oc := range o.byEvent {
 		if ec := a.byEvent[id]; ec != nil {
-			ec.c.merge(&oc.c)
+			ec.c.Merge(&oc.c)
 		} else {
 			a.byEvent[id] = oc
 		}
 	}
 	for m, oc := range o.bySource {
 		if sc := a.bySource[m]; sc != nil {
-			sc.merge(oc)
+			sc.Merge(oc)
 		} else {
 			a.bySource[m] = oc
 		}
@@ -171,7 +125,7 @@ func (a *Aggregator) Snapshot() *Aggregator {
 // LengthStat is one row of Fig 5.
 type LengthStat struct {
 	PrefixLen uint8
-	Counter
+	analysis.Counter
 	// TrafficSharePkts is this length's share of all blackhole traffic
 	// (the opacity dimension of Fig 5).
 	TrafficSharePkts float64
@@ -201,13 +155,7 @@ func (a *Aggregator) ByLength() []LengthStat {
 // AverageDropRate returns the packet and byte drop shares across all
 // blackholed traffic (the dashed lines of Fig 5).
 func (a *Aggregator) AverageDropRate() (pkts, bytes float64) {
-	var c Counter
-	for l := range a.byLen {
-		c.DroppedPkts += a.byLen[l].DroppedPkts
-		c.ForwardedPkts += a.byLen[l].ForwardedPkts
-		c.DroppedBytes += a.byLen[l].DroppedBytes
-		c.ForwardedBytes += a.byLen[l].ForwardedBytes
-	}
+	c := a.Totals()
 	return c.DropRatePkts(), c.DropRateBytes()
 }
 
@@ -230,7 +178,7 @@ func (a *Aggregator) DropRateCDF(prefixLen uint8, minPkts int64) *stats.ECDF {
 // blackhole routes.
 type SourceBehaviour struct {
 	Member uint32
-	Counter
+	analysis.Counter
 }
 
 // TopSources returns the n members contributing the most traffic toward
@@ -318,10 +266,10 @@ func (a *Aggregator) Events() int { return len(a.byEvent) }
 // Totals returns the summed dropped/forwarded tallies across all prefix
 // lengths — the numbers a metrics snapshot reconciles against the Fig 5
 // rows (ByLength sums to exactly these counters).
-func (a *Aggregator) Totals() Counter {
-	var c Counter
+func (a *Aggregator) Totals() analysis.Counter {
+	var c analysis.Counter
 	for l := range a.byLen {
-		c.merge(&a.byLen[l])
+		c.Merge(&a.byLen[l])
 	}
 	return c
 }

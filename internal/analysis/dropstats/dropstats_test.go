@@ -4,18 +4,19 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/peeringdb"
 )
 
 func TestCounterRates(t *testing.T) {
-	c := Counter{DroppedPkts: 30, ForwardedPkts: 70, DroppedBytes: 440, ForwardedBytes: 560}
+	c := analysis.Counter{DroppedPkts: 30, ForwardedPkts: 70, DroppedBytes: 440, ForwardedBytes: 560}
 	if r := c.DropRatePkts(); math.Abs(r-0.3) > 1e-12 {
 		t.Fatalf("pkt rate = %v", r)
 	}
 	if r := c.DropRateBytes(); math.Abs(r-0.44) > 1e-12 {
 		t.Fatalf("byte rate = %v", r)
 	}
-	var empty Counter
+	var empty analysis.Counter
 	if empty.DropRatePkts() != 0 || empty.DropRateBytes() != 0 {
 		t.Fatal("empty counter rates nonzero")
 	}

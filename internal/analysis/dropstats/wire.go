@@ -10,20 +10,6 @@ import (
 // wireVersion is the dropstats snapshot codec version.
 const wireVersion = 1
 
-func encodeCounter(w *analysis.WireWriter, c *Counter) {
-	w.Varint(c.DroppedPkts)
-	w.Varint(c.ForwardedPkts)
-	w.Varint(c.DroppedBytes)
-	w.Varint(c.ForwardedBytes)
-}
-
-func decodeCounter(r *analysis.WireReader, c *Counter) {
-	c.DroppedPkts = r.Varint()
-	c.ForwardedPkts = r.Varint()
-	c.DroppedBytes = r.Varint()
-	c.ForwardedBytes = r.Varint()
-}
-
 // MarshalBinary encodes the aggregator canonically: the per-length
 // table, then the per-event counters sorted by event ID, then the
 // per-source counters sorted by member ASN.
@@ -31,7 +17,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(wireVersion)
 	for l := range a.byLen {
-		encodeCounter(w, &a.byLen[l])
+		a.byLen[l].EncodeWire(w)
 	}
 	ids := make([]int, 0, len(a.byEvent))
 	for id := range a.byEvent {
@@ -43,7 +29,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 		ec := a.byEvent[id]
 		w.Uvarint(uint64(id))
 		w.Byte(ec.prefixLen)
-		encodeCounter(w, &ec.c)
+		ec.c.EncodeWire(w)
 	}
 	members := make([]uint32, 0, len(a.bySource))
 	for m := range a.bySource {
@@ -53,7 +39,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	w.Uvarint(uint64(len(members)))
 	for _, m := range members {
 		w.Uvarint(uint64(m))
-		encodeCounter(w, a.bySource[m])
+		a.bySource[m].EncodeWire(w)
 	}
 	return w.Bytes(), nil
 }
@@ -63,24 +49,24 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
-	var byLen [33]Counter
+	var byLen [33]analysis.Counter
 	for l := range byLen {
-		decodeCounter(r, &byLen[l])
+		byLen[l].DecodeWire(r)
 	}
 	nEv := r.Count(6) // id + prefixLen + four counters
 	byEvent := make(map[int]*eventCounter, nEv)
 	for i := 0; i < nEv; i++ {
 		id := r.Int()
 		ec := &eventCounter{prefixLen: r.Byte()}
-		decodeCounter(r, &ec.c)
+		ec.c.DecodeWire(r)
 		byEvent[id] = ec
 	}
 	nSrc := r.Count(5) // member + four counters
-	bySource := make(map[uint32]*Counter, nSrc)
+	bySource := make(map[uint32]*analysis.Counter, nSrc)
 	for i := 0; i < nSrc; i++ {
 		m := r.U32()
-		c := &Counter{}
-		decodeCounter(r, c)
+		c := &analysis.Counter{}
+		c.DecodeWire(r)
 		bySource[m] = c
 	}
 	if err := r.Done(); err != nil {
@@ -104,7 +90,7 @@ func (a *Aggregator) RemapEvents(m map[int]int) error {
 			return fmt.Errorf("dropstats: no mapping for event %d", id)
 		}
 		if cur := out[nid]; cur != nil {
-			cur.c.merge(&ec.c)
+			cur.c.Merge(&ec.c)
 		} else {
 			out[nid] = ec
 		}
@@ -119,7 +105,7 @@ func (a *Aggregator) RemapEvents(m map[int]int) error {
 type EventStat struct {
 	ID        int
 	PrefixLen uint8
-	Counter
+	analysis.Counter
 }
 
 // EventStats returns the per-event counters sorted by event ID.

@@ -17,6 +17,7 @@ package mitigation
 import (
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/bgp"
 	"repro/internal/netgen"
 )
@@ -46,52 +47,17 @@ func (p Phase) String() string {
 	}
 }
 
-// Counter is a dropped/forwarded tally.
-type Counter struct {
-	DroppedPkts, ForwardedPkts   int64
-	DroppedBytes, ForwardedBytes int64
-}
-
-// TotalPkts returns dropped plus forwarded packets.
-func (c *Counter) TotalPkts() int64 { return c.DroppedPkts + c.ForwardedPkts }
-
-// DropRatePkts returns the packet drop share (0 when no traffic).
-func (c *Counter) DropRatePkts() float64 {
-	t := c.TotalPkts()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.DroppedPkts) / float64(t)
-}
-
-func (c *Counter) add(dropped bool, pkts, bytes int64) {
-	if dropped {
-		c.DroppedPkts += pkts
-		c.DroppedBytes += bytes
-	} else {
-		c.ForwardedPkts += pkts
-		c.ForwardedBytes += bytes
-	}
-}
-
-func (c *Counter) merge(o *Counter) {
-	c.DroppedPkts += o.DroppedPkts
-	c.ForwardedPkts += o.ForwardedPkts
-	c.DroppedBytes += o.DroppedBytes
-	c.ForwardedBytes += o.ForwardedBytes
-}
-
 // cells is one mitigated prefix's tally: per phase, attack and
 // legitimate traffic separately.
 type cells struct {
-	attack [numPhases]Counter
-	legit  [numPhases]Counter
+	attack [numPhases]analysis.Counter
+	legit  [numPhases]analysis.Counter
 }
 
 func (cs *cells) merge(o *cells) {
 	for p := range cs.attack {
-		cs.attack[p].merge(&o.attack[p])
-		cs.legit[p].merge(&o.legit[p])
+		cs.attack[p].Merge(&o.attack[p])
+		cs.legit[p].Merge(&o.legit[p])
 	}
 }
 
@@ -133,9 +99,9 @@ func (a *Aggregator) Add(prefix bgp.Prefix, phase Phase, proto uint8, srcPort ui
 		a.lastPrefix, a.lastCells = prefix, cs
 	}
 	if netgen.IsAmplificationPort(proto, srcPort) {
-		cs.attack[phase].add(dropped, pkts, bytes)
+		cs.attack[phase].Add(dropped, pkts, bytes)
 	} else {
-		cs.legit[phase].add(dropped, pkts, bytes)
+		cs.legit[phase].Add(dropped, pkts, bytes)
 	}
 }
 
@@ -172,8 +138,8 @@ func (a *Aggregator) Prefixes() int { return len(a.byPrefix) }
 // reproduced Table 5.
 type PhaseStat struct {
 	Phase  Phase
-	Attack Counter // reflected amplification traffic
-	Legit  Counter // everything else toward the mitigated prefix
+	Attack analysis.Counter // reflected amplification traffic
+	Legit  analysis.Counter // everything else toward the mitigated prefix
 	// Prefixes counts mitigated prefixes with any traffic in this phase.
 	Prefixes int
 }
@@ -181,8 +147,8 @@ type PhaseStat struct {
 // PrefixStat is the per-victim-prefix detail behind the aggregate rows.
 type PrefixStat struct {
 	Prefix bgp.Prefix
-	Attack [2]Counter // indexed by Phase
-	Legit  [2]Counter
+	Attack [2]analysis.Counter // indexed by Phase
+	Legit  [2]analysis.Counter
 }
 
 // Result is the composed mitigation comparison.
@@ -215,8 +181,8 @@ func (a *Aggregator) Compose() *Result {
 		for ph := 0; ph < int(numPhases); ph++ {
 			ps.Attack[ph] = cs.attack[ph]
 			ps.Legit[ph] = cs.legit[ph]
-			res.Rows[ph].Attack.merge(&cs.attack[ph])
-			res.Rows[ph].Legit.merge(&cs.legit[ph])
+			res.Rows[ph].Attack.Merge(&cs.attack[ph])
+			res.Rows[ph].Legit.Merge(&cs.legit[ph])
 			if cs.attack[ph].TotalPkts()+cs.legit[ph].TotalPkts() > 0 {
 				res.Rows[ph].Prefixes++
 			}

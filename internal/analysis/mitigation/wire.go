@@ -10,20 +10,6 @@ import (
 // wireVersion is the mitigation snapshot codec version.
 const wireVersion = 1
 
-func encodeCounter(w *analysis.WireWriter, c *Counter) {
-	w.Varint(c.DroppedPkts)
-	w.Varint(c.ForwardedPkts)
-	w.Varint(c.DroppedBytes)
-	w.Varint(c.ForwardedBytes)
-}
-
-func decodeCounter(r *analysis.WireReader, c *Counter) {
-	c.DroppedPkts = r.Varint()
-	c.ForwardedPkts = r.Varint()
-	c.DroppedBytes = r.Varint()
-	c.ForwardedBytes = r.Varint()
-}
-
 // MarshalBinary encodes the aggregator canonically: per-prefix cells
 // sorted by (addr, len), each holding the per-phase attack and
 // legitimate counters.
@@ -37,8 +23,8 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 		w.Uvarint(uint64(p.Addr))
 		w.Byte(p.Len)
 		for ph := 0; ph < int(numPhases); ph++ {
-			encodeCounter(w, &cs.attack[ph])
-			encodeCounter(w, &cs.legit[ph])
+			cs.attack[ph].EncodeWire(w)
+			cs.legit[ph].EncodeWire(w)
 		}
 	}
 	return w.Bytes(), nil
@@ -59,8 +45,8 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		}
 		cs := &cells{}
 		for ph := 0; ph < int(numPhases); ph++ {
-			decodeCounter(r, &cs.attack[ph])
-			decodeCounter(r, &cs.legit[ph])
+			cs.attack[ph].DecodeWire(r)
+			cs.legit[ph].DecodeWire(r)
 		}
 		byPrefix[bgp.MakePrefix(addr, length)] = cs
 	}

@@ -95,7 +95,8 @@ type Result struct {
 }
 
 // Classify combines events with their anomaly verdicts (indexed by event
-// ID order, as returned by anomaly.Analyze over the same event slice).
+// ID order, as returned by anomaly.Aggregator.AnalyzeScaled over the same
+// event slice).
 func Classify(evs []*events.Event, verdicts []anomaly.Verdict, periodEnd time.Time) *Result {
 	res := &Result{
 		Counts:    make(map[Class]int),

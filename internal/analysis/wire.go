@@ -322,3 +322,19 @@ func (c *TopCounter) DecodeWire(r *WireReader) {
 	c.keys = keys
 	c.counts = counts
 }
+
+// EncodeWire appends the counter's four tallies as varints.
+func (c *Counter) EncodeWire(w *WireWriter) {
+	w.Varint(c.DroppedPkts)
+	w.Varint(c.ForwardedPkts)
+	w.Varint(c.DroppedBytes)
+	w.Varint(c.ForwardedBytes)
+}
+
+// DecodeWire replaces the counter's state with the decoded encoding.
+func (c *Counter) DecodeWire(r *WireReader) {
+	c.DroppedPkts = r.Varint()
+	c.ForwardedPkts = r.Varint()
+	c.DroppedBytes = r.Varint()
+	c.ForwardedBytes = r.Varint()
+}

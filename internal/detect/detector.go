@@ -30,11 +30,11 @@ const (
 	DefaultWindow    = 5 * time.Minute
 	DefaultCooldown  = 10 * time.Minute
 
-	// DefaultRetention comfortably exceeds the longest flow batch the
-	// scenario driver injects (quiet-host baseline batches span a full
-	// day), so an attack's samples are never evicted by a timestamp
-	// from the far side of the same day.
-	DefaultRetention = 26 * time.Hour
+	// retention is the sketch horizon. It comfortably exceeds the
+	// longest flow batch the scenario driver injects (quiet-host baseline
+	// batches span a full day), so an attack's samples are never evicted
+	// by a timestamp from the far side of the same day.
+	retention = 26 * time.Hour
 )
 
 // ThresholdAt derives the detection threshold for a dataset's traffic
@@ -58,8 +58,9 @@ type Config struct {
 	// scenario.Config.TrafficScale); zero means 1. It only affects the
 	// derived default threshold — an explicit Threshold wins.
 	TrafficScale float64
-	// Window is the sliding detection window. Zero selects
-	// DefaultWindow.
+	// Window is the sliding detection window, between a second and half
+	// the sketch horizon; the sketches bucket a fifth of it per slot.
+	// Zero selects DefaultWindow.
 	Window time.Duration
 	// Cooldown is how long a victim must stay below half the threshold
 	// before the blackhole is withdrawn, measured in driver time
@@ -71,12 +72,6 @@ type Config struct {
 	// it to time the first post-announcement drop. Required for
 	// mitigation-latency measurement, zero disables it.
 	BlackholeMAC ipfix.MAC
-	// Slot is the sketch bucket width. Zero derives Window/5 (clamped
-	// to at least a second); it must divide observations meaningfully
-	// finer than Window.
-	Slot time.Duration
-	// Retention is the sketch horizon. Zero selects DefaultRetention.
-	Retention time.Duration
 }
 
 // withDefaults returns cfg with zero values filled in, or an error for
@@ -91,30 +86,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Cooldown == 0 {
 		c.Cooldown = DefaultCooldown
 	}
-	if c.Retention == 0 {
-		c.Retention = DefaultRetention
-	}
-	if c.Slot == 0 {
-		c.Slot = c.Window / 5
-		if c.Slot < time.Second {
-			c.Slot = time.Second
-		}
-	}
 	switch {
 	case c.Threshold <= 0 || math.IsInf(c.Threshold, 0) || math.IsNaN(c.Threshold):
 		return c, fmt.Errorf("detect: Threshold must be a positive finite rate, got %v", c.Threshold)
-	case c.Window <= 0:
-		return c, fmt.Errorf("detect: Window must be positive, got %v", c.Window)
 	case c.Cooldown < 0:
 		return c, fmt.Errorf("detect: Cooldown must be >= 0, got %v", c.Cooldown)
 	case c.SamplingRate <= 0:
 		return c, fmt.Errorf("detect: SamplingRate must be positive, got %d", c.SamplingRate)
-	case c.Slot <= 0 || c.Slot > c.Window:
-		return c, fmt.Errorf("detect: Slot must be in (0, Window], got %v", c.Slot)
-	case c.Retention < 2*c.Window:
-		return c, fmt.Errorf("detect: Retention %v is shorter than two windows (%v)", c.Retention, c.Window)
-	case int64((c.Retention+c.Slot-1)/c.Slot) > maxRetainSlots:
-		return c, fmt.Errorf("detect: Retention/Slot ratio %v/%v exceeds %d slots", c.Retention, c.Slot, maxRetainSlots)
+	case c.Window < time.Second || c.Window > retention/2:
+		return c, fmt.Errorf("detect: Window must be between 1s and half the %v sketch horizon, got %v", retention, c.Window)
 	}
 	return c, nil
 }
@@ -180,7 +160,7 @@ const gateInline = 4
 
 // victimGate is one victim's scan-gate tallies: packets per
 // window-width bucket of slots. It starts as a fixed inline array of
-// (bucket, tally) pairs — linear-scanned, never evicted; stale entries
+// (bucket, tally) pairs — linear-scanned, never pruned; stale entries
 // only overcount, which the gate (a sound upper bound) tolerates. Past
 // gateInline distinct buckets it upgrades to a ring over the retention
 // span. Two live buckets can never collide in the ring (they would be a
@@ -282,6 +262,7 @@ func ringIdx(cs, n int64) int64 {
 type Detector struct {
 	mu      sync.Mutex
 	cfg     Config
+	slot    time.Duration
 	wslots  int64
 	rate    *Rate
 	vectors *Vectors
@@ -301,7 +282,9 @@ type Detector struct {
 	// hotPkts no window crossed anything and the scan is skipped — the
 	// quiet majority of records never pays more than a ring update.
 	// Tallies may overcount evicted fine slots (the gate is an upper
-	// bound), which keeps maintenance trivial.
+	// bound), which keeps maintenance trivial. A victim's gate goes when
+	// the rate sketch sweeps the victim: its buckets then lie more than a
+	// horizon behind any live record's, so reading them already gave 0.
 	gate map[uint32]*victimGate
 }
 
@@ -312,11 +295,13 @@ func New(cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
+	slot := max(cfg.Window/5, time.Second) // the sketch bucket width
 	d := &Detector{
 		cfg:     cfg,
-		wslots:  int64((cfg.Window + cfg.Slot - 1) / cfg.Slot),
-		rate:    NewRate(cfg.Slot, cfg.Retention),
-		vectors: NewVectors(cfg.Slot, cfg.Retention),
+		slot:    slot,
+		wslots:  int64((cfg.Window + slot - 1) / slot),
+		rate:    NewRate(slot, retention),
+		vectors: NewVectors(slot, retention),
 		state:   make(map[uint32]*victimState),
 		gate:    make(map[uint32]*victimGate),
 		m: detectorMetrics{
@@ -327,7 +312,8 @@ func New(cfg Config) (*Detector, error) {
 			drops:         &obs.Counter{},
 		},
 	}
-	windowSec := (time.Duration(d.wslots) * cfg.Slot).Seconds()
+	d.rate.evicted = func(victim uint32) { delete(d.gate, victim) }
+	windowSec := (time.Duration(d.wslots) * slot).Seconds()
 	d.detectPkts = cfg.Threshold * windowSec / float64(cfg.SamplingRate)
 	d.hotPkts = int64(math.Ceil(d.detectPkts / 2))
 	if d.hotPkts < 1 {
@@ -493,7 +479,7 @@ func (d *Detector) scanVictimLocked(victim uint32, s int64) {
 	if st == nil || st.active || !hasBest {
 		return
 	}
-	windowSec := (time.Duration(d.wslots) * d.cfg.Slot).Seconds()
+	windowSec := (time.Duration(d.wslots) * d.slot).Seconds()
 	det := Detection{
 		ID:         len(d.dets),
 		Victim:     victim,
@@ -589,7 +575,7 @@ func (d *Detector) Status() *Status {
 		ThresholdPPS: d.cfg.Threshold,
 		Window:       d.cfg.Window,
 		Cooldown:     d.cfg.Cooldown,
-		Slot:         d.cfg.Slot,
+		Slot:         d.slot,
 		Tracked:      d.rate.Victims(),
 		Active:       d.activeLocked(),
 		Pending:      len(d.pending),

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -164,8 +165,8 @@ func TestConfigValidation(t *testing.T) {
 		{Window: -time.Minute, SamplingRate: 1},
 		{Cooldown: -time.Second, SamplingRate: 1},
 		{SamplingRate: 0},
-		{SamplingRate: 1, Slot: time.Hour, Window: time.Minute},
-		{SamplingRate: 1, Retention: time.Minute, Window: time.Hour},
+		{SamplingRate: 1, Window: time.Millisecond},
+		{SamplingRate: 1, Window: 14 * time.Hour},
 	}
 	for i, c := range cases {
 		if _, err := New(c); err == nil {
@@ -174,5 +175,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{SamplingRate: 10000}); err != nil {
 		t.Errorf("defaults rejected: %v", err)
+	}
+}
+
+// TestGateEvictedWithRate streams one-off destinations across nine
+// sketch horizons: a destination's scan gate goes when the rate sketch
+// sweeps it, so gates never outnumber the sketch's victims, and the
+// detections equal those of a detector that keeps every gate.
+func TestGateEvictedWithRate(t *testing.T) {
+	d, _ := New(testConfig())
+	keep, _ := New(testConfig())
+	keep.rate.evicted = nil
+	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
+	for h := 0; h < 240; h++ {
+		at, b := base.Add(time.Duration(h)*time.Hour), &ipfix.RecordBatch{}
+		for i := 0; i < 20; i++ {
+			b.Recs = append(b.Recs, *flowRec(uint32(h*100+i), at.Add(time.Duration(i)*time.Second), 6, 443))
+		}
+		for i := 0; h%7 == 0 && i < 8; i++ { // an attack on a fresh victim
+			b.Recs = append(b.Recs, *flowRec(uint32(1<<24+h), at.Add(time.Duration(i)*30*time.Second), 17, 123))
+		}
+		for _, det := range []*Detector{d, keep} {
+			det.ObserveFlowBatch(b)
+			det.Tick(at.Add(time.Hour))
+		}
+		if len(d.gate) > d.rate.Victims() {
+			t.Fatalf("hour %d: %d gates for %d tracked victims", h, len(d.gate), d.rate.Victims())
+		}
+	}
+	got, want := d.Status().Detections, keep.Status().Detections
+	if len(keep.gate) < 3*len(d.gate) || len(want) != 35 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d gates kept against %d evicted; detections %v, want %v", len(keep.gate), len(d.gate), got, want)
 	}
 }

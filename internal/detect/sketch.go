@@ -128,7 +128,7 @@ func (v *victimRate) cellPkts(s, n int64) int64 {
 // batches put records up to ~24h ahead of the injection clock, so a
 // window anchored at the newest timestamp would race past mid-day
 // attacks. The horizon therefore retains comfortably more than a day
-// (DefaultRetention) and detection queries consider every retained
+// (retention) and detection queries consider every retained
 // window, not just the newest one.
 type Rate struct {
 	slot    time.Duration
@@ -136,6 +136,7 @@ type Rate struct {
 	maxSlot int64 // highest slot observed; minSlot when empty
 	swept   int64 // maxSlot value at the last eviction sweep
 	victims map[uint32]*victimRate
+	evicted func(victim uint32) // called for each victim a sweep drops
 }
 
 // NewRate returns an empty sketch with the given slot width and
@@ -216,6 +217,9 @@ func (a *Rate) sweep() {
 	for victim, v := range a.victims {
 		if v.maxSlot < cut {
 			delete(a.victims, victim)
+			if a.evicted != nil {
+				a.evicted(victim)
+			}
 		}
 	}
 }

@@ -35,7 +35,7 @@ type Snapshot struct {
 	ClockOffset time.Duration
 	// Updates is the exchange's time-sorted control-plane stream.
 	Updates []analysis.ControlUpdate
-	// State is the exchange's pipeline state (pipeline.MarshalState).
+	// State is the exchange's pipeline state (pipeline.Pipeline.MarshalState).
 	State []byte
 }
 

@@ -15,8 +15,6 @@ import (
 type RunnerConfig struct {
 	// Session configures the BGP session FSM timers.
 	Session SessionConfig
-	// MTU bounds IPFIX datagram size (0: DefaultMTU).
-	MTU int
 	// QueueLen bounds the collector ingest queue (0: 4096 datagrams).
 	QueueLen int
 	// DrainTimeout bounds barriers and the final collector drain
@@ -26,21 +24,19 @@ type RunnerConfig struct {
 	// schedules: every speaker connection is wrapped and every exported
 	// datagram routed through the UDP schedule.
 	Fault *faultnet.Plan
-	// RestartTolerance is how long an ungraceful peer-down may wait for
-	// its session to re-establish before the peer's routes are flushed
-	// (0: flush immediately, unless Fault is set, which defaults it to
-	// 5s — injected kills always recover, so the flush would only
-	// desync the control plane from the batch run).
-	RestartTolerance time.Duration
 }
+
+// faultRestartTolerance is how long an ungraceful peer-down may wait for
+// its session to re-establish before the peer's routes are flushed, when
+// a fault plan is set: injected kills always recover, so the flush would
+// only desync the control plane from the batch run. Without one a
+// peer-down flushes at once.
+const faultRestartTolerance = 5 * time.Second
 
 func (c *RunnerConfig) fill() {
 	c.Session.fill()
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.RestartTolerance <= 0 && c.Fault != nil {
-		c.RestartTolerance = 5 * time.Second
 	}
 }
 
@@ -63,12 +59,12 @@ type Runner struct {
 }
 
 // NewRunner starts the services on loopback: deliver receives totally
-// ordered updates (wire to routeserver.Process), onPeerFlush is invoked
-// for ungraceful session loss (wire to routeserver.PeerDown), flowSink
-// receives collected flow records in export order, one batch per decoded
-// datagram (wire to the archive writer and the online analyzer). ctx
-// aborts the run early: SendUpdate and Barrier return ctx.Err() once it
-// is cancelled.
+// ordered updates (wire to routeserver.Server.Process), onPeerFlush is
+// invoked for ungraceful session loss (wire to
+// routeserver.Server.PeerDown), flowSink receives collected flow records
+// in export order, one batch per decoded datagram (wire to the archive
+// writer and the online analyzer). ctx aborts the run early: SendUpdate
+// and Barrier return ctx.Err() once it is cancelled.
 func NewRunner(ctx context.Context, cfg RunnerConfig, m *Metrics,
 	deliver func(ts time.Time, peer uint32, upd *bgp.Update) error,
 	onPeerFlush func(peer uint32),
@@ -80,7 +76,11 @@ func NewRunner(ctx context.Context, cfg RunnerConfig, m *Metrics,
 	}
 	r := &Runner{cfg: cfg, m: m, ctx: ctx, speakers: make(map[uint32]*Speaker)}
 	r.seq = NewSequencer(deliver, m)
-	r.guard = newRestartGuard(cfg.RestartTolerance, onPeerFlush, m)
+	var tolerance time.Duration
+	if cfg.Fault != nil {
+		tolerance = faultRestartTolerance
+	}
+	r.guard = newRestartGuard(tolerance, onPeerFlush, m)
 
 	hooks := Hooks{
 		OnUpdate:      r.seq.Arrive,
@@ -106,7 +106,7 @@ func NewRunner(ctx context.Context, cfg RunnerConfig, m *Metrics,
 		return nil, fmt.Errorf("live: exporter socket: %w", err)
 	}
 	r.expConn = ec
-	r.exporter, err = NewExporter(ec, 1, cfg.MTU, m)
+	r.exporter, err = NewExporter(ec, 1, DefaultMTU, m)
 	if err != nil {
 		r.Shutdown()
 		return nil, err

@@ -19,8 +19,7 @@ type Sinks struct {
 	Control routeserver.Collector
 	// Flow receives every sampled flow record, one batch per injected
 	// packet batch (wired to an IPFIX writer). The sink borrows each
-	// batch per the ipfix.RecordBatch contract. Required. Per-record
-	// consumers can adapt with ipfix.EachRecord.
+	// batch per the ipfix.RecordBatch contract. Required.
 	Flow ipfix.BatchSink
 	// Metrics, when non-nil, receives the route server's and the
 	// fabric's observability metrics ("routeserver.*", "fabric.*").

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	rtbh "repro"
+	"repro/internal/analysis"
 	"repro/internal/analysis/collateral"
-	"repro/internal/analysis/dropstats"
 	"repro/internal/analysis/events"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/usecase"
@@ -80,7 +80,7 @@ func testReport() *rtbh.Report {
 			{EventID: 1},
 		},
 		EventDrops: []rtbh.EventDropStat{
-			{ID: 0, PrefixLen: 32, Counter: dropstats.Counter{
+			{ID: 0, PrefixLen: 32, Counter: analysis.Counter{
 				DroppedPkts: 300, ForwardedPkts: 100,
 				DroppedBytes: 30000, ForwardedBytes: 10000,
 			}},

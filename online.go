@@ -400,9 +400,9 @@ func (a *OnlineAnalyzer) advanceLocked() {
 // one side writes it — and replays the unsealed tail through the clone.
 // The clone's control-plane view is fixed for its whole life, so it is
 // frozen first and the tail pays batch gates, not speculative ones (see
-// pipeline.Freeze) and, being private to this call, can take it through
-// the pipeline's lanes unless inline is set. a.view.Updates() is the
-// matching control stream.
+// pipeline.Pipeline.Freeze) and, being private to this call, can take it
+// through the pipeline's lanes unless inline is set. a.view.Updates() is
+// the matching control stream.
 //
 // compose may keep whatever it derives from the clone after opMu is
 // released: sealing never writes a sub-aggregate in place while it is
