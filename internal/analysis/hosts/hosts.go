@@ -6,7 +6,9 @@
 package hosts
 
 import (
+	"cmp"
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -57,8 +59,36 @@ func (k Kind) String() string {
 
 // dayAgg tracks one host-day.
 type dayAgg struct {
+	day           int32
 	hasIn, hasOut bool
-	inTop         *analysis.TopCounter // (proto<<16|port) -> packets
+	// inTop counts incoming packets per proto<<16|port. It is allocated
+	// by the day's first incoming packet: nil reads as an empty counter of
+	// dayTopCap keys (see top), which most candidate days stay.
+	inTop *analysis.TopCounter
+}
+
+// dayTopCap is how many distinct (proto, port) keys a day's top counter
+// tracks.
+const dayTopCap = 32
+
+// emptyTop is what a day without incoming traffic reads as; never written.
+var emptyTop = analysis.NewTopCounter(dayTopCap)
+
+// top returns the day's incoming top-port counter for reading.
+func (da *dayAgg) top() *analysis.TopCounter {
+	if da.inTop == nil {
+		return emptyTop
+	}
+	return da.inTop
+}
+
+// topForWrite returns the day's incoming top-port counter for writing,
+// allocating it first.
+func (da *dayAgg) topForWrite() *analysis.TopCounter {
+	if da.inTop == nil {
+		da.inTop = analysis.NewTopCounter(dayTopCap)
+	}
+	return da.inTop
 }
 
 // hostAgg accumulates one host's legitimate traffic. It is the unit of
@@ -66,7 +96,10 @@ type dayAgg struct {
 // names the aggregator that may write it (days included) in place.
 type hostAgg struct {
 	owner analysis.Stamp
-	days  map[int32]*dayAgg
+	// days holds one entry per day with traffic, ascending by day: a host's
+	// records arrive roughly in time order, so a day is nearly always the
+	// last entry or a new one after it.
+	days []dayAgg
 	// period-level distinct port sets for the four RadViz features.
 	feat [NumFeatures]analysis.BoundedSet
 }
@@ -92,7 +125,7 @@ func (a *Aggregator) host(ip uint32) *hostAgg {
 	h := a.hosts[ip]
 	switch {
 	case h == nil:
-		h = &hostAgg{owner: a.cow.Stamp(), days: make(map[int32]*dayAgg)}
+		h = &hostAgg{owner: a.cow.Stamp()}
 		for i := range h.feat {
 			h.feat[i] = *analysis.NewBoundedSet(featCap)
 		}
@@ -107,9 +140,9 @@ func (a *Aggregator) host(ip uint32) *hostAgg {
 // clone copies the host for a new owner: its days in full (their counters
 // are updated in place), its feature sets by BoundedSet.Clone.
 func (h *hostAgg) clone(owner analysis.Stamp) *hostAgg {
-	c := &hostAgg{owner: owner, days: make(map[int32]*dayAgg, len(h.days))}
-	for d, da := range h.days {
-		c.days[d] = da.clone()
+	c := &hostAgg{owner: owner, days: slices.Clone(h.days)}
+	for i := range c.days {
+		c.days[i].inTop = c.days[i].cloneTop()
 	}
 	for f := range h.feat {
 		c.feat[f] = h.feat[f].Clone()
@@ -117,17 +150,33 @@ func (h *hostAgg) clone(owner analysis.Stamp) *hostAgg {
 	return c
 }
 
-func (da *dayAgg) clone() *dayAgg {
-	return &dayAgg{hasIn: da.hasIn, hasOut: da.hasOut, inTop: da.inTop.Clone()}
+// cloneTop returns a copy of the day's counter (nil stays nil).
+func (da *dayAgg) cloneTop() *analysis.TopCounter {
+	if da.inTop == nil {
+		return nil
+	}
+	return da.inTop.Clone()
 }
 
-func (h *hostAgg) day(d int32) *dayAgg {
-	da := h.days[d]
-	if da == nil {
-		da = &dayAgg{inTop: analysis.NewTopCounter(32)}
-		h.days[d] = da
+// find returns where day d is or would be inserted in h.days.
+func (h *hostAgg) find(d int32) (int, bool) {
+	n := len(h.days)
+	switch {
+	case n == 0 || h.days[n-1].day < d:
+		return n, false
+	case h.days[n-1].day == d:
+		return n - 1, true
 	}
-	return da
+	return slices.BinarySearchFunc(h.days, d, func(da dayAgg, d int32) int { return cmp.Compare(da.day, d) })
+}
+
+// day returns day d's aggregate for writing, inserted if absent.
+func (h *hostAgg) day(d int32) *dayAgg {
+	i, ok := h.find(d)
+	if !ok {
+		h.days = slices.Insert(h.days, i, dayAgg{day: d})
+	}
+	return &h.days[i]
 }
 
 // AddIncoming records a sampled packet toward host ip on day d.
@@ -135,7 +184,7 @@ func (a *Aggregator) AddIncoming(ip uint32, d int32, srcPort, dstPort uint16, pr
 	h := a.host(ip)
 	da := h.day(d)
 	da.hasIn = true
-	da.inTop.Add(uint32(proto)<<16|uint32(dstPort), uint64(pkts))
+	da.topForWrite().Add(uint32(proto)<<16|uint32(dstPort), uint64(pkts))
 	h.feat[FeatInSrcPorts].Add(uint64(srcPort))
 	h.feat[FeatInDstPorts].Add(uint64(dstPort))
 }
@@ -166,18 +215,21 @@ func (a *Aggregator) Merge(o *Aggregator) {
 		}
 		h := a.host(ip)
 		exclusive := o.cow.Owns(oh.owner)
-		for d, oda := range oh.days {
-			da := h.days[d]
-			if da == nil {
+		for _, oda := range oh.days {
+			i, ok := h.find(oda.day)
+			if !ok {
 				if !exclusive {
-					oda = oda.clone()
+					oda.inTop = oda.cloneTop()
 				}
-				h.days[d] = oda
+				h.days = slices.Insert(h.days, i, oda)
 				continue
 			}
+			da := &h.days[i]
 			da.hasIn = da.hasIn || oda.hasIn
 			da.hasOut = da.hasOut || oda.hasOut
-			da.inTop.Merge(oda.inTop)
+			if oda.inTop != nil {
+				da.topForWrite().Merge(oda.inTop)
+			}
 		}
 		for f := range h.feat {
 			h.feat[f].Merge(&oh.feat[f])
@@ -239,10 +291,10 @@ func (a *Aggregator) ProfilesFunc(minActiveDays int, keep func(ip uint32) bool) 
 		p := Profile{IP: ip, ActiveDays: active}
 		inDays := 0
 		topSet := map[uint32]bool{}
-		for _, da := range h.days {
-			if da.hasIn {
+		for i := range h.days {
+			if da := &h.days[i]; da.hasIn {
 				inDays++
-				if key, _, ok := da.inTop.Top(); ok {
+				if key, _, ok := da.top().Top(); ok {
 					topSet[key] = true
 				}
 			}

@@ -1,8 +1,10 @@
 package hosts
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/bgp"
 	"repro/internal/ip2as"
 	"repro/internal/netgen"
@@ -198,5 +200,55 @@ func TestWhitelistCoverageFiltersUnderObserved(t *testing.T) {
 	feedServer(a, 10)
 	if got := a.WhitelistCoverage(MinActiveDays); len(got) != 0 {
 		t.Fatalf("under-observed host covered: %v", got)
+	}
+}
+
+// encodeDays is one host's encoding with the given days, each carrying
+// flags and an empty top counter of the default capacity, and with the
+// feature sets of feat (empty ones when nil), written field by field.
+func encodeDays(feat *[NumFeatures]analysis.BoundedSet, flags byte, days ...int64) []byte {
+	w := analysis.NewWireWriter()
+	w.Byte(wireVersion)
+	w.Uvarint(1) // hosts
+	w.Uvarint(serverIP)
+	w.Uvarint(uint64(len(days)))
+	for _, d := range days {
+		w.Varint(d)
+		w.Byte(flags)
+		analysis.NewTopCounter(dayTopCap).EncodeWire(w)
+	}
+	for f := 0; f < NumFeatures; f++ {
+		set := analysis.NewBoundedSet(featCap)
+		if feat != nil {
+			set = &feat[f]
+		}
+		set.EncodeWire(w)
+	}
+	return w.Bytes()
+}
+
+// TestDaysWire pins the day list's encoding: a day without incoming
+// traffic, which holds no top counter, encodes the empty one it reads as;
+// and since the days are kept in ascending order, a duplicate or
+// out-of-order day is an error rather than a silent overwrite.
+func TestDaysWire(t *testing.T) {
+	a := New()
+	for _, d := range []int32{5, 2} {
+		a.AddOutgoing(serverIP, d, 443, 40000, netgen.ProtoTCP, 1)
+	}
+	want := encodeDays(&a.hosts[serverIP].feat, 2, 2, 5)
+	if got, _ := a.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatalf("outgoing-only days encode as\n%x, want\n%x", got, want)
+	}
+	if err := New().UnmarshalBinary(encodeDays(nil, 3, 2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"duplicate day":    encodeDays(nil, 3, 2, 2),
+		"out-of-order day": encodeDays(nil, 3, 5, 2),
+	} {
+		if err := New().UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }

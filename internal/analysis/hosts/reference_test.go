@@ -15,9 +15,10 @@ import (
 func deepSnapshot(a *Aggregator) *Aggregator {
 	s := New()
 	for ip, h := range a.hosts {
-		ch := &hostAgg{owner: s.cow.Stamp(), days: make(map[int32]*dayAgg, len(h.days))}
-		for d, da := range h.days {
-			ch.days[d] = &dayAgg{hasIn: da.hasIn, hasOut: da.hasOut, inTop: da.inTop.Clone()}
+		ch := &hostAgg{owner: s.cow.Stamp()}
+		for _, da := range h.days {
+			da.inTop = da.cloneTop()
+			ch.days = append(ch.days, da)
 		}
 		for f := range h.feat {
 			ch.feat[f] = *analysis.NewBoundedSet(featCap)

@@ -37,24 +37,16 @@ func (a *Aggregator) WhitelistCoverageFunc(minActiveDays int, keep func(ip uint3
 		if h.activeDays(minActiveDays) < minActiveDays || (keep != nil && !keep(ip)) {
 			continue
 		}
-		days := make([]int32, 0, len(h.days))
-		for d, da := range h.days {
-			if da.hasIn {
-				days = append(days, d)
-			}
-		}
-		if len(days) < 2 {
-			continue
-		}
-		sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-
 		seen := map[uint32]bool{}
 		var shareSum float64
-		counted := 0
-		for i, d := range days {
-			da := h.days[d]
-			keys, counts := da.inTop.Entries()
-			if i > 0 {
+		counted, first := 0, true
+		for i := range h.days {
+			da := &h.days[i]
+			if !da.hasIn {
+				continue
+			}
+			keys, counts := da.top().Entries()
+			if !first {
 				var covered, total uint64
 				for j, k := range keys {
 					total += counts[j]
@@ -67,9 +59,10 @@ func (a *Aggregator) WhitelistCoverageFunc(minActiveDays int, keep func(ip uint3
 					counted++
 				}
 			}
-			if key, _, ok := da.inTop.Top(); ok {
+			if key, _, ok := da.top().Top(); ok {
 				seen[key] = true
 			}
+			first = false
 		}
 		if counted == 0 {
 			continue

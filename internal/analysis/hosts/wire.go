@@ -26,15 +26,10 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	for _, ip := range ips {
 		h := a.hosts[ip]
 		w.Uvarint(uint64(ip))
-		days := make([]int32, 0, len(h.days))
-		for d := range h.days {
-			days = append(days, d)
-		}
-		sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-		w.Uvarint(uint64(len(days)))
-		for _, d := range days {
-			da := h.days[d]
-			w.Varint(int64(d))
+		w.Uvarint(uint64(len(h.days)))
+		for i := range h.days {
+			da := &h.days[i]
+			w.Varint(int64(da.day))
 			var flags byte
 			if da.hasIn {
 				flags |= 1
@@ -43,7 +38,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 				flags |= 2
 			}
 			w.Byte(flags)
-			da.inTop.EncodeWire(w)
+			da.top().EncodeWire(w)
 		}
 		for f := range h.feat {
 			h.feat[f].EncodeWire(w)
@@ -63,23 +58,22 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	for i := 0; i < n; i++ {
 		ip := r.U32()
 		nDays := r.Count(4) // day, flags, minimal counter
-		h := &hostAgg{owner: a.cow.Stamp(), days: make(map[int32]*dayAgg, nDays)}
+		h := &hostAgg{owner: a.cow.Stamp(), days: make([]dayAgg, 0, nDays)}
 		for j := 0; j < nDays; j++ {
 			d := r.Varint()
 			if int64(int32(d)) != d {
 				return fmt.Errorf("hosts: day index %d out of range", d)
 			}
+			if j > 0 && int32(d) <= h.days[j-1].day {
+				return fmt.Errorf("hosts: day %d duplicate or out of order", d)
+			}
 			flags := r.Byte()
 			if flags > 3 {
 				return fmt.Errorf("hosts: invalid day flags %d", flags)
 			}
-			da := &dayAgg{
-				hasIn:  flags&1 != 0,
-				hasOut: flags&2 != 0,
-				inTop:  analysis.NewTopCounter(1),
-			}
+			da := dayAgg{day: int32(d), hasIn: flags&1 != 0, hasOut: flags&2 != 0, inTop: new(analysis.TopCounter)}
 			da.inTop.DecodeWire(r)
-			h.days[int32(d)] = da
+			h.days = append(h.days, da)
 		}
 		for f := range h.feat {
 			h.feat[f].DecodeWire(r)

@@ -122,8 +122,8 @@ func TestObserveBatchAllocs(t *testing.T) {
 		}
 	})
 
-	// The lanes add what starting them costs — the ring's slots, channels
-	// and goroutines, and one side array per slot used — and nothing per
+	// The lanes add what starting them costs — channels and goroutines; the
+	// ring is the pipeline's, allocated by the first pass — and nothing per
 	// batch: eight times as many batches must not allocate more.
 	t.Run("lanes", func(t *testing.T) {
 		p := fresh()

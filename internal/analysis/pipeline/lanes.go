@@ -29,7 +29,8 @@ const (
 )
 
 // laneBatch is one ring slot: a run of records, their side array and how
-// many feeds have yet to walk it. The last one done frees the slot.
+// many feeds have yet to walk it. The last one done frees the slot and
+// drops its records, so an idle ring holds no batch the pool got back.
 type laneBatch struct {
 	recs  []ipfix.FlowRecord
 	at    []attr
@@ -39,11 +40,12 @@ type laneBatch struct {
 
 // Lanes drives a pipeline's pass with one goroutine per operator feed. Its
 // Observe methods are the pipeline's own, to be called from one goroutine;
-// the operators are complete once Close has returned. The ring belongs to
-// the Lanes and goes with it.
+// the operators are complete once Close has returned. The ring is the
+// pipeline's (Pipeline.ring): every slot is back on it by then, for the
+// next pass to reuse.
 type Lanes struct {
 	p    *Pipeline
-	free chan *laneBatch // the idle ring slots; nil when the pass runs inline
+	free chan *laneBatch // the idle ring slots (p.ring); nil when the pass runs inline
 	in   [nFeeds]chan *laneBatch
 	wg   sync.WaitGroup
 }
@@ -60,10 +62,13 @@ func (p *Pipeline) StartLanes(inline bool) *Lanes {
 }
 
 func (p *Pipeline) startLanes() *Lanes {
-	l := &Lanes{p: p, free: make(chan *laneBatch, laneRing)}
-	for i := 0; i < laneRing; i++ {
-		l.free <- &laneBatch{at: make([]attr, laneBlock)}
+	if p.ring == nil {
+		p.ring = make(chan *laneBatch, laneRing)
+		for i := 0; i < laneRing; i++ {
+			p.ring <- &laneBatch{at: make([]attr, laneBlock)}
+		}
 	}
+	l := &Lanes{p: p, free: p.ring}
 	for i := range l.in {
 		// Room for every slot of the ring: handing a batch to a feed never
 		// blocks, the free list alone bounds what is in flight.
@@ -83,6 +88,7 @@ func (l *Lanes) run(i int) {
 			if b.owner != nil {
 				b.owner.Release()
 			}
+			b.recs, b.owner = nil, nil
 			l.free <- b
 		}
 	}

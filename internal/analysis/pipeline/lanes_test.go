@@ -428,6 +428,52 @@ func TestParallelSourceError(t *testing.T) {
 	}
 }
 
+// TestLanesRingOutlivesPass checks the ring a pipeline keeps across passes
+// (the online analyzer starts lanes at every seal check): a second pass
+// reuses the first one's slots, and after Close no slot references the
+// records or the pooled batch it carried — they go back to their owners
+// while the idle ring stays with the pipeline.
+func TestLanesRingOutlivesPass(t *testing.T) {
+	recs := parityStream(5000)
+	p, err := New(testMeta(), parityUpdates(), events.DefaultDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func() map[*laneBatch]bool {
+		t.Helper()
+		if len(p.ring) != laneRing {
+			t.Fatalf("%d of %d ring slots idle after Close", len(p.ring), laneRing)
+		}
+		slots := map[*laneBatch]bool{}
+		for range laneRing {
+			b := <-p.ring
+			if b.recs != nil || b.owner != nil {
+				t.Fatalf("an idle ring slot still references %d records (owner %p)", len(b.recs), b.owner)
+			}
+			slots[b] = true
+			p.ring <- b
+		}
+		return slots
+	}
+
+	var seen []map[*laneBatch]bool
+	for pass := 0; pass < 2; pass++ {
+		l := p.startLanes()
+		for i := 0; i < len(recs)/2; i += 64 {
+			b := ipfix.GetBatch()
+			b.Recs = append(b.Recs, recs[i:min(i+64, len(recs)/2)]...)
+			l.ObserveBatch(b)
+			b.Release()
+		}
+		l.ObserveRecords(recs[len(recs)/2:])
+		l.Close()
+		seen = append(seen, idle())
+	}
+	if !reflect.DeepEqual(seen[0], seen[1]) {
+		t.Fatal("the second pass allocated a ring of its own")
+	}
+}
+
 // TestParallelDefaultsWorkers checks what a worker count selects: 1 the
 // inline pass, everything else — the default 0 and any N > 1 alike — the
 // lanes, which need a second processor to be worth starting.

@@ -101,8 +101,12 @@ type Pipeline struct {
 	lastInternal           bool
 	lastMember             uint32
 	macValid               bool
-	// side is the inline pass's side array (see attr), one block long.
+	// side is the inline pass's side array (see attr), one block long;
+	// ring holds the Lanes' slots, allocated by the first pass through
+	// them and reused by every later one (the online analyzer starts lanes
+	// for each seal check).
 	side []attr
+	ring chan *laneBatch
 
 	// speculative marks a pipeline whose state holds candidates gathered
 	// before the control stream was complete (the online analyzer): compose

@@ -6,6 +6,7 @@
 package protomix
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -17,15 +18,90 @@ import (
 // backstop against pathological inputs.
 const maxASesPerEvent = 4096
 
+// ampPorts maps an index of an event's per-port counters back to its
+// port: netgen.AmpPortRank ranks the catalog's ports in ascending order.
+var ampPorts = func() (ports [len(netgen.AmplificationProtocols)]uint16) {
+	for _, p := range netgen.AmplificationProtocols {
+		i, _ := netgen.AmpPortRank(netgen.ProtoUDP, p.Port)
+		ports[i] = p.Port
+	}
+	return ports
+}()
+
+// The presence mask of the per-port counters is a uint32.
+var _ [32 - len(ampPorts)]struct{}
+
 // eventAgg accumulates one event's during-event traffic.
 type eventAgg struct {
 	udp, tcp, icmp, other int64
-	ampPkts               map[uint16]int64 // amplification source port -> packets
-	nonAmpUDP             int64
-	srcIPs                analysis.BoundedSet
-	originASes            map[uint32]bool
-	handoverASes          map[uint32]bool
+	// ampPkts counts amplification packets per source port (ampPorts
+	// order); ampSeen has bit i set once port i was counted at all, zero
+	// packets included.
+	ampPkts                  [len(ampPorts)]int64
+	ampSeen                  uint32
+	nonAmpUDP                int64
+	srcIPs                   analysis.BoundedSet
+	originASes, handoverASes asSet
 }
+
+// asSet is a set of AS numbers in one flat open-addressed array, kept at
+// most half full. 0 marks a free slot, so AS 0 (an unresolved source) is
+// never a member.
+type asSet struct {
+	slots []uint32
+	n     int
+}
+
+// add inserts as, which must not be 0.
+func (s *asSet) add(as uint32) {
+	if s.slots == nil {
+		s.slots = make([]uint32, 8)
+	}
+	mask, h := uint32(len(s.slots)-1), as*0x9e3779b1
+	i := (h ^ h>>16) & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if s.slots[i] == as {
+			return
+		}
+	}
+	s.slots[i] = as
+	s.n++
+	if 2*s.n > len(s.slots) {
+		old := s.slots
+		s.slots, s.n = make([]uint32, 2*len(old)), 0
+		for _, as := range old {
+			if as != 0 {
+				s.add(as)
+			}
+		}
+	}
+}
+
+// sorted returns the set's ASes in ascending order.
+func (s *asSet) sorted() []uint32 {
+	out := make([]uint32, 0, s.n)
+	for _, as := range s.slots {
+		if as != 0 {
+			out = append(out, as)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// union adds o's members until s holds maxASesPerEvent.
+func (s *asSet) union(o *asSet) {
+	for _, as := range o.slots {
+		if s.n >= maxASesPerEvent {
+			return
+		}
+		if as != 0 {
+			s.add(as)
+		}
+	}
+}
+
+func (s *asSet) clone() asSet { return asSet{slots: slices.Clone(s.slots), n: s.n} }
 
 // Aggregator collects per-event protocol statistics from the streaming
 // pass. Feed it records that fall inside merged event windows.
@@ -52,12 +128,7 @@ func (a *Aggregator) Add(eventID int, proto uint8, srcIP uint32, srcPort uint16,
 	if ea == nil || eventID != a.lastID {
 		ea = a.events[eventID]
 		if ea == nil {
-			ea = &eventAgg{
-				ampPkts:      make(map[uint16]int64),
-				originASes:   make(map[uint32]bool),
-				handoverASes: make(map[uint32]bool),
-				srcIPs:       *analysis.NewBoundedSet(4096),
-			}
+			ea = &eventAgg{srcIPs: *analysis.NewBoundedSet(4096)}
 			a.events[eventID] = ea
 		}
 		a.lastID, a.last = eventID, ea
@@ -65,13 +136,14 @@ func (a *Aggregator) Add(eventID int, proto uint8, srcIP uint32, srcPort uint16,
 	switch proto {
 	case netgen.ProtoUDP:
 		ea.udp += pkts
-		if netgen.IsAmplificationPort(proto, srcPort) {
-			ea.ampPkts[srcPort] += pkts
-			if originAS != 0 && len(ea.originASes) < maxASesPerEvent {
-				ea.originASes[originAS] = true
+		if i, ok := netgen.AmpPortRank(proto, srcPort); ok {
+			ea.ampPkts[i] += pkts
+			ea.ampSeen |= 1 << i
+			if originAS != 0 && ea.originASes.n < maxASesPerEvent {
+				ea.originASes.add(originAS)
 			}
-			if handoverAS != 0 && len(ea.handoverASes) < maxASesPerEvent {
-				ea.handoverASes[handoverAS] = true
+			if handoverAS != 0 && ea.handoverASes.n < maxASesPerEvent {
+				ea.handoverASes.add(handoverAS)
 			}
 			ea.srcIPs.Add(uint64(srcIP))
 		} else {
@@ -104,21 +176,12 @@ func (a *Aggregator) Merge(o *Aggregator) {
 		ea.icmp += oea.icmp
 		ea.other += oea.other
 		ea.nonAmpUDP += oea.nonAmpUDP
-		for port, pkts := range oea.ampPkts {
-			ea.ampPkts[port] += pkts
+		for i, pkts := range oea.ampPkts {
+			ea.ampPkts[i] += pkts
 		}
-		for as := range oea.originASes {
-			if len(ea.originASes) >= maxASesPerEvent {
-				break
-			}
-			ea.originASes[as] = true
-		}
-		for as := range oea.handoverASes {
-			if len(ea.handoverASes) >= maxASesPerEvent {
-				break
-			}
-			ea.handoverASes[as] = true
-		}
+		ea.ampSeen |= oea.ampSeen
+		ea.originASes.union(&oea.originASes)
+		ea.handoverASes.union(&oea.handoverASes)
 		ea.srcIPs.Merge(&oea.srcIPs)
 	}
 }
@@ -129,27 +192,11 @@ func (a *Aggregator) Merge(o *Aggregator) {
 func (a *Aggregator) Snapshot() *Aggregator {
 	s := New()
 	for id, ea := range a.events {
-		cp := &eventAgg{
-			udp:          ea.udp,
-			tcp:          ea.tcp,
-			icmp:         ea.icmp,
-			other:        ea.other,
-			nonAmpUDP:    ea.nonAmpUDP,
-			srcIPs:       ea.srcIPs.Clone(),
-			ampPkts:      make(map[uint16]int64, len(ea.ampPkts)),
-			originASes:   make(map[uint32]bool, len(ea.originASes)),
-			handoverASes: make(map[uint32]bool, len(ea.handoverASes)),
-		}
-		for port, pkts := range ea.ampPkts {
-			cp.ampPkts[port] = pkts
-		}
-		for as := range ea.originASes {
-			cp.originASes[as] = true
-		}
-		for as := range ea.handoverASes {
-			cp.handoverASes[as] = true
-		}
-		s.events[id] = cp
+		cp := *ea
+		cp.srcIPs = ea.srcIPs.Clone()
+		cp.originASes = ea.originASes.clone()
+		cp.handoverASes = ea.handoverASes.clone()
+		s.events[id] = &cp
 	}
 	return s
 }
@@ -185,20 +232,25 @@ func (a *Aggregator) Shares(eventIDs []int) ProtocolShares {
 // suppresses stray single samples (the paper conducts the analysis "on a
 // per event basis" to avoid outlier bias).
 func (ea *eventAgg) ampProtocolsOf(minShare float64) int {
-	var total int64
-	for _, v := range ea.ampPkts {
-		total += v
-	}
+	total := ea.ampTotal()
 	if total == 0 {
 		return 0
 	}
 	n := 0
-	for _, v := range ea.ampPkts {
-		if float64(v) >= minShare*float64(total) {
+	for i, v := range ea.ampPkts {
+		if ea.ampSeen&(1<<i) != 0 && float64(v) >= minShare*float64(total) {
 			n++
 		}
 	}
 	return n
+}
+
+// ampTotal returns the event's amplification packets over all ports.
+func (ea *eventAgg) ampTotal() (total int64) {
+	for _, v := range ea.ampPkts {
+		total += v
+	}
+	return total
 }
 
 // ProtocolCountDist returns the Table 3 distribution: the share of events
@@ -237,15 +289,11 @@ func (a *Aggregator) FilterableShares(eventIDs []int) []float64 {
 		if ea == nil {
 			continue
 		}
-		var amp int64
-		for _, v := range ea.ampPkts {
-			amp += v
-		}
 		total := ea.udp + ea.tcp + ea.icmp + ea.other
 		if total == 0 {
 			continue
 		}
-		out = append(out, float64(amp)/float64(total))
+		out = append(out, float64(ea.ampTotal())/float64(total))
 	}
 	sort.Float64s(out)
 	return out
@@ -283,7 +331,7 @@ type Participation struct {
 }
 
 // participationOf tallies per-AS event participation.
-func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) map[uint32]bool) Participation {
+func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) *asSet) Participation {
 	perAS := make(map[uint32]int)
 	total := 0
 	for _, id := range ids {
@@ -292,12 +340,14 @@ func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) m
 			continue
 		}
 		set := pick(ea)
-		if len(set) == 0 {
+		if set.n == 0 {
 			continue
 		}
 		total++
-		for as := range set {
-			perAS[as]++
+		for _, as := range set.slots {
+			if as != 0 {
+				perAS[as]++
+			}
 		}
 	}
 	var p Participation
@@ -336,12 +386,12 @@ func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) m
 // OriginParticipation returns Fig 15's origin-AS CDF over the given
 // (amplification) events.
 func (a *Aggregator) OriginParticipation(eventIDs []int) Participation {
-	return participationOf(a.events, eventIDs, func(ea *eventAgg) map[uint32]bool { return ea.originASes })
+	return participationOf(a.events, eventIDs, func(ea *eventAgg) *asSet { return &ea.originASes })
 }
 
 // HandoverParticipation returns Fig 15's handover-AS CDF.
 func (a *Aggregator) HandoverParticipation(eventIDs []int) Participation {
-	return participationOf(a.events, eventIDs, func(ea *eventAgg) map[uint32]bool { return ea.handoverASes })
+	return participationOf(a.events, eventIDs, func(ea *eventAgg) *asSet { return &ea.handoverASes })
 }
 
 // AttackScale summarizes the per-event source diversity: mean amplifiers,
@@ -358,13 +408,13 @@ func (a *Aggregator) Scale(eventIDs []int) AttackScale {
 	var s AttackScale
 	for _, id := range eventIDs {
 		ea := a.events[id]
-		if ea == nil || len(ea.originASes) == 0 {
+		if ea == nil || ea.originASes.n == 0 {
 			continue
 		}
 		s.Events++
 		s.MeanAmplifiers += float64(ea.srcIPs.Count())
-		s.MeanOriginASes += float64(len(ea.originASes))
-		s.MeanHandoverASes += float64(len(ea.handoverASes))
+		s.MeanOriginASes += float64(ea.originASes.n)
+		s.MeanHandoverASes += float64(ea.handoverASes.n)
 	}
 	if s.Events > 0 {
 		s.MeanAmplifiers /= float64(s.Events)

@@ -1,9 +1,11 @@
 package protomix
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/netgen"
 )
 
@@ -130,5 +132,70 @@ func TestScale(t *testing.T) {
 	}
 	if s.MeanOriginASes != 30 || s.MeanHandoverASes != 10 {
 		t.Fatalf("scale = %+v", s)
+	}
+}
+
+// TestASSetsKeepTheirCap checks the per-event AS sets past growth and at
+// their bound: distinct ASes count once each up to maxASesPerEvent, by Add
+// and by Merge alike.
+func TestASSetsKeepTheirCap(t *testing.T) {
+	a, b := New(), New()
+	for i := 0; i < maxASesPerEvent+500; i++ {
+		a.Add(1, netgen.ProtoUDP, uint32(i), 123, 1, uint32(1+i), uint32(1+i%7))
+		a.Add(1, netgen.ProtoUDP, uint32(i), 123, 1, uint32(1+i), uint32(1+i%7)) // repeats count once
+		b.Add(2, netgen.ProtoUDP, uint32(i), 53, 1, uint32(1+i%3000), 9)
+	}
+	b.Add(1, netgen.ProtoUDP, 1, 53, 1, 1<<30, 8)
+	if s := a.Scale([]int{1}); s.MeanOriginASes != maxASesPerEvent || s.MeanHandoverASes != 7 {
+		t.Fatalf("after Add: %v origin and %v handover ASes, want %d and 7", s.MeanOriginASes, s.MeanHandoverASes, maxASesPerEvent)
+	}
+	if s := b.Scale([]int{2}); s.MeanOriginASes != 3000 {
+		t.Fatalf("after Add: %v origin ASes, want 3000", s.MeanOriginASes)
+	}
+	a.Merge(b)
+	if s := a.Scale([]int{1}); s.MeanOriginASes != maxASesPerEvent || s.MeanHandoverASes != 8 {
+		t.Fatalf("after Merge into a full set: %v origin and %v handover ASes, want %d and 8", s.MeanOriginASes, s.MeanHandoverASes, maxASesPerEvent)
+	}
+}
+
+// encodeEvent is one event's encoding with one amplification port and
+// one origin AS, written field by field.
+func encodeEvent(port uint16, originAS uint32) []byte {
+	w := analysis.NewWireWriter()
+	w.Byte(wireVersion)
+	w.Uvarint(1) // events
+	w.Uvarint(7) // event ID
+	for i := 0; i < 5; i++ {
+		w.Varint(1) // udp, tcp, icmp, other, nonAmpUDP
+	}
+	w.Uvarint(1)
+	w.Uvarint(uint64(port))
+	w.Varint(1)
+	analysis.NewBoundedSet(4096).EncodeWire(w)
+	w.Uvarint(1)
+	w.Uvarint(uint64(originAS))
+	w.Uvarint(0) // handover ASes
+	return w.Bytes()
+}
+
+// TestUnmarshalRejectsWhatAddCannotWrite: the counters are indexed by the
+// amplification catalog and the AS sets use 0 as their free slot, so a
+// port outside the catalog and AS 0 are errors, not state.
+func TestUnmarshalRejectsWhatAddCannotWrite(t *testing.T) {
+	valid := encodeEvent(123, 100)
+	a := New()
+	if err := a.UnmarshalBinary(valid); err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := a.MarshalBinary(); !bytes.Equal(out, valid) {
+		t.Fatalf("re-encoding differs:\n in %x\nout %x", valid, out)
+	}
+	for name, data := range map[string][]byte{
+		"port outside the catalog": encodeEvent(40000, 100),
+		"AS 0":                     encodeEvent(123, 0),
+	} {
+		if err := New().UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }

@@ -2,22 +2,15 @@ package protomix
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/analysis"
+	"repro/internal/netgen"
 )
 
 // wireVersion is the protomix snapshot codec version.
 const wireVersion = 1
-
-func sortedU32Set(m map[uint32]bool) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // MarshalBinary encodes the per-event aggregates canonically: events
 // sorted by ID; inside each event the amplification ports and the AS
@@ -39,18 +32,15 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 		w.Varint(ea.icmp)
 		w.Varint(ea.other)
 		w.Varint(ea.nonAmpUDP)
-		ports := make([]uint16, 0, len(ea.ampPkts))
-		for p := range ea.ampPkts {
-			ports = append(ports, p)
-		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-		w.Uvarint(uint64(len(ports)))
-		for _, p := range ports {
-			w.Uvarint(uint64(p))
-			w.Varint(ea.ampPkts[p])
+		w.Uvarint(uint64(bits.OnesCount32(ea.ampSeen)))
+		for i, port := range ampPorts {
+			if ea.ampSeen&(1<<i) != 0 {
+				w.Uvarint(uint64(port))
+				w.Varint(ea.ampPkts[i])
+			}
 		}
 		ea.srcIPs.EncodeWire(w)
-		for _, set := range [][]uint32{sortedU32Set(ea.originASes), sortedU32Set(ea.handoverASes)} {
+		for _, set := range [][]uint32{ea.originASes.sorted(), ea.handoverASes.sorted()} {
 			w.Uvarint(uint64(len(set)))
 			for _, as := range set {
 				w.Uvarint(uint64(as))
@@ -78,21 +68,32 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 			nonAmpUDP: r.Varint(),
 		}
 		nPorts := r.Count(2)
-		ea.ampPkts = make(map[uint16]int64, nPorts)
 		for j := 0; j < nPorts; j++ {
-			p := r.U16()
-			ea.ampPkts[p] = r.Varint()
+			port := r.U16()
+			if r.Err() != nil {
+				break
+			}
+			k, ok := netgen.AmpPortRank(netgen.ProtoUDP, port)
+			if !ok || ea.ampSeen>>k != 0 {
+				return fmt.Errorf("protomix: port %d is not an amplification port or not in ascending order", port)
+			}
+			ea.ampPkts[k] = r.Varint()
+			ea.ampSeen |= 1 << k
 		}
 		ea.srcIPs.DecodeWire(r)
-		nOrigin := r.Count(1)
-		ea.originASes = make(map[uint32]bool, nOrigin)
-		for j := 0; j < nOrigin; j++ {
-			ea.originASes[r.U32()] = true
-		}
-		nHandover := r.Count(1)
-		ea.handoverASes = make(map[uint32]bool, nHandover)
-		for j := 0; j < nHandover; j++ {
-			ea.handoverASes[r.U32()] = true
+		for _, set := range []*asSet{&ea.originASes, &ea.handoverASes} {
+			nAS, prev := r.Count(1), uint32(0)
+			for j := 0; j < nAS; j++ {
+				as := r.U32()
+				if r.Err() != nil {
+					break
+				}
+				if as <= prev {
+					return fmt.Errorf("protomix: AS %d is 0 or not in ascending order", as)
+				}
+				set.add(as)
+				prev = as
+			}
 		}
 		if r.Err() != nil {
 			break

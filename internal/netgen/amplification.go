@@ -8,7 +8,11 @@
 // exactly across runs.
 package netgen
 
-import "repro/internal/stats"
+import (
+	"math/bits"
+
+	"repro/internal/stats"
+)
 
 // Transport protocol numbers.
 const (
@@ -33,8 +37,9 @@ type AmpProtocol struct {
 // paper's Table 3: "QOTD/17, CharGEN/19, DNS/53, TFTP/69, NTP/123,
 // NetBIOS/138, SNMPv2/161, LDAP/389, RIPv1/520, SSDP/1900, Game/3659,
 // Game/3478, SIP/5060, BitTorrent/6881, Memcache/11211, Game/27005,
-// Game/28960, Fragmentation/0".
-var AmplificationProtocols = []AmpProtocol{
+// Game/28960, Fragmentation/0". An array, so that the analysis can size
+// per-protocol counters by it.
+var AmplificationProtocols = [...]AmpProtocol{
 	{Name: "QOTD", Port: 17, PacketSize: 500, Weight: 0.5},
 	{Name: "CharGEN", Port: 19, PacketSize: 1020, Weight: 2},
 	{Name: "DNS", Port: 53, PacketSize: 1400, Weight: 18},
@@ -57,12 +62,16 @@ var AmplificationProtocols = []AmpProtocol{
 
 // ampPortSet indexes AmplificationProtocols by port: one bit per port.
 // The analysis asks for every in-event record, several times over, so
-// membership is an array read rather than a hash probe.
-var ampPortSet = func() (set [1 << 16 / 64]uint64) {
+// membership is an array read rather than a hash probe. ampRankBase[w]
+// counts the catalog ports below word w's first port.
+var ampPortSet, ampRankBase = func() (set [1 << 16 / 64]uint64, base [1 << 16 / 64]uint8) {
 	for _, p := range AmplificationProtocols {
 		set[p.Port>>6] |= 1 << (p.Port & 63)
 	}
-	return set
+	for w := 1; w < len(set); w++ {
+		base[w] = base[w-1] + uint8(bits.OnesCount64(set[w-1]))
+	}
+	return set, base
 }()
 
 // IsAmplificationPort reports whether a UDP source port belongs to a known
@@ -71,6 +80,17 @@ var ampPortSet = func() (set [1 << 16 / 64]uint64) {
 // is what port-list filtering matches on (§5.5, Fig 14).
 func IsAmplificationPort(proto uint8, srcPort uint16) bool {
 	return proto == ProtoUDP && ampPortSet[srcPort>>6]&(1<<(srcPort&63)) != 0
+}
+
+// AmpPortRank is IsAmplificationPort that also returns the port's rank
+// among the catalog's ports in ascending order (0 for the lowest): a dense
+// index below len(AmplificationProtocols) for per-protocol counters.
+func AmpPortRank(proto uint8, srcPort uint16) (int, bool) {
+	w, bit := ampPortSet[srcPort>>6], uint64(1)<<(srcPort&63)
+	if proto != ProtoUDP || w&bit == 0 {
+		return 0, false
+	}
+	return int(ampRankBase[srcPort>>6]) + bits.OnesCount64(w&(bit-1)), true
 }
 
 // AmpProtocolByPort returns the catalog entry for a port.

@@ -23,6 +23,23 @@ func TestAmplificationPortMembership(t *testing.T) {
 	if IsAmplificationPort(ProtoUDP, 50000) {
 		t.Error("ephemeral port matched")
 	}
+
+	// AmpPortRank numbers exactly those ports, 0..len-1 in port order.
+	rank := 0
+	for port := 0; port < 1<<16; port++ {
+		for _, proto := range []uint8{ProtoUDP, ProtoTCP} {
+			got, ok := AmpPortRank(proto, uint16(port))
+			if want := IsAmplificationPort(proto, uint16(port)); ok != want || (ok && got != rank) {
+				t.Fatalf("AmpPortRank(%d, %d) = %d, %v; want %d, %v", proto, port, got, ok, rank, want)
+			}
+		}
+		if IsAmplificationPort(ProtoUDP, uint16(port)) {
+			rank++
+		}
+	}
+	if rank != len(AmplificationProtocols) {
+		t.Fatalf("%d ranked ports for a catalog of %d", rank, len(AmplificationProtocols))
+	}
 }
 
 func TestAmpProtocolByPort(t *testing.T) {

@@ -75,9 +75,12 @@ type onlineMetrics struct {
 // delivery goroutine, flows on the collector's decode goroutine);
 // Snapshot may be called concurrently with both and never blocks ingest:
 // the ingest paths wait only for a mutex held for appends and chunk
-// hand-overs. Sealing runs on the flow goroutine itself, every
+// hand-overs. Sealing is driven by the flow goroutine itself, every
 // sealCheckEvery records, when the operator state is free (TryLock) — a
-// check that finds a Snapshot holding it is skipped, not waited for.
+// check that finds a Snapshot holding it is skipped, not waited for. A
+// check that seals anything folds it through the operators' lanes, one
+// goroutine per operator, and returns once they have drained: no
+// goroutine outlives the call, so the analyzer needs no Close.
 //
 // Updates must arrive in non-decreasing timestamp order (the live
 // sequencer's delivery order guarantees this); feeding an update older
@@ -313,9 +316,13 @@ func (a *OnlineAnalyzer) ingestView() (updates []analysis.ControlUpdate, flows [
 // advanceLocked brings the operator state up to date: it extends the
 // control-plane view by the updates that arrived since the last call,
 // then folds every pending record older than the seal horizon into the
-// operators, hands the chunks that leaves empty back to the batch pool
-// and accounts the retention metrics. Caller holds opMu; any pendingView
-// taken before the call is stale after it.
+// operators through their lanes (one goroutine per operator, as in
+// Dataset.Analyze; inline under GOMAXPROCS 1), hands the chunks that
+// leaves empty back to the batch pool and accounts the retention metrics.
+// The lanes live for one call: the view is extended in place under the
+// attribution cursors, so they must have drained before the next Rebind.
+// Caller holds opMu; any pendingView taken before the call is stale after
+// it.
 func (a *OnlineAnalyzer) advanceLocked() {
 	if a.ops == nil {
 		return
@@ -352,16 +359,24 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	// blocks older successors, so the sealed stream plus the replayed
 	// tail is always exactly the arrival order — the order the batch
 	// pipeline would observe. A chunk is released once it is full and
-	// sealed to its last record; the last chunk may still be filling.
+	// sealed to its last record; the last chunk may still be filling. The
+	// lanes start at the first record to seal and are closed before any
+	// chunk they read goes back to the pool.
 	cutoff := w.Add(-sealHorizon)
 	before, released := a.sealed, 0
+	var lanes *pipeline.Lanes
 	for released < len(pend.chunks) {
 		recs := pend.recs(released)
 		end := a.head
 		for end < len(recs) && recs[end].Start.Before(cutoff) {
 			end++
 		}
-		a.ops.ObserveRecords(recs[a.head:end])
+		if end > a.head {
+			if lanes == nil {
+				lanes = a.ops.StartLanes(false)
+			}
+			lanes.ObserveRecords(recs[a.head:end])
+		}
 		a.sealed += int64(end - a.head)
 		a.head = end
 		if end < len(pend.chunks[released].Recs) {
@@ -369,6 +384,9 @@ func (a *OnlineAnalyzer) advanceLocked() {
 		}
 		released++
 		a.head = 0
+	}
+	if lanes != nil {
+		lanes.Close()
 	}
 	if released > 0 {
 		// Ingest only ever appends to the list, so its first entries are
