@@ -112,12 +112,14 @@ type Options struct {
 	// MinEventPkts excludes events with fewer samples from the Fig 6
 	// per-event drop-rate CDFs.
 	MinEventPkts int64
-	// Workers selects how the streaming pass is scheduled: 1 runs it on
-	// one goroutine; 0 (the default) runs one goroutine per operator,
-	// scheduled over GOMAXPROCS — on the caller alone when GOMAXPROCS is
-	// 1. Any larger count is accepted and means 0: there is one lane per
-	// operator, not per worker. Reports are byte-identical either way
-	// (see DESIGN.md, "Parallel pipeline").
+	// Workers selects how the streaming pass and the report's compose are
+	// scheduled: 1 runs both on one goroutine; 0 (the default) runs one
+	// goroutine per operator and composes the report's independent
+	// sections side by side, scheduled over GOMAXPROCS — on the caller
+	// alone when GOMAXPROCS is 1. Any larger count is accepted and means
+	// 0: there is one lane per operator, not per worker. Reports are
+	// byte-identical either way (see DESIGN.md, "Parallel pipeline" and
+	// "Compose cost").
 	Workers int
 	// Metrics, when non-nil, receives the analysis observability metrics
 	// ("pipeline.*", "dropstats.*", "analysis.*"; see DESIGN.md,

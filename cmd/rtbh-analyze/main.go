@@ -45,7 +45,7 @@ func main() {
 	threshold := flag.Float64("threshold", 2.5, "EWMA anomaly threshold in standard deviations")
 	minDays := flag.Int("min-days", 20, "minimum active days for host profiling")
 	offsetStep := flag.Duration("offset-step", 10*time.Millisecond, "time-offset MLE grid step")
-	workers := flag.Int("workers", 0, "how the streaming pass is scheduled: "+cliutil.WorkersUsage)
+	workers := flag.Int("workers", 0, "how the streaming pass and the report's compose are scheduled: "+cliutil.WorkersUsage)
 	runIDs := flag.String("run", "all", "comma-separated experiment ids to print (fig2..fig19, table1..table5) or 'all'")
 	list := flag.Bool("list", false, "list the experiment ids and exit")
 	metricsOut := flag.String("metrics", "", cliutil.MetricsUsage)

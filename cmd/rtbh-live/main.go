@@ -87,7 +87,7 @@ func main() {
 	world := cliutil.RegisterWorldFlags(flag.CommandLine)
 	snapEvery := flag.Duration("snapshot-every", 0, "print a partial analysis snapshot at this interval (0 disables)")
 	report := flag.Bool("report", true, "print the online analyzer's final report")
-	workers := flag.Int("workers", 0, "how a report's replay of the unsealed flow tail is scheduled: "+cliutil.WorkersUsage)
+	workers := flag.Int("workers", 0, "how a report's replay of the unsealed flow tail and its compose are scheduled: "+cliutil.WorkersUsage)
 	metricsOut := flag.String("metrics", "", cliutil.MetricsUsage)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	chaosProfile := flag.String("chaos-profile", "",

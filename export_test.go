@@ -29,6 +29,20 @@ func (a *OnlineAnalyzer) TailReplayStates() (wide, frozen []byte, err error) {
 	return wide, frozen, err
 }
 
+// Pass runs the batch pass behind Analyze and returns the pipeline it
+// leaves, before compose.
+func (d *Dataset) Pass(opts Options) (*pipeline.Pipeline, error) { return d.pass(opts) }
+
+// Pipelines calls fn, under the analyzer's lock, with its sealed pipeline
+// and the frozen clone a snapshot composes: the sealed state plus the
+// unsealed tail replayed through its lanes.
+func (a *OnlineAnalyzer) Pipelines(fn func(sealed, frozen *pipeline.Pipeline)) error {
+	return a.frozen(false, func(clone *pipeline.Pipeline) error {
+		fn(a.ops, clone)
+		return nil
+	})
+}
+
 // IngestInterleaved feeds a the dataset's control and FlowSpec updates and
 // the given flow batches in timestamp order: before each batch every
 // update stamped no later than its first record, the rest at the end.

@@ -275,8 +275,11 @@ func (a *Aggregator) Analyze(evs []*events.Event, periodEnd time.Time, threshold
 // the leading empty stretch is skipped (stats.EWMA.ResetZeros); a slot
 // without samples can never be anomalous, so the scan stops at the last
 // populated slot; and a detector's verdict is only used at or above the
-// support floor, so below it the value is pushed untested. The verdicts are
-// bit for bit those of observing every slot (see DESIGN.md, "Compose cost").
+// support floor, so below it the value is pushed untested — and past the
+// last slot where its feature reaches the floor, not pushed at all: the
+// detector is reset for the next event before anything reads it again.
+// The verdicts are bit for bit those of observing every slot (see
+// DESIGN.md, "Compose cost").
 func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, threshold, scale float64) []Verdict {
 	minMag := MinMagnitudeAt(scale)
 	verdicts := make([]Verdict, 0, len(evs))
@@ -286,6 +289,7 @@ func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, thr
 	}
 	preSlots := int64(events.PreWindow / analysis.SlotDuration)
 	slots := a.slotsByPrefix()
+	var rows [][NumFeatures]float64 // the features of pre's slots
 
 	for _, e := range evs {
 		v := Verdict{EventID: e.ID}
@@ -312,28 +316,46 @@ func (a *Aggregator) AnalyzeScaled(evs []*events.Event, periodEnd time.Time, thr
 		own := slots[e.Prefix]
 		first := startSlot - preSlots
 		pre := window(own, first, startSlot)
+		rows = rows[:0]
+		for _, r := range pre {
+			rows = append(rows, r.feat.features())
+		}
+		// Detector f is read up to slot until[f]-1 of pre, the last one
+		// where feature f reaches the floor (none: until[f] is 0).
+		var until [NumFeatures]int
+		for i := len(rows) - 1; i >= 0; i-- {
+			for f, v := range rows[i] {
+				if until[f] == 0 && v >= minMag {
+					until[f] = i + 1
+				}
+			}
+		}
 		for i, r := range pre {
 			s := r.slot
 			if i == 0 {
 				for f := range detectors {
-					detectors[f].ResetZeros(int(s - first))
+					if until[f] > 0 {
+						detectors[f].ResetZeros(int(s - first))
+					}
 				}
 			} else if gap := s - pre[i-1].slot - 1; gap > 0 {
 				// Empty slots inside the populated stretch.
-				for ; gap > 0; gap-- {
-					for f := range detectors {
+				for f := range detectors {
+					for k := gap; i < until[f] && k > 0; k-- {
 						detectors[f].Push(0)
 					}
 				}
 				flushRun()
 			}
-			feats := r.feat.features()
+			feats := rows[i]
 			slotsBefore := int(startSlot - s)
 			level := 0
 			for f := range feats {
-				if feats[f] < minMag {
+				switch {
+				case i >= until[f]:
+				case feats[f] < minMag:
 					detectors[f].Push(feats[f])
-				} else if detectors[f].Observe(feats[f]) {
+				case detectors[f].Observe(feats[f]):
 					level++
 				}
 				if s < startSlot {

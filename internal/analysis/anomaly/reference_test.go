@@ -219,6 +219,13 @@ func TestAnalyzeMatchesDenseReference(t *testing.T) {
 			w.event(p1, refStart, 0)
 			w.event(p2, periodEnd.Add(time.Hour), 0) // starts after the period end
 		}},
+		{"spike after a long gap", func(w *refWorld) {
+			// The detector fills its window only through the gap's zeros:
+			// without them the spike would meet a detector not yet ready.
+			w.sample(p1, refStart, -refPreSlots, 1)
+			w.sample(p1, refStart, -refPreSlots+Span+10, 3*w.mag)
+			w.event(p1, refStart, time.Hour)
+		}},
 		{"straddling the floor", func(w *refWorld) {
 			for s := -refPreSlots; s <= 0; s++ {
 				switch w.r.Intn(4) {

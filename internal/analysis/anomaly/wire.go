@@ -1,8 +1,9 @@
 package anomaly
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/bgp"
@@ -21,16 +22,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	for k := range a.slots {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.prefix.Addr != b.prefix.Addr {
-			return a.prefix.Addr < b.prefix.Addr
-		}
-		if a.prefix.Len != b.prefix.Len {
-			return a.prefix.Len < b.prefix.Len
-		}
-		return a.slot < b.slot
-	})
+	slices.SortFunc(keys, compareKeys)
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		sf := a.slots[k]
@@ -46,8 +38,16 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// compareKeys orders slot keys by (prefix address, prefix length, slot
+// index): the encoding's order.
+func compareKeys(x, y slotKey) int {
+	return cmp.Or(cmp.Compare(x.prefix.Addr, y.prefix.Addr), cmp.Compare(x.prefix.Len, y.prefix.Len), cmp.Compare(x.slot, y.slot))
+}
+
 // UnmarshalBinary replaces the aggregator's state with the decoded
-// snapshot. On error the aggregator is left unchanged.
+// snapshot; the slots must come in MarshalBinary's order, each key above
+// the one before, and their prefixes canonical. On error the aggregator
+// is left unchanged.
 func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
@@ -55,6 +55,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	// minimal sets (3 bytes each).
 	n := r.Count(14)
 	slots := make(map[slotKey]*slotFeat, n)
+	var last slotKey
 	for i := 0; i < n; i++ {
 		var k slotKey
 		addr, plen := r.U32(), r.Byte()
@@ -63,6 +64,13 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		}
 		k.prefix = bgp.MakePrefix(addr, plen)
 		k.slot = r.Varint()
+		if r.Err() != nil {
+			break
+		}
+		if k.prefix.Addr != addr || i > 0 && compareKeys(last, k) >= 0 {
+			return fmt.Errorf("anomaly: slot (%s/%d, %d) not canonical, duplicate or out of order", bgp.FormatAddr(addr), plen, k.slot)
+		}
+		last = k
 		sf := &slotFeat{
 			owner:   a.cow.Stamp(),
 			packets: r.U32(),

@@ -7,12 +7,14 @@
 package collateral
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/hosts"
+	"repro/internal/bgp"
 )
 
 // Aggregator holds the per-event damage counters: during-event packets
@@ -20,47 +22,52 @@ import (
 // stage — built from the server profiles once host profiling has
 // produced the top-port lists, and filled by Pending.Materialize.
 type Aggregator struct {
-	// topPorts maps server IP -> set of proto<<16|port top ports.
-	topPorts map[uint32]map[uint32]bool
+	// servers are the detected servers with top ports, ascending by IP:
+	// Materialize finds those inside an event's prefix by binary search.
+	servers []server
 	// perEvent tallies per event ID.
 	perEvent map[int]*counts
+}
+
+// server is one detected server and its top ports (proto<<16|port):
+// distinct and ascending, as host profiling lists them.
+type server struct {
+	ip    uint32
+	ports []uint32
 }
 
 type counts struct {
 	all, dropped int64
 }
 
-// New builds an aggregator for the detected server profiles.
+// New builds an aggregator for the detected server profiles, one per
+// host as host profiling produces them.
 func New(profiles []hosts.Profile) *Aggregator {
-	a := &Aggregator{
-		topPorts: make(map[uint32]map[uint32]bool),
-		perEvent: make(map[int]*counts),
-	}
+	a := &Aggregator{perEvent: make(map[int]*counts)}
 	for i := range profiles {
 		p := &profiles[i]
-		if p.Kind != hosts.KindServer || len(p.TopPorts) == 0 {
-			continue
+		if p.Kind == hosts.KindServer && len(p.TopPorts) > 0 {
+			a.servers = append(a.servers, server{ip: p.IP, ports: p.TopPorts})
 		}
-		set := make(map[uint32]bool, len(p.TopPorts))
-		for _, tp := range p.TopPorts {
-			set[tp] = true
-		}
-		a.topPorts[p.IP] = set
 	}
+	slices.SortFunc(a.servers, func(x, y server) int { return cmp.Compare(x.ip, y.ip) })
 	return a
 }
 
-// AddCounts folds pre-tallied packet counts for one (event, dstIP,
-// proto<<16|port) cell. Packets to a detected server's top ports count
-// as (worst-case) collateral damage, dropped being those the blackhole
-// discarded; everything else is ignored. Pending.Materialize uses this
-// to replay the compact during-event tallies once the server profiles —
-// and therefore the top-port sets — are known.
-func (a *Aggregator) AddCounts(eventID int, dstIP uint32, portKey uint32, all, dropped int64) {
-	set := a.topPorts[dstIP]
-	if set == nil || !set[portKey] {
-		return
+// in returns the servers inside prefix.
+func (a *Aggregator) in(prefix bgp.Prefix) []server {
+	lo := prefix.Addr & prefix.Mask()
+	hi := lo | ^prefix.Mask()
+	i, _ := slices.BinarySearchFunc(a.servers, lo, func(s server, ip uint32) int { return cmp.Compare(s.ip, ip) })
+	j := i
+	for j < len(a.servers) && a.servers[j].ip <= hi {
+		j++
 	}
+	return a.servers[i:j]
+}
+
+// add folds one matched cell's packets into event eventID's damage.
+func (a *Aggregator) add(eventID int, all, dropped int64) {
 	c := a.perEvent[eventID]
 	if c == nil {
 		c = &counts{}
@@ -187,6 +194,23 @@ func (t *table) grow() {
 	}
 }
 
+// get returns key's cell without inserting it. A table always keeps a
+// free slot, which ends every probe sequence that misses.
+func (t *table) get(key uint64) (cell, bool) {
+	if key == 0 {
+		return t.zero, t.hasZero
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch c := t.slots[i]; c.key {
+		case key:
+			return c, true
+		case 0:
+			return cell{}, false
+		}
+	}
+}
+
 // each calls fn for every cell, in no particular order.
 func (t *table) each(fn func(cell)) {
 	if t.hasZero {
@@ -298,12 +322,24 @@ func (p *Pending) Len() int { return p.n }
 
 // Materialize filters the pending tallies through agg's top-port sets,
 // producing the same per-event damage counters a dedicated second pass
-// over the raw records would have.
-func (p *Pending) Materialize(agg *Aggregator) {
+// over the raw records would have. prefixes[id] is event id's blackholed
+// prefix. Every cell of an event is addressed inside that prefix — the
+// pipeline tallies a record under the event whose prefix covers its
+// destination — so instead of visiting every cell, Materialize looks up
+// each (server inside the prefix, top port) in the event's table. Cells
+// of an ID that names no event count for nothing.
+func (p *Pending) Materialize(agg *Aggregator, prefixes []bgp.Prefix) {
 	for id, t := range p.tables {
-		t.each(func(c cell) {
-			agg.AddCounts(id, uint32(c.key>>32), uint32(c.key), c.all, c.dropped)
-		})
+		if id < 0 || id >= len(prefixes) {
+			continue
+		}
+		for _, s := range agg.in(prefixes[id]) {
+			for _, port := range s.ports {
+				if c, ok := t.get(uint64(s.ip)<<32 | uint64(port)); ok {
+					agg.add(id, c.all, c.dropped)
+				}
+			}
+		}
 	}
 }
 

@@ -19,19 +19,28 @@ func serverProfile() hosts.Profile {
 
 func portKey(proto uint8, port uint16) uint32 { return uint32(proto)<<16 | uint32(port) }
 
-func TestCollateralCountsTopPortTrafficOnly(t *testing.T) {
-	a := New([]hosts.Profile{serverProfile(), {IP: 99, Kind: hosts.KindClient}})
-	// Top-port traffic during event 1: 5 dropped, 3 forwarded.
-	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 5, 5)
-	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 3, 0)
-	// Attack traffic on other ports must not count.
-	a.AddCounts(1, serverIP, portKey(netgen.ProtoUDP, 40000), 100, 100)
-	// Same port number under UDP is a different service.
-	a.AddCounts(1, serverIP, portKey(netgen.ProtoUDP, 443), 100, 100)
-	// Traffic to a non-server host never counts.
-	a.AddCounts(1, 99, portKey(netgen.ProtoTCP, 443), 100, 100)
+// materialize tallies during-event packets into a pending store and
+// materializes them for profiles, every event's prefix covering them all.
+func materialize(profiles []hosts.Profile, add func(p *Pending)) *Result {
+	p := NewPending()
+	add(p)
+	a := New(profiles)
+	p.Materialize(a, everywhere(4))
+	return a.Result()
+}
 
-	res := a.Result()
+func TestCollateralCountsTopPortTrafficOnly(t *testing.T) {
+	res := materialize([]hosts.Profile{serverProfile(), {IP: 99, Kind: hosts.KindClient}}, func(p *Pending) {
+		// Top-port traffic during event 1: 5 dropped, 3 forwarded.
+		p.Add(1, serverIP, 443, netgen.ProtoTCP, true, 5)
+		p.Add(1, serverIP, 443, netgen.ProtoTCP, false, 3)
+		// Attack traffic on other ports must not count.
+		p.Add(1, serverIP, 40000, netgen.ProtoUDP, true, 100)
+		// Same port number under UDP is a different service.
+		p.Add(1, serverIP, 443, netgen.ProtoUDP, true, 100)
+		// Traffic to a non-server host never counts.
+		p.Add(1, 99, 443, netgen.ProtoTCP, true, 100)
+	})
 	if res.Events != 1 {
 		t.Fatalf("events = %d", res.Events)
 	}
@@ -47,11 +56,11 @@ func TestCollateralCountsTopPortTrafficOnly(t *testing.T) {
 }
 
 func TestResultSorted(t *testing.T) {
-	a := New([]hosts.Profile{serverProfile()})
-	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 9, 0)
-	a.AddCounts(2, serverIP, portKey(netgen.ProtoTCP, 443), 3, 0)
-	a.AddCounts(3, serverIP, portKey(netgen.ProtoTCP, 443), 6, 0)
-	res := a.Result()
+	res := materialize([]hosts.Profile{serverProfile()}, func(p *Pending) {
+		p.Add(1, serverIP, 443, netgen.ProtoTCP, false, 9)
+		p.Add(2, serverIP, 443, netgen.ProtoTCP, false, 3)
+		p.Add(3, serverIP, 443, netgen.ProtoTCP, false, 6)
+	})
 	if res.Events != 3 {
 		t.Fatalf("events = %d", res.Events)
 	}
@@ -64,9 +73,10 @@ func TestResultSorted(t *testing.T) {
 }
 
 func TestServersWithoutTopPortsIgnored(t *testing.T) {
-	a := New([]hosts.Profile{{IP: serverIP, Kind: hosts.KindServer}})
-	a.AddCounts(1, serverIP, portKey(netgen.ProtoTCP, 443), 5, 5)
-	if res := a.Result(); res.Events != 0 {
+	res := materialize([]hosts.Profile{{IP: serverIP, Kind: hosts.KindServer}}, func(p *Pending) {
+		p.Add(1, serverIP, 443, netgen.ProtoTCP, true, 5)
+	})
+	if res.Events != 0 {
 		t.Fatalf("top-port-less server counted: %+v", res)
 	}
 }

@@ -2,6 +2,7 @@ package collateral
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/cowtest"
 	"repro/internal/analysis/hosts"
+	"repro/internal/bgp"
 	"repro/internal/stats"
 )
 
@@ -84,10 +86,35 @@ func (p *mapPending) snapshot() *mapPending {
 func (p *mapPending) materialize(agg *Aggregator) {
 	for id, inner := range p.cells {
 		for k, c := range inner {
-			agg.AddCounts(id, uint32(k>>32), uint32(k&0xffffffff), c.all, c.dropped)
+			agg.addCounts(id, uint32(k>>32), uint32(k&0xffffffff), c.all, c.dropped)
 		}
 	}
 }
+
+// addCounts folds one (event, dstIP, proto<<16|port) cell into a when
+// dstIP is a detected server and the port one of its top ports: the
+// per-cell filter of the scan reference.
+func (a *Aggregator) addCounts(eventID int, dstIP uint32, portKey uint32, all, dropped int64) {
+	i, ok := slices.BinarySearchFunc(a.servers, dstIP, func(s server, ip uint32) int { return cmp.Compare(s.ip, ip) })
+	if !ok || !slices.Contains(a.servers[i].ports, portKey) {
+		return
+	}
+	a.add(eventID, all, dropped)
+}
+
+// scan is the reference model for Materialize: every cell of every table
+// visited and filtered through addCounts, as Materialize did before it
+// probed per event prefix.
+func scan(p *Pending, agg *Aggregator) {
+	for id, t := range p.tables {
+		t.each(func(c cell) { agg.addCounts(id, uint32(c.key>>32), uint32(c.key), c.all, c.dropped) })
+	}
+}
+
+// everywhere is a prefix list naming events 0..n-1 with 0.0.0.0/0 as
+// their prefix: every server is inside, so Materialize probes for each of
+// them and matches the scan whatever addresses the cells hold.
+func everywhere(n int) []bgp.Prefix { return make([]bgp.Prefix, n) }
 
 func (p *mapPending) marshal() []byte {
 	w := analysis.NewWireWriter()
@@ -163,7 +190,7 @@ func (pp pendingPair) mustMatch(t *testing.T, label string, profiles []hosts.Pro
 		t.Fatalf("%s: Len = %d, reference %d", label, pp.got.Len(), pp.want.n)
 	}
 	gotAgg, wantAgg := New(profiles), New(profiles)
-	pp.got.Materialize(gotAgg)
+	pp.got.Materialize(gotAgg, everywhere(128))
 	pp.want.materialize(wantAgg)
 	if !reflect.DeepEqual(gotAgg.perEvent, wantAgg.perEvent) {
 		t.Fatalf("%s: Materialize diverges from the reference", label)
@@ -203,10 +230,15 @@ func TestPendingMatchesMapReference(t *testing.T) {
 		{0xcb007105, 53, 17},
 		{0xc6336407, 80, 6},
 	}
+	// One profile per address, as host profiling produces them.
 	var profiles []hosts.Profile
 	for _, h := range hots {
-		profiles = append(profiles, hosts.Profile{IP: h.ip, Kind: hosts.KindServer,
-			TopPorts: []uint32{uint32(h.proto)<<16 | uint32(h.port)}})
+		key := uint32(h.proto)<<16 | uint32(h.port)
+		if n := len(profiles); n > 0 && profiles[n-1].IP == h.ip {
+			profiles[n-1].TopPorts = append(profiles[n-1].TopPorts, key)
+			continue
+		}
+		profiles = append(profiles, hosts.Profile{IP: h.ip, Kind: hosts.KindServer, TopPorts: []uint32{key}})
 	}
 
 	for seed := uint64(1); seed <= 10; seed++ {
@@ -329,5 +361,102 @@ func TestPendingSnapshotMatchesDeepCopy(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { cowtest.Run(t, seed, 250, c) })
+	}
+}
+
+// TestMaterializeMatchesScan pins the per-prefix probe to the full scan
+// on random tables whose cells lie inside their event's prefix, as the
+// pipeline's are. Every prefix length from /0 to /32 occurs; servers sit
+// on the first and last address of prefixes and just outside them; one
+// server at 0.0.0.0 has the zero port key, so the zero-key cell is hit;
+// clients and servers without top ports never count; and the cells of
+// an ID past the prefix list count for nothing.
+func TestMaterializeMatchesScan(t *testing.T) {
+	var hits, zeroHits int
+	for seed := uint64(1); seed <= 12; seed++ {
+		r := stats.NewRNG(seed)
+		prefixes := []bgp.Prefix{
+			bgp.MakePrefix(0, 0),
+			bgp.MakePrefix(0, 8),
+			bgp.MakePrefix(0xffffffff, 32),
+		}
+		for l := 0; l <= 32; l++ {
+			prefixes = append(prefixes, bgp.MakePrefix(uint32(r.Uint64()), uint8(l)))
+		}
+		last := func(p bgp.Prefix) uint32 { return p.Addr | ^p.Mask() }
+
+		// Servers on and around every prefix's edges, and inside it.
+		ips := map[uint32]bool{0: true}
+		for _, p := range prefixes[1:] {
+			lo, hi := p.Addr, last(p)
+			ips[lo], ips[hi], ips[lo-1], ips[hi+1] = true, true, true, true
+			ips[lo+uint32(r.Uint64()%(uint64(hi-lo)+1))] = true
+		}
+		ports := []uint32{0, 6<<16 | 80, 6<<16 | 443, 17<<16 | 53}
+		var profiles []hosts.Profile
+		for ip := range ips {
+			p := hosts.Profile{IP: ip, Kind: hosts.KindServer}
+			if ip == 0 {
+				p.TopPorts = []uint32{0, 6<<16 | 443}
+			} else {
+				for _, k := range ports {
+					if r.Bool(0.4) {
+						p.TopPorts = append(p.TopPorts, k)
+					}
+				}
+			}
+			if ip != 0 && r.Bool(0.15) {
+				p.Kind = hosts.KindClient
+			}
+			profiles = append(profiles, p)
+		}
+		slices.SortFunc(profiles, func(x, y hosts.Profile) int { return cmp.Compare(x.IP, y.IP) })
+
+		// Cells inside each event's prefix: on its servers' top ports, on
+		// other ports, and toward addresses that are no server.
+		p := NewPending()
+		addr := make([]uint32, 0, len(profiles))
+		for id, pfx := range prefixes {
+			addr = addr[:0]
+			for _, pr := range profiles {
+				if pfx.Contains(pr.IP) {
+					addr = append(addr, pr.IP)
+				}
+			}
+			for n := r.Intn(60); n > 0; n-- {
+				ip := pfx.Addr | uint32(r.Uint64())&^pfx.Mask()
+				if len(addr) > 0 && r.Bool(0.7) {
+					ip = addr[r.Intn(len(addr))]
+				}
+				k := ports[r.Intn(len(ports))]
+				if r.Bool(0.2) {
+					k = uint32(r.Intn(1 << 24))
+				}
+				p.Add(id, ip, uint16(k), uint8(k>>16), r.Bool(0.5), int64(r.Intn(9)))
+			}
+		}
+		p.Add(1, 0, 0, 0, true, 3) // the zero key: 0.0.0.0, proto 0, port 0
+
+		want := New(profiles)
+		scan(p, want)
+		// An ID that names no event: its cells would match, but count for
+		// nothing.
+		for _, pr := range profiles {
+			if len(pr.TopPorts) > 0 {
+				p.Add(len(prefixes)+2, pr.IP, uint16(pr.TopPorts[0]), uint8(pr.TopPorts[0]>>16), true, 5)
+			}
+		}
+		got := New(profiles)
+		p.Materialize(got, prefixes)
+		if !reflect.DeepEqual(got.perEvent, want.perEvent) {
+			t.Fatalf("seed %d: probe and scan disagree:\nprobe %v\nscan  %v", seed, got.Result(), want.Result())
+		}
+		hits += len(want.perEvent)
+		if want.perEvent[1] != nil && got.perEvent[1].all >= 3 {
+			zeroHits++
+		}
+	}
+	if hits < 100 || zeroHits < 12 {
+		t.Fatalf("fixture too thin: %d events with damage, zero key counted in %d seeds", hits, zeroHits)
 	}
 }

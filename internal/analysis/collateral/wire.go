@@ -42,12 +42,15 @@ func (p *Pending) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the pending store's state with the decoded
-// snapshot. On error the store is left unchanged.
+// snapshot; the cells must come in MarshalBinary's order, strictly
+// ascending by (event ID, cell key). On error the store is left unchanged.
 func (p *Pending) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(pendingWireVersion)
 	n := r.Count(5)
 	d := NewPending()
+	var lastID int
+	var lastKey uint64
 	for i := 0; i < n; i++ {
 		id := r.Int()
 		dstIP := r.U32()
@@ -56,7 +59,12 @@ func (p *Pending) UnmarshalBinary(data []byte) error {
 		if r.Err() != nil {
 			break
 		}
-		c := d.cell(id, uint64(dstIP)<<32|uint64(portKey))
+		key := uint64(dstIP)<<32 | uint64(portKey)
+		if i > 0 && (id < lastID || id == lastID && key <= lastKey) {
+			return fmt.Errorf("collateral: pending: cell (%d, %#x) duplicate or out of order", id, key)
+		}
+		lastID, lastKey = id, key
+		c := d.cell(id, key)
 		c.all, c.dropped = all, dropped
 	}
 	if err := r.Done(); err != nil {

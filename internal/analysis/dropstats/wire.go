@@ -55,8 +55,10 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	}
 	nEv := r.Count(6) // id + prefixLen + four counters
 	byEvent := make(map[int]*eventCounter, nEv)
+	var evOrder, srcOrder analysis.KeyOrder
 	for i := 0; i < nEv; i++ {
 		id := r.Int()
+		evOrder.Next(r, uint64(id))
 		ec := &eventCounter{prefixLen: r.Byte()}
 		ec.c.DecodeWire(r)
 		byEvent[id] = ec
@@ -65,6 +67,7 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	bySource := make(map[uint32]*analysis.Counter, nSrc)
 	for i := 0; i < nSrc; i++ {
 		m := r.U32()
+		srcOrder.Next(r, uint64(m))
 		c := &analysis.Counter{}
 		c.DecodeWire(r)
 		bySource[m] = c

@@ -55,8 +55,10 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	// Minimum per host: ip, day count, four minimal feature sets.
 	n := r.Count(14)
 	hs := make(map[uint32]*hostAgg, n)
+	var order analysis.KeyOrder
 	for i := 0; i < n; i++ {
 		ip := r.U32()
+		order.Next(r, uint64(ip))
 		nDays := r.Count(4) // day, flags, minimal counter
 		h := &hostAgg{owner: a.cow.Stamp(), days: make([]dayAgg, 0, nDays)}
 		for j := 0; j < nDays; j++ {

@@ -37,18 +37,24 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	r.Version(wireVersion)
 	n := r.Count(2 + 8*int(numPhases)) // addr + len + 2x4 varints per phase
 	byPrefix := make(map[bgp.Prefix]*cells, n)
+	var order analysis.KeyOrder
 	for i := 0; i < n; i++ {
 		addr := r.U32()
 		length := r.Byte()
 		if length > 32 {
 			return fmt.Errorf("mitigation: prefix length %d", length)
 		}
+		p := bgp.MakePrefix(addr, length)
+		if p.Addr != addr {
+			return fmt.Errorf("mitigation: prefix %s has host bits set", bgp.FormatAddr(addr))
+		}
+		order.Next(r, uint64(addr)<<8|uint64(length))
 		cs := &cells{}
 		for ph := 0; ph < int(numPhases); ph++ {
 			cs.attack[ph].DecodeWire(r)
 			cs.legit[ph].DecodeWire(r)
 		}
-		byPrefix[bgp.MakePrefix(addr, length)] = cs
+		byPrefix[p] = cs
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("mitigation: %w", err)

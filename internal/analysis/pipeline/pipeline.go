@@ -630,10 +630,15 @@ func (p *Pipeline) hostKeep() func(uint32) bool {
 
 // ComposeCollateral builds the collateral-damage aggregator for the
 // detected server profiles and materializes the pending during-event
-// tallies into it (§6.3, Fig 18).
+// tallies into it (§6.3, Fig 18), probing each event's table for the
+// servers inside the event's prefix.
 func (p *Pipeline) ComposeCollateral(profiles []hosts.Profile) *collateral.Aggregator {
 	agg := collateral.New(profiles)
-	p.Pending.Materialize(agg)
+	prefixes := make([]bgp.Prefix, len(p.Events))
+	for i, e := range p.Events {
+		prefixes[i] = e.Prefix // Events are in ID order
+	}
+	p.Pending.Materialize(agg, prefixes)
 	return agg
 }
 

@@ -67,8 +67,10 @@ func UnmarshalState(meta *analysis.Metadata, data []byte) (*Pipeline, error) {
 	if p.speculative || nPairs > 0 {
 		p.pairs = make(map[uint64]int64, nPairs)
 	}
+	var order analysis.KeyOrder
 	for i := 0; i < nPairs; i++ {
 		k := r.Uvarint()
+		order.Next(r, k)
 		p.pairs[k] = r.Varint()
 	}
 	type unmarshaler interface{ UnmarshalBinary([]byte) error }

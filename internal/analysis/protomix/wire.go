@@ -58,8 +58,10 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	// Minimum per event: id, five counters, three counts, one set header.
 	n := r.Count(11)
 	events := make(map[int]*eventAgg, n)
+	var order analysis.KeyOrder
 	for i := 0; i < n; i++ {
 		id := r.Int()
+		order.Next(r, uint64(id))
 		ea := &eventAgg{
 			udp:       r.Varint(),
 			tcp:       r.Varint(),

@@ -2,6 +2,7 @@ package timealign
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -164,6 +165,101 @@ func TestAddDroppedMatchesTimeReference(t *testing.T) {
 				math.Float64bits(got.ends[i]) != math.Float64bits(want.ends[i]) {
 				t.Fatalf("seed %d: interval %d = [%v, %v), reference [%v, %v)",
 					seed, i, got.starts[i], got.ends[i], want.starts[i], want.ends[i])
+			}
+		}
+	}
+}
+
+// sortedEstimate is the reference model for Estimate: both endpoint
+// arrays copied and sorted, then two binary searches per grid point, as
+// Estimate ran before it binned the endpoints.
+func sortedEstimate(a *Aggregator, step time.Duration) *Result {
+	res := &Result{Dropped: a.total}
+	if a.total == 0 || step <= 0 {
+		return res
+	}
+	starts := append([]float64(nil), a.starts...)
+	ends := append([]float64(nil), a.ends...)
+	sort.Float64s(starts)
+	sort.Float64s(ends)
+	for off := -SearchRange; off <= SearchRange; off += step {
+		d := off.Seconds()
+		count := sort.SearchFloat64s(starts, d+1e-12) - sort.SearchFloat64s(ends, d+1e-12)
+		p := Point{Offset: off, Overlap: float64(count) / float64(a.total)}
+		res.Curve = append(res.Curve, p)
+		if p.Overlap > res.BestOverlap {
+			res.BestOverlap = p.Overlap
+			res.BestOffset = off
+		}
+	}
+	return res
+}
+
+// TestEstimateMatchesSortedReference demands the sort-based curve bit for
+// bit. The endpoints sit exactly on grid offsets, on the guarded grid
+// values (offset + 1e-12), 1e-12 and one ulp to either side of both, at
+// the clipped bounds -2 and 3, and at random; the steps include odd ones
+// that do not divide the range, a step larger than the range, and a tiny
+// one.
+func TestEstimateMatchesSortedReference(t *testing.T) {
+	steps := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 7 * time.Millisecond,
+		333 * time.Microsecond, 1300 * time.Millisecond, 3 * time.Second, 5 * time.Second, 10 * time.Microsecond, 3 * time.Microsecond}
+	for _, step := range steps {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r := stats.NewRNG(seed)
+			edge := func() float64 {
+				k := r.Int63n(int64(2*SearchRange/step) + 1)
+				x := (-SearchRange + time.Duration(k)*step).Seconds()
+				switch r.Intn(8) {
+				case 0:
+					return x
+				case 1:
+					return x + 1e-12
+				case 2:
+					return x + 2e-12
+				case 3:
+					return x - 1e-12
+				case 4:
+					return math.Nextafter(x+1e-12, math.Inf(-1))
+				case 5:
+					return math.Nextafter(x+1e-12, math.Inf(1))
+				case 6:
+					return math.Nextafter(x, math.Inf(-1))
+				}
+				return math.Nextafter(x, math.Inf(1))
+			}
+			value := func() float64 {
+				switch r.Intn(6) {
+				case 0:
+					return -SearchRange.Seconds()
+				case 1:
+					return SearchRange.Seconds() + 1
+				case 2:
+					return (r.Float64()*2 - 1) * 2.5
+				}
+				return edge()
+			}
+			a := &Aggregator{}
+			n := 1 + r.Intn(3000)
+			for i := 0; i < n; i++ {
+				lo, hi := value(), value()
+				if hi < lo {
+					lo, hi = hi, lo
+				}
+				a.starts, a.ends = append(a.starts, lo), append(a.ends, hi)
+			}
+			a.total = int64(n + r.Intn(50)) // records whose intervals missed the range
+			got, want := a.Estimate(step), sortedEstimate(a, step)
+			if len(got.Curve) != len(want.Curve) || got.Dropped != want.Dropped ||
+				got.BestOffset != want.BestOffset || math.Float64bits(got.BestOverlap) != math.Float64bits(want.BestOverlap) {
+				t.Fatalf("step %v seed %d: %d points, best %v at %v; reference %d points, best %v at %v",
+					step, seed, len(got.Curve), got.BestOverlap, got.BestOffset, len(want.Curve), want.BestOverlap, want.BestOffset)
+			}
+			for i := range want.Curve {
+				if got.Curve[i].Offset != want.Curve[i].Offset ||
+					math.Float64bits(got.Curve[i].Overlap) != math.Float64bits(want.Curve[i].Overlap) {
+					t.Fatalf("step %v seed %d: point %d = %+v, reference %+v", step, seed, i, got.Curve[i], want.Curve[i])
+				}
 			}
 		}
 	}

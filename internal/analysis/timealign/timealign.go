@@ -7,11 +7,11 @@
 // Instead of re-testing every record at every candidate offset, the
 // aggregator converts each dropped record into the interval of offsets
 // under which it overlaps an active episode; the likelihood curve is then
-// a sweep over interval endpoints, O(n log n) overall.
+// a running count of interval endpoints binned on the offset grid, O(n)
+// overall.
 package timealign
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/analysis/events"
@@ -106,8 +106,8 @@ func (a *Aggregator) AddDropped(dstIP uint32, t time.Time) {
 
 // Merge folds o's per-record offset intervals into a. The intervals of
 // each dropped record were merged at Add time, so concatenation is exact
-// and order-independent: Estimate sorts the endpoint arrays before the
-// sweep, so the merged aggregator yields the same curve a sequential
+// and order-independent: Estimate counts the endpoints whatever their
+// order, so the merged aggregator yields the same curve a sequential
 // aggregator would. o must not be used afterwards.
 func (a *Aggregator) Merge(o *Aggregator) {
 	a.starts = append(a.starts, o.starts...)
@@ -160,24 +160,29 @@ type Result struct {
 }
 
 // Estimate evaluates the likelihood over a uniform grid of the given step
-// and returns the curve and its maximum.
+// and returns the curve and its maximum. At grid point x a record counts
+// when its interval holds x, start <= x < end, tested against x+1e-12 as
+// a guard against rounding: the count is #{start < x+1e-12} minus
+// #{end < x+1e-12}. Neither endpoint array is sorted or copied for that:
+// each endpoint is binned at the first grid value above it, and the
+// counts are the bins' running sums.
 func (a *Aggregator) Estimate(step time.Duration) *Result {
 	res := &Result{Dropped: a.total}
 	if a.total == 0 || step <= 0 {
 		return res
 	}
-	starts := append([]float64(nil), a.starts...)
-	ends := append([]float64(nil), a.ends...)
-	sort.Float64s(starts)
-	sort.Float64s(ends)
-
+	var grid []float64
 	for off := -SearchRange; off <= SearchRange; off += step {
-		d := off.Seconds()
-		// Records whose interval contains d: starts <= d < ends.
-		nStart := sort.SearchFloat64s(starts, d+1e-12)
-		nEnd := sort.SearchFloat64s(ends, d+1e-12)
-		count := nStart - nEnd
-		p := Point{Offset: off, Overlap: float64(count) / float64(a.total)}
+		grid = append(grid, off.Seconds()+1e-12)
+	}
+	starts, ends := bin(a.starts, grid, step), bin(a.ends, grid, step)
+	res.Curve = make([]Point, 0, len(grid))
+	nStart, nEnd := 0, 0
+	for k := range grid {
+		off := -SearchRange + time.Duration(k)*step
+		nStart += starts[k]
+		nEnd += ends[k]
+		p := Point{Offset: off, Overlap: float64(nStart-nEnd) / float64(a.total)}
 		res.Curve = append(res.Curve, p)
 		if p.Overlap > res.BestOverlap {
 			res.BestOverlap = p.Overlap
@@ -185,4 +190,31 @@ func (a *Aggregator) Estimate(step time.Duration) *Result {
 		}
 	}
 	return res
+}
+
+// bin counts vals by the first grid value above each: bins[k] holds those
+// in [grid[k-1], grid[k]), bins[len(grid)] those at or above the last. The
+// grid is uniform up to rounding, so arithmetic guesses the bin and exact
+// comparisons against the grid's own values settle it. A NaN lands in
+// bins[0], below every grid value, where sorting would place it.
+func bin(vals, grid []float64, step time.Duration) []int {
+	bins := make([]int, len(grid)+1)
+	width := step.Seconds()
+	for _, v := range vals {
+		k := 0
+		if g := (v - grid[0]) / width; g > 0 {
+			k = len(grid)
+			if g < float64(len(grid)) {
+				k = int(g) + 1
+			}
+		}
+		for k > 0 && v < grid[k-1] {
+			k--
+		}
+		for k < len(grid) && v >= grid[k] {
+			k++
+		}
+		bins[k]++
+	}
+	return bins
 }

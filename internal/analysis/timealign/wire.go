@@ -2,6 +2,7 @@ package timealign
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/analysis"
@@ -34,8 +35,10 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the aggregator's interval state with the
-// decoded snapshot, leaving the index unbound. On error the aggregator
-// is left unchanged.
+// decoded snapshot, leaving the index unbound. Each endpoint array must
+// come sorted, as MarshalBinary writes it, and hold no NaN and no -0:
+// AddDropped records neither, and their place in a sorted array is not
+// unique. On error the aggregator is left unchanged.
 func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
@@ -45,7 +48,14 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		n := r.Count(8)
 		vals := make([]float64, 0, n)
 		for j := 0; j < n; j++ {
-			vals = append(vals, r.F64())
+			v := r.F64()
+			if r.Err() != nil {
+				break
+			}
+			if math.IsNaN(v) || v == 0 && math.Signbit(v) || j > 0 && v < vals[j-1] {
+				return fmt.Errorf("timealign: endpoint %v out of order or not canonical", v)
+			}
+			vals = append(vals, v)
 		}
 		arrays[i] = vals
 	}

@@ -137,8 +137,8 @@ func (r *WireReader) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("wire: truncated or overlong uvarint")
+	if !r.minimal(n) {
+		r.fail("wire: truncated, overlong or padded uvarint")
 		return 0
 	}
 	r.off += n
@@ -151,12 +151,20 @@ func (r *WireReader) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("wire: truncated or overlong varint")
+	if !r.minimal(n) {
+		r.fail("wire: truncated, overlong or padded varint")
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// minimal reports whether the n-byte varint at the read offset decoded
+// and is the shortest encoding of its value, the one the writer emits: a
+// padded form (a last byte of zero after a continuation) would decode to
+// the same value and re-encode shorter.
+func (r *WireReader) minimal(n int) bool {
+	return n == 1 || n > 1 && r.buf[r.off+n-1] != 0
 }
 
 // U32 reads a uvarint and range-checks it into uint32.
@@ -251,6 +259,24 @@ func (r *WireReader) Blob() []byte {
 	return b
 }
 
+// KeyOrder checks that the keys of a decoded collection come strictly
+// ascending, the order every canonical encoder writes them in: a
+// duplicate or reordered key fails the decode, where accepting it would
+// let the next encode merge or re-sort it, and decoding then encoding
+// would no longer be a fixed point.
+type KeyOrder struct {
+	last uint64
+	seen bool
+}
+
+// Next fails r unless key is above every key before it.
+func (o *KeyOrder) Next(r *WireReader, key uint64) {
+	if o.seen && key <= o.last {
+		r.fail("wire: key %d duplicate or out of order", key)
+	}
+	o.last, o.seen = key, true
+}
+
 // SortedU64 returns a sorted copy of keys, the canonical order for
 // serializing set contents.
 func SortedU64(keys []uint64) []uint64 {
@@ -272,14 +298,18 @@ func (s *BoundedSet) EncodeWire(w *WireWriter) {
 	}
 }
 
-// DecodeWire replaces the set's state with the decoded encoding.
+// DecodeWire replaces the set's state with the decoded encoding; the keys
+// must come sorted, as EncodeWire writes them.
 func (s *BoundedSet) DecodeWire(r *WireReader) {
 	capacity := r.Int()
 	saturated := r.U32()
 	n := r.Count(1)
 	keys := make([]uint64, 0, n)
+	var order KeyOrder
 	for i := 0; i < n; i++ {
-		keys = append(keys, r.Uvarint())
+		k := r.Uvarint()
+		order.Next(r, k)
+		keys = append(keys, k)
 	}
 	if r.Err() != nil {
 		return
@@ -305,14 +335,18 @@ func (c *TopCounter) EncodeWire(w *WireWriter) {
 	}
 }
 
-// DecodeWire replaces the counter's state with the decoded encoding.
+// DecodeWire replaces the counter's state with the decoded encoding; the
+// keys must come sorted, as EncodeWire writes them.
 func (c *TopCounter) DecodeWire(r *WireReader) {
 	capacity := r.Int()
 	n := r.Count(2)
 	keys := make([]uint32, 0, n)
 	counts := make([]uint64, 0, n)
+	var order KeyOrder
 	for i := 0; i < n; i++ {
-		keys = append(keys, r.U32())
+		k := r.U32()
+		order.Next(r, uint64(k))
+		keys = append(keys, k)
 		counts = append(counts, r.Uvarint())
 	}
 	if r.Err() != nil {

@@ -35,7 +35,7 @@ func Exits(name string) (fail, usageFail func(error)) {
 }
 
 // WorkersUsage is the value part of every -workers flag's help.
-const WorkersUsage = "1 = one goroutine, 0 = one goroutine per operator over GOMAXPROCS (one goroutine when GOMAXPROCS is 1); N > 1 means 0"
+const WorkersUsage = "1 = one goroutine, 0 = one goroutine per operator and per compose section over GOMAXPROCS (one goroutine when GOMAXPROCS is 1); N > 1 means 0"
 
 // CheckWorkers validates a -workers flag (see WorkersUsage): any count
 // from 0 up is accepted, negatives are rejected.

@@ -465,7 +465,7 @@ func (a *OnlineAnalyzer) frozen(inline bool, compose func(*pipeline.Pipeline) er
 //
 // opts.Delta must equal the construction-time merge threshold
 // (events.DefaultDelta, as in DefaultOptions). opts.Workers schedules the
-// tail replay as it schedules Analyze's pass. opts.Metrics is ignored:
+// tail replay and the compose as it schedules Analyze's pass and compose. opts.Metrics is ignored:
 // a snapshot is repeatable, and re-registering the pipeline gauges on
 // each call would collide — use RegisterMetrics for the online path's
 // own instrumentation.

@@ -1,6 +1,8 @@
 package rtbh
 
 import (
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -35,6 +37,12 @@ type FlowRecord = ipfix.FlowRecord
 // 865 slots of every event's window. Every cold looking-glass query pays
 // for all of this, so nothing here may grow with a window length or a
 // parameter count (DESIGN.md, "Compose cost").
+//
+// The sections only read the pipeline, and each writes its own Report
+// fields, so the four groups below run on goroutines of their own while
+// the caller composes the control-plane figures, the drop statistics and
+// Table 5. Under opts.Workers 1 or a single processor they run on the
+// caller, in the order listed, before the caller's own sections.
 func composeReport(meta *analysis.Metadata, updates []analysis.ControlUpdate, p *pipeline.Pipeline, opts Options) *Report {
 	r := &Report{
 		TotalRecords:      p.TotalRecords,
@@ -43,6 +51,13 @@ func composeReport(meta *analysis.Metadata, updates []analysis.ControlUpdate, p 
 		DroppedRecords:    p.DroppedRecords,
 		Events:            p.Events,
 	}
+	wait := sections(opts.Workers == 1,
+		// Data-plane: time alignment.
+		func() { r.Fig2 = p.Align.Estimate(opts.OffsetStep) },
+		func() { composeAnomaly(r, meta, p, opts) },
+		func() { composeHosts(r, meta, p, opts) },
+		func() { r.Whitelist = p.ComposeWhitelist(opts.MinActiveDays) },
+	)
 
 	// Control-plane figures.
 	r.Fig3 = load.Compute(updates, meta.Start, meta.End)
@@ -52,9 +67,6 @@ func composeReport(meta *analysis.Metadata, updates []analysis.ControlUpdate, p 
 	}
 	r.Fig4 = visibility.Compute(updates, peers, meta.Start, meta.End, opts.VisibilityInterval)
 	r.Fig10, r.Fig10LowerBound = sweep(updates, meta.End, opts)
-
-	// Data-plane: time alignment.
-	r.Fig2 = p.Align.Estimate(opts.OffsetStep)
 
 	// Drop statistics.
 	r.Fig5 = p.Drop.ByLength()
@@ -66,8 +78,40 @@ func composeReport(meta *analysis.Metadata, updates []analysis.ControlUpdate, p 
 	r.Fig7Classes = p.Drop.ClassifyTopSources(opts.TopSources)
 	r.Fig8 = p.Drop.TypesOfTopSources(opts.TopSources, meta.PDB)
 
-	// Anomaly analysis. The EWMA threshold is relative; the absolute
-	// anomaly support floor derives from the dataset's traffic scale.
+	// Table 5: the RTBH-vs-FlowSpec mitigation comparison.
+	r.Table5 = p.Mit.Compose()
+	wait()
+	return r
+}
+
+// sections starts each fn on a goroutine of its own and returns the wait
+// for all of them — or, with inline set or a single processor, runs them
+// on the caller in order and returns a no-op: the rule pipeline.Lanes
+// follows.
+func sections(inline bool, fns ...func()) (wait func()) {
+	if inline || runtime.GOMAXPROCS(0) == 1 {
+		for _, fn := range fns {
+			fn()
+		}
+		return func() {}
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	for _, fn := range fns {
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	return wg.Wait
+}
+
+// composeAnomaly is the anomaly chain: the pre-RTBH verdicts, what
+// Table 2 and Figs 11-13 tally from them, the protocol mix over the events
+// they select, and the use cases of Fig 19.
+func composeAnomaly(r *Report, meta *analysis.Metadata, p *pipeline.Pipeline, opts Options) {
+	// The EWMA threshold is relative; the absolute anomaly support floor
+	// derives from the dataset's traffic scale.
 	r.Verdicts = p.Anomaly.AnalyzeScaled(p.Events, meta.End, opts.Threshold, meta.MagnitudeScale())
 	r.Table2 = anomaly.Classify(r.Verdicts)
 	lastMax, withPreData := 0, 0
@@ -112,23 +156,21 @@ func composeReport(meta *analysis.Metadata, updates []analysis.ControlUpdate, p 
 	r.Fig15Handover = p.Proto.HandoverParticipation(anomalyAndDataIDs)
 	r.Fig15Scale = p.Proto.Scale(anomalyAndDataIDs)
 
-	// Host profiling.
+	r.Fig19 = usecase.Classify(p.Events, r.Verdicts, meta.End)
+}
+
+// composeHosts is the host chain: the host profiles, their projection
+// and types (Figs 16-17, Table 4), and the collateral damage to the
+// detected servers (Fig 18).
+func composeHosts(r *Report, meta *analysis.Metadata, p *pipeline.Pipeline, opts Options) {
 	profiles := p.ComposeProfiles(opts.MinActiveDays)
-	r.Whitelist = p.ComposeWhitelist(opts.MinActiveDays)
 	r.Fig17 = profiles
 	proj := radviz.New(hosts.NumFeatures)
 	for i := range profiles {
 		r.Fig16 = append(r.Fig16, proj.Project(profiles[i].Features[:]))
 	}
 	r.Table4 = hosts.Types(profiles, meta.IP2AS, meta.PDB)
-
-	// Collateral damage and use cases.
 	r.Fig18 = p.ComposeCollateral(profiles).Result()
-	r.Fig19 = usecase.Classify(p.Events, r.Verdicts, meta.End)
-
-	// Table 5: the RTBH-vs-FlowSpec mitigation comparison.
-	r.Table5 = p.Mit.Compose()
-	return r
 }
 
 // sweep runs the Fig 10 merge-threshold sweep.
