@@ -60,8 +60,9 @@ func main() {
 
 	flowspec := runScenario(func(rs *routeserver.Server) error {
 		// Fine-grained mitigation: discard only UDP from the
-		// amplification source ports used by the attack.
-		return rs.ProcessFlowSpec(time.Unix(0, 0), victimAS, &bgp.FlowSpecUpdate{
+		// amplification source ports used by the attack. The rule rides
+		// an ordinary UPDATE, the same way into the route server.
+		upd, err := bgp.UpdateFromFlowSpec(&bgp.FlowSpecUpdate{
 			Announced: []*bgp.FlowRule{{
 				Dst:      bgp.HostPrefix(victimIP),
 				HasDst:   true,
@@ -70,6 +71,11 @@ func main() {
 			}},
 			ExtComms: []bgp.ExtCommunity{bgp.TrafficRateDiscard},
 		})
+		if err != nil {
+			return err
+		}
+		_, err = rs.Process(time.Unix(0, 0), victimAS, upd)
+		return err
 	})
 
 	fmt.Println("same attack (NTP+cLDAP amplification) plus ongoing legitimate web traffic:")

@@ -2,6 +2,7 @@ package rtbh_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -126,6 +127,49 @@ func TestGoldenEndToEnd(t *testing.T) {
 
 			reconcile(t, reg.Snapshot(), simSnap, report, len(ds.Updates), workers)
 		})
+	}
+}
+
+const goldenArchives = "testdata/golden/archives.sha256"
+
+// TestGoldenArchives pins the bytes the simulator archives: the SHA-256 of
+// updates.mrt and flows.ipfix for goldenConfig under every mitigation
+// policy, so a refactor of the route server or the fabric that changes one
+// control message or one sampled record fails here rather than in a later
+// figure.
+func TestGoldenArchives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a test-scale world per mitigation policy")
+	}
+	var got bytes.Buffer
+	for _, policy := range []string{"", "flowspec", "escalate", "mixed"} {
+		cfg := goldenConfig()
+		cfg.MitigationPolicy = policy
+		dir := t.TempDir()
+		if _, err := rtbh.Simulate(cfg, dir); err != nil {
+			t.Fatalf("policy %q: %v", policy, err)
+		}
+		for _, name := range []string{rtbh.FileUpdates, rtbh.FileFlows} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%x  policy=%q %s\n", sha256.Sum256(b), policy, name)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenArchives, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenArchives)
+	}
+	want, err := os.ReadFile(goldenArchives)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the fixture)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		diffLines(t, want, got.Bytes())
+		t.Fatalf("archive digests do not match %s (run with -update after intended changes)", goldenArchives)
 	}
 }
 

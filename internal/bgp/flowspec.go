@@ -285,60 +285,6 @@ func (u *FlowSpecUpdate) Discards() bool {
 	return false
 }
 
-// EncodeFlowSpecUpdate serializes the update as a BGP UPDATE with
-// MP_REACH_NLRI / MP_UNREACH_NLRI attributes.
-func EncodeFlowSpecUpdate(u *FlowSpecUpdate) ([]byte, error) {
-	b := appendHeader(make([]byte, 0, 128), MsgUpdate)
-	b = append(b, 0, 0) // no IPv4-unicast withdrawals
-
-	aStart := len(b)
-	b = append(b, 0, 0) // attribute length placeholder
-
-	if len(u.Withdrawn) > 0 {
-		var nlri []byte
-		for _, r := range u.Withdrawn {
-			enc, err := EncodeFlowRule(r)
-			if err != nil {
-				return nil, err
-			}
-			nlri = append(nlri, enc...)
-		}
-		val := make([]byte, 0, 3+len(nlri))
-		val = binary.BigEndian.AppendUint16(val, AFIIPv4)
-		val = append(val, SAFIFlowSpec)
-		val = append(val, nlri...)
-		b = appendAttr(b, flagOptional, AttrMPUnreach, val)
-	}
-	if len(u.Announced) > 0 {
-		var nlri []byte
-		for _, r := range u.Announced {
-			enc, err := EncodeFlowRule(r)
-			if err != nil {
-				return nil, err
-			}
-			nlri = append(nlri, enc...)
-		}
-		// MP_REACH: AFI, SAFI, next-hop length 0 (RFC 8955 §5), reserved.
-		val := make([]byte, 0, 5+len(nlri))
-		val = binary.BigEndian.AppendUint16(val, AFIIPv4)
-		val = append(val, SAFIFlowSpec, 0, 0)
-		val = append(val, nlri...)
-		b = appendAttr(b, flagOptional, AttrMPReach, val)
-		// ORIGIN and AS_PATH are mandatory once any NLRI is reachable.
-		b = appendAttr(b, flagTransitive, AttrOrigin, []byte{OriginIGP})
-		b = appendAttr(b, flagTransitive, AttrASPath, nil)
-	}
-	if len(u.ExtComms) > 0 {
-		var val []byte
-		for _, e := range u.ExtComms {
-			val = append(val, e[:]...)
-		}
-		b = appendAttr(b, flagOptional|flagTransitive, AttrExtComms, val)
-	}
-	binary.BigEndian.PutUint16(b[aStart:], uint16(len(b)-aStart-2))
-	return patchLength(b)
-}
-
 // DecodeFlowSpecUpdate parses a BGP message as a FlowSpec update. ok is
 // false when the message is an UPDATE without FlowSpec attributes.
 func DecodeFlowSpecUpdate(msg []byte) (*FlowSpecUpdate, bool, error) {
@@ -359,35 +305,30 @@ func DecodeFlowSpecUpdate(msg []byte) (*FlowSpecUpdate, bool, error) {
 // far side, so FlowSpec needs no parallel transport.
 func UpdateFromFlowSpec(u *FlowSpecUpdate) (*Update, error) {
 	out := &Update{}
-	if len(u.Withdrawn) > 0 {
-		var nlri []byte
-		for _, r := range u.Withdrawn {
+	// mp appends one MP attribute: AFI, SAFI, the type's fixed fields, then
+	// the rules' NLRI.
+	mp := func(typ byte, rules []*FlowRule, fixed ...byte) error {
+		if len(rules) == 0 {
+			return nil
+		}
+		val := append(binary.BigEndian.AppendUint16(nil, AFIIPv4), SAFIFlowSpec)
+		val = append(val, fixed...)
+		for _, r := range rules {
 			enc, err := EncodeFlowRule(r)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			nlri = append(nlri, enc...)
+			val = append(val, enc...)
 		}
-		val := make([]byte, 0, 3+len(nlri))
-		val = binary.BigEndian.AppendUint16(val, AFIIPv4)
-		val = append(val, SAFIFlowSpec)
-		val = append(val, nlri...)
-		out.Attrs.Unknown = append(out.Attrs.Unknown, RawAttr{Flags: flagOptional, Type: AttrMPUnreach, Value: val})
+		out.Attrs.Unknown = append(out.Attrs.Unknown, RawAttr{Flags: flagOptional, Type: typ, Value: val})
+		return nil
 	}
-	if len(u.Announced) > 0 {
-		var nlri []byte
-		for _, r := range u.Announced {
-			enc, err := EncodeFlowRule(r)
-			if err != nil {
-				return nil, err
-			}
-			nlri = append(nlri, enc...)
-		}
-		val := make([]byte, 0, 5+len(nlri))
-		val = binary.BigEndian.AppendUint16(val, AFIIPv4)
-		val = append(val, SAFIFlowSpec, 0, 0) // zero-length next hop (RFC 8955 §5)
-		val = append(val, nlri...)
-		out.Attrs.Unknown = append(out.Attrs.Unknown, RawAttr{Flags: flagOptional, Type: AttrMPReach, Value: val})
+	if err := mp(AttrMPUnreach, u.Withdrawn); err != nil {
+		return nil, err
+	}
+	// MP_REACH: zero-length next hop (RFC 8955 §5), reserved byte.
+	if err := mp(AttrMPReach, u.Announced, 0, 0); err != nil {
+		return nil, err
 	}
 	if len(out.Attrs.Unknown) == 0 {
 		return nil, fmt.Errorf("bgp: flowspec update with no rules")
@@ -410,6 +351,7 @@ func FlowSpecFromUpdate(upd *Update) (*FlowSpecUpdate, bool, error) {
 	out := &FlowSpecUpdate{}
 	found := false
 	for _, raw := range upd.Attrs.Unknown {
+		var err error
 		switch raw.Type {
 		case AttrMPReach:
 			if len(raw.Value) < 5 || binary.BigEndian.Uint16(raw.Value) != AFIIPv4 || raw.Value[2] != SAFIFlowSpec {
@@ -419,28 +361,16 @@ func FlowSpecFromUpdate(upd *Update) (*FlowSpecUpdate, bool, error) {
 			if len(raw.Value) < 5+nhLen {
 				return nil, false, fmt.Errorf("bgp: truncated MP_REACH next hop")
 			}
-			body := raw.Value[5+nhLen:]
-			for len(body) > 0 {
-				r, n, err := DecodeFlowRule(body)
-				if err != nil {
-					return nil, false, err
-				}
-				out.Announced = append(out.Announced, r)
-				body = body[n:]
+			if out.Announced, err = appendFlowRules(out.Announced, raw.Value[5+nhLen:]); err != nil {
+				return nil, false, err
 			}
 			found = true
 		case AttrMPUnreach:
 			if len(raw.Value) < 3 || binary.BigEndian.Uint16(raw.Value) != AFIIPv4 || raw.Value[2] != SAFIFlowSpec {
 				continue
 			}
-			body := raw.Value[3:]
-			for len(body) > 0 {
-				r, n, err := DecodeFlowRule(body)
-				if err != nil {
-					return nil, false, err
-				}
-				out.Withdrawn = append(out.Withdrawn, r)
-				body = body[n:]
+			if out.Withdrawn, err = appendFlowRules(out.Withdrawn, raw.Value[3:]); err != nil {
+				return nil, false, err
 			}
 			found = true
 		case AttrExtComms:
@@ -458,4 +388,17 @@ func FlowSpecFromUpdate(upd *Update) (*FlowSpecUpdate, bool, error) {
 		return nil, false, nil
 	}
 	return out, true, nil
+}
+
+// appendFlowRules decodes a run of FlowSpec NLRI entries onto rules.
+func appendFlowRules(rules []*FlowRule, body []byte) ([]*FlowRule, error) {
+	for len(body) > 0 {
+		r, n, err := DecodeFlowRule(body)
+		if err != nil {
+			return nil, err
+		}
+		rules = append(rules, r)
+		body = body[n:]
+	}
+	return rules, nil
 }

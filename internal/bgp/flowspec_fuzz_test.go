@@ -64,11 +64,22 @@ func encodedFlowRuleLen(r *FlowRule) int {
 	return n
 }
 
+// encodeFlowSpec serializes u the way the route server archives it: wrapped
+// as a plain UPDATE by UpdateFromFlowSpec, encoded by EncodeUpdate.
+func encodeFlowSpec(u *FlowSpecUpdate) ([]byte, error) {
+	wrapped, err := UpdateFromFlowSpec(u)
+	if err != nil {
+		return nil, err
+	}
+	return EncodeUpdate(wrapped)
+}
+
 // FuzzFlowSpecRoundTrip feeds arbitrary bytes to the FlowSpec NLRI
 // parser (and, for panic coverage, the whole-message parser) and demands
 // that any accepted rule converges: decode -> encode -> decode is
 // semantically stable, the canonical encoding is a fixed point, and the
-// rule survives a full MP_REACH/MP_UNREACH UPDATE round trip.
+// rule survives a full MP_REACH/MP_UNREACH UPDATE round trip through the
+// encoder whose bytes the archives hold.
 func FuzzFlowSpecRoundTrip(f *testing.F) {
 	for _, r := range fuzzSeedFlowRules() {
 		enc, err := EncodeFlowRule(r)
@@ -83,7 +94,7 @@ func FuzzFlowSpecRoundTrip(f *testing.F) {
 		{Announced: rules[:2], ExtComms: []ExtCommunity{TrafficRateDiscard}},
 		{Withdrawn: rules[2:4]},
 	} {
-		msg, err := EncodeFlowSpecUpdate(u)
+		msg, err := encodeFlowSpec(u)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -137,7 +148,7 @@ func FuzzFlowSpecRoundTrip(f *testing.F) {
 			Withdrawn: []*FlowRule{r2},
 			ExtComms:  []ExtCommunity{TrafficRateDiscard},
 		}
-		msg, err := EncodeFlowSpecUpdate(u)
+		msg, err := encodeFlowSpec(u)
 		if err != nil {
 			t.Fatalf("update encode failed: %v", err)
 		}
@@ -158,7 +169,7 @@ func FuzzFlowSpecRoundTrip(f *testing.F) {
 		if u2.ExtComms[0] != TrafficRateDiscard || !u2.Discards() {
 			t.Fatalf("discard action lost: %v", u2.ExtComms)
 		}
-		msg2, err := EncodeFlowSpecUpdate(u2)
+		msg2, err := encodeFlowSpec(u2)
 		if err != nil {
 			t.Fatalf("second update encode failed: %v", err)
 		}

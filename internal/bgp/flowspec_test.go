@@ -128,7 +128,7 @@ func TestFlowSpecUpdateRoundTrip(t *testing.T) {
 		Withdrawn: []*FlowRule{{Dst: MustParsePrefix("198.51.100.7/32"), HasDst: true}},
 		ExtComms:  []ExtCommunity{TrafficRateDiscard},
 	}
-	enc, err := EncodeFlowSpecUpdate(u)
+	enc, err := encodeFlowSpec(u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,11 @@ func flowSpecSeeds() [][]byte {
 		{Announced: rules[:2], ExtComms: []bgp.ExtCommunity{bgp.TrafficRateDiscard}},
 		{Withdrawn: rules[2:4]},
 	} {
-		msg, err := bgp.EncodeFlowSpecUpdate(u)
+		wrapped, err := bgp.UpdateFromFlowSpec(u)
+		if err != nil {
+			panic(err)
+		}
+		msg, err := bgp.EncodeUpdate(wrapped)
 		if err != nil {
 			panic(err)
 		}

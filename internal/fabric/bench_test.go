@@ -12,8 +12,8 @@ import (
 
 // BenchmarkFabricFlowSpec measures the per-batch injection cost with the
 // full rule catalog installed against the no-rules baseline. The batch
-// mix alternates matching and non-matching headers so both the early
-// NumFlowSpecRules gate (baseline) and the linear precedence scan (rules
+// mix alternates matching and non-matching headers so both the matcher's
+// empty-list exit (baseline) and the linear precedence scan (rules
 // installed) are on the measured path.
 func BenchmarkFabricFlowSpec(b *testing.B) {
 	for _, bc := range []struct {
@@ -38,11 +38,14 @@ func BenchmarkFabricFlowSpec(b *testing.B) {
 				}
 			}
 			for _, r := range bc.rules {
-				err := rs.ProcessFlowSpec(time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
+				upd, err := bgp.UpdateFromFlowSpec(&bgp.FlowSpecUpdate{
 					Announced: []*bgp.FlowRule{r},
 					ExtComms:  []bgp.ExtCommunity{bgp.TrafficRateDiscard},
 				})
 				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rs.Process(time.Unix(0, 0), 100, upd); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -295,23 +295,16 @@ func (f *Fabric) Inject(b *Batch) error {
 	// only; their expected FlowSpec contribution is treated as zero, which
 	// is what the scenario's service-port discard rules make it.
 	// A packet dies to FlowSpec if the ingress member imported a matching
-	// rule, or if the egress member authored one: the route server never
-	// reflects a rule back to its originator, but the originator's own
-	// edge filters with it, so traffic toward the protected prefix is
-	// covered no matter which member hands it into the fabric.
+	// rule or the egress member authored one (routeserver.Server.MatchFlowRule).
 	fsMatch := false
-	if !b.Internal && f.rs.NumFlowSpecRules() > 0 {
+	if !b.Internal {
 		switch {
 		case b.VaryPorts == nil:
-			fsMatch = f.rs.MatchFlowSpec(b.IngressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort) ||
-				f.rs.OwnMatchingFlowRule(b.EgressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort) != nil
+			fsMatch = f.rs.MatchFlowRule(b.IngressAS, b.EgressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort) != nil
 		case b.FixedSrcPort:
 			// Destination port varies per packet; only a rule that does
 			// not constrain it can be decided at batch level.
-			r := f.rs.MatchingFlowRule(b.IngressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort)
-			if r == nil {
-				r = f.rs.OwnMatchingFlowRule(b.EgressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort)
-			}
+			r := f.rs.MatchFlowRule(b.IngressAS, b.EgressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort)
 			fsMatch = r != nil && len(r.DstPorts) == 0
 		}
 	}
@@ -358,7 +351,6 @@ func (f *Fabric) Inject(b *Batch) error {
 	if b.Internal {
 		egressMAC = InternalMAC
 	}
-	hasFlowSpec := f.rs.NumFlowSpecRules() > 0
 	dur := b.Duration
 	if dur <= 0 {
 		dur = time.Nanosecond
@@ -391,8 +383,7 @@ func (f *Fabric) Inject(b *Batch) error {
 			switch {
 			case f.rng.Bool(dropFrac):
 				rec.DstMAC = BlackholeMAC
-			case hasFlowSpec && (f.rs.MatchFlowSpec(b.IngressAS, rec.DstIP, rec.Proto, rec.SrcPort, rec.DstPort) ||
-				f.rs.OwnMatchingFlowRule(b.EgressAS, rec.DstIP, rec.Proto, rec.SrcPort, rec.DstPort) != nil):
+			case f.rs.MatchFlowRule(b.IngressAS, b.EgressAS, rec.DstIP, rec.Proto, rec.SrcPort, rec.DstPort) != nil:
 				// Fine-grained discard: only the matching packets die.
 				// The expected-value counters already accounted for this
 				// at batch level (fsMatch above).

@@ -319,18 +319,13 @@ func TestFlowSpecDropsOnlyMatchingTraffic(t *testing.T) {
 	rs, f, recs := setup(t, 1)
 	// Victim announces a FlowSpec discard for UDP from NTP's source port;
 	// peer 200 must support FlowSpec for the rule to bite.
-	err := rs.ProcessFlowSpec(time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
-		Announced: []*bgp.FlowRule{{
-			Dst:      bgp.MustParsePrefix("203.0.113.5/32"),
-			HasDst:   true,
-			Protos:   []uint8{17},
-			SrcPorts: []uint16{123},
-		}},
-		ExtComms: []bgp.ExtCommunity{bgp.TrafficRateDiscard},
-	})
-	if err != nil {
-		t.Fatal(err)
+	ntp := &bgp.FlowRule{
+		Dst:      bgp.MustParsePrefix("203.0.113.5/32"),
+		HasDst:   true,
+		Protos:   []uint8{17},
+		SrcPorts: []uint16{123},
 	}
+	announceFS(t, rs, 100, ntp)
 	// setup's peer 200 has no FlowSpec support; re-create with support.
 	rs2 := routeserver.New(rsASN, 1)
 	rs2.AddPeer(routeserver.Peer{ASN: 100, Policy: routeserver.DefaultPolicy()})
@@ -345,18 +340,7 @@ func TestFlowSpecDropsOnlyMatchingTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = rs2.ProcessFlowSpec(time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
-		Announced: []*bgp.FlowRule{{
-			Dst:      bgp.MustParsePrefix("203.0.113.5/32"),
-			HasDst:   true,
-			Protos:   []uint8{17},
-			SrcPorts: []uint16{123},
-		}},
-		ExtComms: []bgp.ExtCommunity{bgp.TrafficRateDiscard},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	announceFS(t, rs2, 100, ntp)
 
 	// Attack traffic (UDP src 123): dropped.
 	atk := baseBatch(t, 100)

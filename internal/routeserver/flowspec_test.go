@@ -1,10 +1,13 @@
 package routeserver
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/bgp"
+	"repro/internal/mrt"
 )
 
 func fsServer(t *testing.T) *Server {
@@ -32,15 +35,34 @@ func discardRule(prefix string, srcPorts ...uint16) *bgp.FlowRule {
 	}
 }
 
+// processFS sends a FlowSpec update through Process the way the scenario
+// does: wrapped as a plain UPDATE by bgp.UpdateFromFlowSpec.
+func processFS(t *testing.T, s *Server, ts time.Time, peer uint32, upd *bgp.FlowSpecUpdate) error {
+	t.Helper()
+	wrapped, err := bgp.UpdateFromFlowSpec(upd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Process(ts, peer, wrapped)
+	return err
+}
+
 func announceFS(t *testing.T, s *Server, peer uint32, rules ...*bgp.FlowRule) {
 	t.Helper()
-	err := s.ProcessFlowSpec(time.Unix(0, 0), peer, &bgp.FlowSpecUpdate{
+	err := processFS(t, s, time.Unix(0, 0), peer, &bgp.FlowSpecUpdate{
 		Announced: rules,
 		ExtComms:  []bgp.ExtCommunity{bgp.TrafficRateDiscard},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// imported reports whether a rule the ingress member imported matches the
+// packet. The egress is AS 0, which no peer has, so no originator's own
+// edge contributes.
+func imported(s *Server, ingress, dstIP uint32, proto uint8, srcPort, dstPort uint16) bool {
+	return s.MatchFlowRule(ingress, 0, dstIP, proto, srcPort, dstPort) != nil
 }
 
 func TestFlowSpecInstallAndMatch(t *testing.T) {
@@ -52,19 +74,19 @@ func TestFlowSpecInstallAndMatch(t *testing.T) {
 	victim := bgp.MustParsePrefix("203.0.113.5/32").Addr
 
 	// Supporting peer drops matching reflection traffic...
-	if !s.MatchFlowSpec(200, victim, 17, 123, 44444) {
+	if !imported(s, 200, victim, 17, 123, 44444) {
 		t.Fatal("NTP reflection not matched at supporting peer")
 	}
 	// ... but not the victim's legitimate web traffic.
-	if s.MatchFlowSpec(200, victim, 6, 33333, 443) {
+	if imported(s, 200, victim, 6, 33333, 443) {
 		t.Fatal("legitimate TCP matched")
 	}
 	// Peers without FlowSpec support keep forwarding everything.
-	if s.MatchFlowSpec(300, victim, 17, 123, 44444) {
+	if imported(s, 300, victim, 17, 123, 44444) {
 		t.Fatal("non-supporting peer matched")
 	}
 	// The originator does not receive its own rule.
-	if s.MatchFlowSpec(100, victim, 17, 123, 44444) {
+	if imported(s, 100, victim, 17, 123, 44444) {
 		t.Fatal("originator matched its own rule")
 	}
 }
@@ -73,7 +95,7 @@ func TestFlowSpecWithdraw(t *testing.T) {
 	s := fsServer(t)
 	rule := discardRule("203.0.113.5/32", 123)
 	announceFS(t, s, 100, rule)
-	err := s.ProcessFlowSpec(time.Unix(1, 0), 100, &bgp.FlowSpecUpdate{Withdrawn: []*bgp.FlowRule{rule}})
+	err := processFS(t, s, time.Unix(1, 0), 100, &bgp.FlowSpecUpdate{Withdrawn: []*bgp.FlowRule{rule}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +103,7 @@ func TestFlowSpecWithdraw(t *testing.T) {
 		t.Fatalf("rules after withdraw = %d", s.NumFlowSpecRules())
 	}
 	victim := bgp.MustParsePrefix("203.0.113.5/32").Addr
-	if s.MatchFlowSpec(200, victim, 17, 123, 44444) {
+	if imported(s, 200, victim, 17, 123, 44444) {
 		t.Fatal("withdrawn rule still matches")
 	}
 }
@@ -94,11 +116,11 @@ func TestFlowSpecReannounceReplaces(t *testing.T) {
 	if s.NumFlowSpecRules() != 1 {
 		t.Fatalf("rules = %d", s.NumFlowSpecRules())
 	}
-	// The per-peer list must not contain duplicates either: withdrawing
-	// once must remove the match entirely.
-	s.ProcessFlowSpec(time.Unix(1, 0), 100, &bgp.FlowSpecUpdate{Withdrawn: []*bgp.FlowRule{rule}})
+	// The rule list must not contain duplicates either: withdrawing once
+	// must remove the match entirely.
+	processFS(t, s, time.Unix(1, 0), 100, &bgp.FlowSpecUpdate{Withdrawn: []*bgp.FlowRule{rule}})
 	victim := bgp.MustParsePrefix("203.0.113.5/32").Addr
-	if s.MatchFlowSpec(200, victim, 17, 123, 44444) {
+	if imported(s, 200, victim, 17, 123, 44444) {
 		t.Fatal("replaced rule left a stale entry")
 	}
 }
@@ -106,24 +128,115 @@ func TestFlowSpecReannounceReplaces(t *testing.T) {
 func TestFlowSpecValidation(t *testing.T) {
 	s := fsServer(t)
 	// Unknown peer.
-	err := s.ProcessFlowSpec(time.Unix(0, 0), 999, &bgp.FlowSpecUpdate{})
+	err := processFS(t, s, time.Unix(0, 0), 999, &bgp.FlowSpecUpdate{
+		Withdrawn: []*bgp.FlowRule{discardRule("203.0.113.5/32", 123)},
+	})
 	if err == nil {
 		t.Fatal("unknown peer accepted")
 	}
 	// Missing discard action.
-	err = s.ProcessFlowSpec(time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
+	err = processFS(t, s, time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
 		Announced: []*bgp.FlowRule{discardRule("203.0.113.5/32", 123)},
 	})
 	if err == nil {
 		t.Fatal("announcement without discard action accepted")
 	}
 	// Missing destination prefix.
-	err = s.ProcessFlowSpec(time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
+	err = processFS(t, s, time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
 		Announced: []*bgp.FlowRule{{Protos: []uint8{17}}},
 		ExtComms:  []bgp.ExtCommunity{bgp.TrafficRateDiscard},
 	})
 	if err == nil {
 		t.Fatal("rule without destination accepted")
+	}
+}
+
+// TestFlowSpecInvalidRuleInstallsNothing pins that an announcement is
+// validated as a whole: a valid rule followed by one outside the
+// announcer's registered space installs neither, and only the refusal is
+// counted.
+func TestFlowSpecInvalidRuleInstallsNothing(t *testing.T) {
+	s := New(rsASN, 1)
+	for _, p := range []Peer{
+		{ASN: 100, Policy: DefaultPolicy(), Space: []bgp.Prefix{bgp.MustParsePrefix("203.0.113.0/24")}},
+		{ASN: 200, Policy: Policy{Standard: AcceptFull, FlowSpec: AcceptFull}},
+	} {
+		if err := s.AddPeer(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := processFS(t, s, time.Unix(0, 0), 100, &bgp.FlowSpecUpdate{
+		Announced: []*bgp.FlowRule{discardRule("203.0.113.5/32", 123), discardRule("198.51.100.0/24", 123)},
+		ExtComms:  []bgp.ExtCommunity{bgp.TrafficRateDiscard},
+	})
+	if err == nil {
+		t.Fatal("announcement with an out-of-space rule accepted")
+	}
+	m := s.Metrics()
+	if n := s.NumFlowSpecRules(); n != 0 {
+		t.Errorf("rules = %d, want 0", n)
+	}
+	if m.FlowSpecAnnounced.Value() != 0 || m.FlowSpecRejectedOrigin.Value() != 1 ||
+		m.FlowSpecImportAccepted.Value() != 0 {
+		t.Errorf("announced_rules=%d rejected_origin=%d import.accepted=%d, want 0/1/0",
+			m.FlowSpecAnnounced.Value(), m.FlowSpecRejectedOrigin.Value(), m.FlowSpecImportAccepted.Value())
+	}
+	if imported(s, 200, bgp.MustParsePrefix("203.0.113.5/32").Addr, 17, 123, 40000) {
+		t.Error("the valid rule before the invalid one was installed")
+	}
+}
+
+// TestFlowSpecUpdateWithdrawsIPv4First pins RFC 4271 order for an UPDATE
+// that carries both: its IPv4 withdrawals apply before its FlowSpec
+// rules, so the RTBH route the analysis sees closed is closed in the
+// fabric too, and the archived record yields both actions.
+func TestFlowSpecUpdateWithdrawsIPv4First(t *testing.T) {
+	s := fsServer(t)
+	var archive bytes.Buffer
+	w := mrt.NewWriter(&archive)
+	s.SetCollector(func(ts time.Time, peerAS, peerIP uint32, msg []byte) {
+		if err := w.WriteRecord(&mrt.Record{Timestamp: ts, PeerAS: peerAS, PeerIP: peerIP, Message: msg}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ts := time.Unix(0, 0)
+	if _, err := s.Process(ts, 100, blackholeUpdate("203.0.113.5/32")); err != nil {
+		t.Fatal(err)
+	}
+	upd, err := bgp.UpdateFromFlowSpec(&bgp.FlowSpecUpdate{
+		Announced: []*bgp.FlowRule{discardRule("203.0.113.5/32", 123)},
+		ExtComms:  []bgp.ExtCommunity{bgp.TrafficRateDiscard},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd.Withdrawn = []bgp.Prefix{bgp.MustParsePrefix("203.0.113.5/32")}
+	if _, err := s.Process(ts.Add(time.Minute), 100, upd); err != nil {
+		t.Fatal(err)
+	}
+	victim := bgp.MustParsePrefix("203.0.113.5/32").Addr
+	if n := s.NumActiveRoutes(); n != 0 {
+		t.Errorf("blackhole routes after the withdrawal = %d, want 0", n)
+	}
+	if f := s.DropFraction(200, victim); f != 0 {
+		t.Errorf("drop fraction after the withdrawal = %v", f)
+	}
+	if s.NumFlowSpecRules() != 1 || !imported(s, 200, victim, 17, 123, 40000) {
+		t.Errorf("rules = %d, want the announced rule installed", s.NumFlowSpecRules())
+	}
+
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	updates, flows, err := analysis.ParseMRTAll(&archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(updates) != 2 || !updates[0].Announce || updates[1].Announce {
+		t.Errorf("archived control updates = %+v, want the announcement and its withdrawal", updates)
+	}
+	if len(flows) != 1 || !flows[0].Announce {
+		t.Errorf("archived flowspec actions = %+v, want one announcement", flows)
 	}
 }
 
@@ -144,7 +257,7 @@ func TestFlowSpecCollectorArchivesMessages(t *testing.T) {
 
 func TestMatchFlowSpecEmptyServer(t *testing.T) {
 	s := fsServer(t)
-	if s.MatchFlowSpec(100, 1, 17, 123, 1) {
+	if s.MatchFlowRule(100, 200, 1, 17, 123, 1) != nil {
 		t.Fatal("empty server matched")
 	}
 	if s.NumFlowSpecRules() != 0 {

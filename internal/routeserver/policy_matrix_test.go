@@ -268,7 +268,7 @@ func TestFlowSpecPolicyMatrix(t *testing.T) {
 			if tc.withdrawFirst {
 				// Withdrawing a never-announced rule must be a counted no-op
 				// that leaves the later cycle untouched.
-				err := s.ProcessFlowSpec(ts, 100, &bgp.FlowSpecUpdate{
+				err := processFS(t, s, ts, 100, &bgp.FlowSpecUpdate{
 					Withdrawn: []*bgp.FlowRule{rule},
 				})
 				if err != nil {
@@ -278,20 +278,20 @@ func TestFlowSpecPolicyMatrix(t *testing.T) {
 					t.Fatalf("rules after premature withdraw = %d", s.NumFlowSpecRules())
 				}
 			}
-			err := s.ProcessFlowSpec(ts.Add(time.Minute), 100, discard(rule))
+			err := processFS(t, s, ts.Add(time.Minute), 100, discard(rule))
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("announce err = %v, wantErr %v", err, tc.wantErr)
 			}
-			installed := s.MatchFlowSpec(200, mustAddr(t, victim), 17, 123, 40000)
+			installed := imported(s, 200, mustAddr(t, victim), 17, 123, 40000)
 			if tc.dst == "198.51.100.0/24" {
-				installed = s.MatchFlowSpec(200, mustAddr(t, "198.51.100.9"), 17, 123, 40000)
+				installed = imported(s, 200, mustAddr(t, "198.51.100.9"), 17, 123, 40000)
 			}
 			if installed != tc.wantInstalled {
 				t.Errorf("installed at peer 200 = %v, want %v", installed, tc.wantInstalled)
 			}
 			// The originator's own edge carries exactly the rules that were
 			// accepted into the system, regardless of any target's policy.
-			ownHas := s.OwnMatchingFlowRule(100, mustAddr(t, victim), 17, 123, 40000) != nil
+			ownHas := s.MatchFlowRule(0, 100, mustAddr(t, victim), 17, 123, 40000) != nil
 			if !tc.wantErr != ownHas {
 				t.Errorf("originator edge match = %v, want %v", ownHas, !tc.wantErr)
 			}
@@ -319,7 +319,7 @@ func TestFlowSpecPolicyMatrix(t *testing.T) {
 			// withdrawn_rules and clear both the import and the originator
 			// views.
 			if !tc.wantErr {
-				err := s.ProcessFlowSpec(ts.Add(2*time.Minute), 100, &bgp.FlowSpecUpdate{
+				err := processFS(t, s, ts.Add(2*time.Minute), 100, &bgp.FlowSpecUpdate{
 					Withdrawn: []*bgp.FlowRule{rule},
 				})
 				if err != nil {
@@ -328,10 +328,10 @@ func TestFlowSpecPolicyMatrix(t *testing.T) {
 				if s.NumFlowSpecRules() != 0 {
 					t.Errorf("rules after withdraw = %d", s.NumFlowSpecRules())
 				}
-				if s.MatchFlowSpec(200, mustAddr(t, victim), 17, 123, 40000) {
+				if imported(s, 200, mustAddr(t, victim), 17, 123, 40000) {
 					t.Error("rule still matches at peer 200 after withdraw")
 				}
-				if s.OwnMatchingFlowRule(100, mustAddr(t, victim), 17, 123, 40000) != nil {
+				if s.MatchFlowRule(0, 100, mustAddr(t, victim), 17, 123, 40000) != nil {
 					t.Error("originator edge still matches after withdraw")
 				}
 				if m.FlowSpecWithdrawn.Value() != tc.want["withdrawn_rules"]+1 {
@@ -355,7 +355,7 @@ func TestFlowSpecNonDiscardRejected(t *testing.T) {
 			Dst: bgp.MustParsePrefix("203.0.113.5/32"), HasDst: true,
 		}},
 	}
-	if err := s.ProcessFlowSpec(time.Unix(0, 0), 100, upd); err == nil {
+	if err := processFS(t, s, time.Unix(0, 0), 100, upd); err == nil {
 		t.Fatal("flowspec announcement without discard action accepted")
 	}
 	m := s.Metrics()

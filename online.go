@@ -118,13 +118,11 @@ type OnlineAnalyzer struct {
 	// view is the control-plane view ops observes under — events,
 	// attribution index and the time-sorted stream behind them — extended
 	// by the updates past the first opUpdates whenever a seal check finds
-	// some. sortedFlows/opFlows cache the time-sorted FlowSpec stream and
-	// how many raw updates it covers; its mitigation index is rebuilt when
-	// the stream grew.
-	view        *events.Merger
-	opUpdates   int
-	sortedFlows []analysis.FlowUpdate
-	opFlows     int
+	// some. opFlows is how many raw FlowSpec updates the bound mitigation
+	// index covers; the index is rebuilt when the stream grew.
+	view      *events.Merger
+	opUpdates int
+	opFlows   int
 
 	// initErr records an invalid-metadata failure; Snapshot surfaces it.
 	initErr error
@@ -351,7 +349,6 @@ func (a *OnlineAnalyzer) advanceLocked() {
 		sorted := append([]analysis.FlowUpdate(nil), flows...)
 		analysis.SortFlowUpdates(sorted)
 		a.ops.BindFlow(mitigation.NewIndex(sorted, a.meta.End))
-		a.sortedFlows = sorted
 		a.opFlows = len(flows)
 	}
 
