@@ -377,7 +377,7 @@ func (d *Detector) observeFlowLocked(rec *ipfix.FlowRecord) {
 	d.m.records.Inc()
 	victim := rec.DstIP
 	pkts := int64(rec.Packets)
-	d.rate.Observe(victim, rec.Start, pkts, int64(rec.Bytes))
+	d.rate.Observe(victim, rec.Start, pkts)
 
 	if d.cfg.BlackholeMAC != 0 && rec.DstMAC == d.cfg.BlackholeMAC {
 		d.m.drops.Inc()

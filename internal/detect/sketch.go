@@ -26,12 +26,6 @@ const minSlot = math.MinInt64
 // instead of silently demanding gigabytes.
 const maxRetainSlots = 1 << 20
 
-// rateCell is one (victim, slot) tally.
-type rateCell struct {
-	pkts  int64
-	bytes int64
-}
-
 // denseSlots is the sparse→dense upgrade threshold: a victim holding
 // more than this many distinct slots graduates from a small map to a
 // ring over the whole horizon.
@@ -49,28 +43,25 @@ const denseSlots = 32
 // pointer-free arrays make the per-record hot path two array indexings
 // and cost the garbage collector nothing to scan.
 type victimRate struct {
-	slots   map[int64]rateCell // sparse representation; nil once dense
-	ids     []int64            // dense ring; nil while sparse
-	cells   []rateCell
-	maxSlot int64 // newest slot ever observed for this victim
+	slots   map[int64]int64 // packets per slot, sparse; nil once dense
+	ids     []int64         // dense ring; nil while sparse
+	cells   []int64         // packets per ring cell
+	maxSlot int64           // newest slot ever observed for this victim
 }
 
 func newVictimRate() *victimRate {
-	return &victimRate{slots: make(map[int64]rateCell, 4), maxSlot: minSlot}
+	return &victimRate{slots: make(map[int64]int64, 4), maxSlot: minSlot}
 }
 
-// add folds one cell into slot s. n is the ring size (the sketch's
+// add folds pkts packets into slot s. n is the ring size (the sketch's
 // retain) and h the current horizon, consulted when the victim crosses
 // the dense threshold.
-func (v *victimRate) add(s int64, c rateCell, n, h int64) {
+func (v *victimRate) add(s, pkts, n, h int64) {
 	if s > v.maxSlot {
 		v.maxSlot = s
 	}
 	if v.ids == nil {
-		old := v.slots[s]
-		old.pkts += c.pkts
-		old.bytes += c.bytes
-		v.slots[s] = old
+		v.slots[s] += pkts
 		if len(v.slots) > denseSlots {
 			v.toDense(n, h)
 		}
@@ -80,10 +71,9 @@ func (v *victimRate) add(s int64, c rateCell, n, h int64) {
 	if v.ids[i] != s {
 		// The occupant (if any) is necessarily dead; discard it.
 		v.ids[i] = s
-		v.cells[i] = rateCell{}
+		v.cells[i] = 0
 	}
-	v.cells[i].pkts += c.pkts
-	v.cells[i].bytes += c.bytes
+	v.cells[i] += pkts
 }
 
 // toDense rebuilds the victim as a ring, dropping dead slots.
@@ -92,7 +82,7 @@ func (v *victimRate) toDense(n, h int64) {
 	for i := range ids {
 		ids[i] = minSlot
 	}
-	cells := make([]rateCell, n)
+	cells := make([]int64, n)
 	for s, c := range v.slots {
 		if s < h {
 			continue
@@ -108,13 +98,13 @@ func (v *victimRate) toDense(n, h int64) {
 // form, when its ring cell holds another slot).
 func (v *victimRate) cellPkts(s, n int64) int64 {
 	if v.ids == nil {
-		return v.slots[s].pkts
+		return v.slots[s]
 	}
 	i := ringIdx(s, n)
 	if v.ids[i] != s {
 		return 0
 	}
-	return v.cells[i].pkts
+	return v.cells[i]
 }
 
 // Rate is the per-victim sliding rate sketch. Flow timestamps are
@@ -178,7 +168,7 @@ func (a *Rate) horizon() int64 {
 }
 
 // Observe folds one sampled flow observation into the sketch.
-func (a *Rate) Observe(victim uint32, t time.Time, pkts, bytes int64) {
+func (a *Rate) Observe(victim uint32, t time.Time, pkts int64) {
 	s := a.slotOf(t)
 	if s > a.maxSlot {
 		a.maxSlot = s
@@ -198,7 +188,7 @@ func (a *Rate) Observe(victim uint32, t time.Time, pkts, bytes int64) {
 		v = newVictimRate()
 		a.victims[victim] = v
 	}
-	v.add(s, rateCell{pkts: pkts, bytes: bytes}, a.retain, a.horizon())
+	v.add(s, pkts, a.retain, a.horizon())
 }
 
 // sweep drops victims whose newest slot has been dead for a whole extra

@@ -12,7 +12,6 @@ type obsRec struct {
 	victim uint32
 	slot   int64
 	pkts   int64
-	bytes  int64
 	proto  uint8
 	port   uint16
 }
@@ -27,7 +26,6 @@ func genObs(r *rand.Rand, n int) []obsRec {
 			victim: uint32(r.Intn(4)),
 			slot:   int64(r.Intn(300)),
 			pkts:   1 + int64(r.Intn(5)),
-			bytes:  64 + int64(r.Intn(1000)),
 			proto:  uint8(r.Intn(3)),
 			port:   uint16(r.Intn(5)),
 		}
@@ -83,7 +81,7 @@ func (n *naiveRate) windowPkts(victim uint32, end, w int64) int64 {
 func feedRate(obs []obsRec) *Rate {
 	a := NewRate(testSlot, testRetain)
 	for _, o := range obs {
-		a.Observe(o.victim, slotTime(o.slot), o.pkts, o.bytes)
+		a.Observe(o.victim, slotTime(o.slot), o.pkts)
 	}
 	return a
 }
@@ -193,12 +191,12 @@ func TestRateEviction(t *testing.T) {
 		return sums
 	}
 	a := NewRate(testSlot, testRetain)
-	a.Observe(1, slotTime(0), 10, 100)
-	a.Observe(1, slotTime(99), 1, 10) // same horizon: slot 0 still live
+	a.Observe(1, slotTime(0), 10)
+	a.Observe(1, slotTime(99), 1) // same horizon: slot 0 still live
 	if sums := windows(a, 0, 1); len(sums) != 1 || sums[0] != 10 {
 		t.Fatalf("before eviction: slot 0 window sums %v", sums)
 	}
-	a.Observe(1, slotTime(100), 2, 20) // horizon moves to 1: slot 0 dies
+	a.Observe(1, slotTime(100), 2) // horizon moves to 1: slot 0 dies
 	if sums := windows(a, 0, 1); len(sums) != 0 {
 		t.Fatalf("after eviction: dead slot 0 still anchors windows %v", sums)
 	}

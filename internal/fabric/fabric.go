@@ -89,71 +89,12 @@ type Batch struct {
 	// which member hands the traffic over; for outgoing and scan traffic
 	// it is the host's own member. Single-IXP runs ignore it.
 	Owner uint32
-
-	// Ground-truth annotations for the per-event mitigation ledger
-	// (Table 5). They do not influence forwarding, sampling, or any
-	// random draw — only the ledger's bookkeeping.
-	//
-	// Event is 1 + the scenario's attack-event ID for traffic attributed
-	// to an event (the attack itself and the victim's concurrent
-	// legitimate traffic); 0 leaves the batch out of the ledger.
-	Event int
-	// Attack distinguishes attack packets from the victim's legitimate
-	// traffic within the event.
-	Attack bool
-	// Mitigation is the planned mitigation phase covering this batch's
-	// slot: none, RTBH, or FlowSpec.
-	Mitigation Phase
 	// FixedSrcPort marks a VaryPorts hook that randomizes only the
 	// destination port (amplification vectors: the reflected traffic
-	// keeps the service source port). It lets the ledger evaluate
-	// source-port FlowSpec rules at batch granularity.
+	// keeps the service source port). It lets Inject decide source-port
+	// FlowSpec rules at batch granularity for the expected-drop counters
+	// (Stats.PacketsDropped).
 	FixedSrcPort bool
-}
-
-// Phase is the mitigation state a batch's time slot falls under, per the
-// scenario's planned windows.
-type Phase uint8
-
-const (
-	PhaseNone Phase = iota
-	PhaseRTBH
-	PhaseFlowSpec
-	numPhases
-)
-
-// String names the phase for reports.
-func (p Phase) String() string {
-	switch p {
-	case PhaseNone:
-		return "none"
-	case PhaseRTBH:
-		return "rtbh"
-	case PhaseFlowSpec:
-		return "flowspec"
-	default:
-		return fmt.Sprintf("phase(%d)", uint8(p))
-	}
-}
-
-// MitCell is one ledger cell: expected-value packet counts over every
-// batch of one (event, phase, attack/legit) combination.
-type MitCell struct {
-	DroppedRTBH int64 // packets blackholed via the coarse RTBH path
-	DroppedFS   int64 // packets discarded by a matching FlowSpec rule
-	Forwarded   int64
-}
-
-// Total returns the packets accounted in the cell.
-func (c MitCell) Total() int64 { return c.DroppedRTBH + c.DroppedFS + c.Forwarded }
-
-// EventMitigation is the ground-truth mitigation ledger of one attack
-// event: what happened to its attack and legitimate packets under each
-// mitigation phase. It is the reference TestMitigationEfficacy scores
-// the measured Table 5 against.
-type EventMitigation struct {
-	Attack [numPhases]MitCell
-	Legit  [numPhases]MitCell
 }
 
 // Stats aggregates ground-truth counters maintained by the fabric,
@@ -181,8 +122,7 @@ type Fabric struct {
 	// skew between the control- and data-plane measurement systems.
 	ClockOffset time.Duration
 
-	stats  Stats
-	ledger map[int]*EventMitigation
+	stats Stats
 }
 
 // SampleSource bundles the edge sampler and the per-record randomness a
@@ -236,17 +176,6 @@ func NewWithSource(rs *routeserver.Server, src *SampleSource, emit ipfix.BatchSi
 
 // Stats returns the ground-truth counters accumulated so far.
 func (f *Fabric) Stats() Stats { return f.stats }
-
-// Mitigation returns the per-event mitigation ledger keyed by attack
-// event ID (Batch.Event - 1), deep-copied. Cells hold expected-value
-// packet counts, the same rounding as Stats.PacketsDropped.
-func (f *Fabric) Mitigation() map[int]EventMitigation {
-	out := make(map[int]EventMitigation, len(f.ledger))
-	for id, em := range f.ledger {
-		out[id] = *em
-	}
-	return out
-}
 
 // RegisterMetrics exposes the fabric's ground-truth and sampling counters
 // under the "fabric." prefix. The gauges read live fabric state; snapshot
@@ -319,27 +248,6 @@ func (f *Fabric) Inject(b *Batch) error {
 	}
 	f.stats.PacketsDropped += expectedDropped + expectedFS
 	f.stats.BytesDropped += (expectedDropped + expectedFS) * int64(b.PacketSize)
-
-	if b.Event > 0 {
-		if b.Mitigation >= numPhases {
-			return fmt.Errorf("fabric: batch with unknown mitigation phase %d", b.Mitigation)
-		}
-		if f.ledger == nil {
-			f.ledger = make(map[int]*EventMitigation)
-		}
-		em := f.ledger[b.Event-1]
-		if em == nil {
-			em = &EventMitigation{}
-			f.ledger[b.Event-1] = em
-		}
-		cell := &em.Legit[b.Mitigation]
-		if b.Attack {
-			cell = &em.Attack[b.Mitigation]
-		}
-		cell.DroppedRTBH += expectedDropped
-		cell.DroppedFS += expectedFS
-		cell.Forwarded += b.Packets - expectedDropped - expectedFS
-	}
 
 	n := f.sampler.Sample(b.Packets)
 	if n == 0 {

@@ -35,24 +35,19 @@ type controlMsg struct {
 	fs       bool // FlowSpec rule action instead of an RTBH route action
 }
 
-// transitions is a sorted table of the instants at which mitigation
-// state may change. Batches are split at them so that every emitted
-// segment sees one forwarding decision throughout.
-type transitions struct {
-	at []int64 // unix nanoseconds, ascending, duplicates allowed
-	// phase is set on the table of a single event: phase[k] is the
-	// event's mitigation phase on [at[k-1], at[k]), phase[0] the one
-	// before at[0]. A host's table merges several events and has none.
-	phase []fabric.Phase
-}
+// transitions is a sorted table of the instants, in unix nanoseconds, at
+// which mitigation state may change; duplicates are allowed. Batches are
+// split at them so that every emitted segment sees one forwarding
+// decision throughout.
+type transitions []int64
 
 // after returns the number of transitions at or before ns: the index of
-// the first one strictly later, and of the phase covering ns.
-func (tr *transitions) after(ns int64) int {
-	lo, hi := 0, len(tr.at)
+// the first one strictly later.
+func (tr transitions) after(ns int64) int {
+	lo, hi := 0, len(tr)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if tr.at[mid] <= ns {
+		if tr[mid] <= ns {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -63,14 +58,9 @@ func (tr *transitions) after(ns int64) int {
 
 // eventTransitions builds the table of e's own mitigation actions.
 func eventTransitions(e *Event) transitions {
-	var ts []time.Time
-	e.actions(func(t time.Time, _, _ bool) { ts = append(ts, t) })
-	slices.SortFunc(ts, time.Time.Compare)
-	tr := transitions{at: make([]int64, len(ts)), phase: make([]fabric.Phase, len(ts)+1)}
-	for i, t := range ts {
-		tr.at[i] = t.UnixNano()
-		tr.phase[i+1] = e.MitigationPhase(t)
-	}
+	var tr transitions
+	e.actions(func(t time.Time, _, _ bool) { tr = append(tr, t.UnixNano()) })
+	slices.Sort(tr)
 	return tr
 }
 
@@ -89,29 +79,8 @@ type attackPlan struct {
 	lastDay int
 }
 
-// mitSpan is the time range during which a host's inbound traffic is
-// attributed to one attack event in the fabric's mitigation ledger: from
-// the earlier of attack start and first mitigation action to the later
-// of attack end and mitigation end.
-type mitSpan struct {
-	a        *attackPlan
-	from, to int64
-}
-
-// hostPlan is what the generator keeps per host for the run.
-type hostPlan struct {
-	// tr are the instants at which the blackholing state of the host's
-	// address may change: besides the host's own /32 events, covering
-	// shorter-prefix events (a /24 blackhole blankets every host in the
-	// subnet) contribute transitions too.
-	tr transitions
-	// spans are the attack events the host's inbound traffic is
-	// attributed to, by start.
-	spans []mitSpan
-}
-
 // dayKey stands in for one of the day's batches while the day is put in
-// order: 16 bytes move instead of the batch's 128. The order is by start
+// order: 16 bytes move instead of the batch's 112. The order is by start
 // instant and, among equal instants, by emission ordinal — what a stable
 // sort of the batches themselves would give. The fabric's random draws
 // follow dispatch order, so how ties fall decides archive bytes.
@@ -166,7 +135,11 @@ type driver struct {
 
 	ctlByDay     [][]controlMsg
 	attacksByDay [][]*attackPlan
-	hosts        []hostPlan
+	// hosts holds, per host, the instants at which the blackholing state
+	// of its address may change: besides the host's own /32 events,
+	// covering shorter-prefix events (a /24 blackhole blankets every host
+	// in the subnet) contribute transitions too.
+	hosts []transitions
 
 	batches []fabric.Batch // the day's batches in emission order
 	uncut   []fabric.Batch // a group of them moved out to be split
@@ -210,7 +183,7 @@ func newDriver(w *World, ex Executor, rng *stats.RNG) *driver {
 		w: w, ex: ex, st: &DriveStats{},
 		ctlByDay:     make([][]controlMsg, days),
 		attacksByDay: make([][]*attackPlan, days),
-		hosts:        make([]hostPlan, len(w.Hosts)),
+		hosts:        make([]transitions, len(w.Hosts)),
 	}
 	for _, e := range w.Events {
 		e.actions(func(t time.Time, announce, fs bool) { dr.schedule(t, e, announce, fs) })
@@ -231,23 +204,8 @@ func newDriver(w *World, ex Executor, rng *stats.RNG) *driver {
 		for d := dr.dayIndex(e.Attack.Start); d <= a.lastDay; d++ {
 			dr.attacksByDay[d] = append(dr.attacksByDay[d], a)
 		}
-		if e.Host < 0 {
-			continue
-		}
-		from, to := min(a.start, a.mitigated), a.end
-		if end, ok := e.End(); !ok {
-			to = w.Cfg.End().UnixNano()
-		} else {
-			to = max(to, end.UnixNano())
-		}
-		hp := &dr.hosts[e.Host]
-		hp.spans = append(hp.spans, mitSpan{a: a, from: from, to: to})
 	}
 	dr.hostTransitions()
-	for i := range dr.hosts {
-		sp := dr.hosts[i].spans
-		sort.Slice(sp, func(i, j int) bool { return sp[i].from < sp[j].from })
-	}
 	return dr
 }
 
@@ -268,8 +226,8 @@ func (dr *driver) schedule(t time.Time, e *Event, announce, fs bool) {
 func (dr *driver) hostTransitions() {
 	w := dr.w
 	add := func(host int, e *Event) {
-		tr := &dr.hosts[host].tr
-		e.actions(func(t time.Time, _, _ bool) { tr.at = append(tr.at, t.UnixNano()) })
+		tr := &dr.hosts[host]
+		e.actions(func(t time.Time, _, _ bool) { *tr = append(*tr, t.UnixNano()) })
 	}
 	var wide []*Event // events on prefixes shorter than /32
 	for _, e := range w.Events {
@@ -286,7 +244,7 @@ func (dr *driver) hostTransitions() {
 				add(hi, e)
 			}
 		}
-		slices.Sort(dr.hosts[hi].tr.at)
+		slices.Sort(dr.hosts[hi])
 	}
 }
 
@@ -337,10 +295,7 @@ func (dr *driver) control(cm *controlMsg) error {
 		return err
 	}
 	switch {
-	case cm.fs && cm.announce:
-		dr.st.FlowSpecAnnouncements++
-	case cm.fs:
-		dr.st.FlowSpecWithdrawals++
+	case cm.fs: // FlowSpec rule actions are not RTBH updates
 	case cm.announce:
 		dr.st.Announcements++
 	default:
@@ -396,26 +351,21 @@ func buildControlUpdate(cm *controlMsg, r *stats.RNG) (*bgp.Update, error) {
 // splitBatch appends b to dst, cut at every transition strictly inside
 // [b.Time, b.Time+b.Duration), dividing the packet count proportionally
 // to sub-interval duration; pieces left without packets are dropped. A
-// batch no transition touches is appended unchanged. When the table
-// carries phases, every appended batch gets the phase of the interval it
-// lies in. b must not point into dst.
-func splitBatch(dst []fabric.Batch, b *fabric.Batch, tr *transitions) []fabric.Batch {
+// batch no transition touches is appended unchanged. b must not point
+// into dst.
+func splitBatch(dst []fabric.Batch, b *fabric.Batch, tr transitions) []fabric.Batch {
 	start := b.Time.UnixNano()
 	end := start + int64(b.Duration)
 	k := tr.after(start)
-	if k == len(tr.at) || tr.at[k] >= end {
-		dst = append(dst, *b)
-		if tr.phase != nil {
-			dst[len(dst)-1].Mitigation = tr.phase[k]
-		}
-		return dst
+	if k == len(tr) || tr[k] >= end {
+		return append(dst, *b)
 	}
 	total := float64(b.Duration)
 	remaining := b.Packets
 	for prev := start; ; k++ {
 		segEnd, last := end, true
-		if k < len(tr.at) && tr.at[k] < end {
-			segEnd, last = tr.at[k], false
+		if k < len(tr) && tr[k] < end {
+			segEnd, last = tr[k], false
 		}
 		dur := time.Duration(segEnd - prev)
 		packets := remaining
@@ -429,9 +379,6 @@ func splitBatch(dst []fabric.Batch, b *fabric.Batch, tr *transitions) []fabric.B
 			seg.Time = b.Time.Add(time.Duration(prev - start))
 			seg.Duration = dur
 			seg.Packets = packets
-			if tr.phase != nil {
-				seg.Mitigation = tr.phase[k]
-			}
 		}
 		if last {
 			return dst
@@ -443,16 +390,10 @@ func splitBatch(dst []fabric.Batch, b *fabric.Batch, tr *transitions) []fabric.B
 // split cuts the batches the generator just appended, dr.batches[n0:],
 // at tr. They all lie within [from, to): when no transition falls inside
 // that window they stay where they are, and only otherwise are they
-// moved out and put back through splitBatch. Either way a table with
-// phases stamps every batch.
-func (dr *driver) split(n0 int, tr *transitions, from, to int64) {
+// moved out and put back through splitBatch.
+func (dr *driver) split(n0 int, tr transitions, from, to int64) {
 	k := tr.after(from)
-	if k == len(tr.at) || tr.at[k] >= to {
-		if tr.phase != nil {
-			for i := n0; i < len(dr.batches); i++ {
-				dr.batches[i].Mitigation = tr.phase[k]
-			}
-		}
+	if k == len(tr) || tr[k] >= to {
 		return
 	}
 	dr.uncut = append(dr.uncut[:0], dr.batches[n0:]...)
@@ -506,30 +447,8 @@ func (dr *driver) baseline(d int, dayStart time.Time) {
 		for i := n0; i < len(dr.batches); i++ {
 			dr.batches[i].Owner = owner
 		}
-		hp := &dr.hosts[hi]
 		// netgen keeps every baseline batch inside the day it is for.
-		dr.split(n0, &hp.tr, dayNs, dayNs+dayNanos)
-		if len(hp.spans) == 0 {
-			continue
-		}
-		// Attribute inbound segments to the covering attack event as the
-		// victim's legitimate traffic. Segments were split at every
-		// mitigation transition, so the phase at the segment start holds
-		// throughout it.
-		for i := n0; i < len(dr.batches); i++ {
-			seg := &dr.batches[i]
-			if seg.DstIP != h.IP {
-				continue
-			}
-			ns := seg.Time.UnixNano()
-			for _, s := range hp.spans {
-				if ns >= s.from && ns < s.to {
-					seg.Event = s.a.e.ID + 1
-					seg.Mitigation = s.a.tr.phase[s.a.tr.after(ns)]
-					break
-				}
-			}
-		}
+		dr.split(n0, dr.hosts[hi], dayNs, dayNs+dayNanos)
 	}
 }
 
@@ -576,13 +495,11 @@ func (dr *driver) attacks(d int, dayStart time.Time) {
 			for i := range slot {
 				b := &slot[i]
 				b.Owner = victimAS
-				b.Event = e.ID + 1
-				b.Attack = true
 				if bilateralLive && b.IngressAS == bilateralAS {
 					b.BilateralDropFraction = 1
 				}
 			}
-			dr.split(n0, &a.tr, t, slotEnd)
+			dr.split(n0, a.tr, t, slotEnd)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/stats"
 )
 
-// The generator loop's shortcuts — key order, binary-search splitting,
-// interval phases — are pinned here to the plain forms they replaced,
-// which live on in this file as the reference models.
+// The generator loop's shortcuts — key order, binary-search splitting —
+// are pinned here to the plain forms they replaced, which live on in this
+// file as the reference models.
 
 // stableOrder is the reference day order: the batches themselves through
 // a stable sort on their time.Time starts. Each carries its emission
@@ -278,7 +278,8 @@ func TestSplitBatchMatchesLinearReference(t *testing.T) {
 			Duration: time.Duration(1 + r.Int63n(int64(6*time.Hour))),
 			Packets:  1 + r.Int63n(1_000_000),
 			SrcIP:    uint32(trial), DstIP: 9, Proto: 17, PacketSize: 100,
-			Owner: 5, Event: trial % 3, Attack: trial%2 == 0, VarySrcIP: hook,
+			Owner: 5, FixedSrcPort: trial%2 == 0, BilateralDropFraction: float64(trial%3) / 2,
+			VarySrcIP: hook,
 		}
 		switch r.Intn(8) {
 		case 0:
@@ -318,9 +319,9 @@ func TestSplitBatchMatchesLinearReference(t *testing.T) {
 			ts = append(ts, at)
 		}
 		slices.SortFunc(ts, time.Time.Compare)
-		tr := &transitions{}
+		var tr transitions
 		for _, at := range ts {
-			tr.at = append(tr.at, at.UnixNano())
+			tr = append(tr, at.UnixNano())
 		}
 
 		name := fmt.Sprintf("trial %d", trial)
@@ -346,58 +347,6 @@ func TestSplitBatchMatchesLinearReference(t *testing.T) {
 			t.Fatalf("%s: SplitSegments = %d, want %d", name, dr.st.SplitSegments, cut)
 		} else if len(want) <= 1 && dr.st.SplitSegments != 0 {
 			t.Fatalf("%s: SplitSegments = %d for an uncut group", name, dr.st.SplitSegments)
-		}
-	}
-}
-
-// TestSplitPhaseMatchesMitigationPhase pins the phase a segment takes
-// from the interval it was cut from to Event.MitigationPhase at the
-// segment's start, the scan it replaced.
-func TestSplitPhaseMatchesMitigationPhase(t *testing.T) {
-	for _, policy := range []string{"", "escalate", "mixed", "flowspec"} {
-		cfg := TestConfig()
-		cfg.MitigationPolicy = policy
-		w, err := Plan(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := stats.NewRNG(7)
-		checked := 0
-		for _, e := range w.Events {
-			if e.Attack == nil {
-				continue
-			}
-			tr := eventTransitions(e)
-			for i := 0; i < 8; i++ {
-				// Slots like the generator's, and odd ones that start on
-				// a transition or straddle several.
-				b := fabric.Batch{
-					Time:     e.Attack.Start.Add(time.Duration(r.Int63n(int64(e.Attack.Duration + time.Hour)))),
-					Duration: time.Duration(1 + r.Int63n(int64(20*time.Minute))),
-					Packets:  1 + r.Int63n(100000),
-				}
-				if len(tr.at) > 0 && r.Bool(0.3) {
-					b.Time = time.Unix(0, tr.at[r.Intn(len(tr.at))]).UTC()
-				}
-				for _, seg := range splitBatch(nil, &b, &tr) {
-					if want := e.MitigationPhase(seg.Time); seg.Mitigation != want {
-						t.Fatalf("policy %q event %d: segment at %v has phase %v, MitigationPhase says %v",
-							policy, e.ID, seg.Time, seg.Mitigation, want)
-					}
-					checked++
-				}
-				dr := &driver{st: &DriveStats{}, batches: []fabric.Batch{b}}
-				dr.split(0, &tr, b.Time.UnixNano(), b.Time.Add(b.Duration).UnixNano())
-				for _, seg := range dr.batches {
-					if want := e.MitigationPhase(seg.Time); seg.Mitigation != want {
-						t.Fatalf("policy %q event %d: grouped segment at %v has phase %v, MitigationPhase says %v",
-							policy, e.ID, seg.Time, seg.Mitigation, want)
-					}
-				}
-			}
-		}
-		if checked == 0 {
-			t.Fatalf("policy %q: nothing checked", policy)
 		}
 	}
 }

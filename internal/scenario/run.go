@@ -43,11 +43,6 @@ type Executor interface {
 type DriveStats struct {
 	Announcements int // UPDATE messages announcing RTBH prefixes
 	Withdrawals   int // UPDATE messages withdrawing RTBH prefixes
-	// FlowSpec rule announcements and withdrawals, dispatched as plain
-	// UPDATEs carrying multiprotocol attributes through the same
-	// Executor.Control path.
-	FlowSpecAnnouncements int
-	FlowSpecWithdrawals   int
 	// Batches counts the packet batches dispatched to Executor.Inject.
 	Batches int64
 	// SplitSegments counts the batches among them that are pieces of a

@@ -274,7 +274,7 @@ func TestSplitBatch(t *testing.T) {
 		PacketSize: 100,
 	}
 	sec := int64(time.Second)
-	out := splitBatch(nil, &b, &transitions{at: []int64{25 * sec, 50 * sec, 200 * sec}})
+	out := splitBatch(nil, &b, transitions{25 * sec, 50 * sec, 200 * sec})
 	if len(out) != 3 {
 		t.Fatalf("segments = %d, want 3", len(out))
 	}
@@ -292,7 +292,7 @@ func TestSplitBatch(t *testing.T) {
 		t.Fatalf("split = %d/%d/%d", out[0].Packets, out[1].Packets, out[2].Packets)
 	}
 	// No cuts: unchanged.
-	out = splitBatch(nil, &b, &transitions{at: []int64{500 * sec}})
+	out = splitBatch(nil, &b, transitions{500 * sec})
 	if len(out) != 1 || out[0].Packets != 1000 {
 		t.Fatalf("no-cut split = %+v", out)
 	}

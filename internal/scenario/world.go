@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/fabric"
 	"repro/internal/ip2as"
 	"repro/internal/netgen"
 	"repro/internal/peeringdb"
@@ -232,24 +231,6 @@ func (e *Event) actions(yield func(t time.Time, announce, flowSpec bool)) {
 			yield(fs.End, false, true)
 		}
 	}
-}
-
-// MitigationPhase returns the mitigation state covering instant t. The
-// FlowSpec window wins where it overlaps an RTBH episode (escalation
-// withdraws the blackhole at the handover, so overlap is momentary).
-func (e *Event) MitigationPhase(t time.Time) fabric.Phase {
-	if fs := e.FlowSpec; fs != nil && !t.Before(fs.Start) && (fs.End.IsZero() || t.Before(fs.End)) {
-		return fabric.PhaseFlowSpec
-	}
-	for _, ep := range e.Episodes {
-		if t.Before(ep.Announce) {
-			break // episodes are chronological
-		}
-		if ep.Withdraw.IsZero() || t.Before(ep.Withdraw) {
-			return fabric.PhaseRTBH
-		}
-	}
-	return fabric.PhaseNone
 }
 
 // World is the fully planned simulation input.

@@ -59,8 +59,6 @@ var reachabilityExempt = map[string]string{
 	"internal/analysis/hosts.Aggregator.Hosts":             "(3) observation point: host count the pipeline parity tests compare",
 	"internal/analysis/hosts.Aggregator.Profiles":          "(3) fixture helper: the unfiltered ProfilesFunc, fixture of the classification tests",
 	"internal/analysis/hosts.Aggregator.WhitelistCoverage": "(3) fixture helper: the unfiltered WhitelistCoverageFunc",
-	"internal/fabric.Fabric.Mitigation":                    "(3) observation point: the ground-truth per-event ledger TestMitigationEfficacy scores FlowSpec against (scenario.Result carried it to no reader but that test)",
-	"internal/fabric.MitCell.Total":                        "(3) observation point: packets of a mitigation cell (scenario mitigation tests)",
 	"internal/ipfix.MsgEncoder.SeqNum":                     "(3) observation point: the next sequence number (truncation tests)",
 	"internal/ipfix.ReadAll":                               "(3) fixture helper: whole-archive read of the round-trip, robustness and fuzz tests",
 	"internal/mrt.ReadAll":                                 "(3) fixture helper: whole-archive read of the round-trip and robustness tests",

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/analysis/mitigation"
 )
 
 // sharedRun simulates one TestConfig world into a temp dir and analyzes
@@ -324,6 +326,85 @@ func TestFig14FineGrainedFiltering(t *testing.T) {
 	// Paper: ~90% of events fully mitigated by the port list.
 	if r.Fig14FullyFilterable < 0.75 || r.Fig14FullyFilterable > 0.98 {
 		t.Fatalf("fully filterable = %v, want ~0.90", r.Fig14FullyFilterable)
+	}
+}
+
+// TestTable5MitigationEfficacy scores the paper's §5.5 claim — filtering
+// the amplification ports mitigates attacks that RTBH can only trade
+// against legitimate traffic — on the measured Table 5 of the escalate
+// world, where every amplification victim blackholes first and hands
+// over to a FlowSpec discard rule mid-attack:
+//
+//   - no prefix forwards any FlowSpec-phase attack packet;
+//   - on every prefix where RTBH dropped legitimate packets and FlowSpec
+//     saw legitimate traffic, FlowSpec drops a strictly smaller share;
+//   - in the aggregate rows FlowSpec drops more of the attack and less of
+//     the legitimate traffic than RTBH.
+func TestTable5MitigationEfficacy(t *testing.T) {
+	cfg := TestConfig()
+	cfg.MitigationPolicy = "escalate"
+	dir := t.TempDir()
+	if _, err := Simulate(cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.OffsetStep = 20 * time.Millisecond
+	r, err := ds.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rtbh, fs = mitigation.PhaseRTBH, mitigation.PhaseFlowSpec
+
+	var scored, legitPairs int
+	for _, ps := range r.Table5.ByPrefix {
+		if ps.Attack[fs].TotalPkts() > 0 {
+			scored++
+			if ps.Attack[fs].ForwardedPkts != 0 {
+				t.Errorf("%v: %d of %d attack packets forwarded under FlowSpec",
+					ps.Prefix, ps.Attack[fs].ForwardedPkts, ps.Attack[fs].TotalPkts())
+			}
+		}
+		if ps.Legit[rtbh].DroppedPkts == 0 || ps.Legit[fs].TotalPkts() == 0 {
+			continue
+		}
+		legitPairs++
+		if got, rt := ps.Legit[fs].DropRatePkts(), ps.Legit[rtbh].DropRatePkts(); got >= rt {
+			t.Errorf("%v: legitimate drop share %.3f under FlowSpec, not below %.3f under RTBH", ps.Prefix, got, rt)
+		}
+	}
+	if scored < 20 || legitPairs < 5 {
+		t.Fatalf("%d prefixes with FlowSpec-phase attack traffic, %d legitimate pairs; want >= 20 and >= 5", scored, legitPairs)
+	}
+
+	rt, fl := &r.Table5.Rows[rtbh], &r.Table5.Rows[fs]
+	if fl.Attack.DropRatePkts() <= rt.Attack.DropRatePkts() {
+		t.Errorf("attack drop share %.3f under FlowSpec, not above %.3f under RTBH",
+			fl.Attack.DropRatePkts(), rt.Attack.DropRatePkts())
+	}
+	if fl.Legit.DropRatePkts() >= rt.Legit.DropRatePkts() {
+		t.Errorf("legitimate drop share %.3f under FlowSpec, not below %.3f under RTBH",
+			fl.Legit.DropRatePkts(), rt.Legit.DropRatePkts())
+	}
+	t.Logf("prefixes: %d RTBH, %d FlowSpec, %d scored, %d legitimate pairs; attack/legit dropped: RTBH %.3f/%.3f, FlowSpec %.3f/%.3f",
+		rt.Prefixes, fl.Prefixes, scored, legitPairs,
+		rt.Attack.DropRatePkts(), rt.Legit.DropRatePkts(), fl.Attack.DropRatePkts(), fl.Legit.DropRatePkts())
+}
+
+// TestDefaultPolicyMeasuresNoFlowSpec pins the default policy on what
+// the archives carry: no FlowSpec update, and an empty FlowSpec row in
+// the measured Table 5.
+func TestDefaultPolicyMeasuresNoFlowSpec(t *testing.T) {
+	_, ds, r := run(t)
+	if len(ds.FlowUpdates) != 0 {
+		t.Fatalf("default world archived %d FlowSpec updates", len(ds.FlowUpdates))
+	}
+	row := r.Table5.Rows[mitigation.PhaseFlowSpec]
+	if row.Prefixes != 0 || row.Attack.TotalPkts()+row.Legit.TotalPkts() != 0 {
+		t.Fatalf("default world measured a FlowSpec row: %+v", row)
 	}
 }
 
