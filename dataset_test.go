@@ -1,12 +1,14 @@
 package rtbh
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ipfix"
 	"repro/internal/scenario"
 )
 
@@ -206,11 +208,10 @@ func TestInMemoryDataset(t *testing.T) {
 	}
 }
 
-// TestDatasetWriterReportsRejectedControlMessage pins that a control
-// message the MRT writer refuses is an error of the run, not a record
-// silently missing from updates.mrt: the collector hook cannot return
-// it, so finish must.
-func TestDatasetWriterReportsRejectedControlMessage(t *testing.T) {
+// datasetWriterFor plans a small world and opens a dataset writer for
+// it on dir.
+func datasetWriterFor(t *testing.T, dir string) (*datasetWriter, Config) {
+	t.Helper()
 	cfg := TestConfig()
 	cfg.Days = 6
 	cfg.EventsTotal = 80
@@ -219,19 +220,73 @@ func TestDatasetWriterReportsRejectedControlMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := newDatasetWriter(t.TempDir(), w)
+	dw, err := newDatasetWriter(dir, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dw, cfg
+}
+
+// requireIncomplete checks that an aborted run's directory cannot pass
+// for a dataset: no metadata.json, and DatasetDirs refuses it.
+func requireIncomplete(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, FileMetadata)); !os.IsNotExist(err) {
+		t.Errorf("%s after a failed finish: %v, want it absent", FileMetadata, err)
+	}
+	if _, err := DatasetDirs(dir); err == nil {
+		t.Error("DatasetDirs accepts the directory of a failed run")
+	}
+}
+
+// TestDatasetWriterReportsRejectedControlMessage pins that a control
+// message the MRT writer refuses is an error of the run, not a record
+// silently missing from updates.mrt: the collector hook cannot return
+// it, so finish must, and the directory is left incomplete.
+func TestDatasetWriterReportsRejectedControlMessage(t *testing.T) {
+	dir := t.TempDir()
+	dw, cfg := datasetWriterFor(t, dir)
 	defer dw.close()
 	control := dw.sinks().Control
 	control(cfg.Start, 1001, 1, make([]byte, 10)) // shorter than a BGP header
 	control(cfg.Start, 1001, 1, make([]byte, 5))
-	err = dw.finish()
+	err := dw.finish()
 	if err == nil {
 		t.Fatal("finish succeeded after a control message was rejected")
 	}
 	if !strings.Contains(err.Error(), "10 bytes") {
 		t.Errorf("finish reports %q, want the first rejection (the 10-byte message)", err)
 	}
+	dw.close()
+	requireIncomplete(t, dir)
+}
+
+// TestDatasetWriterReportsFailedFlowWrite is its twin for the flow
+// archive, whose writes happen on the IPFIX writer's encoder goroutine:
+// a write that fails there fails finish, and the directory — here one an
+// earlier run had completed — is left without metadata.json.
+func TestDatasetWriterReportsFailedFlowWrite(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileMetadata), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dw, cfg := datasetWriterFor(t, dir)
+	defer dw.close()
+	b := &ipfix.RecordBatch{Recs: make([]ipfix.FlowRecord, 5000)}
+	for i := range b.Recs {
+		b.Recs[i] = ipfix.FlowRecord{Start: cfg.Start, Packets: 1, Bytes: 64}
+	}
+	dw.flowFile.Close() // every write to the archive fails from here on
+	if err := dw.sinks().Flow(b); err != nil {
+		t.Fatal(err) // copied, not yet written
+	}
+	err := dw.finish()
+	if err == nil {
+		t.Fatal("finish succeeded after the flow archive failed")
+	}
+	if !strings.Contains(err.Error(), "IPFIX") || !errors.Is(err, os.ErrClosed) {
+		t.Errorf("finish reports %q, want the failed IPFIX write", err)
+	}
+	dw.close()
+	requireIncomplete(t, dir)
 }

@@ -72,6 +72,10 @@ func TestGoldenEndToEnd(t *testing.T) {
 			t.Errorf("%s = %d, summary says %d", c.name, got, c.want)
 		}
 	}
+	// The IPFIX writer's encoder wrote every record the fabric sampled.
+	if got := simSnap.Counter("ipfix.writer.records"); got != sum.FlowRecords {
+		t.Errorf("ipfix.writer.records = %d, fabric.records_sampled says %d", got, sum.FlowRecords)
+	}
 	if got := simSnap.Counter("routeserver.updates"); got != int64(sum.ControlMsgs) {
 		t.Errorf("routeserver.updates = %d, summary says %d", got, sum.ControlMsgs)
 	}

@@ -28,6 +28,9 @@ func BenchmarkWriteBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkNextBatch measures flow-record parse throughput.

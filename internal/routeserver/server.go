@@ -138,7 +138,9 @@ type Server struct {
 	accepts   [numClasses]peerSet
 	fsAccepts peerSet
 
-	routes    map[bgp.Prefix][]route // prefix index
+	// routes is the prefix index, keyed by pkey: integer keys take the
+	// runtime's fast 64-bit map path on DropFraction's per-length probe.
+	routes    map[uint64][]route
 	numRoutes int
 	lenCount  [33]int // installed routes per prefix length
 	lens      uint64  // bit l set: lenCount[l] > 0
@@ -158,7 +160,7 @@ func New(asn uint16, ip uint32) *Server {
 		ASN:    asn,
 		IP:     ip,
 		peers:  make(map[uint32]*peerState),
-		routes: make(map[bgp.Prefix][]route),
+		routes: make(map[uint64][]route),
 	}
 }
 
@@ -317,17 +319,24 @@ func (s *Server) announce(origin uint32, prefix bgp.Prefix, targets peerSet) {
 	rejected[class].Add(int64(nTargets - nAccepted))
 	m.NotTargeted.Add(int64(len(s.peers) - 1 - nTargets))
 
-	rts := s.routes[prefix]
+	k := pkey(prefix)
+	rts := s.routes[k]
 	if i := indexOrigin(rts, origin); i >= 0 {
 		m.Reannouncements.Inc()
 		rts[i] = rt
 		return
 	}
-	s.routes[prefix] = append(rts, rt)
+	s.routes[k] = append(rts, rt)
 	s.numRoutes++
 	s.lenCount[prefix.Len]++
 	s.lens |= 1 << prefix.Len
 }
+
+// pkey packs a prefix into the route index's key: address, then length.
+func pkey(p bgp.Prefix) uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
+
+// prefixOf unpacks a route index key.
+func prefixOf(k uint64) bgp.Prefix { return bgp.Prefix{Addr: uint32(k >> 8), Len: uint8(k)} }
 
 // indexOrigin finds origin's route among the routes for one prefix, or -1.
 func indexOrigin(rts []route, origin uint32) int {
@@ -347,9 +356,9 @@ func (s *Server) PeerDown(peerAS uint32) int {
 	}
 	s.metrics.PeerDowns.Inc()
 	flushed := 0
-	for prefix, rts := range s.routes {
+	for k, rts := range s.routes {
 		if indexOrigin(rts, peerAS) >= 0 {
-			s.withdraw(peerAS, prefix)
+			s.withdraw(peerAS, prefixOf(k))
 			flushed++
 		}
 	}
@@ -359,7 +368,8 @@ func (s *Server) PeerDown(peerAS uint32) int {
 }
 
 func (s *Server) withdraw(origin uint32, prefix bgp.Prefix) {
-	rts := s.routes[prefix]
+	k := pkey(prefix)
+	rts := s.routes[k]
 	i := indexOrigin(rts, origin)
 	if i < 0 {
 		s.metrics.WithdrawnNoop.Inc() // withdrawing a route we never installed is a no-op
@@ -367,9 +377,9 @@ func (s *Server) withdraw(origin uint32, prefix bgp.Prefix) {
 	}
 	s.metrics.WithdrawnPrefixes.Inc()
 	if len(rts) == 1 {
-		delete(s.routes, prefix)
+		delete(s.routes, k)
 	} else {
-		s.routes[prefix] = slices.Delete(rts, i, i+1)
+		s.routes[k] = slices.Delete(rts, i, i+1)
 	}
 	s.numRoutes--
 	if s.lenCount[prefix.Len]--; s.lenCount[prefix.Len] == 0 {
@@ -390,7 +400,7 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 	for lens := s.lens & ps.lens; lens != 0; {
 		length := uint8(bits.Len64(lens) - 1) // longest first
 		lens &^= 1 << length
-		for _, rt := range s.routes[bgp.MakePrefix(dstIP, length)] {
+		for _, rt := range s.routes[pkey(bgp.MakePrefix(dstIP, length))] {
 			if rt.accepted.has(ps.idx) {
 				return ps.peer.Policy.fraction(length)
 			}
@@ -403,7 +413,7 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 // prefix in its Adj-RIB-In (regardless of whether its policy accepts it).
 func (s *Server) VisibleTo(peerAS uint32, prefix bgp.Prefix) bool {
 	ps, ok := s.peers[peerAS]
-	return ok && slices.ContainsFunc(s.routes[prefix], func(rt route) bool { return rt.targets.has(ps.idx) })
+	return ok && slices.ContainsFunc(s.routes[pkey(prefix)], func(rt route) bool { return rt.targets.has(ps.idx) })
 }
 
 // ActiveRoutes returns the currently installed blackhole routes in
@@ -419,10 +429,10 @@ func (s *Server) ActiveRoutes() []Announcement {
 		return asns
 	}
 	out := make([]Announcement, 0, s.numRoutes)
-	for prefix, rts := range s.routes {
+	for k, rts := range s.routes {
 		for _, rt := range rts {
 			out = append(out, Announcement{
-				Prefix: prefix, Origin: rt.origin,
+				Prefix: prefixOf(k), Origin: rt.origin,
 				Targets: members(rt.targets), Accepted: members(rt.accepted),
 			})
 		}

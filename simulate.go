@@ -124,8 +124,9 @@ func Simulate(cfg Config, dir string) (*SimulationSummary, error) {
 
 // SimulateObserved is Simulate with observability: when reg is non-nil
 // the route server and fabric of exchange 0 (the metric names are global)
-// register their metrics ("routeserver.*", "fabric.*") on it and the
-// generator's counts are published as "scenario.batches",
+// register their metrics ("routeserver.*", "fabric.*") on it, so does its
+// flow archive writer ("ipfix.writer.records", "ipfix.writer.wait"), and
+// the generator's counts are published as "scenario.batches",
 // "scenario.split_segments" and "scenario.day_batches_max". Snapshot after
 // the call returns; on a single exchange the fabric's ground-truth gauges
 // match the returned summary exactly.
@@ -145,6 +146,9 @@ func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*Simulation
 		sinks[i] = writers[i].sinks()
 	}
 	sinks[0].Metrics = reg
+	if reg != nil {
+		writers[0].flowW.RegisterMetrics(reg)
+	}
 	xs, st, err := scenario.RunFederated(fed, sinks, nil)
 	if err != nil {
 		return nil, err
@@ -163,9 +167,10 @@ func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*Simulation
 }
 
 // datasetWriter writes one exchange's dataset directory: the two stream
-// archives while the run is in flight, the side tables once it is over.
-// Simulate and LiveRun both archive through it, so
-// what a dataset directory holds is decided here and nowhere else.
+// archives while the run is in flight, the side tables beside it (they
+// depend on the planned world alone), and metadata.json last, once
+// everything else is complete. Simulate and LiveRun both archive through
+// it, so what a dataset directory holds is decided here and nowhere else.
 type datasetWriter struct {
 	dir               string
 	w                 *scenario.World
@@ -175,14 +180,23 @@ type datasetWriter struct {
 	// controlErr is the first error archiving a control message; the
 	// collector hook has no error path, so finish reports it.
 	controlErr error
+	// sideDone is closed once the side tables are written, with sideErr
+	// the first error writing them.
+	sideDone chan struct{}
+	sideErr  error
 }
 
-// newDatasetWriter creates dir if missing and opens the two archives.
+// newDatasetWriter creates dir if missing, removes a metadata.json left
+// by an earlier run (the directory is incomplete until finish writes a
+// new one), opens the two archives and starts writing the side tables.
 func newDatasetWriter(dir string, w *scenario.World) (*datasetWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rtbh: %w", err)
 	}
-	dw := &datasetWriter{dir: dir, w: w}
+	if err := os.Remove(filepath.Join(dir, FileMetadata)); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("rtbh: %w", err)
+	}
+	dw := &datasetWriter{dir: dir, w: w, sideDone: make(chan struct{})}
 	var err error
 	if dw.mrtFile, err = os.Create(filepath.Join(dir, FileUpdates)); err != nil {
 		return nil, fmt.Errorf("rtbh: %w", err)
@@ -193,7 +207,24 @@ func newDatasetWriter(dir string, w *scenario.World) (*datasetWriter, error) {
 	}
 	dw.mrtW = mrt.NewWriter(dw.mrtFile)
 	dw.flowW = ipfix.NewWriter(dw.flowFile, 1)
+	go func() {
+		defer close(dw.sideDone)
+		dw.sideErr = dw.writeSideTables()
+	}()
 	return dw, nil
+}
+
+// writeSideTables writes the IP-to-AS table, the PeeringDB snapshot and
+// the ground truth.
+func (dw *datasetWriter) writeSideTables() error {
+	w := dw.w
+	if err := writeFile(filepath.Join(dw.dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dw.dir, FilePDB), w.PDB.WriteJSON); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(dw.dir, FileTruth), scenario.Truth(w).WriteJSON)
 }
 
 // sinks returns the archive ends of the two streams: Control frames
@@ -214,8 +245,9 @@ func (dw *datasetWriter) sinks() scenario.Sinks {
 	}
 }
 
-// finish flushes and closes the archives and writes the side tables,
-// which makes the directory a complete, loadable dataset.
+// finish flushes and closes the archives, waits for the side tables and
+// writes metadata.json, which makes the directory a complete, loadable
+// dataset. On any error the directory has no metadata.json.
 func (dw *datasetWriter) finish() error {
 	if dw.controlErr != nil {
 		return fmt.Errorf("rtbh: archiving control message: %w", dw.controlErr)
@@ -232,22 +264,19 @@ func (dw *datasetWriter) finish() error {
 	if err := dw.flowFile.Close(); err != nil {
 		return fmt.Errorf("rtbh: %w", err)
 	}
-	w := dw.w
-	if err := writeJSON(filepath.Join(dw.dir, FileMetadata), metaOf(w)); err != nil {
-		return err
+	<-dw.sideDone
+	if dw.sideErr != nil {
+		return dw.sideErr
 	}
-	if err := writeFile(filepath.Join(dw.dir, FileIP2AS), w.IP2AS.WriteJSON); err != nil {
-		return err
-	}
-	if err := writeFile(filepath.Join(dw.dir, FilePDB), w.PDB.WriteJSON); err != nil {
-		return err
-	}
-	return writeFile(filepath.Join(dw.dir, FileTruth), scenario.Truth(w).WriteJSON)
+	return writeJSON(filepath.Join(dw.dir, FileMetadata), metaOf(dw.w))
 }
 
-// close releases the archive files on paths that never reached finish
-// (closing twice is harmless).
+// close joins the flow encoder and the side tables and releases the
+// archive files on paths that never reached finish (after finish, or
+// twice, it is harmless).
 func (dw *datasetWriter) close() {
+	dw.flowW.Flush() //nolint:errcheck // joins the encoder; the run already failed
+	<-dw.sideDone
 	dw.mrtFile.Close()
 	dw.flowFile.Close()
 }
