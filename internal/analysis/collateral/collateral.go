@@ -85,12 +85,14 @@ func (a *Aggregator) add(eventID int, all, dropped int64) {
 // tallying now and filtering against the top-port sets at compose time
 // (Materialize) is exact. State is bounded by the distinct (event, host,
 // port) combinations with during-event traffic — far below the raw record
-// count — and is what the online analyzer retains for open events.
+// count — but top ports are known only at compose, so the online analyzer
+// retains every cell for the whole run.
 //
 // Nearly every in-event record opens a new cell (attack traffic sprays
-// destination ports), so the store is built for insertion: one flat
-// open-addressed table per event, one find-or-insert per Add, no per-cell
-// allocation and no pointers for the collector to trace.
+// destination ports), so the store is built for insertion and size: one
+// flat open-addressed table of 8-byte slots per event, one find-or-insert
+// per Add, no per-cell allocation and no pointers for the collector to
+// trace.
 //
 // An event's table is the unit of copy-on-write sharing between a store
 // and its snapshots (analysis.Cow): every path that writes a table — Add,
@@ -107,40 +109,48 @@ type Pending struct {
 	last   *table
 }
 
-// cell is one (dstIP, proto, dstPort) tally of an event.
-type cell struct {
-	key          uint64
-	all, dropped int64
+// table is one event's cells: linear probing over a power-of-two array
+// of 8-byte slots that doubles at 3/4 load. A slot holds the cell key
+// (cellKey), whose bits 24-31 are always zero, and uses that byte for the
+// cell's counts while they are small: (all+1)<<4 | dropped, for all <= 14
+// and dropped <= 15. The counts of any other cell live in spill, under its
+// key, and its slot's count byte is the spilled tag. The count byte of an
+// occupied slot is never zero, so a zero slot marks a free one and a
+// fresh or grown array needs no fill pass. (Half load probes a little
+// less but retained 14 % more looking-glass state on the 1M-record
+// benchmark world, and retained state is what this store exists to keep
+// small.)
+type table struct {
+	owner analysis.Stamp
+	slots []uint64
+	shift uint // 64 - log2(len(slots)): the hash's top bits index slots
+	n     int  // cells held
+	// spill holds the counts that do not fit a count byte: nil until the
+	// first such cell, a handful per event when there is one.
+	spill map[uint64]counts
 }
 
-// table is one event's cells: linear probing over a power-of-two slot
-// array that doubles at 3/4 load. A zero key marks a free slot, so a
-// fresh or grown array needs no fill pass; the cell whose key really is
-// zero lives out of line in zero, and every 64-bit key stays usable.
-// (Half load probes a little less but retained 14 % more looking-glass
-// state on the 1M-record benchmark world, and retained state is what
-// this store exists to keep small.)
-type table struct {
-	owner   analysis.Stamp
-	slots   []cell
-	shift   uint // 64 - log2(len(slots)): the hash's top bits index slots
-	n       int  // cells held, zero included
-	zero    cell
-	hasZero bool
-}
+const (
+	countShift = 24
+	countMask  = 0xff << countShift
+	// fresh is the count byte of a cell with zero counts; spilled that of
+	// a cell whose counts are in spill.
+	fresh   = 1 << 4 << countShift
+	spilled = 1 << countShift
+)
 
 // minTableSlots is a new table's size; most events of a large world hold
 // a handful of cells.
 const minTableSlots = 8
 
 func newTable(owner analysis.Stamp) *table {
-	return &table{owner: owner, slots: make([]cell, minTableSlots), shift: 64 - 3}
+	return &table{owner: owner, slots: make([]uint64, minTableSlots), shift: 64 - 3}
 }
 
-// clone copies the table for a new owner: one slice copy.
+// clone copies the table for a new owner: the slots and the spill map.
 func (t *table) clone(owner analysis.Stamp) *table {
 	c := *t
-	c.owner, c.slots = owner, slices.Clone(t.slots)
+	c.owner, c.slots, c.spill = owner, slices.Clone(t.slots), maps.Clone(t.spill)
 	return &c
 }
 
@@ -148,88 +158,101 @@ func (t *table) clone(owner analysis.Stamp) *table {
 // the keys are packed fields, the product's top bits mix all of them.
 func (t *table) home(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> t.shift }
 
-// at returns key's cell, inserting an empty one if absent. The pointer is
-// valid until the next at call.
-func (t *table) at(key uint64) *cell {
-	if key == 0 {
-		if !t.hasZero {
-			t.hasZero = true
-			t.n++
-		}
-		return &t.zero
-	}
+// add sums (all, dropped) into key's cell, inserting the cell if absent,
+// and returns how many cells it inserted: 0 or 1.
+func (t *table) add(key uint64, all, dropped int64) int {
 	mask := uint64(len(t.slots) - 1)
 	for i := t.home(key); ; i = (i + 1) & mask {
-		c := &t.slots[i]
-		if c.key == key {
-			return c
+		v := t.slots[i]
+		if v == 0 {
+			if (t.n+1)*4 > len(t.slots)*3 {
+				t.grow()
+				return t.add(key, all, dropped)
+			}
+			t.slots[i] = t.sum(key|fresh, all, dropped)
+			t.n++
+			return 1
 		}
-		if c.key != 0 {
-			continue
+		if v&^countMask == key {
+			t.slots[i] = t.sum(v, all, dropped)
+			return 0
 		}
-		if (t.n+1)*4 > len(t.slots)*3 {
-			t.grow()
-			return t.at(key)
-		}
-		c.key = key
-		t.n++
-		return c
 	}
+}
+
+// sum returns slot v with (all, dropped) added to its counts, moving them
+// to spill when they no longer fit the count byte.
+func (t *table) sum(v uint64, all, dropped int64) uint64 {
+	key := v &^ countMask
+	if b := v >> countShift & 0xff; b >= 1<<4 {
+		all += int64(b>>4) - 1
+		dropped += int64(b & 15)
+		if uint64(all) <= 14 && uint64(dropped) <= 15 {
+			return key | uint64(all+1)<<4<<countShift | uint64(dropped)<<countShift
+		}
+		if t.spill == nil {
+			t.spill = make(map[uint64]counts)
+		}
+		t.spill[key] = counts{all, dropped}
+		return key | spilled
+	}
+	c := t.spill[key]
+	t.spill[key] = counts{c.all + all, c.dropped + dropped}
+	return v
+}
+
+// counts returns the counts of occupied slot v.
+func (t *table) counts(v uint64) counts {
+	if b := v >> countShift & 0xff; b >= 1<<4 {
+		return counts{int64(b>>4) - 1, int64(b & 15)}
+	}
+	return t.spill[v&^countMask]
 }
 
 // grow doubles the slot array and rehashes the occupied slots.
 func (t *table) grow() {
 	old := t.slots
-	t.slots, t.shift = make([]cell, 2*len(old)), t.shift-1
+	t.slots, t.shift = make([]uint64, 2*len(old)), t.shift-1
 	mask := uint64(len(t.slots) - 1)
-	for _, c := range old {
-		if c.key == 0 {
+	for _, v := range old {
+		if v == 0 {
 			continue
 		}
-		i := t.home(c.key)
-		for t.slots[i].key != 0 {
+		i := t.home(v &^ countMask)
+		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = c
+		t.slots[i] = v
 	}
 }
 
-// get returns key's cell without inserting it. A table always keeps a
-// free slot, which ends every probe sequence that misses.
-func (t *table) get(key uint64) (cell, bool) {
-	if key == 0 {
-		return t.zero, t.hasZero
-	}
+// get returns key's counts without inserting the cell. A table always
+// keeps a free slot, which ends every probe sequence that misses.
+func (t *table) get(key uint64) (counts, bool) {
 	mask := uint64(len(t.slots) - 1)
 	for i := t.home(key); ; i = (i + 1) & mask {
-		switch c := t.slots[i]; c.key {
-		case key:
-			return c, true
-		case 0:
-			return cell{}, false
+		v := t.slots[i]
+		if v == 0 {
+			return counts{}, false
+		}
+		if v&^countMask == key {
+			return t.counts(v), true
 		}
 	}
 }
 
 // each calls fn for every cell, in no particular order.
-func (t *table) each(fn func(cell)) {
-	if t.hasZero {
-		fn(t.zero)
-	}
-	for _, c := range t.slots {
-		if c.key != 0 {
-			fn(c)
+func (t *table) each(fn func(key uint64, c counts)) {
+	for _, v := range t.slots {
+		if v != 0 {
+			fn(v&^countMask, t.counts(v))
 		}
 	}
 }
 
 // absorb sums o's cells into t.
 func (t *table) absorb(o *table) {
-	o.each(func(oc cell) {
-		c := t.at(oc.key)
-		c.all += oc.all
-		c.dropped += oc.dropped
-	})
+	o.each(func(key uint64, c counts) { t.add(key, c.all, c.dropped) })
 }
 
 // NewPending returns an empty pending store.
@@ -237,7 +260,8 @@ func NewPending() *Pending {
 	return &Pending{tables: make(map[int]*table), cow: analysis.NewCow()}
 }
 
-// cellKey packs (dstIP, proto, dstPort) into the cell key.
+// cellKey packs (dstIP, proto, dstPort) into the cell key; bits 24-31
+// stay zero for the table's count byte.
 func cellKey(dstIP uint32, dstPort uint16, proto uint8) uint64 {
 	return uint64(dstIP)<<32 | uint64(proto)<<16 | uint64(dstPort)
 }
@@ -257,27 +281,25 @@ func (p *Pending) own(eventID int) *table {
 	return t
 }
 
-// cell returns the tally cell of (eventID, key), creating it if absent.
-func (p *Pending) cell(eventID int, key uint64) *cell {
+// add sums (all, dropped) into the cell (eventID, key), creating it if
+// absent.
+func (p *Pending) add(eventID int, key uint64, all, dropped int64) {
 	t := p.last
 	if t == nil || p.lastID != eventID {
 		t = p.own(eventID)
 		p.lastID, p.last = eventID, t
 	}
-	held := t.n
-	c := t.at(key)
-	p.n += t.n - held
-	return c
+	p.n += t.add(key, all, dropped)
 }
 
 // Add tallies one sampled packet observed during eventID's window toward
 // dstIP on (proto, dstPort).
 func (p *Pending) Add(eventID int, dstIP uint32, dstPort uint16, proto uint8, dropped bool, pkts int64) {
-	c := p.cell(eventID, cellKey(dstIP, dstPort, proto))
-	c.all += pkts
+	var d int64
 	if dropped {
-		c.dropped += pkts
+		d = pkts
 	}
+	p.add(eventID, cellKey(dstIP, dstPort, proto), pkts, d)
 }
 
 // fold merges a whole table into event id: adopted as is when p holds

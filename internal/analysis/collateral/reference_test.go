@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -107,7 +109,7 @@ func (a *Aggregator) addCounts(eventID int, dstIP uint32, portKey uint32, all, d
 // probed per event prefix.
 func scan(p *Pending, agg *Aggregator) {
 	for id, t := range p.tables {
-		t.each(func(c cell) { agg.addCounts(id, uint32(c.key>>32), uint32(c.key), c.all, c.dropped) })
+		t.each(func(key uint64, c counts) { agg.addCounts(id, uint32(key>>32), uint32(key), c.all, c.dropped) })
 	}
 }
 
@@ -215,8 +217,9 @@ func (pp pendingPair) mustMatch(t *testing.T, label string, profiles []hosts.Pro
 // TestPendingMatchesMapReference runs seeded random Add / Merge /
 // Snapshot / RemapEvents sequences against the two-level map. The key
 // population includes the two keys a sentinel could steal — all-ones
-// (255.255.255.255, proto 255, port 65535) and zero — and one event
-// grows through several doublings of its table.
+// (255.255.255.255, proto 255, port 65535) and zero — one event grows
+// through several doublings of its table, and packet counts of 0..19
+// move some cells past the count byte into spill.
 func TestPendingMatchesMapReference(t *testing.T) {
 	type hot struct {
 		ip    uint32
@@ -267,6 +270,9 @@ func TestPendingMatchesMapReference(t *testing.T) {
 			if biggest := a.got.tables[11]; len(biggest.slots) < 16*minTableSlots {
 				t.Fatalf("largest table has %d slots; growth was not exercised", len(biggest.slots))
 			}
+			if n := spilledCells(a.got); n == 0 {
+				t.Fatal("no cell spilled; counts past the count byte were not exercised")
+			}
 
 			// A snapshot stays what it was while the original keeps adding.
 			snap := pendingPair{a.got.Snapshot(), a.want.snapshot()}
@@ -307,15 +313,101 @@ func TestPendingMatchesMapReference(t *testing.T) {
 	}
 }
 
-// deepSnapshot is the reference model for Pending.Snapshot: the slice copy
-// per event that Snapshot made before tables became shared between a store
-// and its snapshots.
+// spilledCells counts the cells of p whose counts live in spill.
+func spilledCells(p *Pending) int {
+	n := 0
+	for _, t := range p.tables {
+		n += len(t.spill)
+	}
+	return n
+}
+
+// TestPendingWireRoundTripPastInline holds the cells the count byte
+// cannot carry to the reference and through the wire codec: counts at and
+// just past the inline bound (all 14 / 15, dropped 15 / 16), large and
+// negative counts (which only a decoded state holds), a dropped count
+// above its cell's total, and the zero key; each is summed into again
+// afterwards.
+func TestPendingWireRoundTripPastInline(t *testing.T) {
+	pp := newPendingPair()
+	set := func(id int, ip uint32, port uint16, all, dropped int64) {
+		proto := uint8(6)
+		if ip == 0 {
+			proto = 0 // 0.0.0.0, proto 0, port 0: the zero key
+		}
+		pp.got.add(id, cellKey(ip, port, proto), all, dropped)
+		pp.want.add(id, ip, port, proto, false, 0)
+		c := pp.want.cells[id][cellKey(ip, port, proto)]
+		c.all, c.dropped = c.all+all, c.dropped+dropped
+	}
+	set(0, 1, 1, 14, 14)
+	set(0, 1, 2, 15, 0)
+	set(0, 1, 3, 2, 15)
+	set(0, 1, 4, 2, 16)
+	set(0, 1, 5, 1<<40, 1<<39)
+	set(0, 1, 6, math.MaxInt64, math.MinInt64)
+	set(1, 1, 1, -1, 0)
+	set(1, 1, 2, -3, -3)
+	set(1, 0, 0, 20, 20)
+	pp.mustMatch(t, "past inline", nil)
+	if spilledCells(pp.got) != 7 {
+		t.Fatalf("%d cells spilled, want 7", spilledCells(pp.got))
+	}
+	// Spilled cells keep summing; one falls back to inline-sized counts.
+	set(0, 1, 2, -15, 0)
+	set(1, 1, 2, 3, 3)
+	set(1, 0, 0, 1, 0)
+	set(0, 1, 1, 1, 0)
+	pp.mustMatch(t, "summed again", nil)
+
+	// A decoded store holds the same cells and sums into them alike.
+	enc, _ := pp.got.MarshalBinary()
+	var back Pending
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+	pp.got = &back
+	set(0, 1, 5, 1, 1)
+	set(1, 1, 1, 1, 0)
+	pp.mustMatch(t, "decoded, then summed", nil)
+}
+
+// TestPendingSnapshotKeepsSpilledCell writes a spilled cell on both sides
+// of a snapshot: neither side may see the other's sums, though the spill
+// map existed before the snapshot on both.
+func TestPendingSnapshotKeepsSpilledCell(t *testing.T) {
+	p := NewPending()
+	p.Add(3, 0x0a000001, 443, 6, true, 40)
+	p.Add(3, 0x0a000002, 53, 17, false, 1)
+	snap := p.Snapshot()
+	frozen, _ := snap.MarshalBinary()
+	p.Add(3, 0x0a000001, 443, 6, true, 2)
+	p.Add(3, 0x0a000003, 80, 6, false, 30)
+	if now, _ := snap.MarshalBinary(); !bytes.Equal(now, frozen) {
+		t.Fatal("snapshot changed while the original summed into its spilled cell")
+	}
+	if c, _ := p.tables[3].get(cellKey(0x0a000001, 443, 6)); c != (counts{42, 42}) {
+		t.Fatalf("original's spilled cell = %+v, want {42 42}", c)
+	}
+	before, _ := p.MarshalBinary()
+	snap.Add(3, 0x0a000001, 443, 6, false, 7)
+	if now, _ := p.MarshalBinary(); !bytes.Equal(now, before) {
+		t.Fatal("original changed while the snapshot summed into its spilled cell")
+	}
+	if c, _ := snap.tables[3].get(cellKey(0x0a000001, 443, 6)); c != (counts{47, 40}) {
+		t.Fatalf("snapshot's spilled cell = %+v, want {47 40}", c)
+	}
+}
+
+// deepSnapshot is the reference model for Pending.Snapshot: the copy of
+// each event's slots and spill map that Snapshot made before tables
+// became shared between a store and its snapshots.
 func deepSnapshot(p *Pending) *Pending {
 	s := NewPending()
 	s.n = p.n
 	for id, t := range p.tables {
 		cp := *t
-		cp.owner, cp.slots = s.cow.Stamp(), slices.Clone(t.slots)
+		cp.owner, cp.slots, cp.spill = s.cow.Stamp(), slices.Clone(t.slots), maps.Clone(t.spill)
 		s.tables[id] = &cp
 	}
 	return s

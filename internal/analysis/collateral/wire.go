@@ -25,15 +25,21 @@ func (p *Pending) MarshalBinary() ([]byte, error) {
 	}
 	sort.Ints(ids)
 	w.Uvarint(uint64(p.n))
-	var cells []cell
+	var slots []uint64
 	for _, id := range ids {
-		cells = cells[:0]
-		p.tables[id].each(func(c cell) { cells = append(cells, c) })
-		slices.SortFunc(cells, func(x, y cell) int { return cmp.Compare(x.key, y.key) })
-		for _, c := range cells {
+		t := p.tables[id]
+		slots = slots[:0]
+		for _, v := range t.slots {
+			if v != 0 {
+				slots = append(slots, v)
+			}
+		}
+		slices.SortFunc(slots, func(x, y uint64) int { return cmp.Compare(x&^countMask, y&^countMask) })
+		for _, v := range slots {
+			c := t.counts(v)
 			w.Uvarint(uint64(id))
-			w.Uvarint(c.key >> 32)
-			w.Uvarint(uint64(uint32(c.key)))
+			w.Uvarint(v >> 32)
+			w.Uvarint(uint64(uint32(v &^ countMask)))
 			w.Varint(c.all)
 			w.Varint(c.dropped)
 		}
@@ -43,7 +49,8 @@ func (p *Pending) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary replaces the pending store's state with the decoded
 // snapshot; the cells must come in MarshalBinary's order, strictly
-// ascending by (event ID, cell key). On error the store is left unchanged.
+// ascending by (event ID, cell key), and every port key below 1<<24, as
+// cellKey makes them. On error the store is left unchanged.
 func (p *Pending) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(pendingWireVersion)
@@ -59,13 +66,15 @@ func (p *Pending) UnmarshalBinary(data []byte) error {
 		if r.Err() != nil {
 			break
 		}
+		if portKey >= 1<<countShift {
+			return fmt.Errorf("collateral: pending: port key %#x out of range", portKey)
+		}
 		key := uint64(dstIP)<<32 | uint64(portKey)
 		if i > 0 && (id < lastID || id == lastID && key <= lastKey) {
 			return fmt.Errorf("collateral: pending: cell (%d, %#x) duplicate or out of order", id, key)
 		}
 		lastID, lastKey = id, key
-		c := d.cell(id, key)
-		c.all, c.dropped = all, dropped
+		d.add(id, key, all, dropped)
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("collateral: pending: %w", err)

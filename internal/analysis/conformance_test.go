@@ -215,7 +215,17 @@ func pendingCase() operatorCase {
 	wrap = func(p *collateral.Pending) *handle {
 		h := &handle{self: p}
 		h.feed = func(i int) {
-			p.Add(i%5, 0x0a000001+uint32(i%6), uint16(1+i%9), uint8(6+11*(i%2)), i%3 == 0, int64(1+i%4))
+			// Every 16th cell holds more packets than a slot's count byte
+			// can, and the one before it a negative count (as only a
+			// decoded state does): both live in the table's spill map.
+			pkts := int64(1 + i%4)
+			switch i % 16 {
+			case 0:
+				pkts = 40
+			case 15:
+				pkts = -2
+			}
+			p.Add(i%5, 0x0a000001+uint32(i%6), uint16(1+i%9), uint8(6+11*(i%2)), i%3 == 0, pkts)
 		}
 		h.merge = func(o *handle) { p.Merge(o.self.(*collateral.Pending)) }
 		h.marshal = p.MarshalBinary

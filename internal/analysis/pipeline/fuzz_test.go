@@ -61,8 +61,10 @@ func seedStates(f *testing.F) [][]byte {
 // section of an empty pipeline's state is valid but one, which holds a
 // duplicate or out-of-order key (pending cells, anomaly slots, the keys of
 // a BoundedSet or a TopCounter, hosts, events, sources, speculative
-// pairs), a prefix with host bits set, an unsorted endpoint array, or a
-// varint padded with a zero byte. Every one must fail to decode.
+// pairs), a prefix with host bits set, an unsorted endpoint array, a
+// pending port key at or above 1<<24 (no cell key holds one: those bits
+// carry the cell's counts in memory), or a varint padded with a zero
+// byte. Every one must fail to decode.
 func nonCanonicalStates(t testing.TB) map[string][]byte {
 	t.Helper()
 	type section func(w *analysis.WireWriter)
@@ -132,17 +134,18 @@ func nonCanonicalStates(t testing.TB) map[string][]byte {
 		at    int // operator section: Drop, Anomaly, Proto, Hosts, Align, Pending, Mit
 		write section
 	}{
-		"pending cells out of order": {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 0, 9, 80) }},
-		"pending cell twice":         {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 1, 9, 80) }},
-		"anomaly slots out of order": {1, func(w *analysis.WireWriter) { w.Uvarint(2); slot(w, 0x0a000000, 5); slot(w, 0x0a000000, 4) }},
-		"anomaly prefix host bits":   {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000001, 5) }},
-		"bounded set out of order":   {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, 5, 9, 4) }},
-		"top counter out of order":   {3, func(w *analysis.WireWriter) { w.Uvarint(1); host(w, 7, 9, 4) }},
-		"hosts out of order":         {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 3) }},
-		"host twice":                 {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 7) }},
-		"drop events out of order":   {0, func(w *analysis.WireWriter) { dropEvents(w, 2, 1) }},
-		"endpoints out of order":     {4, func(w *analysis.WireWriter) { endpoints(w, 0.5, -0.5) }},
-		"endpoint NaN":               {4, func(w *analysis.WireWriter) { endpoints(w, math.NaN()) }},
+		"pending cells out of order":    {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 0, 9, 80) }},
+		"pending cell twice":            {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 1, 9, 80) }},
+		"pending port key out of range": {5, func(w *analysis.WireWriter) { w.Uvarint(1); cell(w, 0, 9, 1<<24) }},
+		"anomaly slots out of order":    {1, func(w *analysis.WireWriter) { w.Uvarint(2); slot(w, 0x0a000000, 5); slot(w, 0x0a000000, 4) }},
+		"anomaly prefix host bits":      {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000001, 5) }},
+		"bounded set out of order":      {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, 5, 9, 4) }},
+		"top counter out of order":      {3, func(w *analysis.WireWriter) { w.Uvarint(1); host(w, 7, 9, 4) }},
+		"hosts out of order":            {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 3) }},
+		"host twice":                    {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 7) }},
+		"drop events out of order":      {0, func(w *analysis.WireWriter) { dropEvents(w, 2, 1) }},
+		"endpoints out of order":        {4, func(w *analysis.WireWriter) { endpoints(w, 0.5, -0.5) }},
+		"endpoint NaN":                  {4, func(w *analysis.WireWriter) { endpoints(w, math.NaN()) }},
 		"mitigation prefix host bits": {6, func(w *analysis.WireWriter) {
 			w.Uvarint(1)
 			w.Uvarint(0x0a000001)

@@ -642,7 +642,9 @@ func (p *Pipeline) ComposeCollateral(profiles []hosts.Profile) *collateral.Aggre
 	return agg
 }
 
-// PendingCells returns the number of compact per-event tally cells
-// currently retained for the collateral question (the
-// online.open_event_records gauge).
+// PendingCells returns the number of (event, destination, port) tally
+// cells retained for the collateral question: every cell of every event
+// the observed records touched, kept for the whole run because top ports
+// are known only at compose time. On the online analyzer's sealed state
+// it is the online.pending_cells gauge.
 func (p *Pipeline) PendingCells() int { return p.Pending.Len() }

@@ -38,7 +38,7 @@ const sealCheckEvery = 4096
 type onlineMetrics struct {
 	retainedUpdates  *obs.Gauge
 	retainedFlows    *obs.Gauge
-	openEventRecords *obs.Gauge
+	pendingCells     *obs.Gauge
 	recordsCompacted *obs.Counter
 	snapshotLatency  *obs.Histogram
 	// The three phases of a snapshot after the seals have caught up, and
@@ -147,7 +147,7 @@ func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 
 // RegisterMetrics exposes the analyzer's retention and snapshot metrics
 // under the "online." prefix: gauges for retained control updates,
-// retained (unsealed) flow records and open-event collateral cells, a
+// retained (unsealed) flow records and the sealed collateral cells, a
 // counter of records compacted into operator state, a snapshot latency
 // histogram (milliseconds) with span timers for its clone, replay and
 // compose phases (they sum to no more than the histogram's total: lock
@@ -162,7 +162,7 @@ func (a *OnlineAnalyzer) RegisterMetrics(reg *obs.Registry) {
 	a.metrics = &onlineMetrics{
 		retainedUpdates:  reg.Gauge("online.retained_updates"),
 		retainedFlows:    reg.Gauge("online.retained_flows"),
-		openEventRecords: reg.Gauge("online.open_event_records"),
+		pendingCells:     reg.Gauge("online.pending_cells"),
 		recordsCompacted: reg.Counter("online.records_compacted"),
 		snapshotLatency: reg.Histogram("online.snapshot_latency_ms",
 			1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000),
@@ -401,7 +401,7 @@ func (a *OnlineAnalyzer) advanceLocked() {
 		m.recordsCompacted.Add(a.sealed - before)
 		m.retainedUpdates.Set(int64(len(updates)))
 		m.retainedFlows.Set(pend.total - a.sealed)
-		m.openEventRecords.Set(int64(a.ops.PendingCells()))
+		m.pendingCells.Set(int64(a.ops.PendingCells()))
 		copies := a.ops.CowCopies()
 		m.cowCopies.Add(copies - a.cowSeen)
 		a.cowSeen = copies

@@ -506,6 +506,8 @@ func writtenKeys(ix *events.Index, recs []rtbh.FlowRecord) int64 {
 // clone together copy no more sub-aggregates than the distinct keys the
 // records they observed in between can write — the sealed side observed
 // what was compacted since the previous snapshot, the clone the tail.
+// The pending-cells gauge equals the cells a batch pass over the same
+// control prefix keeps for the records sealed so far.
 func TestOnlineSnapshotMetricsReconcile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a test-scale world")
@@ -544,6 +546,16 @@ func TestOnlineSnapshotMetricsReconcile(t *testing.T) {
 			t.Errorf("cut %d/%d: online.control.merged_updates = %d, online.retained_updates = %d, want both %d", k, cuts, merged, retained, fedUpd)
 		}
 
+		batch, err := pipeline.New(ds.Meta, ds.Updates[:fedUpd], events.DefaultDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch.ObserveRecords(flows[:compacted])
+		cells := snap.Gauge("online.pending_cells")
+		if want := int64(batch.PendingCells()); cells != want {
+			t.Errorf("cut %d/%d: online.pending_cells = %d, a batch pass over the %d sealed records holds %d", k, cuts, cells, compacted, want)
+		}
+
 		evs := events.Merge(ds.Updates[:fedUpd], events.DefaultDelta, ds.Meta.End)
 		ix := events.NewIndex(evs, ds.Meta.End)
 		tail := writtenKeys(ix, flows[compacted:fedFlow])
@@ -551,7 +563,7 @@ func TestOnlineSnapshotMetricsReconcile(t *testing.T) {
 		if k == cuts/2 {
 			bound += tail
 		}
-		t.Logf("cut %d/%d: %d copies for at most %d written keys", k, cuts, copies-prevCopies, bound)
+		t.Logf("cut %d/%d: %d copies for at most %d written keys, %d pending cells", k, cuts, copies-prevCopies, bound, cells)
 		if got := copies - prevCopies; got > bound {
 			t.Errorf("cut %d/%d: %d sub-aggregates copied since the previous snapshot, but the %d sealed and %d replayed records can write only %d keys",
 				k, cuts, got, compacted-prevCompacted, int64(fedFlow)-compacted, bound)
