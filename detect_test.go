@@ -138,6 +138,37 @@ func TestDetectClosedLoop(t *testing.T) {
 	if got := snap.Counter("detect.announcements"); got != nAnnounced {
 		t.Errorf("detect.announcements = %d, %d announcements archived", got, nAnnounced)
 	}
+	var nWithdrawn int64
+	for i := range withdrawn {
+		nWithdrawn += int64(withdrawn[i])
+	}
+	if got := snap.Counter("detect.withdrawals"); got != nWithdrawn {
+		t.Errorf("detect.withdrawals = %d, %d withdrawals archived", got, nWithdrawn)
+	}
+	// The detector saw every collected record, and the collector every
+	// archived one; the blackholed ones are those the fabric dropped.
+	var archived, blackholed int64
+	if err := ds.EachFlowBatch(func(fb *ipfix.RecordBatch) error {
+		for i := range fb.Recs {
+			archived++
+			if fb.Recs[i].DstMAC == ds.Meta.BlackholeMAC {
+				blackholed++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, col := snap.Counter("detect.records"), snap.Counter("live.ipfix.collected_records"); got != col || got != archived {
+		t.Errorf("detect.records = %d, live.ipfix.collected_records = %d, %d flow records archived", got, col, archived)
+	}
+	if got := snap.Counter("detect.blackholed_records"); got != blackholed {
+		t.Errorf("detect.blackholed_records = %d, %d archived records carry the blackhole MAC", got, blackholed)
+	}
+	if got := snap.Gauge("detect.tracked_victims"); got != int64(st.Tracked) {
+		t.Errorf("detect.tracked_victims = %d, Status().Tracked = %d", got, st.Tracked)
+	}
+	t.Logf("detect: %d records, %d blackholed, %d withdrawals, %d tracked victims", archived, blackholed, nWithdrawn, st.Tracked)
 
 	// Online == offline over the run's own archived stream, with the
 	// detector's updates part of both.
@@ -216,9 +247,12 @@ func TestDetectChaosSoak(t *testing.T) {
 }
 
 // BenchmarkDetectIngest measures the flow-ingest path with the detector
-// off and on over the same pre-simulated record stream: the per-record
-// detector overhead (two sketch updates, a gated window scan) must stay
-// within noise of the analyzer-only baseline.
+// off and on over the same pre-simulated record stream. detector-off is
+// the online analyzer alone; detector-on feeds every batch to a fresh
+// detector as well (per record one victim-record probe, the packet and
+// gate tallies, and a window scan where the gate opens) and drains its
+// actions once. The difference between the two is the detector's
+// per-record cost, several times the analyzer's own.
 func BenchmarkDetectIngest(b *testing.B) {
 	dir := b.TempDir()
 	cfg := goldenConfig()

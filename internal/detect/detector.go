@@ -1,3 +1,15 @@
+// Package detect closes the measurement loop: a streaming DRDoS
+// detector over the live flow path that originates RTBH announcements
+// through the route server when a victim's inbound rate crosses an
+// attack threshold, and withdraws them when the attack subsides
+// (IXmon-style, Subramani et al. — see DESIGN.md, "Closed-loop
+// detection").
+//
+// Everything the detector keeps about one destination lives in one
+// victim record under one slot geometry: packets per slot, the scan
+// gate's tallies, the per-slot (proto, source port) vector cells that
+// let a detection name its amplification services, and, once the victim
+// first runs hot, its hysteresis.
 package detect
 
 import (
@@ -30,10 +42,11 @@ const (
 	DefaultWindow    = 5 * time.Minute
 	DefaultCooldown  = 10 * time.Minute
 
-	// retention is the sketch horizon. It comfortably exceeds the
-	// longest flow batch the scenario driver injects (quiet-host baseline
-	// batches span a full day), so an attack's samples are never evicted
-	// by a timestamp from the far side of the same day.
+	// retention is the horizon of live slots. It comfortably exceeds
+	// the longest flow batch the scenario driver injects (quiet-host
+	// baseline batches span a full day), so an attack's samples are never
+	// evicted by a timestamp from the far side of the same day. With
+	// slots of at least a second it is at most 93,600 slots.
 	retention = 26 * time.Hour
 )
 
@@ -59,7 +72,8 @@ type Config struct {
 	// derived default threshold — an explicit Threshold wins.
 	TrafficScale float64
 	// Window is the sliding detection window, between a second and half
-	// the sketch horizon; the sketches bucket a fifth of it per slot.
+	// the retention horizon; the detector buckets a fifth of it (at
+	// least a second) per slot.
 	// Zero selects DefaultWindow.
 	Window time.Duration
 	// Cooldown is how long a victim must stay below half the threshold
@@ -94,7 +108,7 @@ func (c Config) withDefaults() (Config, error) {
 	case c.SamplingRate <= 0:
 		return c, fmt.Errorf("detect: SamplingRate must be positive, got %d", c.SamplingRate)
 	case c.Window < time.Second || c.Window > retention/2:
-		return c, fmt.Errorf("detect: Window must be between 1s and half the %v sketch horizon, got %v", retention, c.Window)
+		return c, fmt.Errorf("detect: Window must be between 1s and half the %v retention horizon, got %v", retention, c.Window)
 	}
 	return c, nil
 }
@@ -130,19 +144,6 @@ type Action struct {
 	DetectionID int
 }
 
-// victimState is the per-victim hysteresis.
-type victimState struct {
-	active bool
-	det    int // index into detections; valid once any detection fired
-	// hotEnd is the end of the latest window at or above half the
-	// threshold (flow time, monotone). Cooldown counts from here.
-	hotEnd time.Time
-	// clearedEnd consumes windows: after a withdrawal only windows
-	// ending strictly later can re-trigger, so one attack's retained
-	// samples cannot re-announce in a loop.
-	clearedEnd time.Time
-}
-
 // detectorMetrics is the optional obs instrumentation ("detect.*").
 type detectorMetrics struct {
 	records       *obs.Counter
@@ -152,140 +153,42 @@ type detectorMetrics struct {
 	drops         *obs.Counter
 }
 
-// gateInline is the victimGate's inline capacity: buckets tracked in
-// fixed arrays before the gate grows a ring. Most destinations are
-// scan/one-off targets touching a bucket or two, so the inline form
-// keeps the gate map's footprint tiny.
-const gateInline = 4
-
-// victimGate is one victim's scan-gate tallies: packets per
-// window-width bucket of slots. It starts as a fixed inline array of
-// (bucket, tally) pairs — linear-scanned, never pruned; stale entries
-// only overcount, which the gate (a sound upper bound) tolerates. Past
-// gateInline distinct buckets it upgrades to a ring over the retention
-// span. Two live buckets can never collide in the ring (they would be a
-// full retention apart), so a mismatched occupant is always dead and
-// its tally is simply discarded — the ring needs no sweep at all. Kept
-// per victim because records arrive batch-grouped by destination: the
-// hot structure stays cache-resident across a batch's run of records.
-type victimGate struct {
-	sids   [gateInline]int64 // inline bucket ids; minSlot when unused
-	stally [gateInline]int64
-	used   int32
-	ids    []int64 // ring; nil while inline
-	tally  []int64
-}
-
-func newVictimGate() *victimGate {
-	g := &victimGate{}
-	for i := range g.sids {
-		g.sids[i] = minSlot
-	}
-	return g
-}
-
-// toRing upgrades the gate to ring form of n cells, keeping the newest
-// occupant of any colliding cell (the older is necessarily dead).
-func (g *victimGate) toRing(n int64) {
-	g.ids = make([]int64, n)
-	g.tally = make([]int64, n)
-	for i := range g.ids {
-		g.ids[i] = minSlot
-	}
-	for k := int32(0); k < g.used; k++ {
-		cs := g.sids[k]
-		i := ringIdx(cs, n)
-		if g.ids[i] == minSlot || g.ids[i] < cs {
-			g.ids[i] = cs
-			g.tally[i] = g.stally[k]
-		}
-	}
-}
-
-// add folds pkts into bucket cs and returns its tally. n is the ring
-// size used on upgrade.
-func (g *victimGate) add(cs, pkts, n int64) int64 {
-	if g.ids == nil {
-		for k := int32(0); k < g.used; k++ {
-			if g.sids[k] == cs {
-				g.stally[k] += pkts
-				return g.stally[k]
-			}
-		}
-		if g.used < gateInline {
-			g.sids[g.used] = cs
-			g.stally[g.used] = pkts
-			g.used++
-			return pkts
-		}
-		g.toRing(n)
-	}
-	i := ringIdx(cs, n)
-	if g.ids[i] != cs {
-		g.ids[i] = cs
-		g.tally[i] = 0
-	}
-	g.tally[i] += pkts
-	return g.tally[i]
-}
-
-// read returns bucket cs's tally, zero when untracked.
-func (g *victimGate) read(cs, n int64) int64 {
-	if g.ids == nil {
-		for k := int32(0); k < g.used; k++ {
-			if g.sids[k] == cs {
-				return g.stally[k]
-			}
-		}
-		return 0
-	}
-	i := ringIdx(cs, n)
-	if g.ids[i] != cs {
-		return 0
-	}
-	return g.tally[i]
-}
-
-// ringIdx maps a (possibly negative) bucket index onto the ring.
-func ringIdx(cs, n int64) int64 {
-	i := cs % n
-	if i < 0 {
-		i += n
-	}
-	return i
-}
-
 // Detector is the streaming closed-loop engine. ObserveFlowBatch is safe
 // to call from the collector goroutine concurrently with Tick and Status
 // from the run loop; all state is guarded by one mutex, and the hot
-// path does a map update plus (rarely) a bounded window scan.
+// path does one map probe, a few tally updates and (rarely) a bounded
+// window scan.
 type Detector struct {
 	mu      sync.Mutex
 	cfg     Config
-	slot    time.Duration
-	wslots  int64
-	rate    *Rate
-	vectors *Vectors
-	state   map[uint32]*victimState
+	victims map[uint32]*victim
 	dets    []Detection
 	pending []Action
 	m       detectorMetrics
+
+	// The slot geometry every victim shares. Flow timestamps are
+	// bucketed into slot-wide slots, a window spans wslots of them, and
+	// only the retain slots up to the highest slot ever observed
+	// (maxSlot) are live. Eviction and every query are pure functions of
+	// (geometry, observation multiset), so observation order never
+	// changes what a query answers. swept is maxSlot at the last sweep.
+	//
+	// The flow timeline at an IXP is far from monotone: day-long
+	// baseline batches put records up to ~24h ahead of the injection
+	// clock, so a window anchored at the newest timestamp would race
+	// past mid-day attacks. The horizon therefore retains comfortably
+	// more than a day (retention) and a record re-checks every window it
+	// can have changed, not just the newest one.
+	slot    time.Duration
+	wslots  int64
+	retain  int64
+	maxSlot int64
+	swept   int64
 
 	// detectPkts and hotPkts are the sampled-packet sums equivalent to
 	// Threshold and Threshold/2 over one window.
 	detectPkts float64
 	hotPkts    int64
-
-	// gate is the scan gate: per-victim packet tallies over wslots-wide
-	// buckets. Every window an observation in slot s can change lies
-	// inside the three buckets around s, so when their sum stays under
-	// hotPkts no window crossed anything and the scan is skipped — the
-	// quiet majority of records never pays more than a ring update.
-	// Tallies may overcount evicted fine slots (the gate is an upper
-	// bound), which keeps maintenance trivial. A victim's gate goes when
-	// the rate sketch sweeps the victim: its buckets then lie more than a
-	// horizon behind any live record's, so reading them already gave 0.
-	gate map[uint32]*victimGate
 }
 
 // New builds a detector. cfg zero values take the documented defaults;
@@ -295,15 +198,15 @@ func New(cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	slot := max(cfg.Window/5, time.Second) // the sketch bucket width
+	slot := max(cfg.Window/5, time.Second)
 	d := &Detector{
 		cfg:     cfg,
+		victims: make(map[uint32]*victim),
 		slot:    slot,
 		wslots:  int64((cfg.Window + slot - 1) / slot),
-		rate:    NewRate(slot, retention),
-		vectors: NewVectors(slot, retention),
-		state:   make(map[uint32]*victimState),
-		gate:    make(map[uint32]*victimGate),
+		retain:  int64((retention + slot - 1) / slot),
+		maxSlot: minSlot,
+		swept:   minSlot,
 		m: detectorMetrics{
 			records:       &obs.Counter{},
 			detections:    &obs.Counter{},
@@ -312,13 +215,9 @@ func New(cfg Config) (*Detector, error) {
 			drops:         &obs.Counter{},
 		},
 	}
-	d.rate.evicted = func(victim uint32) { delete(d.gate, victim) }
 	windowSec := (time.Duration(d.wslots) * slot).Seconds()
 	d.detectPkts = cfg.Threshold * windowSec / float64(cfg.SamplingRate)
-	d.hotPkts = int64(math.Ceil(d.detectPkts / 2))
-	if d.hotPkts < 1 {
-		d.hotPkts = 1
-	}
+	d.hotPkts = max(int64(math.Ceil(d.detectPkts/2)), 1)
 	return d, nil
 }
 
@@ -338,7 +237,7 @@ func (d *Detector) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("detect.tracked_victims", func() int64 {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return int64(d.rate.Victims())
+		return int64(d.trackedLocked())
 	})
 	reg.GaugeFunc("detect.pending_actions", func() int64 {
 		d.mu.Lock()
@@ -347,18 +246,36 @@ func (d *Detector) RegisterMetrics(reg *obs.Registry) {
 	})
 }
 
+// activeLocked counts the detections whose blackhole is still up.
 func (d *Detector) activeLocked() int {
 	n := 0
-	for _, st := range d.state {
-		if st.active {
+	for i := range d.dets {
+		if d.dets[i].Active() {
 			n++
 		}
 	}
 	return n
 }
 
-// ObserveFlowBatch folds one batch of collected records into the
-// sketches, in order and under a single lock acquisition, and runs the
+// trackedLocked counts the victims holding slots; a record that a sweep
+// released is kept only for its hysteresis.
+func (d *Detector) trackedLocked() int {
+	n := 0
+	for _, v := range d.victims {
+		if v.maxSlot != minSlot {
+			n++
+		}
+	}
+	return n
+}
+
+// mitigating reports whether h's latest detection is still active.
+func (d *Detector) mitigating(h *hysteresis) bool {
+	return h != nil && h.det >= 0 && d.dets[h.det].Active()
+}
+
+// ObserveFlowBatch folds one batch of collected records into the victim
+// records, in order and under a single lock acquisition, and runs the
 // detection check for each record's destination. Call it on every batch
 // the collector delivers, in arrival order. It borrows b per the
 // ipfix.RecordBatch contract.
@@ -375,53 +292,68 @@ func (d *Detector) ObserveFlowBatch(b *ipfix.RecordBatch) {
 
 func (d *Detector) observeFlowLocked(rec *ipfix.FlowRecord) {
 	d.m.records.Inc()
-	victim := rec.DstIP
-	pkts := int64(rec.Packets)
-	d.rate.Observe(victim, rec.Start, pkts)
-
+	s, pkts := d.slotOf(rec.Start), int64(rec.Packets)
+	if s > d.maxSlot {
+		d.maxSlot = s
+		// Amortized eviction: a full sweep only when the horizon has
+		// moved a quarter of its span since the last one. Queries
+		// filter dead slots themselves, so the sweep is purely a memory
+		// bound.
+		if d.swept == minSlot || d.maxSlot-d.swept >= d.retain/4+1 {
+			d.sweep()
+		}
+	}
+	v := d.victims[rec.DstIP]
 	if d.cfg.BlackholeMAC != 0 && rec.DstMAC == d.cfg.BlackholeMAC {
 		d.m.drops.Inc()
-		d.noteDropLocked(victim, rec.Start)
+		if v != nil {
+			d.noteDropLocked(v.hyst, rec.Start)
+		}
 	}
+	if s < d.horizon() {
+		// Dead on arrival: no window sum changes. Keeping it out of the
+		// tallies also preserves the rings' no-live-collision invariant.
+		return
+	}
+	if v == nil {
+		v = &victim{maxSlot: minSlot}
+		d.victims[rec.DstIP] = v
+	}
+	v.maxSlot = max(v.maxSlot, s)
+	v.rate.add(s, pkts, rateList, d.retain)
 
 	// The scan gate. Every window this record can change ends in
 	// [s, s+wslots), and those windows' slots all lie inside the three
-	// coarse buckets around s; their combined tally bounds every such
+	// gate buckets around s; their combined tally bounds every such
 	// window sum from above. Under hotPkts nothing crossed either
 	// threshold, so the quiet majority of records skips both the window
-	// scan and the vector sketch. Vectors therefore only tallies records
-	// from hot regions — the handful of quiet packets preceding the gate
-	// opening are absent from a detection's vector shares, which is fine
-	// for naming the dominant amplification services.
-	s := d.rate.slotOf(rec.Start)
-	if s < d.rate.horizon() {
-		// Dead on arrival: the rate sketch dropped it, so no window sum
-		// changed. Keeping it out of the gate also preserves the ring's
-		// no-live-collision invariant.
+	// scan and the vector cells. Vector cells therefore only tally
+	// records from hot regions: the handful of quiet packets preceding
+	// the gate opening are absent from a detection's vector shares,
+	// which is fine for naming the dominant amplification services.
+	cs, n := floorDiv(s, d.wslots), d.retain/d.wslots+2
+	if v.gate.add(cs, pkts, gateList, n)+v.gate.get(cs-1, n)+v.gate.get(cs+1, n) < d.hotPkts {
 		return
 	}
-	cs := floorDiv(s, d.wslots)
-	g := d.gate[victim]
-	if g == nil {
-		g = newVictimGate()
-		d.gate[victim] = g
-	}
-	n := d.coarseRetain()
-	if g.add(cs, pkts, n)+g.read(cs-1, n)+g.read(cs+1, n) < d.hotPkts {
-		return
-	}
-	if st := d.state[victim]; st != nil && st.active &&
-		!st.hotEnd.IsZero() && s+d.wslots <= d.rate.slotOf(st.hotEnd) {
+	if h := v.hyst; d.mitigating(h) && !h.hotEnd.IsZero() && s+d.wslots <= d.slotOf(h.hotEnd) {
 		// Mitigation is already active and every window this record
 		// touches ends at or before the hysteresis frontier: the scan
 		// could neither advance the cooldown (hotEnd is a monotone max)
-		// nor fire again (active blocks detections), so the record is
-		// fully absorbed by the rate tallies. The bulk of an attack's
-		// records arrive here once its blackhole is up.
+		// nor fire again (an active detection blocks new ones), so the
+		// record is fully absorbed by the packet tally. The bulk of an
+		// attack's records arrive here once its blackhole is up.
 		return
 	}
-	d.vectors.Observe(victim, rec.Start, rec.Proto, rec.SrcPort, pkts)
-	d.scanVictimLocked(victim, s)
+	if v.vecs == nil {
+		v.vecs = make(map[int64][]cell)
+	}
+	cells := v.vecs[s]
+	// Store back only when the list grew; in-place increments (the
+	// common case) need no map write.
+	if grown := addCell(cells, int64(makeVectorKey(rec.Proto, rec.SrcPort)), pkts); len(grown) != len(cells) {
+		v.vecs[s] = grown
+	}
+	d.scanVictimLocked(rec.DstIP, v, s)
 }
 
 // floorDiv is integer division rounding toward negative infinity, so
@@ -434,19 +366,11 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// coarseRetain is the gate ring size: the retention horizon in
-// window-width buckets, plus slack so two live buckets can never share
-// a ring cell.
-func (d *Detector) coarseRetain() int64 {
-	return d.rate.retain/d.wslots + 2
-}
-
 // scanVictimLocked examines the windows the observation in slot s can
 // have changed (only those — windows not containing s had their chance
 // when their own records arrived), updating hysteresis and firing a
 // detection if a fresh window crosses the threshold.
-func (d *Detector) scanVictimLocked(victim uint32, s int64) {
-	st := d.state[victim]
+func (d *Detector) scanVictimLocked(id uint32, v *victim, s int64) {
 	var (
 		bestEnd  int64
 		bestPkts int64
@@ -455,10 +379,10 @@ func (d *Detector) scanVictimLocked(victim uint32, s int64) {
 		hasHot   bool
 	)
 	clearedEnd := int64(math.MinInt64)
-	if st != nil && !st.clearedEnd.IsZero() {
-		clearedEnd = d.rate.slotOf(st.clearedEnd) // SlotEnd(s) maps back to slot s+1's start; see below
+	if h := v.hyst; h != nil && !h.clearedEnd.IsZero() {
+		clearedEnd = d.slotOf(h.clearedEnd) // slotEnd(s) maps back to slot s+1's start
 	}
-	d.rate.WindowsAt(victim, s, d.wslots, func(endSlot, pkts int64) {
+	d.windowsAt(v, s, func(endSlot, pkts int64) {
 		if pkts >= d.hotPkts && (!hasHot || endSlot > hotEnd) {
 			hotEnd, hasHot = endSlot, true
 		}
@@ -468,30 +392,28 @@ func (d *Detector) scanVictimLocked(victim uint32, s int64) {
 		}
 	})
 	if hasHot {
-		if st == nil {
-			st = &victimState{det: -1}
-			d.state[victim] = st
+		if v.hyst == nil {
+			v.hyst = &hysteresis{det: -1}
 		}
-		if t := d.rate.SlotEnd(hotEnd); t.After(st.hotEnd) {
-			st.hotEnd = t
+		if t := d.slotEnd(hotEnd); t.After(v.hyst.hotEnd) {
+			v.hyst.hotEnd = t
 		}
 	}
-	if st == nil || st.active || !hasBest {
+	if v.hyst == nil || d.mitigating(v.hyst) || !hasBest {
 		return
 	}
 	windowSec := (time.Duration(d.wslots) * d.slot).Seconds()
 	det := Detection{
 		ID:         len(d.dets),
-		Victim:     victim,
-		DetectedAt: d.rate.SlotEnd(bestEnd),
+		Victim:     id,
+		DetectedAt: d.slotEnd(bestEnd),
 		RatePPS:    float64(bestPkts) * float64(d.cfg.SamplingRate) / windowSec,
-		Vectors:    d.vectors.Top(victim, bestEnd, d.wslots, 3),
+		Vectors:    d.topVectors(v, bestEnd, 3),
 	}
-	st.active = true
-	st.det = det.ID
+	v.hyst.det = det.ID
 	d.dets = append(d.dets, det)
 	d.pending = append(d.pending, Action{
-		Announce: true, Victim: victim, Time: det.DetectedAt, DetectionID: det.ID,
+		Announce: true, Victim: id, Time: det.DetectedAt, DetectionID: det.ID,
 	})
 	d.m.detections.Inc()
 }
@@ -499,12 +421,11 @@ func (d *Detector) scanVictimLocked(victim uint32, s int64) {
 // noteDropLocked records the first fabric drop at or after the victim's
 // current announcement. Flow timestamps arrive out of order, so an
 // earlier qualifying drop may show up later and replaces the stamp.
-func (d *Detector) noteDropLocked(victim uint32, t time.Time) {
-	st := d.state[victim]
-	if st == nil || st.det < 0 {
+func (d *Detector) noteDropLocked(h *hysteresis, t time.Time) {
+	if h == nil || h.det < 0 {
 		return
 	}
-	det := &d.dets[st.det]
+	det := &d.dets[h.det]
 	if det.AnnouncedAt.IsZero() || t.Before(det.AnnouncedAt) {
 		return
 	}
@@ -532,20 +453,20 @@ func (d *Detector) Tick(now time.Time) []Action {
 			d.m.announcements.Inc()
 		}
 	}
-	var expired []uint32
-	for victim, st := range d.state {
-		if st.active && now.Sub(st.hotEnd) >= d.cfg.Cooldown {
-			expired = append(expired, victim)
+	var expired []*Detection
+	for i := range d.dets {
+		det := &d.dets[i]
+		if det.Active() && now.Sub(d.victims[det.Victim].hyst.hotEnd) >= d.cfg.Cooldown {
+			expired = append(expired, det)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	for _, victim := range expired {
-		st := d.state[victim]
-		st.active = false
-		st.clearedEnd = st.hotEnd
-		d.dets[st.det].WithdrawnAt = now
+	sort.Slice(expired, func(i, j int) bool { return expired[i].Victim < expired[j].Victim })
+	for _, det := range expired {
+		h := d.victims[det.Victim].hyst
+		h.clearedEnd = h.hotEnd
+		det.WithdrawnAt = now
 		acts = append(acts, Action{
-			Announce: false, Victim: victim, Time: now, DetectionID: st.det,
+			Announce: false, Victim: det.Victim, Time: now, DetectionID: det.ID,
 		})
 		d.m.withdrawals.Inc()
 	}
@@ -576,7 +497,7 @@ func (d *Detector) Status() *Status {
 		Window:       d.cfg.Window,
 		Cooldown:     d.cfg.Cooldown,
 		Slot:         d.slot,
-		Tracked:      d.rate.Victims(),
+		Tracked:      d.trackedLocked(),
 		Active:       d.activeLocked(),
 		Pending:      len(d.pending),
 		Detections:   make([]Detection, len(d.dets)),

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,14 +179,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestGateEvictedWithRate streams one-off destinations across nine
-// sketch horizons: a destination's scan gate goes when the rate sketch
-// sweeps it, so gates never outnumber the sketch's victims, and the
-// detections equal those of a detector that keeps every gate.
-func TestGateEvictedWithRate(t *testing.T) {
+// TestSweepKeepsDetections streams one-off destinations across nine
+// horizons: the sweep releases and drops their records, so the tracked
+// victims stay bounded, and the detections equal those of a detector
+// that never sweeps.
+func TestSweepKeepsDetections(t *testing.T) {
 	d, _ := New(testConfig())
 	keep, _ := New(testConfig())
-	keep.rate.evicted = nil
+	keep.swept = math.MaxInt64 // maxSlot never gets a quarter horizon past it
 	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 	for h := 0; h < 240; h++ {
 		at, b := base.Add(time.Duration(h)*time.Hour), &ipfix.RecordBatch{}
@@ -199,12 +200,44 @@ func TestGateEvictedWithRate(t *testing.T) {
 			det.ObserveFlowBatch(b)
 			det.Tick(at.Add(time.Hour))
 		}
-		if len(d.gate) > d.rate.Victims() {
-			t.Fatalf("hour %d: %d gates for %d tracked victims", h, len(d.gate), d.rate.Victims())
+		// A destination is released two horizons and at most a quarter
+		// horizon after its hour: 59 hours of 21 destinations.
+		if n := d.Status().Tracked; n > 59*21 {
+			t.Fatalf("hour %d: %d tracked victims", h, n)
 		}
 	}
-	got, want := d.Status().Detections, keep.Status().Detections
-	if len(keep.gate) < 3*len(d.gate) || len(want) != 35 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("%d gates kept against %d evicted; detections %v, want %v", len(keep.gate), len(d.gate), got, want)
+	got, want := d.Status(), keep.Status()
+	if want.Tracked != 240*20+35 || len(want.Detections) != 35 ||
+		!reflect.DeepEqual(got.Detections, want.Detections) {
+		t.Fatalf("%d victims tracked against %d never swept; detections %v, want %v",
+			got.Tracked, want.Tracked, got.Detections, want.Detections)
+	}
+}
+
+// TestDetectionVectorsWithinWindow pins the shared horizon: a
+// detection's vector shares count only the slots its window sum counts,
+// so they never name packets the window left out. Slot 0 dies when
+// another destination's record moves the horizon to slot 1.
+func TestDetectionVectorsWithinWindow(t *testing.T) {
+	d, _ := New(testConfig())
+	slot := func(s int) time.Time { return time.Unix(0, 0).Add(time.Duration(s)*time.Minute + time.Second) }
+	victim := uint32(0xC0A80002)
+	for i := 0; i < 2; i++ {
+		observe(d, flowRec(victim, slot(0), 17, 123))
+	}
+	observe(d, flowRec(victim+1, slot(1560), 6, 443))
+	for i := 0; i < 4; i++ {
+		observe(d, flowRec(victim, slot(1), 17, 123))
+	}
+	dets := d.Status().Detections
+	if len(dets) != 1 {
+		t.Fatalf("want one detection, got %+v", dets)
+	}
+	var vecPkts int64
+	for _, v := range dets[0].Vectors {
+		vecPkts += v.Pkts
+	}
+	if window := int64(math.Round(dets[0].RatePPS * 300 / 10000)); vecPkts > window {
+		t.Fatalf("vectors %v name %d packets, the window counted %d", dets[0].Vectors, vecPkts, window)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	rtbh "repro"
@@ -165,7 +166,7 @@ func New(cfg Config) (*Server, error) {
 	// No endpoint name: an unknown path counts under serve.errors only.
 	s.mux.Handle("/", s.handle("", func(r *http.Request) (any, *httpError) {
 		return nil, notFound("unknown path %q (endpoints: /api/{%s})",
-			r.URL.Path, joinNames(endpointNames))
+			r.URL.Path, strings.Join(endpointNames, ","))
 	}))
 	return s, nil
 }
@@ -241,17 +242,6 @@ func notFound(format string, args ...any) *httpError {
 
 func internalErr(err error) *httpError {
 	return &httpError{http.StatusInternalServerError, err.Error()}
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }
 
 // handle wraps an endpoint: method check, metrics, JSON rendering.

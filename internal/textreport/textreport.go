@@ -206,7 +206,7 @@ func All() []Experiment {
 			Render: func(w io.Writer, r *rtbh.Report) {
 				total := r.Fig11NoData + len(r.Fig11PreDataSlots)
 				fmt.Fprintf(w, "pre-RTBH windows: %d, without any samples: %d (%.1f%%)\n",
-					total, r.Fig11NoData, 100*float64(r.Fig11NoData)/float64(maxInt(total, 1)))
+					total, r.Fig11NoData, 100*float64(r.Fig11NoData)/float64(max(total, 1)))
 				buckets := []int{1, 6, 12, 24, 48, 96, 288, 864}
 				counts := make([]int, len(buckets))
 				for _, n := range r.Fig11PreDataSlots {
@@ -382,7 +382,7 @@ func All() []Experiment {
 					r.Fig18.Events, r.Fig18.MaxAll)
 				fmt.Fprintln(w, "rank all_pkts dropped_pkts (per-event, ascending)")
 				n := len(r.Fig18.AllPkts)
-				for i := 0; i < n; i += maxInt(n/10, 1) {
+				for i := 0; i < n; i += max(n/10, 1) {
 					d := int64(0)
 					if i < len(r.Fig18.DroppedPkts) {
 						d = r.Fig18.DroppedPkts[i]
@@ -465,7 +465,7 @@ func All() []Experiment {
 			Title: "Class distribution of pre-RTBH events",
 			Paper: "no data 46%; data without anomaly (<=10min) 27%; data with anomaly <=10min 27%",
 			Render: func(w io.Writer, r *rtbh.Report) {
-				total := float64(maxInt(r.Table2.Total(), 1))
+				total := float64(max(r.Table2.Total(), 1))
 				fmt.Fprintln(w, "class events share")
 				fmt.Fprintf(w, "no-data %d %.3f\n", r.Table2.NoData, float64(r.Table2.NoData)/total)
 				fmt.Fprintf(w, "data-no-anomaly %d %.3f\n", r.Table2.DataNoAnomaly, float64(r.Table2.DataNoAnomaly)/total)
@@ -571,13 +571,6 @@ func top0(p rtbh.Participation) float64 {
 		return 0
 	}
 	return p.Top10[0]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // orgType converts a string label into the registry's type key.

@@ -145,7 +145,7 @@ func (lr *LiveRun) EnableSnapshotChaos(seed uint64, profile string) error {
 }
 
 // EnableDetector arms the closed-loop DRDoS detector for the run: every
-// collected flow record also feeds a streaming rate/vector sketch, and
+// collected flow record also feeds the detector's per-victim tallies, and
 // when a victim's estimated packet rate crosses cfg.Threshold the
 // detector originates an RTBH announcement for the victim /32 through
 // the route server as its own mitigation peer (AS detect.PeerASN),
