@@ -13,10 +13,11 @@ import (
 // hands every flow record to a sink in arrival order.
 //
 // Backpressure policy: the socket reader never blocks on the decoder —
-// it copies each datagram into a bounded ingest queue and, when the
-// queue is full, drops the datagram and counts it (DroppedDatagrams).
-// The copies are recycled: the decoder hands every buffer back once it is
-// done with the datagram (a FlowRecord holds no reference into it).
+// it receives each datagram into a recycled buffer and hands that to a
+// bounded ingest queue; when the queue is full it drops the datagram,
+// counts it (DroppedDatagrams), and reads the next one into the same
+// buffer. The decoder hands every buffer back once it is done with the
+// datagram (a FlowRecord holds no reference into it).
 // Records lost that way (and any lost by the kernel) surface in
 // DroppedRecords through RFC 7011 sequence-number gap accounting: each
 // message header carries the count of data records sent before it, so a
@@ -27,7 +28,11 @@ type Collector struct {
 	sink  ipfix.BatchSink
 	m     *Metrics
 	queue chan []byte
-	free  chan []byte // datagram buffers the decoder is done with
+	// free holds the buffers the decoder is done with, as many as the
+	// queue: a burst that filled it needs them all back when the next one
+	// comes, and a 64 KiB allocation per datagram would cost more than
+	// the receive. At most queueLen+2 buffers therefore ever exist.
+	free chan []byte
 
 	dec      *ipfix.MsgDecoder
 	expected map[uint32]uint32 // per observation domain: next expected seq
@@ -40,12 +45,12 @@ type Collector struct {
 }
 
 // NewCollector starts a collector on conn. queueLen bounds the ingest
-// queue (0 means 4096 datagrams). The sink is called from the single
-// decode goroutine with one batch per decoded datagram, borrowed per the
-// ipfix.RecordBatch contract.
+// queue (0 means DefaultQueueLen datagrams). The sink is called from the
+// single decode goroutine with one batch per decoded datagram, borrowed
+// per the ipfix.RecordBatch contract.
 func NewCollector(conn *net.UDPConn, queueLen int, sink ipfix.BatchSink, m *Metrics) *Collector {
 	if queueLen <= 0 {
-		queueLen = 4096
+		queueLen = DefaultQueueLen
 	}
 	if m == nil {
 		m = NewMetrics()
@@ -58,7 +63,7 @@ func NewCollector(conn *net.UDPConn, queueLen int, sink ipfix.BatchSink, m *Metr
 		sink:     sink,
 		m:        m,
 		queue:    make(chan []byte, queueLen),
-		free:     make(chan []byte, dgramFreeLen),
+		free:     make(chan []byte, queueLen),
 		dec:      ipfix.NewMsgDecoder(),
 		expected: make(map[uint32]uint32),
 		seen:     make(map[uint32]bool),
@@ -74,54 +79,50 @@ func NewCollector(conn *net.UDPConn, queueLen int, sink ipfix.BatchSink, m *Metr
 func (c *Collector) readLoop() {
 	defer c.wg.Done()
 	defer close(c.queue)
-	buf := make([]byte, 1<<16)
+	buf := c.getBuf()
 	for {
 		// The AddrPort form returns the source by value: ReadFromUDP
 		// allocates a *UDPAddr per datagram.
-		n, _, err := c.conn.ReadFromUDPAddrPort(buf)
+		n, _, err := c.conn.ReadFromUDPAddrPort(buf[:dgramBufLen])
 		if err != nil {
 			return // socket closed
 		}
-		dg := c.getBuf(n)
-		copy(dg, buf[:n])
 		select {
-		case c.queue <- dg:
+		case c.queue <- buf[:n]:
+			if depth := int64(len(c.queue)); depth > c.m.QueueHighWater.Value() {
+				c.m.QueueHighWater.Set(depth)
+			}
+			buf = c.getBuf()
 		default:
+			// The queue was full: buf stays the read loop's.
+			c.m.QueueHighWater.Set(int64(cap(c.queue)))
 			c.m.DroppedDatagrams.Inc()
-			c.putBuf(dg)
 		}
 	}
 }
 
 const (
-	// dgramBufLen is the capacity of a recycled datagram buffer: what an
-	// MTU-bound exporter sends (DefaultMTU) and some. A larger datagram
-	// gets a buffer of its own that is not recycled.
-	dgramBufLen = 2048
-	// dgramFreeLen bounds the free list to what a burst that deep needs
-	// back when the next one comes; the rest is left to the garbage
-	// collector, so a drained queue does not pin its high-water mark.
-	dgramFreeLen = 256
+	// DefaultQueueLen is the ingest queue's depth when none is given:
+	// 8 MiB of datagram buffers.
+	DefaultQueueLen = 128
+	// dgramBufLen is the capacity of every datagram buffer: a whole
+	// loopback datagram, so the socket reads straight into it (MaxDatagram
+	// and some).
+	dgramBufLen = 64 << 10
 )
 
-// getBuf returns a buffer of length n, recycled if one is free.
-func (c *Collector) getBuf(n int) []byte {
-	if n > dgramBufLen {
-		return make([]byte, n)
-	}
+// getBuf returns a datagram buffer, recycled if one is free.
+func (c *Collector) getBuf() []byte {
 	select {
 	case b := <-c.free:
-		return b[:n]
+		return b
 	default:
-		return make([]byte, n, dgramBufLen)
+		return make([]byte, dgramBufLen)
 	}
 }
 
 // putBuf hands a buffer from getBuf back.
 func (c *Collector) putBuf(b []byte) {
-	if cap(b) != dgramBufLen {
-		return
-	}
 	select {
 	case c.free <- b:
 	default:

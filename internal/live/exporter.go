@@ -10,10 +10,12 @@ import (
 
 // exporter defaults.
 const (
-	// DefaultMTU bounds exported datagram size: a conservative path MTU
-	// for loopback/LAN export (RFC 7011 §10.3.3 requires staying under
-	// it, since IPFIX over UDP must not rely on fragmentation).
-	DefaultMTU = 1400
+	// MaxDatagram bounds exported datagram size: the largest IPv4 UDP
+	// payload (65,535 − 20 − 8 bytes). The runner exports only over
+	// loopback, whose 65,536-byte MTU this stays under, so a full message
+	// is never fragmented (RFC 7011 §10.3.3) and costs one send and one
+	// receive for 1,335 records.
+	MaxDatagram = 65507
 	// templateEvery is how often (in messages) the template set is
 	// re-sent. UDP delivery is unreliable, so templates repeat much more
 	// often than in the file archive: a collector joining late or losing
@@ -42,10 +44,10 @@ type Exporter struct {
 
 // NewExporter returns an exporter for observation domain id domain
 // sending on conn (a connected UDP socket). mtu bounds the datagram
-// size; 0 means DefaultMTU.
+// size; 0 means MaxDatagram.
 func NewExporter(conn net.Conn, domain uint32, mtu int, m *Metrics) (*Exporter, error) {
 	if mtu <= 0 {
-		mtu = DefaultMTU
+		mtu = MaxDatagram
 	}
 	// Reserve template space in every message so capacity is constant;
 	// template-less messages just run slightly under the MTU.

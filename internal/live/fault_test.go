@@ -95,7 +95,9 @@ func TestExporterChaosAccounting(t *testing.T) {
 	plan := faultnet.NewPlan(4, faultnet.ProfileLossyUDP)
 	m := NewMetrics()
 	collected := 0
-	exp, col := newLoopbackPair(t, 0, func(b *ipfix.RecordBatch) error {
+	// WAN-sized datagrams: ~740 of them, enough for the plan to inject
+	// every kind of fault; loopback-sized ones would be 15.
+	exp, col := newLoopbackPair(t, 0, 1400, func(b *ipfix.RecordBatch) error {
 		collected += b.Len()
 		return nil
 	}, m)
@@ -159,7 +161,7 @@ func TestRunnerChaosDrainPartition(t *testing.T) {
 	plan := faultnet.NewPlan(5, faultnet.ProfilePartitionHeal)
 	m := NewMetrics()
 	collected := 0
-	exp, col := newLoopbackPair(t, 0, func(b *ipfix.RecordBatch) error {
+	exp, col := newLoopbackPair(t, 0, 0, func(b *ipfix.RecordBatch) error {
 		collected += b.Len()
 		return nil
 	}, m)

@@ -34,7 +34,9 @@ func flowBatch(n int) *ipfix.RecordBatch {
 	return b
 }
 
-func newLoopbackPair(t *testing.T, queueLen int, sink ipfix.BatchSink, m *Metrics) (*Exporter, *Collector) {
+// newLoopbackPair connects an exporter to a collector over loopback UDP;
+// queueLen and mtu are NewCollector's and NewExporter's (0: defaults).
+func newLoopbackPair(t *testing.T, queueLen, mtu int, sink ipfix.BatchSink, m *Metrics) (*Exporter, *Collector) {
 	t.Helper()
 	cc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -47,7 +49,7 @@ func newLoopbackPair(t *testing.T, queueLen int, sink ipfix.BatchSink, m *Metric
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ec.Close() })
-	exp, err := NewExporter(ec, 1, 0, m)
+	exp, err := NewExporter(ec, 1, mtu, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestExportCollectLoopback(t *testing.T) {
 	const n = 10_000
 	m := NewMetrics()
 	var got []ipfix.FlowRecord
-	exp, col := newLoopbackPair(t, 0, func(b *ipfix.RecordBatch) error {
+	exp, col := newLoopbackPair(t, 0, 0, func(b *ipfix.RecordBatch) error {
 		got = append(got, b.Recs...)
 		return nil
 	}, m)
@@ -93,9 +95,127 @@ func TestExportCollectLoopback(t *testing.T) {
 	if m.ExportedMsgs.Value() != m.CollectedMsgs.Value() {
 		t.Fatalf("exported %d msgs, collected %d", m.ExportedMsgs.Value(), m.CollectedMsgs.Value())
 	}
-	// Datagrams stayed under the MTU bound.
-	if per := ipfix.MaxRecords(DefaultMTU, true); int64(n+per-1)/int64(per) != m.ExportedMsgs.Value() {
+	// Datagrams stayed under the size bound.
+	if per := ipfix.MaxRecords(MaxDatagram, true); int64(n+per-1)/int64(per) != m.ExportedMsgs.Value() {
 		t.Fatalf("exported_msgs = %d, want ceil(%d/%d)", m.ExportedMsgs.Value(), n, per)
+	}
+}
+
+// sizeConn records the longest datagram written through it.
+type sizeConn struct {
+	net.Conn
+	longest int
+}
+
+func (c *sizeConn) Write(b []byte) (int, error) {
+	c.longest = max(c.longest, len(b))
+	return c.Conn.Write(b)
+}
+
+// TestExportFillsLoopbackDatagrams exports whole messages over a real
+// loopback pair, a few datagrams at a time so that no socket buffer
+// overflows, then a partial one: the exporter sends one datagram per
+// MaxRecords(65,507, true) records and none longer than 65,507 bytes,
+// nothing is shed or undecodable, the records arrive in order and
+// value-identical, and the collector receives into recycled buffers of
+// the one 64 KiB capacity — fewer than one allocation per ten datagrams
+// once the first window has warmed the free list.
+func TestExportFillsLoopbackDatagrams(t *testing.T) {
+	if DefaultQueueLen*dgramBufLen > 8<<20 {
+		t.Fatalf("default queue holds %d buffers of %d bytes, want at most 8 MiB", DefaultQueueLen, dgramBufLen)
+	}
+	// The largest IPv4 UDP payload: 65,535 bytes less the IP and UDP
+	// headers.
+	const loopbackMax = 65_507
+	per := ipfix.MaxRecords(loopbackMax, true)
+	const window, windows, tail = 4, 60, 17
+	n := windows*window*per + tail
+
+	m := NewMetrics()
+	next, mismatches := 0, 0
+	cc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(cc, 0, func(b *ipfix.RecordBatch) error {
+		for _, r := range b.Recs {
+			if r != flowRec(next) {
+				mismatches++
+			}
+			next++
+		}
+		return nil
+	}, m)
+	defer col.Close()
+	ec, err := net.Dial("udp", cc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	sc := &sizeConn{Conn: ec}
+	exp, err := NewExporter(sc, 1, 0, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src := make([]ipfix.FlowRecord, window*per)
+	export := func(from, k int) {
+		t.Helper()
+		b := &ipfix.RecordBatch{Recs: src[:k]}
+		for i := range b.Recs {
+			b.Recs[i] = flowRec(from + i)
+		}
+		if err := exp.ExportBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func() {
+		t.Helper()
+		if err := col.Drain(exp.Exported(), 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	for w := 0; w < windows; w++ {
+		if w == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		export(w*window*per, window*per)
+		drain()
+	}
+	runtime.ReadMemStats(&after)
+	export(windows*window*per, tail)
+	if err := exp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	drain()
+
+	if want := int64((n + per - 1) / per); m.ExportedMsgs.Value() != want {
+		t.Fatalf("exported %d datagrams, want ceil(%d/%d) = %d", m.ExportedMsgs.Value(), n, per, want)
+	}
+	if sc.longest > loopbackMax {
+		t.Fatalf("longest datagram %d bytes, want at most %d", sc.longest, loopbackMax)
+	}
+	if m.DroppedDatagrams.Value() != 0 || m.DroppedRecords.Value() != 0 || m.DecodeErrors.Value() != 0 {
+		t.Fatalf("%d datagrams shed, %d records dropped, %d undecodable",
+			m.DroppedDatagrams.Value(), m.DroppedRecords.Value(), m.DecodeErrors.Value())
+	}
+	if next != n || mismatches != 0 {
+		t.Fatalf("sink saw %d records, want %d; %d out of order or altered", next, n, mismatches)
+	}
+	if len(col.free) == 0 {
+		t.Fatal("no buffer came back to the free list")
+	}
+	for len(col.free) > 0 {
+		if b := <-col.free; cap(b) != dgramBufLen {
+			t.Fatalf("free list holds a buffer of capacity %d, want %d", cap(b), dgramBufLen)
+		}
+	}
+	dgrams := (windows - 1) * window
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations over %d datagrams", allocs, dgrams)
+	if allocs > uint64(dgrams/10) {
+		t.Fatalf("%d allocations over %d datagrams, want fewer than one per ten", allocs, dgrams)
 	}
 }
 
@@ -195,7 +315,7 @@ func TestCollectorLateDatagram(t *testing.T) {
 }
 
 // TestCollectorRecyclesDatagramBuffers streams 10,000 datagrams of every
-// size an MTU-bound exporter sends through a loopback collector and counts
+// size the exporter sends through a loopback collector and counts
 // the process's allocations once the first window has warmed the free
 // list: fewer than one per ten datagrams, where a copy made per datagram
 // is one each. A quarter of the datagrams is late and a quarter carries no
@@ -238,7 +358,7 @@ func TestCollectorRecyclesDatagramBuffers(t *testing.T) {
 	}
 
 	enc := ipfix.NewMsgEncoder(1)
-	recs := flowBatch(ipfix.MaxRecords(DefaultMTU, false)).Recs
+	recs := flowBatch(ipfix.MaxRecords(MaxDatagram, false)).Recs
 	write(enc.Encode(recs[:3], true, 98))                           // the template, once
 	late := append([]byte(nil), enc.Encode(recs[:3], false, 99)...) // on time now, late from then on
 	write(late)
@@ -281,11 +401,11 @@ func TestCollectorRecyclesDatagramBuffers(t *testing.T) {
 	// One more undecodable datagram than the free list holds, one at a
 	// time: an exit that kept its buffer would have emptied the list.
 	garbage := make([]byte, 700)
-	for i := 0; i <= dgramFreeLen; i++ {
+	for i := 0; i <= cap(col.free); i++ {
 		write(garbage)
 		resolve()
 	}
-	if m.DecodeErrors.Value() != dgramFreeLen+1 || len(col.free) == 0 {
+	if m.DecodeErrors.Value() != int64(cap(col.free))+1 || len(col.free) == 0 {
 		t.Fatalf("%d decode errors, %d buffers on the free list after them", m.DecodeErrors.Value(), len(col.free))
 	}
 }
@@ -389,7 +509,7 @@ func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
 	defer r.Shutdown()
 
 	// Whole messages only, so Drain's flush adds no datagram of its own.
-	n := msgs * ipfix.MaxRecords(DefaultMTU, true)
+	n := msgs * ipfix.MaxRecords(MaxDatagram, true)
 	if err := r.ExportFlowBatch(flowBatch(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +521,9 @@ func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
 		t.Fatalf("dropped %d datagrams, want at least %d", m.DroppedDatagrams.Value(), msgs-1-queueLen)
 	}
 	close(release)
+	if hw := m.QueueHighWater.Value(); hw != queueLen {
+		t.Fatalf("queue high water = %d after shedding, want the queue length %d", hw, queueLen)
+	}
 
 	start := time.Now()
 	if err := r.Drain(); err != nil {

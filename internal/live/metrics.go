@@ -40,9 +40,13 @@ type Metrics struct {
 	// reader). The records they carried surface in DroppedRecords via
 	// sequence-number gap accounting on the next accepted message.
 	DroppedDatagrams obs.Counter
-	DroppedRecords   obs.Counter
-	LateMsgs         obs.Counter
-	DecodeErrors     obs.Counter
+	// QueueHighWater is the most datagrams the ingest queue has held at
+	// once, as the socket reader saw it; a shed datagram means the queue
+	// was full.
+	QueueHighWater obs.Gauge
+	DroppedRecords obs.Counter
+	LateMsgs       obs.Counter
+	DecodeErrors   obs.Counter
 	// SyncMsgs counts empty sequence-sync messages emitted at drain time
 	// so that tail drops surface as sequence gaps (see Exporter.Sync).
 	SyncMsgs obs.Counter
@@ -51,7 +55,8 @@ type Metrics struct {
 // NewMetrics returns zeroed metrics.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Register exposes every counter on reg under the "live." namespace.
+// Register exposes every counter and gauge on reg under the "live."
+// namespace.
 func (m *Metrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("live.bgp.sessions_established", &m.SessionsEstablished)
 	reg.RegisterCounter("live.bgp.reconnects", &m.Reconnects)
@@ -68,6 +73,7 @@ func (m *Metrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("live.ipfix.collected_records", &m.CollectedRecords)
 	reg.RegisterCounter("live.ipfix.collected_msgs", &m.CollectedMsgs)
 	reg.RegisterCounter("live.ipfix.dropped_datagrams", &m.DroppedDatagrams)
+	reg.RegisterGauge("live.ipfix.queue_high_water", &m.QueueHighWater)
 	reg.RegisterCounter("live.ipfix.dropped_records", &m.DroppedRecords)
 	reg.RegisterCounter("live.ipfix.late_msgs", &m.LateMsgs)
 	reg.RegisterCounter("live.ipfix.decode_errors", &m.DecodeErrors)

@@ -15,7 +15,7 @@ import (
 type RunnerConfig struct {
 	// Session configures the BGP session FSM timers.
 	Session SessionConfig
-	// QueueLen bounds the collector ingest queue (0: 4096 datagrams).
+	// QueueLen bounds the collector ingest queue (0: DefaultQueueLen).
 	QueueLen int
 	// DrainTimeout bounds barriers and the final collector drain
 	// (0: 30s).
@@ -106,7 +106,7 @@ func NewRunner(ctx context.Context, cfg RunnerConfig, m *Metrics,
 		return nil, fmt.Errorf("live: exporter socket: %w", err)
 	}
 	r.expConn = ec
-	r.exporter, err = NewExporter(ec, 1, DefaultMTU, m)
+	r.exporter, err = NewExporter(ec, 1, MaxDatagram, m)
 	if err != nil {
 		r.Shutdown()
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	rtbh "repro"
+	"repro/internal/live"
 )
 
 // TestLiveBatchParity is the live subsystem's end-to-end determinism
@@ -70,6 +71,11 @@ func TestLiveBatchParity(t *testing.T) {
 		if v := counter(name); v != 0 {
 			t.Errorf("%s = %d, want 0", name, v)
 		}
+	}
+	// The ingest queue took the stream without shedding (dropped_datagrams
+	// is 0 above): it held a datagram, and never more than it can.
+	if hw := snap.Gauge("live.ipfix.queue_high_water"); !snap.Has("live.ipfix.queue_high_water") || hw < 1 || hw > live.DefaultQueueLen {
+		t.Errorf("live.ipfix.queue_high_water = %d, want 1..%d", hw, live.DefaultQueueLen)
 	}
 	// Every session ended in the orderly Cease at shutdown: the listener
 	// saw exactly one (graceful) peer-down per session it established
