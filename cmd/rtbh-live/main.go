@@ -23,7 +23,8 @@
 // stream: when a victim's estimated packet rate crosses
 // -detect-threshold over a -detect-window, the detector originates an
 // RTBH /32 for the victim through the route server as its own
-// mitigation peer, and withdraws it after -detect-cooldown of quiet.
+// mitigation peer, and withdraws it after -detect-cooldown of quiet
+// (0 keeps the default window and cooldown).
 // The closed-loop detections (with per-attack announce and first-drop
 // stamps) are scored against the scenario's ground truth after the run
 // and exposed at /api/detections while it streams. Detection is
@@ -32,10 +33,12 @@
 // With -serve, a looking-glass HTTP server (internal/serve) exposes the
 // online analyzer's state as JSON while the run streams: /api/health,
 // /api/summary, /api/events, /api/active, /api/collateral,
-// /api/usecases, /api/victims, /api/history. Requests are served from a
-// TTL snapshot cache (-serve-max-age, per-request ?maxAge= override)
-// and a rolling history ring (-serve-history cadence, -serve-history-depth
-// entries) so queries never block ingest. Serving is single-exchange
+// /api/usecases, /api/victims, /api/mitigation, /api/detections,
+// /api/history. Requests are served from a TTL snapshot cache
+// (-serve-max-age, per-request ?maxAge= override; 0 takes a fresh
+// snapshot per query) and a rolling history ring (-serve-history
+// cadence, -serve-history-depth entries; 0 keeps either default) so
+// queries never block ingest. Serving is single-exchange
 // only: -serve with -ixps > 1 is rejected.
 //
 // With -ixps N (N > 1) the run federates across N exchanges: each has
@@ -97,25 +100,25 @@ func main() {
 		"with -ixps > 1, impair the snapshot transport with this fault profile (empty disables)")
 	serveAddr := flag.String("serve", "", "serve the looking-glass JSON API on this address while the run streams (e.g. :8080)")
 	serveMaxAge := flag.Duration("serve-max-age", serve.DefaultMaxAge,
-		"default snapshot TTL for looking-glass queries (per-request ?maxAge= overrides; 0 snapshots on every request)")
+		"default snapshot TTL for looking-glass queries (per-request ?maxAge= overrides; 0 takes a fresh snapshot per query)")
 	serveHistory := flag.Duration("serve-history", serve.DefaultHistoryInterval,
-		"looking-glass history capture cadence")
+		"looking-glass history capture cadence (0 keeps the default)")
 	serveHistoryDepth := flag.Int("serve-history-depth", serve.DefaultHistoryDepth,
-		"how many periodic snapshots the looking-glass history ring retains")
+		"how many periodic snapshots the looking-glass history ring retains (0 keeps the default)")
 	detectOn := flag.Bool("detect", false, "run the closed-loop DRDoS detector: originate RTBH for detected victims through the route server")
 	detectThreshold := flag.Float64("detect-threshold", 0,
 		"estimated packet rate (pps) over the detection window that fires a detection (0 derives detect.DefaultThreshold x the traffic scale)")
 	detectWindow := flag.Duration("detect-window", detect.DefaultWindow,
-		"sliding window the detector rates victims over")
+		"sliding window the detector rates victims over (0 keeps the default)")
 	detectCooldown := flag.Duration("detect-cooldown", detect.DefaultCooldown,
-		"quiet time after the last hot window before the blackhole is withdrawn")
+		"quiet time after the last hot window before the blackhole is withdrawn (0 keeps the default)")
 	flag.Parse()
 
 	cfg, err := world.Config()
 	for _, err := range []error{
 		err,
 		cliutil.CheckWorkers(*workers),
-		cliutil.CheckLiveModes(world.IXPs, *serveAddr != "", *detectOn, *snapChaos != ""),
+		cliutil.CheckLiveModes(world.IXPs, *serveAddr != "", *snapChaos != ""),
 	} {
 		if err != nil {
 			usageFail(err)
@@ -136,20 +139,9 @@ func main() {
 			}
 		}
 	})
-	if *detectOn {
-		if err := cliutil.CheckDetect(*detectThreshold, *detectWindow, *detectCooldown); err != nil {
-			usageFail(err)
-		}
-	}
 	if *serveAddr != "" {
-		for _, err := range []error{
-			cliutil.CheckServeAddr(*serveAddr),
-			cliutil.CheckServeMaxAge(*serveMaxAge),
-			cliutil.CheckServeHistory(*serveHistory, *serveHistoryDepth),
-		} {
-			if err != nil {
-				usageFail(err)
-			}
+		if err := cliutil.CheckServeAddr(*serveAddr); err != nil {
+			usageFail(err)
 		}
 	}
 	reg := rtbh.NewMetricsRegistry()
@@ -191,14 +183,10 @@ func main() {
 	opts.Workers = *workers
 
 	if *serveAddr != "" {
-		maxAge := *serveMaxAge
-		if maxAge == 0 {
-			maxAge = -1 // explicit 0 disables default caching; serve treats 0 as "use default"
-		}
 		scfg := serve.Config{
 			Source:          lr.Analyzer(),
 			Options:         opts,
-			MaxAge:          maxAge,
+			MaxAge:          *serveMaxAge,
 			HistoryInterval: *serveHistory,
 			HistoryDepth:    *serveHistoryDepth,
 			Info: map[string]string{
@@ -215,7 +203,7 @@ func main() {
 		}
 		srv, err := serve.New(scfg)
 		if err != nil {
-			fail(err)
+			usageFail(err)
 		}
 		bound, err := srv.Start(*serveAddr)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bgp"
+	"repro/internal/stats"
 )
 
 // Point is one sample of the filtered-share quantiles: the fraction of
@@ -113,8 +114,8 @@ func Compute(updates []analysis.ControlUpdate, peers []uint32, start, end time.T
 			sorted := append([]float64(nil), scratch...)
 			sort.Float64s(sorted)
 			p.Max = sorted[len(sorted)-1]
-			p.P99 = quantileSorted(sorted, 0.99)
-			p.P50 = quantileSorted(sorted, 0.50)
+			p.P99 = stats.QuantileSorted(sorted, 0.99)
+			p.P50 = stats.QuantileSorted(sorted, 0.50)
 		}
 		res.Series = append(res.Series, p)
 		if p.Max > res.PeakMax {
@@ -131,17 +132,4 @@ func Compute(updates []analysis.ControlUpdate, peers []uint32, start, end time.T
 		res.TargetedShare = float64(targeted) / float64(announcements)
 	}
 	return res
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	if lo >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -100,28 +100,6 @@ func CheckServeAddr(addr string) error {
 	return nil
 }
 
-// CheckServeMaxAge validates a -serve-max-age flag: the default snapshot
-// TTL must not be negative (0 disables caching — every request takes a
-// fresh snapshot).
-func CheckServeMaxAge(d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("-serve-max-age must be >= 0 (0 snapshots on every request), got %v", d)
-	}
-	return nil
-}
-
-// CheckServeHistory validates the rolling-history flags: the capture
-// cadence must be positive and the ring must hold at least one entry.
-func CheckServeHistory(every time.Duration, depth int) error {
-	if every <= 0 {
-		return fmt.Errorf("-serve-history must be a positive duration, got %v", every)
-	}
-	if depth < 1 {
-		return fmt.Errorf("-serve-history-depth must be >= 1, got %d", depth)
-	}
-	return nil
-}
-
 // ParseScale interprets a -scale value. The named world sizes (test,
 // bench, full) pass through with a traffic scale of 0 (= the documented
 // scaled-down magnitudes); a positive number selects the full paper
@@ -168,15 +146,6 @@ func WorldConfig(spec string) (scenario.Config, error) {
 	return cfg, nil
 }
 
-// CheckTrafficScale validates a -traffic-scale override: 0 keeps the
-// scale default, positive multipliers are taken literally.
-func CheckTrafficScale(s float64) error {
-	if s < 0 || math.IsInf(s, 0) || math.IsNaN(s) {
-		return fmt.Errorf("-traffic-scale must be >= 0 (0 keeps the scale default), got %v", s)
-	}
-	return nil
-}
-
 // WorldFlags are the flags that choose the simulated world, the same six
 // on rtbh-sim and rtbh-live: register them on the binary's flag set, then
 // take the Config after parsing.
@@ -201,11 +170,12 @@ func RegisterWorldFlags(fs *flag.FlagSet) *WorldFlags {
 	return f
 }
 
-// Config checks the parsed world flags and applies them to the world
-// -scale names. Every error is a usage error.
+// Config checks the parsed world flags, applies them to the world -scale
+// names and validates the result (scenario.Config.Validate holds the
+// -traffic-scale rule). Every error is a usage error.
 func (f *WorldFlags) Config() (scenario.Config, error) {
 	cfg, err := WorldConfig(f.Scale)
-	for _, err := range []error{err, CheckDays(f.Days), CheckTrafficScale(f.TrafficScale), CheckIXPs(f.IXPs)} {
+	for _, err := range []error{err, CheckDays(f.Days), CheckIXPs(f.IXPs)} {
 		if err != nil {
 			return scenario.Config{}, err
 		}
@@ -265,31 +235,13 @@ func PrintRunSummary(w io.Writer, cfg scenario.Config, sum *rtbh.SimulationSumma
 	}
 }
 
-// CheckDetect validates the -detect-* flags: the attack threshold must
-// be a non-negative finite packet rate (0 derives it from the world's
-// traffic scale), the detection window a positive duration, and the
-// withdraw cooldown non-negative (0 withdraws on the first quiet tick).
-func CheckDetect(threshold float64, window, cooldown time.Duration) error {
-	if threshold < 0 || math.IsInf(threshold, 0) || math.IsNaN(threshold) {
-		return fmt.Errorf("-detect-threshold must be a non-negative packet rate in pps (0 derives it from the traffic scale), got %v", threshold)
-	}
-	if window <= 0 {
-		return fmt.Errorf("-detect-window must be a positive duration, got %v", window)
-	}
-	if cooldown < 0 {
-		return fmt.Errorf("-detect-cooldown must be >= 0 (0 withdraws on the first quiet tick), got %v", cooldown)
-	}
-	return nil
-}
-
 // CheckLiveModes validates rtbh-live's mode flags against the exchange
-// count. What a looking glass or a detector over several exchanges
-// means is undecided (federation v2), so both stay single-exchange;
-// the snapshot transport only exists between several.
-func CheckLiveModes(ixps int, serve, detect, snapshotChaos bool) error {
+// count. What a looking glass over several exchanges means is undecided
+// (federation v2), so it stays single-exchange (LiveRun.EnableDetector
+// holds the detector to one exchange the same way); the snapshot
+// transport only exists between several.
+func CheckLiveModes(ixps int, serve, snapshotChaos bool) error {
 	switch {
-	case detect && ixps > 1:
-		return fmt.Errorf("-detect supports a single exchange; drop -ixps or the -detect flag")
 	case serve && ixps > 1:
 		return fmt.Errorf("-serve supports a single exchange; drop -ixps or the -serve flag")
 	case snapshotChaos && ixps <= 1:

@@ -143,7 +143,8 @@ func TestWorldFlags(t *testing.T) {
 	for _, tc := range []struct{ flag, val, want string }{
 		{"-scale", "bogus", `-scale must be test, bench, full, or a positive traffic multiplier (e.g. 50), got "bogus"`},
 		{"-days", "-1", "-days must be >= 0 (0 keeps the scale default), got -1"},
-		{"-traffic-scale", "-2", "-traffic-scale must be >= 0 (0 keeps the scale default), got -2"},
+		{"-traffic-scale", "-2", "scenario: TrafficScale must be finite and >= 0 (0 means 1), got -2"},
+		{"-traffic-scale", "NaN", "scenario: TrafficScale must be finite and >= 0 (0 means 1), got NaN"},
 		{"-ixps", "0", "-ixps must be >= 1, got 0"},
 		{"-mitigation", "bogus", `scenario: MitigationPolicy must be one of rtbh, flowspec, escalate, mixed; got "bogus"`},
 	} {
@@ -175,31 +176,6 @@ func TestCheckServeAddr(t *testing.T) {
 	for _, addr := range []string{"", "8080", "localhost", "host:port:extra"} {
 		if err := CheckServeAddr(addr); err == nil {
 			t.Errorf("CheckServeAddr(%q) accepted", addr)
-		}
-	}
-}
-
-func TestCheckServeMaxAge(t *testing.T) {
-	for _, d := range []time.Duration{0, time.Second, 5 * time.Second} {
-		if err := CheckServeMaxAge(d); err != nil {
-			t.Errorf("CheckServeMaxAge(%v) = %v, want nil", d, err)
-		}
-	}
-	if err := CheckServeMaxAge(-time.Second); err == nil {
-		t.Error("CheckServeMaxAge(-1s) accepted")
-	}
-}
-
-func TestCheckServeHistory(t *testing.T) {
-	if err := CheckServeHistory(5*time.Minute, 288); err != nil {
-		t.Errorf("CheckServeHistory(5m, 288) = %v, want nil", err)
-	}
-	for _, c := range []struct {
-		every time.Duration
-		depth int
-	}{{0, 1}, {-time.Minute, 1}, {time.Minute, 0}, {time.Minute, -2}} {
-		if err := CheckServeHistory(c.every, c.depth); err == nil {
-			t.Errorf("CheckServeHistory(%v, %d) accepted", c.every, c.depth)
 		}
 	}
 }
@@ -249,81 +225,30 @@ func TestWorldConfig(t *testing.T) {
 	}
 }
 
-func TestCheckTrafficScale(t *testing.T) {
-	for _, ok := range []float64{0, 1, 50, 0.1} {
-		if err := CheckTrafficScale(ok); err != nil {
-			t.Errorf("CheckTrafficScale(%g) = %v, want nil", ok, err)
-		}
-	}
-	for _, bad := range []float64{-1, math.Inf(1), math.NaN()} {
-		if err := CheckTrafficScale(bad); err == nil {
-			t.Errorf("CheckTrafficScale(%g) accepted", bad)
-		}
-	}
-}
-
-func TestCheckDetect(t *testing.T) {
-	if err := CheckDetect(125, 5*time.Minute, 10*time.Minute); err != nil {
-		t.Errorf("CheckDetect(defaults) = %v, want nil", err)
-	}
-	if err := CheckDetect(0.5, time.Second, 0); err != nil {
-		t.Errorf("CheckDetect(0.5, 1s, 0) = %v, want nil", err)
-	}
-	// 0 is the derive-from-traffic-scale sentinel, not an error.
-	if err := CheckDetect(0, time.Minute, time.Minute); err != nil {
-		t.Errorf("CheckDetect(0, 1m, 1m) = %v, want nil (0 derives the threshold)", err)
-	}
-	inf := math.Inf(1)
-	for _, c := range []struct {
-		threshold float64
-		window    time.Duration
-		cooldown  time.Duration
-		wantFlag  string
-	}{
-		{-10, time.Minute, time.Minute, "-detect-threshold"},
-		{inf, time.Minute, time.Minute, "-detect-threshold"},
-		{math.NaN(), time.Minute, time.Minute, "-detect-threshold"},
-		{125, 0, time.Minute, "-detect-window"},
-		{125, -time.Minute, time.Minute, "-detect-window"},
-		{125, time.Minute, -time.Second, "-detect-cooldown"},
-	} {
-		err := CheckDetect(c.threshold, c.window, c.cooldown)
-		if err == nil {
-			t.Errorf("CheckDetect(%v, %v, %v) accepted", c.threshold, c.window, c.cooldown)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.wantFlag) {
-			t.Errorf("CheckDetect(%v, %v, %v) error %q does not name %s",
-				c.threshold, c.window, c.cooldown, err, c.wantFlag)
-		}
-	}
-}
-
 func TestCheckLiveModes(t *testing.T) {
 	for _, c := range []struct {
-		ixps                         int
-		serve, detect, snapshotChaos bool
-		wantFlag                     string // "" = accepted
+		ixps                 int
+		serve, snapshotChaos bool
+		wantFlag             string // "" = accepted
 	}{
-		{1, false, false, false, ""},
-		{1, true, true, false, ""},
-		{3, false, false, false, ""},
-		{3, false, false, true, ""},
-		{3, true, false, false, "-serve"},
-		{3, false, true, false, "-detect"},
-		{3, true, true, true, "-detect"},
-		{1, false, false, true, "-snapshot-chaos-profile"},
-		{1, true, true, true, "-snapshot-chaos-profile"},
+		{1, false, false, ""},
+		{1, true, false, ""},
+		{3, false, false, ""},
+		{3, false, true, ""},
+		{3, true, false, "-serve"},
+		{3, true, true, "-serve"},
+		{1, false, true, "-snapshot-chaos-profile"},
+		{1, true, true, "-snapshot-chaos-profile"},
 	} {
-		err := CheckLiveModes(c.ixps, c.serve, c.detect, c.snapshotChaos)
+		err := CheckLiveModes(c.ixps, c.serve, c.snapshotChaos)
 		switch {
 		case c.wantFlag == "" && err != nil:
-			t.Errorf("CheckLiveModes(%d, %v, %v, %v) = %v, want nil", c.ixps, c.serve, c.detect, c.snapshotChaos, err)
+			t.Errorf("CheckLiveModes(%d, %v, %v) = %v, want nil", c.ixps, c.serve, c.snapshotChaos, err)
 		case c.wantFlag != "" && err == nil:
-			t.Errorf("CheckLiveModes(%d, %v, %v, %v) accepted", c.ixps, c.serve, c.detect, c.snapshotChaos)
+			t.Errorf("CheckLiveModes(%d, %v, %v) accepted", c.ixps, c.serve, c.snapshotChaos)
 		case c.wantFlag != "" && !strings.HasPrefix(err.Error(), c.wantFlag+" "):
-			t.Errorf("CheckLiveModes(%d, %v, %v, %v) error %q does not start with %s",
-				c.ixps, c.serve, c.detect, c.snapshotChaos, err, c.wantFlag)
+			t.Errorf("CheckLiveModes(%d, %v, %v) error %q does not start with %s",
+				c.ixps, c.serve, c.snapshotChaos, err, c.wantFlag)
 		}
 	}
 }

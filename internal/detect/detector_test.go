@@ -163,6 +163,8 @@ func TestDetectorEvaluate(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Threshold: -1, SamplingRate: 1},
+		{Threshold: math.NaN(), SamplingRate: 1},
+		{Threshold: math.Inf(1), SamplingRate: 1},
 		{Window: -time.Minute, SamplingRate: 1},
 		{Cooldown: -time.Second, SamplingRate: 1},
 		{SamplingRate: 0},
@@ -174,8 +176,15 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: config %+v accepted", i, c)
 		}
 	}
-	if _, err := New(Config{SamplingRate: 10000}); err != nil {
-		t.Errorf("defaults rejected: %v", err)
+	d, err := New(Config{SamplingRate: 10000})
+	if err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	// Zero keeps the default window and cooldown; it does not withdraw
+	// on the first quiet tick.
+	if st := d.Status(); st.Window != DefaultWindow || st.Cooldown != DefaultCooldown {
+		t.Errorf("zero window and cooldown = %v and %v, want %v and %v",
+			st.Window, st.Cooldown, DefaultWindow, DefaultCooldown)
 	}
 }
 

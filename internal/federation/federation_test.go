@@ -92,8 +92,22 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	if err := s.UnmarshalBinary(data); err == nil {
 		t.Error("prefix length 48 decoded without error")
 	}
-	// An error decode must leave the snapshot unchanged.
+	// An update stream that steps back in time must error: the merge
+	// and every per-exchange figure assume time order.
+	bad = testSnapshot()
+	bad.Updates[0].Time, bad.Updates[1].Time = bad.Updates[1].Time, bad.Updates[0].Time
+	if data, err = bad.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
 	keep := testSnapshot()
+	if err := keep.UnmarshalBinary(data); err == nil {
+		t.Error("updates out of time order decoded without error")
+	}
+	if !reflect.DeepEqual(keep, testSnapshot()) {
+		t.Error("rejecting out-of-order updates mutated the snapshot")
+	}
+	// An error decode must leave the snapshot unchanged.
+	keep = testSnapshot()
 	if err := keep.UnmarshalBinary(valid[:len(valid)/2]); err == nil {
 		t.Fatal("truncated frame accepted")
 	}

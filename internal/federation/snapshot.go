@@ -64,8 +64,9 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a snapshot frame. On error the snapshot is
-// left unchanged; the input slice is not retained.
+// UnmarshalBinary decodes a snapshot frame, rejecting an update stream
+// that steps back in time. On error the snapshot is left unchanged; the
+// input slice is not retained.
 func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(snapshotWireVersion)
@@ -98,6 +99,10 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 		}
 		if r.Err() != nil {
 			break
+		}
+		if i > 0 && t.Before(updates[i-1].Time) {
+			return fmt.Errorf("federation: snapshot: update %d at %v steps back from %v",
+				i, t.Format(time.RFC3339Nano), updates[i-1].Time.Format(time.RFC3339Nano))
 		}
 		updates = append(updates, u)
 	}

@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -223,8 +224,8 @@ func (c *Config) Validate() error {
 		return errf("BaselineDailyPackets must be positive")
 	case c.AttackPPSMedian <= 0:
 		return errf("AttackPPSMedian must be positive")
-	case c.TrafficScale < 0:
-		return errf("TrafficScale must be >= 0 (0 means 1), got %g", c.TrafficScale)
+	case c.TrafficScale < 0 || math.IsInf(c.TrafficScale, 0) || math.IsNaN(c.TrafficScale):
+		return errf("TrafficScale must be finite and >= 0 (0 means 1), got %g", c.TrafficScale)
 	case c.AttackDurationMedian <= 0:
 		return errf("AttackDurationMedian must be positive")
 	case c.MeanAmplifiersPerAttack < 1:

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -36,6 +37,13 @@ func TestConfigValidation(t *testing.T) {
 	bad.UniqueVictims = bad.EventsTotal + 1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("UniqueVictims > EventsTotal accepted")
+	}
+	for _, ts := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad = good
+		bad.TrafficScale = ts
+		if err := bad.Validate(); err == nil {
+			t.Errorf("TrafficScale=%g accepted", ts)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -75,21 +76,9 @@ func (r *historyRing) at(t time.Time) (histEntry, bool) {
 	return histEntry{}, false
 }
 
-// since returns every entry captured at or after t, oldest first.
-func (r *historyRing) since(t time.Time) []histEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, e := range r.entries {
-		if !e.at.Before(t) {
-			out := make([]histEntry, len(r.entries)-i)
-			copy(out, r.entries[i:])
-			return out
-		}
-	}
-	return nil
-}
-
 // all returns every retained entry, oldest first.
 func (r *historyRing) all() []histEntry {
-	return r.since(time.Time{})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.entries)
 }

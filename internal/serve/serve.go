@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -28,7 +30,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for Config zero values.
+// DefaultHistoryInterval and DefaultHistoryDepth fill Config zero
+// values; DefaultMaxAge is rtbh-live's -serve-max-age default.
 const (
 	DefaultMaxAge          = 5 * time.Second
 	DefaultHistoryInterval = 5 * time.Minute
@@ -46,17 +49,17 @@ type Source interface {
 	Period() (start, end time.Time)
 }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. New rejects negative durations and
+// depths.
 type Config struct {
 	// Source is the live analyzer to serve. Required.
 	Source Source
 	// Options are the analysis options every snapshot is composed with
 	// (Options.Delta must match the analyzer's construction-time delta).
 	Options rtbh.Options
-	// MaxAge is the default snapshot TTL when a request does not carry
-	// ?maxAge=. Zero selects DefaultMaxAge; a negative value disables
-	// default caching (every request without ?maxAge= snapshots fresh).
-	// Requests opt out of caching per query with ?maxAge=0.
+	// MaxAge is the snapshot TTL of a request that does not carry
+	// ?maxAge=. Zero takes a fresh snapshot per request, as ?maxAge=0
+	// does for one query.
 	MaxAge time.Duration
 	// HistoryInterval is the ring-store capture cadence (RunHistory);
 	// zero selects DefaultHistoryInterval.
@@ -95,6 +98,7 @@ type Server struct {
 	cache   *snapshotCache
 	ring    *historyRing
 	mux     *http.ServeMux
+	names   []string // the endpoint table's names, for /api/health
 	started time.Time
 	m       *serveMetrics
 
@@ -102,26 +106,52 @@ type Server struct {
 	ln  net.Listener
 }
 
-// endpointNames lists the API surface, in the order health reports it.
-var endpointNames = []string{
-	"health", "summary", "events", "active", "collateral",
-	"usecases", "victims", "mitigation", "detections",
-	"history",
+// endpoint is one entry of the API table, which is the whole API
+// surface: the route /api/<name>, the serve.requests.<name> counter,
+// /api/health's list and the query check all come from it. params are
+// the query parameters the endpoint accepts; one that accepts ?at= is a
+// report view, handed the snapshot ?at= or ?maxAge= selects (snapshot).
+type endpoint struct {
+	name   string
+	params []string
+	view   func(s *Server, q url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError)
+}
+
+// snapshotParams choose a report view's snapshot.
+var snapshotParams = []string{"at", "maxAge"}
+
+// endpoints lists the API, in the order /api/health reports it.
+var endpoints = []endpoint{
+	{"health", nil, (*Server).handleHealth},
+	{"summary", snapshotParams, (*Server).handleSummary},
+	{"events", snapshotParams, (*Server).handleEvents},
+	{"active", []string{"at", "maxAge", "t"}, (*Server).handleActive},
+	{"collateral", snapshotParams, (*Server).handleCollateral},
+	{"usecases", snapshotParams, (*Server).handleUseCases},
+	{"victims", snapshotParams, (*Server).handleVictims},
+	{"mitigation", snapshotParams, (*Server).handleMitigation},
+	{"detections", nil, (*Server).handleDetections},
+	{"history", []string{"since"}, (*Server).handleHistory},
 }
 
 // New builds a server over cfg.Source. It registers metrics when
-// cfg.Metrics is set and returns an error on a missing source.
+// cfg.Metrics is set and returns an error on a missing source or a
+// negative setting.
 func New(cfg Config) (*Server, error) {
-	if cfg.Source == nil {
+	switch {
+	case cfg.Source == nil:
 		return nil, fmt.Errorf("serve: Config.Source is required")
+	case cfg.MaxAge < 0:
+		return nil, fmt.Errorf("serve: MaxAge must be >= 0 (0 snapshots on every request), got %v", cfg.MaxAge)
+	case cfg.HistoryInterval < 0:
+		return nil, fmt.Errorf("serve: HistoryInterval must be >= 0 (0 keeps %v), got %v", DefaultHistoryInterval, cfg.HistoryInterval)
+	case cfg.HistoryDepth < 0:
+		return nil, fmt.Errorf("serve: HistoryDepth must be >= 0 (0 keeps %d), got %d", DefaultHistoryDepth, cfg.HistoryDepth)
 	}
-	if cfg.MaxAge == 0 {
-		cfg.MaxAge = DefaultMaxAge
-	}
-	if cfg.HistoryInterval <= 0 {
+	if cfg.HistoryInterval == 0 {
 		cfg.HistoryInterval = DefaultHistoryInterval
 	}
-	if cfg.HistoryDepth <= 0 {
+	if cfg.HistoryDepth == 0 {
 		cfg.HistoryDepth = DefaultHistoryDepth
 	}
 	clock := cfg.Clock
@@ -132,42 +162,33 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		clock:   clock,
 		ring:    newHistoryRing(cfg.HistoryDepth),
+		mux:     http.NewServeMux(),
 		started: clock(),
 	}
 	s.cache = newSnapshotCache(clock, func() (*rtbh.Report, error) {
 		return cfg.Source.Snapshot(cfg.Options)
 	})
-	if reg := cfg.Metrics; reg != nil {
+	reg := cfg.Metrics
+	if reg != nil {
 		s.m = &serveMetrics{
-			requests: make(map[string]*obs.Counter, len(endpointNames)),
+			requests: make(map[string]*obs.Counter, len(endpoints)),
 			errors:   reg.Counter("serve.errors"),
 			latency: reg.Histogram("serve.latency_ms",
 				1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000),
-		}
-		for _, name := range endpointNames {
-			s.m.requests[name] = reg.Counter("serve.requests." + name)
 		}
 		reg.RegisterCounter("serve.cache_hits", s.cache.hits)
 		reg.RegisterCounter("serve.cache_misses", s.cache.misses)
 		reg.GaugeFunc("serve.history_entries", func() int64 { return int64(s.ring.len()) })
 	}
-
-	s.mux = http.NewServeMux()
-	s.mux.Handle("/api/health", s.handle("health", s.handleHealth))
-	s.mux.Handle("/api/summary", s.handle("summary", s.handleSummary))
-	s.mux.Handle("/api/events", s.handle("events", s.handleEvents))
-	s.mux.Handle("/api/active", s.handle("active", s.handleActive))
-	s.mux.Handle("/api/collateral", s.handle("collateral", s.handleCollateral))
-	s.mux.Handle("/api/usecases", s.handle("usecases", s.handleUseCases))
-	s.mux.Handle("/api/victims", s.handle("victims", s.handleVictims))
-	s.mux.Handle("/api/mitigation", s.handle("mitigation", s.handleMitigation))
-	s.mux.Handle("/api/detections", s.handle("detections", s.handleDetections))
-	s.mux.Handle("/api/history", s.handle("history", s.handleHistory))
-	// No endpoint name: an unknown path counts under serve.errors only.
-	s.mux.Handle("/", s.handle("", func(r *http.Request) (any, *httpError) {
-		return nil, notFound("unknown path %q (endpoints: /api/{%s})",
-			r.URL.Path, strings.Join(endpointNames, ","))
-	}))
+	for _, e := range endpoints {
+		s.names = append(s.names, e.name)
+		if reg != nil {
+			s.m.requests[e.name] = reg.Counter("serve.requests." + e.name)
+		}
+		s.mux.Handle("/api/"+e.name, s.handle(e))
+	}
+	// The zero endpoint answers unknown paths, counted under serve.errors only.
+	s.mux.Handle("/", s.handle(endpoint{}))
 	return s, nil
 }
 
@@ -244,21 +265,16 @@ func internalErr(err error) *httpError {
 	return &httpError{http.StatusInternalServerError, err.Error()}
 }
 
-// handle wraps an endpoint: method check, metrics, JSON rendering.
-func (s *Server) handle(name string, fn func(r *http.Request) (any, *httpError)) http.Handler {
+// handle wraps an endpoint: metrics, JSON rendering.
+func (s *Server) handle(e endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if s.m != nil {
-			if c := s.m.requests[name]; c != nil {
+			if c := s.m.requests[e.name]; c != nil {
 				c.Add(1)
 			}
 		}
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			s.writeError(w, &httpError{http.StatusMethodNotAllowed,
-				fmt.Sprintf("method %s not allowed (GET only)", r.Method)})
-			return
-		}
-		v, herr := fn(r)
+		v, herr := s.answer(e, r)
 		if herr != nil {
 			s.writeError(w, herr)
 		} else {
@@ -268,6 +284,30 @@ func (s *Server) handle(name string, fn func(r *http.Request) (any, *httpError))
 			s.m.latency.Observe(time.Since(start).Milliseconds())
 		}
 	})
+}
+
+// answer checks a request's method, path and query parameters against
+// its endpoint and renders the view.
+func (s *Server) answer(e endpoint, r *http.Request) (any, *httpError) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		return nil, &httpError{http.StatusMethodNotAllowed,
+			fmt.Sprintf("method %s not allowed (GET only)", r.Method)}
+	}
+	if e.view == nil {
+		return nil, notFound("unknown path %q (endpoints: /api/{%s})",
+			r.URL.Path, strings.Join(s.names, ","))
+	}
+	q := r.URL.Query()
+	for k := range q {
+		if !slices.Contains(e.params, k) {
+			return nil, badRequest("/api/%s takes no ?%s= (its query parameters: %q)", e.name, k, e.params)
+		}
+	}
+	rep, taken, herr := s.snapshot(e, q)
+	if herr != nil {
+		return nil, herr
+	}
+	return e.view(s, q, rep, taken)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, herr *httpError) {
@@ -292,16 +332,32 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(b)
 }
 
-// snapshotFor resolves which report a data endpoint serves: ?at= reads
-// the ring store ("state as of at"), otherwise the TTL cache with the
-// request's ?maxAge= (default Config.MaxAge).
-func (s *Server) snapshotFor(r *http.Request) (*rtbh.Report, time.Time, *httpError) {
-	q := r.URL.Query()
-	if atStr := q.Get("at"); atStr != "" {
-		t, err := time.Parse(time.RFC3339Nano, atStr)
-		if err != nil {
-			return nil, time.Time{}, badRequest("invalid at=%q: %v (want RFC 3339)", atStr, err)
-		}
+// timeParam parses the RFC 3339 query parameter name; absent, it is
+// the zero time.
+func timeParam(q url.Values, name string) (time.Time, *httpError) {
+	v := q.Get(name)
+	if v == "" {
+		return time.Time{}, nil
+	}
+	t, err := time.Parse(time.RFC3339Nano, v)
+	if err != nil {
+		return time.Time{}, badRequest("invalid %s=%q: %v (want RFC 3339)", name, v, err)
+	}
+	return t, nil
+}
+
+// snapshot resolves which report a report view serves (none for other
+// views): ?at= reads the ring store ("state as of at"), otherwise the
+// TTL cache with the request's ?maxAge= (default Config.MaxAge).
+func (s *Server) snapshot(e endpoint, q url.Values) (*rtbh.Report, time.Time, *httpError) {
+	if !slices.Contains(e.params, "at") {
+		return nil, time.Time{}, nil
+	}
+	t, herr := timeParam(q, "at")
+	if herr != nil {
+		return nil, time.Time{}, herr
+	}
+	if !t.IsZero() {
 		e, ok := s.ring.at(t)
 		if !ok {
 			oldest, newest := s.ring.bounds()
@@ -360,7 +416,7 @@ type HistoryStatusView struct {
 	Newest     time.Time `json:"newest,omitempty"`
 }
 
-func (s *Server) handleHealth(*http.Request) (any, *httpError) {
+func (s *Server) handleHealth(url.Values, *rtbh.Report, time.Time) (any, *httpError) {
 	now := s.clock()
 	updates, flows := s.cfg.Source.Counts()
 	start, end := s.cfg.Source.Period()
@@ -382,7 +438,7 @@ func (s *Server) handleHealth(*http.Request) (any, *httpError) {
 			Newest:     newest.UTC(),
 		},
 		Info:      s.cfg.Info,
-		Endpoints: endpointNames,
+		Endpoints: s.names,
 	}, nil
 }
 
@@ -400,11 +456,7 @@ type SummaryView struct {
 	AvgDropRateBytes  float64   `json:"avg_drop_rate_bytes"`
 }
 
-func (s *Server) handleSummary(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
-	if herr != nil {
-		return nil, herr
-	}
+func (s *Server) handleSummary(_ url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
 	return &SummaryView{
 		TakenAt:           taken.UTC(),
 		TotalRecords:      rep.TotalRecords,
@@ -468,11 +520,7 @@ func eventJoins(rep *rtbh.Report) (drops map[int]*rtbh.EventDropStat, classes ma
 	return drops, classes
 }
 
-func (s *Server) handleEvents(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
-	if herr != nil {
-		return nil, herr
-	}
+func (s *Server) handleEvents(_ url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
 	_, end := s.cfg.Source.Period()
 
 	drops, classes := eventJoins(rep)
@@ -526,20 +574,15 @@ type ActiveView struct {
 	PeakMsgsMin int         `json:"peak_messages_per_minute"`
 }
 
-func (s *Server) handleActive(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
+func (s *Server) handleActive(q url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
+	start, end := s.cfg.Source.Period()
+
+	at, herr := timeParam(q, "t")
 	if herr != nil {
 		return nil, herr
 	}
-	start, end := s.cfg.Source.Period()
-
-	at := s.cfg.Source.Watermark()
-	if tStr := r.URL.Query().Get("t"); tStr != "" {
-		t, err := time.Parse(time.RFC3339Nano, tStr)
-		if err != nil {
-			return nil, badRequest("invalid t=%q: %v (want RFC 3339)", tStr, err)
-		}
-		at = t
+	if at.IsZero() {
+		at = s.cfg.Source.Watermark()
 	}
 	if at.IsZero() {
 		at = start
@@ -576,11 +619,7 @@ type CollateralView struct {
 	DroppedPkts []int64   `json:"dropped_pkts"`
 }
 
-func (s *Server) handleCollateral(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
-	if herr != nil {
-		return nil, herr
-	}
+func (s *Server) handleCollateral(_ url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
 	out := &CollateralView{TakenAt: taken.UTC()}
 	if rep.Fig18 != nil {
 		out.Events = rep.Fig18.Events
@@ -601,11 +640,7 @@ type UseCasesView struct {
 	LowTrafficHostShare float64            `json:"low_traffic_host_share"`
 }
 
-func (s *Server) handleUseCases(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
-	if herr != nil {
-		return nil, herr
-	}
+func (s *Server) handleUseCases(_ url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
 	out := &UseCasesView{
 		TakenAt: taken.UTC(),
 		Counts:  make(map[string]int),
@@ -651,11 +686,7 @@ type VictimsView struct {
 	ServerTypes  map[string]float64 `json:"server_types"`
 }
 
-func (s *Server) handleVictims(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
-	if herr != nil {
-		return nil, herr
-	}
+func (s *Server) handleVictims(_ url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
 	_, end := s.cfg.Source.Period()
 
 	drops, classes := eventJoins(rep)
@@ -764,11 +795,7 @@ type MitigationView struct {
 	Prefixes []MitigationPrefixView `json:"prefixes"`
 }
 
-func (s *Server) handleMitigation(r *http.Request) (any, *httpError) {
-	rep, taken, herr := s.snapshotFor(r)
-	if herr != nil {
-		return nil, herr
-	}
+func (s *Server) handleMitigation(_ url.Values, rep *rtbh.Report, taken time.Time) (any, *httpError) {
 	out := &MitigationView{TakenAt: taken.UTC()}
 	t5 := rep.Table5
 	if t5 == nil {
@@ -827,7 +854,7 @@ type DetectionsView struct {
 	Detections   []DetectionView `json:"detections"`
 }
 
-func (s *Server) handleDetections(*http.Request) (any, *httpError) {
+func (s *Server) handleDetections(url.Values, *rtbh.Report, time.Time) (any, *httpError) {
 	if s.cfg.Detections == nil {
 		return nil, notFound("no detector: this run does not mitigate")
 	}
@@ -884,19 +911,15 @@ type HistoryView struct {
 	Entries    []HistoryEntryView `json:"entries"`
 }
 
-func (s *Server) handleHistory(r *http.Request) (any, *httpError) {
+func (s *Server) handleHistory(q url.Values, _ *rtbh.Report, _ time.Time) (any, *httpError) {
 	entries := s.ring.all()
 	out := &HistoryView{
 		IntervalMS: s.cfg.HistoryInterval.Milliseconds(),
 		Depth:      s.cfg.HistoryDepth,
 	}
-	var since time.Time
-	if v := r.URL.Query().Get("since"); v != "" {
-		t, err := time.Parse(time.RFC3339Nano, v)
-		if err != nil {
-			return nil, badRequest("invalid since=%q: %v (want RFC 3339)", v, err)
-		}
-		since = t
+	since, herr := timeParam(q, "since")
+	if herr != nil {
+		return nil, herr
 	}
 	var prev *rtbh.Report
 	for _, e := range entries {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -203,9 +204,19 @@ func get(t *testing.T, s *Server, path string, out any) int {
 	return rr.Code
 }
 
+// TestNewRequiresSource also pins that New, the one place these
+// settings are checked, rejects negative ones.
 func TestNewRequiresSource(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted a nil Source")
+	src := newFakeSource()
+	for _, cfg := range []Config{
+		{},
+		{Source: src, MaxAge: -time.Second},
+		{Source: src, HistoryInterval: -time.Minute},
+		{Source: src, HistoryDepth: -1},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %+v", cfg)
+		}
 	}
 }
 
@@ -260,6 +271,17 @@ func TestCacheTTLSemantics(t *testing.T) {
 	}
 	if src.snapshotCalls() != 6 {
 		t.Fatalf("snapshots after three maxAge=0 = %d, want 6", src.snapshotCalls())
+	}
+
+	// A zero Config.MaxAge makes every plain request do the same.
+	s, src, _ = newTestServer(t, func(cfg *Config) { cfg.MaxAge = 0 })
+	for i := 0; i < 3; i++ {
+		if code := get(t, s, "/api/summary", nil); code != http.StatusOK {
+			t.Fatalf("MaxAge 0: status %d", code)
+		}
+	}
+	if src.snapshotCalls() != 3 {
+		t.Fatalf("snapshots after three plain requests with MaxAge 0 = %d, want 3", src.snapshotCalls())
 	}
 }
 
@@ -341,6 +363,10 @@ func TestBadQueryParams(t *testing.T) {
 		"/api/summary?at=not-a-time",
 		"/api/active?t=not-a-time",
 		"/api/history?since=not-a-time",
+		"/api/summary?maxage=0",
+		"/api/events?since=2019-01-01T00:00:00Z",
+		"/api/history?at=2019-01-01T00:00:00Z",
+		"/api/health?x=1",
 	} {
 		if code := get(t, s, path, nil); code != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, want 400", path, code)
@@ -454,8 +480,16 @@ func TestHealthEndpoint(t *testing.T) {
 	if h.Info["scale"] != "test" {
 		t.Fatalf("info = %v", h.Info)
 	}
-	if len(h.Endpoints) != len(endpointNames) {
-		t.Fatalf("endpoints = %v", h.Endpoints)
+	var names []string
+	for _, e := range endpoints {
+		names = append(names, e.name)
+	}
+	if !slices.Equal(h.Endpoints, names) {
+		t.Fatalf("endpoints = %v, want the table's %v", h.Endpoints, names)
+	}
+	// Zero history settings keep their defaults.
+	if h.History.Depth != DefaultHistoryDepth || h.History.IntervalMS != DefaultHistoryInterval.Milliseconds() {
+		t.Fatalf("history = %+v, want the defaults", h.History)
 	}
 }
 
