@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/bgp"
 	"repro/internal/ipfix"
@@ -250,6 +252,125 @@ func TestBoundedSetCloneMatchesDeepCopy(t *testing.T) {
 	}
 	if oneSided == 0 {
 		t.Fatal("no step had a saturated and an exact set side by side")
+	}
+}
+
+// linearSet is the reference model for BoundedSet's position index: the
+// set as it was without one, scanning its keys on every Add.
+type linearSet struct {
+	keys      []uint64
+	saturated uint32
+	cap       uint32
+}
+
+func (m *linearSet) add(key uint64) {
+	switch {
+	case m.saturated > 0:
+		m.saturated++
+	case slices.Contains(m.keys, key):
+	case len(m.keys) >= int(m.cap):
+		m.saturated = 1
+	default:
+		m.keys = append(m.keys, key)
+	}
+}
+
+func (m *linearSet) merge(o *linearSet) {
+	for _, k := range o.keys {
+		m.add(k)
+	}
+	m.saturated += o.saturated
+}
+
+func (m *linearSet) clone() *linearSet {
+	return &linearSet{keys: slices.Clone(m.keys), saturated: m.saturated, cap: m.cap}
+}
+
+func encodeSet(s *BoundedSet) []byte {
+	w := NewWireWriter()
+	s.EncodeWire(w)
+	return w.Bytes()
+}
+
+// TestBoundedSetIndexMatchesLinear walks seeded random key streams across
+// the indexing threshold and saturation over a population of sets, each
+// mirrored by a linear-scan model. Between bursts of Adds a set is cloned
+// (and both sides go on adding), merged with another, or decoded over with
+// another set's encoding. Count, Exact and EncodeWire must match the
+// model's after every step.
+func TestBoundedSetIndexMatchesLinear(t *testing.T) {
+	if size := unsafe.Sizeof(BoundedSet{}); size != 40 {
+		t.Fatalf("BoundedSet header is %d bytes, want 40", size)
+	}
+	type pair struct {
+		set   *BoundedSet
+		model *linearSet
+	}
+	indexed, saturated := 0, 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := stats.NewRNG(seed)
+		capacity := []int{20, 40, 100, 300}[seed%4]
+		span := capacity + capacity/2 // keys drawn past the capacity saturate
+		fresh := func() *pair {
+			return &pair{NewBoundedSet(capacity), &linearSet{cap: uint32(capacity)}}
+		}
+		live := []*pair{fresh()}
+		for step := 0; step < 300; step++ {
+			p := live[r.Intn(len(live))]
+			switch k := r.Intn(10); {
+			case k < 5:
+				for n := 1 + r.Intn(30); n > 0; n-- {
+					key := uint64(r.Intn(span)) * 0x10001 // spread over the hash
+					p.set.Add(key)
+					p.model.add(key)
+				}
+			case k < 7:
+				c := p.set.Clone()
+				live = append(live, &pair{&c, p.model.clone()})
+			case k == 7:
+				o := live[r.Intn(len(live))]
+				if o != p {
+					p.set.Merge(o.set)
+					p.model.merge(o.model)
+				}
+			case k == 8:
+				o := live[r.Intn(len(live))]
+				data := encodeSet(o.set)
+				p.set.DecodeWire(NewWireReader(data))
+				var d BoundedSet
+				d.DecodeWire(NewWireReader(data))
+				p.model = &linearSet{keys: d.keys, saturated: d.saturated, cap: d.cap}
+			case len(live) > 1:
+				i := r.Intn(len(live))
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			default:
+				live[0] = fresh()
+			}
+			if len(live) > 6 {
+				live = live[1:]
+			}
+			for i, q := range live {
+				ref := BoundedSet{keys: q.model.keys, saturated: q.model.saturated, cap: q.model.cap}
+				if q.set.Count() != ref.Count() || q.set.Exact() != ref.Exact() ||
+					!bytes.Equal(encodeSet(q.set), encodeSet(&ref)) {
+					t.Fatalf("seed %d step %d: set %d of %d holds %d keys (exact %v), its model %d (exact %v)",
+						seed, step, i, len(live), q.set.Count(), q.set.Exact(), ref.Count(), ref.Exact())
+				}
+				if q.set.idx != nil {
+					indexed++
+				}
+				if !q.set.Exact() {
+					saturated++
+					if q.set.idx != nil {
+						t.Fatalf("seed %d step %d: set %d saturated but keeps its index", seed, step, i)
+					}
+				}
+			}
+		}
+	}
+	if indexed == 0 || saturated == 0 {
+		t.Fatalf("%d indexed and %d saturated set-steps: the walk missed a regime", indexed, saturated)
 	}
 }
 

@@ -233,10 +233,16 @@ func encodeDays(feat *[NumFeatures]analysis.BoundedSet, flags byte, days ...int6
 // out-of-order day is an error rather than a silent overwrite.
 func TestDaysWire(t *testing.T) {
 	a := New()
+	var feat [NumFeatures]analysis.BoundedSet
+	for f := range feat {
+		feat[f] = *analysis.NewBoundedSet(featCap)
+	}
 	for _, d := range []int32{5, 2} {
 		a.AddOutgoing(serverIP, d, 443, 40000, netgen.ProtoTCP, 1)
+		feat[FeatOutSrcPorts].Add(443)
+		feat[FeatOutDstPorts].Add(40000)
 	}
-	want := encodeDays(&a.hosts[serverIP].feat, 2, 2, 5)
+	want := encodeDays(&feat, 2, 2, 5)
 	if got, _ := a.MarshalBinary(); !bytes.Equal(got, want) {
 		t.Fatalf("outgoing-only days encode as\n%x, want\n%x", got, want)
 	}

@@ -33,10 +33,7 @@ func (a *Aggregator) WhitelistCoverage(minActiveDays int) []Coverage {
 // counterpart of ProfilesFunc for speculatively profiled hosts.
 func (a *Aggregator) WhitelistCoverageFunc(minActiveDays int, keep func(ip uint32) bool) []Coverage {
 	var out []Coverage
-	for ip, h := range a.hosts {
-		if h.activeDays(minActiveDays) < minActiveDays || (keep != nil && !keep(ip)) {
-			continue
-		}
+	a.qualified(minActiveDays, keep, func(h *hostAgg) {
 		seen := map[uint32]bool{}
 		var shareSum float64
 		counted, first := 0, true
@@ -64,11 +61,10 @@ func (a *Aggregator) WhitelistCoverageFunc(minActiveDays int, keep func(ip uint3
 			}
 			first = false
 		}
-		if counted == 0 {
-			continue
+		if counted > 0 {
+			out = append(out, Coverage{IP: h.ip, Share: shareSum / float64(counted), Days: counted})
 		}
-		out = append(out, Coverage{IP: ip, Share: shareSum / float64(counted), Days: counted})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
 	return out
 }

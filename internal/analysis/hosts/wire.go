@@ -1,8 +1,9 @@
 package hosts
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -17,15 +18,14 @@ const wireVersion = 1
 func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(wireVersion)
-	ips := make([]uint32, 0, len(a.hosts))
-	for ip := range a.hosts {
-		ips = append(ips, ip)
+	hs := slices.Clone(a.big)
+	for i := range a.recs {
+		hs = append(hs, a.recs[i].replay(analysis.Stamp{}))
 	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	w.Uvarint(uint64(len(ips)))
-	for _, ip := range ips {
-		h := a.hosts[ip]
-		w.Uvarint(uint64(ip))
+	slices.SortFunc(hs, func(x, y *hostAgg) int { return cmp.Compare(x.ip, y.ip) })
+	w.Uvarint(uint64(len(hs)))
+	for _, h := range hs {
+		w.Uvarint(uint64(h.ip))
 		w.Uvarint(uint64(len(h.days)))
 		for i := range h.days {
 			da := &h.days[i]
@@ -48,19 +48,20 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the aggregator's state with the decoded
-// snapshot. On error the aggregator is left unchanged.
+// snapshot, every host as a hostAgg. On error the aggregator is left
+// unchanged.
 func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
 	// Minimum per host: ip, day count, four minimal feature sets.
 	n := r.Count(14)
-	hs := make(map[uint32]*hostAgg, n)
+	hs := &Aggregator{}
 	var order analysis.KeyOrder
 	for i := 0; i < n; i++ {
 		ip := r.U32()
 		order.Next(r, uint64(ip))
 		nDays := r.Count(4) // day, flags, minimal counter
-		h := &hostAgg{owner: a.cow.Stamp(), days: make([]dayAgg, 0, nDays)}
+		h := &hostAgg{ip: ip, owner: a.cow.Stamp(), days: make([]dayAgg, 0, nDays)}
 		for j := 0; j < nDays; j++ {
 			d := r.Varint()
 			if int64(int32(d)) != d {
@@ -83,24 +84,31 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		if r.Err() != nil {
 			break
 		}
-		hs[ip] = h
+		hs.adopt(h)
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("hosts: %w", err)
 	}
-	a.hosts = hs
+	a.slots, a.recs, a.big = hs.slots, hs.recs, hs.big
 	return nil
 }
 
 // Filter drops every host for which keep returns false. The federation's
 // live path uses this to reduce a speculative candidate population to
 // the hosts a batch pass would have profiled before shipping the state.
-// It only removes entries from a's own host map, so hosts shared with a
-// snapshot are untouched.
+// It rebuilds a's own table, so hosts shared with a snapshot are
+// untouched.
 func (a *Aggregator) Filter(keep func(ip uint32) bool) {
-	for ip := range a.hosts {
-		if !keep(ip) {
-			delete(a.hosts, ip)
+	kept := &Aggregator{}
+	for i := range a.recs {
+		if keep(a.recs[i].ip) {
+			kept.adoptRec(&a.recs[i])
 		}
 	}
+	for _, h := range a.big {
+		if keep(h.ip) {
+			kept.adopt(h)
+		}
+	}
+	a.slots, a.recs, a.big = kept.slots, kept.recs, kept.big
 }

@@ -301,7 +301,7 @@ func (s *BoundedSet) EncodeWire(w *WireWriter) {
 // DecodeWire replaces the set's state with the decoded encoding; the keys
 // must come sorted, as EncodeWire writes them.
 func (s *BoundedSet) DecodeWire(r *WireReader) {
-	capacity := r.Int()
+	capacity := r.U32()
 	saturated := r.U32()
 	n := r.Count(1)
 	keys := make([]uint64, 0, n)
@@ -317,6 +317,7 @@ func (s *BoundedSet) DecodeWire(r *WireReader) {
 	s.cap = capacity
 	s.saturated = saturated
 	s.keys = keys
+	s.idx = nil
 }
 
 // EncodeWire appends the counter's canonical encoding: capacity, then

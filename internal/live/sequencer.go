@@ -133,7 +133,16 @@ func (s *Sequencer) Pending() uint64 {
 // (or the deadline passes, or a delivery failed). The driver calls it
 // before each fabric injection so the data plane always sees the
 // up-to-date control state, exactly as in the batch path.
+//
+// Nearly every call finds nothing in flight and returns without arming a
+// timer: the wake-up for the deadline is set only when the barrier waits.
 func (s *Sequencer) Barrier(timeout time.Duration) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil || s.nextDeliver >= s.nextAssign {
+		return s.err
+	}
+
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		s.mu.Lock()
@@ -141,9 +150,6 @@ func (s *Sequencer) Barrier(timeout time.Duration) error {
 		s.mu.Unlock()
 	})
 	defer timer.Stop()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for s.err == nil && s.nextDeliver < s.nextAssign {
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("live: barrier timed out with %d of %d updates undelivered",

@@ -97,6 +97,23 @@ func TestSequencerBarrierTimeout(t *testing.T) {
 	}
 }
 
+// TestBarrierIdleDoesNotAllocate pins the barrier's fast path: the driver
+// calls it before every injected batch, and with no update in flight it
+// returns at once without arming a deadline timer.
+func TestBarrierIdleDoesNotAllocate(t *testing.T) {
+	s := NewSequencer(func(time.Time, uint32, *bgp.Update) error { return nil }, nil)
+	s.Expect(time.Unix(0, 0), 100)
+	s.Arrive(100, &bgp.Update{})
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := s.Barrier(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("idle barrier allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestSequencerDeliveryError propagates a route-server failure to the
 // driver via Barrier.
 func TestSequencerDeliveryError(t *testing.T) {

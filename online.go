@@ -39,6 +39,8 @@ type onlineMetrics struct {
 	retainedUpdates  *obs.Gauge
 	retainedFlows    *obs.Gauge
 	pendingCells     *obs.Gauge
+	hosts            *obs.Gauge
+	hostsPromoted    *obs.Gauge
 	recordsCompacted *obs.Counter
 	snapshotLatency  *obs.Histogram
 	// The three phases of a snapshot after the seals have caught up, and
@@ -147,7 +149,8 @@ func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 
 // RegisterMetrics exposes the analyzer's retention and snapshot metrics
 // under the "online." prefix: gauges for retained control updates,
-// retained (unsealed) flow records and the sealed collateral cells, a
+// retained (unsealed) flow records, the sealed collateral cells and the
+// sealed host candidates (all of them, and those that outgrew a record), a
 // counter of records compacted into operator state, a snapshot latency
 // histogram (milliseconds) with span timers for its clone, replay and
 // compose phases (they sum to no more than the histogram's total: lock
@@ -163,6 +166,8 @@ func (a *OnlineAnalyzer) RegisterMetrics(reg *obs.Registry) {
 		retainedUpdates:  reg.Gauge("online.retained_updates"),
 		retainedFlows:    reg.Gauge("online.retained_flows"),
 		pendingCells:     reg.Gauge("online.pending_cells"),
+		hosts:            reg.Gauge("online.hosts"),
+		hostsPromoted:    reg.Gauge("online.hosts_promoted"),
 		recordsCompacted: reg.Counter("online.records_compacted"),
 		snapshotLatency: reg.Histogram("online.snapshot_latency_ms",
 			1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000),
@@ -402,6 +407,8 @@ func (a *OnlineAnalyzer) advanceLocked() {
 		m.retainedUpdates.Set(int64(len(updates)))
 		m.retainedFlows.Set(pend.total - a.sealed)
 		m.pendingCells.Set(int64(a.ops.PendingCells()))
+		m.hosts.Set(int64(a.ops.Hosts.Hosts()))
+		m.hostsPromoted.Set(int64(a.ops.Hosts.Promoted()))
 		copies := a.ops.CowCopies()
 		m.cowCopies.Add(copies - a.cowSeen)
 		a.cowSeen = copies

@@ -56,7 +56,6 @@ var reachabilityExempt = map[string]string{
 	// (3) read-only observation points and fixture helpers.
 	"internal/analysis.BoundedSet.Exact":                   "(3) observation point: saturation, asserted by the BoundedSet tests",
 	"internal/analysis/anomaly.Aggregator.Slots":           "(3) observation point: retained slot count (TestSlotsAccounting, TestLanesMatchInline)",
-	"internal/analysis/hosts.Aggregator.Hosts":             "(3) observation point: host count the pipeline parity tests compare",
 	"internal/analysis/hosts.Aggregator.Profiles":          "(3) fixture helper: the unfiltered ProfilesFunc, fixture of the classification tests",
 	"internal/analysis/hosts.Aggregator.WhitelistCoverage": "(3) fixture helper: the unfiltered WhitelistCoverageFunc",
 	"internal/ipfix.MsgEncoder.SeqNum":                     "(3) observation point: the next sequence number (truncation tests)",
