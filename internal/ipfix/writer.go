@@ -21,6 +21,11 @@ type Packer struct {
 	Limit int
 	// TemplateEvery is the template resend period in messages.
 	TemplateEvery int
+	// Wait, if set, is called with each message's record count before
+	// the message is encoded, so it may block (the live exporter waits
+	// for collector credit there) or send messages of its own through
+	// the same encoder. An error leaves the records pending.
+	Wait func(records int) error
 
 	enc     *MsgEncoder
 	send    func(msg []byte, records int, exportTime uint32) error
@@ -55,6 +60,11 @@ func (p *Packer) Pack(recs []FlowRecord) error {
 func (p *Packer) Flush() error {
 	if len(p.pending) == 0 {
 		return nil
+	}
+	if p.Wait != nil {
+		if err := p.Wait(len(p.pending)); err != nil {
+			return err
+		}
 	}
 	recs := p.pending
 	p.pending = p.pending[:0]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ipfix"
@@ -22,7 +23,8 @@ import (
 // DroppedRecords through RFC 7011 sequence-number gap accounting: each
 // message header carries the count of data records sent before it, so a
 // jump beyond the expected value measures exactly how many records never
-// arrived.
+// arrived. The queue is a safety net: the runner's exporter paces on the
+// collector's credit (see Runner), so only faults and kernel loss reach it.
 type Collector struct {
 	conn  *net.UDPConn
 	sink  ipfix.BatchSink
@@ -37,6 +39,16 @@ type Collector struct {
 	dec      *ipfix.MsgDecoder
 	expected map[uint32]uint32 // per observation domain: next expected seq
 	seen     map[uint32]bool
+
+	// credit receives (without blocking the decoder) after every datagram
+	// the decoder finishes, and done is closed when the decoder stops: an
+	// exporter waiting for Accounted to grow watches both. arrived counts
+	// the datagrams queued and handled those the decoder finished; they
+	// are equal when the collector holds nothing it has not accounted.
+	credit  chan struct{}
+	done    chan struct{}
+	arrived atomic.Int64
+	handled atomic.Int64
 
 	mu      sync.Mutex
 	sinkErr error
@@ -67,6 +79,8 @@ func NewCollector(conn *net.UDPConn, queueLen int, sink ipfix.BatchSink, m *Metr
 		dec:      ipfix.NewMsgDecoder(),
 		expected: make(map[uint32]uint32),
 		seen:     make(map[uint32]bool),
+		credit:   make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	c.wg.Add(2)
 	go c.readLoop()
@@ -89,6 +103,7 @@ func (c *Collector) readLoop() {
 		}
 		select {
 		case c.queue <- buf[:n]:
+			c.arrived.Add(1)
 			if depth := int64(len(c.queue)); depth > c.m.QueueHighWater.Value() {
 				c.m.QueueHighWater.Set(depth)
 			}
@@ -129,40 +144,21 @@ func (c *Collector) putBuf(b []byte) {
 	}
 }
 
-// decodeLoop decodes queued datagrams and feeds the sink.
+// decodeLoop decodes queued datagrams and feeds the sink, signalling
+// credit after each one; it stops at the first sink error.
 func (c *Collector) decodeLoop() {
 	defer c.wg.Done()
+	defer close(c.done)
 	batch := ipfix.GetBatch()
 	defer batch.Release()
 	for dg := range c.queue {
-		recs, hdr, err := c.dec.Decode(dg, batch.Recs[:0])
-		batch.Recs = recs
-		c.putBuf(dg) // on every path below: the records are decoded out of it
+		err := c.accept(dg, batch)
+		c.handled.Add(1)
+		select {
+		case c.credit <- struct{}{}:
+		default:
+		}
 		if err != nil {
-			c.m.DecodeErrors.Inc()
-			continue
-		}
-		if c.seen[hdr.Domain] {
-			want := c.expected[hdr.Domain]
-			switch {
-			case hdr.SeqNum == want:
-			case hdr.SeqNum > want:
-				c.m.DroppedRecords.Add(int64(hdr.SeqNum - want))
-			default:
-				// A reordered late message: its records were already
-				// counted as dropped; replaying them now would disorder
-				// the archive.
-				c.m.LateMsgs.Inc()
-				continue
-			}
-		}
-		c.seen[hdr.Domain] = true
-		c.expected[hdr.Domain] = hdr.SeqNum + uint32(len(recs))
-		c.m.CollectedMsgs.Inc()
-		if len(recs) == 0 {
-			continue
-		}
-		if err := c.sink(batch); err != nil {
 			c.mu.Lock()
 			if c.sinkErr == nil {
 				c.sinkErr = err
@@ -170,9 +166,49 @@ func (c *Collector) decodeLoop() {
 			c.mu.Unlock()
 			return
 		}
-		c.m.CollectedRecords.Add(int64(len(recs)))
 	}
 }
+
+// accept decodes one datagram into batch, accounts its sequence gap and
+// hands its records to the sink; it returns only the sink's error.
+func (c *Collector) accept(dg []byte, batch *ipfix.RecordBatch) error {
+	recs, hdr, err := c.dec.Decode(dg, batch.Recs[:0])
+	batch.Recs = recs
+	c.putBuf(dg) // on every path below: the records are decoded out of it
+	if err != nil {
+		c.m.DecodeErrors.Inc()
+		return nil
+	}
+	if c.seen[hdr.Domain] {
+		want := c.expected[hdr.Domain]
+		switch {
+		case hdr.SeqNum == want:
+		case hdr.SeqNum > want:
+			c.m.DroppedRecords.Add(int64(hdr.SeqNum - want))
+		default:
+			// A reordered late message: its records were already
+			// counted as dropped; replaying them now would disorder
+			// the archive.
+			c.m.LateMsgs.Inc()
+			return nil
+		}
+	}
+	c.seen[hdr.Domain] = true
+	c.expected[hdr.Domain] = hdr.SeqNum + uint32(len(recs))
+	c.m.CollectedMsgs.Inc()
+	if len(recs) == 0 {
+		return nil
+	}
+	if err := c.sink(batch); err != nil {
+		return err
+	}
+	c.m.CollectedRecords.Add(int64(len(recs)))
+	return nil
+}
+
+// idle reports whether the decoder has finished every datagram queued so
+// far: records still unaccounted then never reached the queue.
+func (c *Collector) idle() bool { return c.handled.Load() == c.arrived.Load() }
 
 // Accounted returns collected + dropped records: the collector's view of
 // how much of the export stream it has resolved.

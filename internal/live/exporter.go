@@ -96,7 +96,8 @@ func (e *Exporter) Flush() error { return e.p.Flush() }
 // any datagram it still holds for reordering). A tail drop leaves no
 // later message to reveal the sequence gap, so without Sync the
 // collector could never account the loss and drain would hang; the
-// runner retries Sync while draining under a fault plan.
+// runner sends one when a credit wait finds the collector idle, and
+// retries it while draining.
 func (e *Exporter) Sync() error {
 	if e.fault != nil {
 		if err := e.fault.Flush(e.rawWrite); err != nil {

@@ -481,24 +481,36 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunnerDrainAccountsQueueTailDrop overflows the ingest queue of a
-// runner without a fault plan: the sink is held until the read loop has
-// shed the tail of the export stream, so no later datagram reveals the
-// gap. The drain must still account the loss promptly (its Sync carries
-// the final sequence number) instead of waiting out DrainTimeout.
+// tailDropConn loses the data datagrams from the from-th write on, as a
+// network that fails at the end of the export stream would; empty
+// messages (the exporter's Syncs) still get through.
+type tailDropConn struct {
+	net.Conn
+	writes, from int
+}
+
+func (c *tailDropConn) Write(b []byte) (int, error) {
+	if c.writes++; c.writes > c.from && len(b) > 1024 {
+		return len(b), nil
+	}
+	return c.Conn.Write(b)
+}
+
+// TestRunnerDrainAccountsQueueTailDrop loses the last datagrams of a
+// paced export stream on the wire, behind a slow sink and a two-datagram
+// queue, so no later datagram reveals the final gap. The drain must still
+// account the loss promptly (its Sync carries the final sequence number)
+// instead of waiting out DrainTimeout. The queue itself never sheds a
+// paced stream; TestCollectorShedsOnFullQueue covers that path.
 func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
-	const queueLen, msgs = 2, 40
+	const queueLen, msgs, lost = 2, 40, 3
 	m := NewMetrics()
-	entered, release := make(chan struct{}), make(chan struct{})
 	var collected int64
 	r, err := NewRunner(t.Context(),
 		RunnerConfig{Session: testSessionConfig(), QueueLen: queueLen, DrainTimeout: 2 * time.Second}, m,
 		func(time.Time, uint32, *bgp.Update) error { return nil }, nil,
 		func(b *ipfix.RecordBatch) error {
-			if collected == 0 {
-				close(entered)
-				<-release
-			}
+			time.Sleep(200 * time.Microsecond)
 			collected += int64(b.Len())
 			return nil
 		},
@@ -507,27 +519,16 @@ func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Shutdown()
+	r.exporter.conn = &tailDropConn{Conn: r.exporter.conn, from: msgs - lost}
 
 	// Whole messages only, so Drain's flush adds no datagram of its own.
 	n := msgs * ipfix.MaxRecords(MaxDatagram, true)
 	if err := r.ExportFlowBatch(flowBatch(n)); err != nil {
 		t.Fatal(err)
 	}
-	<-entered
-	waitFor(t, 5*time.Second, "the read loop to shed the tail", func() bool {
-		return 1+int64(len(r.collector.queue))+m.DroppedDatagrams.Value() == msgs
-	})
-	if m.DroppedDatagrams.Value() < msgs-1-queueLen {
-		t.Fatalf("dropped %d datagrams, want at least %d", m.DroppedDatagrams.Value(), msgs-1-queueLen)
-	}
-	close(release)
-	if hw := m.QueueHighWater.Value(); hw != queueLen {
-		t.Fatalf("queue high water = %d after shedding, want the queue length %d", hw, queueLen)
-	}
-
 	start := time.Now()
 	if err := r.Drain(); err != nil {
-		t.Fatalf("drain after a queue tail drop: %v", err)
+		t.Fatalf("drain after a tail drop: %v", err)
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("drain took %v, want well under the %v timeout", took, 2*time.Second)
@@ -537,5 +538,76 @@ func TestRunnerDrainAccountsQueueTailDrop(t *testing.T) {
 	}
 	if got := collected + m.DroppedRecords.Value(); got != int64(n) || m.DroppedRecords.Value() == 0 {
 		t.Fatalf("collected %d + dropped %d = %d, exported %d", collected, m.DroppedRecords.Value(), got, n)
+	}
+	if m.DroppedDatagrams.Value() != 0 {
+		t.Fatalf("the queue shed %d datagrams of a paced stream", m.DroppedDatagrams.Value())
+	}
+}
+
+// TestCollectorShedsOnFullQueue overflows a collector's ingest queue from
+// a raw UDP socket, with no credit to pace on: the sink is held until the
+// read loop has shed the tail of the stream. The shed datagrams count in
+// dropped_datagrams, the queue's high water reads its length, and once a
+// sequence-sync message reveals the gap their records count as dropped,
+// so collected + dropped == exported.
+func TestCollectorShedsOnFullQueue(t *testing.T) {
+	const queueLen, msgs, per = 2, 40, 50
+	m := NewMetrics()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var collected int64
+	cc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(cc, queueLen, func(b *ipfix.RecordBatch) error {
+		if collected == 0 {
+			close(entered)
+			<-release
+		}
+		collected += int64(b.Len())
+		return nil
+	}, m)
+	defer col.Close()
+	ec, err := net.Dial("udp", cc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+
+	enc := ipfix.NewMsgEncoder(1)
+	recs := flowBatch(per).Recs
+	write := func(b []byte) {
+		t.Helper()
+		if _, err := ec.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(enc.Encode(recs, true, 100))
+	<-entered
+	for i := 1; i < msgs; i++ {
+		write(enc.Encode(recs, false, uint32(100+i)))
+	}
+	waitFor(t, 5*time.Second, "the read loop to shed the tail", func() bool {
+		return 1+int64(len(col.queue))+m.DroppedDatagrams.Value() == msgs
+	})
+	if m.DroppedDatagrams.Value() < msgs-1-queueLen {
+		t.Fatalf("dropped %d datagrams, want at least %d", m.DroppedDatagrams.Value(), msgs-1-queueLen)
+	}
+	if hw := m.QueueHighWater.Value(); hw != queueLen {
+		t.Fatalf("queue high water = %d after shedding, want the queue length %d", hw, queueLen)
+	}
+	close(release)
+	// A Sync reveals the tail gap, once the queue has room for it.
+	waitFor(t, 5*time.Second, "the decoder to empty the queue", col.idle)
+	write(enc.Encode(nil, true, 100+msgs))
+
+	if err := col.Drain(msgs*per, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if want := m.DroppedDatagrams.Value() * per; m.DroppedRecords.Value() != want {
+		t.Fatalf("dropped %d records, want %d for %d shed datagrams", m.DroppedRecords.Value(), want, m.DroppedDatagrams.Value())
+	}
+	if got := collected + m.DroppedRecords.Value(); got != msgs*per {
+		t.Fatalf("collected %d + dropped %d = %d, exported %d", collected, m.DroppedRecords.Value(), got, msgs*per)
 	}
 }

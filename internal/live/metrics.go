@@ -47,15 +47,20 @@ type Metrics struct {
 	DroppedRecords obs.Counter
 	LateMsgs       obs.Counter
 	DecodeErrors   obs.Counter
-	// SyncMsgs counts empty sequence-sync messages emitted at drain time
-	// so that tail drops surface as sequence gaps (see Exporter.Sync).
+	// SyncMsgs counts empty sequence-sync messages emitted so that tail
+	// drops surface as sequence gaps (see Exporter.Sync): at drain time,
+	// and when a credit wait finds the collector idle.
 	SyncMsgs obs.Counter
+	// CreditWait times the exporter's waits for collector credit (see
+	// Runner): one span per datagram that found the window full. Its
+	// total is how long the export stream was held back for the analyzer.
+	CreditWait obs.Timer
 }
 
 // NewMetrics returns zeroed metrics.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Register exposes every counter and gauge on reg under the "live."
+// Register exposes every counter, gauge and timer on reg under the "live."
 // namespace.
 func (m *Metrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("live.bgp.sessions_established", &m.SessionsEstablished)
@@ -78,4 +83,5 @@ func (m *Metrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("live.ipfix.late_msgs", &m.LateMsgs)
 	reg.RegisterCounter("live.ipfix.decode_errors", &m.DecodeErrors)
 	reg.RegisterCounter("live.ipfix.sync_msgs", &m.SyncMsgs)
+	reg.RegisterTimer("live.ipfix.credit_wait", &m.CreditWait)
 }

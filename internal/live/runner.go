@@ -15,10 +15,11 @@ import (
 type RunnerConfig struct {
 	// Session configures the BGP session FSM timers.
 	Session SessionConfig
-	// QueueLen bounds the collector ingest queue (0: DefaultQueueLen).
+	// QueueLen bounds the collector ingest queue (0: DefaultQueueLen),
+	// and with it the exporter's credit window.
 	QueueLen int
-	// DrainTimeout bounds barriers and the final collector drain
-	// (0: 30s).
+	// DrainTimeout bounds barriers, the final collector drain and how
+	// long a credit wait may see no progress (0: 30s).
 	DrainTimeout time.Duration
 	// Fault, if set, impairs the transports with the plan's seeded
 	// schedules: every speaker connection is wrapped and every exported
@@ -44,10 +45,21 @@ func (c *RunnerConfig) fill() {
 // fed through a Sequencer, one Speaker per scenario peer (dialed
 // lazily), and the IPFIX exporter/collector pair over UDP. All methods
 // except Shutdown are driven from the single scenario driver goroutine.
+//
+// The exporter paces on collector credit: before each datagram it waits
+// until its records in flight — exported, not yet accounted by the
+// collector as collected or dropped — fit a window no larger than the
+// ingest queue holds, so the queue never sheds what the network
+// delivered, and the run advances at the analyzer's pace.
 type Runner struct {
 	cfg RunnerConfig
 	m   *Metrics
 	ctx context.Context
+	// window is the credit window in records; draining is set once Drain
+	// has begun, after which a cancelled ctx no longer aborts a credit
+	// wait: the drain still flushes the last message.
+	window   int64
+	draining bool
 
 	seq       *Sequencer
 	listener  *Listener
@@ -117,7 +129,82 @@ func NewRunner(ctx context.Context, cfg RunnerConfig, m *Metrics,
 			return nil, err
 		}
 	}
+	impaired := r.exporter.fault != nil && !r.exporter.fault.Inert()
+	r.window = int64(creditMsgs(cap(r.collector.queue), impaired) * r.exporter.p.Limit)
+	r.exporter.p.Wait = r.awaitCredit
 	return r, nil
+}
+
+// creditMsgs is the credit window in full messages for an ingest queue
+// of queueLen datagrams. Besides the credited datagrams the queue may
+// hold one Sync (awaitCredit sends one at a time); under an impairing
+// schedule every credited datagram may also drag a duplicate and a
+// released reorder hold behind it, and the last one finished may have
+// left its two still queued.
+func creditMsgs(queueLen int, impaired bool) int {
+	if impaired {
+		return max((queueLen-3)/3, 1)
+	}
+	return max(queueLen-1, 1)
+}
+
+// creditStall is how long a credit wait lets the collector sit idle
+// without progress before it sends a Sync: the records still unaccounted
+// then were lost on the way, and only a later datagram reveals the gap.
+const creditStall = 2 * time.Millisecond
+
+// awaitCredit blocks until records more fit the credit window. While the
+// collector is idle and unaccounted records remain it sends a Sync, one
+// at a time. It fails when the collector's sink fails or its decoder
+// stops, when ctx is cancelled before Drain, and when the collector
+// accounts nothing for DrainTimeout.
+func (r *Runner) awaitCredit(records int) error {
+	c := r.collector
+	fits := func(accounted int64) bool {
+		return r.m.ExportedRecords.Value()-accounted+int64(records) <= r.window
+	}
+	if fits(c.Accounted()) {
+		return nil
+	}
+	defer r.m.CreditWait.Start().End()
+	var cancelled <-chan struct{}
+	if !r.draining {
+		cancelled = r.ctx.Done()
+	}
+	tick := time.NewTicker(creditStall)
+	defer tick.Stop()
+	accounted, progress, synced := c.Accounted(), time.Now(), int64(-1)
+	for {
+		select {
+		case <-c.credit:
+		case <-tick.C:
+		case <-c.done:
+			if err := c.err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("live: collector stopped with %d of %d records accounted",
+				c.Accounted(), r.m.ExportedRecords.Value())
+		case <-cancelled:
+			return r.ctx.Err()
+		}
+		now, acc := time.Now(), c.Accounted()
+		if fits(acc) {
+			return nil
+		}
+		if acc != accounted {
+			accounted, progress = acc, now
+			continue
+		}
+		if stalled := now.Sub(progress); stalled >= r.cfg.DrainTimeout {
+			return fmt.Errorf("live: no collector credit for %v: %d of %d records accounted",
+				stalled.Round(time.Millisecond), acc, r.m.ExportedRecords.Value())
+		} else if h := c.handled.Load(); stalled >= creditStall && h != synced && c.idle() {
+			synced = h
+			if err := r.exporter.Sync(); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // SetRouteServerASN records the ASN the listener announces in its OPENs.
@@ -158,18 +245,18 @@ func (r *Runner) Barrier() error {
 }
 
 // ExportFlowBatch hands one batch of sampled flow records to the IPFIX
-// exporter.
+// exporter, waiting for collector credit before each datagram.
 func (r *Runner) ExportFlowBatch(b *ipfix.RecordBatch) error { return r.exporter.ExportBatch(b) }
 
 // Drain completes the streams without tearing sessions down: a final
 // barrier, an exporter flush, and a wait for the collector to account
 // for every exported record. Call once driving is done (or aborted).
 //
-// A tail drop — injected, or shed by a full ingest queue on a loaded
-// box — leaves no later datagram to reveal its sequence gap, so the
-// drain repeatedly emits Sync messages (exempt from impairment) carrying
-// the final sequence number until the collector has accounted for every
-// record. Under a fault plan recovery must complete first — every
+// A tail drop — injected, or lost by the kernel — leaves no later
+// datagram to reveal its sequence gap, so the drain repeatedly emits
+// Sync messages (exempt from impairment) carrying the final sequence
+// number until the collector has accounted for every record. The flush
+// waits for credit even on a cancelled run. Under a fault plan recovery must complete first — every
 // killed session re-established, every deferred peer-down cancelled —
 // or shutdown could strand a reconnect and break the kills==reconnects
 // reconciliation.
@@ -178,6 +265,7 @@ func (r *Runner) Drain() error {
 	// may have failed); drain the flow stream regardless so the archive
 	// is consistent with what was delivered.
 	err := r.seq.Barrier(r.cfg.DrainTimeout)
+	r.draining = true
 	if ferr := r.exporter.Flush(); err == nil {
 		err = ferr
 	}

@@ -120,10 +120,11 @@ type OnlineAnalyzer struct {
 	// view is the control-plane view ops observes under — events,
 	// attribution index and the time-sorted stream behind them — extended
 	// by the updates past the first opUpdates whenever a seal check finds
-	// some. opFlows is how many raw FlowSpec updates the bound mitigation
-	// index covers; the index is rebuilt when the stream grew.
+	// some. flowIx is the FlowSpec view ops observes under, extended the
+	// same way by the raw FlowSpec updates past the first opFlows.
 	view      *events.Merger
 	opUpdates int
+	flowIx    *mitigation.Index
 	opFlows   int
 
 	// initErr records an invalid-metadata failure; Snapshot surfaces it.
@@ -139,11 +140,15 @@ type OnlineAnalyzer struct {
 // per-event state and cannot change per snapshot.
 func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 	a := &OnlineAnalyzer{
-		meta:  meta,
-		delta: events.DefaultDelta,
-		view:  events.NewMerger(events.DefaultDelta, meta.End),
+		meta:   meta,
+		delta:  events.DefaultDelta,
+		view:   events.NewMerger(events.DefaultDelta, meta.End),
+		flowIx: mitigation.NewIndex(nil, meta.End),
 	}
 	a.ops, a.initErr = pipeline.NewSpeculative(meta)
+	if a.ops != nil {
+		a.ops.BindFlow(a.flowIx)
+	}
 	return a
 }
 
@@ -348,12 +353,10 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	}
 
 	if len(flows) != a.opFlows {
-		// The FlowSpec view is small enough to rebuild: records seal only
-		// once every FlowSpec update that can cover them has arrived, so
-		// rebinding never invalidates a sealed observation.
-		sorted := append([]analysis.FlowUpdate(nil), flows...)
-		analysis.SortFlowUpdates(sorted)
-		a.ops.BindFlow(mitigation.NewIndex(sorted, a.meta.End))
+		// The FlowSpec view is extended in place like the event view:
+		// records seal only once every FlowSpec update that can cover them
+		// has arrived, so extending never invalidates a sealed observation.
+		a.flowIx.Extend(flows[a.opFlows:])
 		a.opFlows = len(flows)
 	}
 
