@@ -1,11 +1,14 @@
 package rtbh
 
-// The two benchmarks here are the quiet-process reading of what the
-// per-operator goroutines buy over the inline pass (ROADMAP 6b): the same
-// in-memory batches through both, with no decode and no collector sharing
-// the cores. Everything end to end is measured by bench/ (see its README).
+// The two pipeline benchmarks here are the quiet-process reading of what
+// the per-operator goroutines buy over the inline pass (ROADMAP 6b): the
+// same in-memory batches through both, with no decode and no collector
+// sharing the cores. BenchmarkOpenDataset times the load in front of
+// them. Everything end to end is measured by bench/ (see its README).
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -108,3 +111,58 @@ func BenchmarkPipelineSequential(b *testing.B) { runPipelineBench(b, 1) }
 // operator feed behind the source's attribution (the default; the inline
 // pass again when GOMAXPROCS is 1).
 func BenchmarkPipelineLanes(b *testing.B) { runPipelineBench(b, 0) }
+
+// benchOpenFiles caches the files OpenDataset reads from a simulated
+// world shaped like the benchmark harness's paper world: the paper's
+// members and address plan over four days, at its event density. The
+// sampling is coarse because the flow archive is not read at open.
+var benchOpenFiles struct {
+	once  sync.Once
+	files map[string][]byte
+	err   error
+}
+
+// BenchmarkOpenDataset times OpenDataset over the paper-shaped world:
+// metadata.json, then ip2as.json, peeringdb.json and updates.mrt side by
+// side.
+func BenchmarkOpenDataset(b *testing.B) {
+	benchOpenFiles.once.Do(func() {
+		cfg := DefaultConfig()
+		cfg.EventsTotal = cfg.EventsTotal * 4 / cfg.Days
+		cfg.UniqueVictims = cfg.UniqueVictims * 4 / cfg.Days
+		cfg.Days = 4
+		cfg.SamplingRate = 1_000_000
+		dir := b.TempDir()
+		if _, benchOpenFiles.err = Simulate(cfg, dir); benchOpenFiles.err != nil {
+			return
+		}
+		benchOpenFiles.files = map[string][]byte{}
+		for _, name := range []string{FileMetadata, FileIP2AS, FilePDB, FileUpdates, FileTruth} {
+			if benchOpenFiles.files[name], benchOpenFiles.err = os.ReadFile(filepath.Join(dir, name)); benchOpenFiles.err != nil {
+				return
+			}
+		}
+	})
+	if benchOpenFiles.err != nil {
+		b.Fatal(benchOpenFiles.err)
+	}
+	// The simulated directory went with the run that made it.
+	dir := b.TempDir()
+	var read int64 // bytes of the files OpenDataset reads
+	for name, data := range benchOpenFiles.files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if name != FileTruth {
+			read += int64(len(data))
+		}
+	}
+	b.SetBytes(read)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OpenDataset(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

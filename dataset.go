@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/ip2as"
@@ -27,10 +29,8 @@ type Dataset struct {
 	// same control-plane archive (empty for datasets without fine-grained
 	// mitigation).
 	FlowUpdates []analysis.FlowUpdate
-	// Truth is the simulator's ground truth if present (nil otherwise);
-	// analysis never consumes it, the experiment harness does.
-	Truth *scenario.GroundTruth
 
+	dir       string // the directory OpenDataset read; "" in memory
 	eachBatch func(fn ipfix.BatchSink) error
 }
 
@@ -115,48 +115,56 @@ func newMetadata(dm datasetMeta, tbl *ip2as.Table, pdb *peeringdb.Registry) *ana
 	return meta
 }
 
-// OpenDataset loads the dataset written by Simulate from dir.
+// OpenDataset loads the dataset written by Simulate from dir: first
+// metadata.json, then the two side tables and the control archive side by
+// side, one goroutine each, all joined before it returns. When several
+// files fail, the error names the first of ip2as.json, peeringdb.json and
+// updates.mrt that did, whatever order they failed in. The flow archive is
+// streamed by EachFlowBatch, and the ground truth read by GroundTruth.
 func OpenDataset(dir string) (*Dataset, error) {
 	var dm datasetMeta
 	if err := readJSON(filepath.Join(dir, FileMetadata), &dm); err != nil {
 		return nil, err
 	}
 
-	tblFile, err := os.Open(filepath.Join(dir, FileIP2AS))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
+	var (
+		tbl         *ip2as.Table
+		pdb         *peeringdb.Registry
+		updates     []analysis.ControlUpdate
+		flowUpdates []analysis.FlowUpdate
+	)
+	loads := []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{FileIP2AS, func(r io.Reader) (err error) { tbl, err = ip2as.ReadJSON(r); return err }},
+		{FilePDB, func(r io.Reader) (err error) { pdb, err = peeringdb.ReadJSON(r); return err }},
+		{FileUpdates, func(r io.Reader) (err error) {
+			updates, flowUpdates, err = analysis.ParseMRTAll(r)
+			return err
+		}},
 	}
-	tbl, err := ip2as.ReadJSON(tblFile)
-	tblFile.Close()
-	if err != nil {
-		return nil, err
+	errs := make([]error, len(loads))
+	var wg sync.WaitGroup
+	for i, l := range loads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = readFile(filepath.Join(dir, l.name), l.read)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	pdbFile, err := os.Open(filepath.Join(dir, FilePDB))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	pdb, err := peeringdb.ReadJSON(pdbFile)
-	pdbFile.Close()
-	if err != nil {
-		return nil, err
-	}
-	meta := newMetadata(dm, tbl, pdb)
-
-	mrtFile, err := os.Open(filepath.Join(dir, FileUpdates))
-	if err != nil {
-		return nil, fmt.Errorf("rtbh: %w", err)
-	}
-	updates, flowUpdates, err := analysis.ParseMRTAll(mrtFile)
-	mrtFile.Close()
-	if err != nil {
-		return nil, err
-	}
-
-	ds := &Dataset{
-		Meta:        meta,
+	return &Dataset{
+		Meta:        newMetadata(dm, tbl, pdb),
 		Updates:     updates,
 		FlowUpdates: flowUpdates,
+		dir:         dir,
 		eachBatch: func(fn ipfix.BatchSink) error {
 			f, err := os.Open(filepath.Join(dir, FileFlows))
 			if err != nil {
@@ -180,18 +188,26 @@ func OpenDataset(dir string) (*Dataset, error) {
 				}
 			}
 		},
-	}
+	}, nil
+}
 
-	// Ground truth is optional: a real-world dataset would not have one.
-	if tf, err := os.Open(filepath.Join(dir, FileTruth)); err == nil {
-		truth, terr := scenario.ReadTruthJSON(tf)
-		tf.Close()
-		if terr != nil {
-			return nil, terr
-		}
-		ds.Truth = truth
+// GroundTruth reads the simulator's ground truth from the dataset's
+// truth.json, on every call. It returns (nil, nil) when there is none: a
+// real-world dataset would not have one, nor does one NewDataset builds.
+// The analysis never reads it; tests and the experiment harness do.
+func (d *Dataset) GroundTruth() (*GroundTruth, error) {
+	if d.dir == "" {
+		return nil, nil
 	}
-	return ds, nil
+	var gt *GroundTruth
+	err := readFile(filepath.Join(d.dir, FileTruth), func(r io.Reader) (err error) {
+		gt, err = scenario.ReadTruthJSON(r)
+		return err
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return gt, err
 }
 
 // NewDataset builds an in-memory dataset (tests, examples) from parsed
@@ -231,12 +247,17 @@ func (d *Dataset) EachFlowBatch(fn ipfix.BatchSink) error {
 }
 
 func readJSON(path string, v any) error {
+	return readFile(path, func(r io.Reader) error { return json.NewDecoder(r).Decode(v) })
+}
+
+// readFile opens path and parses it with read; the error names the file.
+func readFile(path string, read func(io.Reader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("rtbh: %w", err)
 	}
 	defer f.Close()
-	if err := json.NewDecoder(f).Decode(v); err != nil {
+	if err := read(f); err != nil {
 		return fmt.Errorf("rtbh: parsing %s: %w", path, err)
 	}
 	return nil

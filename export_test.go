@@ -1,9 +1,24 @@
 package rtbh
 
 import (
+	"path/filepath"
+
+	"repro/internal/analysis"
 	"repro/internal/analysis/pipeline"
+	"repro/internal/ip2as"
 	"repro/internal/ipfix"
+	"repro/internal/peeringdb"
 )
+
+// ReferenceMetadata decodes dir's metadata.json and joins it with the
+// given side tables, as OpenDataset does (TestOpenDatasetMatchesReference).
+func ReferenceMetadata(dir string, tbl *ip2as.Table, pdb *peeringdb.Registry) (*analysis.Metadata, error) {
+	var dm datasetMeta
+	if err := readJSON(filepath.Join(dir, FileMetadata), &dm); err != nil {
+		return nil, err
+	}
+	return newMetadata(dm, tbl, pdb), nil
+}
 
 // TailReplayStates computes the finalized, marshaled pipeline state over
 // everything observed so far twice: once replaying the unsealed tail

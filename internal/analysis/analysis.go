@@ -133,8 +133,8 @@ func SortFlowUpdates(us []FlowUpdate) {
 // nothing for them, and vice versa.
 func ParseMRTAll(r io.Reader) ([]ControlUpdate, []FlowUpdate, error) {
 	rd := mrt.NewReader(r)
-	var out []ControlUpdate
-	var flows []FlowUpdate
+	var out blocks[ControlUpdate]
+	var flows blocks[FlowUpdate]
 	for {
 		rec, err := rd.Next()
 		if errors.Is(err, io.EOF) {
@@ -150,12 +150,53 @@ func ParseMRTAll(r io.Reader) ([]ControlUpdate, []FlowUpdate, error) {
 		if !isUpdate {
 			continue
 		}
-		out = ExpandUpdate(out, rec.Timestamp, rec.PeerAS, upd)
-		flows = ExpandFlowSpec(flows, rec.Timestamp, rec.PeerAS, upd)
+		out.cur = ExpandUpdate(out.tail(), rec.Timestamp, rec.PeerAS, upd)
+		flows.cur = ExpandFlowSpec(flows.tail(), rec.Timestamp, rec.PeerAS, upd)
 	}
-	SortUpdates(out)
-	SortFlowUpdates(flows)
-	return out, flows, nil
+	us, fs := out.flatten(), flows.flatten()
+	SortUpdates(us)
+	SortFlowUpdates(fs)
+	return us, fs, nil
+}
+
+// blockLen is the length of one of blocks' blocks.
+const blockLen = 4096
+
+// blocks collects a stream of values in blocks of about blockLen, so
+// that the slice they end up in is allocated once, at its exact length:
+// growing one slice by append instead re-allocates, re-zeroes and copies
+// it dozens of times over a paper-scale archive, and leaves it up to a
+// quarter over-allocated.
+type blocks[T any] struct {
+	full [][]T
+	cur  []T // the block to append to
+}
+
+// tail returns the block to append to, starting a new one once the
+// current one holds blockLen values.
+func (b *blocks[T]) tail() []T {
+	if len(b.cur) >= blockLen {
+		b.full = append(b.full, b.cur)
+		b.cur = make([]T, 0, blockLen)
+	}
+	return b.cur
+}
+
+// flatten returns every value collected, in order, in one slice of
+// exactly their number (nil for none).
+func (b *blocks[T]) flatten() []T {
+	n := len(b.cur)
+	for _, blk := range b.full {
+		n += len(blk)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, blk := range b.full {
+		out = append(out, blk...)
+	}
+	return append(out, b.cur...)
 }
 
 // Metadata carries the side tables the analysis joins against, mirroring

@@ -348,6 +348,11 @@ func UpdateFromFlowSpec(u *FlowSpecUpdate) (*Update, error) {
 // extended-community actions. ok is false when the update carries no
 // FlowSpec attributes (a regular IPv4-unicast update).
 func FlowSpecFromUpdate(upd *Update) (*FlowSpecUpdate, bool, error) {
+	if len(upd.Attrs.Unknown) == 0 {
+		// MP_REACH, MP_UNREACH and extended communities all land in
+		// Unknown: a plain RTBH update carries none of them.
+		return nil, false, nil
+	}
 	out := &FlowSpecUpdate{}
 	found := false
 	for _, raw := range upd.Attrs.Unknown {

@@ -81,19 +81,31 @@ func FormatAddr(a uint32) string {
 	return b.String()
 }
 
-// ParseAddr parses a dotted-quad IPv4 address into host byte order.
+func invalidAddr(s string) error { return fmt.Errorf("bgp: invalid IPv4 address %q", s) }
+
+// ParseAddr parses a dotted-quad IPv4 address into host byte order: four
+// decimal octets of one to three digits, none above 255 and none with a
+// leading zero. It does not allocate unless it fails.
 func ParseAddr(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bgp: invalid IPv4 address %q", s)
-	}
 	var a uint32
-	for _, part := range parts {
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 0 || v > 255 || (len(part) > 1 && part[0] == '0') {
-			return 0, fmt.Errorf("bgp: invalid IPv4 address %q", s)
+	octets, v, digits := 0, uint32(0), 0
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] != '.' {
+			c := s[i] - '0'
+			// At most three digits per octet, and no leading zero.
+			if c > 9 || digits == 3 || (digits == 1 && v == 0) {
+				return 0, invalidAddr(s)
+			}
+			v, digits = v*10+uint32(c), digits+1
+			continue
 		}
-		a = a<<8 | uint32(v)
+		if digits == 0 || v > 255 || octets == 4 {
+			return 0, invalidAddr(s)
+		}
+		a, octets, v, digits = a<<8|v, octets+1, 0, 0
+	}
+	if octets != 4 {
+		return 0, invalidAddr(s)
 	}
 	return a, nil
 }

@@ -37,6 +37,27 @@ func TestParseAddrRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseAddrAllocs: a valid address parses without allocating, so
+// the side-table readers can call it once per entry for free.
+func TestParseAddrAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseAddr("203.0.113.255"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParsePrefix("198.51.100.0/24"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ParseAddr + ParsePrefix: %v allocations per call, want 0", allocs)
+	}
+	for _, s := range []string{"1.2.3.4/", "1.2.3.4/33", "1.2.3.4/x", "1.2.3/8", "1.2.3.4.", ".1.2.3", "1.2.3.4 ", "+1.2.3.4", "1.2.3.0400", "１.2.3.4"} {
+		if _, err := ParsePrefix(s); err == nil {
+			t.Errorf("ParsePrefix(%q) unexpectedly succeeded", s)
+		}
+	}
+}
+
 func TestParsePrefix(t *testing.T) {
 	p, err := ParsePrefix("203.0.113.0/24")
 	if err != nil {

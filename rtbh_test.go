@@ -60,6 +60,16 @@ func run(t *testing.T) (*SimulationSummary, *Dataset, *Report) {
 	return sharedRun.sum, sharedRun.ds, sharedRun.report
 }
 
+// groundTruth reads ds's ground truth, failing the test if it cannot.
+func groundTruth(t *testing.T, ds *Dataset) *GroundTruth {
+	t.Helper()
+	gt, err := ds.GroundTruth()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gt
+}
+
 func TestEndToEndDatasetRoundTrip(t *testing.T) {
 	sum, ds, _ := run(t)
 	if sum.FlowRecords == 0 || sum.ControlMsgs == 0 {
@@ -76,14 +86,14 @@ func TestEndToEndDatasetRoundTrip(t *testing.T) {
 	if n != sum.FlowRecords {
 		t.Fatalf("flow records = %d, want %d", n, sum.FlowRecords)
 	}
-	if ds.Truth == nil {
+	if groundTruth(t, ds) == nil {
 		t.Fatal("ground truth not loaded")
 	}
 }
 
 func TestEventReconstruction(t *testing.T) {
 	_, ds, r := run(t)
-	truthEvents := len(ds.Truth.Events)
+	truthEvents := len(groundTruth(t, ds).Events)
 	got := len(r.Events)
 	// The 10-minute merge must recover the planned events within a few
 	// percent (boundary effects are possible, systematic splits are not).
@@ -99,7 +109,7 @@ func TestFig2TimeOffsetRecovered(t *testing.T) {
 	}
 	// The injected skew is -40ms (data behind control), so aligning data
 	// to control requires +40ms.
-	want := -time.Duration(ds.Truth.ClockOffsetMS) * time.Millisecond
+	want := -time.Duration(groundTruth(t, ds).ClockOffsetMS) * time.Millisecond
 	if d := (r.Fig2.BestOffset - want); d < -30*time.Millisecond || d > 30*time.Millisecond {
 		t.Fatalf("best offset = %v, want ~%v", r.Fig2.BestOffset, want)
 	}
@@ -507,7 +517,7 @@ func TestFig19UseCases(t *testing.T) {
 	}
 	// Cross-check against ground-truth class counts (same order of
 	// magnitude; classification is statistical, not exact).
-	truthDDoS := ds.Truth.ClassCounts["ddos"]
+	truthDDoS := groundTruth(t, ds).ClassCounts["ddos"]
 	got := r.Fig19.Counts[UseCaseInfrastructureProtection]
 	if got < truthDDoS*5/10 || got > truthDDoS*15/10 {
 		t.Fatalf("infrastructure events = %d, truth %d", got, truthDDoS)
