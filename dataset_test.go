@@ -115,6 +115,44 @@ func TestOpenDatasetWithoutGroundTruth(t *testing.T) {
 	}
 }
 
+func TestOpenDatasetMissingFiles(t *testing.T) {
+	dir := smallDataset(t)
+	for _, name := range []string{FileMetadata, FileIP2AS, FilePDB, FileUpdates} {
+		broken := t.TempDir()
+		// Copy everything except one file.
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() == name {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(broken, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := OpenDataset(broken); err == nil {
+			t.Fatalf("OpenDataset succeeded without %s", name)
+		}
+	}
+}
+
+func TestOpenDatasetCorruptMetadata(t *testing.T) {
+	dir := smallDataset(t)
+	if err := os.WriteFile(filepath.Join(dir, FileMetadata), []byte("{bad"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDataset(dir); err == nil {
+		t.Fatal("corrupt metadata accepted")
+	}
+}
+
+
 func TestSimulateRejectsInvalidConfig(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Days = 0
