@@ -36,11 +36,6 @@ const SlotDuration = 5 * time.Minute
 // Slot returns the global slot index of t.
 func Slot(t time.Time) int64 { return t.Unix() / int64(SlotDuration/time.Second) }
 
-// Day returns the UTC day index of t relative to start.
-func Day(start, t time.Time) int {
-	return int(t.Sub(start) / (24 * time.Hour))
-}
-
 // ControlUpdate is one RTBH signaling action extracted from the
 // control-plane archive.
 type ControlUpdate struct {

@@ -27,10 +27,6 @@ func TestSlotHelpers(t *testing.T) {
 	if Slot(start.Add(SlotDuration)) != s+1 {
 		t.Fatal("next slot wrong")
 	}
-	base := time.Date(2018, 9, 26, 0, 0, 0, 0, time.UTC)
-	if Day(base, base.Add(25*time.Hour)) != 1 || Day(base, base) != 0 {
-		t.Fatal("Day wrong")
-	}
 }
 
 func TestParseMRT(t *testing.T) {

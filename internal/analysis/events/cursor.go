@@ -1,10 +1,6 @@
 package events
 
-import (
-	"time"
-
-	"repro/internal/bgp"
-)
+import "repro/internal/bgp"
 
 // candidate is one blackhole prefix covering a cursor's current address
 // together with its start-sorted events, bounds resolved to nanoseconds.
@@ -21,10 +17,10 @@ type candidate struct {
 // per-length prefix-map probes once per run of identical addresses and
 // replaying the cached candidate lists for the time-dependent queries
 // removes nearly all map hashing from the streaming pass. Every query
-// answers exactly like the Index method of the same name. A cached
-// resolution goes stale when the index changes — a Merger extends its
-// index in place — so whoever extends it rebinds every cursor, which
-// drops the memo.
+// answers exactly like the Index method of its name, in unix nanoseconds
+// where that takes a time.Time. A cached resolution goes stale when the
+// index changes — a Merger extends its index in place — so whoever
+// extends it rebinds every cursor, which drops the memo.
 //
 // A cursor is single-goroutine state: a pipeline's pair (destination-
 // and source-keyed) belongs to the goroutine that attributes, and the
@@ -56,12 +52,12 @@ func (c *Cursor) seek(ip uint32) {
 	}
 	c.valid, c.ip = true, ip
 	c.cands = c.cands[:0]
-	if !c.ix.covered16(ip) {
+	if !c.ix.cover16.Covers(ip) {
 		return
 	}
 	for _, l := range c.ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		if sps, ok := c.ix.spans[pkey(p)]; ok {
+		if sps, ok := c.ix.spans[p.Key()]; ok {
 			c.cands = append(c.cands, candidate{prefix: p, spans: sps})
 		}
 	}
@@ -76,15 +72,11 @@ func (c *Cursor) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
 	return c.cands[0].prefix, true
 }
 
-// Lookup answers Index.Lookup through the memo: the longest prefix with
-// an active episode wins; otherwise the longest with a covering merged
-// window.
-func (c *Cursor) Lookup(ip uint32, t time.Time) Match {
+// LookupNs answers Index.Lookup through the memo, for an instant in unix
+// nanoseconds: the longest prefix with an active episode wins; otherwise
+// the longest with a covering merged window.
+func (c *Cursor) LookupNs(ip uint32, tn int64) Match {
 	c.seek(ip)
-	if len(c.cands) == 0 {
-		return Match{}
-	}
-	tn := t.UnixNano()
 	var m Match
 	for i := range c.cands {
 		cand := &c.cands[i]
@@ -96,10 +88,8 @@ func (c *Cursor) Lookup(ip uint32, t time.Time) Match {
 			if tn > sp.end {
 				continue
 			}
-			for _, ep := range sp.eps {
-				if tn >= ep.Ann && tn < ep.Wd {
-					return Match{Event: sp.ev, Active: true, Prefix: cand.prefix}
-				}
+			if sp.activeAt(tn) {
+				return Match{Event: sp.ev, Active: true, Prefix: cand.prefix}
 			}
 			if m.Event == nil {
 				m = Match{Event: sp.ev, Prefix: cand.prefix}
@@ -107,6 +97,23 @@ func (c *Cursor) Lookup(ip uint32, t time.Time) Match {
 		}
 	}
 	return m
+}
+
+// activeAt reports whether one of the span's episodes covers tn. An
+// event's episodes are disjoint and in time order — its stream announces
+// again only after it withdrew — so only the last one announced at or
+// before tn can, and a binary search finds it.
+func (sp *eventSpan) activeAt(tn int64) bool {
+	lo, hi := 0, len(sp.eps)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if sp.eps[h].Ann <= tn {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo > 0 && tn < sp.eps[lo-1].Wd
 }
 
 // Episodes appends the bounds of every episode, of every blackhole prefix
@@ -135,15 +142,12 @@ func (c *Cursor) Episodes(dst []EpisodeSpan, ip uint32, lo, hi int64) []EpisodeS
 	return dst
 }
 
-// Interesting answers Index.Interesting through the memo: whether (ip,
-// t) falls inside any event's analysis range — the pre-window plus the
-// merged event window — returning the matched (longest) prefix.
-func (c *Cursor) Interesting(ip uint32, t time.Time) (bgp.Prefix, bool) {
+// InterestingNs answers Index.Interesting through the memo, for an
+// instant in unix nanoseconds: whether (ip, tn) falls inside any event's
+// analysis range — the pre-window plus the merged event window —
+// returning the matched (longest) prefix.
+func (c *Cursor) InterestingNs(ip uint32, tn int64) (bgp.Prefix, bool) {
 	c.seek(ip)
-	if len(c.cands) == 0 {
-		return bgp.Prefix{}, false
-	}
-	tn := t.UnixNano()
 	pre := int64(PreWindow)
 	for i := range c.cands {
 		cand := &c.cands[i]

@@ -28,40 +28,18 @@ type Match struct {
 type Index struct {
 	periodEnd time.Time
 	// spans holds the per-prefix event lists in ID order (so sorted by
-	// start time), keyed by the packed prefix (see pkey), with the events'
-	// window and episode bounds resolved to unix nanoseconds — the
-	// representation the Cursor scans: integer comparisons instead of
-	// time.Time's wall/monotonic decode, which the streaming pass performs
-	// several times per record.
+	// start time), keyed by bgp.Prefix.Key, with the events' window and
+	// episode bounds resolved to unix nanoseconds — the representation
+	// the Cursor scans: integer comparisons instead of time.Time's
+	// wall/monotonic decode, which the streaming pass performs several
+	// times per record.
 	spans map[uint64][]eventSpan
 	// lengths lists the distinct prefix lengths present, descending, so
 	// longest-prefix-match scans only real candidates.
 	lengths []uint8
-	// cover16 has one bit per /16 of the address space, set when the /16
-	// contains or is contained in a blackhole prefix. Every prefix covering
-	// an address either lies inside the address's /16 (length >= 16) or
-	// contains that /16 whole (length < 16), and both mark it — so an
-	// unmarked /16 has no covering prefix at any length, and the Cursor
-	// answers "no candidates" from this one bit without probing spans.
-	cover16 [1 << 16 / 64]uint64
-}
-
-// mark16 sets the cover16 bits of every /16 that p touches.
-func (ix *Index) mark16(p bgp.Prefix) {
-	first, n := p.Addr>>16, uint32(1)
-	if p.Len < 16 {
-		n = 1 << (16 - p.Len)
-		first &^= n - 1
-	}
-	for b := first; b < first+n; b++ {
-		ix.cover16[b>>6] |= 1 << (b & 63)
-	}
-}
-
-// covered16 reports whether any blackhole prefix can cover ip.
-func (ix *Index) covered16(ip uint32) bool {
-	b := ip >> 16
-	return ix.cover16[b>>6]&(1<<(b&63)) != 0
+	// cover16 marks every blackhole prefix (see bgp.Cover16): the Cursor
+	// answers "no candidates" from one bit without probing spans.
+	cover16 bgp.Cover16
 }
 
 // EpisodeSpan is one announce/withdraw interval [Ann, Wd) in unix
@@ -91,13 +69,6 @@ func (sp *eventSpan) resolve(e *Event, periodEnd time.Time) {
 	}
 }
 
-// pkey packs a canonical prefix into one integer map key: the masked
-// address shifted above the length. uint64 keys take the runtime's
-// specialized hash path, which matters here — the attribution maps are
-// probed several times per flow record, and the generated struct hash
-// for a composite key dominated the pass profile.
-func pkey(p bgp.Prefix) uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
-
 // NewIndex builds the attribution index.
 func NewIndex(evs []*Event, periodEnd time.Time) *Index {
 	ix := &Index{periodEnd: periodEnd, spans: make(map[uint64][]eventSpan)}
@@ -111,10 +82,10 @@ func NewIndex(evs []*Event, periodEnd time.Time) *Index {
 // on equal starts, carry a lower ID. Events come in ID order, so this
 // appends but for a new event that ties with the newest start.
 func (ix *Index) add(e *Event) {
-	k := pkey(e.Prefix)
+	k := e.Prefix.Key()
 	sps, ok := ix.spans[k]
 	if !ok {
-		ix.mark16(e.Prefix)
+		ix.cover16.Mark(e.Prefix)
 		j := 0
 		for j < len(ix.lengths) && ix.lengths[j] > e.Prefix.Len {
 			j++
@@ -136,7 +107,7 @@ func (ix *Index) add(e *Event) {
 // or old itself, with episodes added or closed — and resolves it again.
 // An event's prefix and start never change.
 func (ix *Index) replace(old, cur *Event) {
-	sps := ix.spans[pkey(old.Prefix)]
+	sps := ix.spans[old.Prefix.Key()]
 	start := old.Start().UnixNano()
 	j := sort.Search(len(sps), func(j int) bool { return sps[j].start >= start })
 	for sps[j].ev != old {
@@ -150,12 +121,12 @@ func (ix *Index) replace(old, cur *Event) {
 // candidate (hosts, unattributed pairs), nearly all of which sit in a /16
 // no blackhole touches: cover16 answers those without a probe.
 func (ix *Index) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
-	if !ix.covered16(ip) {
+	if !ix.cover16.Covers(ip) {
 		return bgp.Prefix{}, false
 	}
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		if _, ok := ix.spans[pkey(p)]; ok {
+		if _, ok := ix.spans[p.Key()]; ok {
 			return p, true
 		}
 	}
@@ -168,7 +139,7 @@ func (ix *Index) Lookup(ip uint32, t time.Time) Match {
 	var windowMatch Match
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		sps, ok := ix.spans[pkey(p)]
+		sps, ok := ix.spans[p.Key()]
 		if !ok {
 			continue
 		}
@@ -210,7 +181,7 @@ func scanLookup(p bgp.Prefix, sps []eventSpan, t, periodEnd time.Time, m *Match)
 func (ix *Index) Interesting(ip uint32, t time.Time) (bgp.Prefix, bool) {
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		sps, ok := ix.spans[pkey(p)]
+		sps, ok := ix.spans[p.Key()]
 		if !ok {
 			continue
 		}
@@ -239,7 +210,7 @@ func scanInteresting(sps []eventSpan, t, periodEnd time.Time) bool {
 // EventsFor returns the events of one prefix in start order.
 func (ix *Index) EventsFor(p bgp.Prefix) []*Event {
 	var evs []*Event
-	for _, sp := range ix.spans[pkey(p)] {
+	for _, sp := range ix.spans[p.Key()] {
 		evs = append(evs, sp.ev)
 	}
 	return evs

@@ -125,7 +125,7 @@ func checkView(m *Merger, prefix []analysis.ControlUpdate) error {
 		for _, off := range []time.Duration{-PreWindow, -time.Second, 0, time.Second, DefaultDelta / 2} {
 			at := prefix[i].Time.Add(off)
 			for _, ip := range ips {
-				g, w := cur.Lookup(ip, at), wantCur.Lookup(ip, at)
+				g, w := cur.LookupNs(ip, at.UnixNano()), wantCur.LookupNs(ip, at.UnixNano())
 				if (g.Event == nil) != (w.Event == nil) || g.Active != w.Active || g.Prefix != w.Prefix ||
 					(g.Event != nil && g.Event.ID != w.Event.ID) {
 					return fmt.Errorf("Lookup(%08x, %v) = %+v, want %+v", ip, at, g, w)
@@ -135,8 +135,8 @@ func checkView(m *Merger, prefix []analysis.ControlUpdate) error {
 				if gp != wp || gok != wok {
 					return fmt.Errorf("EverBlackholed(%08x) = %v %v, want %v %v", ip, gp, gok, wp, wok)
 				}
-				gp, gok = cur.Interesting(ip, at)
-				wp, wok = wantCur.Interesting(ip, at)
+				gp, gok = cur.InterestingNs(ip, at.UnixNano())
+				wp, wok = wantCur.InterestingNs(ip, at.UnixNano())
 				if gp != wp || gok != wok {
 					return fmt.Errorf("Interesting(%08x, %v) = %v %v, want %v %v", ip, at, gp, gok, wp, wok)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func edgeProbes(r *stats.RNG, prefixes []bgp.Prefix) []uint32 {
 func everBlackholedUnfiltered(ix *Index, ip uint32) (bgp.Prefix, bool) {
 	for _, l := range ix.lengths {
 		p := bgp.MakePrefix(ip, l)
-		if _, ok := ix.spans[pkey(p)]; ok {
+		if _, ok := ix.spans[p.Key()]; ok {
 			return p, true
 		}
 	}
@@ -186,11 +187,11 @@ func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 			if gotP, gotOK := ix.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
 				t.Fatalf("Index.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
 			}
-			if got, want := cur.Lookup(ip, at), ix.Lookup(ip, at); got != want {
+			if got, want := cur.LookupNs(ip, at.UnixNano()), ix.Lookup(ip, at); got != want {
 				t.Fatalf("Lookup(%08x, %v) = %+v; index says %+v", ip, at, got, want)
 			}
 			wantP, wantI := ix.Interesting(ip, at)
-			if gotP, gotI := cur.Interesting(ip, at); gotP != wantP || gotI != wantI {
+			if gotP, gotI := cur.InterestingNs(ip, at.UnixNano()); gotP != wantP || gotI != wantI {
 				t.Fatalf("Interesting(%08x, %v) = %v, %v; index says %v, %v", ip, at, gotP, gotI, wantP, wantI)
 			}
 			if wantOK {
@@ -238,5 +239,101 @@ func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 			cur.Rebind(ix2)
 			check(t, cur, ix2, r, ips)
 		})
+	}
+}
+
+// lookupLinear is the reference model for Cursor.LookupNs: the cursor's
+// scan before it searched an event's episodes by bisection, visiting
+// every episode of every event whose window covers tn, with no memo and
+// no /16 filter.
+func lookupLinear(ix *Index, ip uint32, tn int64) Match {
+	var m Match
+	for _, l := range ix.lengths {
+		p := bgp.MakePrefix(ip, l)
+		for _, sp := range ix.spans[p.Key()] {
+			if tn < sp.start {
+				break
+			}
+			if tn > sp.end {
+				continue
+			}
+			for _, ep := range sp.eps {
+				if tn >= ep.Ann && tn < ep.Wd {
+					return Match{Event: sp.ev, Active: true, Prefix: p}
+				}
+			}
+			if m.Event == nil {
+				m = Match{Event: sp.ev, Prefix: p}
+			}
+		}
+	}
+	return m
+}
+
+// TestCursorLookupMatchesLinearEpisodes holds the episode bisection to
+// the linear scan, and both to Index.Lookup's time.Time arithmetic, on
+// random events of disjoint, time-ordered episodes: many of them per
+// event, zero-length ones, events that overlap on a prefix, and open
+// last episodes resolved to a period end that some episodes start after.
+// Every episode bound is probed, and a nanosecond either side of it.
+func TestCursorLookupMatchesLinearEpisodes(t *testing.T) {
+	base := time.Date(2018, 10, 1, 0, 0, 0, 0, time.UTC)
+	prefixes := []bgp.Prefix{
+		bgp.MustParsePrefix("203.0.113.5/32"),
+		bgp.MustParsePrefix("203.0.113.0/24"),
+		bgp.MustParsePrefix("198.51.100.0/22"),
+	}
+	ips := []uint32{prefixes[0].Addr, prefixes[1].Addr + 9, prefixes[2].Addr + 700, 0x01020304}
+	var queries, active, zeroLen int
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := stats.NewRNG(seed)
+		var evs []*Event
+		var bounds []time.Time
+		for n := 3 + r.Intn(8); len(evs) < n; {
+			e := &Event{Prefix: prefixes[r.Intn(len(prefixes))], Peer: uint32(100 + r.Intn(3))}
+			at := base.Add(time.Duration(r.Intn(600)) * time.Minute)
+			for k := 1 + r.Intn(12); k > 0; k-- {
+				at = at.Add(time.Duration(r.Intn(3)) * time.Minute) // equal to the last withdraw now and then
+				ep := Episode{Announce: at, Withdraw: at.Add(time.Duration(r.Intn(4)) * 5 * time.Minute)}
+				if ep.Withdraw.Equal(ep.Announce) {
+					zeroLen++
+				}
+				at = ep.Withdraw
+				if k == 1 && r.Bool(0.4) {
+					ep.Withdraw = time.Time{} // still announced at the period end
+				}
+				e.Episodes = append(e.Episodes, ep)
+				bounds = append(bounds, ep.Announce, at)
+			}
+			evs = append(evs, e)
+		}
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start().Before(evs[j].Start()) })
+		for i, e := range evs {
+			e.ID = i
+		}
+		// The period ends inside the generated range: later episodes start
+		// after it, and an open one there resolves to before its announce.
+		end := base.Add(time.Duration(300+r.Intn(600)) * time.Minute)
+		bounds = append(bounds, end)
+		ix := NewIndex(evs, end)
+		cur := NewCursor(ix)
+		for _, ip := range ips {
+			for _, b := range bounds {
+				for _, d := range []time.Duration{-time.Nanosecond, 0, time.Nanosecond} {
+					at := b.Add(d)
+					got, lin, want := cur.LookupNs(ip, at.UnixNano()), lookupLinear(ix, ip, at.UnixNano()), ix.Lookup(ip, at)
+					if got != want || lin != want {
+						t.Fatalf("seed %d: Lookup(%08x, %v) = %+v bisecting, %+v linear; index says %+v", seed, ip, at, got, lin, want)
+					}
+					queries++
+					if want.Active {
+						active++
+					}
+				}
+			}
+		}
+	}
+	if active == 0 || active == queries || zeroLen == 0 {
+		t.Fatalf("%d of %d queries active, %d zero-length episodes: the comparison is vacuous", active, queries, zeroLen)
 	}
 }

@@ -9,27 +9,30 @@ import (
 	"repro/internal/bgp"
 )
 
-// Window is one FlowSpec mitigation interval: a discard rule installed
-// at Start and withdrawn at End (zero End = still installed at the end
-// of the measurement period).
-type Window struct {
-	Prefix     bgp.Prefix
-	Rule       *bgp.FlowRule
-	Start, End time.Time
-	Peer       uint32 // announcing member
-}
+// window is one FlowSpec mitigation interval [start, end) in unix
+// nanoseconds: a discard rule installed at start and withdrawn at end. A
+// rule still installed at the end of the measurement period covers
+// through it, so its window ends one nanosecond past the period end.
+// Nanosecond comparisons order exactly like time.Time for the in-range
+// wall-clock timestamps the archives carry.
+type window struct{ start, end int64 }
 
 // Index answers "was a FlowSpec mitigation active for this destination
-// at this time" queries, the FlowSpec counterpart of events.Index. Build
-// it from the time-sorted FlowSpec update stream; the online analyzer
-// extends it in place as the stream grows, which is safe for the same
-// reason extending the event index is: a record is only sealed once no
-// in-flight update can still cover it.
+// at this time" queries, the FlowSpec counterpart of events.Index, and is
+// queried through a Cursor the same way. Build it from the time-sorted
+// FlowSpec update stream; the online analyzer extends it in place as the
+// stream grows, which is safe for the same reason extending the event
+// index is: a record is only sealed once no in-flight update can still
+// cover it.
 type Index struct {
-	periodEnd time.Time
-	byPrefix  map[bgp.Prefix][]Window // sorted by Start
-	lengths   []uint8                 // distinct prefix lengths, descending
-	windows   int
+	openEnd int64               // end of a window still open: period end + 1ns
+	spans   map[uint64][]window // by bgp.Prefix.Key, sorted by start
+	lengths []uint8             // distinct prefix lengths, descending
+	cover16 bgp.Cover16         // every prefix with a window
+	windows int
+	// epoch counts the Extend calls that folded updates; a Cursor
+	// resolved under another epoch resolves again.
+	epoch uint64
 
 	// flows is the time-sorted stream folded so far, kept to rebuild
 	// from should an update arrive out of order; open locates the window
@@ -45,10 +48,10 @@ type ruleKey struct {
 	wire string
 }
 
-// windowRef is where a rule's open window sits in byPrefix.
+// windowRef is where a rule's open window sits in spans.
 type windowRef struct {
-	prefix bgp.Prefix
-	i      int
+	key uint64
+	i   int
 }
 
 // NewIndex pairs announcements with withdrawals into windows and builds
@@ -58,7 +61,7 @@ type windowRef struct {
 // peer; re-announcing an open rule and withdrawing an uninstalled one are
 // no-ops, mirroring the route server.
 func NewIndex(flows []analysis.FlowUpdate, periodEnd time.Time) *Index {
-	ix := &Index{periodEnd: periodEnd}
+	ix := &Index{openEnd: periodEnd.UnixNano() + 1}
 	ix.Extend(flows)
 	return ix
 }
@@ -69,10 +72,11 @@ func NewIndex(flows []analysis.FlowUpdate, periodEnd time.Time) *Index {
 // so), equal timestamps in processing order; if flows steps back in time
 // — behind the index or within itself — the index is rebuilt once from
 // the stably re-sorted stream, which is what NewIndex over a batch parse
-// of the same archive builds.
+// of the same archive builds. Either way it moves the index to a new
+// epoch, which drops every Cursor's memo.
 func (ix *Index) Extend(flows []analysis.FlowUpdate) {
-	if ix.byPrefix == nil {
-		ix.byPrefix = make(map[bgp.Prefix][]Window)
+	if ix.spans == nil {
+		ix.spans = make(map[uint64][]window)
 		ix.open = make(map[ruleKey]windowRef)
 	}
 	if len(flows) == 0 {
@@ -82,10 +86,11 @@ func (ix *Index) Extend(flows []analysis.FlowUpdate) {
 		sorted := make([]analysis.FlowUpdate, 0, len(ix.flows)+len(flows))
 		sorted = append(append(sorted, ix.flows...), flows...)
 		analysis.SortFlowUpdates(sorted)
-		*ix = Index{periodEnd: ix.periodEnd}
+		*ix = Index{openEnd: ix.openEnd, epoch: ix.epoch}
 		ix.Extend(sorted)
 		return
 	}
+	ix.epoch++
 	if ix.flows == nil {
 		ix.flows = flows[:len(flows):len(flows)]
 	} else {
@@ -113,7 +118,7 @@ func (ix *Index) inOrder(flows []analysis.FlowUpdate) bool {
 }
 
 // fold applies one update that continues the folded stream in time
-// order, so a prefix's windows stay sorted by Start.
+// order, so a prefix's windows stay sorted by start.
 func (ix *Index) fold(fu *analysis.FlowUpdate) {
 	if fu.Rule == nil || !fu.Rule.HasDst {
 		return
@@ -127,49 +132,22 @@ func (ix *Index) fold(fu *analysis.FlowUpdate) {
 	switch {
 	case fu.Announce && !isOpen:
 		p := fu.Rule.Dst
-		lst := ix.byPrefix[p]
-		if !slices.Contains(ix.lengths, p.Len) {
-			i := sort.Search(len(ix.lengths), func(i int) bool { return ix.lengths[i] < p.Len })
-			ix.lengths = slices.Insert(ix.lengths, i, p.Len)
+		pk := p.Key()
+		lst, ok := ix.spans[pk]
+		if !ok {
+			ix.cover16.Mark(p)
+			if !slices.Contains(ix.lengths, p.Len) {
+				i := sort.Search(len(ix.lengths), func(i int) bool { return ix.lengths[i] < p.Len })
+				ix.lengths = slices.Insert(ix.lengths, i, p.Len)
+			}
 		}
-		ix.open[k] = windowRef{prefix: p, i: len(lst)}
-		ix.byPrefix[p] = append(lst, Window{Prefix: p, Rule: fu.Rule, Start: fu.Time, Peer: fu.Peer})
+		ix.open[k] = windowRef{key: pk, i: len(lst)}
+		ix.spans[pk] = append(lst, window{start: fu.Time.UnixNano(), end: ix.openEnd})
 		ix.windows++
 	case !fu.Announce && isOpen:
-		ix.byPrefix[ref.prefix][ref.i].End = fu.Time
+		ix.spans[ref.key][ref.i].end = fu.Time.UnixNano()
 		delete(ix.open, k)
 	}
-}
-
-// Lookup returns the longest prefix with a FlowSpec window covering
-// (ip, t). Windows are half-open [Start, End); an open-ended window
-// covers through the period end.
-func (ix *Index) Lookup(ip uint32, t time.Time) (bgp.Prefix, bool) {
-	if ix == nil || len(ix.byPrefix) == 0 {
-		return bgp.Prefix{}, false
-	}
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		lst, ok := ix.byPrefix[p]
-		if !ok {
-			continue
-		}
-		for _, w := range lst {
-			if t.Before(w.Start) {
-				break // sorted by start
-			}
-			if w.End.IsZero() {
-				if !t.After(ix.periodEnd) {
-					return p, true
-				}
-				continue
-			}
-			if t.Before(w.End) {
-				return p, true
-			}
-		}
-	}
-	return bgp.Prefix{}, false
 }
 
 // Windows returns the number of mitigation windows indexed.

@@ -3,8 +3,12 @@ package pipeline
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/events"
+	"repro/internal/analysis/mitigation"
+	"repro/internal/bgp"
 	"repro/internal/ipfix"
 )
 
@@ -34,6 +38,24 @@ func batchSource(batches []*ipfix.RecordBatch) BatchSource {
 		}
 		return nil
 	}
+}
+
+// escalationUpdates escalates every parity episode to a FlowSpec discard
+// of its amplification source ports ten minutes after the announcement,
+// withdrawn with the blackhole but for the last episode's rule, which
+// stays installed through the period end.
+func escalationUpdates() []analysis.FlowUpdate {
+	var ups []analysis.FlowUpdate
+	eps := parityEpisodes()
+	for i, ep := range eps {
+		rule := &bgp.FlowRule{Dst: ep.prefix, HasDst: true, Protos: []uint8{17}, SrcPorts: []uint16{19, 53, 123, 161, 389}}
+		ups = append(ups, analysis.FlowUpdate{Time: ep.start.Add(10 * time.Minute), Peer: 100, Rule: rule, Announce: true})
+		if i < len(eps)-1 {
+			ups = append(ups, analysis.FlowUpdate{Time: ep.end, Peer: 100, Rule: rule})
+		}
+	}
+	analysis.SortFlowUpdates(ups)
+	return ups
 }
 
 // TestObserveBatchParity pins the batch contract: how a stream is cut
@@ -119,6 +141,25 @@ func TestObserveBatchAllocs(t *testing.T) {
 		// passes; everything else must be allocation-free.
 		if perRecord > 0.01 {
 			t.Fatalf("warm batch path allocates %.4f allocs/record, want ~0 (<= 0.01)", perRecord)
+		}
+	})
+
+	// The escalate world: every parity episode escalates to a FlowSpec
+	// discard of its amplification sources ten minutes in, withdrawn with
+	// the blackhole (the last one never is). Each attributed record now
+	// also asks the FlowSpec view, through its cursor, and a warm pass must
+	// still not allocate.
+	t.Run("escalate", func(t *testing.T) {
+		p := fresh()
+		p.BindFlow(mitigation.NewIndex(escalationUpdates(), p.Meta.End))
+		observe(p)
+		if p.Mit.Prefixes() == 0 {
+			t.Fatal("no record fell in a FlowSpec window; the escalate case is vacuous")
+		}
+		perRecord := testing.AllocsPerRun(3, func() { observe(p) }) / float64(len(recs))
+		t.Logf("allocs/record (warm, FlowSpec windows) = %.4f", perRecord)
+		if perRecord > 0.01 {
+			t.Fatalf("warm batch path with FlowSpec windows allocates %.4f allocs/record, want ~0 (<= 0.01)", perRecord)
 		}
 	})
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/analysis/dropstats"
 	"repro/internal/analysis/events"
 	"repro/internal/analysis/hosts"
+	"repro/internal/analysis/mitigation"
 	"repro/internal/analysis/protomix"
 	"repro/internal/analysis/timealign"
 	"repro/internal/bgp"
@@ -597,12 +598,37 @@ func TestRebindRebindsCursors(t *testing.T) {
 		if got, ok := cur.EverBlackholed(victim.Addr); !ok || got != victim {
 			t.Fatalf("after Rebind: EverBlackholed = %v, %v; want %v", got, ok, victim)
 		}
-		if m := cur.Lookup(victim.Addr, t0.Add(time.Minute)); !m.Active {
+		if m := cur.LookupNs(victim.Addr, t0.Add(time.Minute).UnixNano()); !m.Active {
 			t.Fatalf("after Rebind: Lookup = %+v, want an active match", m)
 		}
 	}
 	observe(p, rec(t0.Add(time.Minute), memberMAC200, blackholeMAC, 0x50000001, victim.Addr, 389, 4444, 17))
 	if p.Align.Estimate(50*time.Millisecond).BestOverlap != 1 {
 		t.Fatal("time alignment did not see the rebound index")
+	}
+}
+
+// TestFlowExtendReachesCursor checks that the FlowSpec memo follows the
+// bound view when it is extended in place, as the online analyzer's seal
+// checks extend it: a destination resolved before its prefix had a
+// window, and asked again right after the window was added, must fall in
+// it.
+func TestFlowExtendReachesCursor(t *testing.T) {
+	p, err := NewSpeculative(testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := mitigation.NewIndex(nil, p.Meta.End)
+	p.BindFlow(ix)
+	r := rec(t0.Add(time.Minute), memberMAC200, memberMAC100, 0x50000001, victim.Addr, 389, 4444, 17)
+	observe(p, r)
+	if n := p.Mit.Prefixes(); n != 0 {
+		t.Fatalf("%d prefixes measured under FlowSpec before any window", n)
+	}
+	rule := &bgp.FlowRule{Dst: victim, HasDst: true, Protos: []uint8{17}}
+	ix.Extend([]analysis.FlowUpdate{{Time: t0, Peer: 100, Rule: rule, Announce: true}})
+	observe(p, r)
+	if n := p.Mit.Prefixes(); n != 1 {
+		t.Fatalf("%d prefixes measured under FlowSpec after the view gained a window on %v, want 1", n, victim)
 	}
 }

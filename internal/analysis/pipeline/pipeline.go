@@ -92,8 +92,11 @@ type Pipeline struct {
 	// endpoints, so the prefix-map hashing that dominates a naive pass
 	// resolves once per stretch. Destination- and source-keyed queries
 	// get separate cursors because both address runs persist
-	// independently across records.
+	// independently across records. curFlow is the destination memo
+	// over the FlowSpec view, which drops itself whenever the view is
+	// extended (see mitigation.Cursor).
 	curDst, curSrc *events.Cursor
+	curFlow        *mitigation.Cursor
 
 	// MAC-derived metadata memo (IsInternal and the ingress member):
 	// records of one injected batch share both MACs.
@@ -174,10 +177,11 @@ func NewSpeculative(meta *analysis.Metadata) (*Pipeline, error) {
 }
 
 // bindCursors (re)creates the per-address attribution memos over the
-// current Index. Call whenever Index is (re)assigned.
+// current Index and FlowIx. Call whenever either is (re)assigned.
 func (p *Pipeline) bindCursors() {
 	p.curDst = events.NewCursor(p.Index)
 	p.curSrc = events.NewCursor(p.Index)
+	p.curFlow = mitigation.NewCursor(p.FlowIx)
 }
 
 func newEmpty(meta *analysis.Metadata) *Pipeline {
@@ -212,8 +216,12 @@ func (p *Pipeline) Rebind(evs []*events.Event, ix *events.Index) {
 // drivers bind once before the pass; the online analyzer re-binds as
 // FlowSpec updates arrive, which keeps sealed observations valid for the
 // same reason Rebind does — a record seals only once no in-flight
-// FlowSpec update can still cover its timestamp.
-func (p *Pipeline) BindFlow(ix *mitigation.Index) { p.FlowIx = ix }
+// FlowSpec update can still cover its timestamp. A view extended in place
+// needs no re-binding: its cursor notices the extension by itself.
+func (p *Pipeline) BindFlow(ix *mitigation.Index) {
+	p.FlowIx = ix
+	p.curFlow = mitigation.NewCursor(ix)
+}
 
 // Freeze declares that the pipeline's control-plane view will not change
 // for the rest of its life (no further Rebind or BindFlow): observation
@@ -372,6 +380,9 @@ func (p *Pipeline) attribute(recs []ipfix.FlowRecord, at []attr) {
 	// Summed per batch: under Lanes the feeds read the pipeline's operator
 	// pointers from the cache lines the counters share.
 	var internal, blackholed, attributed int64
+	// Every query below compares unix nanoseconds: a record's start is
+	// read once, the period start once per batch.
+	periodStart := p.Meta.Start.UnixNano()
 	for i := range recs {
 		rec, a := &recs[i], &at[i]
 		*a = attr{}
@@ -390,10 +401,11 @@ func (p *Pipeline) attribute(recs []ipfix.FlowRecord, at []attr) {
 			blackholed++
 			a.flags |= fDropped
 		}
+		tn := rec.Start.UnixNano()
 		// FlowSpec is evaluated before the RTBH gates: a FlowSpec-only
 		// mitigation covers destinations that may never enter the
 		// ever-blackholed set at all.
-		if fs, ok := p.FlowIx.Lookup(rec.DstIP, rec.Start); ok {
+		if fs, ok := p.curFlow.Lookup(rec.DstIP, tn); ok {
 			a.flags |= fFlowSpec
 			a.fsLen = fs.Len
 		}
@@ -417,7 +429,7 @@ func (p *Pipeline) attribute(recs []ipfix.FlowRecord, at []attr) {
 		// identically either way: once a record is old enough to be
 		// observed here, no future event can still cover it.
 		if dstBH || p.wide {
-			m := p.curDst.Lookup(rec.DstIP, rec.Start)
+			m := p.curDst.LookupNs(rec.DstIP, tn)
 			if dstBH {
 				if m.Active {
 					a.flags |= fActive
@@ -426,22 +438,22 @@ func (p *Pipeline) attribute(recs []ipfix.FlowRecord, at []attr) {
 					a.flags |= fInEvent
 					a.event, a.matchLen = int32(m.Event.ID), m.Prefix.Len
 				}
-				if prefix, ok := p.curDst.Interesting(rec.DstIP, rec.Start); ok {
+				if prefix, ok := p.curDst.InterestingNs(rec.DstIP, tn); ok {
 					a.flags |= fInRange
 					a.anomLen = prefix.Len
 				}
 			}
-			if m.Event == nil && p.legitAt(p.curDst, rec.DstIP, rec.Start) {
+			if m.Event == nil && legitAt(p.curDst, rec.DstIP, tn) {
 				a.flags |= fLegitIn
 			}
 		}
 		if srcBH || p.wide {
-			if m := p.curSrc.Lookup(rec.SrcIP, rec.Start); m.Event == nil && p.legitAt(p.curSrc, rec.SrcIP, rec.Start) {
+			if m := p.curSrc.LookupNs(rec.SrcIP, tn); m.Event == nil && legitAt(p.curSrc, rec.SrcIP, tn) {
 				a.flags |= fLegitOut
 			}
 		}
 		if a.flags&(fLegitIn|fLegitOut) != 0 {
-			a.day = int32(analysis.Day(p.Meta.Start, rec.Start))
+			a.day = int32((tn - periodStart) / int64(24*time.Hour))
 		}
 	}
 	p.TotalRecords += int64(len(recs))
@@ -574,12 +586,11 @@ func (p *Pipeline) feedHosts(recs []ipfix.FlowRecord, at []attr) (n int) {
 }
 
 // legitAt reports that no event window starts within the reaction buffer
-// after t (the caller has already checked that t itself is outside any
+// after tn (the caller has already checked that tn itself is outside any
 // window). cur is the cursor already seeked to ip's address family of
 // queries (destination- or source-keyed).
-func (p *Pipeline) legitAt(cur *events.Cursor, ip uint32, t time.Time) bool {
-	m := cur.Lookup(ip, t.Add(ReactionBuffer))
-	return m.Event == nil
+func legitAt(cur *events.Cursor, ip uint32, tn int64) bool {
+	return cur.LookupNs(ip, tn+int64(ReactionBuffer)).Event == nil
 }
 
 // EverBlackholed reports whether ip lies inside a prefix that was

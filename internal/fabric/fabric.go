@@ -123,6 +123,9 @@ type Fabric struct {
 	ClockOffset time.Duration
 
 	stats Stats
+	// fsCands are the FlowSpec rules that can discard packets of the batch
+	// Inject is offering, kept to reuse their storage.
+	fsCands routeserver.FlowCandidates
 }
 
 // SampleSource bundles the edge sampler and the per-record randomness a
@@ -225,15 +228,18 @@ func (f *Fabric) Inject(b *Batch) error {
 	// is what the scenario's service-port discard rules make it.
 	// A packet dies to FlowSpec if the ingress member imported a matching
 	// rule or the egress member authored one (routeserver.Server.MatchFlowRule).
+	// Only ports and protocol vary within a batch, so the rules that can
+	// match it are picked once, for this decision and the sampled records'.
 	fsMatch := false
 	if !b.Internal {
+		f.rs.FlowCandidates(&f.fsCands, b.IngressAS, b.EgressAS, b.DstIP)
 		switch {
 		case b.VaryPorts == nil:
-			fsMatch = f.rs.MatchFlowRule(b.IngressAS, b.EgressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort) != nil
+			fsMatch = f.fsCands.Match(b.Proto, b.SrcPort, b.DstPort) != nil
 		case b.FixedSrcPort:
 			// Destination port varies per packet; only a rule that does
 			// not constrain it can be decided at batch level.
-			r := f.rs.MatchFlowRule(b.IngressAS, b.EgressAS, b.DstIP, b.Proto, b.SrcPort, b.DstPort)
+			r := f.fsCands.Match(b.Proto, b.SrcPort, b.DstPort)
 			fsMatch = r != nil && len(r.DstPorts) == 0
 		}
 	}
@@ -291,7 +297,7 @@ func (f *Fabric) Inject(b *Batch) error {
 			switch {
 			case f.rng.Bool(dropFrac):
 				rec.DstMAC = BlackholeMAC
-			case f.rs.MatchFlowRule(b.IngressAS, b.EgressAS, rec.DstIP, rec.Proto, rec.SrcPort, rec.DstPort) != nil:
+			case f.fsCands.Match(rec.Proto, rec.SrcPort, rec.DstPort) != nil:
 				// Fine-grained discard: only the matching packets die.
 				// The expected-value counters already accounted for this
 				// at batch level (fsMatch above).

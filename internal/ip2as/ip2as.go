@@ -27,7 +27,7 @@ type Entry struct {
 // Lookup; Add and Lookup may be interleaved. The zero value is empty and
 // usable.
 type Table struct {
-	// asn maps a packed prefix (see pkey) to its origin AS; integer keys
+	// asn maps a packed prefix (bgp.Prefix.Key) to its origin AS; integer keys
 	// take the runtime's specialized hash path, and Lookup runs once per
 	// amplification record of the streaming pass.
 	asn map[uint64]uint32
@@ -39,14 +39,12 @@ type Table struct {
 // New returns an empty table.
 func New() *Table { return &Table{} }
 
-func pkey(p bgp.Prefix) uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
-
 // Add inserts prefix -> asn, replacing any existing identical prefix.
 func (t *Table) Add(p bgp.Prefix, asn uint32) {
 	if t.asn == nil {
 		t.asn = make(map[uint64]uint32)
 	}
-	t.asn[pkey(p)] = asn
+	t.asn[p.Key()] = asn
 	i := sort.Search(len(t.lens), func(i int) bool { return t.lens[i] <= p.Len })
 	if i == len(t.lens) || t.lens[i] != p.Len {
 		t.lens = append(t.lens, 0)
@@ -59,7 +57,7 @@ func (t *Table) Add(p bgp.Prefix, asn uint32) {
 // (0, false) when no prefix matches.
 func (t *Table) Lookup(addr uint32) (uint32, bool) {
 	for _, l := range t.lens {
-		if asn, ok := t.asn[pkey(bgp.MakePrefix(addr, l))]; ok {
+		if asn, ok := t.asn[bgp.MakePrefix(addr, l).Key()]; ok {
 			return asn, true
 		}
 	}

@@ -105,9 +105,11 @@ func BenchmarkDropFraction(b *testing.B) {
 }
 
 // BenchmarkMatchFlowSpec measures the per-packet fine-grained matching
-// cost with a realistic installed rule count, as the fabric asks it: once
-// for a member that imported the rules and once for one that did not,
-// where only the egress originator's own rules can match.
+// cost with a realistic installed rule count: once for a member that
+// imported the rules and once for one that did not, where only the egress
+// originator's own rules can match. The batch cases ask as the fabric
+// does, through FlowCandidates resolved once per 16 packets toward one
+// destination.
 func BenchmarkMatchFlowSpec(b *testing.B) {
 	s := New(64500, 1)
 	s.AddPeer(Peer{ASN: 1000, Policy: DefaultPolicy()})
@@ -138,6 +140,19 @@ func BenchmarkMatchFlowSpec(b *testing.B) {
 			hits := 0
 			for i := 0; i < b.N; i++ {
 				if s.MatchFlowRule(bc.ingress, 1000, 0xcb007100+uint32(i%64), 17, 123, 40000) != nil {
+					hits++
+				}
+			}
+			_ = hits
+		})
+		b.Run(bc.name+"-batch", func(b *testing.B) {
+			var fc FlowCandidates
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if i%16 == 0 {
+					s.FlowCandidates(&fc, bc.ingress, 1000, 0xcb007100+uint32(i/16%64))
+				}
+				if fc.Match(17, 123, 40000) != nil {
 					hits++
 				}
 			}

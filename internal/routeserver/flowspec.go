@@ -150,22 +150,10 @@ func (s *Server) flushFlowSpec(peerAS uint32) int {
 // edge filters with it, so traffic toward the protected prefix is covered
 // whoever hands it in. Within each kind the first matching rule in
 // fsCompare order wins: most-specific destination first, canonical wire
-// encoding as the tie breaker. With no rule installed it inlines to one
-// length test, which is all the fabric pays per record then.
+// encoding as the tie breaker. The fabric asks through FlowCandidates,
+// resolved once per batch; this per-packet scan is their reference.
 func (s *Server) MatchFlowRule(ingress, egress, dstIP uint32, proto uint8, srcPort, dstPort uint16) *bgp.FlowRule {
-	if len(s.fsRules) == 0 {
-		return nil
-	}
-	return s.matchFlowRule(ingress, egress, dstIP, proto, srcPort, dstPort)
-}
-
-func (s *Server) matchFlowRule(ingress, egress, dstIP uint32, proto uint8, srcPort, dstPort uint16) *bgp.FlowRule {
-	// imp is the ingress's peer index, or -1 when it imports no rule: a
-	// rule's importers are a subset of fsAccepts, which only AddPeer grows.
-	imp := -1
-	if ps, ok := s.peers[ingress]; ok && s.fsAccepts.has(ps.idx) {
-		imp = ps.idx
-	}
+	imp := s.flowImporter(ingress)
 	var own *bgp.FlowRule
 	for i := range s.fsRules {
 		rt := &s.fsRules[i]
@@ -182,6 +170,77 @@ func (s *Server) matchFlowRule(ingress, egress, dstIP uint32, proto uint8, srcPo
 		// An own rule decides only if no later rule the ingress imported
 		// matches.
 		own = rt.rule
+	}
+	return own
+}
+
+// flowImporter returns the ingress's peer index, or -1 when it imports no
+// rule: a rule's importers are a subset of fsAccepts, which only AddPeer
+// grows.
+func (s *Server) flowImporter(ingress uint32) int {
+	if ps, ok := s.peers[ingress]; ok && s.fsAccepts.has(ps.idx) {
+		return ps.idx
+	}
+	return -1
+}
+
+// FlowCandidates holds the installed rules that can filter the packets of
+// one fabric batch. A batch's destination, ingress and egress member are
+// constant, so which rules can match it, and which of them takes
+// precedence, is decided once per batch (Server.FlowCandidates); each
+// packet then checks its protocol and ports against that short list
+// (FlowCandidates.Match). The zero value holds no rule.
+type FlowCandidates struct {
+	dstIP uint32
+	rules []flowCandidate // in fsCompare order
+}
+
+type flowCandidate struct {
+	rule     *bgp.FlowRule
+	imported bool // by the ingress; else the egress originated it
+}
+
+// FlowCandidates resets fc, reusing its storage, to the rules that
+// MatchFlowRule(ingress, egress, dstIP, ...) can return for some protocol
+// and ports: those covering dstIP that the ingress imported or the egress
+// originated, in precedence order.
+func (s *Server) FlowCandidates(fc *FlowCandidates, ingress, egress, dstIP uint32) {
+	fc.dstIP, fc.rules = dstIP, fc.rules[:0]
+	if len(s.fsRules) == 0 {
+		return
+	}
+	imp := s.flowImporter(ingress)
+	for i := range s.fsRules {
+		rt := &s.fsRules[i]
+		imported := imp >= 0 && rt.accepted.has(imp)
+		if (imported || rt.origin == egress) && (!rt.rule.HasDst || rt.rule.Dst.Contains(dstIP)) {
+			fc.rules = append(fc.rules, flowCandidate{rule: rt.rule, imported: imported})
+		}
+	}
+}
+
+// Match answers MatchFlowRule for one packet of the batch fc was resolved
+// for: the first candidate the ingress imported that matches wins, else
+// the first matching one the egress originated. With no candidate it
+// inlines to one length test, which is all the fabric pays per packet
+// then.
+func (fc *FlowCandidates) Match(proto uint8, srcPort, dstPort uint16) *bgp.FlowRule {
+	if len(fc.rules) == 0 {
+		return nil
+	}
+	return fc.match(proto, srcPort, dstPort)
+}
+
+func (fc *FlowCandidates) match(proto uint8, srcPort, dstPort uint16) *bgp.FlowRule {
+	var own *bgp.FlowRule
+	for i := range fc.rules {
+		c := &fc.rules[i]
+		if (c.imported || own == nil) && c.rule.Matches(fc.dstIP, proto, srcPort, dstPort) {
+			if c.imported {
+				return c.rule
+			}
+			own = c.rule
+		}
 	}
 	return own
 }

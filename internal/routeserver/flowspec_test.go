@@ -2,6 +2,7 @@ package routeserver
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -262,5 +263,96 @@ func TestMatchFlowSpecEmptyServer(t *testing.T) {
 	}
 	if s.NumFlowSpecRules() != 0 {
 		t.Fatal("phantom rules")
+	}
+}
+
+// TestFlowCandidatesMatchFlowRule holds the per-batch candidates to
+// MatchFlowRule on random rule sets: overlapping rules announced and
+// withdrawn by random members, FlowSpec-capable or not, that join between
+// announcements, so every member imports a different subset. For every
+// ingress/egress pair, unknown members included, and every destination,
+// one FlowCandidates value is resolved again and asked about every
+// protocol and port pair; it must return the very rule MatchFlowRule does.
+func TestFlowCandidatesMatchFlowRule(t *testing.T) {
+	pool := []string{"203.0.113.0/24", "203.0.113.0/25", "203.0.113.128/25",
+		"203.0.113.5/32", "203.0.113.7/32", "198.51.100.0/24", "10.0.0.0/8"}
+	dsts := []uint32{0xcb007105, 0xcb007107, 0xcb007181, 0xc6336409, 0x0a000001, 0x08080808}
+	protos := []uint8{1, 6, 17}
+	srcPorts := []uint16{53, 123, 389, 1000}
+	dstPorts := []uint16{80, 443, 4000}
+	pick := func(r *rand.Rand, xs []uint16) []uint16 {
+		var out []uint16
+		for _, x := range xs {
+			if r.IntN(3) == 0 {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+
+	var fc FlowCandidates
+	var queries, matched int
+	for seed := uint64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewPCG(seed, 40))
+		s := New(rsASN, 1)
+		var members []uint32
+		type announcement struct {
+			peer uint32
+			rule *bgp.FlowRule
+		}
+		var announced []announcement
+		for step := 0; step < 30; step++ {
+			switch k := r.IntN(10); {
+			case k < 2 || len(members) == 0:
+				asn := uint32(100 + 100*len(members))
+				pol := DefaultPolicy()
+				if r.IntN(3) > 0 {
+					pol = Policy{Standard: AcceptFull, FlowSpec: AcceptFull}
+				}
+				if err := s.AddPeer(Peer{ASN: asn, IP: asn, Policy: pol}); err != nil {
+					t.Fatal(err)
+				}
+				members = append(members, asn)
+			case k < 8:
+				rule := &bgp.FlowRule{Dst: bgp.MustParsePrefix(pool[r.IntN(len(pool))]), HasDst: true,
+					SrcPorts: pick(r, srcPorts), DstPorts: pick(r, dstPorts)}
+				if r.IntN(2) == 0 {
+					rule.Protos = []uint8{protos[1+r.IntN(2)]}
+				}
+				peer := members[r.IntN(len(members))]
+				announceFS(t, s, peer, rule)
+				announced = append(announced, announcement{peer, rule})
+			case len(announced) > 0:
+				a := announced[r.IntN(len(announced))]
+				processFS(t, s, time.Unix(1, 0), a.peer, &bgp.FlowSpecUpdate{Withdrawn: []*bgp.FlowRule{a.rule}})
+			}
+		}
+
+		ends := append([]uint32{0}, members...)
+		for _, ingress := range ends {
+			for _, egress := range ends {
+				for _, dst := range dsts {
+					s.FlowCandidates(&fc, ingress, egress, dst)
+					for _, proto := range protos {
+						for _, sp := range srcPorts {
+							for _, dp := range dstPorts {
+								want := s.MatchFlowRule(ingress, egress, dst, proto, sp, dp)
+								if got := fc.Match(proto, sp, dp); got != want {
+									t.Fatalf("seed %d: ingress %d egress %d dst %08x proto %d ports %d>%d: candidates match %v, MatchFlowRule %v",
+										seed, ingress, egress, dst, proto, sp, dp, got, want)
+								}
+								queries++
+								if want != nil {
+									matched++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if matched == 0 || matched == queries {
+		t.Fatalf("%d of %d queries matched a rule: the comparison is vacuous", matched, queries)
 	}
 }

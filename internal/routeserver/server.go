@@ -138,8 +138,8 @@ type Server struct {
 	accepts   [numClasses]peerSet
 	fsAccepts peerSet
 
-	// routes is the prefix index, keyed by pkey: integer keys take the
-	// runtime's fast 64-bit map path on DropFraction's per-length probe.
+	// routes is the prefix index, keyed by bgp.Prefix.Key: integer keys take
+	// the runtime's fast 64-bit map path on DropFraction's per-length probe.
 	routes    map[uint64][]route
 	numRoutes int
 	lenCount  [33]int // installed routes per prefix length
@@ -319,7 +319,7 @@ func (s *Server) announce(origin uint32, prefix bgp.Prefix, targets peerSet) {
 	rejected[class].Add(int64(nTargets - nAccepted))
 	m.NotTargeted.Add(int64(len(s.peers) - 1 - nTargets))
 
-	k := pkey(prefix)
+	k := prefix.Key()
 	rts := s.routes[k]
 	if i := indexOrigin(rts, origin); i >= 0 {
 		m.Reannouncements.Inc()
@@ -331,9 +331,6 @@ func (s *Server) announce(origin uint32, prefix bgp.Prefix, targets peerSet) {
 	s.lenCount[prefix.Len]++
 	s.lens |= 1 << prefix.Len
 }
-
-// pkey packs a prefix into the route index's key: address, then length.
-func pkey(p bgp.Prefix) uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
 
 // prefixOf unpacks a route index key.
 func prefixOf(k uint64) bgp.Prefix { return bgp.Prefix{Addr: uint32(k >> 8), Len: uint8(k)} }
@@ -368,7 +365,7 @@ func (s *Server) PeerDown(peerAS uint32) int {
 }
 
 func (s *Server) withdraw(origin uint32, prefix bgp.Prefix) {
-	k := pkey(prefix)
+	k := prefix.Key()
 	rts := s.routes[k]
 	i := indexOrigin(rts, origin)
 	if i < 0 {
@@ -400,7 +397,7 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 	for lens := s.lens & ps.lens; lens != 0; {
 		length := uint8(bits.Len64(lens) - 1) // longest first
 		lens &^= 1 << length
-		for _, rt := range s.routes[pkey(bgp.MakePrefix(dstIP, length))] {
+		for _, rt := range s.routes[bgp.MakePrefix(dstIP, length).Key()] {
 			if rt.accepted.has(ps.idx) {
 				return ps.peer.Policy.fraction(length)
 			}
@@ -413,7 +410,7 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 // prefix in its Adj-RIB-In (regardless of whether its policy accepts it).
 func (s *Server) VisibleTo(peerAS uint32, prefix bgp.Prefix) bool {
 	ps, ok := s.peers[peerAS]
-	return ok && slices.ContainsFunc(s.routes[pkey(prefix)], func(rt route) bool { return rt.targets.has(ps.idx) })
+	return ok && slices.ContainsFunc(s.routes[prefix.Key()], func(rt route) bool { return rt.targets.has(ps.idx) })
 }
 
 // ActiveRoutes returns the currently installed blackhole routes in

@@ -13,6 +13,7 @@ import (
 	rtbh "repro"
 	"repro/internal/analysis"
 	"repro/internal/analysis/events"
+	"repro/internal/analysis/mitigation"
 	"repro/internal/analysis/pipeline"
 	"repro/internal/bgp"
 	"repro/internal/ipfix"
@@ -49,6 +50,12 @@ func renderSnapshot(t *testing.T, report *rtbh.Report) []byte {
 // its flow archive into memory so prefixes of the stream can be replayed.
 func onlineTestDataset(t *testing.T) (*rtbh.Dataset, []rtbh.FlowRecord) {
 	t.Helper()
+	return onlineTestWorld(t, "")
+}
+
+// onlineTestWorld is onlineTestDataset under a mitigation policy.
+func onlineTestWorld(t *testing.T, policy string) (*rtbh.Dataset, []rtbh.FlowRecord) {
+	t.Helper()
 	dir, err := os.MkdirTemp("", "rtbh-online-*")
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +63,7 @@ func onlineTestDataset(t *testing.T) (*rtbh.Dataset, []rtbh.FlowRecord) {
 	t.Cleanup(func() { os.RemoveAll(dir) })
 	cfg := rtbh.TestConfig()
 	cfg.Seed = 0x0B5E55ED
+	cfg.MitigationPolicy = policy
 	if _, err := rtbh.Simulate(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +168,102 @@ func TestOnlineSnapshotCutPoints(t *testing.T) {
 	}
 	if prevRecords == 0 || prevEvents == 0 {
 		t.Fatalf("final snapshot empty: %d records, %d events", prevRecords, prevEvents)
+	}
+}
+
+// TestOnlineSnapshotCutPointsEscalate replays the escalate world the way
+// the live path delivers it: RTBH and FlowSpec updates interleaved with
+// the flow records in time order, 32 records a batch, so seal checks run
+// between FlowSpec updates and the view they attribute against is
+// extended in place under the pipeline's FlowSpec cursor. At six cut
+// points the snapshot must render byte-identical to a cold batch analysis
+// of the updates, FlowSpec updates and records fed so far.
+func TestOnlineSnapshotCutPointsEscalate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a test-scale world and analyzes several prefixes of it")
+	}
+	ds, flows := onlineTestWorld(t, "escalate")
+	if len(ds.FlowUpdates) == 0 {
+		t.Fatal("the escalate world archived no FlowSpec update")
+	}
+	opts := onlineTestOpts()
+	snapOpts := opts
+	snapOpts.Workers = 0
+
+	reg := obs.NewRegistry()
+	a := rtbh.NewOnlineAnalyzer(ds.Meta)
+	a.RegisterMetrics(reg)
+	fedUpd, fedFS, sealedFS := 0, 0, 0
+	// feedUntil hands a every update not after at, the two streams merged
+	// in time order.
+	feedUntil := func(at time.Time) {
+		for {
+			upd := fedUpd < len(ds.Updates) && !ds.Updates[fedUpd].Time.After(at)
+			fs := fedFS < len(ds.FlowUpdates) && !ds.FlowUpdates[fedFS].Time.After(at)
+			switch {
+			case upd && (!fs || !ds.FlowUpdates[fedFS].Time.Before(ds.Updates[fedUpd].Time)):
+				a.ObserveControl(ds.Updates[fedUpd])
+				fedUpd++
+			case fs:
+				a.ObserveFlowSpec(ds.FlowUpdates[fedFS])
+				fedFS++
+			default:
+				return
+			}
+		}
+	}
+	const cuts = 6
+	batches := flowBatches(flows, flowChunk)
+	fedFlow := 0
+	for k := 1; k <= cuts; k++ {
+		for _, b := range batches[len(batches)*(k-1)/cuts : len(batches)*k/cuts] {
+			last := b.Recs[0].Start
+			for _, r := range b.Recs {
+				if r.Start.After(last) {
+					last = r.Start
+				}
+			}
+			feedUntil(last)
+			a.ObserveFlowBatch(b)
+			fedFlow += b.Len()
+			if reg.Snapshot().Counter("online.records_compacted") > 0 && sealedFS == 0 {
+				sealedFS = fedFS // FlowSpec updates the view held at the first seal
+			}
+		}
+		if k == cuts {
+			feedUntil(ds.Meta.End.Add(time.Hour))
+		}
+
+		snap, err := a.Snapshot(snapOpts)
+		if err != nil {
+			t.Fatalf("cut %d/%d: snapshot: %v", k, cuts, err)
+		}
+		ref := rtbh.NewDataset(ds.Meta, ds.Updates[:fedUpd], flows[:fedFlow])
+		ref.FlowUpdates = ds.FlowUpdates[:fedFS]
+		batch, err := ref.Analyze(opts)
+		if err != nil {
+			t.Fatalf("cut %d/%d: batch reference: %v", k, cuts, err)
+		}
+		got, want := renderSnapshot(t, snap), renderSnapshot(t, batch)
+		if !bytes.Equal(got, want) {
+			gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+			for i := range wantLines {
+				if i >= len(gotLines) || !bytes.Equal(gotLines[i], wantLines[i]) {
+					t.Fatalf("cut %d/%d (%d updates, %d FlowSpec updates, %d flows): snapshot diverges from batch at line %d:\nbatch:  %s\nonline: %s",
+						k, cuts, fedUpd, fedFS, fedFlow, i+1, wantLines[i], gotLines[i])
+				}
+			}
+			t.Fatalf("cut %d/%d: snapshot has %d extra lines", k, cuts, len(gotLines)-len(wantLines))
+		}
+		if k == cuts && snap.Table5.Rows[mitigation.PhaseFlowSpec].Prefixes == 0 {
+			t.Fatal("the final snapshot measured no FlowSpec prefix; the comparison is vacuous")
+		}
+	}
+	// The view must have grown after sealing began, or no cursor memo was
+	// ever put to the test.
+	if sealedFS == 0 || sealedFS == len(ds.FlowUpdates) {
+		t.Fatalf("the FlowSpec view held %d of %d updates at the first seal; want a view that grows while records seal",
+			sealedFS, len(ds.FlowUpdates))
 	}
 }
 

@@ -45,13 +45,14 @@ import (
 // directory reads "repro".
 var reachabilityExempt = map[string]string{
 	// (2) reference models: the plain form a shortcut is pinned to.
-	"internal/analysis/events.Index.Interesting":   "(2) reference model: the map-probing form TestCursorMatchesIndexWithPrefilter pins Cursor.Interesting to",
+	"internal/analysis/events.Index.Interesting":   "(2) reference model: the map-probing form TestCursorMatchesIndexWithPrefilter pins Cursor.InterestingNs to",
 	"internal/analysis/events.scanInteresting":     "(2) reference model: Index.Interesting's scan",
 	"internal/analysis/events.Index.EventsFor":     "(2) reference model: the per-prefix event list timealign's time.Time reference walks (TestAddDroppedMatchesTimeReference)",
 	"internal/analysis/events.Index.Lengths":       "(2) reference model: the prefix lengths timealign's time.Time reference probes",
 	"internal/analysis/events.Index.PeriodEnd":     "(2) reference model: the open-event bound of timealign's time.Time reference",
 	"internal/analysis/anomaly.Aggregator.Analyze": "(2) reference model: AnalyzeScaled at scale 1, the entry TestAnalyzeMatchesDenseReference compares the dense scan against",
 	"internal/analysis/cowtest.Run":                "(2) reference model: the never-sharing mirror every copy-on-write store is driven against",
+	"internal/routeserver.Server.MatchFlowRule":    "(2) reference model: the per-packet scan FlowCandidates is held to (TestFlowSpecMatchProperty, TestFlowCandidatesMatchFlowRule)",
 
 	// (3) read-only observation points and fixture helpers.
 	"internal/analysis.BoundedSet.Exact":                   "(3) observation point: saturation, asserted by the BoundedSet tests",
