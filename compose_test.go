@@ -7,7 +7,6 @@ import (
 	rtbh "repro"
 	"repro/internal/analysis"
 	"repro/internal/analysis/pipeline"
-	"repro/internal/federation"
 )
 
 // requireCellsInsideEvents checks the invariant the collateral probe
@@ -90,39 +89,7 @@ func TestPendingCellsInsideEventPrefix(t *testing.T) {
 
 	cfg := goldenConfig()
 	cfg.IXPs = 3
-	dir := t.TempDir()
-	if _, err := rtbh.Simulate(cfg, dir); err != nil {
-		t.Fatal(err)
-	}
-	var coord *federation.Coordinator
-	for i, d := range datasetDirs(t, dir, 3) {
-		xds, err := rtbh.OpenDataset(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			coord = federation.NewCoordinator(xds.Meta, opts.Delta)
-		}
-		xp, err := xds.Pass(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		state, err := xp.MarshalState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame, err := (&federation.Snapshot{IXP: i, Seq: 1, Updates: xds.Updates, State: state}).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.OfferBytes(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := coord.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged, _ := mergeRun(t, cfg, opts)
 	for _, v := range merged.IXPs {
 		requireCellsInsideEvents(t, "exchange", v.Pipeline)
 	}

@@ -2,8 +2,11 @@ package rtbh
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/analysis/pipeline"
 	"repro/internal/federation"
 )
 
@@ -50,6 +53,9 @@ func AnalyzeFederated(dirs []string, opts Options) (*FederatedReport, error) {
 		if datasets[i], err = OpenDataset(dir); err != nil {
 			return nil, err
 		}
+		if f := metaMismatch(datasets[0].Meta, datasets[i].Meta); f != "" {
+			return nil, fmt.Errorf("rtbh: %s: %s differs from %s's (left over from an earlier run?)", dir, f, dirs[0])
+		}
 	}
 
 	coord := federation.NewCoordinator(datasets[0].Meta, opts.Delta)
@@ -79,6 +85,26 @@ func AnalyzeFederated(dirs []string, opts Options) (*FederatedReport, error) {
 	return composeFederatedReport(merged, datasets, opts)
 }
 
+// metaMismatch names the first field in which b's metadata differs from
+// a's, or returns "": the exchanges of one run share all of them.
+func metaMismatch(a, b *analysis.Metadata) string {
+	switch {
+	case a.SamplingRate != b.SamplingRate:
+		return "sampling rate"
+	case a.TrafficScale != b.TrafficScale:
+		return "traffic scale"
+	case !a.Start.Equal(b.Start) || !a.End.Equal(b.End):
+		return "period"
+	case a.BlackholeMAC != b.BlackholeMAC:
+		return "blackhole MAC"
+	case !maps.Equal(a.InternalMACs, b.InternalMACs):
+		return "internal MACs"
+	case !maps.Equal(a.MemberByMAC, b.MemberByMAC):
+		return "member table"
+	}
+	return ""
+}
+
 // composeFederatedReport renders a merged federation state: the global
 // report, the per-IXP reports, and — between several exchanges — the
 // cross-IXP traffic join over the datasets' flow archives, indexed by IXP.
@@ -86,14 +112,14 @@ func composeFederatedReport(merged *federation.MergedState, datasets []*Dataset,
 	fr := &FederatedReport{
 		Global: composeReport(merged.Meta, merged.Updates, merged.Pipeline, opts),
 	}
-	sources := make(map[int]federation.FlowSource)
-	for _, v := range merged.IXPs {
+	sources := make([]pipeline.BatchSource, len(merged.IXPs))
+	for x, v := range merged.IXPs {
 		fr.PerIXP = append(fr.PerIXP, &IXPReport{
 			IXP:         v.IXP,
 			ClockOffset: v.ClockOffset,
 			Report:      composeReport(merged.Meta, v.Updates, v.Pipeline, opts),
 		})
-		sources[v.IXP] = datasets[v.IXP].EachFlowBatch
+		sources[x] = datasets[v.IXP].EachFlowBatch
 	}
 	if len(merged.IXPs) > 1 {
 		var err error

@@ -102,9 +102,8 @@ func (a *Aggregator) RemapEvents(m map[int]int) error {
 	return nil
 }
 
-// EventStat is one event's drop tally, exposed for the federation's
-// cross-IXP views and, via Report.EventDrops, for the looking-glass
-// serving layer's per-event efficacy view.
+// EventStat is one event's drop tally, exposed via Report.EventDrops
+// for the looking-glass serving layer's per-event efficacy view.
 type EventStat struct {
 	ID        int
 	PrefixLen uint8

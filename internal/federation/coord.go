@@ -68,24 +68,15 @@ func (c *Coordinator) Snapshots() int {
 // mapping into the union numbering.
 type IXPView struct {
 	IXP         int
-	Seq         uint64
 	ClockOffset time.Duration
 	Updates     []analysis.ControlUpdate
 	Events      []*events.Event
-	Index       *events.Index
 	// Pipeline is the exchange's finalized state bound to its local
 	// control plane — compose a per-IXP report from it directly.
 	Pipeline *pipeline.Pipeline
 	// EventToUnion maps local event IDs to union event IDs.
 	EventToUnion map[int]int
-
-	unionIDs map[int]bool
 }
-
-// LocalRTBH reports whether the union event was signaled at this
-// exchange (every event lives at exactly one exchange — its announcing
-// member's home).
-func (v *IXPView) LocalRTBH(unionEventID int) bool { return v.unionIDs[unionEventID] }
 
 // MergedState is the outcome of a federation merge: the union control
 // plane, the folded global pipeline bound to it, and the per-IXP views.
@@ -99,6 +90,11 @@ type MergedState struct {
 	Pipeline *pipeline.Pipeline
 	// IXPs lists the per-exchange views, sorted by exchange index.
 	IXPs []*IXPView
+
+	// home maps a union event ID to the position in IXPs of the exchange
+	// that signaled it, -1 for none: every event lives at exactly one
+	// exchange, its announcing member's home.
+	home []int
 }
 
 // eventKey identifies an event across numberings: a (prefix, peer)
@@ -144,36 +140,41 @@ func (c *Coordinator) Merge() (*MergedState, error) {
 		Updates: union,
 		Events:  unionEvents,
 		Index:   unionIndex,
+		home:    make([]int, len(unionEvents)),
 	}
-	for _, s := range snaps {
+	for i := range m.home {
+		m.home[i] = -1
+	}
+	for x, s := range snaps {
 		v := &IXPView{
 			IXP:         s.IXP,
-			Seq:         s.Seq,
 			ClockOffset: s.ClockOffset,
 			Updates:     s.Updates,
 		}
 		v.Events = events.Merge(s.Updates, c.delta, c.meta.End)
-		v.Index = events.NewIndex(v.Events, c.meta.End)
 
 		p, err := pipeline.UnmarshalState(c.meta, s.State)
 		if err != nil {
 			return nil, fmt.Errorf("federation: IXP %d: %w", s.IXP, err)
 		}
-		p.Rebind(v.Events, v.Index)
+		p.Rebind(v.Events, events.NewIndex(v.Events, c.meta.End))
 		// Live instances ship finalized state; tolerate one that did not.
 		p.Finalize()
 		v.Pipeline = p
 
 		v.EventToUnion = make(map[int]int, len(v.Events))
-		v.unionIDs = make(map[int]bool, len(v.Events))
 		for _, e := range v.Events {
 			uid, ok := byKey[eventKey{prefix: e.Prefix, peer: e.Peer, start: e.Start().UnixNano()}]
 			if !ok {
 				return nil, fmt.Errorf("federation: IXP %d: local event %d (%s via AS%d) has no union counterpart",
 					s.IXP, e.ID, e.Prefix, e.Peer)
 			}
+			if h := m.home[uid]; h >= 0 {
+				return nil, fmt.Errorf("federation: IXP %d: local event %d (%s via AS%d) was signaled at IXP %d too",
+					s.IXP, e.ID, e.Prefix, e.Peer, m.IXPs[h].IXP)
+			}
 			v.EventToUnion[e.ID] = uid
-			v.unionIDs[uid] = true
+			m.home[uid] = x
 		}
 
 		folded := p.Clone()
@@ -190,11 +191,6 @@ func (c *Coordinator) Merge() (*MergedState, error) {
 	m.Pipeline.Rebind(unionEvents, unionIndex)
 	return m, nil
 }
-
-// FlowSource re-streams one exchange's sampled flow records, batch by
-// batch. The batch path re-opens the IPFIX archive; a live deployment
-// would replay its local spool.
-type FlowSource func(fn ipfix.BatchSink) error
 
 // IXPEventTraffic is one exchange's during-event traffic for one union
 // event.
@@ -239,38 +235,30 @@ type CrossView struct {
 }
 
 // Cross re-streams each exchange's flow records against the union event
-// structure. sources maps exchange index to its flow stream; exchanges
-// without a source are skipped (their column is simply absent).
-func (m *MergedState) Cross(sources map[int]FlowSource) (*CrossView, error) {
-	type cell struct{ dropped, forwarded int64 }
-	perEvent := make(map[int]map[int]*cell) // event ID -> IXP -> counts
-
-	ixps := make([]int, 0, len(sources))
-	for i := range sources {
-		ixps = append(ixps, i)
+// structure, one source per entry of m.IXPs and in its order. A record
+// counts toward the union event active at its destination and start, the
+// attribution Pipeline.attribute makes, through the same events.Cursor.
+func (m *MergedState) Cross(sources []pipeline.BatchSource) (*CrossView, error) {
+	type cell struct {
+		dropped, forwarded int64
+		seen               bool // a record matched, even one of zero packets
 	}
-	sort.Ints(ixps)
-	for _, ixp := range ixps {
-		err := sources[ixp](func(b *ipfix.RecordBatch) error {
+	n := len(m.IXPs)
+	cells := make([]cell, len(m.Events)*n) // [event ID*n + position in m.IXPs]
+	for x := range m.IXPs {
+		cur := events.NewCursor(m.Index)
+		err := sources[x](func(b *ipfix.RecordBatch) error {
 			for i := range b.Recs {
 				rec := &b.Recs[i]
 				if m.Meta.IsInternal(rec) {
 					continue
 				}
-				match := m.Index.Lookup(rec.DstIP, rec.Start)
+				match := cur.LookupNs(rec.DstIP, rec.Start.UnixNano())
 				if match.Event == nil || !match.Active {
 					continue
 				}
-				byIXP := perEvent[match.Event.ID]
-				if byIXP == nil {
-					byIXP = make(map[int]*cell)
-					perEvent[match.Event.ID] = byIXP
-				}
-				cl := byIXP[ixp]
-				if cl == nil {
-					cl = &cell{}
-					byIXP[ixp] = cl
-				}
+				cl := &cells[match.Event.ID*n+x]
+				cl.seen = true
 				if rec.DstMAC == m.Meta.BlackholeMAC {
 					cl.dropped += int64(rec.Packets)
 				} else {
@@ -280,36 +268,21 @@ func (m *MergedState) Cross(sources map[int]FlowSource) (*CrossView, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("federation: cross scan of IXP %d: %w", ixp, err)
+			return nil, fmt.Errorf("federation: cross scan of IXP %d: %w", m.IXPs[x].IXP, err)
 		}
 	}
 
-	local := make(map[int]func(int) bool, len(m.IXPs)) // IXP -> LocalRTBH
-	for _, v := range m.IXPs {
-		local[v.IXP] = v.LocalRTBH
-	}
-
 	cv := &CrossView{}
-	ids := make([]int, 0, len(perEvent))
-	for id := range perEvent {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		e := m.Events[id]
+	for id, e := range m.Events {
 		ec := EventCross{EventID: id, Prefix: e.Prefix, Peer: e.Peer}
 		var total, foreign, droppedLocal int64
-		leaked := false
-		for _, ixp := range ixps {
-			cl := perEvent[id][ixp]
-			if cl == nil {
+		for x, cl := range cells[id*n : (id+1)*n] {
+			if !cl.seen {
 				continue
 			}
-			isLocal := local[ixp] != nil && local[ixp](id)
-			ec.IXPs = append(ec.IXPs, IXPEventTraffic{
-				IXP: ixp, DroppedPkts: cl.dropped, ForwardedPkts: cl.forwarded,
-				LocalRTBH: isLocal,
-			})
+			isLocal := m.home[id] == x
+			ec.IXPs = append(ec.IXPs, IXPEventTraffic{IXP: m.IXPs[x].IXP,
+				DroppedPkts: cl.dropped, ForwardedPkts: cl.forwarded, LocalRTBH: isLocal})
 			total += cl.dropped + cl.forwarded
 			if isLocal {
 				droppedLocal += cl.dropped
@@ -317,13 +290,13 @@ func (m *MergedState) Cross(sources map[int]FlowSource) (*CrossView, error) {
 				foreign += cl.forwarded
 			}
 		}
+		if ec.IXPs == nil {
+			continue
+		}
 		if total > 0 {
 			ec.ForeignDelivered = float64(foreign) / float64(total)
 		}
 		if droppedLocal > 0 && foreign > 0 {
-			leaked = true
-		}
-		if leaked {
 			cv.LeakedEvents++
 		}
 		cv.DroppedPkts += droppedLocal

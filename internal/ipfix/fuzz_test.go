@@ -2,6 +2,7 @@ package ipfix
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -108,6 +109,68 @@ func FuzzIPFIXRoundTrip(f *testing.F) {
 		enc2 := encodeStream(t, recs2, 3)
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("canonical encoding is not a fixed point (%d vs %d bytes)", len(enc), len(enc2))
+		}
+	})
+}
+
+// datagrams frames messages as FuzzMsgDecoderDatagrams reads its input:
+// each behind its big-endian 16-bit length.
+func datagrams(msgs ...[]byte) []byte {
+	var b []byte
+	for _, m := range msgs {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(m)))
+		b = append(b, m...)
+	}
+	return b
+}
+
+// FuzzMsgDecoderDatagrams splits its input into datagrams, each behind a
+// big-endian 16-bit length, and feeds them to one MsgDecoder that lives
+// across them, as the live collector does: a template learned from one
+// datagram decodes the next. Each datagram is handed over as a window of
+// the input whose capacity runs on over the datagrams after it, as a
+// pooled read buffer's does, while a second decoder reads an
+// exact-capacity copy: a read past the datagram's end would make the two
+// disagree, or the second panic. They must agree on header, records and
+// failure, and no datagram may yield more records than its data bytes
+// hold (a template's record is at least one byte).
+func FuzzMsgDecoderDatagrams(f *testing.F) {
+	recs := fuzzSeedRecords()
+	enc := NewMsgEncoder(1)
+	first := bytes.Clone(enc.Encode(recs, true, 1))
+	next := bytes.Clone(enc.Encode(recs[:2], false, 2))
+	tmpl := bytes.Clone(enc.Encode(nil, true, 3))
+	f.Add(datagrams(first, next))
+	f.Add(datagrams(next, tmpl, next))             // data before its template, then after
+	f.Add(datagrams(first[:len(first)-5], next))   // a datagram cut short of its length field
+	f.Add(append(datagrams(first), 0xff, 0xff, 0)) // a length past the input's end
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wide, exact := NewMsgDecoder(), NewMsgDecoder()
+		var dst []FlowRecord
+		for rest := data; len(rest) >= 2; {
+			n := min(int(binary.BigEndian.Uint16(rest)), len(rest)-2)
+			dg := rest[2 : 2+n]
+			rest = rest[2+n:]
+			got, gotHdr, gotErr := wide.Decode(dg, dst[:0])
+			want, wantHdr, wantErr := exact.Decode(append([]byte(nil), dg...)[:n:n], nil)
+			if (gotErr == nil) != (wantErr == nil) || gotHdr != wantHdr {
+				t.Fatalf("a %d-byte datagram decodes to %+v, %v inside a wider buffer and %+v, %v alone",
+					n, gotHdr, gotErr, wantHdr, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("a %d-byte datagram yields %d records inside a wider buffer and %d alone", n, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("record %d of a %d-byte datagram: %+v inside a wider buffer, %+v alone", i, n, got[i], want[i])
+				}
+			}
+			if len(got) > max(0, n-msgHeaderLen-setHeaderLen) {
+				t.Fatalf("a %d-byte datagram yields %d records", n, len(got))
+			}
+			dst = got
 		}
 	})
 }

@@ -47,6 +47,8 @@ var reachabilityExempt = map[string]string{
 	// (2) reference models: the plain form a shortcut is pinned to.
 	"internal/analysis/events.Index.Interesting":   "(2) reference model: the map-probing form TestCursorMatchesIndexWithPrefilter pins Cursor.InterestingNs to",
 	"internal/analysis/events.scanInteresting":     "(2) reference model: Index.Interesting's scan",
+	"internal/analysis/events.Index.Lookup":        "(2) reference model: the map-probing, time.Time form Cursor.LookupNs is pinned to (TestCursorLookupMatchesLinearEpisodes) and the federation's cross join is pinned to (TestCrossMatchesReference)",
+	"internal/analysis/events.scanLookup":          "(2) reference model: Index.Lookup's scan",
 	"internal/analysis/events.Index.EventsFor":     "(2) reference model: the per-prefix event list timealign's time.Time reference walks (TestAddDroppedMatchesTimeReference)",
 	"internal/analysis/events.Index.Lengths":       "(2) reference model: the prefix lengths timealign's time.Time reference probes",
 	"internal/analysis/events.Index.PeriodEnd":     "(2) reference model: the open-event bound of timealign's time.Time reference",
