@@ -152,7 +152,6 @@ func TestOpenDatasetCorruptMetadata(t *testing.T) {
 	}
 }
 
-
 func TestSimulateRejectsInvalidConfig(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Days = 0

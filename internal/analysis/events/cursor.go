@@ -2,15 +2,6 @@ package events
 
 import "repro/internal/bgp"
 
-// candidate is one blackhole prefix covering a cursor's current address
-// together with its start-sorted events, bounds resolved to nanoseconds.
-// Candidates are held longest prefix first — the order the Index methods
-// scan in.
-type candidate struct {
-	prefix bgp.Prefix
-	spans  []eventSpan
-}
-
 // Cursor is a single-address memo over an Index. The flow stream has
 // strong address locality — the records of one injected traffic batch
 // arrive back to back, all sharing endpoints — so resolving the
@@ -29,7 +20,10 @@ type Cursor struct {
 	ix    *Index
 	valid bool
 	ip    uint32
-	cands []candidate
+	// cands holds the blackhole prefixes covering ip with their
+	// start-sorted events, longest prefix first — the order the Index
+	// methods scan in.
+	cands []bgp.PrefixEntry[[]eventSpan]
 }
 
 // NewCursor returns a cursor over ix with an empty memo.
@@ -51,16 +45,7 @@ func (c *Cursor) seek(ip uint32) {
 		return
 	}
 	c.valid, c.ip = true, ip
-	c.cands = c.cands[:0]
-	if !c.ix.cover16.Covers(ip) {
-		return
-	}
-	for _, l := range c.ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		if sps, ok := c.ix.spans[p.Key()]; ok {
-			c.cands = append(c.cands, candidate{prefix: p, spans: sps})
-		}
-	}
+	c.cands = c.ix.spans.AppendCovering(c.cands[:0], ip)
 }
 
 // EverBlackholed answers Index.EverBlackholed through the memo.
@@ -69,7 +54,7 @@ func (c *Cursor) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
 	if len(c.cands) == 0 {
 		return bgp.Prefix{}, false
 	}
-	return c.cands[0].prefix, true
+	return c.cands[0].Prefix, true
 }
 
 // LookupNs answers Index.Lookup through the memo, for an instant in unix
@@ -80,8 +65,8 @@ func (c *Cursor) LookupNs(ip uint32, tn int64) Match {
 	var m Match
 	for i := range c.cands {
 		cand := &c.cands[i]
-		for j := range cand.spans {
-			sp := &cand.spans[j]
+		for j := range cand.Value {
+			sp := &cand.Value[j]
 			if tn < sp.start {
 				break // spans sorted by start; later events start later
 			}
@@ -89,10 +74,10 @@ func (c *Cursor) LookupNs(ip uint32, tn int64) Match {
 				continue
 			}
 			if sp.activeAt(tn) {
-				return Match{Event: sp.ev, Active: true, Prefix: cand.prefix}
+				return Match{Event: sp.ev, Active: true, Prefix: cand.Prefix}
 			}
 			if m.Event == nil {
-				m = Match{Event: sp.ev, Prefix: cand.prefix}
+				m = Match{Event: sp.ev, Prefix: cand.Prefix}
 			}
 		}
 	}
@@ -124,8 +109,8 @@ func (sp *eventSpan) activeAt(tn int64) bool {
 func (c *Cursor) Episodes(dst []EpisodeSpan, ip uint32, lo, hi int64) []EpisodeSpan {
 	c.seek(ip)
 	for i := range c.cands {
-		for j := range c.cands[i].spans {
-			sp := &c.cands[i].spans[j]
+		for j := range c.cands[i].Value {
+			sp := &c.cands[i].Value[j]
 			if sp.start > hi {
 				break // spans sorted by start; later events start later
 			}
@@ -151,13 +136,13 @@ func (c *Cursor) InterestingNs(ip uint32, tn int64) (bgp.Prefix, bool) {
 	pre := int64(PreWindow)
 	for i := range c.cands {
 		cand := &c.cands[i]
-		for j := range cand.spans {
-			sp := &cand.spans[j]
+		for j := range cand.Value {
+			sp := &cand.Value[j]
 			if tn < sp.start-pre {
 				break
 			}
 			if tn <= sp.end {
-				return cand.prefix, true
+				return cand.Prefix, true
 			}
 		}
 	}

@@ -28,18 +28,11 @@ type Match struct {
 type Index struct {
 	periodEnd time.Time
 	// spans holds the per-prefix event lists in ID order (so sorted by
-	// start time), keyed by bgp.Prefix.Key, with the events' window and
-	// episode bounds resolved to unix nanoseconds — the representation
-	// the Cursor scans: integer comparisons instead of time.Time's
-	// wall/monotonic decode, which the streaming pass performs several
-	// times per record.
-	spans map[uint64][]eventSpan
-	// lengths lists the distinct prefix lengths present, descending, so
-	// longest-prefix-match scans only real candidates.
-	lengths []uint8
-	// cover16 marks every blackhole prefix (see bgp.Cover16): the Cursor
-	// answers "no candidates" from one bit without probing spans.
-	cover16 bgp.Cover16
+	// start time), with the events' window and episode bounds resolved to
+	// unix nanoseconds — the representation the Cursor scans: integer
+	// comparisons instead of time.Time's wall/monotonic decode, which the
+	// streaming pass performs several times per record.
+	spans bgp.PrefixMap[[]eventSpan]
 }
 
 // EpisodeSpan is one announce/withdraw interval [Ann, Wd) in unix
@@ -71,7 +64,7 @@ func (sp *eventSpan) resolve(e *Event, periodEnd time.Time) {
 
 // NewIndex builds the attribution index.
 func NewIndex(evs []*Event, periodEnd time.Time) *Index {
-	ix := &Index{periodEnd: periodEnd, spans: make(map[uint64][]eventSpan)}
+	ix := &Index{periodEnd: periodEnd}
 	for _, e := range evs {
 		ix.add(e)
 	}
@@ -82,32 +75,21 @@ func NewIndex(evs []*Event, periodEnd time.Time) *Index {
 // on equal starts, carry a lower ID. Events come in ID order, so this
 // appends but for a new event that ties with the newest start.
 func (ix *Index) add(e *Event) {
-	k := e.Prefix.Key()
-	sps, ok := ix.spans[k]
-	if !ok {
-		ix.cover16.Mark(e.Prefix)
-		j := 0
-		for j < len(ix.lengths) && ix.lengths[j] > e.Prefix.Len {
-			j++
-		}
-		if j == len(ix.lengths) || ix.lengths[j] != e.Prefix.Len {
-			ix.lengths = slices.Insert(ix.lengths, j, e.Prefix.Len)
-		}
-	}
+	sps, _ := ix.spans.Get(e.Prefix)
 	sp := eventSpan{eps: make([]EpisodeSpan, 0, len(e.Episodes))}
 	sp.resolve(e, ix.periodEnd)
 	j := len(sps)
 	for j > 0 && (sps[j-1].start > sp.start || sps[j-1].start == sp.start && sps[j-1].ev.ID > e.ID) {
 		j--
 	}
-	ix.spans[k] = slices.Insert(sps, j, sp)
+	ix.spans.Set(e.Prefix, slices.Insert(sps, j, sp))
 }
 
 // replace points the span of old, an indexed event, at cur — a copy of it
 // or old itself, with episodes added or closed — and resolves it again.
 // An event's prefix and start never change.
 func (ix *Index) replace(old, cur *Event) {
-	sps := ix.spans[old.Prefix.Key()]
+	sps, _ := ix.spans.Get(old.Prefix)
 	start := old.Start().UnixNano()
 	j := sort.Search(len(sps), func(j int) bool { return sps[j].start >= start })
 	for sps[j].ev != old {
@@ -119,34 +101,23 @@ func (ix *Index) replace(old, cur *Event) {
 // EverBlackholed returns the longest blackhole prefix covering ip, if any
 // event ever targeted one. Compose asks this of every speculative
 // candidate (hosts, unattributed pairs), nearly all of which sit in a /16
-// no blackhole touches: cover16 answers those without a probe.
+// no blackhole touches: the index's /16 filter answers those without a
+// probe.
 func (ix *Index) EverBlackholed(ip uint32) (bgp.Prefix, bool) {
-	if !ix.cover16.Covers(ip) {
-		return bgp.Prefix{}, false
-	}
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		if _, ok := ix.spans[p.Key()]; ok {
-			return p, true
-		}
-	}
-	return bgp.Prefix{}, false
+	p, _, ok := ix.spans.Longest(ip)
+	return p, ok
 }
 
 // Lookup attributes (ip, t): the longest prefix with an active episode
-// wins; otherwise the longest with a covering merged window.
+// wins; otherwise the longest with a covering merged window. It probes
+// all 33 prefix lengths, longest first, with no /16 filter: the reference
+// the Cursor's filtered scan is pinned to, as Interesting is.
 func (ix *Index) Lookup(ip uint32, t time.Time) Match {
 	var windowMatch Match
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		sps, ok := ix.spans[p.Key()]
-		if !ok {
-			continue
-		}
+	for l := 32; l >= 0 && !windowMatch.Active; l-- {
+		p := bgp.MakePrefix(ip, uint8(l))
+		sps, _ := ix.spans.Get(p)
 		scanLookup(p, sps, t, ix.periodEnd, &windowMatch)
-		if windowMatch.Active {
-			return windowMatch
-		}
 	}
 	return windowMatch
 }
@@ -179,13 +150,9 @@ func scanLookup(p bgp.Prefix, sps []eventSpan, t, periodEnd time.Time, m *Match)
 // matched (longest) prefix. The anomaly aggregator uses this to bound its
 // slot-feature store.
 func (ix *Index) Interesting(ip uint32, t time.Time) (bgp.Prefix, bool) {
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		sps, ok := ix.spans[p.Key()]
-		if !ok {
-			continue
-		}
-		if scanInteresting(sps, t, ix.periodEnd) {
+	for l := 32; l >= 0; l-- {
+		p := bgp.MakePrefix(ip, uint8(l))
+		if sps, _ := ix.spans.Get(p); scanInteresting(sps, t, ix.periodEnd) {
 			return p, true
 		}
 	}
@@ -210,7 +177,8 @@ func scanInteresting(sps []eventSpan, t, periodEnd time.Time) bool {
 // EventsFor returns the events of one prefix in start order.
 func (ix *Index) EventsFor(p bgp.Prefix) []*Event {
 	var evs []*Event
-	for _, sp := range ix.spans[p.Key()] {
+	sps, _ := ix.spans.Get(p)
+	for _, sp := range sps {
 		evs = append(evs, sp.ev)
 	}
 	return evs
@@ -218,7 +186,3 @@ func (ix *Index) EventsFor(p bgp.Prefix) []*Event {
 
 // PeriodEnd returns the period end used for open-ended events.
 func (ix *Index) PeriodEnd() time.Time { return ix.periodEnd }
-
-// Lengths returns the distinct prefix lengths present, descending.
-// Callers must not modify the slice.
-func (ix *Index) Lengths() []uint8 { return ix.lengths }

@@ -86,9 +86,9 @@ func sameEvents(got []*Event, want []Event) error {
 
 // checkView pins the merger's view after an Extend to the one-shot Merge
 // and NewIndex over the same prefix of the stream: the events, the index
-// structure (per-prefix event order, lengths, /16 cover) and the answers
-// of a fresh Cursor at probe points around the updates (a dozen of them,
-// spread over the stream, the last always among them).
+// structure (the same prefixes and lengths, and per-prefix event order)
+// and the answers of a fresh Cursor at probe points around the updates (a
+// dozen of them, spread over the stream, the last always among them).
 func checkView(m *Merger, prefix []analysis.ControlUpdate) error {
 	want := Merge(prefix, DefaultDelta, pEnd)
 	if err := sameEvents(m.Events(), deepCopyEvents(want)); err != nil {
@@ -98,21 +98,30 @@ func checkView(m *Merger, prefix []analysis.ControlUpdate) error {
 		return fmt.Errorf("Updates() is not the folded stream")
 	}
 	ix, wantIx := m.Index(), NewIndex(want, pEnd)
-	if !slices.Equal(ix.lengths, wantIx.lengths) || ix.cover16 != wantIx.cover16 || len(ix.spans) != len(wantIx.spans) {
-		return fmt.Errorf("index shape: lengths %v (want %v), %d prefixes (want %d)", ix.lengths, wantIx.lengths, len(ix.spans), len(wantIx.spans))
+	if ix.spans.Lengths() != wantIx.spans.Lengths() || ix.spans.Len() != wantIx.spans.Len() {
+		return fmt.Errorf("index shape: lengths %#x (want %#x), %d prefixes (want %d)",
+			ix.spans.Lengths(), wantIx.spans.Lengths(), ix.spans.Len(), wantIx.spans.Len())
 	}
-	for k, wsps := range wantIx.spans {
-		sps := ix.spans[k]
-		if len(sps) != len(wsps) {
-			return fmt.Errorf("prefix %x: %d spans, want %d", k, len(sps), len(wsps))
-		}
-		for i := range wsps {
-			g, w := &sps[i], &wsps[i]
-			if g.ev != m.all[w.ev.ID] || g.start != w.start || g.end != w.end || !slices.Equal(g.eps, w.eps) {
-				return fmt.Errorf("prefix %x span %d: event %d [%d,%d] %v, want event %d [%d,%d] %v",
-					k, i, g.ev.ID, g.start, g.end, g.eps, w.ev.ID, w.start, w.end, w.eps)
+	var err error
+	wantIx.spans.Each(func(p bgp.Prefix, wsps []eventSpan) {
+		sps, _ := ix.spans.Get(p)
+		switch {
+		case err != nil:
+		case len(sps) != len(wsps):
+			err = fmt.Errorf("prefix %s: %d spans, want %d", p, len(sps), len(wsps))
+		default:
+			for i := range wsps {
+				g, w := &sps[i], &wsps[i]
+				if g.ev != m.all[w.ev.ID] || g.start != w.start || g.end != w.end || !slices.Equal(g.eps, w.eps) {
+					err = fmt.Errorf("prefix %s span %d: event %d [%d,%d] %v, want event %d [%d,%d] %v",
+						p, i, g.ev.ID, g.start, g.end, g.eps, w.ev.ID, w.start, w.end, w.eps)
+					break
+				}
 			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 
 	cur, wantCur := NewCursor(ix), NewCursor(wantIx)

@@ -138,12 +138,12 @@ func edgeProbes(r *stats.RNG, prefixes []bgp.Prefix) []uint32 {
 }
 
 // everBlackholedUnfiltered is the reference model for EverBlackholed, on
-// the Index and through the Cursor: one map probe per prefix length
-// present, longest first, with no /16 cover filter in front.
+// the Index and through the Cursor: one map probe per prefix length,
+// all 33 of them, longest first, with no length set and no /16 filter.
 func everBlackholedUnfiltered(ix *Index, ip uint32) (bgp.Prefix, bool) {
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		if _, ok := ix.spans[p.Key()]; ok {
+	for l := 32; l >= 0; l-- {
+		p := bgp.MakePrefix(ip, uint8(l))
+		if _, ok := ix.spans.Get(p); ok {
 			return p, true
 		}
 	}
@@ -244,13 +244,14 @@ func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 
 // lookupLinear is the reference model for Cursor.LookupNs: the cursor's
 // scan before it searched an event's episodes by bisection, visiting
-// every episode of every event whose window covers tn, with no memo and
-// no /16 filter.
+// every episode of every event whose window covers tn, with no memo, no
+// length set and no /16 filter: one map probe for each of the 33 lengths.
 func lookupLinear(ix *Index, ip uint32, tn int64) Match {
 	var m Match
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		for _, sp := range ix.spans[p.Key()] {
+	for l := 32; l >= 0; l-- {
+		p := bgp.MakePrefix(ip, uint8(l))
+		sps, _ := ix.spans.Get(p)
+		for _, sp := range sps {
 			if tn < sp.start {
 				break
 			}

@@ -2,13 +2,6 @@ package mitigation
 
 import "repro/internal/bgp"
 
-// candidate is one FlowSpec prefix covering a cursor's current address
-// with its start-sorted windows. Candidates are held longest prefix first.
-type candidate struct {
-	prefix bgp.Prefix
-	wins   []window
-}
-
 // Cursor is a single-address memo over an Index, the FlowSpec counterpart
 // of events.Cursor: the records of one injected traffic batch arrive back
 // to back toward one destination, so the per-length prefix probes resolve
@@ -26,7 +19,9 @@ type Cursor struct {
 	epoch uint64
 	valid bool
 	ip    uint32
-	cands []candidate
+	// cands holds the FlowSpec prefixes covering ip with their
+	// start-sorted windows, longest prefix first.
+	cands []bgp.PrefixEntry[[]window]
 }
 
 // NewCursor returns a cursor over ix (nil: no windows) with an empty memo.
@@ -43,12 +38,12 @@ func (c *Cursor) Lookup(ip uint32, tn int64) (bgp.Prefix, bool) {
 		c.seek(ip)
 	}
 	for i := range c.cands {
-		for _, w := range c.cands[i].wins {
+		for _, w := range c.cands[i].Value {
 			if tn < w.start {
 				break // sorted by start
 			}
 			if tn < w.end {
-				return c.cands[i].prefix, true
+				return c.cands[i].Prefix, true
 			}
 		}
 	}
@@ -59,14 +54,5 @@ func (c *Cursor) Lookup(ip uint32, tn int64) (bgp.Prefix, bool) {
 // epoch.
 func (c *Cursor) seek(ip uint32) {
 	c.valid, c.ip, c.epoch = true, ip, c.ix.epoch
-	c.cands = c.cands[:0]
-	if !c.ix.cover16.Covers(ip) {
-		return
-	}
-	for _, l := range c.ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		if wins, ok := c.ix.spans[p.Key()]; ok {
-			c.cands = append(c.cands, candidate{prefix: p, wins: wins})
-		}
-	}
+	c.cands = c.ix.spans.AppendCovering(c.cands[:0], ip)
 }

@@ -1,8 +1,6 @@
 package mitigation
 
 import (
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/analysis"
@@ -25,10 +23,8 @@ type window struct{ start, end int64 }
 // index is: a record is only sealed once no in-flight update can still
 // cover it.
 type Index struct {
-	openEnd int64               // end of a window still open: period end + 1ns
-	spans   map[uint64][]window // by bgp.Prefix.Key, sorted by start
-	lengths []uint8             // distinct prefix lengths, descending
-	cover16 bgp.Cover16         // every prefix with a window
+	openEnd int64                   // end of a window still open: period end + 1ns
+	spans   bgp.PrefixMap[[]window] // per prefix, sorted by start
 	windows int
 	// epoch counts the Extend calls that folded updates; a Cursor
 	// resolved under another epoch resolves again.
@@ -50,8 +46,8 @@ type ruleKey struct {
 
 // windowRef is where a rule's open window sits in spans.
 type windowRef struct {
-	key uint64
-	i   int
+	prefix bgp.Prefix
+	i      int
 }
 
 // NewIndex pairs announcements with withdrawals into windows and builds
@@ -75,8 +71,7 @@ func NewIndex(flows []analysis.FlowUpdate, periodEnd time.Time) *Index {
 // of the same archive builds. Either way it moves the index to a new
 // epoch, which drops every Cursor's memo.
 func (ix *Index) Extend(flows []analysis.FlowUpdate) {
-	if ix.spans == nil {
-		ix.spans = make(map[uint64][]window)
+	if ix.open == nil {
 		ix.open = make(map[ruleKey]windowRef)
 	}
 	if len(flows) == 0 {
@@ -132,20 +127,13 @@ func (ix *Index) fold(fu *analysis.FlowUpdate) {
 	switch {
 	case fu.Announce && !isOpen:
 		p := fu.Rule.Dst
-		pk := p.Key()
-		lst, ok := ix.spans[pk]
-		if !ok {
-			ix.cover16.Mark(p)
-			if !slices.Contains(ix.lengths, p.Len) {
-				i := sort.Search(len(ix.lengths), func(i int) bool { return ix.lengths[i] < p.Len })
-				ix.lengths = slices.Insert(ix.lengths, i, p.Len)
-			}
-		}
-		ix.open[k] = windowRef{key: pk, i: len(lst)}
-		ix.spans[pk] = append(lst, window{start: fu.Time.UnixNano(), end: ix.openEnd})
+		lst, _ := ix.spans.Get(p)
+		ix.open[k] = windowRef{prefix: p, i: len(lst)}
+		ix.spans.Set(p, append(lst, window{start: fu.Time.UnixNano(), end: ix.openEnd}))
 		ix.windows++
 	case !fu.Announce && isOpen:
-		ix.spans[ref.key][ref.i].end = fu.Time.UnixNano()
+		lst, _ := ix.spans.Get(ref.prefix)
+		lst[ref.i].end = fu.Time.UnixNano()
 		delete(ix.open, k)
 	}
 }

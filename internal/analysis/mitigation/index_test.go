@@ -10,13 +10,14 @@ import (
 )
 
 // lookup is the reference model of Cursor.Lookup, the index's own linear
-// query before the cursor: one map probe per prefix length present,
-// longest first, with no /16 filter and no memo, scanning each prefix's
-// start-sorted windows for one covering tn.
+// query before the cursor: one map probe for each of the 33 prefix
+// lengths, longest first, with no length set, no /16 filter and no memo,
+// scanning each prefix's start-sorted windows for one covering tn.
 func (ix *Index) lookup(ip uint32, tn int64) (bgp.Prefix, bool) {
-	for _, l := range ix.lengths {
-		p := bgp.MakePrefix(ip, l)
-		for _, w := range ix.spans[p.Key()] {
+	for l := 32; l >= 0; l-- {
+		p := bgp.MakePrefix(ip, uint8(l))
+		wins, _ := ix.spans.Get(p)
+		for _, w := range wins {
 			if tn < w.start {
 				break
 			}

@@ -26,8 +26,8 @@ type timeReference struct {
 func (a *timeReference) addDropped(dstIP uint32, t time.Time) {
 	a.total++
 	var scratch []span
-	for _, l := range a.index.Lengths() {
-		scratch = a.collect(scratch, a.index.EventsFor(bgp.MakePrefix(dstIP, l)), t)
+	for l := 32; l >= 0; l-- {
+		scratch = a.collect(scratch, a.index.EventsFor(bgp.MakePrefix(dstIP, uint8(l))), t)
 	}
 	if len(scratch) == 0 {
 		return

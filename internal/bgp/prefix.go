@@ -61,32 +61,6 @@ func (p Prefix) Contains(addr uint32) bool {
 // the generated hash of the two-field struct dominated those profiles.
 func (p Prefix) Key() uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
 
-// Cover16 is a 65,536-bit set over the /16s of the address space. Marking
-// a prefix sets every /16 it contains or lies in. Every prefix covering
-// an address either lies inside the address's /16 (length >= 16) or
-// contains that /16 whole (length < 16), and both mark it: an unmarked
-// /16 has no marked covering prefix at any length, so one bit answers the
-// longest-prefix scans of an index for nearly every address outside it.
-type Cover16 [1 << 16 / 64]uint64
-
-// Mark sets the bits of every /16 that p touches.
-func (c *Cover16) Mark(p Prefix) {
-	first, n := p.Addr>>16, uint32(1)
-	if p.Len < 16 {
-		n = 1 << (16 - p.Len)
-		first &^= n - 1
-	}
-	for b := first; b < first+n; b++ {
-		c[b>>6] |= 1 << (b & 63)
-	}
-}
-
-// Covers reports whether a marked prefix can cover ip.
-func (c *Cover16) Covers(ip uint32) bool {
-	b := ip >> 16
-	return c[b>>6]&(1<<(b&63)) != 0
-}
-
 // NumAddresses returns the number of addresses covered by the prefix.
 func (p Prefix) NumAddresses() uint64 { return 1 << (32 - p.Len) }
 

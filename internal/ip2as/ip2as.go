@@ -6,12 +6,13 @@
 package ip2as
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bgp"
@@ -27,55 +28,33 @@ type Entry struct {
 // Lookup; Add and Lookup may be interleaved. The zero value is empty and
 // usable.
 type Table struct {
-	// asn maps a packed prefix (bgp.Prefix.Key) to its origin AS; integer keys
-	// take the runtime's specialized hash path, and Lookup runs once per
+	// asn maps each prefix to its origin AS; Lookup runs once per
 	// amplification record of the streaming pass.
-	asn map[uint64]uint32
-	// lens lists the distinct prefix lengths present, descending, so a
-	// lookup probes only lengths that can match.
-	lens []uint8
+	asn bgp.PrefixMap[uint32]
 }
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
 
 // Add inserts prefix -> asn, replacing any existing identical prefix.
-func (t *Table) Add(p bgp.Prefix, asn uint32) {
-	if t.asn == nil {
-		t.asn = make(map[uint64]uint32)
-	}
-	t.asn[p.Key()] = asn
-	i := sort.Search(len(t.lens), func(i int) bool { return t.lens[i] <= p.Len })
-	if i == len(t.lens) || t.lens[i] != p.Len {
-		t.lens = append(t.lens, 0)
-		copy(t.lens[i+1:], t.lens[i:])
-		t.lens[i] = p.Len
-	}
-}
+func (t *Table) Add(p bgp.Prefix, asn uint32) { t.asn.Set(p, asn) }
 
 // Lookup returns the origin AS of the longest prefix covering addr, or
 // (0, false) when no prefix matches.
 func (t *Table) Lookup(addr uint32) (uint32, bool) {
-	for _, l := range t.lens {
-		if asn, ok := t.asn[bgp.MakePrefix(addr, l).Key()]; ok {
-			return asn, true
-		}
-	}
-	return 0, false
+	_, asn, ok := t.asn.Longest(addr)
+	return asn, ok
 }
 
 // Entries returns all entries sorted by (address, length).
 func (t *Table) Entries() []Entry {
-	keys := make([]uint64, 0, len(t.asn))
-	for k := range t.asn {
-		keys = append(keys, k)
-	}
+	es := make([]bgp.PrefixEntry[uint32], 0, t.asn.Len())
+	t.asn.Each(func(p bgp.Prefix, asn uint32) { es = append(es, bgp.PrefixEntry[uint32]{Prefix: p, Value: asn}) })
 	// The packed key orders by address, then length.
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Entry, len(keys))
-	for i, k := range keys {
-		p := bgp.Prefix{Addr: uint32(k >> 8), Len: uint8(k)}
-		out[i] = Entry{Prefix: p.String(), ASN: t.asn[k]}
+	slices.SortFunc(es, func(a, b bgp.PrefixEntry[uint32]) int { return cmp.Compare(a.Prefix.Key(), b.Prefix.Key()) })
+	out := make([]Entry, len(es))
+	for i, e := range es {
+		out[i] = Entry{Prefix: e.Prefix.String(), ASN: e.Value}
 	}
 	return out
 }
@@ -91,8 +70,9 @@ func (t *Table) WriteJSON(w io.Writer) error {
 // and in either order, a CIDR prefix string without escapes and a
 // decimal ASN within uint32, and JSON whitespace anywhere between tokens.
 // Anything else — an unknown, missing or repeated key, an escaped string,
-// a number that is negative, fractional or too large, trailing data — is
-// an error.
+// a prefix with address bits set beyond its length or listed twice, a
+// number that is negative, fractional or too large, trailing data — is an
+// error.
 func ReadJSON(r io.Reader) (*Table, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -100,7 +80,8 @@ func ReadJSON(r io.Reader) (*Table, error) {
 	}
 	sc := scanner{s: string(data)}
 	// Every '{' of a valid table opens one entry.
-	t := &Table{asn: make(map[uint64]uint32, strings.Count(sc.s, "{"))}
+	t := New()
+	t.asn.Grow(strings.Count(sc.s, "{"))
 	if err := sc.table(t); err != nil {
 		return nil, fmt.Errorf("ip2as: offset %d: %w", sc.i, err)
 	}
@@ -149,7 +130,10 @@ func (sc *scanner) table(t *Table) error {
 			if err != nil {
 				return err
 			}
-			t.Add(p, asn)
+			n := t.asn.Len()
+			if t.Add(p, asn); t.asn.Len() == n {
+				return fmt.Errorf("duplicate prefix %s", p)
+			}
 			if sc.eat(']') {
 				break
 			}
@@ -193,6 +177,12 @@ func (sc *scanner) entry() (bgp.Prefix, uint32, error) {
 			var s string
 			if s, err = sc.str(); err == nil {
 				p, err = bgp.ParsePrefix(s)
+			}
+			// ParsePrefix masks; WriteJSON writes the masked address.
+			if i := strings.IndexByte(s, '/'); err == nil && i >= 0 {
+				if addr, _ := bgp.ParseAddr(s[:i]); addr != p.Addr {
+					err = fmt.Errorf("prefix %q has bits set beyond its length", s)
+				}
 			}
 		case key == "asn" && !seenASN:
 			seenASN = true

@@ -183,6 +183,8 @@ func TestReadJSONRejectsOtherShapes(t *testing.T) {
 		`[{"prefix":"10.0.0.0/8","asn":1`,
 		`[{"prefix":"10.0.0.0/8`,
 		`[{"prefix":"","asn":1}]`,
+		`[{"prefix":"10.0.0.1/8","asn":1}]`,                                 // host bits set
+		`[{"prefix":"10.0.0.0/8","asn":1},{"prefix":"10.0.0.0/8","asn":2}]`, // repeated prefix
 	} {
 		if tb, err := ReadJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("%q accepted as %v", in, tb.Entries())

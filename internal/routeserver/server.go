@@ -138,12 +138,9 @@ type Server struct {
 	accepts   [numClasses]peerSet
 	fsAccepts peerSet
 
-	// routes is the prefix index, keyed by bgp.Prefix.Key: integer keys take
-	// the runtime's fast 64-bit map path on DropFraction's per-length probe.
-	routes    map[uint64][]route
+	// routes is the prefix index: every origin's route for each prefix.
+	routes    bgp.PrefixMap[[]route]
 	numRoutes int
-	lenCount  [33]int // installed routes per prefix length
-	lens      uint64  // bit l set: lenCount[l] > 0
 
 	// fsRules holds every installed FlowSpec rule once, in fsCompare order.
 	fsRules   []fsRoute
@@ -157,10 +154,9 @@ type Server struct {
 // New creates a route server operating as AS asn.
 func New(asn uint16, ip uint32) *Server {
 	return &Server{
-		ASN:    asn,
-		IP:     ip,
-		peers:  make(map[uint32]*peerState),
-		routes: make(map[uint64][]route),
+		ASN:   asn,
+		IP:    ip,
+		peers: make(map[uint32]*peerState),
 	}
 }
 
@@ -210,11 +206,11 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 
 // ribSize counts the distinct prefixes installed at the peer with index idx.
 func (s *Server) ribSize(idx int) (n int) {
-	for _, rts := range s.routes {
+	s.routes.Each(func(_ bgp.Prefix, rts []route) {
 		if slices.ContainsFunc(rts, func(rt route) bool { return rt.accepted.has(idx) }) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -319,21 +315,15 @@ func (s *Server) announce(origin uint32, prefix bgp.Prefix, targets peerSet) {
 	rejected[class].Add(int64(nTargets - nAccepted))
 	m.NotTargeted.Add(int64(len(s.peers) - 1 - nTargets))
 
-	k := prefix.Key()
-	rts := s.routes[k]
+	rts, _ := s.routes.Get(prefix)
 	if i := indexOrigin(rts, origin); i >= 0 {
 		m.Reannouncements.Inc()
 		rts[i] = rt
 		return
 	}
-	s.routes[k] = append(rts, rt)
+	s.routes.Set(prefix, append(rts, rt))
 	s.numRoutes++
-	s.lenCount[prefix.Len]++
-	s.lens |= 1 << prefix.Len
 }
-
-// prefixOf unpacks a route index key.
-func prefixOf(k uint64) bgp.Prefix { return bgp.Prefix{Addr: uint32(k >> 8), Len: uint8(k)} }
 
 // indexOrigin finds origin's route among the routes for one prefix, or -1.
 func indexOrigin(rts []route, origin uint32) int {
@@ -353,20 +343,19 @@ func (s *Server) PeerDown(peerAS uint32) int {
 	}
 	s.metrics.PeerDowns.Inc()
 	flushed := 0
-	for k, rts := range s.routes {
+	s.routes.Each(func(p bgp.Prefix, rts []route) {
 		if indexOrigin(rts, peerAS) >= 0 {
-			s.withdraw(peerAS, prefixOf(k))
+			s.withdraw(peerAS, p)
 			flushed++
 		}
-	}
+	})
 	// The teardown also flushes the peer's FlowSpec rules (counted in
 	// FlowSpecWithdrawn), same as its RTBH routes.
 	return flushed + s.flushFlowSpec(peerAS)
 }
 
 func (s *Server) withdraw(origin uint32, prefix bgp.Prefix) {
-	k := prefix.Key()
-	rts := s.routes[k]
+	rts, _ := s.routes.Get(prefix)
 	i := indexOrigin(rts, origin)
 	if i < 0 {
 		s.metrics.WithdrawnNoop.Inc() // withdrawing a route we never installed is a no-op
@@ -374,14 +363,11 @@ func (s *Server) withdraw(origin uint32, prefix bgp.Prefix) {
 	}
 	s.metrics.WithdrawnPrefixes.Inc()
 	if len(rts) == 1 {
-		delete(s.routes, k)
+		s.routes.Delete(prefix)
 	} else {
-		s.routes[k] = slices.Delete(rts, i, i+1)
+		s.routes.Set(prefix, slices.Delete(rts, i, i+1))
 	}
 	s.numRoutes--
-	if s.lenCount[prefix.Len]--; s.lenCount[prefix.Len] == 0 {
-		s.lens &^= 1 << prefix.Len
-	}
 }
 
 // DropFraction returns the fraction of traffic from member peerAS toward
@@ -394,10 +380,11 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 	if !ok {
 		return 0
 	}
-	for lens := s.lens & ps.lens; lens != 0; {
+	for lens := s.routes.Lengths() & ps.lens; lens != 0; {
 		length := uint8(bits.Len64(lens) - 1) // longest first
 		lens &^= 1 << length
-		for _, rt := range s.routes[bgp.MakePrefix(dstIP, length).Key()] {
+		rts, _ := s.routes.Get(bgp.MakePrefix(dstIP, length))
+		for _, rt := range rts {
 			if rt.accepted.has(ps.idx) {
 				return ps.peer.Policy.fraction(length)
 			}
@@ -410,7 +397,8 @@ func (s *Server) DropFraction(peerAS uint32, dstIP uint32) float64 {
 // prefix in its Adj-RIB-In (regardless of whether its policy accepts it).
 func (s *Server) VisibleTo(peerAS uint32, prefix bgp.Prefix) bool {
 	ps, ok := s.peers[peerAS]
-	return ok && slices.ContainsFunc(s.routes[prefix.Key()], func(rt route) bool { return rt.targets.has(ps.idx) })
+	rts, _ := s.routes.Get(prefix)
+	return ok && slices.ContainsFunc(rts, func(rt route) bool { return rt.targets.has(ps.idx) })
 }
 
 // ActiveRoutes returns the currently installed blackhole routes in
@@ -426,14 +414,14 @@ func (s *Server) ActiveRoutes() []Announcement {
 		return asns
 	}
 	out := make([]Announcement, 0, s.numRoutes)
-	for k, rts := range s.routes {
+	s.routes.Each(func(p bgp.Prefix, rts []route) {
 		for _, rt := range rts {
 			out = append(out, Announcement{
-				Prefix: prefixOf(k), Origin: rt.origin,
+				Prefix: p, Origin: rt.origin,
 				Targets: members(rt.targets), Accepted: members(rt.accepted),
 			})
 		}
-	}
+	})
 	slices.SortFunc(out, func(a, b Announcement) int {
 		return cmp.Or(cmp.Compare(a.Origin, b.Origin),
 			cmp.Compare(a.Prefix.Addr, b.Prefix.Addr), cmp.Compare(a.Prefix.Len, b.Prefix.Len))

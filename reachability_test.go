@@ -50,7 +50,6 @@ var reachabilityExempt = map[string]string{
 	"internal/analysis/events.Index.Lookup":        "(2) reference model: the map-probing, time.Time form Cursor.LookupNs is pinned to (TestCursorLookupMatchesLinearEpisodes) and the federation's cross join is pinned to (TestCrossMatchesReference)",
 	"internal/analysis/events.scanLookup":          "(2) reference model: Index.Lookup's scan",
 	"internal/analysis/events.Index.EventsFor":     "(2) reference model: the per-prefix event list timealign's time.Time reference walks (TestAddDroppedMatchesTimeReference)",
-	"internal/analysis/events.Index.Lengths":       "(2) reference model: the prefix lengths timealign's time.Time reference probes",
 	"internal/analysis/events.Index.PeriodEnd":     "(2) reference model: the open-event bound of timealign's time.Time reference",
 	"internal/analysis/anomaly.Aggregator.Analyze": "(2) reference model: AnalyzeScaled at scale 1, the entry TestAnalyzeMatchesDenseReference compares the dense scan against",
 	"internal/analysis/cowtest.Run":                "(2) reference model: the never-sharing mirror every copy-on-write store is driven against",
