@@ -10,14 +10,16 @@ import "repro/internal/bgp"
 // removes nearly all map hashing from the streaming pass. Every query
 // answers exactly like the Index method of its name, in unix nanoseconds
 // where that takes a time.Time. A cached resolution goes stale when the
-// index changes — a Merger extends its index in place — so whoever
-// extends it rebinds every cursor, which drops the memo.
+// index changes under it. Every Merger.Extend moves the index to a new
+// epoch, and a cursor resolved under another one resolves again, so a
+// view the online analyzer extends in place needs no rebinding.
 //
 // A cursor is single-goroutine state: a pipeline's pair (destination-
 // and source-keyed) belongs to the goroutine that attributes, and the
 // time-alignment operator keeps one of its own.
 type Cursor struct {
 	ix    *Index
+	epoch uint64
 	valid bool
 	ip    uint32
 	// cands holds the blackhole prefixes covering ip with their
@@ -29,22 +31,16 @@ type Cursor struct {
 // NewCursor returns a cursor over ix with an empty memo.
 func NewCursor(ix *Index) *Cursor { return &Cursor{ix: ix} }
 
-// Rebind points the cursor at ix — a rebuilt index, or the same one after
-// it was extended — and drops the memo.
-func (c *Cursor) Rebind(ix *Index) {
-	c.ix = ix
-	c.valid = false
-}
-
 // seek resolves the candidate lists covering ip, reusing the memo when
-// the previous query asked about the same address. Addresses change with
-// every record on the source side (reflectors), and almost none of them
-// is blackholed: the index's /16 filter answers those without a probe.
+// the previous query asked about the same address under the same epoch.
+// Addresses change with every record on the source side (reflectors), and
+// almost none of them is blackholed: the index's /16 filter answers those
+// without a probe.
 func (c *Cursor) seek(ip uint32) {
-	if c.valid && c.ip == ip {
+	if c.valid && c.ip == ip && c.epoch == c.ix.epoch {
 		return
 	}
-	c.valid, c.ip = true, ip
+	c.valid, c.ip, c.epoch = true, ip, c.ix.epoch
 	c.cands = c.ix.spans.AppendCovering(c.cands[:0], ip)
 }
 

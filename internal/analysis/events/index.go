@@ -27,6 +27,9 @@ type Match struct {
 // a Merger keeps is extended in place as its view grows.
 type Index struct {
 	periodEnd time.Time
+	// epoch counts the Merger.Extend calls that changed the index; a
+	// Cursor resolved under another epoch resolves again.
+	epoch uint64
 	// spans holds the per-prefix event lists in ID order (so sorted by
 	// start time), with the events' window and episode bounds resolved to
 	// unix nanoseconds — the representation the Cursor scans: integer

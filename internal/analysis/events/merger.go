@@ -20,8 +20,7 @@ import (
 // *Event, nor a slot of an event slice, that an earlier call made
 // reachable — an update touching such an event replaces it by a copy
 // under the same ID. The Index is the one mutable part: it is extended in
-// place, so whoever resolves through it must drop its Cursor memos after
-// every Extend (Pipeline.Rebind does) and must not use it concurrently.
+// place, so it must not be used concurrently with Extend.
 type Merger struct {
 	delta     time.Duration
 	periodEnd time.Time
@@ -68,9 +67,9 @@ func (m *Merger) Events() []*Event {
 // must not modify it.
 func (m *Merger) Updates() []analysis.ControlUpdate { return m.updates }
 
-// Index returns the attribution index over Events. Later Extends keep it
-// current in place, but for one that rebuilds the view, which starts a new
-// index: ask again after every Extend.
+// Index returns the attribution index over Events: one index for the
+// life of the view, which every later Extend, a rebuild included, updates
+// in place and moves to a new epoch.
 func (m *Merger) Index() *Index {
 	if m.ix == nil {
 		m.ix = NewIndex(m.all, m.periodEnd)
@@ -82,9 +81,10 @@ func (m *Merger) Index() *Index {
 // and returns how many it folded. us is retained and must not be modified
 // afterwards. The stream is expected in time order (the live sequencer
 // delivers it so), equal timestamps in processing order; if us steps back
-// in time — behind the view or within itself — the view is rebuilt once
-// from the stably re-sorted stream, which is what a batch parse of the
-// same archive would merge, and the count is the whole stream's.
+// in time — behind the view or within itself — the view, its index in
+// place, is rebuilt once from the stably re-sorted stream, which is what
+// a batch parse of the same archive would merge, and the count is the
+// whole stream's.
 func (m *Merger) Extend(us []analysis.ControlUpdate) int {
 	if len(us) == 0 {
 		return 0
@@ -93,7 +93,12 @@ func (m *Merger) Extend(us []analysis.ControlUpdate) int {
 		sorted := make([]analysis.ControlUpdate, 0, len(m.updates)+len(us))
 		sorted = append(append(sorted, m.updates...), us...)
 		analysis.SortUpdates(sorted)
-		*m = *NewMerger(m.delta, m.periodEnd) // the next Index call builds a new one
+		ix := m.ix
+		*m = *NewMerger(m.delta, m.periodEnd)
+		if ix != nil {
+			*ix = Index{periodEnd: ix.periodEnd, epoch: ix.epoch}
+			m.ix = ix
+		}
 		us = sorted
 	}
 	if m.updates == nil {
@@ -124,6 +129,9 @@ func (m *Merger) inOrder(us []analysis.ControlUpdate) bool {
 // fold applies us, which continues the folded stream in time order.
 func (m *Merger) fold(us []analysis.ControlUpdate) {
 	m.epoch++
+	if m.ix != nil {
+		m.ix.epoch++
+	}
 	known := len(m.all)
 	for i := range us {
 		u := &us[i]

@@ -262,7 +262,8 @@ func TestMergerMatchesMergeOnEverySplit(t *testing.T) {
 // TestMergerRebuildsOnOutOfOrderSuffix exercises the fallback: a suffix
 // that steps back behind the view, or within itself, rebuilds the view
 // from the stably re-sorted stream — what a batch parse would merge — and
-// leaves the views published before it alone.
+// leaves the views published before it alone. The index is rebuilt in
+// place, under a new epoch.
 func TestMergerRebuildsOnOutOfOrderSuffix(t *testing.T) {
 	us := mergerStream(7, 60)
 	late := us[20]
@@ -273,15 +274,19 @@ func TestMergerRebuildsOnOutOfOrderSuffix(t *testing.T) {
 
 	for _, cut := range []int{30, 40} { // the late update leads its suffix, or sits inside it
 		m := NewMerger(DefaultDelta, pEnd)
-		m.Index()
+		ix := m.Index()
 		m.Extend(arrival[:cut])
 		if err := checkView(m, arrival[:cut]); err != nil {
 			t.Fatalf("cut %d: in-order prefix: %v", cut, err)
 		}
 		early := m.Events()
 		earlyCopy := deepCopyEvents(early)
+		epoch := ix.epoch
 		if n := m.Extend(arrival[cut:45]); n != 45 {
 			t.Fatalf("cut %d: the out-of-order suffix folded %d updates, want a rebuild over all 45", cut, n)
+		}
+		if m.Index() != ix || ix.epoch == epoch {
+			t.Fatalf("cut %d: the rebuild left index %p at epoch %d, want %p past epoch %d", cut, m.Index(), m.Index().epoch, ix, epoch)
 		}
 		resorted := slices.Clone(arrival[:45])
 		analysis.SortUpdates(resorted)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -155,9 +156,9 @@ func everBlackholedUnfiltered(ix *Index, ip uint32) (bgp.Prefix, bool) {
 // same name, which probe every prefix length unfiltered (EverBlackholed,
 // filtered on the Index too, to the unfiltered model above): over blackholes
 // from /32 down to /8, /12 and /0, on every filter edge, with the memo
-// carried from probe to probe, and again after the cursor is rebound to
-// an index rebuilt over a grown update stream (what Pipeline.Rebind does
-// as announcements arrive).
+// carried from probe to probe, and again while a Merger extends the same
+// index in place under the same cursor, as the online analyzer's seal
+// checks extend it — a step that goes back in time rebuilding it.
 func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 	end := time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 	base := time.Date(2018, 9, 28, 0, 0, 0, 0, time.UTC)
@@ -175,26 +176,29 @@ func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 	}
 	everything := bgp.MustParsePrefix("0.0.0.0/0")
 
+	agree := func(t *testing.T, cur *Cursor, ix *Index, ip uint32, at time.Time) bool {
+		t.Helper()
+		wantP, wantOK := everBlackholedUnfiltered(ix, ip)
+		if gotP, gotOK := cur.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
+			t.Fatalf("Cursor.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
+		}
+		if gotP, gotOK := ix.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
+			t.Fatalf("Index.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
+		}
+		if got, want := cur.LookupNs(ip, at.UnixNano()), ix.Lookup(ip, at); got != want {
+			t.Fatalf("Lookup(%08x, %v) = %+v; index says %+v", ip, at, got, want)
+		}
+		wantP, wantI := ix.Interesting(ip, at)
+		if gotP, gotI := cur.InterestingNs(ip, at.UnixNano()); gotP != wantP || gotI != wantI {
+			t.Fatalf("Interesting(%08x, %v) = %v, %v; index says %v, %v", ip, at, gotP, gotI, wantP, wantI)
+		}
+		return wantOK
+	}
 	check := func(t *testing.T, cur *Cursor, ix *Index, r *stats.RNG, ips []uint32) (hits int) {
 		t.Helper()
 		for probe := 0; probe < 4*len(ips); probe++ {
-			ip := ips[r.Intn(len(ips))]
 			at := base.Add(time.Duration(r.Intn(100*24*3600)) * time.Second)
-			wantP, wantOK := everBlackholedUnfiltered(ix, ip)
-			if gotP, gotOK := cur.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
-				t.Fatalf("Cursor.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
-			}
-			if gotP, gotOK := ix.EverBlackholed(ip); gotP != wantP || gotOK != wantOK {
-				t.Fatalf("Index.EverBlackholed(%08x) = %v, %v; unfiltered probes say %v, %v", ip, gotP, gotOK, wantP, wantOK)
-			}
-			if got, want := cur.LookupNs(ip, at.UnixNano()), ix.Lookup(ip, at); got != want {
-				t.Fatalf("Lookup(%08x, %v) = %+v; index says %+v", ip, at, got, want)
-			}
-			wantP, wantI := ix.Interesting(ip, at)
-			if gotP, gotI := cur.InterestingNs(ip, at.UnixNano()); gotP != wantP || gotI != wantI {
-				t.Fatalf("Interesting(%08x, %v) = %v, %v; index says %v, %v", ip, at, gotP, gotI, wantP, wantI)
-			}
-			if wantOK {
+			if agree(t, cur, ix, ips[r.Intn(len(ips))], at) {
 				hits++
 			}
 		}
@@ -231,13 +235,33 @@ func TestCursorMatchesIndexWithPrefilter(t *testing.T) {
 				t.Fatal("every probe was blackholed; the filter never said no")
 			}
 
-			// The control stream grows by prefixes the first index never
-			// saw: rebind the same cursor, memo and all.
-			grown := append(updates[:len(updates):len(updates)], prefilterStream(r, pool, 150)...)
-			analysis.SortUpdates(grown)
-			ix2 := NewIndex(Merge(grown, DefaultDelta, end), end)
-			cur.Rebind(ix2)
-			check(t, cur, ix2, r, ips)
+			// The control stream grows by prefixes the first view may never
+			// have seen: three steps past its end, then one back inside it.
+			// Before each step the cursor resolves an address the step
+			// announces, and asks about it again right after, memo and all.
+			m := NewMerger(DefaultDelta, end)
+			ix = m.Index()
+			m.Extend(updates)
+			cur = NewCursor(ix)
+			later := prefilterStream(r, pool, 150)
+			shift := updates[len(updates)-1].Time.Sub(later[0].Time) + time.Second
+			for i := range later {
+				later[i].Time = later[i].Time.Add(shift)
+			}
+			at := later[0].Time.Add(time.Minute)
+			for _, step := range [][]analysis.ControlUpdate{later[:50], later[50:100], later[100:], prefilterStream(r, pool, 50)} {
+				i := slices.IndexFunc(step, func(u analysis.ControlUpdate) bool { return u.Announce })
+				ip := step[i].Prefix.Addr
+				agree(t, cur, ix, ip, at)
+				m.Extend(step)
+				if m.Index() != ix {
+					t.Fatal("Extend replaced the index")
+				}
+				if !agree(t, cur, ix, ip, at) {
+					t.Fatalf("%v is not blackholed after a step announcing it", step[i].Prefix)
+				}
+				check(t, cur, ix, r, ips)
+			}
 		})
 	}
 }

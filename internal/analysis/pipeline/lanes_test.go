@@ -632,3 +632,31 @@ func TestFlowExtendReachesCursor(t *testing.T) {
 		t.Fatalf("%d prefixes measured under FlowSpec after the view gained a window on %v, want 1", n, victim)
 	}
 }
+
+// TestRTBHExtendReachesCursor is TestFlowExtendReachesCursor for the
+// event view: bound once, as the online analyzer binds it, and extended in
+// place by an events.Merger. A dropped record to a destination resolved
+// before its prefix was blackholed, observed again right after the event
+// was added, must be attributed, and time alignment must see the episode.
+func TestRTBHExtendReachesCursor(t *testing.T) {
+	p, err := NewSpeculative(testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := events.NewMerger(events.DefaultDelta, p.Meta.End)
+	p.Rebind(m.Events(), m.Index())
+	r := rec(t0.Add(time.Minute), memberMAC200, blackholeMAC, 0x50000001, victim.Addr, 389, 4444, 17)
+	observe(p, r)
+	if p.AttributedRecords != 0 || p.Align.Estimate(50*time.Millisecond).BestOverlap != 0 {
+		t.Fatal("a record was attributed before any event")
+	}
+	m.Extend(testUpdates())
+	p.Events = m.Events()
+	observe(p, r)
+	if p.AttributedRecords != 1 {
+		t.Fatalf("%d records attributed after the view gained an event on %v, want 1", p.AttributedRecords, victim)
+	}
+	if got := p.Align.Estimate(50 * time.Millisecond).BestOverlap; got != 0.5 {
+		t.Fatalf("time alignment overlap %v after the view gained the episode, want 0.5 (one of two drops)", got)
+	}
+}

@@ -93,8 +93,8 @@ type Pipeline struct {
 	// resolves once per stretch. Destination- and source-keyed queries
 	// get separate cursors because both address runs persist
 	// independently across records. curFlow is the destination memo
-	// over the FlowSpec view, which drops itself whenever the view is
-	// extended (see mitigation.Cursor).
+	// over the FlowSpec view. Each memo drops itself whenever its view is
+	// extended in place (see events.Cursor and mitigation.Cursor).
 	curDst, curSrc *events.Cursor
 	curFlow        *mitigation.Cursor
 
@@ -161,8 +161,8 @@ func New(meta *analysis.Metadata, updates []analysis.ControlUpdate, delta time.D
 
 // NewSpeculative builds a pipeline for the online analyzer: the control
 // stream is still growing, so observation runs with wide gates (see the
-// field comments) against a view the caller extends as updates arrive,
-// calling Rebind each time.
+// field comments) against a view the caller binds once (Rebind, BindFlow)
+// and then extends in place as updates arrive, republishing Events.
 func NewSpeculative(meta *analysis.Metadata) (*Pipeline, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
@@ -196,28 +196,23 @@ func newEmpty(meta *analysis.Metadata) *Pipeline {
 	}
 }
 
-// Rebind points the pipeline at the current control-plane view (events
-// plus attribution index): a rebuilt one, or the same index after an
-// events.Merger extended it in place — either way every address memo
-// resolved against the old state is dropped. Only meaningful for
-// speculative pipelines, whose sealed observations stay valid because
-// records are only finalized once no new event can still cover them
-// (DESIGN.md, "Incremental analysis").
+// Rebind points the pipeline at a control-plane view (events plus
+// attribution index) with fresh address memos: a wire-decoded pipeline
+// (UnmarshalState), which has no cursors at all, a folded one, or a
+// speculative one before its first record. An index an events.Merger
+// extends in place needs no rebinding; only Events is republished.
 func (p *Pipeline) Rebind(evs []*events.Event, ix *events.Index) {
 	p.Events = evs
 	p.Index = ix
 	p.Align.Rebind(ix)
-	// Fresh cursors rather than Cursor.Rebind: wire-decoded pipelines
-	// (UnmarshalState) reach here with no cursors at all.
 	p.bindCursors()
 }
 
-// BindFlow points the pipeline at the FlowSpec mitigation view. Batch
-// drivers bind once before the pass; the online analyzer re-binds as
-// FlowSpec updates arrive, which keeps sealed observations valid for the
-// same reason Rebind does — a record seals only once no in-flight
-// FlowSpec update can still cover its timestamp. A view extended in place
-// needs no re-binding: its cursor notices the extension by itself.
+// BindFlow points the pipeline at the FlowSpec mitigation view, once
+// before the first record. The online analyzer extends the bound view in
+// place, which keeps sealed observations valid because a record seals
+// only once no in-flight FlowSpec update can still cover its timestamp;
+// the cursor notices the extension by itself.
 func (p *Pipeline) BindFlow(ix *mitigation.Index) {
 	p.FlowIx = ix
 	p.curFlow = mitigation.NewCursor(ix)

@@ -129,20 +129,12 @@ func (a *Aggregator) Snapshot() *Aggregator {
 	}
 }
 
-// Rebind points the aggregator at the current event index and drops its
-// address memo. The online analyzer extends the index in place when new
-// control updates arrive and rebinds; the already-recorded offset
-// intervals stay valid because sealed records are only finalized once no
-// event that could cover them can still appear (see DESIGN.md,
-// "Incremental analysis").
+// Rebind points a decoded or folded aggregator at an event index, with a
+// fresh address memo. An index extended in place needs no rebinding: the
+// cursor notices the extension by itself (see events.Cursor).
 func (a *Aggregator) Rebind(ix *events.Index) {
 	a.index = ix
-	if a.cur == nil {
-		// Wire-decoded aggregators are built bare and bound here.
-		a.cur = events.NewCursor(ix)
-		return
-	}
-	a.cur.Rebind(ix)
+	a.cur = events.NewCursor(ix)
 }
 
 // Point is one sample of the likelihood curve.

@@ -118,13 +118,15 @@ func ParseAddr(s string) (uint32, error) {
 
 // ParsePrefix parses CIDR notation, e.g. "10.0.0.0/8". A bare address is
 // treated as a /32, matching operator conventions for blackhole targets.
+// The length is digits only with no leading zero, as ParseAddr reads an
+// octet.
 func ParsePrefix(s string) (Prefix, error) {
 	addrPart := s
 	length := 32
 	if i := strings.IndexByte(s, '/'); i >= 0 {
 		addrPart = s[:i]
 		v, err := strconv.Atoi(s[i+1:])
-		if err != nil || v < 0 || v > 32 {
+		if err != nil || v < 0 || v > 32 || strconv.Itoa(v) != s[i+1:] {
 			return Prefix{}, fmt.Errorf("bgp: invalid prefix length in %q", s)
 		}
 		length = v

@@ -82,7 +82,7 @@ func TestParsePrefix(t *testing.T) {
 }
 
 func TestParsePrefixRejects(t *testing.T) {
-	for _, s := range []string{"1.2.3.4/33", "1.2.3.4/-1", "1.2.3.4/x", "1.2.3/24"} {
+	for _, s := range []string{"1.2.3.4/33", "1.2.3.4/-1", "1.2.3.4/x", "1.2.3/24", "1.2.3.4/08", "1.2.3.4/+8", "1.2.3.4/00", "1.2.3.4/-0", "1.2.3.4/8 "} {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q) unexpectedly succeeded", s)
 		}

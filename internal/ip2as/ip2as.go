@@ -178,11 +178,12 @@ func (sc *scanner) entry() (bgp.Prefix, uint32, error) {
 			if s, err = sc.str(); err == nil {
 				p, err = bgp.ParsePrefix(s)
 			}
-			// ParsePrefix masks; WriteJSON writes the masked address.
-			if i := strings.IndexByte(s, '/'); err == nil && i >= 0 {
-				if addr, _ := bgp.ParseAddr(s[:i]); addr != p.Addr {
-					err = fmt.Errorf("prefix %q has bits set beyond its length", s)
-				}
+			// WriteJSON writes the masked address and its length;
+			// ParsePrefix also masks, and reads a bare address as a /32.
+			if a, _, ok := strings.Cut(s, "/"); err == nil && !ok {
+				err = fmt.Errorf("prefix %q has no length", s)
+			} else if addr, _ := bgp.ParseAddr(a); err == nil && addr != p.Addr {
+				err = fmt.Errorf("prefix %q has bits set beyond its length", s)
 			}
 		case key == "asn" && !seenASN:
 			seenASN = true

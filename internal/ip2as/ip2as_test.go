@@ -184,6 +184,9 @@ func TestReadJSONRejectsOtherShapes(t *testing.T) {
 		`[{"prefix":"10.0.0.0/8`,
 		`[{"prefix":"","asn":1}]`,
 		`[{"prefix":"10.0.0.1/8","asn":1}]`,                                 // host bits set
+		`[{"prefix":"10.0.0.0/08","asn":1}]`,                                // leading zero
+		`[{"prefix":"10.0.0.0/+8","asn":1}]`,                                // signed length
+		`[{"prefix":"10.0.0.1","asn":1}]`,                                   // no length
 		`[{"prefix":"10.0.0.0/8","asn":1},{"prefix":"10.0.0.0/8","asn":2}]`, // repeated prefix
 	} {
 		if tb, err := ReadJSON(strings.NewReader(in)); err == nil {
@@ -192,8 +195,9 @@ func TestReadJSONRejectsOtherShapes(t *testing.T) {
 	}
 }
 
-// FuzzReadJSON: the reader never panics, and whatever it accepts,
-// encoding/json decodes to the same entries.
+// FuzzReadJSON: the reader never panics, whatever it accepts
+// encoding/json decodes to the same entries, and every prefix it accepts
+// is spelled the one way WriteJSON writes it.
 func FuzzReadJSON(f *testing.F) {
 	var buf bytes.Buffer
 	if err := randomTable(rand.New(rand.NewSource(2)), 5).WriteJSON(&buf); err != nil {
@@ -217,6 +221,9 @@ func FuzzReadJSON(f *testing.F) {
 			p, err := bgp.ParsePrefix(e.Prefix)
 			if err != nil {
 				t.Fatalf("ReadJSON accepted prefix %q: %v", e.Prefix, err)
+			}
+			if e.Prefix != p.String() {
+				t.Fatalf("ReadJSON accepted prefix %q, written %q", e.Prefix, p.String())
 			}
 			ref.Add(p, e.ASN)
 		}

@@ -147,6 +147,7 @@ func NewOnlineAnalyzer(meta *analysis.Metadata) *OnlineAnalyzer {
 	}
 	a.ops, a.initErr = pipeline.NewSpeculative(meta)
 	if a.ops != nil {
+		a.ops.Rebind(a.view.Events(), a.view.Index())
 		a.ops.BindFlow(a.flowIx)
 	}
 	return a
@@ -328,7 +329,7 @@ func (a *OnlineAnalyzer) ingestView() (updates []analysis.ControlUpdate, flows [
 // Dataset.Analyze; inline under GOMAXPROCS 1), hands the chunks that
 // leaves empty back to the batch pool and accounts the retention metrics.
 // The lanes live for one call: the view is extended in place under the
-// attribution cursors, so they must have drained before the next Rebind.
+// attribution cursors, so they must have drained before the next Extend.
 // Caller holds opMu; any pendingView taken before the call is stale after
 // it.
 func (a *OnlineAnalyzer) advanceLocked() {
@@ -342,10 +343,11 @@ func (a *OnlineAnalyzer) advanceLocked() {
 		// live stream arrives time-ordered, equal timestamps in processing
 		// order, so extending the view by the new updates alone merges what
 		// the parser's order would (a stream that is not falls back to
-		// that order inside Extend). The index is extended in place:
-		// Rebind drops the address memos resolved against its old state.
+		// that order inside Extend). The index ops is bound to is
+		// extended in place, and its cursors notice by themselves; only
+		// the published events change.
 		merged := a.view.Extend(updates[a.opUpdates:])
-		a.ops.Rebind(a.view.Events(), a.view.Index())
+		a.ops.Events = a.view.Events()
 		a.opUpdates = len(updates)
 		if m := a.metrics; m != nil {
 			m.mergedUpdates.Add(int64(merged))
