@@ -293,7 +293,8 @@ func encodeSet(s *BoundedSet) []byte {
 // mirrored by a linear-scan model. Between bursts of Adds a set is cloned
 // (and both sides go on adding), merged with another, or decoded over with
 // another set's encoding. Count, Exact and EncodeWire must match the
-// model's after every step.
+// model's after every step, and a set of at most DefaultBoundedCap keys
+// never holds an index.
 func TestBoundedSetIndexMatchesLinear(t *testing.T) {
 	if size := unsafe.Sizeof(BoundedSet{}); size != 40 {
 		t.Fatalf("BoundedSet header is %d bytes, want 40", size)
@@ -302,10 +303,10 @@ func TestBoundedSetIndexMatchesLinear(t *testing.T) {
 		set   *BoundedSet
 		model *linearSet
 	}
-	indexed, saturated := 0, 0
+	indexed, saturated, smallPast := 0, 0, 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := stats.NewRNG(seed)
-		capacity := []int{20, 40, 100, 300}[seed%4]
+		capacity := []int{20, 32, 40, 100, 300}[seed%5]
 		span := capacity + capacity/2 // keys drawn past the capacity saturate
 		fresh := func() *pair {
 			return &pair{NewBoundedSet(capacity), &linearSet{cap: uint32(capacity)}}
@@ -356,6 +357,12 @@ func TestBoundedSetIndexMatchesLinear(t *testing.T) {
 				if q.set.idx != nil {
 					indexed++
 				}
+				if capacity <= DefaultBoundedCap && q.set.Count() >= indexFrom {
+					smallPast++
+					if q.set.idx != nil {
+						t.Fatalf("seed %d step %d: set %d of capacity %d holds an index", seed, step, i, capacity)
+					}
+				}
 				if !q.set.Exact() {
 					saturated++
 					if q.set.idx != nil {
@@ -365,8 +372,8 @@ func TestBoundedSetIndexMatchesLinear(t *testing.T) {
 			}
 		}
 	}
-	if indexed == 0 || saturated == 0 {
-		t.Fatalf("%d indexed and %d saturated set-steps: the walk missed a regime", indexed, saturated)
+	if indexed == 0 || saturated == 0 || smallPast == 0 {
+		t.Fatalf("%d indexed, %d saturated and %d small set-steps past indexFrom: the walk missed a regime", indexed, saturated, smallPast)
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 //
 // The zero value is ready to use with DefaultBoundedCap capacity.
 //
-// Add scans the keys linearly while a set is small. Once it holds
-// indexFrom keys it also keeps an open-addressed index of their positions
-// (keyIndex), which the set owns alone: Clone does not carry it, saturation
-// and DecodeWire drop it, and the first Add that needs it rebuilds it.
+// Add scans the keys linearly while a set is small. A set with room for
+// more than DefaultBoundedCap keys, once it holds indexFrom, also keeps an
+// open-addressed index of their positions (keyIndex), which it owns
+// alone: Clone does not carry it, saturation and DecodeWire drop it, and
+// the first Add that needs it rebuilds it. A set of at most
+// DefaultBoundedCap keys never indexes: its scan is a few cache lines.
 type BoundedSet struct {
 	keys      []uint64
 	idx       *keyIndex
@@ -49,7 +51,7 @@ func (s *BoundedSet) Add(key uint64) {
 		s.saturated++
 		return
 	}
-	if s.idx == nil && len(s.keys) >= indexFrom && s.cap < math.MaxUint16 && len(s.keys) <= int(s.cap) {
+	if s.idx == nil && len(s.keys) >= indexFrom && s.cap > DefaultBoundedCap && s.cap < math.MaxUint16 && len(s.keys) <= int(s.cap) {
 		s.idx = new(keyIndex)
 		s.idx.build(s.keys)
 	}

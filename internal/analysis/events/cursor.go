@@ -1,6 +1,10 @@
 package events
 
-import "repro/internal/bgp"
+import (
+	"math"
+
+	"repro/internal/bgp"
+)
 
 // Cursor is a single-address memo over an Index. The flow stream has
 // strong address locality — the records of one injected traffic batch
@@ -26,6 +30,14 @@ type Cursor struct {
 	// start-sorted events, longest prefix first — the order the Index
 	// methods scan in.
 	cands []bgp.PrefixEntry[[]eventSpan]
+	// epSpan, epLo, epHi and epWd memoise the episode activeAt found
+	// last: in span epSpan, the one announced last at or before any
+	// instant in [epLo, epHi) — its announce up to the next episode's —
+	// withdrawn at epWd. A run of records inside one episode's stretch
+	// asks nothing else. They are copies, so seek drops them whenever it
+	// resolves again: an Extend closes and adds episodes in place.
+	epSpan           *eventSpan
+	epLo, epHi, epWd int64
 }
 
 // NewCursor returns a cursor over ix with an empty memo.
@@ -42,6 +54,7 @@ func (c *Cursor) seek(ip uint32) {
 	}
 	c.valid, c.ip, c.epoch = true, ip, c.ix.epoch
 	c.cands = c.ix.spans.AppendCovering(c.cands[:0], ip)
+	c.epSpan = nil
 }
 
 // EverBlackholed answers Index.EverBlackholed through the memo.
@@ -69,7 +82,7 @@ func (c *Cursor) LookupNs(ip uint32, tn int64) Match {
 			if tn > sp.end {
 				continue
 			}
-			if sp.activeAt(tn) {
+			if c.activeAt(sp, tn) {
 				return Match{Event: sp.ev, Active: true, Prefix: cand.Prefix}
 			}
 			if m.Event == nil {
@@ -80,21 +93,38 @@ func (c *Cursor) LookupNs(ip uint32, tn int64) Match {
 	return m
 }
 
-// activeAt reports whether one of the span's episodes covers tn. An
-// event's episodes are disjoint and in time order — its stream announces
-// again only after it withdrew — so only the last one announced at or
-// before tn can, and a binary search finds it.
-func (sp *eventSpan) activeAt(tn int64) bool {
-	lo, hi := 0, len(sp.eps)
+// activeAt reports whether one of sp's episodes covers tn. An event's
+// episodes are disjoint and in time order — its stream announces again
+// only after it withdrew — so only the last one announced at or before tn
+// can: the memoised one while tn stays in its stretch, else the one a
+// binary search finds.
+func (c *Cursor) activeAt(sp *eventSpan, tn int64) bool {
+	if c.epSpan != sp || tn < c.epLo || tn >= c.epHi {
+		eps := sp.eps
+		k := annAfter(eps, tn)
+		if k == 0 {
+			return false
+		}
+		c.epSpan, c.epLo, c.epWd, c.epHi = sp, eps[k-1].Ann, eps[k-1].Wd, math.MaxInt64
+		if k < len(eps) {
+			c.epHi = eps[k].Ann
+		}
+	}
+	return tn < c.epWd
+}
+
+// annAfter returns the index of the first episode announced after tn.
+func annAfter(eps []EpisodeSpan, tn int64) int {
+	lo, hi := 0, len(eps)
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if sp.eps[h].Ann <= tn {
+		if eps[h].Ann <= tn {
 			lo = h + 1
 		} else {
 			hi = h
 		}
 	}
-	return lo > 0 && tn < sp.eps[lo-1].Wd
+	return lo
 }
 
 // Episodes appends the bounds of every episode, of every blackhole prefix
@@ -113,9 +143,15 @@ func (c *Cursor) Episodes(dst []EpisodeSpan, ip uint32, lo, hi int64) []EpisodeS
 			if sp.end < lo {
 				continue
 			}
-			for _, ep := range sp.eps {
-				if ep.Ann <= hi && ep.Wd >= lo {
-					dst = append(dst, ep)
+			// An episode followed by one announced before lo was
+			// withdrawn before lo, so the scan starts at the last one
+			// announced before lo. Only announces are bisected: an open
+			// last episode's withdraw, the period end, can fall before
+			// earlier withdraws.
+			eps := sp.eps
+			for k := max(annAfter(eps, lo-1)-1, 0); k < len(eps) && eps[k].Ann <= hi; k++ {
+				if eps[k].Wd >= lo {
+					dst = append(dst, eps[k])
 				}
 			}
 		}

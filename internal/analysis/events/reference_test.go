@@ -295,12 +295,42 @@ func lookupLinear(ix *Index, ip uint32, tn int64) Match {
 	return m
 }
 
-// TestCursorLookupMatchesLinearEpisodes holds the episode bisection to
-// the linear scan, and both to Index.Lookup's time.Time arithmetic, on
-// random events of disjoint, time-ordered episodes: many of them per
-// event, zero-length ones, events that overlap on a prefix, and open
-// last episodes resolved to a period end that some episodes start after.
-// Every episode bound is probed, and a nanosecond either side of it.
+// episodesLinear is the reference model for Cursor.Episodes: every
+// episode of every event whose window meets [lo, hi], tested one by one,
+// with no memo, no bisection and one map probe for each of the 33
+// lengths.
+func episodesLinear(ix *Index, ip uint32, lo, hi int64) []EpisodeSpan {
+	var out []EpisodeSpan
+	for l := 32; l >= 0; l-- {
+		sps, _ := ix.spans.Get(bgp.MakePrefix(ip, uint8(l)))
+		for _, sp := range sps {
+			if sp.start > hi {
+				break
+			}
+			if sp.end < lo {
+				continue
+			}
+			for _, ep := range sp.eps {
+				if ep.Ann <= hi && ep.Wd >= lo {
+					out = append(out, ep)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCursorLookupMatchesLinearEpisodes holds the episode bisection and
+// its memo to the linear scan, and both to Index.Lookup's time.Time
+// arithmetic, on random events of disjoint, time-ordered episodes: many
+// of them per event, zero-length ones, events that overlap on a prefix,
+// and open last episodes resolved to a period end that some episodes
+// start after. Every episode bound is probed, and a nanosecond either
+// side of it: first in time order, then shuffled, so that the memo moves
+// back and forth between the spans of overlapping events. Episodes is
+// held to its linear model on windows around the same bounds. Last, one
+// cursor is carried across a view extended in place and rebuilt out of
+// order, settling before each step on an episode the step changes.
 func TestCursorLookupMatchesLinearEpisodes(t *testing.T) {
 	base := time.Date(2018, 10, 1, 0, 0, 0, 0, time.UTC)
 	prefixes := []bgp.Prefix{
@@ -309,7 +339,19 @@ func TestCursorLookupMatchesLinearEpisodes(t *testing.T) {
 		bgp.MustParsePrefix("198.51.100.0/22"),
 	}
 	ips := []uint32{prefixes[0].Addr, prefixes[1].Addr + 9, prefixes[2].Addr + 700, 0x01020304}
-	var queries, active, zeroLen int
+	var queries, active, zeroLen, switches, episodes int
+	lookup := func(t *testing.T, cur *Cursor, ix *Index, ip uint32, at time.Time) Match {
+		t.Helper()
+		got, lin, want := cur.LookupNs(ip, at.UnixNano()), lookupLinear(ix, ip, at.UnixNano()), ix.Lookup(ip, at)
+		if got != want || lin != want {
+			t.Fatalf("Lookup(%08x, %v) = %+v bisecting, %+v linear; index says %+v", ip, at, got, lin, want)
+		}
+		queries++
+		if want.Active {
+			active++
+		}
+		return got
+	}
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := stats.NewRNG(seed)
 		var evs []*Event
@@ -342,23 +384,84 @@ func TestCursorLookupMatchesLinearEpisodes(t *testing.T) {
 		bounds = append(bounds, end)
 		ix := NewIndex(evs, end)
 		cur := NewCursor(ix)
+		var probes []time.Time
+		for _, b := range bounds {
+			for _, d := range []time.Duration{-time.Nanosecond, 0, time.Nanosecond} {
+				probes = append(probes, b.Add(d))
+			}
+		}
 		for _, ip := range ips {
-			for _, b := range bounds {
-				for _, d := range []time.Duration{-time.Nanosecond, 0, time.Nanosecond} {
-					at := b.Add(d)
-					got, lin, want := cur.LookupNs(ip, at.UnixNano()), lookupLinear(ix, ip, at.UnixNano()), ix.Lookup(ip, at)
-					if got != want || lin != want {
-						t.Fatalf("seed %d: Lookup(%08x, %v) = %+v bisecting, %+v linear; index says %+v", seed, ip, at, got, lin, want)
+			for _, at := range probes {
+				lookup(t, cur, ix, ip, at)
+			}
+		}
+		for _, ip := range ips {
+			r.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+			var last *Event
+			for _, at := range probes {
+				if m := lookup(t, cur, ix, ip, at); m.Active {
+					if last != nil && m.Event != last {
+						switches++
 					}
-					queries++
-					if want.Active {
-						active++
+					last = m.Event
+				}
+			}
+			for _, at := range probes[:len(probes)/4] {
+				for _, w := range []time.Duration{0, time.Minute, 7 * time.Minute, time.Hour} {
+					lo, hi := at.Add(-w).UnixNano(), at.Add(w).UnixNano()
+					got, want := cur.Episodes(nil, ip, lo, hi), episodesLinear(ix, ip, lo, hi)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d: Episodes(%08x, %v ± %v) = %v; linear %v", seed, ip, at, w, got, want)
 					}
+					episodes += len(got)
 				}
 			}
 		}
 	}
-	if active == 0 || active == queries || zeroLen == 0 {
-		t.Fatalf("%d of %d queries active, %d zero-length episodes: the comparison is vacuous", active, queries, zeroLen)
+	if active == 0 || active == queries || zeroLen == 0 || switches == 0 || episodes == 0 {
+		t.Fatalf("%d of %d queries active, %d zero-length episodes, %d active-event switches, %d episodes listed: the comparison is vacuous",
+			active, queries, zeroLen, switches, episodes)
+	}
+
+	end := base.Add(48 * time.Hour)
+	ip := prefixes[0].Addr
+	at := func(min int) time.Time { return base.Add(time.Duration(min) * time.Minute) }
+	upd := func(min int, peer uint32, announce bool) analysis.ControlUpdate {
+		u := analysis.ControlUpdate{Time: at(min), Peer: peer, Prefix: prefixes[0], Announce: announce}
+		if announce {
+			u.Communities = bgp.Communities{bgp.Blackhole}
+		}
+		return u
+	}
+	m := NewMerger(DefaultDelta, end)
+	ix := m.Index()
+	cur := NewCursor(ix)
+	for _, step := range []struct {
+		us            []analysis.ControlUpdate
+		before, after []int // minutes asked about before and after Extend
+	}{
+		{[]analysis.ControlUpdate{upd(0, 100, true)}, nil, []int{5}},
+		// Closes the open episode the cursor sits in and opens another
+		// after a gap: the memo's copy of the open bounds says 12 is active.
+		{[]analysis.ControlUpdate{upd(10, 100, false), upd(15, 100, true), upd(20, 100, false)}, []int{5}, []int{12, 17, 25, 5}},
+		// Steps back in time: the view is rebuilt in place.
+		{[]analysis.ControlUpdate{upd(1, 101, true), upd(2, 101, false)}, []int{17}, []int{17, 1, 12, 25}},
+		{[]analysis.ControlUpdate{upd(30, 101, true)}, []int{25}, []int{25, 31, 17}},
+	} {
+		for _, min := range step.before {
+			lookup(t, cur, ix, ip, at(min))
+		}
+		epoch := ix.epoch
+		m.Extend(step.us)
+		if m.Index() != ix || ix.epoch == epoch {
+			t.Fatalf("Extend(%v): index replaced or epoch kept", step.us)
+		}
+		for _, min := range step.after {
+			lookup(t, cur, ix, ip, at(min))
+			lo, hi := at(min-3).UnixNano(), at(min+3).UnixNano()
+			if got, want := cur.Episodes(nil, ip, lo, hi), episodesLinear(ix, ip, lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("after Extend(%v): Episodes(%08x, %d min ± 3) = %v; linear %v", step.us, ip, min, got, want)
+			}
+		}
 	}
 }

@@ -278,7 +278,10 @@ func (p *Pipeline) CowCopies() int64 {
 // driven: pipeline.attribute.busy_ns, per operator feed
 // pipeline.lane.<op>.busy_ns and .records (what the feed handed its
 // operators), and pipeline.lanes.blocked_ns (a Lanes source waiting for a
-// ring slot). Without a registry no clock is read. Call before the pass.
+// ring slot). The busy_ns gauges are wall time: a lane descheduled or
+// waiting on a shared core still counts, so on a loaded box they bound
+// CPU time from above; Lanes' pprof labels split CPU time by lane.
+// Without a registry no clock is read. Call before the pass.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	p.obs = &passObs{
 		attribute: reg.Gauge("pipeline.attribute.busy_ns"),

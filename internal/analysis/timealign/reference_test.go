@@ -93,7 +93,9 @@ func (a *timeReference) collect(scratch []span, evs []*events.Event, t time.Time
 // inside a /16), several peers so that episodes overlap, episodes left
 // open to the period end, and records placed exactly 2 s before an
 // announcement and after a withdrawal — the search range's edges — as
-// well as within nanoseconds of them.
+// well as within nanoseconds of them. Each stream is indexed twice: with
+// the period end after it, and with one inside it, where an open last
+// episode resolves to before earlier withdraws of its own event.
 func TestAddDroppedMatchesTimeReference(t *testing.T) {
 	prefixes := []bgp.Prefix{
 		bgp.MustParsePrefix("203.0.113.5/32"),
@@ -101,6 +103,7 @@ func TestAddDroppedMatchesTimeReference(t *testing.T) {
 		bgp.MustParsePrefix("203.0.0.0/16"),
 		bgp.MustParsePrefix("198.51.100.7/32"),
 	}
+	early := 0 // open last episodes resolved to before an earlier withdraw
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := stats.NewRNG(seed)
 		var us []analysis.ControlUpdate
@@ -120,53 +123,61 @@ func TestAddDroppedMatchesTimeReference(t *testing.T) {
 			}
 			us = append(us, u)
 		}
-		evs := events.Merge(us, events.DefaultDelta, pEnd)
-		ix := events.NewIndex(evs, pEnd)
-		got, want := New(ix), &timeReference{index: ix}
+		for _, end := range []time.Time{pEnd, us[len(us)/2].Time} {
+			evs := events.Merge(us, events.DefaultDelta, end)
+			ix := events.NewIndex(evs, end)
+			got, want := New(ix), &timeReference{index: ix}
 
-		var probes []time.Time
-		open := 0
-		for _, e := range evs {
-			for _, ep := range e.Episodes {
-				wd := ep.Withdraw
-				if wd.IsZero() {
-					wd, open = pEnd, open+1
-				}
-				for _, edge := range []time.Time{ep.Announce, wd} {
-					for _, d := range []time.Duration{-SearchRange, SearchRange, 0} {
-						probes = append(probes, edge.Add(d), edge.Add(d-1), edge.Add(d+1))
+			var probes []time.Time
+			open := 0
+			for _, e := range evs {
+				for k, ep := range e.Episodes {
+					wd := ep.Withdraw
+					if wd.IsZero() {
+						wd, open = end, open+1
+						if k > 0 && end.Before(e.Episodes[k-1].Withdraw) {
+							early++
+						}
 					}
-					probes = append(probes, edge.Add(time.Duration(r.Intn(5000)-2500)*time.Millisecond))
+					for _, edge := range []time.Time{ep.Announce, wd} {
+						for _, d := range []time.Duration{-SearchRange, SearchRange, 0} {
+							probes = append(probes, edge.Add(d), edge.Add(d-1), edge.Add(d+1))
+						}
+						probes = append(probes, edge.Add(time.Duration(r.Intn(5000)-2500)*time.Millisecond))
+					}
+				}
+			}
+			if open == 0 {
+				t.Fatalf("seed %d, end %v: no open-ended episode in the fixture", seed, end)
+			}
+			for i := 0; i < 200; i++ {
+				probes = append(probes, t0.Add(time.Duration(r.Int63n(int64(at.Sub(t0)+time.Hour)))))
+			}
+			ips := []uint32{prefixes[0].Addr, prefixes[1].Addr + 9, prefixes[2].Addr + 0x0101, prefixes[3].Addr, 0x01020304}
+			for _, at := range probes {
+				ip := ips[r.Intn(len(ips))]
+				got.AddDropped(ip, at)
+				want.addDropped(ip, at)
+			}
+
+			if got.total != want.total || len(got.starts) != len(want.starts) || len(got.ends) != len(want.ends) {
+				t.Fatalf("seed %d, end %v: %d records, %d/%d bounds; reference has %d records, %d/%d bounds",
+					seed, end, got.total, len(got.starts), len(got.ends), want.total, len(want.starts), len(want.ends))
+			}
+			if len(got.starts) < len(probes)/10 {
+				t.Fatalf("seed %d, end %v: only %d intervals from %d probes; fixture too thin", seed, end, len(got.starts), len(probes))
+			}
+			for i := range got.starts {
+				if math.Float64bits(got.starts[i]) != math.Float64bits(want.starts[i]) ||
+					math.Float64bits(got.ends[i]) != math.Float64bits(want.ends[i]) {
+					t.Fatalf("seed %d, end %v: interval %d = [%v, %v), reference [%v, %v)",
+						seed, end, i, got.starts[i], got.ends[i], want.starts[i], want.ends[i])
 				}
 			}
 		}
-		if open == 0 {
-			t.Fatalf("seed %d: no open-ended episode in the fixture", seed)
-		}
-		for i := 0; i < 200; i++ {
-			probes = append(probes, t0.Add(time.Duration(r.Int63n(int64(at.Sub(t0)+time.Hour)))))
-		}
-		ips := []uint32{prefixes[0].Addr, prefixes[1].Addr + 9, prefixes[2].Addr + 0x0101, prefixes[3].Addr, 0x01020304}
-		for _, at := range probes {
-			ip := ips[r.Intn(len(ips))]
-			got.AddDropped(ip, at)
-			want.addDropped(ip, at)
-		}
-
-		if got.total != want.total || len(got.starts) != len(want.starts) || len(got.ends) != len(want.ends) {
-			t.Fatalf("seed %d: %d records, %d/%d bounds; reference has %d records, %d/%d bounds",
-				seed, got.total, len(got.starts), len(got.ends), want.total, len(want.starts), len(want.ends))
-		}
-		if len(got.starts) < len(probes)/10 {
-			t.Fatalf("seed %d: only %d intervals from %d probes; fixture too thin", seed, len(got.starts), len(probes))
-		}
-		for i := range got.starts {
-			if math.Float64bits(got.starts[i]) != math.Float64bits(want.starts[i]) ||
-				math.Float64bits(got.ends[i]) != math.Float64bits(want.ends[i]) {
-				t.Fatalf("seed %d: interval %d = [%v, %v), reference [%v, %v)",
-					seed, i, got.starts[i], got.ends[i], want.starts[i], want.ends[i])
-			}
-		}
+	}
+	if early == 0 {
+		t.Fatal("no open last episode resolves to before an earlier withdraw: the period-end case is vacuous")
 	}
 }
 

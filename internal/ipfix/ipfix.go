@@ -10,12 +10,15 @@
 // stream and maps the information elements it knows onto FlowRecord
 // fields, skipping unknown elements by their declared length. A stream
 // produced by any exporter using the same information elements therefore
-// decodes correctly even if field order differs.
+// decodes correctly even if field order differs. Data sets of a template
+// that is exactly the encoder's layout, the one every exporter here
+// writes, decode at constant offsets instead, to the same records.
 package ipfix
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -144,10 +147,41 @@ func appendRecord(dst []byte, r *FlowRecord) []byte {
 	return dst
 }
 
-// template is a decoder-side learned record layout.
+// template is a decoder-side learned record layout. canonical marks a
+// layout that is exactly flowTemplate: its data sets decode at constant
+// offsets (decodeCanonical), any other layout's field by field (decode).
 type template struct {
 	fields    []templateField
 	recordLen int
+	canonical bool
+}
+
+// decodeCanonical appends the records of a data set laid out per
+// flowTemplate to dst, writing them straight into its spare capacity.
+// Trailing bytes shorter than one record are padding (RFC 7011 §3.3.1).
+// Each record is what template.decode makes of it, field for field
+// (FuzzCanonicalDecodeMatchesTemplate). Every field is stored in place:
+// assigning a FlowRecord literal instead ran BenchmarkNextBatch 45 %
+// slower.
+func decodeCanonical(b []byte, dst []FlowRecord) []FlowRecord {
+	n := len(b) / flowRecordLen
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for i := range out {
+		v := (*[flowRecordLen]byte)(b[i*flowRecordLen:])
+		r := &out[i]
+		r.Start = time.UnixMilli(int64(binary.BigEndian.Uint64(v[0:8]))).UTC()
+		r.SrcMAC = MAC(binary.BigEndian.Uint64(v[8:16]) >> 16)
+		r.DstMAC = MAC(binary.BigEndian.Uint64(v[14:22]) >> 16)
+		r.SrcIP = binary.BigEndian.Uint32(v[20:24])
+		r.DstIP = binary.BigEndian.Uint32(v[24:28])
+		r.SrcPort = binary.BigEndian.Uint16(v[28:30])
+		r.DstPort = binary.BigEndian.Uint16(v[30:32])
+		r.Proto = v[32]
+		r.Packets = binary.BigEndian.Uint64(v[33:41])
+		r.Bytes = binary.BigEndian.Uint64(v[41:49])
+	}
+	return dst[:len(dst)+n]
 }
 
 func (t *template) decode(b []byte, r *FlowRecord) error {

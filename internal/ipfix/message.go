@@ -3,6 +3,7 @@ package ipfix
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // MsgHeader is the decoded RFC 7011 §3.1 message header. The collector
@@ -203,6 +204,7 @@ func (d *MsgDecoder) parseTemplateSet(b []byte) error {
 		if t.recordLen == 0 {
 			return fmt.Errorf("template %d with zero record length", id)
 		}
+		t.canonical = slices.Equal(t.fields, flowTemplate)
 		d.templates[id] = t
 		b = b[4*count:]
 	}
@@ -213,6 +215,9 @@ func (d *MsgDecoder) parseDataSet(id uint16, b []byte, dst []FlowRecord) ([]Flow
 	t, ok := d.templates[id]
 	if !ok {
 		return dst, fmt.Errorf("data set references unknown template %d", id)
+	}
+	if t.canonical {
+		return decodeCanonical(b, dst), nil
 	}
 	// Trailing bytes shorter than one record are padding (RFC 7011 §3.3.1).
 	recIndex := 0
