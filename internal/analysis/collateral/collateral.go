@@ -95,8 +95,9 @@ func (a *Aggregator) add(eventID int, all, dropped int64) {
 // trace.
 //
 // An event's table is the unit of copy-on-write sharing between a store
-// and its snapshots (analysis.Cow): every path that writes a table — Add,
-// Merge, RemapEvents — reaches it through own.
+// and its snapshots (analysis.Cow): both paths that write a table, Add and
+// Merge, reach it through own. RemapEvents writes none: it moves tables
+// to new keys as they are.
 type Pending struct {
 	tables map[int]*table
 	n      int
@@ -302,27 +303,21 @@ func (p *Pending) Add(eventID int, dstIP uint32, dstPort uint16, proto uint8, dr
 	p.add(eventID, cellKey(dstIP, dstPort, proto), pkts, d)
 }
 
-// fold merges a whole table into event id: adopted as is when p holds
-// none for id (under the stamp it came with, so p copies it before its
-// first write), summed cell by cell otherwise.
-func (p *Pending) fold(id int, t *table) {
-	if p.tables[id] == nil {
-		p.tables[id] = t
-		p.n += t.n
-		return
-	}
-	dst := p.own(id)
-	held := dst.n
-	dst.absorb(t)
-	p.n += dst.n - held
-}
-
 // Merge folds o's cells into p, summing colliding cells. Exact however
 // the stream was split: cell sums are commutative. o must not be used
-// afterwards: p adopts the tables of events only o holds.
+// afterwards: p adopts the tables of events only o holds, under the stamp
+// they came with, so p copies such a table before its first write.
 func (p *Pending) Merge(o *Pending) {
 	for id, ot := range o.tables {
-		p.fold(id, ot)
+		if p.tables[id] == nil {
+			p.tables[id] = ot
+			p.n += ot.n
+			continue
+		}
+		dst := p.own(id)
+		held := dst.n
+		dst.absorb(ot)
+		p.n += dst.n - held
 	}
 }
 

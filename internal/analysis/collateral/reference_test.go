@@ -148,26 +148,10 @@ func (p *mapPending) marshal() []byte {
 
 func (p *mapPending) remapEvents(m map[int]int) {
 	out := make(map[int]map[uint64]*counts, len(p.cells))
-	n := 0
 	for id, inner := range p.cells {
-		nid := m[id]
-		dst := out[nid]
-		if dst == nil {
-			out[nid] = inner
-			n += len(inner)
-			continue
-		}
-		for k, c := range inner {
-			if cur := dst[k]; cur != nil {
-				cur.all += c.all
-				cur.dropped += c.dropped
-			} else {
-				dst[k] = c
-				n++
-			}
-		}
+		out[m[id]] = inner
 	}
-	p.cells, p.n = out, n
+	p.cells = out
 }
 
 // pendingPair drives a Pending and its reference through the same calls.
@@ -294,10 +278,19 @@ func TestPendingMatchesMapReference(t *testing.T) {
 			fill(a, 500, 20)
 			a.mustMatch(t, "merged, then added", profiles)
 
-			// Remap folds several old events onto one new ID.
-			m := make(map[int]int)
+			// Remap renames the events by a permutation into a new range. A
+			// map that sends several events to one ID, or leaves one
+			// unmapped, is rejected and leaves the store as it was.
+			m, folding := make(map[int]int), make(map[int]int)
 			for id := 0; id < 20; id++ {
-				m[id] = 100 + id/3
+				m[id] = 100 + (id*7+int(seed))%20
+				folding[id] = 100 + id/3
+			}
+			for label, bad := range map[string]map[int]int{"folding": folding, "empty": {}} {
+				if err := a.got.RemapEvents(bad); err == nil {
+					t.Fatalf("RemapEvents accepted the %s map", label)
+				}
+				a.mustMatch(t, "rejected "+label+" remap", profiles)
 			}
 			if err := a.got.RemapEvents(m); err != nil {
 				t.Fatal(err)
@@ -306,9 +299,6 @@ func TestPendingMatchesMapReference(t *testing.T) {
 			a.mustMatch(t, "remapped", profiles)
 			fill(a, 500, 7)
 			a.mustMatch(t, "remapped, then added", profiles)
-			if err := a.got.RemapEvents(map[int]int{}); err == nil {
-				t.Fatal("RemapEvents accepted an unmapped event")
-			}
 		})
 	}
 }
@@ -417,8 +407,8 @@ func deepSnapshot(p *Pending) *Pending {
 // reference through the same random Add / Snapshot / Merge /
 // UnmarshalBinary / RemapEvents sequences (cowtest.Run). Six events, one
 // taking half of the cells so that its table keeps doubling while shared;
-// the remaps permute the event IDs or fold pairs of them onto one, so
-// adopted tables are absorbed into and written afterwards.
+// the remaps permute the event IDs, by rotation or by reflection, so
+// tables move under new keys, shared or not, and are written afterwards.
 func TestPendingSnapshotMatchesDeepCopy(t *testing.T) {
 	const events = 6
 	remap := func(p *Pending, x uint64) {
@@ -427,7 +417,7 @@ func TestPendingSnapshotMatchesDeepCopy(t *testing.T) {
 			if x&1 == 0 {
 				m[id] = (id + int(x>>1%events)) % events
 			} else {
-				m[id] = id / 2
+				m[id] = (int(x>>1%events) - id + events) % events
 			}
 		}
 		if err := p.RemapEvents(m); err != nil {

@@ -83,19 +83,15 @@ func (p *Pending) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// RemapEvents rewrites the event IDs through m (old event ID -> new ID),
-// summing cells that land on the same new key. Every present event must
-// be mapped.
+// RemapEvents renames the event IDs through m (old event ID -> new ID;
+// see analysis.RenameEvents). The tables move to their new keys as they
+// are, owner stamps included, and the cell count does not change. On
+// error the store is left unchanged.
 func (p *Pending) RemapEvents(m map[int]int) error {
-	for id := range p.tables {
-		if _, ok := m[id]; !ok {
-			return fmt.Errorf("collateral: pending: no mapping for event %d", id)
-		}
+	tables, err := analysis.RenameEvents(p.tables, m)
+	if err != nil {
+		return fmt.Errorf("collateral: pending: %w", err)
 	}
-	tables := p.tables
-	p.tables, p.n, p.last = make(map[int]*table, len(tables)), 0, nil
-	for id, t := range tables {
-		p.fold(m[id], t)
-	}
+	p.tables, p.last = tables, nil
 	return nil
 }

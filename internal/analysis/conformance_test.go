@@ -21,7 +21,7 @@ import (
 
 // The operator-contract conformance suite. Every registered operator
 // (the analysis.Operator implementations the pipeline composes) must
-// satisfy four properties the engine relies on:
+// satisfy five properties the engine relies on:
 //
 //	(a) merging over any split of the observation stream produces the
 //	    same state as a sequential pass (federation);
@@ -32,7 +32,10 @@ import (
 //	    snapshots are alive at once (three operators share state with
 //	    their snapshots until one side writes it; analysis.Cow);
 //	(d) the wire codec round-trips: Marshal → Unmarshal → Marshal is
-//	    byte-identical (federation snapshots are state fingerprints).
+//	    byte-identical (federation snapshots are state fingerprints);
+//	(e) decoding replaces the whole state, run memos included: an
+//	    instance that observed before decoding observes afterwards like
+//	    a fresh decode.
 //
 // State equality is compared through MarshalBinary, whose canonical
 // (sorted) encodings are exactly the fingerprint property (d) asserts.
@@ -46,7 +49,8 @@ type handle struct {
 	merge     func(o *handle)
 	snapshot  func() *handle
 	marshal   func() ([]byte, error)
-	unmarshal func(data []byte) (*handle, error)
+	unmarshal func(data []byte) (*handle, error) // into a fresh instance
+	decode    func(data []byte) error            // into this instance: its own UnmarshalBinary
 }
 
 // operatorCase is one registered operator plus its deterministic
@@ -92,6 +96,7 @@ func dropstatsCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*dropstats.Aggregator)) }
 		h.marshal = a.MarshalBinary
+		h.decode = a.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := dropstats.New()
@@ -117,6 +122,7 @@ func anomalyCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*anomaly.Aggregator)) }
 		h.marshal = a.MarshalBinary
+		h.decode = a.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := anomaly.New()
@@ -141,6 +147,7 @@ func protomixCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*protomix.Aggregator)) }
 		h.marshal = a.MarshalBinary
+		h.decode = a.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := protomix.New()
@@ -169,6 +176,7 @@ func hostsCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*hosts.Aggregator)) }
 		h.marshal = a.MarshalBinary
+		h.decode = a.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := hosts.New()
@@ -188,26 +196,27 @@ func timealignCase() operatorCase {
 	var wrap func(a *timealign.Aggregator) *handle
 	wrap = func(a *timealign.Aggregator) *handle {
 		h := &handle{self: a}
+		cur := events.NewCursor(ix) // the caller's cursor, as the pipeline's align feed keeps one
 		h.feed = func(i int) {
 			// Drops near the three episodes, some outside any episode.
 			hour := []time.Duration{1, 3, 30, 10}[i%4]
 			t := base.Add(hour*time.Hour + time.Duration(i%7)*13*time.Second)
-			a.AddDropped(0x0a000000+uint32(i%12), t)
+			a.AddDropped(cur, 0x0a000000+uint32(i%12), t)
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*timealign.Aggregator)) }
 		h.marshal = a.MarshalBinary
+		h.decode = a.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
-			d := timealign.New(ix)
+			d := timealign.New()
 			if err := d.UnmarshalBinary(data); err != nil {
 				return nil, err
 			}
-			d.Rebind(ix) // decoding leaves the index unbound
 			return wrap(d), nil
 		}
 		return h
 	}
-	return operatorCase{name: "timealign", stream: 40, fresh: func() *handle { return wrap(timealign.New(ix)) }}
+	return operatorCase{name: "timealign", stream: 40, fresh: func() *handle { return wrap(timealign.New()) }}
 }
 
 func pendingCase() operatorCase {
@@ -229,6 +238,7 @@ func pendingCase() operatorCase {
 		}
 		h.merge = func(o *handle) { p.Merge(o.self.(*collateral.Pending)) }
 		h.marshal = p.MarshalBinary
+		h.decode = p.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(p.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := collateral.NewPending()
@@ -257,6 +267,7 @@ func mitigationCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*mitigation.Aggregator)) }
 		h.marshal = a.MarshalBinary
+		h.decode = a.UnmarshalBinary
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := mitigation.New()
@@ -495,6 +506,40 @@ func TestOperatorWireRoundTrip(t *testing.T) {
 			bumped[0]++
 			if _, err := a.unmarshal(bumped); err == nil {
 				t.Error("future codec version decoded without error")
+			}
+		})
+	}
+}
+
+// TestOperatorDecodeIntoUsed: property (e). For every cut j, one instance
+// observes [0, j) and then decodes the encoding of that same prefix into
+// itself; a fresh instance decodes it too. Both observe record j-1 again
+// and then [j, stream) and must fingerprint identically. Re-observing j-1
+// is what a run memo left pointing into the replaced state would catch:
+// it matches the memo's key, and the write lands outside the decoded
+// state.
+func TestOperatorDecodeIntoUsed(t *testing.T) {
+	for _, c := range operatorCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			for j := 1; j <= c.stream; j++ {
+				used := c.fresh()
+				feedRange(used, 0, j)
+				data := mustMarshal(t, used)
+				if err := used.decode(data); err != nil {
+					t.Fatalf("decode into the instance after %d observations: %v", j, err)
+				}
+				dec, err := c.fresh().unmarshal(data)
+				if err != nil {
+					t.Fatalf("unmarshal after %d observations: %v", j, err)
+				}
+				for _, h := range []*handle{used, dec} {
+					h.feed(j - 1)
+					feedRange(h, j, c.stream)
+				}
+				if !bytes.Equal(mustMarshal(t, used), mustMarshal(t, dec)) {
+					t.Fatalf("decoded over %d observations, then fed on: diverges from a fresh decode", j)
+				}
 			}
 		})
 	}

@@ -142,3 +142,19 @@ func TestAddIgnoresInvalidLength(t *testing.T) {
 		t.Fatal("invalid length recorded")
 	}
 }
+
+// TestRemapThenAddKeepsIDs pins the event memo to the renamed map: after
+// RemapEvents moves event 1 to 2, an Add under ID 1 opens a new event 1
+// and leaves event 2 as it was.
+func TestRemapThenAddKeepsIDs(t *testing.T) {
+	a := New()
+	a.Add(1, 24, 0, true, 1, 100)
+	if err := a.RemapEvents(map[int]int{1: 2}); err != nil {
+		t.Fatal(err)
+	}
+	a.Add(1, 24, 0, true, 5, 500)
+	got := a.EventStats()
+	if len(got) != 2 || got[0].ID != 1 || got[0].DroppedPkts != 5 || got[1].ID != 2 || got[1].DroppedPkts != 1 {
+		t.Fatalf("events after remap and Add = %+v; want event 1 with 5 packets, event 2 with 1", got)
+	}
+}

@@ -76,29 +76,19 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("dropstats: %w", err)
 	}
 	a.byLen = byLen
-	a.byEvent = byEvent
-	a.bySource = bySource
+	a.byEvent, a.lastEvent = byEvent, nil
+	a.bySource, a.lastSource = bySource, nil
 	return nil
 }
 
-// RemapEvents rewrites the per-event keys through m (old ID -> new ID),
-// summing counters that land on the same new ID. Every present event
-// must be mapped; a missing mapping is an error because keeping a stale
-// ID could silently collide with a different event in the new space.
+// RemapEvents renames the per-event keys through m (old ID -> new ID; see
+// analysis.RenameEvents). On error the aggregator is left unchanged.
 func (a *Aggregator) RemapEvents(m map[int]int) error {
-	out := make(map[int]*eventCounter, len(a.byEvent))
-	for id, ec := range a.byEvent {
-		nid, ok := m[id]
-		if !ok {
-			return fmt.Errorf("dropstats: no mapping for event %d", id)
-		}
-		if cur := out[nid]; cur != nil {
-			cur.c.Merge(&ec.c)
-		} else {
-			out[nid] = ec
-		}
+	byEvent, err := analysis.RenameEvents(a.byEvent, m)
+	if err != nil {
+		return fmt.Errorf("dropstats: %w", err)
 	}
-	a.byEvent = out
+	a.byEvent, a.lastEvent = byEvent, nil
 	return nil
 }
 

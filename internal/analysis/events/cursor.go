@@ -19,8 +19,8 @@ import (
 // view the online analyzer extends in place needs no rebinding.
 //
 // A cursor is single-goroutine state: a pipeline's pair (destination-
-// and source-keyed) belongs to the goroutine that attributes, and the
-// time-alignment operator keeps one of its own.
+// and source-keyed) belongs to the goroutine that attributes, and its
+// align lane, which runs beside that goroutine, gets a third of its own.
 type Cursor struct {
 	ix    *Index
 	epoch uint64

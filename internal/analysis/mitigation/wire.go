@@ -59,6 +59,6 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("mitigation: %w", err)
 	}
-	a.byPrefix = byPrefix
+	a.byPrefix, a.lastCells = byPrefix, nil
 	return nil
 }

@@ -1,5 +1,7 @@
 package analysis
 
+import "fmt"
+
 // Operator is the incremental-operator contract shared by the seven
 // streaming analysis stages whose state Pipeline.MarshalState writes
 // (dropstats, anomaly, protomix, hosts, timealign, the collateral pending
@@ -29,6 +31,10 @@ package analysis
 //     Either way a sub-aggregate reachable from a snapshot is never
 //     written in place.
 //
+// An operator holds state only: the control-plane views and the cursors
+// over them belong to the pipeline that feeds it, and the event
+// numbering to the federation coordinator (see RenameEvents).
+//
 // The control-plane stages (events, load, visibility, the Fig 10 sweep)
 // deliberately do not implement this contract: they are pure functions of
 // the retained control-update stream, which is several orders of
@@ -38,4 +44,26 @@ package analysis
 type Operator[T any] interface {
 	Merge(T)
 	Snapshot() T
+}
+
+// RenameEvents returns byEvent with its keys renamed through m (local
+// event ID -> federated ID), for an event-keyed operator's RemapEvents.
+// Every present event must map to an ID no other one maps to; otherwise
+// it returns an error and byEvent is left as it was. Renaming suffices:
+// federation.Coordinator.Merge keys each local event by (prefix, peer,
+// first announcement), unique per exchange, and rejects a map that sends
+// two local events to one union event.
+func RenameEvents[V any](byEvent map[int]V, m map[int]int) (map[int]V, error) {
+	out := make(map[int]V, len(byEvent))
+	for id, v := range byEvent {
+		nid, ok := m[id]
+		if !ok {
+			return nil, fmt.Errorf("no mapping for event %d", id)
+		}
+		if _, dup := out[nid]; dup {
+			return nil, fmt.Errorf("two events map to event %d", nid)
+		}
+		out[nid] = v
+	}
+	return out, nil
 }

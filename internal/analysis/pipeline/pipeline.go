@@ -93,10 +93,13 @@ type Pipeline struct {
 	// resolves once per stretch. Destination- and source-keyed queries
 	// get separate cursors because both address runs persist
 	// independently across records. curFlow is the destination memo
-	// over the FlowSpec view. Each memo drops itself whenever its view is
-	// extended in place (see events.Cursor and mitigation.Cursor).
-	curDst, curSrc *events.Cursor
-	curFlow        *mitigation.Cursor
+	// over the FlowSpec view. curAlign is the align feed's own
+	// destination memo, through which Align reads episode windows: that
+	// feed runs beside attribute under Lanes, so it cannot share curDst.
+	// Each memo drops itself whenever its view is extended in place (see
+	// events.Cursor and mitigation.Cursor).
+	curDst, curSrc, curAlign *events.Cursor
+	curFlow                  *mitigation.Cursor
 
 	// MAC-derived metadata memo (IsInternal and the ingress member):
 	// records of one injected batch share both MACs.
@@ -150,12 +153,8 @@ func New(meta *analysis.Metadata, updates []analysis.ControlUpdate, delta time.D
 		return nil, err
 	}
 	evs := events.Merge(updates, delta, meta.End)
-	ix := events.NewIndex(evs, meta.End)
 	p := newEmpty(meta)
-	p.Events = evs
-	p.Index = ix
-	p.Align = timealign.New(ix)
-	p.bindCursors()
+	p.Rebind(evs, events.NewIndex(evs, meta.End))
 	return p, nil
 }
 
@@ -170,9 +169,7 @@ func NewSpeculative(meta *analysis.Metadata) (*Pipeline, error) {
 	p := newEmpty(meta)
 	p.speculative, p.wide = true, true
 	p.pairs = make(map[uint64]int64)
-	p.Index = events.NewIndex(nil, meta.End)
-	p.Align = timealign.New(p.Index)
-	p.bindCursors()
+	p.Rebind(nil, events.NewIndex(nil, meta.End))
 	return p, nil
 }
 
@@ -181,6 +178,7 @@ func NewSpeculative(meta *analysis.Metadata) (*Pipeline, error) {
 func (p *Pipeline) bindCursors() {
 	p.curDst = events.NewCursor(p.Index)
 	p.curSrc = events.NewCursor(p.Index)
+	p.curAlign = events.NewCursor(p.Index)
 	p.curFlow = mitigation.NewCursor(p.FlowIx)
 }
 
@@ -191,20 +189,21 @@ func newEmpty(meta *analysis.Metadata) *Pipeline {
 		Anomaly: anomaly.New(),
 		Proto:   protomix.New(),
 		Hosts:   hosts.New(),
+		Align:   timealign.New(),
 		Mit:     mitigation.New(),
 		Pending: collateral.NewPending(),
 	}
 }
 
 // Rebind points the pipeline at a control-plane view (events plus
-// attribution index) with fresh address memos: a wire-decoded pipeline
-// (UnmarshalState), which has no cursors at all, a folded one, or a
-// speculative one before its first record. An index an events.Merger
-// extends in place needs no rebinding; only Events is republished.
+// attribution index) with fresh address memos, the align feed's among
+// them: a new pipeline, a speculative one before its first record, a
+// wire-decoded one (UnmarshalState), which has no cursors at all, or a
+// folded one. The operators hold no view, so nothing else is rebound. An index an events.Merger extends in place needs no
+// rebinding; only Events is republished.
 func (p *Pipeline) Rebind(evs []*events.Event, ix *events.Index) {
 	p.Events = evs
 	p.Index = ix
-	p.Align.Rebind(ix)
 	p.bindCursors()
 }
 
@@ -497,7 +496,7 @@ func (p *Pipeline) feed(i int, recs []ipfix.FlowRecord, at []attr) {
 func (p *Pipeline) feedAlign(recs []ipfix.FlowRecord, at []attr) (n int) {
 	for i := range at {
 		if at[i].flags&fDropped != 0 {
-			p.Align.AddDropped(recs[i].DstIP, recs[i].Start)
+			p.Align.AddDropped(p.curAlign, recs[i].DstIP, recs[i].Start)
 			n++
 		}
 	}

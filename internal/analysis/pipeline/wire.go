@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/timealign"
 )
 
 // stateWireVersion is the pipeline state codec version. Version 2 added
@@ -56,7 +55,6 @@ func UnmarshalState(meta *analysis.Metadata, data []byte) (*Pipeline, error) {
 	r := analysis.NewWireReader(data)
 	r.Version(stateWireVersion)
 	p := newEmpty(meta)
-	p.Align = &timealign.Aggregator{}
 	p.TotalRecords = r.Varint()
 	p.InternalRecords = r.Varint()
 	p.AttributedRecords = r.Varint()
@@ -112,10 +110,12 @@ func (p *Pipeline) Fold(o *Pipeline) {
 	}
 }
 
-// RemapEvents rewrites every event-keyed operator through m (local
-// event ID -> federated event ID). The coordinator derives m by
-// aligning each instance's locally merged events with the events merged
-// over the union update stream.
+// RemapEvents renames the events of every event-keyed operator through m
+// (local event ID -> federated event ID; see analysis.RenameEvents). The
+// coordinator derives m by aligning each instance's locally merged events
+// with the events merged over the union update stream. An operator that
+// rejects m is left unchanged, but those before it are renamed: on error
+// the pipeline is to be discarded, as the coordinator does.
 func (p *Pipeline) RemapEvents(m map[int]int) error {
 	if err := p.Drop.RemapEvents(m); err != nil {
 		return err

@@ -109,24 +109,13 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// RemapEvents rewrites the per-event keys through m (old ID -> new ID),
-// merging aggregates that land on the same new ID. Every present event
-// must be mapped.
+// RemapEvents renames the per-event keys through m (old ID -> new ID; see
+// analysis.RenameEvents). On error the aggregator is left unchanged.
 func (a *Aggregator) RemapEvents(m map[int]int) error {
-	out := make(map[int]*eventAgg, len(a.events))
-	for id, ea := range a.events {
-		nid, ok := m[id]
-		if !ok {
-			return fmt.Errorf("protomix: no mapping for event %d", id)
-		}
-		if cur := out[nid]; cur != nil {
-			tmp := &Aggregator{events: map[int]*eventAgg{nid: ea}}
-			dst := &Aggregator{events: map[int]*eventAgg{nid: cur}}
-			dst.Merge(tmp)
-		} else {
-			out[nid] = ea
-		}
+	events, err := analysis.RenameEvents(a.events, m)
+	if err != nil {
+		return fmt.Errorf("protomix: %w", err)
 	}
-	a.events, a.last = out, nil
+	a.events, a.last = events, nil
 	return nil
 }

@@ -126,7 +126,7 @@ func TestAddDroppedMatchesTimeReference(t *testing.T) {
 		for _, end := range []time.Time{pEnd, us[len(us)/2].Time} {
 			evs := events.Merge(us, events.DefaultDelta, end)
 			ix := events.NewIndex(evs, end)
-			got, want := New(ix), &timeReference{index: ix}
+			got, c, want := New(), events.NewCursor(ix), &timeReference{index: ix}
 
 			var probes []time.Time
 			open := 0
@@ -156,7 +156,7 @@ func TestAddDroppedMatchesTimeReference(t *testing.T) {
 			ips := []uint32{prefixes[0].Addr, prefixes[1].Addr + 9, prefixes[2].Addr + 0x0101, prefixes[3].Addr, 0x01020304}
 			for _, at := range probes {
 				ip := ips[r.Intn(len(ips))]
-				got.AddDropped(ip, at)
+				got.AddDropped(c, ip, at)
 				want.addDropped(ip, at)
 			}
 

@@ -21,13 +21,10 @@ import (
 // disagree by milliseconds to a couple of seconds at worst.
 const SearchRange = 2 * time.Second
 
-// Aggregator accumulates dropped-record offset intervals.
+// Aggregator accumulates dropped-record offset intervals. It holds no
+// control-plane view: AddDropped reads the episodes through the caller's
+// cursor.
 type Aggregator struct {
-	index *events.Index
-	// cur memoizes the covering-prefix resolution per destination run:
-	// dropped records arrive in long same-destination stretches, so the
-	// per-length prefix-map probes resolve once per stretch.
-	cur *events.Cursor
 	// starts/ends hold the per-record valid-offset interval bounds in
 	// seconds (clipped to the search range). Intervals are merged per
 	// record, so each record contributes at most once to any offset.
@@ -39,25 +36,26 @@ type Aggregator struct {
 
 type span struct{ lo, hi float64 }
 
-// New returns an aggregator attributing against ix.
-func New(ix *events.Index) *Aggregator {
-	return &Aggregator{index: ix, cur: events.NewCursor(ix)}
-}
+// New returns an empty aggregator.
+func New() *Aggregator { return &Aggregator{} }
 
 // AddDropped registers one dropped record with destination dstIP observed
-// at t (data-plane clock). Episodes of every covering blackhole prefix
-// can explain the drop: a host may be blackholed as a /32 at one time and
-// as part of a covering /24 at another. Overlapping explanations are
-// merged so that the likelihood stays a proper fraction.
+// at t (data-plane clock), reading the episodes within SearchRange of t
+// through c: dropped records arrive in long same-destination stretches,
+// so c resolves the covering prefixes once per stretch. Episodes of every
+// covering blackhole prefix can explain the drop: a host may be
+// blackholed as a /32 at one time and as part of a covering /24 at
+// another. Overlapping explanations are merged so that the likelihood
+// stays a proper fraction.
 //
 // The episode bounds come from the cursor as unix nanoseconds, and an
 // offset is time.Duration(bound - t).Seconds(): for archive timestamps
 // that is the very integer Time.Sub forms before converting, so the
 // recorded float64s carry the bits the time.Time arithmetic would.
-func (a *Aggregator) AddDropped(dstIP uint32, t time.Time) {
+func (a *Aggregator) AddDropped(c *events.Cursor, dstIP uint32, t time.Time) {
 	a.total++
 	tn := t.UnixNano()
-	a.eps = a.cur.Episodes(a.eps[:0], dstIP, tn-int64(SearchRange), tn+int64(SearchRange))
+	a.eps = c.Episodes(a.eps[:0], dstIP, tn-int64(SearchRange), tn+int64(SearchRange))
 	a.scratch = a.scratch[:0]
 	for _, ep := range a.eps {
 		// Offsets delta with t+delta in [announce, withdraw).
@@ -116,25 +114,14 @@ func (a *Aggregator) Merge(o *Aggregator) {
 }
 
 // Snapshot returns an independent deep copy of the aggregator's interval
-// state; the copy shares the (immutable) event index. Further AddDropped
-// calls on either side do not affect the other (Operator contract in
-// internal/analysis).
+// state. Further AddDropped calls on either side do not affect the other
+// (Operator contract in internal/analysis).
 func (a *Aggregator) Snapshot() *Aggregator {
 	return &Aggregator{
-		index:  a.index,
-		cur:    events.NewCursor(a.index),
 		starts: append([]float64(nil), a.starts...),
 		ends:   append([]float64(nil), a.ends...),
 		total:  a.total,
 	}
-}
-
-// Rebind points a decoded or folded aggregator at an event index, with a
-// fresh address memo. An index extended in place needs no rebinding: the
-// cursor notices the extension by itself (see events.Cursor).
-func (a *Aggregator) Rebind(ix *events.Index) {
-	a.index = ix
-	a.cur = events.NewCursor(ix)
 }
 
 // Point is one sample of the likelihood curve.

@@ -28,13 +28,13 @@ func indexWithEpisode(t *testing.T, announce, withdraw time.Time) *events.Index 
 
 func TestEstimateRecoversInjectedOffset(t *testing.T) {
 	ix := indexWithEpisode(t, t0, t0.Add(10*time.Minute))
-	a := New(ix)
+	a, c := New(), events.NewCursor(ix)
 	// Data-plane clock runs 40ms behind: data_time = true_time - 40ms,
 	// so adding +40ms re-aligns it.
 	skew := -40 * time.Millisecond
 	for i := 0; i < 1000; i++ {
 		trueTime := t0.Add(time.Duration(i) * 500 * time.Millisecond)
-		a.AddDropped(prefix.Addr, trueTime.Add(skew))
+		a.AddDropped(c, prefix.Addr, trueTime.Add(skew))
 	}
 	res := a.Estimate(10 * time.Millisecond)
 	if res.Dropped != 1000 {
@@ -61,13 +61,13 @@ func TestEstimateRecoversInjectedOffset(t *testing.T) {
 
 func TestRecordsOutsideIntervalsLowerOverlap(t *testing.T) {
 	ix := indexWithEpisode(t, t0, t0.Add(10*time.Minute))
-	a := New(ix)
+	a, c := New(), events.NewCursor(ix)
 	// 900 inside, 100 dropped long before the episode (bilateral drops).
 	for i := 0; i < 900; i++ {
-		a.AddDropped(prefix.Addr, t0.Add(time.Duration(i)*300*time.Millisecond))
+		a.AddDropped(c, prefix.Addr, t0.Add(time.Duration(i)*300*time.Millisecond))
 	}
 	for i := 0; i < 100; i++ {
-		a.AddDropped(prefix.Addr, t0.Add(-time.Hour))
+		a.AddDropped(c, prefix.Addr, t0.Add(-time.Hour))
 	}
 	res := a.Estimate(50 * time.Millisecond)
 	if res.BestOverlap < 0.85 || res.BestOverlap > 0.95 {
@@ -77,9 +77,9 @@ func TestRecordsOutsideIntervalsLowerOverlap(t *testing.T) {
 
 func TestUnknownPrefixCountsAgainstOverlap(t *testing.T) {
 	ix := indexWithEpisode(t, t0, t0.Add(10*time.Minute))
-	a := New(ix)
-	a.AddDropped(prefix.Addr, t0.Add(time.Minute))
-	a.AddDropped(0x01020304, t0.Add(time.Minute)) // never blackholed
+	a, c := New(), events.NewCursor(ix)
+	a.AddDropped(c, prefix.Addr, t0.Add(time.Minute))
+	a.AddDropped(c, 0x01020304, t0.Add(time.Minute)) // never blackholed
 	res := a.Estimate(100 * time.Millisecond)
 	if res.BestOverlap != 0.5 {
 		t.Fatalf("overlap = %v, want 0.5", res.BestOverlap)
@@ -87,8 +87,7 @@ func TestUnknownPrefixCountsAgainstOverlap(t *testing.T) {
 }
 
 func TestEmptyAggregator(t *testing.T) {
-	ix := indexWithEpisode(t, t0, t0.Add(time.Minute))
-	a := New(ix)
+	a := New()
 	res := a.Estimate(100 * time.Millisecond)
 	if res.Dropped != 0 || len(res.Curve) != 0 {
 		t.Fatalf("empty result = %+v", res)
@@ -100,9 +99,9 @@ func TestEmptyAggregator(t *testing.T) {
 
 func TestBoundaryRecordContributesHalfOpenInterval(t *testing.T) {
 	ix := indexWithEpisode(t, t0, t0.Add(10*time.Minute))
-	a := New(ix)
+	a, c := New(), events.NewCursor(ix)
 	// Record exactly at the announce time: valid for delta in [0, ...).
-	a.AddDropped(prefix.Addr, t0)
+	a.AddDropped(c, prefix.Addr, t0)
 	res := a.Estimate(50 * time.Millisecond)
 	var atZero, atMinus float64
 	for _, p := range res.Curve {
@@ -134,9 +133,9 @@ func TestOverlappingExplanationsMergePerRecord(t *testing.T) {
 	}
 	evs := events.Merge(us, events.DefaultDelta, pEnd)
 	ix := events.NewIndex(evs, pEnd)
-	a := New(ix)
+	a, c := New(), events.NewCursor(ix)
 	for i := 0; i < 100; i++ {
-		a.AddDropped(prefix.Addr, t0.Add(time.Duration(i)*5*time.Second))
+		a.AddDropped(c, prefix.Addr, t0.Add(time.Duration(i)*5*time.Second))
 	}
 	res := a.Estimate(100 * time.Millisecond)
 	if res.BestOverlap > 1.0 {
@@ -160,11 +159,11 @@ func TestDisjointExplanationsBothCount(t *testing.T) {
 	}
 	evs := events.Merge(us, events.DefaultDelta, pEnd)
 	ix := events.NewIndex(evs, pEnd)
-	a := New(ix)
+	a, c := New(), events.NewCursor(ix)
 	// Record in the middle of the 3s gap: explained under negative
 	// offsets by the first episode and under positive offsets by the
 	// second.
-	a.AddDropped(prefix.Addr, t0.Add(time.Minute+1500*time.Millisecond))
+	a.AddDropped(c, prefix.Addr, t0.Add(time.Minute+1500*time.Millisecond))
 	res := a.Estimate(500 * time.Millisecond)
 	var atMinus2, atPlus2, atZero float64
 	for _, p := range res.Curve {

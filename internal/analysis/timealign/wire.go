@@ -16,9 +16,7 @@ const wireVersion = 1
 // ascending. Sorting the two arrays independently is semantics
 // preserving — Estimate only ever consumes them sorted — and makes the
 // encoding a fingerprint: merged and sequential aggregators over the
-// same records encode identically. The event index is not part of the
-// payload; rebind the decoded aggregator before further AddDropped
-// calls.
+// same records encode identically.
 func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(wireVersion)
@@ -35,7 +33,7 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary replaces the aggregator's interval state with the
-// decoded snapshot, leaving the index unbound. Each endpoint array must
+// decoded snapshot. Each endpoint array must
 // come sorted, as MarshalBinary writes it, and hold no NaN and no -0:
 // AddDropped records neither, and their place in a sorted array is not
 // unique. On error the aggregator is left unchanged.
@@ -68,7 +66,5 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	a.total = total
 	a.starts = arrays[0]
 	a.ends = arrays[1]
-	a.index = nil
-	a.scratch = nil
 	return nil
 }
