@@ -345,6 +345,7 @@ func TestSnapshotMatchesDeepCopy(t *testing.T) {
 			}
 			a.Add(prefix, at, 0xc0a80000+uint32(x>>8%64), uint16(x>>16%8), uint16(x>>24%64), proto, int64(1+x>>40%3))
 		},
+		Decode: (*Aggregator).UnmarshalBinary,
 		Copies: (*Aggregator).CowCopies,
 	}
 	for seed := uint64(1); seed <= 4; seed++ {

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/hosts"
@@ -26,7 +25,7 @@ type Aggregator struct {
 	// Materialize finds those inside an event's prefix by binary search.
 	servers []server
 	// perEvent tallies per event ID.
-	perEvent map[int]*counts
+	perEvent analysis.PerEvent[counts]
 }
 
 // server is one detected server and its top ports (proto<<16|port):
@@ -43,7 +42,7 @@ type counts struct {
 // New builds an aggregator for the detected server profiles, one per
 // host as host profiling produces them.
 func New(profiles []hosts.Profile) *Aggregator {
-	a := &Aggregator{perEvent: make(map[int]*counts)}
+	a := &Aggregator{}
 	for i := range profiles {
 		p := &profiles[i]
 		if p.Kind == hosts.KindServer && len(p.TopPorts) > 0 {
@@ -68,10 +67,10 @@ func (a *Aggregator) in(prefix bgp.Prefix) []server {
 
 // add folds one matched cell's packets into event eventID's damage.
 func (a *Aggregator) add(eventID int, all, dropped int64) {
-	c := a.perEvent[eventID]
+	c := a.perEvent.Get(eventID)
 	if c == nil {
 		c = &counts{}
-		a.perEvent[eventID] = c
+		a.perEvent.Put(eventID, c)
 	}
 	c.all += all
 	c.dropped += dropped
@@ -97,17 +96,11 @@ func (a *Aggregator) add(eventID int, all, dropped int64) {
 // An event's table is the unit of copy-on-write sharing between a store
 // and its snapshots (analysis.Cow): both paths that write a table, Add and
 // Merge, reach it through own. RemapEvents writes none: it moves tables
-// to new keys as they are.
+// to new slots as they are.
 type Pending struct {
-	tables map[int]*table
+	tables analysis.PerEvent[table]
 	n      int
 	cow    analysis.Cow
-
-	// lastID/last memoize the table of the most recent Add; attributed
-	// records arrive in long same-event runs. The memoised table is always
-	// one the store owns: Snapshot drops the memo.
-	lastID int
-	last   *table
 }
 
 // table is one event's cells: linear probing over a power-of-two array
@@ -258,7 +251,7 @@ func (t *table) absorb(o *table) {
 
 // NewPending returns an empty pending store.
 func NewPending() *Pending {
-	return &Pending{tables: make(map[int]*table), cow: analysis.NewCow()}
+	return &Pending{cow: analysis.NewCow()}
 }
 
 // cellKey packs (dstIP, proto, dstPort) into the cell key; bits 24-31
@@ -270,14 +263,14 @@ func cellKey(dstIP uint32, dstPort uint16, proto uint8) uint64 {
 // own returns eventID's table for writing: created if absent, copied
 // first if it is shared with another store.
 func (p *Pending) own(eventID int) *table {
-	t := p.tables[eventID]
+	t := p.tables.Get(eventID)
 	switch {
 	case t == nil:
 		t = newTable(p.cow.Stamp())
-		p.tables[eventID] = t
+		p.tables.Put(eventID, t)
 	case !p.cow.Owns(t.owner):
 		t = t.clone(p.cow.Copied())
-		p.tables[eventID] = t
+		p.tables.Put(eventID, t)
 	}
 	return t
 }
@@ -285,12 +278,7 @@ func (p *Pending) own(eventID int) *table {
 // add sums (all, dropped) into the cell (eventID, key), creating it if
 // absent.
 func (p *Pending) add(eventID int, key uint64, all, dropped int64) {
-	t := p.last
-	if t == nil || p.lastID != eventID {
-		t = p.own(eventID)
-		p.lastID, p.last = eventID, t
-	}
-	p.n += t.add(key, all, dropped)
+	p.n += p.own(eventID).add(key, all, dropped)
 }
 
 // Add tallies one sampled packet observed during eventID's window toward
@@ -308,26 +296,22 @@ func (p *Pending) Add(eventID int, dstIP uint32, dstPort uint16, proto uint8, dr
 // afterwards: p adopts the tables of events only o holds, under the stamp
 // they came with, so p copies such a table before its first write.
 func (p *Pending) Merge(o *Pending) {
-	for id, ot := range o.tables {
-		if p.tables[id] == nil {
-			p.tables[id] = ot
-			p.n += ot.n
-			continue
-		}
+	// Every cell of o counts, less those that sum into a cell p holds.
+	p.n += o.n
+	p.tables.Merge(&o.tables, func(id int, _, ot *table) {
 		dst := p.own(id)
-		held := dst.n
+		held := dst.n + ot.n
 		dst.absorb(ot)
 		p.n += dst.n - held
-	}
+	})
 }
 
 // Snapshot returns an independent copy (Operator contract in
-// internal/analysis). Only the event map is copied: the tables stay
+// internal/analysis). Only the event slots are copied: the tables stay
 // shared until one side writes them (analysis.Cow), which for a closed
 // event is never.
 func (p *Pending) Snapshot() *Pending {
-	p.last = nil
-	return &Pending{tables: maps.Clone(p.tables), n: p.n, cow: p.cow.Fork()}
+	return &Pending{tables: p.tables.Clone(nil), n: p.n, cow: p.cow.Fork()}
 }
 
 // CowCopies returns how many tables the store has copied on first write
@@ -346,9 +330,9 @@ func (p *Pending) Len() int { return p.n }
 // each (server inside the prefix, top port) in the event's table. Cells
 // of an ID that names no event count for nothing.
 func (p *Pending) Materialize(agg *Aggregator, prefixes []bgp.Prefix) {
-	for id, t := range p.tables {
-		if id < 0 || id >= len(prefixes) {
-			continue
+	p.tables.Each(func(id int, t *table) {
+		if id >= len(prefixes) {
+			return
 		}
 		for _, s := range agg.in(prefixes[id]) {
 			for _, port := range s.ports {
@@ -357,7 +341,7 @@ func (p *Pending) Materialize(agg *Aggregator, prefixes []bgp.Prefix) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // Result is the Fig 18 outcome.
@@ -374,18 +358,15 @@ type Result struct {
 
 // Result summarizes the accumulated damage.
 func (a *Aggregator) Result() *Result {
-	res := &Result{}
-	for _, c := range a.perEvent {
-		res.Events++
+	res := &Result{Events: a.perEvent.Len()}
+	a.perEvent.Each(func(_ int, c *counts) {
 		res.AllPkts = append(res.AllPkts, c.all)
 		if c.dropped > 0 {
 			res.DroppedPkts = append(res.DroppedPkts, c.dropped)
 		}
-		if c.all > res.MaxAll {
-			res.MaxAll = c.all
-		}
-	}
-	sort.Slice(res.AllPkts, func(i, j int) bool { return res.AllPkts[i] < res.AllPkts[j] })
-	sort.Slice(res.DroppedPkts, func(i, j int) bool { return res.DroppedPkts[i] < res.DroppedPkts[j] })
+		res.MaxAll = max(res.MaxAll, c.all)
+	})
+	slices.Sort(res.AllPkts)
+	slices.Sort(res.DroppedPkts)
 	return res
 }

@@ -108,15 +108,19 @@ func (a *Aggregator) addCounts(eventID int, dstIP uint32, portKey uint32, all, d
 // visited and filtered through addCounts, as Materialize did before it
 // probed per event prefix.
 func scan(p *Pending, agg *Aggregator) {
-	for id, t := range p.tables {
+	p.tables.Each(func(id int, t *table) {
 		t.each(func(key uint64, c counts) { agg.addCounts(id, uint32(key>>32), uint32(key), c.all, c.dropped) })
-	}
+	})
 }
 
 // everywhere is a prefix list naming events 0..n-1 with 0.0.0.0/0 as
 // their prefix: every server is inside, so Materialize probes for each of
 // them and matches the scan whatever addresses the cells hold.
 func everywhere(n int) []bgp.Prefix { return make([]bgp.Prefix, n) }
+
+// testEvents bounds the event IDs these tests use: everywhere(testEvents)
+// names them all, and the decodes run under it.
+const testEvents = 128
 
 func (p *mapPending) marshal() []byte {
 	w := analysis.NewWireWriter()
@@ -176,7 +180,7 @@ func (pp pendingPair) mustMatch(t *testing.T, label string, profiles []hosts.Pro
 		t.Fatalf("%s: Len = %d, reference %d", label, pp.got.Len(), pp.want.n)
 	}
 	gotAgg, wantAgg := New(profiles), New(profiles)
-	pp.got.Materialize(gotAgg, everywhere(128))
+	pp.got.Materialize(gotAgg, everywhere(testEvents))
 	pp.want.materialize(wantAgg)
 	if !reflect.DeepEqual(gotAgg.perEvent, wantAgg.perEvent) {
 		t.Fatalf("%s: Materialize diverges from the reference", label)
@@ -190,7 +194,7 @@ func (pp pendingPair) mustMatch(t *testing.T, label string, profiles []hosts.Pro
 	}
 	// The encoding round-trips into an equal store.
 	var back Pending
-	if err := back.UnmarshalBinary(enc); err != nil {
+	if err := back.UnmarshalEvents(enc, testEvents); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	if again, _ := back.MarshalBinary(); !bytes.Equal(again, enc) || back.Len() != pp.got.Len() {
@@ -251,7 +255,7 @@ func TestPendingMatchesMapReference(t *testing.T) {
 			a.mustMatch(t, "empty", profiles)
 			fill(a, 3000, 12)
 			a.mustMatch(t, "filled", profiles)
-			if biggest := a.got.tables[11]; len(biggest.slots) < 16*minTableSlots {
+			if biggest := a.got.tables.Get(11); len(biggest.slots) < 16*minTableSlots {
 				t.Fatalf("largest table has %d slots; growth was not exercised", len(biggest.slots))
 			}
 			if n := spilledCells(a.got); n == 0 {
@@ -306,9 +310,7 @@ func TestPendingMatchesMapReference(t *testing.T) {
 // spilledCells counts the cells of p whose counts live in spill.
 func spilledCells(p *Pending) int {
 	n := 0
-	for _, t := range p.tables {
-		n += len(t.spill)
-	}
+	p.tables.Each(func(_ int, t *table) { n += len(t.spill) })
 	return n
 }
 
@@ -353,7 +355,7 @@ func TestPendingWireRoundTripPastInline(t *testing.T) {
 	// A decoded store holds the same cells and sums into them alike.
 	enc, _ := pp.got.MarshalBinary()
 	var back Pending
-	if err := back.UnmarshalBinary(enc); err != nil {
+	if err := back.UnmarshalEvents(enc, testEvents); err != nil {
 		t.Fatal(err)
 	}
 	pp.got = &back
@@ -376,7 +378,7 @@ func TestPendingSnapshotKeepsSpilledCell(t *testing.T) {
 	if now, _ := snap.MarshalBinary(); !bytes.Equal(now, frozen) {
 		t.Fatal("snapshot changed while the original summed into its spilled cell")
 	}
-	if c, _ := p.tables[3].get(cellKey(0x0a000001, 443, 6)); c != (counts{42, 42}) {
+	if c, _ := p.tables.Get(3).get(cellKey(0x0a000001, 443, 6)); c != (counts{42, 42}) {
 		t.Fatalf("original's spilled cell = %+v, want {42 42}", c)
 	}
 	before, _ := p.MarshalBinary()
@@ -384,7 +386,7 @@ func TestPendingSnapshotKeepsSpilledCell(t *testing.T) {
 	if now, _ := p.MarshalBinary(); !bytes.Equal(now, before) {
 		t.Fatal("original changed while the snapshot summed into its spilled cell")
 	}
-	if c, _ := snap.tables[3].get(cellKey(0x0a000001, 443, 6)); c != (counts{47, 40}) {
+	if c, _ := snap.tables.Get(3).get(cellKey(0x0a000001, 443, 6)); c != (counts{47, 40}) {
 		t.Fatalf("snapshot's spilled cell = %+v, want {47 40}", c)
 	}
 }
@@ -395,17 +397,17 @@ func TestPendingSnapshotKeepsSpilledCell(t *testing.T) {
 func deepSnapshot(p *Pending) *Pending {
 	s := NewPending()
 	s.n = p.n
-	for id, t := range p.tables {
+	p.tables.Each(func(id int, t *table) {
 		cp := *t
 		cp.owner, cp.slots, cp.spill = s.cow.Stamp(), slices.Clone(t.slots), maps.Clone(t.spill)
-		s.tables[id] = &cp
-	}
+		s.tables.Put(id, &cp)
+	})
 	return s
 }
 
 // TestPendingSnapshotMatchesDeepCopy drives the store and the deep-copy
 // reference through the same random Add / Snapshot / Merge /
-// UnmarshalBinary / RemapEvents sequences (cowtest.Run). Six events, one
+// UnmarshalEvents / RemapEvents sequences (cowtest.Run). Six events, one
 // taking half of the cells so that its table keeps doubling while shared;
 // the remaps permute the event IDs, by rotation or by reflection, so
 // tables move under new keys, shared or not, and are written afterwards.
@@ -439,6 +441,7 @@ func TestPendingSnapshotMatchesDeepCopy(t *testing.T) {
 			p.Add(id, ip, uint16(x>>40%4), uint8(x>>42%2), x>>5&1 == 0, int64(x>>44%20))
 		},
 		Rewrites: []func(*Pending, uint64){remap},
+		Decode:   func(p *Pending, data []byte) error { return p.UnmarshalEvents(data, events) },
 		Copies:   (*Pending).CowCopies,
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -533,8 +536,8 @@ func TestMaterializeMatchesScan(t *testing.T) {
 		if !reflect.DeepEqual(got.perEvent, want.perEvent) {
 			t.Fatalf("seed %d: probe and scan disagree:\nprobe %v\nscan  %v", seed, got.Result(), want.Result())
 		}
-		hits += len(want.perEvent)
-		if want.perEvent[1] != nil && got.perEvent[1].all >= 3 {
+		hits += want.perEvent.Len()
+		if want.perEvent.Get(1) != nil && got.perEvent.Get(1).all >= 3 {
 			zeroHits++
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/analysis"
 )
@@ -19,15 +18,9 @@ const pendingWireVersion = 1
 func (p *Pending) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(pendingWireVersion)
-	ids := make([]int, 0, len(p.tables))
-	for id := range p.tables {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	w.Uvarint(uint64(p.n))
 	var slots []uint64
-	for _, id := range ids {
-		t := p.tables[id]
+	p.tables.Each(func(id int, t *table) {
 		slots = slots[:0]
 		for _, v := range t.slots {
 			if v != 0 {
@@ -43,15 +36,16 @@ func (p *Pending) MarshalBinary() ([]byte, error) {
 			w.Varint(c.all)
 			w.Varint(c.dropped)
 		}
-	}
+	})
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary replaces the pending store's state with the decoded
-// snapshot; the cells must come in MarshalBinary's order, strictly
-// ascending by (event ID, cell key), and every port key below 1<<24, as
-// cellKey makes them. On error the store is left unchanged.
-func (p *Pending) UnmarshalBinary(data []byte) error {
+// UnmarshalEvents replaces the pending store's state with the decoded
+// snapshot of an exchange with the given number of events; the cells
+// must come in MarshalBinary's order, strictly ascending by (event ID,
+// cell key), every event ID below events and every port key below 1<<24,
+// as cellKey makes them. On error the store is left unchanged.
+func (p *Pending) UnmarshalEvents(data []byte, events int) error {
 	r := analysis.NewWireReader(data)
 	r.Version(pendingWireVersion)
 	n := r.Count(5)
@@ -59,7 +53,7 @@ func (p *Pending) UnmarshalBinary(data []byte) error {
 	var lastID int
 	var lastKey uint64
 	for i := 0; i < n; i++ {
-		id := r.Int()
+		id := r.EventID(events)
 		dstIP := r.U32()
 		portKey := r.U32()
 		all, dropped := r.Varint(), r.Varint()
@@ -84,14 +78,7 @@ func (p *Pending) UnmarshalBinary(data []byte) error {
 }
 
 // RemapEvents renames the event IDs through m (old event ID -> new ID;
-// see analysis.RenameEvents). The tables move to their new keys as they
-// are, owner stamps included, and the cell count does not change. On
+// see analysis.PerEvent's Rename). The tables move to their new slots as
+// they are, owner stamps included, and the cell count does not change. On
 // error the store is left unchanged.
-func (p *Pending) RemapEvents(m map[int]int) error {
-	tables, err := analysis.RenameEvents(p.tables, m)
-	if err != nil {
-		return fmt.Errorf("collateral: pending: %w", err)
-	}
-	p.tables, p.last = tables, nil
-	return nil
-}
+func (p *Pending) RemapEvents(m map[int]int) error { return p.tables.Rename(m) }

@@ -50,8 +50,12 @@ type handle struct {
 	snapshot  func() *handle
 	marshal   func() ([]byte, error)
 	unmarshal func(data []byte) (*handle, error) // into a fresh instance
-	decode    func(data []byte) error            // into this instance: its own UnmarshalBinary
+	decode    func(data []byte) error            // into this instance: its own UnmarshalBinary or UnmarshalEvents
 }
+
+// conformanceEvents is the event count the event-keyed operators decode
+// under: their streams use event IDs 0..4.
+const conformanceEvents = 5
 
 // operatorCase is one registered operator plus its deterministic
 // observation stream. Stream lengths stay well below every bounded
@@ -96,11 +100,11 @@ func dropstatsCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*dropstats.Aggregator)) }
 		h.marshal = a.MarshalBinary
-		h.decode = a.UnmarshalBinary
+		h.decode = func(data []byte) error { return a.UnmarshalEvents(data, conformanceEvents) }
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := dropstats.New()
-			if err := d.UnmarshalBinary(data); err != nil {
+			if err := d.UnmarshalEvents(data, conformanceEvents); err != nil {
 				return nil, err
 			}
 			return wrap(d), nil
@@ -147,11 +151,11 @@ func protomixCase() operatorCase {
 		}
 		h.merge = func(o *handle) { a.Merge(o.self.(*protomix.Aggregator)) }
 		h.marshal = a.MarshalBinary
-		h.decode = a.UnmarshalBinary
+		h.decode = func(data []byte) error { return a.UnmarshalEvents(data, conformanceEvents) }
 		h.snapshot = func() *handle { return wrap(a.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := protomix.New()
-			if err := d.UnmarshalBinary(data); err != nil {
+			if err := d.UnmarshalEvents(data, conformanceEvents); err != nil {
 				return nil, err
 			}
 			return wrap(d), nil
@@ -238,11 +242,11 @@ func pendingCase() operatorCase {
 		}
 		h.merge = func(o *handle) { p.Merge(o.self.(*collateral.Pending)) }
 		h.marshal = p.MarshalBinary
-		h.decode = p.UnmarshalBinary
+		h.decode = func(data []byte) error { return p.UnmarshalEvents(data, conformanceEvents) }
 		h.snapshot = func() *handle { return wrap(p.Snapshot()) }
 		h.unmarshal = func(data []byte) (*handle, error) {
 			d := collateral.NewPending()
-			if err := d.UnmarshalBinary(data); err != nil {
+			if err := d.UnmarshalEvents(data, conformanceEvents); err != nil {
 				return nil, err
 			}
 			return wrap(d), nil
@@ -459,7 +463,8 @@ func TestOperatorSnapshotSequences(t *testing.T) {
 						}
 						return d
 					},
-					Add: func(h *handle, x uint64) { h.feed(int(x % uint64(c.stream))) },
+					Add:    func(h *handle, x uint64) { h.feed(int(x % uint64(c.stream))) },
+					Decode: (*handle).UnmarshalBinary,
 				})
 			}
 		})

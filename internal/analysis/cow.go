@@ -10,7 +10,7 @@ type Stamp struct{ id *byte }
 
 // Cow is the store side of copy-on-write snapshots: the stamp the store
 // currently writes under and the number of sub-aggregates it has had to
-// copy. Snapshot copies only the store's top-level map and calls Fork,
+// copy. Snapshot copies only the store's top-level index and calls Fork,
 // which hands both sides a stamp no sub-aggregate carries yet; from then
 // on whichever side first writes a shared sub-aggregate pays for its copy,
 // and one neither side writes is never copied at all. A stamp is given up

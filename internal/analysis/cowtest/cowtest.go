@@ -21,7 +21,6 @@ import (
 type Store[T any] interface {
 	analysis.Operator[T]
 	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
 }
 
 // Case describes one operator to the driver. Add and Rewrites must be
@@ -34,6 +33,9 @@ type Case[T Store[T]] struct {
 	Deep func(T) T
 	// Add folds the observation drawn from x into s.
 	Add func(s T, x uint64)
+	// Decode replaces s's state with the decoded encoding: its
+	// UnmarshalBinary, or UnmarshalEvents under the case's event count.
+	Decode func(s T, data []byte) error
 	// Rewrites are the operator's other mutation paths
 	// (hosts.Aggregator.Filter, Pending.RemapEvents); may be empty.
 	Rewrites []func(s T, x uint64)
@@ -53,7 +55,7 @@ type pair[T any] struct{ cow, ref T }
 // store, Snapshot of a random store (so snapshots of snapshots arise),
 // Merge out of a snapshotted store (the snapshot is handed over, its
 // origin lives on), Merge of a whole store that still has live snapshots,
-// UnmarshalBinary over a store right after it was snapshotted, the case's
+// Decode over a store right after it was snapshotted, the case's
 // Rewrites, and drops. After every step every live store's MarshalBinary
 // must equal its reference's, byte for byte.
 func Run[T Store[T]](t *testing.T, seed uint64, steps int, c Case[T]) {
@@ -110,10 +112,10 @@ func Run[T Store[T]](t *testing.T, seed uint64, steps int, c Case[T]) {
 			data := marshal(pick().ref)
 			p := pick()
 			snap := pair[T]{p.cow.Snapshot(), c.Deep(p.ref)}
-			if err := p.cow.UnmarshalBinary(data); err != nil {
+			if err := c.Decode(p.cow, data); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if err := p.ref.UnmarshalBinary(data); err != nil {
+			if err := c.Decode(p.ref, data); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			live = append(live, snap)

@@ -20,15 +20,13 @@ import (
 // Aggregator accumulates drop statistics from the streaming pass.
 type Aggregator struct {
 	byLen    [33]analysis.Counter
-	byEvent  map[int]*eventCounter
+	byEvent  analysis.PerEvent[eventCounter]
 	bySource map[uint32]*analysis.Counter // ingress member -> /32 counter
 
-	// Run memos: attributed records arrive in long runs sharing the
-	// event and ingress member, so the map probes resolve once per run.
-	lastEventID int
-	lastEvent   *eventCounter
-	lastMember  uint32
-	lastSource  *analysis.Counter
+	// Run memo: attributed records arrive in long runs sharing the
+	// ingress member, so the map probe resolves once per run.
+	lastMember uint32
+	lastSource *analysis.Counter
 }
 
 type eventCounter struct {
@@ -38,10 +36,7 @@ type eventCounter struct {
 
 // New returns an empty aggregator.
 func New() *Aggregator {
-	return &Aggregator{
-		byEvent:  make(map[int]*eventCounter),
-		bySource: make(map[uint32]*analysis.Counter),
-	}
+	return &Aggregator{bySource: make(map[uint32]*analysis.Counter)}
 }
 
 // Add records one sampled packet observed while a blackhole of the given
@@ -53,14 +48,10 @@ func (a *Aggregator) Add(eventID int, prefixLen uint8, srcMember uint32, dropped
 	}
 	a.byLen[prefixLen].Add(dropped, pkts, bytes)
 
-	ec := a.lastEvent
-	if ec == nil || a.lastEventID != eventID {
-		ec = a.byEvent[eventID]
-		if ec == nil {
-			ec = &eventCounter{prefixLen: prefixLen}
-			a.byEvent[eventID] = ec
-		}
-		a.lastEventID, a.lastEvent = eventID, ec
+	ec := a.byEvent.Get(eventID)
+	if ec == nil {
+		ec = &eventCounter{prefixLen: prefixLen}
+		a.byEvent.Put(eventID, ec)
 	}
 	ec.c.Add(dropped, pkts, bytes)
 
@@ -79,7 +70,7 @@ func (a *Aggregator) Add(eventID int, prefixLen uint8, srcMember uint32, dropped
 }
 
 // Merge folds o's tallies into a; counters are summed, per-event and
-// per-source maps union-merged. Merging is commutative and associative,
+// per-source tallies union-merged. Merging is commutative and associative,
 // so the aggregators of a federation's exchanges combine into the exact
 // state one aggregator over all their streams would hold. o must not be
 // used afterwards: a may adopt its internal structures.
@@ -87,13 +78,7 @@ func (a *Aggregator) Merge(o *Aggregator) {
 	for l := range o.byLen {
 		a.byLen[l].Merge(&o.byLen[l])
 	}
-	for id, oc := range o.byEvent {
-		if ec := a.byEvent[id]; ec != nil {
-			ec.c.Merge(&oc.c)
-		} else {
-			a.byEvent[id] = oc
-		}
-	}
+	a.byEvent.Merge(&o.byEvent, func(_ int, ec, oc *eventCounter) { ec.c.Merge(&oc.c) })
 	for m, oc := range o.bySource {
 		if sc := a.bySource[m]; sc != nil {
 			sc.Merge(oc)
@@ -101,8 +86,8 @@ func (a *Aggregator) Merge(o *Aggregator) {
 			a.bySource[m] = oc
 		}
 	}
-	// Adoption may have replaced memoized entries.
-	a.lastEvent, a.lastSource = nil, nil
+	// Adoption may have replaced the memoized entry.
+	a.lastSource = nil
 }
 
 // Snapshot returns an independent deep copy of the aggregator; further
@@ -111,10 +96,10 @@ func (a *Aggregator) Merge(o *Aggregator) {
 func (a *Aggregator) Snapshot() *Aggregator {
 	s := New()
 	s.byLen = a.byLen
-	for id, ec := range a.byEvent {
+	s.byEvent = a.byEvent.Clone(func(ec *eventCounter) *eventCounter {
 		cp := *ec
-		s.byEvent[id] = &cp
-	}
+		return &cp
+	})
 	for m, c := range a.bySource {
 		cp := *c
 		s.bySource[m] = &cp
@@ -165,12 +150,11 @@ func (a *Aggregator) AverageDropRate() (pkts, bytes float64) {
 // denominators.
 func (a *Aggregator) DropRateCDF(prefixLen uint8, minPkts int64) *stats.ECDF {
 	var rates []float64
-	for _, ec := range a.byEvent {
-		if ec.prefixLen != prefixLen || ec.c.TotalPkts() < minPkts {
-			continue
+	a.byEvent.Each(func(_ int, ec *eventCounter) {
+		if ec.prefixLen == prefixLen && ec.c.TotalPkts() >= minPkts {
+			rates = append(rates, ec.c.DropRatePkts())
 		}
-		rates = append(rates, ec.c.DropRatePkts())
-	}
+	})
 	return stats.NewECDF(rates)
 }
 
@@ -261,7 +245,7 @@ func (a *Aggregator) TypesOfTopSources(n int, pdb *peeringdb.Registry) TopSource
 }
 
 // Events returns the number of events with attributed traffic.
-func (a *Aggregator) Events() int { return len(a.byEvent) }
+func (a *Aggregator) Events() int { return a.byEvent.Len() }
 
 // Totals returns the summed dropped/forwarded tallies across all prefix
 // lengths — the numbers a metrics snapshot reconciles against the Fig 5

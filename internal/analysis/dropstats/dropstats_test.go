@@ -143,7 +143,7 @@ func TestAddIgnoresInvalidLength(t *testing.T) {
 	}
 }
 
-// TestRemapThenAddKeepsIDs pins the event memo to the renamed map: after
+// TestRemapThenAddKeepsIDs pins Add to the renamed store: after
 // RemapEvents moves event 1 to 2, an Add under ID 1 opens a new event 1
 // and leaves event 2 as it was.
 func TestRemapThenAddKeepsIDs(t *testing.T) {

@@ -2,7 +2,7 @@ package dropstats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -19,23 +19,17 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	for l := range a.byLen {
 		a.byLen[l].EncodeWire(w)
 	}
-	ids := make([]int, 0, len(a.byEvent))
-	for id := range a.byEvent {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		ec := a.byEvent[id]
+	w.Uvarint(uint64(a.byEvent.Len()))
+	a.byEvent.Each(func(id int, ec *eventCounter) {
 		w.Uvarint(uint64(id))
 		w.Byte(ec.prefixLen)
 		ec.c.EncodeWire(w)
-	}
+	})
 	members := make([]uint32, 0, len(a.bySource))
 	for m := range a.bySource {
 		members = append(members, m)
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slices.Sort(members)
 	w.Uvarint(uint64(len(members)))
 	for _, m := range members {
 		w.Uvarint(uint64(m))
@@ -44,9 +38,11 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary replaces the aggregator's state with the decoded
-// snapshot. On error the aggregator is left unchanged.
-func (a *Aggregator) UnmarshalBinary(data []byte) error {
+// UnmarshalEvents replaces the aggregator's state with the decoded
+// snapshot of an exchange with the given number of events; an event ID
+// at or past it fails the decode. On error the aggregator is left
+// unchanged.
+func (a *Aggregator) UnmarshalEvents(data []byte, events int) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
 	var byLen [33]analysis.Counter
@@ -54,14 +50,14 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		byLen[l].DecodeWire(r)
 	}
 	nEv := r.Count(6) // id + prefixLen + four counters
-	byEvent := make(map[int]*eventCounter, nEv)
+	var byEvent analysis.PerEvent[eventCounter]
 	var evOrder, srcOrder analysis.KeyOrder
 	for i := 0; i < nEv; i++ {
-		id := r.Int()
+		id := r.EventID(events)
 		evOrder.Next(r, uint64(id))
 		ec := &eventCounter{prefixLen: r.Byte()}
 		ec.c.DecodeWire(r)
-		byEvent[id] = ec
+		byEvent.Put(id, ec)
 	}
 	nSrc := r.Count(5) // member + four counters
 	bySource := make(map[uint32]*analysis.Counter, nSrc)
@@ -76,21 +72,14 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("dropstats: %w", err)
 	}
 	a.byLen = byLen
-	a.byEvent, a.lastEvent = byEvent, nil
+	a.byEvent = byEvent
 	a.bySource, a.lastSource = bySource, nil
 	return nil
 }
 
-// RemapEvents renames the per-event keys through m (old ID -> new ID; see
-// analysis.RenameEvents). On error the aggregator is left unchanged.
-func (a *Aggregator) RemapEvents(m map[int]int) error {
-	byEvent, err := analysis.RenameEvents(a.byEvent, m)
-	if err != nil {
-		return fmt.Errorf("dropstats: %w", err)
-	}
-	a.byEvent, a.lastEvent = byEvent, nil
-	return nil
-}
+// RemapEvents renames the events through m (old ID -> new ID; see
+// analysis.PerEvent's Rename). On error the aggregator is left unchanged.
+func (a *Aggregator) RemapEvents(m map[int]int) error { return a.byEvent.Rename(m) }
 
 // EventStat is one event's drop tally, exposed via Report.EventDrops
 // for the looking-glass serving layer's per-event efficacy view.
@@ -102,10 +91,9 @@ type EventStat struct {
 
 // EventStats returns the per-event counters sorted by event ID.
 func (a *Aggregator) EventStats() []EventStat {
-	out := make([]EventStat, 0, len(a.byEvent))
-	for id, ec := range a.byEvent {
+	out := make([]EventStat, 0, a.byEvent.Len())
+	a.byEvent.Each(func(id int, ec *eventCounter) {
 		out = append(out, EventStat{ID: id, PrefixLen: ec.prefixLen, Counter: ec.c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	})
 	return out
 }

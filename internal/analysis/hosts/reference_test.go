@@ -68,6 +68,7 @@ func TestSnapshotMatchesDeepCopy(t *testing.T) {
 				a.Filter(func(ip uint32) bool { return ip != gone })
 			},
 		},
+		Decode: (*Aggregator).UnmarshalBinary,
 		Copies: (*Aggregator).CowCopies,
 	}
 	for seed := uint64(1); seed <= 4; seed++ {

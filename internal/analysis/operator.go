@@ -1,7 +1,5 @@
 package analysis
 
-import "fmt"
-
 // Operator is the incremental-operator contract shared by the seven
 // streaming analysis stages whose state Pipeline.MarshalState writes
 // (dropstats, anomaly, protomix, hosts, timealign, the collateral pending
@@ -26,14 +24,14 @@ import "fmt"
 //     is read (it is the input of report composition). How the copy comes
 //     about is the operator's business: the small operators copy their
 //     state outright, while the keyed stores that hold nearly all of it
-//     (hosts, collateral.Pending, anomaly) copy only their top-level map
-//     and share every sub-aggregate until one side writes it (see Cow).
+//     (hosts, collateral.Pending, anomaly) copy only their top-level
+//     index and share every sub-aggregate until one side writes it (see Cow).
 //     Either way a sub-aggregate reachable from a snapshot is never
 //     written in place.
 //
 // An operator holds state only: the control-plane views and the cursors
 // over them belong to the pipeline that feeds it, and the event
-// numbering to the federation coordinator (see RenameEvents).
+// numbering to the federation coordinator (see PerEvent's Rename).
 //
 // The control-plane stages (events, load, visibility, the Fig 10 sweep)
 // deliberately do not implement this contract: they are pure functions of
@@ -44,26 +42,4 @@ import "fmt"
 type Operator[T any] interface {
 	Merge(T)
 	Snapshot() T
-}
-
-// RenameEvents returns byEvent with its keys renamed through m (local
-// event ID -> federated ID), for an event-keyed operator's RemapEvents.
-// Every present event must map to an ID no other one maps to; otherwise
-// it returns an error and byEvent is left as it was. Renaming suffices:
-// federation.Coordinator.Merge keys each local event by (prefix, peer,
-// first announcement), unique per exchange, and rejects a map that sends
-// two local events to one union event.
-func RenameEvents[V any](byEvent map[int]V, m map[int]int) (map[int]V, error) {
-	out := make(map[int]V, len(byEvent))
-	for id, v := range byEvent {
-		nid, ok := m[id]
-		if !ok {
-			return nil, fmt.Errorf("no mapping for event %d", id)
-		}
-		if _, dup := out[nid]; dup {
-			return nil, fmt.Errorf("two events map to event %d", nid)
-		}
-		out[nid] = v
-	}
-	return out, nil
 }

@@ -55,6 +55,17 @@ func seedStates(f *testing.F) [][]byte {
 	return seeds
 }
 
+// testEvents is the event count of the test world (testUpdates): the
+// bound every state these tests build decodes under.
+func testEvents(t testing.TB) int {
+	t.Helper()
+	p, err := New(testMeta(), testUpdates(), events.DefaultDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(p.Events)
+}
+
 // nonCanonicalStates are pipeline states of the shapes that once broke
 // the decode/encode fixed point: the decoders accepted them, and the
 // encoders then sorted, merged or shortened what they had read. Each
@@ -63,10 +74,13 @@ func seedStates(f *testing.F) [][]byte {
 // a BoundedSet or a TopCounter, hosts, events, sources, speculative
 // pairs), a prefix with host bits set, an unsorted endpoint array, a
 // pending port key at or above 1<<24 (no cell key holds one: those bits
-// carry the cell's counts in memory), or a varint padded with a zero
-// byte. Every one must fail to decode.
+// carry the cell's counts in memory), a varint padded with a zero byte,
+// or, in each event-keyed section, an event ID equal to the test world's
+// event count (testEvents), which no slot may be sized for. Every one
+// must fail to decode.
 func nonCanonicalStates(t testing.TB) map[string][]byte {
 	t.Helper()
+	n := uint64(testEvents(t))
 	type section func(w *analysis.WireWriter)
 	set := func(w *analysis.WireWriter, keys ...uint64) { // a BoundedSet
 		w.Uvarint(32)
@@ -121,6 +135,17 @@ func nonCanonicalStates(t testing.TB) map[string][]byte {
 		}
 		w.Uvarint(0)
 	}
+	protoEvent := func(w *analysis.WireWriter, id uint64) {
+		w.Uvarint(1)
+		w.Uvarint(id)
+		for range 5 {
+			w.Varint(1)
+		}
+		w.Uvarint(0) // no amplification port
+		set(w)
+		w.Uvarint(0) // origin ASes
+		w.Uvarint(0) // handover ASes
+	}
 	endpoints := func(w *analysis.WireWriter, starts ...float64) {
 		w.Varint(int64(len(starts)))
 		for range 2 {
@@ -134,18 +159,21 @@ func nonCanonicalStates(t testing.TB) map[string][]byte {
 		at    int // operator section: Drop, Anomaly, Proto, Hosts, Align, Pending, Mit
 		write section
 	}{
-		"pending cells out of order":    {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 0, 9, 80) }},
-		"pending cell twice":            {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 1, 9, 80) }},
-		"pending port key out of range": {5, func(w *analysis.WireWriter) { w.Uvarint(1); cell(w, 0, 9, 1<<24) }},
-		"anomaly slots out of order":    {1, func(w *analysis.WireWriter) { w.Uvarint(2); slot(w, 0x0a000000, 5); slot(w, 0x0a000000, 4) }},
-		"anomaly prefix host bits":      {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000001, 5) }},
-		"bounded set out of order":      {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, 5, 9, 4) }},
-		"top counter out of order":      {3, func(w *analysis.WireWriter) { w.Uvarint(1); host(w, 7, 9, 4) }},
-		"hosts out of order":            {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 3) }},
-		"host twice":                    {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 7) }},
-		"drop events out of order":      {0, func(w *analysis.WireWriter) { dropEvents(w, 2, 1) }},
-		"endpoints out of order":        {4, func(w *analysis.WireWriter) { endpoints(w, 0.5, -0.5) }},
-		"endpoint NaN":                  {4, func(w *analysis.WireWriter) { endpoints(w, math.NaN()) }},
+		"pending cells out of order":      {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 0, 9, 80) }},
+		"pending cell twice":              {5, func(w *analysis.WireWriter) { w.Uvarint(2); cell(w, 1, 9, 80); cell(w, 1, 9, 80) }},
+		"pending port key out of range":   {5, func(w *analysis.WireWriter) { w.Uvarint(1); cell(w, 0, 9, 1<<24) }},
+		"anomaly slots out of order":      {1, func(w *analysis.WireWriter) { w.Uvarint(2); slot(w, 0x0a000000, 5); slot(w, 0x0a000000, 4) }},
+		"anomaly prefix host bits":        {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000001, 5) }},
+		"bounded set out of order":        {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, 5, 9, 4) }},
+		"top counter out of order":        {3, func(w *analysis.WireWriter) { w.Uvarint(1); host(w, 7, 9, 4) }},
+		"hosts out of order":              {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 3) }},
+		"host twice":                      {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 7) }},
+		"drop events out of order":        {0, func(w *analysis.WireWriter) { dropEvents(w, 2, 1) }},
+		"drop event at the event count":   {0, func(w *analysis.WireWriter) { dropEvents(w, n) }},
+		"proto event at the event count":  {2, func(w *analysis.WireWriter) { protoEvent(w, n) }},
+		"pending cell at the event count": {5, func(w *analysis.WireWriter) { w.Uvarint(1); cell(w, n, 9, 80) }},
+		"endpoints out of order":          {4, func(w *analysis.WireWriter) { endpoints(w, 0.5, -0.5) }},
+		"endpoint NaN":                    {4, func(w *analysis.WireWriter) { endpoints(w, math.NaN()) }},
 		"mitigation prefix host bits": {6, func(w *analysis.WireWriter) {
 			w.Uvarint(1)
 			w.Uvarint(0x0a000001)
@@ -212,7 +240,7 @@ func nonCanonicalStates(t testing.TB) map[string][]byte {
 // valid state they were cut from decodes and re-encodes to itself.
 func TestUnmarshalStateRejectsNonCanonical(t *testing.T) {
 	for name, data := range nonCanonicalStates(t) {
-		if _, err := UnmarshalState(nil, data); err == nil {
+		if _, err := UnmarshalState(nil, data, testEvents(t)); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
@@ -237,6 +265,7 @@ func FuzzOperatorSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	states := nonCanonicalStates(f)
+	nEvents := testEvents(f)
 	names := make([]string, 0, len(states))
 	for name := range states {
 		names = append(names, name)
@@ -247,7 +276,7 @@ func FuzzOperatorSnapshotRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := UnmarshalState(nil, data)
+		p, err := UnmarshalState(nil, data, nEvents)
 		if err != nil {
 			return
 		}
@@ -262,7 +291,7 @@ func FuzzOperatorSnapshotRoundTrip(f *testing.F) {
 		// folding it into a fresh decode of itself doubles nothing it
 		// should not — exercised here only for panics, the merge parity
 		// itself is the conformance suite's job.
-		q, err := UnmarshalState(nil, data)
+		q, err := UnmarshalState(nil, data, nEvents)
 		if err != nil {
 			t.Fatalf("second decode of accepted input failed: %v", err)
 		}

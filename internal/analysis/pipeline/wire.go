@@ -45,13 +45,14 @@ func (p *Pipeline) MarshalState() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalState decodes a pipeline state blob produced by MarshalState.
-// The returned pipeline carries no control-plane view: call Rebind with
-// the events and index rebuilt from the corresponding update stream
-// before composing a report. meta may be nil when only the operator
-// state matters (e.g. codec validation); such a pipeline must not
-// observe records.
-func UnmarshalState(meta *analysis.Metadata, data []byte) (*Pipeline, error) {
+// UnmarshalState decodes a pipeline state blob produced by MarshalState
+// at an exchange with the given number of events: an event-keyed section
+// naming an event ID at or past it fails the decode. The returned
+// pipeline carries no control-plane view: call Rebind with the events and
+// index rebuilt from the corresponding update stream before composing a
+// report. meta may be nil when only the operator state matters (e.g.
+// codec validation); such a pipeline must not observe records.
+func UnmarshalState(meta *analysis.Metadata, data []byte, events int) (*Pipeline, error) {
 	r := analysis.NewWireReader(data)
 	r.Version(stateWireVersion)
 	p := newEmpty(meta)
@@ -71,13 +72,19 @@ func UnmarshalState(meta *analysis.Metadata, data []byte) (*Pipeline, error) {
 		order.Next(r, k)
 		p.pairs[k] = r.Varint()
 	}
-	type unmarshaler interface{ UnmarshalBinary([]byte) error }
-	for _, op := range []unmarshaler{p.Drop, p.Anomaly, p.Proto, p.Hosts, p.Align, p.Pending, p.Mit} {
+	type eventKeyed interface{ UnmarshalEvents([]byte, int) error }
+	bounded := func(op eventKeyed) func([]byte) error {
+		return func(b []byte) error { return op.UnmarshalEvents(b, events) }
+	}
+	for _, decode := range []func([]byte) error{
+		bounded(p.Drop), p.Anomaly.UnmarshalBinary, bounded(p.Proto), p.Hosts.UnmarshalBinary,
+		p.Align.UnmarshalBinary, bounded(p.Pending), p.Mit.UnmarshalBinary,
+	} {
 		blob := r.Blob()
 		if r.Err() != nil {
 			break
 		}
-		if err := op.UnmarshalBinary(blob); err != nil {
+		if err := decode(blob); err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 	}
@@ -111,19 +118,20 @@ func (p *Pipeline) Fold(o *Pipeline) {
 }
 
 // RemapEvents renames the events of every event-keyed operator through m
-// (local event ID -> federated event ID; see analysis.RenameEvents). The
-// coordinator derives m by aligning each instance's locally merged events
-// with the events merged over the union update stream. An operator that
-// rejects m is left unchanged, but those before it are renamed: on error
-// the pipeline is to be discarded, as the coordinator does.
+// (local event ID -> federated event ID; see analysis.PerEvent's
+// Rename). The coordinator derives m by aligning each instance's locally
+// merged events with the events merged over the union update stream. An
+// operator that rejects m is left unchanged, but those before it are
+// renamed: on error the pipeline is to be discarded, as the coordinator
+// does.
 func (p *Pipeline) RemapEvents(m map[int]int) error {
-	if err := p.Drop.RemapEvents(m); err != nil {
-		return err
+	type renamer interface{ RemapEvents(map[int]int) error }
+	for _, op := range []renamer{p.Drop, p.Proto, p.Pending} {
+		if err := op.RemapEvents(m); err != nil {
+			return err
+		}
 	}
-	if err := p.Proto.RemapEvents(m); err != nil {
-		return err
-	}
-	return p.Pending.RemapEvents(m)
+	return nil
 }
 
 // Finalize freezes a speculative pipeline into the equivalent batch

@@ -106,32 +106,20 @@ func (s *asSet) clone() asSet { return asSet{slots: slices.Clone(s.slots), n: s.
 // Aggregator collects per-event protocol statistics from the streaming
 // pass. Feed it records that fall inside merged event windows.
 type Aggregator struct {
-	events map[int]*eventAgg
-
-	// lastID/last memoize the event of the most recent Add; in-event
-	// records arrive in long same-event runs. last is nil after the map
-	// was replaced (UnmarshalBinary, RemapEvents).
-	lastID int
-	last   *eventAgg
+	events analysis.PerEvent[eventAgg]
 }
 
 // New returns an empty aggregator.
-func New() *Aggregator {
-	return &Aggregator{events: make(map[int]*eventAgg)}
-}
+func New() *Aggregator { return &Aggregator{} }
 
 // Add accumulates one sampled packet observed during eventID's window.
 // originAS is the source's origin AS per the routing table (0 when
 // unresolvable, e.g. spoofed), handoverAS the ingress member.
 func (a *Aggregator) Add(eventID int, proto uint8, srcIP uint32, srcPort uint16, pkts int64, originAS, handoverAS uint32) {
-	ea := a.last
-	if ea == nil || eventID != a.lastID {
-		ea = a.events[eventID]
-		if ea == nil {
-			ea = &eventAgg{srcIPs: *analysis.NewBoundedSet(4096)}
-			a.events[eventID] = ea
-		}
-		a.lastID, a.last = eventID, ea
+	ea := a.events.Get(eventID)
+	if ea == nil {
+		ea = &eventAgg{srcIPs: *analysis.NewBoundedSet(4096)}
+		a.events.Put(eventID, ea)
 	}
 	switch proto {
 	case netgen.ProtoUDP:
@@ -165,12 +153,7 @@ func (a *Aggregator) Add(eventID int, proto uint8, srcIP uint32, srcPort uint16,
 // side saw an event, and up to the sets' saturation (BoundedSet.Merge)
 // where both did. o must not be used afterwards.
 func (a *Aggregator) Merge(o *Aggregator) {
-	for id, oea := range o.events {
-		ea := a.events[id]
-		if ea == nil {
-			a.events[id] = oea
-			continue
-		}
+	a.events.Merge(&o.events, func(_ int, ea, oea *eventAgg) {
 		ea.udp += oea.udp
 		ea.tcp += oea.tcp
 		ea.icmp += oea.icmp
@@ -183,22 +166,20 @@ func (a *Aggregator) Merge(o *Aggregator) {
 		ea.originASes.union(&oea.originASes)
 		ea.handoverASes.union(&oea.handoverASes)
 		ea.srcIPs.Merge(&oea.srcIPs)
-	}
+	})
 }
 
 // Snapshot returns an independent deep copy of the aggregator; further
 // Adds on either side do not affect the other (Operator contract in
 // internal/analysis).
 func (a *Aggregator) Snapshot() *Aggregator {
-	s := New()
-	for id, ea := range a.events {
+	return &Aggregator{events: a.events.Clone(func(ea *eventAgg) *eventAgg {
 		cp := *ea
 		cp.srcIPs = ea.srcIPs.Clone()
 		cp.originASes = ea.originASes.clone()
 		cp.handoverASes = ea.handoverASes.clone()
-		s.events[id] = &cp
-	}
-	return s
+		return &cp
+	})}
 }
 
 // ProtocolShares is the §5.4 transport mix over a set of events.
@@ -212,7 +193,7 @@ type ProtocolShares struct {
 func (a *Aggregator) Shares(eventIDs []int) ProtocolShares {
 	var udp, tcp, icmp, other int64
 	for _, id := range eventIDs {
-		if ea := a.events[id]; ea != nil {
+		if ea := a.events.Get(id); ea != nil {
 			udp += ea.udp
 			tcp += ea.tcp
 			icmp += ea.icmp
@@ -259,15 +240,11 @@ func (ea *eventAgg) ampTotal() (total int64) {
 func (a *Aggregator) ProtocolCountDist(eventIDs []int) (dist [6]float64, counted int) {
 	var counts [6]int
 	for _, id := range eventIDs {
-		ea := a.events[id]
+		ea := a.events.Get(id)
 		if ea == nil {
 			continue
 		}
-		k := ea.ampProtocolsOf(0.02)
-		if k > 5 {
-			k = 5
-		}
-		counts[k]++
+		counts[min(ea.ampProtocolsOf(0.02), 5)]++
 		counted++
 	}
 	if counted == 0 {
@@ -285,7 +262,7 @@ func (a *Aggregator) ProtocolCountDist(eventIDs []int) (dist [6]float64, counted
 func (a *Aggregator) FilterableShares(eventIDs []int) []float64 {
 	var out []float64
 	for _, id := range eventIDs {
-		ea := a.events[id]
+		ea := a.events.Get(id)
 		if ea == nil {
 			continue
 		}
@@ -331,20 +308,16 @@ type Participation struct {
 }
 
 // participationOf tallies per-AS event participation.
-func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) *asSet) Participation {
+func participationOf(events *analysis.PerEvent[eventAgg], ids []int, pick func(*eventAgg) *asSet) Participation {
 	perAS := make(map[uint32]int)
 	total := 0
 	for _, id := range ids {
-		ea := events[id]
-		if ea == nil {
-			continue
-		}
-		set := pick(ea)
-		if set.n == 0 {
+		ea := events.Get(id)
+		if ea == nil || pick(ea).n == 0 {
 			continue
 		}
 		total++
-		for _, as := range set.slots {
+		for _, as := range pick(ea).slots {
 			if as != 0 {
 				perAS[as]++
 			}
@@ -376,9 +349,7 @@ func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) *
 		}
 		p.Shares = append(p.Shares, share)
 	}
-	if len(all) > 0 {
-		p.TopAS = all[0].as
-	}
+	p.TopAS = all[0].as // every counted event holds an AS
 	sort.Float64s(p.Shares)
 	return p
 }
@@ -386,12 +357,12 @@ func participationOf(events map[int]*eventAgg, ids []int, pick func(*eventAgg) *
 // OriginParticipation returns Fig 15's origin-AS CDF over the given
 // (amplification) events.
 func (a *Aggregator) OriginParticipation(eventIDs []int) Participation {
-	return participationOf(a.events, eventIDs, func(ea *eventAgg) *asSet { return &ea.originASes })
+	return participationOf(&a.events, eventIDs, func(ea *eventAgg) *asSet { return &ea.originASes })
 }
 
 // HandoverParticipation returns Fig 15's handover-AS CDF.
 func (a *Aggregator) HandoverParticipation(eventIDs []int) Participation {
-	return participationOf(a.events, eventIDs, func(ea *eventAgg) *asSet { return &ea.handoverASes })
+	return participationOf(&a.events, eventIDs, func(ea *eventAgg) *asSet { return &ea.handoverASes })
 }
 
 // AttackScale summarizes the per-event source diversity: mean amplifiers,
@@ -407,7 +378,7 @@ type AttackScale struct {
 func (a *Aggregator) Scale(eventIDs []int) AttackScale {
 	var s AttackScale
 	for _, id := range eventIDs {
-		ea := a.events[id]
+		ea := a.events.Get(id)
 		if ea == nil || ea.originASes.n == 0 {
 			continue
 		}

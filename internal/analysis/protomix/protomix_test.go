@@ -184,7 +184,7 @@ func encodeEvent(port uint16, originAS uint32) []byte {
 func TestUnmarshalRejectsWhatAddCannotWrite(t *testing.T) {
 	valid := encodeEvent(123, 100)
 	a := New()
-	if err := a.UnmarshalBinary(valid); err != nil {
+	if err := a.UnmarshalEvents(valid, 8); err != nil {
 		t.Fatal(err)
 	}
 	if out, _ := a.MarshalBinary(); !bytes.Equal(out, valid) {
@@ -194,8 +194,11 @@ func TestUnmarshalRejectsWhatAddCannotWrite(t *testing.T) {
 		"port outside the catalog": encodeEvent(40000, 100),
 		"AS 0":                     encodeEvent(123, 0),
 	} {
-		if err := New().UnmarshalBinary(data); err == nil {
+		if err := New().UnmarshalEvents(data, 8); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	if err := New().UnmarshalEvents(valid, 7); err == nil {
+		t.Error("event 7 of an exchange with 7 events decoded without error")
 	}
 }

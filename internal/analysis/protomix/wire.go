@@ -3,7 +3,6 @@ package protomix
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/netgen"
@@ -18,14 +17,8 @@ const wireVersion = 1
 func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(wireVersion)
-	ids := make([]int, 0, len(a.events))
-	for id := range a.events {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		ea := a.events[id]
+	w.Uvarint(uint64(a.events.Len()))
+	a.events.Each(func(id int, ea *eventAgg) {
 		w.Uvarint(uint64(id))
 		w.Varint(ea.udp)
 		w.Varint(ea.tcp)
@@ -46,21 +39,23 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 				w.Uvarint(uint64(as))
 			}
 		}
-	}
+	})
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary replaces the aggregator's state with the decoded
-// snapshot. On error the aggregator is left unchanged.
-func (a *Aggregator) UnmarshalBinary(data []byte) error {
+// UnmarshalEvents replaces the aggregator's state with the decoded
+// snapshot of an exchange with the given number of events; an event ID
+// at or past it fails the decode. On error the aggregator is left
+// unchanged.
+func (a *Aggregator) UnmarshalEvents(data []byte, events int) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
 	// Minimum per event: id, five counters, three counts, one set header.
 	n := r.Count(11)
-	events := make(map[int]*eventAgg, n)
+	var decoded analysis.PerEvent[eventAgg]
 	var order analysis.KeyOrder
 	for i := 0; i < n; i++ {
-		id := r.Int()
+		id := r.EventID(events)
 		order.Next(r, uint64(id))
 		ea := &eventAgg{
 			udp:       r.Varint(),
@@ -100,22 +95,15 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 		if r.Err() != nil {
 			break
 		}
-		events[id] = ea
+		decoded.Put(id, ea)
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("protomix: %w", err)
 	}
-	a.events, a.last = events, nil
+	a.events = decoded
 	return nil
 }
 
-// RemapEvents renames the per-event keys through m (old ID -> new ID; see
-// analysis.RenameEvents). On error the aggregator is left unchanged.
-func (a *Aggregator) RemapEvents(m map[int]int) error {
-	events, err := analysis.RenameEvents(a.events, m)
-	if err != nil {
-		return fmt.Errorf("protomix: %w", err)
-	}
-	a.events, a.last = events, nil
-	return nil
-}
+// RemapEvents renames the events through m (old ID -> new ID; see
+// analysis.PerEvent's Rename). On error the aggregator is left unchanged.
+func (a *Aggregator) RemapEvents(m map[int]int) error { return a.events.Rename(m) }

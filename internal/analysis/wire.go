@@ -23,11 +23,12 @@ package analysis
 // codec is safe to expose to fuzzing and untrusted transports.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // WireWriter appends wire-encoded values to a buffer.
@@ -280,8 +281,8 @@ func (o *KeyOrder) Next(r *WireReader, key uint64) {
 // SortedU64 returns a sorted copy of keys, the canonical order for
 // serializing set contents.
 func SortedU64(keys []uint64) []uint64 {
-	out := append([]uint64(nil), keys...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(keys)
+	slices.Sort(out)
 	return out
 }
 
@@ -328,7 +329,7 @@ func (c *TopCounter) EncodeWire(w *WireWriter) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool { return c.keys[idx[i]] < c.keys[idx[j]] })
+	slices.SortFunc(idx, func(i, j int) int { return cmp.Compare(c.keys[i], c.keys[j]) })
 	w.Uvarint(uint64(len(idx)))
 	for _, i := range idx {
 		w.Uvarint(uint64(c.keys[i]))

@@ -153,7 +153,7 @@ func (c *Coordinator) Merge() (*MergedState, error) {
 		}
 		v.Events = events.Merge(s.Updates, c.delta, c.meta.End)
 
-		p, err := pipeline.UnmarshalState(c.meta, s.State)
+		p, err := pipeline.UnmarshalState(c.meta, s.State, len(v.Events))
 		if err != nil {
 			return nil, fmt.Errorf("federation: IXP %d: %w", s.IXP, err)
 		}

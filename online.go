@@ -369,13 +369,13 @@ func (a *OnlineAnalyzer) advanceLocked() {
 	// sealed to its last record; the last chunk may still be filling. The
 	// lanes start at the first record to seal and are closed before any
 	// chunk they read goes back to the pool.
-	cutoff := w.Add(-sealHorizon)
+	cutoff := w.Add(-sealHorizon).UnixNano()
 	before, released := a.sealed, 0
 	var lanes *pipeline.Lanes
 	for released < len(pend.chunks) {
 		recs := pend.recs(released)
 		end := a.head
-		for end < len(recs) && recs[end].Start.Before(cutoff) {
+		for end < len(recs) && recs[end].Start.UnixNano() < cutoff {
 			end++
 		}
 		if end > a.head {
