@@ -129,9 +129,13 @@ func (m *module) add(path string, f *ast.File) {
 	}
 }
 
-// typeName is the name of a type expression, without its package.
+// typeName is the name of a type expression, without its package or
+// type arguments.
 func typeName(e ast.Expr) string {
 	name := types.ExprString(e)
+	if i := strings.IndexByte(name, '['); i >= 0 {
+		name = name[:i]
+	}
 	return name[strings.LastIndexAny(name, "*.")+1:]
 }
 

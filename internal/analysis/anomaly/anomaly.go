@@ -11,6 +11,7 @@ package anomaly
 import (
 	"cmp"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -70,11 +71,37 @@ func MinMagnitudeAt(scale float64) float64 {
 	return MinMagnitude * scale
 }
 
-// slotKey identifies one prefix's five-minute slot.
-type slotKey struct {
-	prefix bgp.Prefix
-	slot   int64
+// slotKey packs one prefix's five-minute slot into an integer, so that
+// the per-record probe of the slot map takes the runtime's specialized
+// 64-bit hash path: the prefix in the top 33 bits, as its leading Len
+// address bits under a marker bit, and the slot plus slotBias in the low
+// slotBits. The slots of years 0 to 9999 fit, and so does every slot an
+// event's analysis window can hold: the archives' timestamps are 32-bit
+// unix seconds and the metadata's period end an RFC 3339 time.
+type slotKey uint64
+
+const (
+	slotBits = 31
+	slotBias = 1 << (slotBits - 1)
+)
+
+// keyOf returns the key of canonical prefix p's slot, false if the slot
+// lies outside the key's range.
+func keyOf(p bgp.Prefix, slot int64) (slotKey, bool) {
+	if slot < -slotBias || slot >= slotBias {
+		return 0, false
+	}
+	code := 1<<p.Len | uint64(p.Addr)>>(32-p.Len)
+	return slotKey(code<<slotBits | uint64(slot+slotBias)), true
 }
+
+func (k slotKey) prefix() bgp.Prefix {
+	code := uint64(k) >> slotBits
+	l := uint8(bits.Len64(code) - 1)
+	return bgp.Prefix{Addr: uint32((code &^ (1 << l)) << (32 - l)), Len: l}
+}
+
+func (k slotKey) slot() int64 { return int64(k&(1<<slotBits-1)) - slotBias }
 
 // slotFeat accumulates one slot's features; unique counts are bounded
 // (saturation happens far above any detection threshold). It is the unit
@@ -98,7 +125,7 @@ type Aggregator struct {
 
 	// lastKey/last memoize the slot of the most recent Add: the records of
 	// one traffic batch land in the same (prefix, five-minute slot), so the
-	// struct-keyed probe runs once per run. The memoised slot is always one
+	// map probe runs once per run. The memoised slot is always one
 	// the aggregator owns: last is nil after a Snapshot and after the map
 	// was replaced (UnmarshalBinary).
 	lastKey slotKey
@@ -132,9 +159,14 @@ func (a *Aggregator) own(key slotKey) *slotFeat {
 	return sf
 }
 
-// Add accumulates one sampled packet into the feature slot of prefix.
+// Add accumulates one sampled packet into the feature slot of prefix. A
+// packet at a time outside the slot key's range is not kept: no event's
+// analysis window reaches it (see slotKey).
 func (a *Aggregator) Add(prefix bgp.Prefix, t time.Time, srcIP uint32, srcPort, dstPort uint16, proto uint8, pkts int64) {
-	key := slotKey{prefix: prefix, slot: analysis.Slot(t)}
+	key, ok := keyOf(prefix, analysis.Slot(t))
+	if !ok {
+		return
+	}
 	sf := a.last
 	if sf == nil || key != a.lastKey {
 		sf = a.own(key)
@@ -209,7 +241,8 @@ type slotRef struct {
 func (a *Aggregator) slotsByPrefix() map[bgp.Prefix][]slotRef {
 	by := make(map[bgp.Prefix][]slotRef)
 	for k, sf := range a.slots {
-		by[k.prefix] = append(by[k.prefix], slotRef{k.slot, sf})
+		p := k.prefix()
+		by[p] = append(by[p], slotRef{k.slot(), sf})
 	}
 	for _, refs := range by {
 		slices.SortFunc(refs, func(x, y slotRef) int { return cmp.Compare(x.slot, y.slot) })

@@ -196,3 +196,40 @@ func TestSlotsAccounting(t *testing.T) {
 		t.Fatalf("slots = %d", a.Slots())
 	}
 }
+
+// TestSlotKeyRoundTrip packs prefixes of every length with slots at both
+// ends of the key's range and between, and demands each prefix and slot
+// back and distinct keys for distinct pairs; the slots just outside the
+// range are refused, by keyOf and by Add, and years 0 and 9999 are in it.
+func TestSlotKeyRoundTrip(t *testing.T) {
+	slots := []int64{-slotBias, -slotBias + 1, -1, 0, 1, analysis.Slot(pEnd), slotBias - 2, slotBias - 1}
+	for _, y := range []int{0, 9999} {
+		slots = append(slots, analysis.Slot(time.Date(y, 1, 1, 0, 0, 0, 0, time.UTC)), analysis.Slot(time.Date(y, 12, 31, 23, 59, 59, 0, time.UTC)))
+	}
+	seen := map[slotKey]bool{}
+	for l := 0; l <= 32; l++ {
+		for _, addr := range []uint32{0, 0xffffffff, 0xcb007105, 0x80000001} {
+			p := bgp.MakePrefix(addr, uint8(l))
+			if k, _ := keyOf(p, 0); seen[k] {
+				continue // a short length masks two addresses alike
+			}
+			for _, s := range slots {
+				k, ok := keyOf(p, s)
+				if !ok || k.prefix() != p || k.slot() != s || seen[k] {
+					t.Fatalf("keyOf(%s, %d) = %#x %v: unpacks to %s, %d (seen before: %v)", p, s, uint64(k), ok, k.prefix(), k.slot(), seen[k])
+				}
+				seen[k] = true
+			}
+			for _, s := range []int64{-slotBias - 1, slotBias, 1 << 62, -1 << 62} {
+				if _, ok := keyOf(p, s); ok {
+					t.Fatalf("keyOf(%s, %d) accepted a slot outside the key's range", p, s)
+				}
+			}
+		}
+	}
+	a := New()
+	a.Add(prefix, time.Unix(slotBias*300, 0), 1, 2, 3, 17, 1)
+	if a.Slots() != 0 {
+		t.Fatalf("Add kept a slot outside the key's range")
+	}
+}

@@ -18,17 +18,17 @@ const wireVersion = 1
 func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	w := analysis.NewWireWriter()
 	w.Byte(wireVersion)
-	keys := make([]slotKey, 0, len(a.slots))
-	for k := range a.slots {
-		keys = append(keys, k)
+	ids := make([]slotID, 0, len(a.slots))
+	for k, sf := range a.slots {
+		ids = append(ids, slotID{k.prefix(), k.slot(), sf})
 	}
-	slices.SortFunc(keys, compareKeys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		sf := a.slots[k]
-		w.Uvarint(uint64(k.prefix.Addr))
-		w.Byte(k.prefix.Len)
-		w.Varint(k.slot)
+	slices.SortFunc(ids, compareIDs)
+	w.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		sf := id.feat
+		w.Uvarint(uint64(id.prefix.Addr))
+		w.Byte(id.prefix.Len)
+		w.Varint(id.slot)
 		w.Uvarint(uint64(sf.packets))
 		w.Uvarint(uint64(sf.nonTCP))
 		sf.flows.EncodeWire(w)
@@ -38,16 +38,23 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// compareKeys orders slot keys by (prefix address, prefix length, slot
+// slotID is a slot key unpacked, in the encoding's terms.
+type slotID struct {
+	prefix bgp.Prefix
+	slot   int64
+	feat   *slotFeat
+}
+
+// compareIDs orders slots by (prefix address, prefix length, slot
 // index): the encoding's order.
-func compareKeys(x, y slotKey) int {
+func compareIDs(x, y slotID) int {
 	return cmp.Or(cmp.Compare(x.prefix.Addr, y.prefix.Addr), cmp.Compare(x.prefix.Len, y.prefix.Len), cmp.Compare(x.slot, y.slot))
 }
 
 // UnmarshalBinary replaces the aggregator's state with the decoded
 // snapshot; the slots must come in MarshalBinary's order, each key above
-// the one before, and their prefixes canonical. On error the aggregator
-// is left unchanged.
+// the one before, their prefixes canonical and their slots inside the
+// slot key's range. On error the aggregator is left unchanged.
 func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	r := analysis.NewWireReader(data)
 	r.Version(wireVersion)
@@ -55,22 +62,26 @@ func (a *Aggregator) UnmarshalBinary(data []byte) error {
 	// minimal sets (3 bytes each).
 	n := r.Count(14)
 	slots := make(map[slotKey]*slotFeat, n)
-	var last slotKey
+	var last slotID
 	for i := 0; i < n; i++ {
-		var k slotKey
+		var id slotID
 		addr, plen := r.U32(), r.Byte()
 		if plen > 32 {
 			return fmt.Errorf("anomaly: prefix length %d > 32", plen)
 		}
-		k.prefix = bgp.MakePrefix(addr, plen)
-		k.slot = r.Varint()
+		id.prefix = bgp.MakePrefix(addr, plen)
+		id.slot = r.Varint()
 		if r.Err() != nil {
 			break
 		}
-		if k.prefix.Addr != addr || i > 0 && compareKeys(last, k) >= 0 {
-			return fmt.Errorf("anomaly: slot (%s/%d, %d) not canonical, duplicate or out of order", bgp.FormatAddr(addr), plen, k.slot)
+		if id.prefix.Addr != addr || i > 0 && compareIDs(last, id) >= 0 {
+			return fmt.Errorf("anomaly: slot (%s/%d, %d) not canonical, duplicate or out of order", bgp.FormatAddr(addr), plen, id.slot)
 		}
-		last = k
+		k, ok := keyOf(id.prefix, id.slot)
+		if !ok {
+			return fmt.Errorf("anomaly: slot %d of %s outside the slot key's range", id.slot, id.prefix)
+		}
+		last = id
 		sf := &slotFeat{
 			owner:   a.cow.Stamp(),
 			packets: r.U32(),

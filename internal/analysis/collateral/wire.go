@@ -78,7 +78,7 @@ func (p *Pending) UnmarshalEvents(data []byte, events int) error {
 }
 
 // RemapEvents renames the event IDs through m (old event ID -> new ID;
-// see analysis.PerEvent's Rename). The tables move to their new slots as
+// see analysis.PerEvent.Rename). The tables move to their new slots as
 // they are, owner stamps included, and the cell count does not change. On
 // error the store is left unchanged.
 func (p *Pending) RemapEvents(m map[int]int) error { return p.tables.Rename(m) }

@@ -78,7 +78,7 @@ func (a *Aggregator) UnmarshalEvents(data []byte, events int) error {
 }
 
 // RemapEvents renames the events through m (old ID -> new ID; see
-// analysis.PerEvent's Rename). On error the aggregator is left unchanged.
+// analysis.PerEvent.Rename). On error the aggregator is left unchanged.
 func (a *Aggregator) RemapEvents(m map[int]int) error { return a.byEvent.Rename(m) }
 
 // EventStat is one event's drop tally, exposed via Report.EventDrops

@@ -31,7 +31,7 @@ package analysis
 //
 // An operator holds state only: the control-plane views and the cursors
 // over them belong to the pipeline that feeds it, and the event
-// numbering to the federation coordinator (see PerEvent's Rename).
+// numbering to the federation coordinator (see PerEvent.Rename).
 //
 // The control-plane stages (events, load, visibility, the Fig 10 sweep)
 // deliberately do not implement this contract: they are pure functions of

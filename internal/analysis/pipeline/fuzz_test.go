@@ -74,10 +74,11 @@ func testEvents(t testing.TB) int {
 // a BoundedSet or a TopCounter, hosts, events, sources, speculative
 // pairs), a prefix with host bits set, an unsorted endpoint array, a
 // pending port key at or above 1<<24 (no cell key holds one: those bits
-// carry the cell's counts in memory), a varint padded with a zero byte,
-// or, in each event-keyed section, an event ID equal to the test world's
-// event count (testEvents), which no slot may be sized for. Every one
-// must fail to decode.
+// carry the cell's counts in memory), an anomaly slot outside the slot
+// key's range, an endpoint outside the search range's clipped bounds, a
+// varint padded with a zero byte, or, in each event-keyed section, an
+// event ID equal to the test world's event count (testEvents), which no
+// slot may be sized for. Every one must fail to decode.
 func nonCanonicalStates(t testing.TB) map[string][]byte {
 	t.Helper()
 	n := uint64(testEvents(t))
@@ -164,6 +165,8 @@ func nonCanonicalStates(t testing.TB) map[string][]byte {
 		"pending port key out of range":   {5, func(w *analysis.WireWriter) { w.Uvarint(1); cell(w, 0, 9, 1<<24) }},
 		"anomaly slots out of order":      {1, func(w *analysis.WireWriter) { w.Uvarint(2); slot(w, 0x0a000000, 5); slot(w, 0x0a000000, 4) }},
 		"anomaly prefix host bits":        {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000001, 5) }},
+		"anomaly slot above key range":    {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, 1<<30) }},
+		"anomaly slot below key range":    {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, -1<<30-1) }},
 		"bounded set out of order":        {1, func(w *analysis.WireWriter) { w.Uvarint(1); slot(w, 0x0a000000, 5, 9, 4) }},
 		"top counter out of order":        {3, func(w *analysis.WireWriter) { w.Uvarint(1); host(w, 7, 9, 4) }},
 		"hosts out of order":              {3, func(w *analysis.WireWriter) { w.Uvarint(2); host(w, 7); host(w, 3) }},
@@ -174,6 +177,8 @@ func nonCanonicalStates(t testing.TB) map[string][]byte {
 		"pending cell at the event count": {5, func(w *analysis.WireWriter) { w.Uvarint(1); cell(w, n, 9, 80) }},
 		"endpoints out of order":          {4, func(w *analysis.WireWriter) { endpoints(w, 0.5, -0.5) }},
 		"endpoint NaN":                    {4, func(w *analysis.WireWriter) { endpoints(w, math.NaN()) }},
+		"endpoint below search range":     {4, func(w *analysis.WireWriter) { endpoints(w, -2.5) }},
+		"endpoint above search range":     {4, func(w *analysis.WireWriter) { endpoints(w, 3.5) }},
 		"mitigation prefix host bits": {6, func(w *analysis.WireWriter) {
 			w.Uvarint(1)
 			w.Uvarint(0x0a000001)

@@ -118,15 +118,14 @@ func (p *Pipeline) Fold(o *Pipeline) {
 }
 
 // RemapEvents renames the events of every event-keyed operator through m
-// (local event ID -> federated event ID; see analysis.PerEvent's
-// Rename). The coordinator derives m by aligning each instance's locally
+// (local event ID -> federated event ID; see analysis.PerEvent.Rename).
+// The coordinator derives m by aligning each instance's locally
 // merged events with the events merged over the union update stream. An
 // operator that rejects m is left unchanged, but those before it are
 // renamed: on error the pipeline is to be discarded, as the coordinator
 // does.
 func (p *Pipeline) RemapEvents(m map[int]int) error {
-	type renamer interface{ RemapEvents(map[int]int) error }
-	for _, op := range []renamer{p.Drop, p.Proto, p.Pending} {
+	for _, op := range []interface{ RemapEvents(map[int]int) error }{p.Drop, p.Proto, p.Pending} {
 		if err := op.RemapEvents(m); err != nil {
 			return err
 		}

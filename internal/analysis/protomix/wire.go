@@ -105,5 +105,5 @@ func (a *Aggregator) UnmarshalEvents(data []byte, events int) error {
 }
 
 // RemapEvents renames the events through m (old ID -> new ID; see
-// analysis.PerEvent's Rename). On error the aggregator is left unchanged.
+// analysis.PerEvent.Rename). On error the aggregator is left unchanged.
 func (a *Aggregator) RemapEvents(m map[int]int) error { return a.events.Rename(m) }

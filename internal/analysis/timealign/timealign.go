@@ -28,11 +28,24 @@ type Aggregator struct {
 	// starts/ends hold the per-record valid-offset interval bounds in
 	// seconds (clipped to the search range). Intervals are merged per
 	// record, so each record contributes at most once to any offset.
-	starts, ends []float64
-	total        int64
-	eps          []events.EpisodeSpan
-	scratch      []span
+	// Only the two multisets matter: Estimate bins the arrays apart and
+	// MarshalBinary sorts them apart. A start at the clipped lower bound
+	// (minStart) or an end at the clipped upper bound (maxEnd), which a
+	// record inside a long episode has, is counted in lowStarts or
+	// highEnds instead of being stored.
+	starts, ends        []float64
+	lowStarts, highEnds int64
+	total               int64
+	eps                 []events.EpisodeSpan
+	scratch             []span
 }
+
+// minStart and maxEnd are the interval bounds AddDropped clips to: no
+// start lies below minStart and no end above maxEnd.
+const (
+	minStart = -float64(SearchRange) / float64(time.Second)
+	maxEnd   = float64(SearchRange)/float64(time.Second) + 1
+)
 
 type span struct{ lo, hi float64 }
 
@@ -61,14 +74,14 @@ func (a *Aggregator) AddDropped(c *events.Cursor, dstIP uint32, t time.Time) {
 		// Offsets delta with t+delta in [announce, withdraw).
 		dLo := time.Duration(ep.Ann - tn).Seconds()
 		dHi := time.Duration(ep.Wd - tn).Seconds()
-		if dLo < -SearchRange.Seconds() {
-			dLo = -SearchRange.Seconds()
+		if dLo < minStart {
+			dLo = minStart
 		}
 		// Clip the (exclusive) upper bound slightly beyond the search
 		// range so that an interval extending past the range still
 		// covers the range's edge grid point.
 		if dHi > SearchRange.Seconds() {
-			dHi = SearchRange.Seconds() + 1
+			dHi = maxEnd
 		}
 		if dHi <= dLo {
 			continue
@@ -94,12 +107,24 @@ func (a *Aggregator) AddDropped(c *events.Cursor, dstIP uint32, t time.Time) {
 			}
 			continue
 		}
-		a.starts = append(a.starts, cur.lo)
-		a.ends = append(a.ends, cur.hi)
+		a.add(cur)
 		cur = s
 	}
-	a.starts = append(a.starts, cur.lo)
-	a.ends = append(a.ends, cur.hi)
+	a.add(cur)
+}
+
+// add records one merged interval.
+func (a *Aggregator) add(s span) {
+	if s.lo == minStart {
+		a.lowStarts++
+	} else {
+		a.starts = append(a.starts, s.lo)
+	}
+	if s.hi == maxEnd {
+		a.highEnds++
+	} else {
+		a.ends = append(a.ends, s.hi)
+	}
 }
 
 // Merge folds o's per-record offset intervals into a. The intervals of
@@ -110,6 +135,8 @@ func (a *Aggregator) AddDropped(c *events.Cursor, dstIP uint32, t time.Time) {
 func (a *Aggregator) Merge(o *Aggregator) {
 	a.starts = append(a.starts, o.starts...)
 	a.ends = append(a.ends, o.ends...)
+	a.lowStarts += o.lowStarts
+	a.highEnds += o.highEnds
 	a.total += o.total
 }
 
@@ -118,9 +145,11 @@ func (a *Aggregator) Merge(o *Aggregator) {
 // (Operator contract in internal/analysis).
 func (a *Aggregator) Snapshot() *Aggregator {
 	return &Aggregator{
-		starts: append([]float64(nil), a.starts...),
-		ends:   append([]float64(nil), a.ends...),
-		total:  a.total,
+		starts:    append([]float64(nil), a.starts...),
+		ends:      append([]float64(nil), a.ends...),
+		lowStarts: a.lowStarts,
+		highEnds:  a.highEnds,
+		total:     a.total,
 	}
 }
 
@@ -143,8 +172,9 @@ type Result struct {
 // when its interval holds x, start <= x < end, tested against x+1e-12 as
 // a guard against rounding: the count is #{start < x+1e-12} minus
 // #{end < x+1e-12}. Neither endpoint array is sorted or copied for that:
-// each endpoint is binned at the first grid value above it, and the
-// counts are the bins' running sums.
+// each endpoint is binned at the first grid value above it, the counted
+// bounds with their multiplicity, and the counts are the bins' running
+// sums.
 func (a *Aggregator) Estimate(step time.Duration) *Result {
 	res := &Result{Dropped: a.total}
 	if a.total == 0 || step <= 0 {
@@ -155,6 +185,8 @@ func (a *Aggregator) Estimate(step time.Duration) *Result {
 		grid = append(grid, off.Seconds()+1e-12)
 	}
 	starts, ends := bin(a.starts, grid, step), bin(a.ends, grid, step)
+	starts[binOf(minStart, grid, step)] += int(a.lowStarts)
+	ends[binOf(maxEnd, grid, step)] += int(a.highEnds)
 	res.Curve = make([]Point, 0, len(grid))
 	nStart, nEnd := 0, 0
 	for k := range grid {
@@ -178,22 +210,26 @@ func (a *Aggregator) Estimate(step time.Duration) *Result {
 // bins[0], below every grid value, where sorting would place it.
 func bin(vals, grid []float64, step time.Duration) []int {
 	bins := make([]int, len(grid)+1)
-	width := step.Seconds()
 	for _, v := range vals {
-		k := 0
-		if g := (v - grid[0]) / width; g > 0 {
-			k = len(grid)
-			if g < float64(len(grid)) {
-				k = int(g) + 1
-			}
-		}
-		for k > 0 && v < grid[k-1] {
-			k--
-		}
-		for k < len(grid) && v >= grid[k] {
-			k++
-		}
-		bins[k]++
+		bins[binOf(v, grid, step)]++
 	}
 	return bins
+}
+
+// binOf returns the bin of v (see bin).
+func binOf(v float64, grid []float64, step time.Duration) int {
+	k := 0
+	if g := (v - grid[0]) / step.Seconds(); g > 0 {
+		k = len(grid)
+		if g < float64(len(grid)) {
+			k = int(g) + 1
+		}
+	}
+	for k > 0 && v < grid[k-1] {
+		k--
+	}
+	for k < len(grid) && v >= grid[k] {
+		k++
+	}
+	return k
 }

@@ -118,3 +118,85 @@ func TestPrefixMapMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// nestedPool draws prefixes packed into two /16s, so that buckets hold
+// many entries: chains of nested prefixes from /16 down to /32, siblings
+// sharing every length, and the /0–/15 prefixes that cover both /16s or
+// only one of them.
+func nestedPool(r *rand.Rand) []Prefix {
+	a := r.Uint32() &^ 0xffff
+	b := a ^ 1<<16 // the neighbouring /16: same /15 and shorter
+	pool := []Prefix{MakePrefix(a, 0), MakePrefix(a, uint8(1+r.IntN(14))), MakePrefix(a, 15), MakePrefix(a, 16), MakePrefix(b, 16)}
+	for _, base := range []uint32{a, b} {
+		for i := 0; i < 12; i++ {
+			host := base | r.Uint32()&0xffff
+			for _, l := range []uint8{uint8(17 + r.IntN(4)), 24, uint8(25 + r.IntN(6)), 31, 32} {
+				pool = append(pool, MakePrefix(host, l))
+			}
+		}
+	}
+	return pool
+}
+
+// TestPrefixMapBucketsMatchReference holds the buckets to the per-length
+// reference over seeded Set/Delete sequences on crowded /16s: new
+// prefixes, values replaced by a second Set, prefixes deleted and set
+// again. Get, Longest and AppendCovering (order included) must agree on
+// every edge of every prefix after every operation, and no value a
+// Set replaced or a prefix Delete removed may be returned.
+func TestPrefixMapBucketsMatchReference(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewPCG(seed, 7))
+		pool := nestedPool(r)
+		probes := prefixEdgeProbes(r, pool)
+		var m PrefixMap[int]
+		ref := refPrefixMap{}
+		var buf []PrefixEntry[int]
+		var sets, resets, deletes, readds int
+		gone := map[Prefix]bool{}
+		for op := 0; op < 200; op++ {
+			p := pool[r.IntN(len(pool))]
+			_, had := ref[p]
+			if r.IntN(3) == 0 {
+				m.Delete(p)
+				delete(ref, p)
+				gone[p] = true
+				deletes += b2i(had)
+			} else {
+				v := op*1000 + r.IntN(1000) // a value no earlier Set used
+				m.Set(p, v)
+				ref[p] = v
+				sets++
+				resets += b2i(had)
+				readds += b2i(!had && gone[p])
+			}
+			for _, q := range pool {
+				v, ok := m.Get(q)
+				if wv, wok := ref[q]; v != wv || ok != wok {
+					t.Fatalf("seed %d op %d: Get(%s) = %d %v, want %d %v", seed, op, q, v, ok, wv, wok)
+				}
+			}
+			for _, ip := range probes {
+				want := ref.covering(ip)
+				buf = m.AppendCovering(buf[:0], ip)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("seed %d op %d: AppendCovering(%s) = %v, want %v", seed, op, FormatAddr(ip), buf, want)
+				}
+				lp, lv, lok := m.Longest(ip)
+				if len(want) == 0 && lok || len(want) > 0 && (!lok || lp != want[0].Prefix || lv != want[0].Value) {
+					t.Fatalf("seed %d op %d: Longest(%s) = %s %d %v, want %v", seed, op, FormatAddr(ip), lp, lv, lok, want)
+				}
+			}
+		}
+		if resets == 0 || deletes == 0 || readds == 0 {
+			t.Fatalf("seed %d: %d sets, %d replacing a value, %d deletes, %d re-adding a deleted prefix: a case is vacuous", seed, sets, resets, deletes, readds)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

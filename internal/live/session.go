@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,34 +111,34 @@ func (c SessionConfig) holdTimeSecs() uint16 {
 
 // BGP has no framing beyond the message header itself: read the 19-byte
 // header off the stream, then the remainder indicated by its length
-// field. msgBuf is reused across reads.
+// field. The reads go through a buffer, so one system call takes in
+// whatever the kernel has queued, not one message part at a time; a
+// connection therefore has one msgReader for its whole life. buf is
+// reused across reads.
 type msgReader struct {
 	c   net.Conn
+	br  *bufio.Reader
 	buf []byte
 }
 
 // read returns the next complete BGP message, decoded. The raw bytes are
 // only valid until the next call.
 func (r *msgReader) read() (byte, any, error) {
-	const headerLen = 19
-	if cap(r.buf) < headerLen {
-		r.buf = make([]byte, 4096)
+	const headerLen, maxLen = 19, 4096
+	if r.br == nil {
+		r.br = bufio.NewReaderSize(r.c, maxLen)
+		r.buf = make([]byte, maxLen)
 	}
 	hdr := r.buf[:headerLen]
-	if _, err := io.ReadFull(r.c, hdr); err != nil {
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		return 0, nil, err
 	}
 	length := int(binary.BigEndian.Uint16(hdr[16:18]))
-	if length < headerLen || length > 4096 {
+	if length < headerLen || length > maxLen {
 		return 0, nil, fmt.Errorf("live: invalid BGP message length %d", length)
 	}
-	if cap(r.buf) < length {
-		buf := make([]byte, 4096)
-		copy(buf, hdr)
-		r.buf = buf
-	}
 	msg := r.buf[:length]
-	if _, err := io.ReadFull(r.c, msg[headerLen:]); err != nil {
+	if _, err := io.ReadFull(r.br, msg[headerLen:]); err != nil {
 		return 0, nil, fmt.Errorf("live: truncated BGP message: %w", err)
 	}
 	typ, decoded, _, err := bgp.DecodeMessage(msg)

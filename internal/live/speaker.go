@@ -99,15 +99,19 @@ func (s *Speaker) run() {
 			return
 		}
 		s.setState(StateConnect, nil)
-		var conn *session
+		var (
+			conn *session
+			r    *msgReader
+		)
 		c, err := net.DialTimeout("tcp", s.addr, s.cfg.HoldTime)
 		if err == nil {
 			if s.cfg.Wrap != nil {
 				c = s.cfg.Wrap(c)
 			}
 			conn = &session{Conn: c, hold: s.cfg.HoldTime}
+			r = &msgReader{c: conn}
 			s.setConn(conn)
-			err = s.handshake(conn)
+			err = s.handshake(conn, r)
 			if err != nil {
 				conn.Close()
 			}
@@ -135,14 +139,15 @@ func (s *Speaker) run() {
 		// Updates from the route server (Adj-RIB-Out announcements) are
 		// acknowledged receipt only — scenario peers do not keep a local
 		// RIB — and any end of the session is a reason to reconnect.
-		conn.pump(&msgReader{c: conn}, &s.wg, s.m, s.isClosed, nil)
+		conn.pump(r, &s.wg, s.m, s.isClosed, nil)
 		conn.Close()
 		s.setState(StateIdle, nil)
 	}
 }
 
-// handshake runs the active-side open exchange on a fresh connection.
-func (s *Speaker) handshake(conn *session) error {
+// handshake runs the active-side open exchange on a fresh connection,
+// reading through r, the connection's reader.
+func (s *Speaker) handshake(conn *session, r *msgReader) error {
 	deadline := time.Now().Add(s.cfg.HoldTime)
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
@@ -156,7 +161,6 @@ func (s *Speaker) handshake(conn *session) error {
 	}
 	s.setState(StateOpenSent, conn)
 
-	r := &msgReader{c: conn}
 	typ, _, err := r.read()
 	if err != nil {
 		return fmt.Errorf("live: awaiting OPEN: %w", err)

@@ -61,7 +61,8 @@ type liveExchange struct {
 	ex     *scenario.Exchange
 	// rsMu serializes route-server access: deliveries arrive on the
 	// sequencer's delivery goroutine, peer flushes on per-session
-	// listener goroutines, and the route server itself is not
+	// listener goroutines or restart timers, the fabric reads it on the
+	// driver's goroutine, and the route server itself is not
 	// concurrency-safe.
 	rsMu sync.Mutex
 }
@@ -287,7 +288,7 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 		x := lr.xs[i]
 		x.ex = ex
 		x.runner.SetRouteServerASN(uint32(w.RSASN))
-		return liveExecutor{r: x.runner, fb: ex.FB, det: lr.det}, nil
+		return liveExecutor{x: x, det: lr.det}, nil
 	})
 	if driveErr != nil {
 		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
@@ -309,7 +310,7 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 		if err := x.runner.Drain(); err != nil {
 			return nil, err
 		}
-		ex := liveExecutor{r: x.runner, fb: x.ex.FB, det: lr.det}
+		ex := liveExecutor{x: x, det: lr.det}
 		if err := ex.dispatchDetections(w.Cfg.End()); err != nil {
 			return nil, err
 		}
@@ -350,14 +351,6 @@ func (x *liveExchange) start(ctx context.Context, w *scenario.World, det *detect
 		x.analyzer.ObserveUpdate(ts, peer, upd)
 		return nil
 	}
-	// Ungraceful session loss flushes the peer's routes, exactly like a
-	// production route server would. The orderly Cease at shutdown does
-	// not take this path.
-	onPeerFlush := func(peer uint32) {
-		x.rsMu.Lock()
-		x.ex.RS.PeerDown(peer)
-		x.rsMu.Unlock()
-	}
 	// Collected flow records (in export order) feed the archive, the
 	// analyzer and the detector.
 	flowSink := func(b *ipfix.RecordBatch) error {
@@ -382,10 +375,29 @@ func (x *liveExchange) start(ctx context.Context, w *scenario.World, det *detect
 			ReconnectMax: 50 * time.Millisecond,
 		}
 	}
-	if x.runner, err = live.NewRunner(ctx, rcfg, x.lm, deliver, onPeerFlush, flowSink); err != nil {
+	if x.runner, err = live.NewRunner(ctx, rcfg, x.lm, deliver, x.flushPeer, flowSink); err != nil {
 		return scenario.Sinks{}, err
 	}
 	return scenario.Sinks{Control: archive.Control, Flow: x.runner.ExportFlowBatch}, nil
+}
+
+// flushPeer flushes the routes of a peer whose session was lost
+// ungracefully, exactly like a production route server would. The
+// orderly Cease at shutdown does not take this path.
+func (x *liveExchange) flushPeer(peer uint32) {
+	x.rsMu.Lock()
+	x.ex.RS.PeerDown(peer)
+	x.rsMu.Unlock()
+}
+
+// inject carries one traffic batch across the fabric, which reads the
+// route server's forwarding state: a peer flush may run on a session or
+// timer goroutine at the same time. The fabric's sink waits at most for
+// collector credit, which no holder of rsMu needs.
+func (x *liveExchange) inject(b *fabric.Batch) error {
+	x.rsMu.Lock()
+	defer x.rsMu.Unlock()
+	return x.ex.FB.Inject(b)
 }
 
 // stop drains what is in flight — even on an interrupted run, so the
@@ -470,8 +482,7 @@ func (lr *LiveRun) Report(opts Options) (*FederatedReport, error) {
 // path's "control completes before the next batch" invariant, so the
 // fabric always sees the forwarding state the driver intended.
 type liveExecutor struct {
-	r   *live.Runner
-	fb  *fabric.Fabric
+	x   *liveExchange
 	det *detect.Detector
 }
 
@@ -479,17 +490,17 @@ func (e liveExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) erro
 	if err := e.dispatchDetections(ts); err != nil {
 		return err
 	}
-	return e.r.SendUpdate(ts, peerAS, upd)
+	return e.x.runner.SendUpdate(ts, peerAS, upd)
 }
 
 func (e liveExecutor) Inject(b *fabric.Batch) error {
 	if err := e.dispatchDetections(b.Time); err != nil {
 		return err
 	}
-	if err := e.r.Barrier(); err != nil {
+	if err := e.x.runner.Barrier(); err != nil {
 		return err
 	}
-	return e.fb.Inject(b)
+	return e.x.inject(b)
 }
 
 // dispatchDetections advances the detector's mitigation clock to now and
@@ -518,7 +529,7 @@ func (e liveExecutor) dispatchDetections(now time.Time) error {
 		} else {
 			upd.Withdrawn = []bgp.Prefix{p}
 		}
-		if err := e.r.SendUpdate(a.Time, detect.PeerASN, upd); err != nil {
+		if err := e.x.runner.SendUpdate(a.Time, detect.PeerASN, upd); err != nil {
 			return err
 		}
 	}

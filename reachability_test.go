@@ -326,8 +326,16 @@ func TestReachability(t *testing.T) {
 		if recv == nil {
 			continue
 		}
-		if in, ok := recv.Type().(*types.Named); ok && types.IsInterface(in) && in.TypeParams().Len() == 0 {
-			iface := in.Underlying().(*types.Interface)
+		var iface *types.Interface
+		switch in := recv.Type().(type) {
+		case *types.Named: // a declared interface
+			if types.IsInterface(in) && in.TypeParams().Len() == 0 {
+				iface = in.Underlying().(*types.Interface)
+			}
+		case *types.Interface: // an interface literal
+			iface = in
+		}
+		if iface != nil {
 			for _, n := range named {
 				if implements(n, iface) {
 					if m := method(n, f.Name()); m != nil {
