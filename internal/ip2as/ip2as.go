@@ -36,6 +36,10 @@ type Table struct {
 // New returns an empty table.
 func New() *Table { return &Table{} }
 
+// Grow makes room for n more prefixes, so that as many Adds do not
+// rehash.
+func (t *Table) Grow(n int) { t.asn.Grow(n) }
+
 // Add inserts prefix -> asn, replacing any existing identical prefix.
 func (t *Table) Add(p bgp.Prefix, asn uint32) { t.asn.Set(p, asn) }
 
@@ -81,7 +85,7 @@ func ReadJSON(r io.Reader) (*Table, error) {
 	sc := scanner{s: string(data)}
 	// Every '{' of a valid table opens one entry.
 	t := New()
-	t.asn.Grow(strings.Count(sc.s, "{"))
+	t.Grow(strings.Count(sc.s, "{"))
 	if err := sc.table(t); err != nil {
 		return nil, fmt.Errorf("ip2as: offset %d: %w", sc.i, err)
 	}

@@ -510,6 +510,7 @@ func buildRegistries(w *World) {
 	w.PDB = pdb
 
 	tbl := ip2as.New()
+	tbl.Grow(len(w.VictimASes) + len(w.RemoteASes))
 	for _, v := range w.VictimASes {
 		tbl.Add(v.Block, v.ASN)
 	}
