@@ -18,7 +18,8 @@ import (
 // unix nanoseconds inside this package (fabric.Batch.Time stays a
 // time.Time at the Executor boundary), a day is ordered by sorting small
 // keys rather than moving batches, a batch finds its transitions by
-// binary search, and nothing is allocated per batch.
+// binary search, and nothing is allocated per batch. Generation runs one
+// day ahead of dispatch, on a goroutine of its own (see Drive).
 
 // attackSlotDuration is the granularity at which attack traffic is
 // generated; matching the analysis slot size keeps boundary noise small.
@@ -89,20 +90,42 @@ type dayKey struct {
 	idx int32 // position in the day's emission order
 }
 
-// orderDay returns the dispatch order of batches, built in keys with
-// spare as the second buffer, and the buffer left over. It is an LSD
-// radix sort over the start instants: every pass is a counting sort by
-// one digit, which keeps keys of equal digit in the order they came in —
-// so equal instants end up in emission order without the ordinal ever
-// being compared.
-func orderDay(keys, spare []dayKey, batches []fabric.Batch) (order, left []dayKey) {
+// blockBits sizes the blocks a day's batches are kept in: 1<<blockBits
+// batches each, about half a megabyte. A day grows by whole blocks, so
+// it never copies what it holds, and blocks pass from a dispatched day
+// to the next one generated.
+const blockBits = 12
+
+// dayBuf is one generated day on its way to the executor. Batch i of the
+// day, in emission order, is blocks[i>>blockBits][i&(1<<blockBits-1)].
+type dayBuf struct {
+	blocks [][]fabric.Batch
+	n      int      // batches held
+	keys   []dayKey // in emission order while generating, then in dispatch order
+	splits int64    // how many of the batches are pieces of a cut batch
+	ctl    []controlMsg
+	// upds[i] is the UPDATE of ctl[i], built in dispatch order right
+	// after the day's batches. When building one failed, upds stops
+	// short of it and err is why.
+	upds []*bgp.Update
+	err  error
+}
+
+func (db *dayBuf) batch(idx int32) *fabric.Batch {
+	return &db.blocks[idx>>blockBits][idx&(1<<blockBits-1)]
+}
+
+// sortKeys puts a day's keys, given in emission order, in dispatch order,
+// with spare as the second buffer, and returns the buffer left over. It
+// is an LSD radix sort over the start instants: every pass is a counting
+// sort by one digit, which keeps keys of equal digit in the order they
+// came in — so equal instants end up in emission order without the
+// ordinal ever being compared.
+func sortKeys(keys, spare []dayKey) (order, left []dayKey) {
 	const digitBits = 12
-	keys = keys[:0]
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for i := range batches {
-		ns := batches[i].Time.UnixNano()
-		lo, hi = min(lo, ns), max(hi, ns)
-		keys = append(keys, dayKey{ns: ns, idx: int32(i)})
+	for _, k := range keys {
+		lo, hi = min(lo, k.ns), max(hi, k.ns)
 	}
 	spare = slices.Grow(spare[:0], len(keys))[:len(keys)]
 	for shift := 0; shift < 64 && uint64(hi-lo)>>shift != 0; shift += digitBits {
@@ -126,7 +149,8 @@ func orderDay(keys, spare []dayKey, batches []fabric.Batch) (order, left []dayKe
 }
 
 // driver is the state of one Drive call: the per-run indexes built up
-// front and the per-day scratch every day reuses.
+// front and the generator's scratch. Everything but ex and st belongs
+// to the generating goroutine; those two belong to the dispatching one.
 type driver struct {
 	w   *World
 	ex  Executor
@@ -141,10 +165,12 @@ type driver struct {
 	// in the subnet) contribute transitions too.
 	hosts []transitions
 
-	batches []fabric.Batch // the day's batches in emission order
-	uncut   []fabric.Batch // a group of them moved out to be split
-	keys    []dayKey       // the day's dispatch order and its second sort buffer
-	spare   []dayKey
+	batches []fabric.Batch   // the group being generated: a host-day, an attack slot
+	uncut   []fabric.Batch   // the group moved out to be split
+	splits  int64            // pieces of cut batches in the day being generated
+	spare   []dayKey         // the radix sort's second buffer
+	blocks  [][]fabric.Batch // blocks no day holds
+	waited  time.Duration    // how long generation waited for a free day
 }
 
 // Drive walks the planned world's total event order and dispatches every
@@ -156,6 +182,13 @@ type driver struct {
 // the executor every product run uses; the benchmark harness drives its
 // own instrumented one.
 //
+// Drive is a two-stage pipeline over two day buffers: a goroutine
+// generates day d+1 — batches, dispatch order, control UPDATEs — while
+// the calling goroutine hands day d to the executor, so every executor
+// call is made on the caller's goroutine, in the order and with the
+// arguments of a serial walk. The generating goroutine has ended when
+// Drive returns.
+//
 // When an executor call fails mid-walk (including a cancelled live run),
 // Drive returns the stats of the actions dispatched so far alongside the
 // error, so interrupted runs can still report what was delivered.
@@ -166,13 +199,62 @@ func Drive(w *World, build func(fabricRNG *stats.RNG) (Executor, error)) (*Drive
 		return nil, err
 	}
 	dr := newDriver(w, ex, rng)
-	for d := 0; d < w.Cfg.Days; d++ {
-		dr.generate(d)
-		if err := dr.dispatch(dr.ctlByDay[d]); err != nil {
+	// Each channel can hold both day buffers, so no send blocks.
+	free, ready := make(chan *dayBuf, 2), make(chan *dayBuf, 2)
+	free <- &dayBuf{}
+	free <- &dayBuf{}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		dr.produce(free, ready, stop)
+	}()
+	defer func() {
+		close(stop)
+		<-done
+		dr.st.GenerateWait = dr.waited
+	}()
+	for {
+		start := time.Now()
+		db, ok := <-ready
+		dr.st.DispatchWait += time.Since(start)
+		if !ok {
+			return dr.st, nil
+		}
+		if err := dr.deliver(db); err != nil {
 			return dr.st, err
 		}
+		free <- db
 	}
-	return dr.st, nil
+}
+
+// produce generates the days in turn, each into a buffer dispatch has
+// freed, and hands them over on ready, which it closes when done. It
+// stops early when stop closes or when building a day's UPDATE failed:
+// dispatch ends at that message.
+func (dr *driver) produce(free <-chan *dayBuf, ready chan<- *dayBuf, stop <-chan struct{}) {
+	defer close(ready)
+	for d := 0; d < dr.w.Cfg.Days; d++ {
+		start := time.Now()
+		var db *dayBuf
+		select {
+		case db = <-free:
+		case <-stop:
+			return
+		}
+		dr.waited += time.Since(start)
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		dr.fill(d, db)
+		db.keys, dr.spare = sortKeys(db.keys, dr.spare)
+		dr.buildControl(d, db)
+		ready <- db
+		if db.err != nil {
+			return
+		}
+	}
 }
 
 // newDriver indexes the world by day and by host. It forks the session
@@ -248,50 +330,119 @@ func (dr *driver) hostTransitions() {
 	}
 }
 
-// generate fills dr.batches with day d's batches in emission order.
-func (dr *driver) generate(d int) {
+// fill generates day d's batches into db in emission order, with their
+// keys, on the blocks db held before.
+func (dr *driver) fill(d int, db *dayBuf) {
 	dayStart := dr.w.Cfg.Start.AddDate(0, 0, d)
-	dr.batches = dr.batches[:0]
-	dr.baseline(d, dayStart)
-	dr.attacks(d, dayStart)
-	dr.internal(dayStart)
-	dr.st.MaxDayBatches = max(dr.st.MaxDayBatches, len(dr.batches))
+	dr.blocks = append(dr.blocks, db.blocks...)
+	clear(db.blocks)
+	db.blocks, db.n, db.keys = db.blocks[:0], 0, db.keys[:0]
+	dr.open(db)
+	dr.baseline(d, dayStart, db)
+	dr.attacks(d, dayStart, db)
+	dr.internal(dayStart, db)
+	db.splits, dr.splits = dr.splits, 0
 }
 
-// dispatch hands the day's control messages and batches to the executor
-// in chronological order.
-func (dr *driver) dispatch(ctl []controlMsg) error {
-	slices.SortStableFunc(ctl, func(a, b controlMsg) int { return cmp.Compare(a.ns, b.ns) })
-	dr.keys, dr.spare = orderDay(dr.keys, dr.spare, dr.batches)
+// open points dr.batches at the free tail of the day's last block, taking
+// a free block when that one is full: the next group is generated in
+// place.
+func (dr *driver) open(db *dayBuf) {
+	if db.n == len(db.blocks)<<blockBits {
+		var blk []fabric.Batch
+		if n := len(dr.blocks); n > 0 {
+			blk, dr.blocks = dr.blocks[n-1], dr.blocks[:n-1]
+		} else {
+			blk = make([]fabric.Batch, 1<<blockBits)
+		}
+		db.blocks = append(db.blocks, blk)
+	}
+	off := db.n & (1<<blockBits - 1)
+	dr.batches = db.blocks[len(db.blocks)-1][off:off]
+}
+
+// keep adds the finished group in dr.batches to the day and opens the
+// next one. A group that outgrew its block's tail was moved by append;
+// it is copied back across the block boundary.
+func (dr *driver) keep(db *dayBuf) {
+	g := dr.batches
+	if len(g) > 0 && &g[0] != db.batch(int32(db.n)) {
+		for len(g) > 0 {
+			dr.open(db)
+			c := copy(dr.batches[:cap(dr.batches)], g)
+			dr.batches = dr.batches[:c]
+			dr.key(db)
+			g = g[c:]
+		}
+	} else {
+		dr.key(db)
+	}
+	dr.open(db)
+}
+
+// key appends the keys of the group in dr.batches, which sits in place at
+// the end of the day, and counts it in.
+func (dr *driver) key(db *dayBuf) {
+	for i := range dr.batches {
+		db.keys = append(db.keys, dayKey{ns: dr.batches[i].Time.UnixNano(), idx: int32(db.n + i)})
+	}
+	db.n += len(dr.batches)
+}
+
+// buildControl builds the UPDATEs of day d's control messages in
+// dispatch order, drawing from the generator stream where the serial walk
+// drew them: after the day's batches, before the next day's.
+func (dr *driver) buildControl(d int, db *dayBuf) {
+	db.ctl = dr.ctlByDay[d]
+	slices.SortStableFunc(db.ctl, func(a, b controlMsg) int { return cmp.Compare(a.ns, b.ns) })
+	clear(db.upds)
+	db.upds, db.err = db.upds[:0], nil
+	for i := range db.ctl {
+		upd, err := buildControlUpdate(&db.ctl[i], dr.gen)
+		if err != nil {
+			db.err = err
+			return
+		}
+		db.upds = append(db.upds, upd)
+	}
+}
+
+// deliver hands a generated day's control messages and batches to the
+// executor in chronological order. The day's generator counts are folded
+// in first, as the serial walk counted them before its first call.
+func (dr *driver) deliver(db *dayBuf) error {
+	dr.st.SplitSegments += db.splits
+	dr.st.MaxDayBatches = max(dr.st.MaxDayBatches, db.n)
 	ci := 0
-	for _, k := range dr.keys {
+	for _, k := range db.keys {
 		// Control messages win ties so that a batch starting exactly at
 		// an announcement sees the new state.
-		for ; ci < len(ctl) && ctl[ci].ns <= k.ns; ci++ {
-			if err := dr.control(&ctl[ci]); err != nil {
+		for ; ci < len(db.ctl) && db.ctl[ci].ns <= k.ns; ci++ {
+			if err := dr.control(db, ci); err != nil {
 				return err
 			}
 		}
-		if err := dr.ex.Inject(&dr.batches[k.idx]); err != nil {
+		if err := dr.ex.Inject(db.batch(k.idx)); err != nil {
 			return err
 		}
 		dr.st.Batches++
 	}
-	for ; ci < len(ctl); ci++ {
-		if err := dr.control(&ctl[ci]); err != nil {
+	for ; ci < len(db.ctl); ci++ {
+		if err := dr.control(db, ci); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// control builds and delivers one scheduled UPDATE.
-func (dr *driver) control(cm *controlMsg) error {
-	upd, err := buildControlUpdate(cm, dr.gen)
-	if err != nil {
-		return err
+// control delivers the day's i-th scheduled UPDATE, or returns the error
+// building it failed with.
+func (dr *driver) control(db *dayBuf, i int) error {
+	if i == len(db.upds) {
+		return db.err
 	}
-	if err := dr.ex.Control(cm.t, cm.event.Peer, upd); err != nil {
+	cm := &db.ctl[i]
+	if err := dr.ex.Control(cm.t, cm.event.Peer, db.upds[i]); err != nil {
 		return err
 	}
 	switch {
@@ -387,36 +538,35 @@ func splitBatch(dst []fabric.Batch, b *fabric.Batch, tr transitions) []fabric.Ba
 	}
 }
 
-// split cuts the batches the generator just appended, dr.batches[n0:],
-// at tr. They all lie within [from, to): when no transition falls inside
+// split cuts the group the generator just built, dr.batches, at tr.
+// Its batches all lie within [from, to): when no transition falls inside
 // that window they stay where they are, and only otherwise are they
 // moved out and put back through splitBatch.
-func (dr *driver) split(n0 int, tr transitions, from, to int64) {
+func (dr *driver) split(tr transitions, from, to int64) {
 	k := tr.after(from)
 	if k == len(tr) || tr[k] >= to {
 		return
 	}
-	dr.uncut = append(dr.uncut[:0], dr.batches[n0:]...)
-	dr.batches = dr.batches[:n0]
+	dr.uncut = append(dr.uncut[:0], dr.batches...)
+	dr.batches = dr.batches[:0]
 	for i := range dr.uncut {
 		n := len(dr.batches)
 		dr.batches = splitBatch(dr.batches, &dr.uncut[i], tr)
 		if n = len(dr.batches) - n; n > 1 {
-			dr.st.SplitSegments += int64(n)
+			dr.splits += int64(n)
 		}
 	}
 }
 
 // baseline emits the legitimate and scan traffic of all hosts active on
 // day d, split at blackholing transitions.
-func (dr *driver) baseline(d int, dayStart time.Time) {
+func (dr *driver) baseline(d int, dayStart time.Time, db *dayBuf) {
 	w, r := dr.w, dr.gen
 	dayNs := dayStart.UnixNano()
 	for hi, h := range w.Hosts {
 		if d >= len(h.ActiveDays) {
 			continue
 		}
-		n0 := len(dr.batches)
 		if h.ActiveDays[d] {
 			switch {
 			case h.Server != nil:
@@ -444,16 +594,17 @@ func (dr *driver) baseline(d int, dayStart time.Time) {
 		// the member announcing the host's prefix: in a federated run the
 		// host is observable exactly where its member connects.
 		owner := w.VictimASes[h.VictimAS].Peer
-		for i := n0; i < len(dr.batches); i++ {
+		for i := range dr.batches {
 			dr.batches[i].Owner = owner
 		}
 		// netgen keeps every baseline batch inside the day it is for.
-		dr.split(n0, dr.hosts[hi], dayNs, dayNs+dayNanos)
+		dr.split(dr.hosts[hi], dayNs, dayNs+dayNanos)
+		dr.keep(db)
 	}
 }
 
 // attacks emits the attack traffic slots of day d.
-func (dr *driver) attacks(d int, dayStart time.Time) {
+func (dr *driver) attacks(d int, dayStart time.Time, db *dayBuf) {
 	w, r := dr.w, dr.gen
 	dayNs := dayStart.UnixNano()
 	for _, a := range dr.attacksByDay[d] {
@@ -479,12 +630,11 @@ func (dr *driver) attacks(d int, dayStart time.Time) {
 			slotEnd := min(t+int64(attackSlotDuration), end)
 			pps := e.Attack.PPS * (0.8 + 0.4*r.Float64())
 			perVector := pps / float64(len(vs))
-			n0 := len(dr.batches)
 			for _, v := range vs {
 				dr.batches = v.Batches(dr.batches, dayStart.Add(time.Duration(t-dayNs)),
 					time.Duration(slotEnd-t), perVector, victimIP, victimAS, r)
 			}
-			slot := dr.batches[n0:]
+			slot := dr.batches
 			if e.Bilateral && bilateralAS == 0 && len(slot) > 0 {
 				bilateralAS = slot[0].IngressAS
 			}
@@ -499,7 +649,8 @@ func (dr *driver) attacks(d int, dayStart time.Time) {
 					b.BilateralDropFraction = 1
 				}
 			}
-			dr.split(n0, a.tr, t, slotEnd)
+			dr.split(a.tr, t, slotEnd)
+			dr.keep(db)
 		}
 	}
 }
@@ -560,7 +711,7 @@ func buildVectors(w *World, e *Event, r *stats.RNG) []netgen.Vector {
 
 // internal emits the small share of IXP-internal flows that the paper
 // removes during data cleaning.
-func (dr *driver) internal(dayStart time.Time) {
+func (dr *driver) internal(dayStart time.Time, db *dayBuf) {
 	w, r := dr.w, dr.gen
 	if w.Cfg.InternalTrafficShare <= 0 {
 		return
@@ -589,6 +740,7 @@ func (dr *driver) internal(dayStart time.Time) {
 			Internal: true,
 		})
 	}
+	dr.keep(db)
 }
 
 // addSessionResets injects BGP session flaps: a handful of times over the

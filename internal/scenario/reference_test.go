@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -12,9 +13,96 @@ import (
 	"repro/internal/stats"
 )
 
-// The generator loop's shortcuts — key order, binary-search splitting —
-// are pinned here to the plain forms they replaced, which live on in this
-// file as the reference models.
+// The generator loop's shortcuts — key order, binary-search splitting,
+// generating a day ahead of dispatch — are pinned here to the plain
+// forms they replaced, which live on in this file as the reference
+// models.
+
+// driveSequential is Drive as a serial walk: it generates a day, then
+// dispatches it, building each control UPDATE when dispatch reaches it,
+// and only then generates the next day.
+func driveSequential(w *World, build func(fabricRNG *stats.RNG) (Executor, error)) (*DriveStats, error) {
+	rng := stats.NewRNG(w.Cfg.Seed ^ 0x52554e)
+	ex, err := build(rng.Fork(1))
+	if err != nil {
+		return nil, err
+	}
+	dr := newDriver(w, ex, rng)
+	for d := 0; d < w.Cfg.Days; d++ {
+		dr.generate(d)
+		if err := dr.dispatch(dr.ctlByDay[d]); err != nil {
+			return dr.st, err
+		}
+	}
+	return dr.st, nil
+}
+
+// generate fills dr.batches with day d's batches in emission order and
+// counts them.
+func (dr *driver) generate(d int) {
+	var db dayBuf
+	dr.fill(d, &db)
+	dr.batches = make([]fabric.Batch, 0, db.n)
+	for i := range db.n {
+		dr.batches = append(dr.batches, *db.batch(int32(i)))
+	}
+	dr.blocks = append(dr.blocks, db.blocks...)
+	dr.st.SplitSegments += db.splits
+	dr.st.MaxDayBatches = max(dr.st.MaxDayBatches, len(dr.batches))
+}
+
+// orderDay is the dispatch order of a day held in one slice.
+func orderDay(keys, spare []dayKey, batches []fabric.Batch) (order, left []dayKey) {
+	keys = keys[:0]
+	for i := range batches {
+		keys = append(keys, dayKey{ns: batches[i].Time.UnixNano(), idx: int32(i)})
+	}
+	return sortKeys(keys, spare)
+}
+
+// dispatch hands the day's control messages and batches to the executor
+// in chronological order.
+func (dr *driver) dispatch(ctl []controlMsg) error {
+	slices.SortStableFunc(ctl, func(a, b controlMsg) int { return cmp.Compare(a.ns, b.ns) })
+	keys, _ := orderDay(nil, nil, dr.batches)
+	ci := 0
+	for _, k := range keys {
+		for ; ci < len(ctl) && ctl[ci].ns <= k.ns; ci++ {
+			if err := dr.controlNow(&ctl[ci]); err != nil {
+				return err
+			}
+		}
+		if err := dr.ex.Inject(&dr.batches[k.idx]); err != nil {
+			return err
+		}
+		dr.st.Batches++
+	}
+	for ; ci < len(ctl); ci++ {
+		if err := dr.controlNow(&ctl[ci]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// controlNow builds and delivers one scheduled UPDATE.
+func (dr *driver) controlNow(cm *controlMsg) error {
+	upd, err := buildControlUpdate(cm, dr.gen)
+	if err != nil {
+		return err
+	}
+	if err := dr.ex.Control(cm.t, cm.event.Peer, upd); err != nil {
+		return err
+	}
+	switch {
+	case cm.fs:
+	case cm.announce:
+		dr.st.Announcements++
+	default:
+		dr.st.Withdrawals++
+	}
+	return nil
+}
 
 // stableOrder is the reference day order: the batches themselves through
 // a stable sort on their time.Time starts. Each carries its emission
@@ -338,15 +426,13 @@ func TestSplitBatchMatchesLinearReference(t *testing.T) {
 
 		// The same batch as a group of three through driver.split, whose
 		// window test decides whether splitBatch runs at all.
-		dr := &driver{st: &DriveStats{}, batches: []fabric.Batch{{SrcIP: 1}, b, b, b}}
-		dr.split(1, tr, b.Time.UnixNano(), end.UnixNano())
-		want3 := append([]fabric.Batch{{SrcIP: 1}}, want...)
-		want3 = append(append(want3, want...), want...)
-		sameBatches(t, name+" as a group", dr.batches, want3)
-		if cut := int64(3 * len(want)); len(want) > 1 && dr.st.SplitSegments != cut {
-			t.Fatalf("%s: SplitSegments = %d, want %d", name, dr.st.SplitSegments, cut)
-		} else if len(want) <= 1 && dr.st.SplitSegments != 0 {
-			t.Fatalf("%s: SplitSegments = %d for an uncut group", name, dr.st.SplitSegments)
+		dr := &driver{batches: []fabric.Batch{b, b, b}}
+		dr.split(tr, b.Time.UnixNano(), end.UnixNano())
+		sameBatches(t, name+" as a group", dr.batches, slices.Concat(want, want, want))
+		if cut := int64(3 * len(want)); len(want) > 1 && dr.splits != cut {
+			t.Fatalf("%s: SplitSegments = %d, want %d", name, dr.splits, cut)
+		} else if len(want) <= 1 && dr.splits != 0 {
+			t.Fatalf("%s: SplitSegments = %d for an uncut group", name, dr.splits)
 		}
 	}
 }

@@ -32,10 +32,12 @@ type Sinks struct {
 // chronologically. Control must complete (the route server must have
 // processed the update) before it returns, so that a subsequent Inject
 // sees the new forwarding state — Drive relies on this for determinism.
+// Drive makes every call on the goroutine that called it.
 type Executor interface {
 	// Control delivers one UPDATE from peerAS timestamped ts.
 	Control(ts time.Time, peerAS uint32, upd *bgp.Update) error
-	// Inject offers one packet batch to the switching fabric.
+	// Inject offers one packet batch to the switching fabric. b is valid
+	// only for the call: Drive reuses a day's buffer two days later.
 	Inject(b *fabric.Batch) error
 }
 
@@ -49,8 +51,15 @@ type DriveStats struct {
 	// generated batch cut at mitigation transitions.
 	SplitSegments int64
 	// MaxDayBatches is the largest number of batches any one day held:
-	// the size the generator's per-day scratch grows to.
+	// the size a day buffer grows to. Like SplitSegments, it counts the
+	// days dispatched, not a day generated ahead.
 	MaxDayBatches int
+	// DispatchWait is how long dispatch waited for a generated day, the
+	// first day's generation included; GenerateWait is how long
+	// generation waited for dispatch to free a day buffer: a long
+	// DispatchWait means generation bounds the run, a long GenerateWait
+	// that the executor does.
+	DispatchWait, GenerateWait time.Duration
 }
 
 // NewRouteServer constructs the route server of the planned world with

@@ -598,3 +598,23 @@ func TestSamplingBlindness(t *testing.T) {
 			rates[2], shares[2], rates[0], shares[0])
 	}
 }
+
+// TestSimulateObservedPublishesDriveWaits: rtbh-sim -metrics carries the
+// generator pipeline's two wait times, each inside the run's wall time.
+func TestSimulateObservedPublishesDriveWaits(t *testing.T) {
+	reg := NewMetricsRegistry()
+	start := time.Now()
+	if _, err := SimulateObserved(TestConfig(), t.TempDir(), reg); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	snap := reg.Snapshot()
+	for _, name := range []string{"scenario.dispatch_wait_ns", "scenario.generate_wait_ns"} {
+		if ns := snap.Gauge(name); ns < 0 || time.Duration(ns) > wall {
+			t.Errorf("%s = %d in a %v run", name, ns, wall)
+		}
+	}
+	if snap.Gauge("scenario.dispatch_wait_ns") == 0 {
+		t.Error("scenario.dispatch_wait_ns = 0: dispatch cannot start before the first day is generated")
+	}
+}

@@ -127,7 +127,11 @@ func Simulate(cfg Config, dir string) (*SimulationSummary, error) {
 // register their metrics ("routeserver.*", "fabric.*") on it, so does its
 // flow archive writer ("ipfix.writer.records", "ipfix.writer.wait"), and
 // the generator's counts are published as "scenario.batches",
-// "scenario.split_segments" and "scenario.day_batches_max". Snapshot after
+// "scenario.split_segments" and "scenario.day_batches_max", beside the
+// time dispatch waited for a generated day and generation for a free
+// day buffer, "scenario.dispatch_wait_ns" and "scenario.generate_wait_ns":
+// a long dispatch wait means generation bounds the run, a long generate
+// wait that the route servers and fabrics do. Snapshot after
 // the call returns; on a single exchange the fabric's ground-truth gauges
 // match the returned summary exactly.
 func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*SimulationSummary, error) {
@@ -162,6 +166,8 @@ func SimulateObserved(cfg Config, dir string, reg *MetricsRegistry) (*Simulation
 		reg.Gauge("scenario.batches").Set(st.Batches)
 		reg.Gauge("scenario.split_segments").Set(st.SplitSegments)
 		reg.Gauge("scenario.day_batches_max").Set(int64(st.MaxDayBatches))
+		reg.Gauge("scenario.dispatch_wait_ns").Set(int64(st.DispatchWait))
+		reg.Gauge("scenario.generate_wait_ns").Set(int64(st.GenerateWait))
 	}
 	return summarize(fed, xs, st), nil
 }
