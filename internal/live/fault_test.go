@@ -53,9 +53,12 @@ func TestSpeakerSurvivesKills(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pfx := bgp.Prefix{Addr: 0x0a000000 + uint32(i), Len: 32}
 		_, enc := testUpdate(t, pfx, peer)
-		seq.Expect(base.Add(time.Duration(i)*time.Second), peer)
+		seq.Sent(peer)
 		if err := sp.Send(enc); err != nil {
 			t.Fatalf("send %d: %v", i, err)
+		}
+		if err := seq.Release(base.Add(time.Duration(i)*time.Second), peer); err != nil {
+			t.Fatalf("release %d: %v", i, err)
 		}
 	}
 	if err := seq.Barrier(10 * time.Second); err != nil {

@@ -10,8 +10,9 @@ package live
 import "repro/internal/obs"
 
 // Metrics holds the live subsystem's counters. The reconciliation
-// invariant checked on shutdown: UpdatesSent == UpdatesDelivered, and
-// ExportedRecords == CollectedRecords + DroppedRecords.
+// invariant checked on shutdown: UpdatesSent == UpdatesDelivered +
+// UpdatesUnreleased, and ExportedRecords == CollectedRecords +
+// DroppedRecords.
 type Metrics struct {
 	// BGP transport.
 	SessionsEstablished obs.Counter
@@ -20,6 +21,14 @@ type Metrics struct {
 	PeerDowns           obs.Counter
 	UpdatesSent         obs.Counter
 	UpdatesDelivered    obs.Counter
+	// UpdatesUnreleased counts updates sent ahead of a turn the run never
+	// reached (it was interrupted mid-day): dropped at shutdown, never
+	// delivered (see Sequencer.Drop).
+	UpdatesUnreleased obs.Counter
+	// BarrierWait times the barriers that found a released update not yet
+	// delivered: one span per wait. Its total is how long the data plane
+	// waited on the control plane's wire crossing.
+	BarrierWait obs.Timer
 	// SendRetries counts Speaker.Send resends after an injected
 	// connection kill (zero-byte failures only; see Speaker.Send).
 	SendRetries obs.Counter
@@ -61,7 +70,10 @@ type Metrics struct {
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // Register exposes every counter, gauge and timer on reg under the "live."
-// namespace.
+// namespace. The two timers say where a live run waits:
+// live.bgp.barrier_wait for a released control update still crossing its
+// BGP session, live.ipfix.credit_wait for the collector and the analyzer
+// behind it.
 func (m *Metrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("live.bgp.sessions_established", &m.SessionsEstablished)
 	reg.RegisterCounter("live.bgp.reconnects", &m.Reconnects)
@@ -69,6 +81,8 @@ func (m *Metrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("live.bgp.peer_downs", &m.PeerDowns)
 	reg.RegisterCounter("live.bgp.updates_sent", &m.UpdatesSent)
 	reg.RegisterCounter("live.bgp.updates_delivered", &m.UpdatesDelivered)
+	reg.RegisterCounter("live.bgp.updates_unreleased", &m.UpdatesUnreleased)
+	reg.RegisterTimer("live.bgp.barrier_wait", &m.BarrierWait)
 	reg.RegisterCounter("live.bgp.send_retries", &m.SendRetries)
 	reg.RegisterCounter("live.bgp.restarts_deferred", &m.RestartsDeferred)
 	reg.RegisterCounter("live.bgp.restarts_recovered", &m.RestartsRecovered)

@@ -75,8 +75,8 @@ type Runner struct {
 // invoked for ungraceful session loss (wire to
 // routeserver.Server.PeerDown), flowSink receives collected flow records
 // in export order, one batch per decoded datagram (wire to the archive
-// writer and the online analyzer). ctx aborts the run early: SendUpdate
-// and Barrier return ctx.Err() once it is cancelled.
+// writer and the online analyzer). ctx aborts the run early: SendAhead,
+// Release, SendUpdate and Barrier return ctx.Err() once it is cancelled.
 func NewRunner(ctx context.Context, cfg RunnerConfig, m *Metrics,
 	deliver func(ts time.Time, peer uint32, upd *bgp.Update) error,
 	onPeerFlush func(peer uint32),
@@ -212,10 +212,11 @@ func (r *Runner) awaitCredit(records int) error {
 // speaker dials.
 func (r *Runner) SetRouteServerASN(asn uint32) { r.listener.asn = asn }
 
-// SendUpdate dispatches one control update: it registers the expectation
-// with the sequencer, then sends the canonically encoded UPDATE on the
-// peer's session (dialing it first if needed).
-func (r *Runner) SendUpdate(ts time.Time, peer uint32, upd *bgp.Update) error {
+// SendAhead sends one control update ahead of its turn: it registers the
+// send with the sequencer, then writes the canonically encoded UPDATE on
+// the peer's session (dialing it first if needed). The route server
+// processes it only once Release gives it its turn.
+func (r *Runner) SendAhead(peer uint32, upd *bgp.Update) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
 	}
@@ -232,11 +233,30 @@ func (r *Runner) SendUpdate(ts time.Time, peer uint32, upd *bgp.Update) error {
 		sp = Dial(r.listener.Addr(), peer, cfg, r.m)
 		r.speakers[peer] = sp
 	}
-	r.seq.Expect(ts, peer)
+	r.seq.Sent(peer)
 	return sp.Send(msg)
 }
 
-// Barrier waits until every dispatched update has been delivered.
+// Release gives the oldest update sent ahead to peer its turn in the
+// run's total order, with logical timestamp ts. It does not wait for the
+// update to arrive: the next Barrier does.
+func (r *Runner) Release(ts time.Time, peer uint32) error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	return r.seq.Release(ts, peer)
+}
+
+// SendUpdate dispatches one control update at its turn: SendAhead, then
+// Release.
+func (r *Runner) SendUpdate(ts time.Time, peer uint32, upd *bgp.Update) error {
+	if err := r.SendAhead(peer, upd); err != nil {
+		return err
+	}
+	return r.Release(ts, peer)
+}
+
+// Barrier waits until every released update has been delivered.
 func (r *Runner) Barrier() error {
 	if err := r.ctx.Err(); err != nil {
 		return err
@@ -249,8 +269,9 @@ func (r *Runner) Barrier() error {
 func (r *Runner) ExportFlowBatch(b *ipfix.RecordBatch) error { return r.exporter.ExportBatch(b) }
 
 // Drain completes the streams without tearing sessions down: a final
-// barrier, an exporter flush, and a wait for the collector to account
-// for every exported record. Call once driving is done (or aborted).
+// barrier, the drop of every update sent ahead but never released, an
+// exporter flush, and a wait for the collector to account for every
+// exported record. Call once driving is done (or aborted).
 //
 // A tail drop — injected, or lost by the kernel — leaves no later
 // datagram to reveal its sequence gap, so the drain repeatedly emits
@@ -265,6 +286,7 @@ func (r *Runner) Drain() error {
 	// may have failed); drain the flow stream regardless so the archive
 	// is consistent with what was delivered.
 	err := r.seq.Barrier(r.cfg.DrainTimeout)
+	r.seq.Drop()
 	r.draining = true
 	if ferr := r.exporter.Flush(); err == nil {
 		err = ferr
@@ -309,14 +331,15 @@ func (r *Runner) awaitRecovery(deadline time.Time) error {
 }
 
 // Reconcile verifies the shutdown invariants: every sent update was
-// delivered and every exported record is accounted for as collected or
-// dropped.
+// delivered or dropped unreleased, and every exported record is accounted
+// for as collected or dropped.
 func (r *Runner) Reconcile() error {
 	if err := r.seq.Err(); err != nil {
 		return err
 	}
-	if sent, delivered := r.m.UpdatesSent.Value(), r.m.UpdatesDelivered.Value(); sent != delivered {
-		return fmt.Errorf("live: %d updates sent but %d delivered", sent, delivered)
+	sent, delivered, unreleased := r.m.UpdatesSent.Value(), r.m.UpdatesDelivered.Value(), r.m.UpdatesUnreleased.Value()
+	if sent != delivered+unreleased {
+		return fmt.Errorf("live: %d updates sent but %d delivered and %d unreleased", sent, delivered, unreleased)
 	}
 	exported := r.m.ExportedRecords.Value()
 	accounted := r.collector.Accounted()

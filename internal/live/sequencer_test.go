@@ -1,7 +1,9 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -9,10 +11,10 @@ import (
 	"repro/internal/bgp"
 )
 
-// TestSequencerRestoresTotalOrder registers an interleaved expectation
+// TestSequencerRestoresTotalOrder sends and releases an interleaved
 // stream for three peers, then delivers each peer's updates from its own
 // goroutine (per-peer order preserved, global order scrambled) and
-// checks deliveries replay the registration order with the registered
+// checks deliveries replay the release order with the released
 // timestamps.
 func TestSequencerRestoresTotalOrder(t *testing.T) {
 	type delivered struct {
@@ -33,7 +35,10 @@ func TestSequencerRestoresTotalOrder(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p := peers[i%len(peers)]
 		ts := base.Add(time.Duration(i) * time.Second)
-		s.Expect(ts, p)
+		s.Sent(p)
+		if err := s.Release(ts, p); err != nil {
+			t.Fatal(err)
+		}
 		want = append(want, delivered{ts, p})
 		perPeer[p]++
 	}
@@ -69,8 +74,7 @@ func TestSequencerRestoresTotalOrder(t *testing.T) {
 	}
 }
 
-// TestSequencerUnexpectedArrival fails fast on an update nobody
-// registered.
+// TestSequencerUnexpectedArrival fails fast on an update nobody sent.
 func TestSequencerUnexpectedArrival(t *testing.T) {
 	s := NewSequencer(func(time.Time, uint32, *bgp.Update) error { return nil }, nil)
 	s.Arrive(999, &bgp.Update{})
@@ -82,11 +86,14 @@ func TestSequencerUnexpectedArrival(t *testing.T) {
 	}
 }
 
-// TestSequencerBarrierTimeout times out when an expected update never
+// TestSequencerBarrierTimeout times out when a released update never
 // arrives.
 func TestSequencerBarrierTimeout(t *testing.T) {
 	s := NewSequencer(func(time.Time, uint32, *bgp.Update) error { return nil }, nil)
-	s.Expect(time.Unix(0, 0), 100)
+	s.Sent(100)
+	if err := s.Release(time.Unix(0, 0), 100); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
 	err := s.Barrier(50 * time.Millisecond)
 	if err == nil {
@@ -102,7 +109,10 @@ func TestSequencerBarrierTimeout(t *testing.T) {
 // returns at once without arming a deadline timer.
 func TestBarrierIdleDoesNotAllocate(t *testing.T) {
 	s := NewSequencer(func(time.Time, uint32, *bgp.Update) error { return nil }, nil)
-	s.Expect(time.Unix(0, 0), 100)
+	s.Sent(100)
+	if err := s.Release(time.Unix(0, 0), 100); err != nil {
+		t.Fatal(err)
+	}
 	s.Arrive(100, &bgp.Update{})
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := s.Barrier(time.Second); err != nil {
@@ -120,9 +130,55 @@ func TestSequencerDeliveryError(t *testing.T) {
 	s := NewSequencer(func(time.Time, uint32, *bgp.Update) error {
 		return fmt.Errorf("route server said no")
 	}, nil)
-	s.Expect(time.Unix(0, 0), 100)
+	s.Sent(100)
+	if err := s.Release(time.Unix(0, 0), 100); err != nil {
+		t.Fatal(err)
+	}
 	s.Arrive(100, &bgp.Update{})
 	if err := s.Barrier(time.Second); err == nil {
 		t.Fatal("delivery error not surfaced")
 	}
+}
+
+// TestReleaseDeliversArrivedOnCaller sends an update ahead, lets it
+// arrive before its turn — it waits, undelivered — and releases it: the
+// release delivers it on the releasing goroutine, so no goroutine wakes,
+// and the barrier behind it neither waits nor arms a timer.
+func TestReleaseDeliversArrivedOnCaller(t *testing.T) {
+	m := NewMetrics()
+	var on []byte
+	s := NewSequencer(func(time.Time, uint32, *bgp.Update) error {
+		on = goroutineID()
+		return nil
+	}, m)
+	s.Sent(100)
+	s.Arrive(100, &bgp.Update{})
+	if n := m.UpdatesDelivered.Value(); n != 0 || on != nil {
+		t.Fatalf("an unreleased update was delivered (%d deliveries)", n)
+	}
+	if err := s.Release(time.Unix(0, 0), 100); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.UpdatesDelivered.Value(); n != 1 {
+		t.Fatalf("release of an arrived update left %d deliveries, want 1", n)
+	}
+	if self := goroutineID(); !bytes.Equal(on, self) {
+		t.Fatalf("delivered on %s, released on %s", on, self)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Barrier(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || m.BarrierWait.CountSpans() != 0 {
+		t.Fatalf("barrier after the release allocated %v times and waited %d times, want neither",
+			allocs, m.BarrierWait.CountSpans())
+	}
+}
+
+// goroutineID returns the calling goroutine's "goroutine N" header.
+func goroutineID() []byte {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return buf[:bytes.IndexByte(buf, '[')]
 }

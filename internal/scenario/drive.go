@@ -152,10 +152,11 @@ func sortKeys(keys, spare []dayKey) (order, left []dayKey) {
 // front and the generator's scratch. Everything but ex and st belongs
 // to the generating goroutine; those two belong to the dispatching one.
 type driver struct {
-	w   *World
-	ex  Executor
-	st  *DriveStats
-	gen *stats.RNG // the one stream generation and control updates share
+	w     *World
+	ex    Executor
+	ahead AheadSender // ex, when it takes UPDATEs ahead of their turn
+	st    *DriveStats
+	gen   *stats.RNG // the one stream generation and control updates share
 
 	ctlByDay     [][]controlMsg
 	attacksByDay [][]*attackPlan
@@ -186,8 +187,9 @@ type driver struct {
 // generates day d+1 — batches, dispatch order, control UPDATEs — while
 // the calling goroutine hands day d to the executor, so every executor
 // call is made on the caller's goroutine, in the order and with the
-// arguments of a serial walk. The generating goroutine has ended when
-// Drive returns.
+// arguments of a serial walk; an executor that is an AheadSender also
+// gets each day's UPDATEs before the day's first call. The generating
+// goroutine has ended when Drive returns.
 //
 // When an executor call fails mid-walk (including a cancelled live run),
 // Drive returns the stats of the actions dispatched so far alongside the
@@ -267,6 +269,7 @@ func newDriver(w *World, ex Executor, rng *stats.RNG) *driver {
 		attacksByDay: make([][]*attackPlan, days),
 		hosts:        make([]transitions, len(w.Hosts)),
 	}
+	dr.ahead, _ = ex.(AheadSender)
 	for _, e := range w.Events {
 		e.actions(func(t time.Time, announce, fs bool) { dr.schedule(t, e, announce, fs) })
 	}
@@ -408,9 +411,17 @@ func (dr *driver) buildControl(d int, db *dayBuf) {
 }
 
 // deliver hands a generated day's control messages and batches to the
-// executor in chronological order. The day's generator counts are folded
-// in first, as the serial walk counted them before its first call.
+// executor in chronological order, after sending the day's UPDATEs ahead
+// when the executor takes them. The day's generator counts are folded in
+// next, as the serial walk counted them before its first call.
 func (dr *driver) deliver(db *dayBuf) error {
+	if dr.ahead != nil {
+		for i, upd := range db.upds {
+			if err := dr.ahead.SendAhead(db.ctl[i].event.Peer, upd); err != nil {
+				return err
+			}
+		}
+	}
 	dr.st.SplitSegments += db.splits
 	dr.st.MaxDayBatches = max(dr.st.MaxDayBatches, db.n)
 	ci := 0

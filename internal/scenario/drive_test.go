@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -293,5 +294,175 @@ func TestDriveFailureMatchesSequential(t *testing.T) {
 	}
 	if n := settledGoroutines(base); n > base {
 		t.Fatalf("broken rule: %d goroutines after Drive, %d before", n, base)
+	}
+}
+
+// aheadRecorder is a recorder that also takes UPDATEs ahead of their
+// turn. log holds every call in order: the actions as the recorder
+// records them, each send-ahead as a control call with ahead set. The
+// send-ahead numbered failAhead (from 0) fails with errFail.
+type aheadRecorder struct {
+	*recorder
+	log       []aheadCall
+	aheads    int
+	failAhead int
+}
+
+type aheadCall struct {
+	ahead bool
+	call
+}
+
+func (r *aheadRecorder) SendAhead(peerAS uint32, upd *bgp.Update) error {
+	msg, err := bgp.EncodeUpdate(upd)
+	if err != nil {
+		return err
+	}
+	r.log = append(r.log, aheadCall{true, call{control: true, peer: peerAS, msg: string(msg)}})
+	if r.aheads++; r.aheads-1 == r.failAhead {
+		return errFail
+	}
+	return nil
+}
+
+func (r *aheadRecorder) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
+	err := r.recorder.Control(ts, peerAS, upd)
+	r.log = append(r.log, aheadCall{call: r.calls[len(r.calls)-1]})
+	return err
+}
+
+func (r *aheadRecorder) Inject(b *fabric.Batch) error {
+	err := r.recorder.Inject(b)
+	r.log = append(r.log, aheadCall{call: r.calls[len(r.calls)-1]})
+	return err
+}
+
+// walkAhead is walk with one aheadRecorder per exchange, the send-ahead
+// numbered failAhead failing on each.
+func walkAhead(w *World, failAhead int) ([]*aheadRecorder, *DriveStats, error) {
+	fed := PlanFederation(w)
+	recs := make([]*aheadRecorder, fed.N)
+	exs := make([]Executor, fed.N)
+	for i := range recs {
+		recs[i] = &aheadRecorder{recorder: &recorder{failAt: -1, hooks: stats.NewRNG(7)}, failAhead: failAhead}
+		exs[i] = recs[i]
+	}
+	st, err := Drive(w, func(*stats.RNG) (Executor, error) { return fed.Route(exs), nil })
+	return recs, st, err
+}
+
+// callDay is the day of the period a call's instant falls on, clamped to
+// it as Drive schedules control messages.
+func callDay(w *World, c call) int {
+	d := int(time.Duration(c.ts-w.Cfg.Start.UnixNano()) / (24 * time.Hour))
+	return max(0, min(d, w.Cfg.Days-1))
+}
+
+// TestDriveSendsDayAhead holds Drive to the AheadSender contract on the
+// test world, the escalating one and three exchanges: every exchange sees,
+// before each day's first action, one send-ahead per Control of that day
+// — the same peer and UPDATE bytes, in the same order — and no send-ahead
+// between a day's actions. Over several exchanges each sees only its home
+// members' UPDATEs. The actions themselves are the ones an executor
+// without the interface sees. Then a send-ahead fails at the first one
+// of a mid-run day: Drive returns the error with the stats of the days
+// before, having dispatched no action of that day.
+func TestDriveSendsDayAhead(t *testing.T) {
+	for name, w := range driveWorlds(t) {
+		fed := PlanFederation(w)
+		got, gotSt, err := walkAhead(w, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, plainSt, err := walk(w, -1, Drive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]*recorder, len(got))
+		aheads := 0
+		for x, r := range got {
+			recs[x] = r.recorder
+			controls := make([][]call, w.Cfg.Days)
+			for _, c := range r.calls {
+				if c.control {
+					d := callDay(w, c)
+					controls[d] = append(controls[d], call{control: true, peer: c.peer, msg: c.msg})
+				}
+			}
+			var sent []call
+			day := -1
+			for i, c := range r.log {
+				if c.ahead {
+					if home := fed.Home(c.peer); home != x {
+						t.Fatalf("%s: exchange %d got a send-ahead from AS%d, a member of exchange %d", name, x, c.peer, home)
+					}
+					sent = append(sent, c.call)
+					aheads++
+					continue
+				}
+				d := callDay(w, c.call)
+				var want []call
+				if d != day {
+					want, day = controls[d], d
+				}
+				if !slices.Equal(sent, want) {
+					t.Fatalf("%s: exchange %d, before call %d (day %d): %d send-aheads, want the %d UPDATEs of the day",
+						name, x, i, d, len(sent), len(want))
+				}
+				sent = sent[:0]
+			}
+			if len(sent) != 0 {
+				t.Fatalf("%s: exchange %d: %d send-aheads after the last action", name, x, len(sent))
+			}
+		}
+		if aheads == 0 {
+			t.Fatalf("%s: no send-ahead at all", name)
+		}
+		plainSt.DispatchWait, plainSt.GenerateWait = 0, 0
+		sameWalk(t, name, recs, plain, gotSt, plainSt)
+	}
+
+	w := driveWorlds(t)["test"]
+	full, _, err := walkAhead(w, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// k is the first day past mid-run with UPDATEs, failAt the number of
+	// its first send-ahead.
+	k, failAt, aheads, run := -1, -1, 0, 0
+	for _, c := range full[0].log {
+		if c.ahead {
+			aheads++
+			run++
+			continue
+		}
+		if d := callDay(w, c.call); run > 0 && d >= w.Cfg.Days/2 {
+			k, failAt = d, aheads-run
+			break
+		}
+		run = 0
+	}
+	if k < 0 {
+		t.Fatal("no day past mid-run has UPDATEs")
+	}
+	base := runtime.NumGoroutine()
+	got, gotSt, gotErr := walkAhead(w, failAt)
+	if gotErr != errFail {
+		t.Fatalf("send-ahead failing on day %d: error %v", k, gotErr)
+	}
+	// The serial walk of days 0..k-1 is what Drive must have dispatched.
+	want := &recorder{failAt: -1, hooks: stats.NewRNG(7)}
+	rng := stats.NewRNG(w.Cfg.Seed ^ 0x52554e)
+	rng.Fork(1)
+	dr := newDriver(w, want, rng)
+	for d := range k {
+		dr.generate(d)
+		if err := dr.dispatch(dr.ctlByDay[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameWalk(t, "send-ahead failure", []*recorder{got[0].recorder}, []*recorder{want}, gotSt, dr.st)
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("send-ahead failure: %d goroutines after Drive, %d before", n, base)
 	}
 }

@@ -108,12 +108,19 @@ func (f *Federation) DispatchIXP(b *fabric.Batch) int {
 // Route returns the executor that fans Drive's total event order out
 // across the per-exchange executors: control messages to the announcing
 // member's home exchange, batches wherever DispatchIXP anchors them. A
-// single exchange needs no routing and is returned as is.
+// single exchange needs no routing and is returned as is. The router is
+// an AheadSender when every exchange's executor is one.
 func (f *Federation) Route(exs []Executor) Executor {
 	if f.N == 1 {
 		return exs[0]
 	}
-	return router{fed: f, exs: exs}
+	r := router{fed: f, exs: exs}
+	for _, ex := range exs {
+		if _, ok := ex.(AheadSender); !ok {
+			return r
+		}
+	}
+	return aheadRouter{r}
 }
 
 type router struct {
@@ -127,4 +134,12 @@ func (r router) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {
 
 func (r router) Inject(b *fabric.Batch) error {
 	return r.exs[r.fed.DispatchIXP(b)].Inject(b)
+}
+
+// aheadRouter is the router over exchanges that take UPDATEs ahead: each
+// goes to the announcing member's home exchange, like its Control.
+type aheadRouter struct{ router }
+
+func (r aheadRouter) SendAhead(peerAS uint32, upd *bgp.Update) error {
+	return r.exs[r.fed.Home(peerAS)].(AheadSender).SendAhead(peerAS, upd)
 }

@@ -29,16 +29,28 @@ type Sinks struct {
 
 // Executor receives the planned world's totally ordered action stream
 // from Drive: BGP control messages and packet batches, interleaved
-// chronologically. Control must complete (the route server must have
-// processed the update) before it returns, so that a subsequent Inject
-// sees the new forwarding state — Drive relies on this for determinism.
-// Drive makes every call on the goroutine that called it.
+// chronologically. Every Inject must see the forwarding state of every
+// Control before it — Drive relies on this for determinism. The
+// in-process Exchange has the route server process the update inside
+// Control; the live executor's Control returns while the update may
+// still be on the wire, and its Inject waits for it. Drive makes every
+// call on the goroutine that called it.
 type Executor interface {
 	// Control delivers one UPDATE from peerAS timestamped ts.
 	Control(ts time.Time, peerAS uint32, upd *bgp.Update) error
 	// Inject offers one packet batch to the switching fabric. b is valid
 	// only for the call: Drive reuses a day's buffer two days later.
 	Inject(b *fabric.Batch) error
+}
+
+// AheadSender is an Executor that takes control UPDATEs ahead of their
+// turn. Before a day's first Control or Inject, Drive hands it the day's
+// UPDATEs, one SendAhead each, in the order of the Control calls that
+// follow; each Control then names the UPDATE whose turn has come (the
+// peer's oldest one sent ahead). An executor without it sees only the
+// Control and Inject stream.
+type AheadSender interface {
+	SendAhead(peerAS uint32, upd *bgp.Update) error
 }
 
 // DriveStats summarizes the actions Drive dispatched.

@@ -288,7 +288,10 @@ func (lr *LiveRun) Run(ctx context.Context) (*SimulationSummary, error) {
 		x := lr.xs[i]
 		x.ex = ex
 		x.runner.SetRouteServerASN(uint32(w.RSASN))
-		return liveExecutor{x: x, det: lr.det}, nil
+		if lr.det != nil {
+			return liveExecutor{x: x, det: lr.det}, nil
+		}
+		return aheadExecutor{liveExecutor{x: x}}, nil
 	})
 	if driveErr != nil {
 		if !errors.Is(driveErr, context.Canceled) && !errors.Is(driveErr, context.DeadlineExceeded) {
@@ -477,13 +480,34 @@ func (lr *LiveRun) Report(opts Options) (*FederatedReport, error) {
 }
 
 // liveExecutor dispatches the scenario driver's action stream onto the
-// live transports. Control is asynchronous (the update crosses a real
-// TCP session); the barrier before every Inject restores the batch
-// path's "control completes before the next batch" invariant, so the
-// fabric always sees the forwarding state the driver intended.
+// live transports, each control update at its turn. Control is
+// asynchronous (the update crosses a real TCP session); the barrier
+// before every Inject restores the batch path's "control completes
+// before the next batch" invariant, so the fabric always sees the
+// forwarding state the driver intended.
 type liveExecutor struct {
 	x   *liveExchange
 	det *detect.Detector
+}
+
+// aheadExecutor is the live executor of a run without the detector. Drive
+// sends each day's UPDATEs at the day's start, and Control only releases
+// one to the route server at its turn, so an update crosses its session
+// while the batches before it are injected: Inject's barrier then waits
+// only for a released update still on the wire.
+//
+// A run with the detector keeps liveExecutor's pacing. Sending ahead
+// lets the driver, which ticks the detector at scenario time, run ahead
+// of the flow stream the detector reads, and recall drops. A flow
+// watermark before each tick (ROADMAP item 15) removes that exception.
+type aheadExecutor struct{ liveExecutor }
+
+func (e aheadExecutor) SendAhead(peerAS uint32, upd *bgp.Update) error {
+	return e.x.runner.SendAhead(peerAS, upd)
+}
+
+func (e aheadExecutor) Control(ts time.Time, peerAS uint32, _ *bgp.Update) error {
+	return e.x.runner.Release(ts, peerAS)
 }
 
 func (e liveExecutor) Control(ts time.Time, peerAS uint32, upd *bgp.Update) error {

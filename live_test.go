@@ -210,3 +210,112 @@ func TestLiveGracefulInterrupt(t *testing.T) {
 		t.Fatal("second Run accepted")
 	}
 }
+
+// TestLiveInterruptMidDay cancels a run once a fixed number of flow
+// records has been collected, in the middle of a day whose UPDATEs were
+// sent ahead of their turns: what was sent and never released is
+// dropped, not delivered, and counted. The dataset and the analyzer then
+// hold exactly the delivered prefix: the route server processed every
+// delivered update and nothing else, the archive loads, and the
+// analyzer's report equals the batch analysis of the archive. Where the
+// cancel lands varies from run to run, so no count is fixed.
+func TestLiveInterruptMidDay(t *testing.T) {
+	const cancelAt = 100_000 // records: well inside the test world
+	cfg := rtbh.TestConfig()
+	dir := t.TempDir()
+	reg := rtbh.NewMetricsRegistry()
+	lr, err := rtbh.NewLiveRun(cfg, dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	watching := make(chan struct{})
+	go func() {
+		defer close(watching)
+		for ctx.Err() == nil {
+			if _, flows := lr.Analyzer().Counts(); flows >= cancelAt {
+				cancel()
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	sum, err := lr.Run(ctx)
+	cancel()
+	<-watching
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lr.Interrupted() {
+		t.Fatal("run cancelled mid-way not reported as interrupted")
+	}
+
+	snap := reg.Snapshot()
+	sent, delivered, unreleased := snap.Counter("live.bgp.updates_sent"),
+		snap.Counter("live.bgp.updates_delivered"), snap.Counter("live.bgp.updates_unreleased")
+	t.Logf("interrupted after %d collected records: %d updates sent, %d delivered, %d dropped unreleased",
+		snap.Counter("live.ipfix.collected_records"), sent, delivered, unreleased)
+	if sent != delivered+unreleased {
+		t.Errorf("updates sent %d != delivered %d + unreleased %d", sent, delivered, unreleased)
+	}
+	if int64(sum.ControlMsgs) != delivered || int64(sum.Announcements+sum.Withdrawals) != delivered {
+		t.Errorf("route server processed %d updates (%d announcements + %d withdrawals dispatched), %d delivered",
+			sum.ControlMsgs, sum.Announcements, sum.Withdrawals, delivered)
+	}
+	if col := snap.Counter("live.ipfix.collected_records"); col != sum.FlowRecords || col == 0 {
+		t.Errorf("collected %d records of %d exported", col, sum.FlowRecords)
+	}
+
+	ds, err := rtbh.OpenDataset(dir)
+	if err != nil {
+		t.Fatalf("interrupted dataset unloadable: %v", err)
+	}
+	if int64(len(ds.Updates)) != delivered {
+		t.Errorf("archive holds %d updates, %d delivered", len(ds.Updates), delivered)
+	}
+	opts := rtbh.DefaultOptions()
+	if _, err := lr.Analyzer().Snapshot(opts); err != nil {
+		t.Fatal(err)
+	}
+	batchRep, err := ds.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveRep, err := lr.Analyzer().Final(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReport(t, batchRep, liveRep)
+}
+
+// TestLiveBarrierWaitReconciles runs the test world loss-free and holds
+// live.bgp.barrier_wait to what it can be: a barrier waits at most once
+// per released update, and all waits together fit in the run.
+func TestLiveBarrierWaitReconciles(t *testing.T) {
+	reg := rtbh.NewMetricsRegistry()
+	lr, err := rtbh.NewLiveRun(rtbh.TestConfig(), t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := lr.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	snap := reg.Snapshot()
+	if !snap.Has("live.bgp.barrier_wait") {
+		t.Fatal("live.bgp.barrier_wait not registered")
+	}
+	waits := snap.Timers["live.bgp.barrier_wait"]
+	released := snap.Counter("live.bgp.updates_delivered") + snap.Counter("live.bgp.updates_unreleased")
+	t.Logf("%d barrier waits, %v in total, over %d released updates in a %v run",
+		waits.Count, time.Duration(waits.TotalNS), released, wall)
+	if waits.Count > released || time.Duration(waits.TotalNS) > wall {
+		t.Errorf("%d barrier waits totalling %v, for %d released updates in a %v run",
+			waits.Count, time.Duration(waits.TotalNS), released, wall)
+	}
+	if n := snap.Counter("live.bgp.updates_unreleased"); n != 0 {
+		t.Errorf("a complete run dropped %d updates unreleased", n)
+	}
+}
